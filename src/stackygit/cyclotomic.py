@@ -8,8 +8,17 @@ representation is unique, so zero-testing and equality are coordinate-wise.
 polynomial Phi_m; no floating-point embedding is ever used.
 
 Mixed-order arithmetic embeds both operands into Q(zeta_lcm).  Orders are
-capped (default 120, see :data:`ORDER_CAP`) to keep phi(m) small; everything
-needed here fits inside Q(zeta_40).
+capped (default 120, see :data:`ORDER_CAP`) to keep phi(m) small.  The
+binary polyhedral groups T, O and I need only Q(zeta_5), Q(i), Q(zeta_8)
+and Q(zeta_12), but the C_n and D_n candidates of a stabilizer search use
+zeta_2n for every n up to the form's degree, so any order up to the cap
+can occur.
+
+Bulk kernels (such as ``BinaryForm.substitute``) work on integer
+coordinate vectors over one common denominator: :func:`_to_int_coords`
+converts, :func:`_mul_vec` multiplies and reduces modulo Phi_m (which is
+monic over Z, so the reduction rows are integers), and
+:func:`_from_int_coords` divides once and rebuilds canonical values.
 
 Values whose non-constant coordinates vanish are demoted to order 1 on
 construction, so plain rationals always have the canonical order-1 form.
@@ -26,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import IncompatibleOrderError, OrderCapExceededError
 
@@ -130,8 +139,8 @@ def _divmod(a, b):
 def cyclotomic_polynomial(m: int) -> tuple:
     """Coefficients of Phi_m, ascending, monic.
 
-    >>> cyclotomic_polynomial(12)
-    (mpq(1,1), mpq(0,1), mpq(-1,1), mpq(0,1), mpq(1,1))
+    >>> [int(c) for c in cyclotomic_polynomial(12)]
+    [1, 0, -1, 0, 1]
     """
     if m < 1:
         raise ValueError("order must be positive")
@@ -168,14 +177,17 @@ def _check_order(m: int):
 
 @lru_cache(maxsize=None)
 def _power_reductions(m: int):
-    """Reduced coordinates of zeta_m^k for k = phi(m) .. 2*phi(m) - 2."""
+    """Reduced coordinates of zeta_m^k for k = phi(m) .. 2*phi(m) - 2.
+
+    Phi_m is monic with integer coefficients, so the rows are integers.
+    """
     phi = euler_phi(m)
     head = list(cyclotomic_polynomial(m))[:-1]
-    rows = [tuple(-c for c in head)]
+    rows = [tuple(-int(c) for c in head)]
     cur = list(rows[0])
     for _ in range(phi - 2):
         top = cur[-1]
-        cur = [_ZERO] + cur[:-1]
+        cur = [0] + cur[:-1]
         if top:
             cur = [c + top * r for c, r in zip(cur, rows[0])]
         rows.append(tuple(cur))
@@ -183,9 +195,12 @@ def _power_reductions(m: int):
 
 
 def _mul_vec(m: int, a, b):
-    """Product of two reduced length-phi(m) vectors, reduced again."""
+    """Product of two reduced length-phi(m) vectors, reduced again.
+
+    The coordinates may be QQ or plain ints; the result has their type.
+    """
     phi = len(a)
-    prod = [_ZERO] * (2 * phi - 1)
+    prod = [0 * a[0]] * (2 * phi - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -202,6 +217,20 @@ def _mul_vec(m: int, a, b):
                     if r:
                         low[idx] += c * r
     return low
+
+
+def _to_int_coords(values, m: int):
+    """``(den, vecs)``: the values as integer vectors in Q(zeta_m) over one
+    positive common denominator; every value's order must divide m."""
+    vecs = [v._vec(m) for v in values]
+    den = lcm(*(int(c.denominator) for vec in vecs for c in vec))
+    return den, [[int(c.numerator) * (den // int(c.denominator)) for c in vec]
+                 for vec in vecs]
+
+
+def _from_int_coords(m: int, den: int, vecs):
+    """Inverse of :func:`_to_int_coords`: canonical values vec / den."""
+    return [CyclotomicNumber._raw(m, [QQ(c, den) for c in vec]) for vec in vecs]
 
 
 class CyclotomicNumber:

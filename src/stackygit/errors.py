@@ -12,7 +12,7 @@ class StackygitError(Exception):
 
 
 class BoundExceededError(StackygitError):
-    """An internal safety bound was hit (order cap, closure size)."""
+    """An internal safety bound was hit (order cap, closure size, parser nesting)."""
 
     exit_status = 3
 
@@ -23,6 +23,10 @@ class OrderCapExceededError(BoundExceededError):
 
 class ClosureBoundExceededError(BoundExceededError):
     code = "closure-bound-exceeded"
+
+
+class NestingTooDeepError(BoundExceededError):
+    code = "nesting-too-deep"
 
 
 class IncompatibleOrderError(StackygitError):

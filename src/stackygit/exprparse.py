@@ -11,6 +11,10 @@ The identifiers ``i``, ``sqrt2``, ``sqrt5`` and ``sqrtm3`` are reserved
 constants (zeta_4, zeta_8 + zeta_8^7, 1 + 2 zeta_5 + 2 zeta_5^4,
 1 + 2 zeta_3); every other identifier is a variable, resolved at lowering
 time against a caller-supplied variable list.
+
+Parentheses and unary minus signs may nest at most :data:`MAX_NESTING`
+deep; deeper input raises NestingTooDeepError before the parser recurses
+further.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 from . import cyclotomic
 from .cyclotomic import as_cyclotomic, zeta
-from .errors import ParseError, UnknownIdentifierError
+from .errors import NestingTooDeepError, ParseError, UnknownIdentifierError
 from .polynomials import BinaryForm, MultiPoly
 
 
@@ -84,6 +88,10 @@ SUGAR = {
     "sqrtm3": cyclotomic.sqrt_minus3,
 }
 
+#: Deepest accepted nesting of parentheses and unary minus signs.  Each
+#: level costs a few Python stack frames in the parser and the tree walks.
+MAX_NESTING = 100
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^]))")
 
 
@@ -112,6 +120,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.k = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.k]
@@ -127,6 +136,16 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
+    def nested(self, parse, pos):
+        """Run ``parse`` one nesting level deeper."""
+        if self.depth == MAX_NESTING:
+            raise NestingTooDeepError(
+                f"expression nests deeper than {MAX_NESTING} levels (at position {pos})")
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
+
     def expr(self):
         node = self.term()
         while self.peek()[0] in ("+", "-"):
@@ -137,8 +156,8 @@ class _Parser:
 
     def term(self):
         if self.peek()[0] == "-":
-            self.advance()
-            return Neg(self.term())
+            pos = self.advance()[2]
+            return Neg(self.nested(self.term, pos))
         node = self.factor()
         while self.peek()[0] == "*":
             self.advance()
@@ -167,7 +186,7 @@ class _Parser:
                 return Const(value)
             return Var(value)
         if kind == "(":
-            node = self.expr()
+            node = self.nested(self.expr, pos)
             self.expect(")")
             return node
         raise ParseError(f"unexpected token {value!r}", pos)

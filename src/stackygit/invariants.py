@@ -321,6 +321,18 @@ def _invariant_value(form: BinaryForm) -> CyclotomicNumber:
     return form.a(0)
 
 
+def _iroot(n: int, k: int) -> int:
+    """The integer k-th root floor(n^(1/k)) of n >= 0, by Newton's method."""
+    if n < 2:
+        return n
+    r = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > n^(1/k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
 def _rational_root(value, k: int):
     """Exact rational k-th root of a rational CyclotomicNumber, or None."""
     if not value.is_rational():
@@ -333,12 +345,11 @@ def _rational_root(value, k: int):
         if k % 2 == 0:
             return None
         sign, q = -1, -q
-    num = round(q.numerator ** (1 / k))
-    den = round(q.denominator ** (1 / k))
-    for dn in (num - 1, num, num + 1):
-        for dd in (den - 1, den, den + 1):
-            if dn > 0 and dd > 0 and QQ(dn, dd) ** k == q:
-                return QQ(sign * dn, dd)
+    # q is in lowest terms, so it is a k-th power iff both parts are
+    num, den = int(q.numerator), int(q.denominator)
+    rn, rd = _iroot(num, k), _iroot(den, k)
+    if rn ** k == num and rd ** k == den:
+        return QQ(sign * rn, rd)
     return None
 
 

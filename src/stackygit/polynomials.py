@@ -4,7 +4,9 @@
 coefficient) used for graded-ring relations and divisor equations.
 :class:`BinaryForm` is the dense two-variable case ``f = a_0 x^d +
 a_1 x^{d-1} y + ... + a_d y^d`` with the substitution action of SL(2) and
-root-multiplicity analysis.
+root-multiplicity analysis.  Substitution is the hot path of every
+symmetry check; it runs on integer coordinate vectors over one common
+denominator and divides once at the end (see :meth:`BinaryForm.substitute`).
 
 Root multiplicities are computed by iterated gcds of the dehomogenization
 with its derivative (so everything stays in exact arithmetic, with no root
@@ -15,8 +17,16 @@ sequence to limit coefficient growth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
-from .cyclotomic import CyclotomicNumber, as_cyclotomic
+from .cyclotomic import (
+    CyclotomicNumber,
+    _check_order,
+    _from_int_coords,
+    _mul_vec,
+    _to_int_coords,
+    as_cyclotomic,
+)
 from .errors import ArityError, VariableMismatchError, ZeroFormError
 
 _ZERO = as_cyclotomic(0)
@@ -479,23 +489,33 @@ class BinaryForm:
 
         The substitution is the right action used throughout: f.substitute(M
         N) == f.substitute(M).substitute(N).
+
+        Everything is written in Q(zeta_k), k the lcm of the orders of the
+        coefficients and entries (checked against the order cap up front).
+        The Horner scheme runs on integer coordinate vectors: the
+        coefficients over one common denominator D_f, the entries over D_M,
+        so step i of Horner carries D_f * D_M^i implicitly and no gcd is
+        taken until the single division by D_f * D_M^deg at the end.
         """
-        a, b, c, d = m.a, m.b, m.c, m.d
         deg = self.degree
         if deg == 0:
             return self
+        entries = (m.a, m.b, m.c, m.d)
+        k = lcm(*(v.order for v in self.coeffs + entries))
+        _check_order(k)
+        den_f, fs = _to_int_coords(self.coeffs, k)
+        den_m, (a, b, c, d) = _to_int_coords(entries, k)
         # Horner in X = a x + b y with precomputed powers of Y = c x + d y.
-        ypows = [[as_cyclotomic(1)]]
+        ypows = [[[1] + [0] * (len(a) - 1)]]
         for _ in range(deg):
-            ypows.append(_mul_linear(ypows[-1], c, d))
-        acc = [self.coeffs[0]]
+            ypows.append(_mul_linear(k, ypows[-1], c, d))
+        acc = [fs[0]]
         for i in range(1, deg + 1):
-            acc = _mul_linear(acc, a, b)
-            ai = self.coeffs[i]
-            if ai:
-                yp = ypows[i]
-                acc = [u + ai * v for u, v in zip(acc, yp)]
-        return BinaryForm(acc)
+            acc = _mul_linear(k, acc, a, b)
+            fi = fs[i]
+            if any(fi):
+                acc = [_add(u, _mul_vec(k, fi, v)) for u, v in zip(acc, ypows[i])]
+        return BinaryForm(_from_int_coords(k, den_f * den_m ** deg, acc))
 
     # -- roots ----------------------------------------------------------------------
 
@@ -545,14 +565,19 @@ class BinaryForm:
         return f"BinaryForm('{self}')"
 
 
-def _mul_linear(coeffs, p, q):
-    # (sum c_j x^{k-j} y^j) * (p x + q y), dense in descending x-degree
-    out = [_ZERO] * (len(coeffs) + 1)
-    for j, c in enumerate(coeffs):
-        if c:
-            out[j] = out[j] + c * p
-            out[j + 1] = out[j + 1] + c * q
-    return out
+def _add(u, v):
+    return [x + y for x, y in zip(u, v)]
+
+
+def _mul_linear(k, coeffs, p, q):
+    """(sum c_j x^(n-j) y^j) * (p x + q y), dense in descending x-degree, on
+    integer coordinate vectors in Q(zeta_k)."""
+    zero = [0] * len(p)
+    px = [_mul_vec(k, v, p) for v in coeffs] if any(p) else [zero] * len(coeffs)
+    if not any(q):
+        return px + [zero]
+    qy = [_mul_vec(k, v, q) for v in coeffs]
+    return [px[0]] + [_add(u, v) for u, v in zip(px[1:], qy)] + [qy[-1]]
 
 
 # -- dense univariate polynomials over the cyclotomic field (ascending) -------

@@ -98,6 +98,16 @@ def test_error_paths_have_distinct_codes():
     assert len(set(codes.values())) == len(codes)
 
 
+@pytest.mark.parametrize("text", [
+    "(" * 3000 + "x*y" + ")" * 3000,
+    "x^2 + " + "-" * 3000 + "y^2",
+])
+def test_deep_nesting_is_a_bound_error(text):
+    result = run_command(["stabilizer", text])
+    assert result.status == 3
+    assert result.payload["error"]["code"] == "nesting-too-deep"
+
+
 def test_unknown_generator_error(quintic_file):
     result = run_command(["chart", quintic_file, "I9"])
     assert result.status == 2

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from stackygit.cyclotomic import QQ, sqrt_minus3, zeta
+from stackygit.cyclotomic import QQ, as_cyclotomic, sqrt_minus3, zeta
 from stackygit.errors import (
     NonStableError,
     OrderTooLargeError,
@@ -16,6 +16,7 @@ from stackygit.invariants import (
     QUINTIC_RECIPE,
     SEXTIC_RECIPE,
     RecipeStep,
+    _rational_root,
     calibrate_invariants,
     catalog_ring,
     evaluate_recipe,
@@ -252,3 +253,23 @@ class TestCalibration:
         env = evaluate_recipe(QUINTIC_RECIPE, form("x^5 + x*y^4 + y^5"))
         assert {"I4", "I8", "I12", "I18"} <= set(env)
         assert env["I18"].degree == 0
+
+
+class TestRationalRoot:
+    def test_powers_beyond_float_range(self):
+        # 3^700 does not fit in a float
+        assert _rational_root(as_cyclotomic(3 ** 700), 2) == 3 ** 350
+        assert _rational_root(as_cyclotomic(QQ(1, 3 ** 700)), 7) == QQ(1, 3 ** 100)
+        assert _rational_root(as_cyclotomic(3 ** 701), 2) is None
+
+    def test_cube_beyond_float_precision(self):
+        n = 2 ** 60 + 1
+        assert _rational_root(as_cyclotomic(n ** 3), 3) == n
+        assert _rational_root(as_cyclotomic(QQ(-n ** 3, 8)), 3) == QQ(-n, 2)
+        assert _rational_root(as_cyclotomic(n ** 3 + 1), 3) is None
+
+    def test_non_roots(self):
+        assert _rational_root(as_cyclotomic(QQ(-4, 9)), 2) is None
+        assert _rational_root(as_cyclotomic(QQ(2, 9)), 2) is None
+        assert _rational_root(zeta(3), 3) is None
+        assert _rational_root(as_cyclotomic(0), 3) is None

@@ -6,8 +6,14 @@ from hypothesis import strategies as st
 
 from stackygit import ringspec
 from stackygit.cyclotomic import zeta
-from stackygit.errors import ParseError, RingSpecError, UnknownIdentifierError
+from stackygit.errors import (
+    NestingTooDeepError,
+    ParseError,
+    RingSpecError,
+    UnknownIdentifierError,
+)
 from stackygit.exprparse import (
+    MAX_NESTING,
     Add,
     Const,
     Mul,
@@ -55,6 +61,13 @@ def test_unknown_identifier_at_lowering():
     node = parse_poly("x + q")
     with pytest.raises(UnknownIdentifierError):
         lower_to_multipoly(node, ("x", "y"))
+
+
+def test_nesting_bound():
+    half = MAX_NESTING // 2
+    assert form("-(" * half + "x^2 - y^2" + ")" * half) == form("x^2 - y^2")
+    with pytest.raises(NestingTooDeepError):
+        parse_poly("(" * MAX_NESTING + "-x" + ")" * MAX_NESTING)
 
 
 def test_zeta_and_sugar():

@@ -3,9 +3,14 @@ import random
 import pytest
 
 from stackygit.cyclotomic import QQ, zeta
-from stackygit.errors import ArityError, VariableMismatchError, ZeroFormError
+from stackygit.errors import (
+    ArityError,
+    OrderCapExceededError,
+    VariableMismatchError,
+    ZeroFormError,
+)
 from stackygit.exprparse import form
-from stackygit.groups import SL2Matrix
+from stackygit.groups import GroupSpec, SL2Matrix, group_generators
 from stackygit.polynomials import BinaryForm, MultiPoly, WeightedGrading
 
 
@@ -118,17 +123,39 @@ class TestBinaryForm:
             m = _random_sl2(rng)
             n = _random_sl2(rng)
             assert f.substitute(m * n) == f.substitute(m).substitute(n)
+        # entries with denominators (I: 1/sqrt5, O: 1/sqrt2, T: 1/2), and a
+        # form over Q(zeta_3) under matrices over Q(i), Q(zeta_5), Q(zeta_8)
+        mixed = form("x^4 + 2*sqrtm3*x^2*y^2 - x*y^3 + y^4")
+        for spec in ("T", "O", "I"):
+            gens = group_generators(GroupSpec.parse(spec)) + (_random_sl2(rng),)
+            for m in gens:
+                for n in gens:
+                    for g in (f, mixed):
+                        assert g.substitute(m * n) == g.substitute(m).substitute(n)
 
     def test_evaluate_commutes_with_substitution(self):
         rng = random.Random(13)
         f = form("x^5 - 2*x^2*y^3 + y^5")
-        for _ in range(25):
-            m = _random_sl2(rng)
+        mixed = form("x^5 + sqrtm3*x^2*y^3 - y^5")
+        generators = [g for spec in ("T", "O", "I")
+                      for g in group_generators(GroupSpec.parse(spec))]
+        cyclotomic_points = [(zeta(3), 1 - zeta(5)), (QQ(1, 2) * zeta(8), zeta(4))]
+        for k in range(25):
+            m = _random_sl2(rng) if k % 2 else rng.choice(generators)
             u = QQ(rng.randint(-4, 4), rng.randint(1, 3))
             v = QQ(rng.randint(-4, 4), rng.randint(1, 3))
-            left = f.substitute(m).evaluate(u, v)
-            right = f.evaluate(m.a * u + m.b * v, m.c * u + m.d * v)
-            assert left == right
+            for g in (f, mixed):
+                for p, q in [(u, v)] + cyclotomic_points:
+                    left = g.substitute(m).evaluate(p, q)
+                    right = g.evaluate(m.a * p + m.b * q, m.c * p + m.d * q)
+                    assert left == right
+
+    def test_substitution_past_order_cap_raises(self):
+        # Q(zeta_7) coefficients under a Q(zeta_40) matrix need Q(zeta_280)
+        f = form("x^2 + zeta(7)*y^2")
+        m = group_generators(GroupSpec("C", 20))[0]
+        with pytest.raises(OrderCapExceededError):
+            f.substitute(m)
 
     def test_profile_monomial(self):
         assert form("x^2*y^3").multiplicity_profile() == (2, 3)
