@@ -490,32 +490,40 @@ class BinaryForm:
         The substitution is the right action used throughout: f.substitute(M
         N) == f.substitute(M).substitute(N).
 
-        Everything is written in Q(zeta_k), k the lcm of the orders of the
-        coefficients and entries (checked against the order cap up front).
-        The Horner scheme runs on integer coordinate vectors: the
-        coefficients over one common denominator D_f, the entries over D_M,
-        so step i of Horner carries D_f * D_M^i implicitly and no gcd is
+        The terms f_i X^(deg-i) Y^i (X = a x + b y, Y = c x + d y) are
+        grouped by their field Q(zeta_k), k the lcm of the order of f_i and
+        the orders of the entries.  Each group is summed in its own field
+        (checked against the order cap) and the groups are added at the end,
+        so a field is entered only where a coefficient meets the entries, as
+        in term-by-term arithmetic, and a form over one field takes one pass.
+        When c or d is zero the last term is the single product f_deg c^deg
+        or f_deg d^deg and is formed as such, so it stays in the field of
+        f_deg where that power is rational.
+
+        Within a group the Horner scheme runs on integer coordinate vectors:
+        the coefficients over one common denominator D_f, the entries over
+        D_M, so step i of Horner carries D_f * D_M^i implicitly and no gcd is
         taken until the single division by D_f * D_M^deg at the end.
         """
         deg = self.degree
         if deg == 0:
             return self
         entries = (m.a, m.b, m.c, m.d)
-        k = lcm(*(v.order for v in self.coeffs + entries))
-        _check_order(k)
-        den_f, fs = _to_int_coords(self.coeffs, k)
-        den_m, (a, b, c, d) = _to_int_coords(entries, k)
-        # Horner in X = a x + b y with precomputed powers of Y = c x + d y.
-        ypows = [[[1] + [0] * (len(a) - 1)]]
-        for _ in range(deg):
-            ypows.append(_mul_linear(k, ypows[-1], c, d))
-        acc = [fs[0]]
-        for i in range(1, deg + 1):
-            acc = _mul_linear(k, acc, a, b)
-            fi = fs[i]
-            if any(fi):
-                acc = [_add(u, _mul_vec(k, fi, v)) for u, v in zip(acc, ypows[i])]
-        return BinaryForm(_from_int_coords(k, den_f * den_m ** deg, acc))
+        e = lcm(*(v.order for v in entries))
+        y_monomial = not (m.c and m.d)
+        groups = {}
+        for i, fi in enumerate(self.coeffs[:-1] if y_monomial else self.coeffs):
+            if fi:
+                groups.setdefault(lcm(fi.order, e), {})[i] = fi
+        parts = [_substitute_terms(k, deg, terms, entries) for k, terms in groups.items()]
+        last = self.coeffs[-1]
+        if y_monomial and last:
+            part = [_ZERO] * (deg + 1)
+            part[0 if m.c else deg] = last * (m.c or m.d) ** deg
+            parts.append(part)
+        if not parts:
+            return self
+        return BinaryForm([sum(cs, _ZERO) for cs in zip(*parts)])
 
     # -- roots ----------------------------------------------------------------------
 
@@ -578,6 +586,27 @@ def _mul_linear(k, coeffs, p, q):
         return px + [zero]
     qy = [_mul_vec(k, v, q) for v in coeffs]
     return [px[0]] + [_add(u, v) for u, v in zip(px[1:], qy)] + [qy[-1]]
+
+
+def _substitute_terms(k, deg, terms, entries):
+    """Coefficients of sum f_i X^(deg-i) Y^i over the terms {i: f_i}, for
+    X = a x + b y and Y = c x + d y, computed in Q(zeta_k) on integer
+    coordinate vectors (see :meth:`BinaryForm.substitute`)."""
+    _check_order(k)
+    first, last = min(terms), max(terms)
+    den_f, fs = _to_int_coords(list(terms.values()), k)
+    fs = dict(zip(terms, fs))
+    den_m, (a, b, c, d) = _to_int_coords(entries, k)
+    # Horner in X with precomputed powers of Y, from the first term on.
+    ypows = [[[1] + [0] * (len(a) - 1)]]
+    for _ in range(last):
+        ypows.append(_mul_linear(k, ypows[-1], c, d))
+    acc = [_mul_vec(k, fs[first], v) for v in ypows[first]]
+    for i in range(first + 1, deg + 1):
+        acc = _mul_linear(k, acc, a, b)
+        if i in fs:
+            acc = [_add(u, _mul_vec(k, fs[i], v)) for u, v in zip(acc, ypows[i])]
+    return _from_int_coords(k, den_f * den_m ** deg, acc)
 
 
 # -- dense univariate polynomials over the cyclotomic field (ascending) -------

@@ -55,6 +55,23 @@ def test_stabilizer_nmax_flag():
     assert result.payload["maximal_groups"] == ["C3"]
 
 
+@pytest.mark.parametrize("argv, groups, scalars", [
+    # the C3 scalar is -zeta_6 written in Q(zeta_6), not in Q(zeta_12)
+    (["x^4 + i*x*y^3"], ["C3"], {"C3": ["-zeta(6)"]}),
+    # i and sqrtm3 meet zeta_22 in different terms: no order-132 field
+    (["x^12 + i*x^6*y^6 + sqrtm3*y^12"], ["C6"], {"C6": ["1"]}),
+    # zeta_14^14 = 1 keeps the y^14 term in Q(zeta_9), not Q(zeta_126)
+    (["x^14 + zeta(9)*y^14", "--nmax", "7"], ["C2", "C7"], {}),
+])
+def test_stabilizer_mixed_fields(argv, groups, scalars):
+    result = run_command(["stabilizer", *argv])
+    assert result.status == 0
+    assert result.payload["maximal_groups"] == groups
+    certificates = {c["group"]: c["scalars"] for c in result.payload["certificates"]}
+    for group, expected in scalars.items():
+        assert certificates[group] == expected
+
+
 def test_ground_forms():
     result = run_command(["ground-forms", "I"])
     assert result.status == 0

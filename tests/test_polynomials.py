@@ -123,10 +123,11 @@ class TestBinaryForm:
             m = _random_sl2(rng)
             n = _random_sl2(rng)
             assert f.substitute(m * n) == f.substitute(m).substitute(n)
-        # entries with denominators (I: 1/sqrt5, O: 1/sqrt2, T: 1/2), and a
-        # form over Q(zeta_3) under matrices over Q(i), Q(zeta_5), Q(zeta_8)
-        mixed = form("x^4 + 2*sqrtm3*x^2*y^2 - x*y^3 + y^4")
-        for spec in ("T", "O", "I"):
+        # entries with denominators (I: 1/sqrt5, O: 1/sqrt2, T: 1/2), monomial
+        # matrices (C7, D6), and a form over Q(zeta_3) under matrices over
+        # Q(i), Q(zeta_5), Q(zeta_8), Q(zeta_12) and Q(zeta_14)
+        mixed = form("x^4 + 2*sqrtm3*x^2*y^2 - x*y^3 + sqrtm3*y^4")
+        for spec in ("T", "O", "I", "C7", "D6"):
             gens = group_generators(GroupSpec.parse(spec)) + (_random_sl2(rng),)
             for m in gens:
                 for n in gens:
@@ -136,19 +137,24 @@ class TestBinaryForm:
     def test_evaluate_commutes_with_substitution(self):
         rng = random.Random(13)
         f = form("x^5 - 2*x^2*y^3 + y^5")
-        mixed = form("x^5 + sqrtm3*x^2*y^3 - y^5")
-        generators = [g for spec in ("T", "O", "I")
-                      for g in group_generators(GroupSpec.parse(spec))]
-        cyclotomic_points = [(zeta(3), 1 - zeta(5)), (QQ(1, 2) * zeta(8), zeta(4))]
-        for k in range(25):
-            m = _random_sl2(rng) if k % 2 else rng.choice(generators)
+        for _ in range(25):
+            m = _random_sl2(rng)
             u = QQ(rng.randint(-4, 4), rng.randint(1, 3))
             v = QQ(rng.randint(-4, 4), rng.randint(1, 3))
-            for g in (f, mixed):
-                for p, q in [(u, v)] + cyclotomic_points:
-                    left = g.substitute(m).evaluate(p, q)
-                    right = g.evaluate(m.a * p + m.b * q, m.c * p + m.d * q)
-                    assert left == right
+            left = f.substitute(m).evaluate(u, v)
+            right = f.evaluate(m.a * u + m.b * v, m.c * u + m.d * v)
+            assert left == right
+        # group generators (entries with denominators, monomial matrices), a
+        # form over Q(zeta_3), and points in cyclotomic fields
+        mixed = form("x^5 + sqrtm3*x^2*y^3 - zeta(3)*y^5")
+        points = [(QQ(-3, 2), QQ(4, 3)), (zeta(3), 1 - zeta(5)), (QQ(1, 2) * zeta(8), zeta(4))]
+        for spec in ("T", "O", "I", "C5", "D6"):
+            for m in group_generators(GroupSpec.parse(spec)):
+                for g in (f, mixed):
+                    for p, q in points:
+                        left = g.substitute(m).evaluate(p, q)
+                        right = g.evaluate(m.a * p + m.b * q, m.c * p + m.d * q)
+                        assert left == right
 
     def test_substitution_past_order_cap_raises(self):
         # Q(zeta_7) coefficients under a Q(zeta_40) matrix need Q(zeta_280)
@@ -156,6 +162,23 @@ class TestBinaryForm:
         m = group_generators(GroupSpec("C", 20))[0]
         with pytest.raises(OrderCapExceededError):
             f.substitute(m)
+
+    def test_substitution_enters_only_the_fields_its_terms_need(self):
+        # Under C11 the terms of i and sqrtm3 meet zeta_22 apart, in
+        # Q(zeta_44) and Q(zeta_66); no term needs lcm(4, 3, 22) = 132 > cap.
+        f = form("x^12 + i*x^6*y^6 + sqrtm3*y^12")
+        eps = zeta(22)
+        m = group_generators(GroupSpec("C", 11))[0]
+        g = f.substitute(m)
+        assert g == BinaryForm([eps ** 12] + [0] * 5 + [zeta(4)] + [0] * 5
+                               + [form("sqrtm3*x").coeffs[0] * eps ** -12])
+        assert [c.order for c in g.coeffs if c] == [22, 44, 66]
+        # d^14 = 1 under C7, so the y^14 term stays in Q(zeta_9) (lcm(9, 14)
+        # = 126 would pass the cap).
+        h = form("x^14 + zeta(9)*y^14")
+        image = h.substitute(group_generators(GroupSpec("C", 7))[0])
+        assert image == h
+        assert image.coeffs[-1].order == 9
 
     def test_profile_monomial(self):
         assert form("x^2*y^3").multiplicity_profile() == (2, 3)
