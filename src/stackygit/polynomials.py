@@ -6,7 +6,8 @@ coefficient) used for graded-ring relations and divisor equations.
 a_1 x^{d-1} y + ... + a_d y^d`` with the substitution action of SL(2) and
 root-multiplicity analysis.  Substitution is the hot path of every
 symmetry check; it runs on integer coordinate vectors over one common
-denominator and divides once at the end (see :meth:`BinaryForm.substitute`).
+denominator per field and divides once at the end (see
+:meth:`BinaryForm.substitute`).
 
 Root multiplicities are computed by iterated gcds of the dehomogenization
 with its derivative (so everything stays in exact arithmetic, with no root
