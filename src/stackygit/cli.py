@@ -67,7 +67,7 @@ def _cmd_decompose(args) -> CommandResult:
     body = {
         "ring": _presentation_dict(ring),
         "coarse_weights": list(report.coarse_weights),
-        "canonical_weights": list(report.canonical_weights),
+        "canonical_weights": list(report.coarse_weights),
         "rigidification": _presentation_dict(report.rigidification),
         "gerbe_index": report.gerbe_index,
         "root": {
@@ -81,7 +81,7 @@ def _cmd_decompose(args) -> CommandResult:
         f"# Stacky decomposition of {ring.describe()}",
         "",
         f"- coarse space: weighted projective space P{report.coarse_weights}",
-        f"- canonical stack: weighted projective stack on {report.canonical_weights}",
+        f"- canonical stack: weighted projective stack on {report.coarse_weights}",
         f"- rigidification: {report.rigidification.describe()}",
         f"- gerbe: essentially trivial mu_{report.gerbe_index}-gerbe over the rigidification",
         f"- square root: order {report.root_order} along a divisor of degree "

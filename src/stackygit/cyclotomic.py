@@ -34,27 +34,14 @@ True
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction as QQ
 from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import IncompatibleOrderError, OrderCapExceededError
 
-try:
-    from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as QQ
-
 _ZERO = QQ(0)
 _ONE = QQ(1)
-_SCALARS = (int, type(_ZERO))
-
-try:
-    from fractions import Fraction as _Fraction
-
-    if not isinstance(_ZERO, _Fraction):
-        _SCALARS = (int, type(_ZERO), _Fraction)
-except ImportError:  # pragma: no cover
-    pass
 
 #: Largest permitted cyclotomic order.  Mutable module setting; operations
 #: that would need a bigger field raise OrderCapExceededError.
@@ -153,18 +140,15 @@ def cyclotomic_polynomial(m: int) -> tuple:
 
 
 def _xgcd(a, b):
-    # extended gcd in QQ[x]; returns (g, s, t) with s*a + t*b = g
+    # extended gcd in QQ[x]; returns (g, s) with s*a = g modulo b
     r0, r1 = list(a), list(b)
     s0, s1 = [_ONE], []
-    t0, t1 = [], [_ONE]
     while _trim(r1):
         q, r = _divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, _trim([x - y for x, y in
                             itertools.zip_longest(s0, _mul(q, s1), fillvalue=_ZERO)])
-        t0, t1 = t1, _trim([x - y for x, y in
-                            itertools.zip_longest(t0, _mul(q, t1), fillvalue=_ZERO)])
-    return r0, s0, t0
+    return r0, s0
 
 
 def _check_order(m: int):
@@ -342,7 +326,7 @@ class CyclotomicNumber:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, (CyclotomicNumber, *_SCALARS)):
+        if not isinstance(other, (CyclotomicNumber, int, QQ)):
             return NotImplemented
         a, b, m = self._pair(other)
         return CyclotomicNumber._raw(m, [x + y for x, y in zip(a, b)])
@@ -350,7 +334,7 @@ class CyclotomicNumber:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, (CyclotomicNumber, *_SCALARS)):
+        if not isinstance(other, (CyclotomicNumber, int, QQ)):
             return NotImplemented
         a, b, m = self._pair(other)
         return CyclotomicNumber._raw(m, [x - y for x, y in zip(a, b)])
@@ -362,7 +346,7 @@ class CyclotomicNumber:
         return CyclotomicNumber._raw(self.order, [-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if not isinstance(other, (CyclotomicNumber, *_SCALARS)):
+        if not isinstance(other, (CyclotomicNumber, int, QQ)):
             return NotImplemented
         other = as_cyclotomic(other)
         if other.order == 1:
@@ -385,7 +369,7 @@ class CyclotomicNumber:
             raise ZeroDivisionError("division by zero in a cyclotomic field")
         if self.order == 1:
             return CyclotomicNumber(1, (1 / self.coeffs[0],))
-        g, s, _ = _xgcd(list(self.coeffs), list(cyclotomic_polynomial(self.order)))
+        g, s = _xgcd(list(self.coeffs), list(cyclotomic_polynomial(self.order)))
         # g is a nonzero constant since Phi_m is irreducible over Q
         c = 1 / g[0]
         s = [x * c for x in s]
@@ -393,7 +377,7 @@ class CyclotomicNumber:
         return CyclotomicNumber._raw(self.order, s)
 
     def __truediv__(self, other):
-        if not isinstance(other, (CyclotomicNumber, *_SCALARS)):
+        if not isinstance(other, (CyclotomicNumber, int, QQ)):
             return NotImplemented
         return self * as_cyclotomic(other).inverse()
 

@@ -14,11 +14,13 @@ time against a caller-supplied variable list.
 
 Parentheses and unary minus signs may nest at most :data:`MAX_NESTING`
 deep; deeper input raises NestingTooDeepError before the parser recurses
-further.
+further.  Sums and products of any length are parsed and lowered
+iteratively, so they need no such bound.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -262,21 +264,22 @@ def print_expr(node: Node) -> str:
 def collect_variables(node: Node):
     """Variable names appearing in the AST, in first-occurrence order."""
     out = []
-
-    def walk(n):
+    stack = [node]
+    while stack:
+        n = stack.pop()
         if isinstance(n, Var):
             if n.name not in out:
                 out.append(n.name)
         elif isinstance(n, (Add, Sub, Mul)):
-            walk(n.left)
-            walk(n.right)
+            stack += (n.right, n.left)
         elif isinstance(n, Neg):
-            walk(n.arg)
+            stack.append(n.arg)
         elif isinstance(n, Pow):
-            walk(n.base)
-
-    walk(node)
+            stack.append(n.base)
     return tuple(out)
+
+
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 
 
 def lower_to_multipoly(node: Node, variables) -> MultiPoly:
@@ -299,12 +302,16 @@ def lower_to_multipoly(node: Node, variables) -> MultiPoly:
                 raise UnknownIdentifierError(
                     f"unknown identifier {n.name!r} (variables: {', '.join(variables) or 'none'})")
             return MultiPoly.variable(variables, n.name)
-        if isinstance(n, Add):
-            return walk(n.left) + walk(n.right)
-        if isinstance(n, Sub):
-            return walk(n.left) - walk(n.right)
-        if isinstance(n, Mul):
-            return walk(n.left) * walk(n.right)
+        if type(n) in _BINARY:
+            # walk the left spine of a chain like x + x + ... iteratively
+            spine = []
+            while type(n) in _BINARY:
+                spine.append(n)
+                n = n.left
+            value = walk(n)
+            for op in reversed(spine):
+                value = _BINARY[type(op)](value, walk(op.right))
+            return value
         if isinstance(n, Neg):
             return -walk(n.arg)
         if isinstance(n, Pow):

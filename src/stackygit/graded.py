@@ -116,8 +116,7 @@ class DecompositionReport:
     """Coarse space, canonical stack, rigidification and square-root datum."""
 
     ring: GradedRingPresentation
-    coarse_weights: tuple
-    canonical_weights: tuple
+    coarse_weights: tuple            # also the canonical stack's weights
     rigidification: GradedRingPresentation
     gerbe_index: int
     root_order: int
@@ -323,7 +322,6 @@ def stacky_decompose(ring: GradedRingPresentation) -> DecompositionReport:
     return DecompositionReport(
         ring=ring,
         coarse_weights=data.e,
-        canonical_weights=data.e,
         rigidification=rigidification,
         gerbe_index=gerbe,
         root_order=2,

@@ -14,13 +14,18 @@ Transvectants use the classical normalization
 ((d-r)! (e-r)! / (d! e!)) * sum_i (-1)^i C(r, i) f_{x^{r-i} y^i} g_{x^i y^{r-i}},
 and the calibration harness matches transvectant-built invariants against a
 catalog relation by per-degree scalars.
+
+One Gaussian-elimination routine, the fraction-free (Bareiss) forward
+elimination :func:`_eliminate`, serves both exact linear-algebra needs:
+:func:`resultant` reads the Sylvester determinant off its last pivot, and
+the calibration's linear solve back-substitutes over its pivot rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .cyclotomic import QQ, CyclotomicNumber, as_cyclotomic
 from .errors import (
@@ -80,7 +85,6 @@ def quintic_F() -> MultiPoly:
 
 def _sextic_matrix():
     v = ("I2", "I4", "I6", "I10")
-    p = lambda terms: MultiPoly(v, terms)
     i2, i4, i6, i10 = (MultiPoly.variable(v, n) for n in v)
     b = i4 * i4 + i2 * i6                      # I4^2 + I2*I6, degree 8
     a11 = 2 * i6 + QQ(1, 3) * i2 * i4
@@ -229,31 +233,52 @@ def resultant(f: BinaryForm, g: BinaryForm) -> CyclotomicNumber:
     for k in range(d):
         rows.append([as_cyclotomic(0)] * k + list(g.coeffs)
                     + [as_cyclotomic(0)] * (d - 1 - k))
-    return _det(rows, size)
+    # below full rank the last row is eliminated to zero
+    _, sign = _eliminate(rows, size)
+    return sign * rows[-1][-1] if size else as_cyclotomic(1)
 
 
-def _det(rows, size) -> CyclotomicNumber:
-    # Gaussian elimination with exact division; pivot by first nonzero.
-    det = as_cyclotomic(1)
-    for col in range(size):
-        pivot = None
-        for k in range(col, size):
-            if rows[k][col]:
-                pivot = k
-                break
-        if pivot is None:
-            return as_cyclotomic(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        p = rows[col][col]
-        det = det * p
-        inv = p.inverse()
-        for k in range(col + 1, size):
-            factor = rows[k][col] * inv
-            if factor:
-                rows[k] = [a - factor * b for a, b in zip(rows[k], rows[col])]
-    return det
+def _eliminate(rows, ncols):
+    """Fraction-free (Bareiss) forward elimination of ``rows`` in place.
+
+    Columns ``0 .. ncols-1`` are eliminated and later ones (a right-hand
+    side) carried along; a row with a nonzero entry is swapped into the
+    pivot position, and a column without one is skipped.  Returns the pivot
+    columns and the sign of the row permutation.  Entries stay minors of
+    the input, so integral input stays integral, and the signed last pivot
+    of a full-rank square matrix is its determinant (Bareiss, Math. Comp.
+    22, 1968).  A row that is zero in the pivot column would only be
+    rescaled by p_r / p_(r-1); it is left as it is, and its next update
+    divides by the pivot before the step that last changed it.
+    """
+    pivots, sign = [], 1
+    inverses = [as_cyclotomic(1)]  # inverses[j] = 1 / (pivot of step j - 1)
+    level = [0] * len(rows)        # row k is up to date before step level[k]
+    for col in range(ncols):
+        r = len(pivots)
+        k = next((k for k in range(r, len(rows)) if rows[k][col]), None)
+        if k is None:
+            continue
+        if k != r:
+            rows[r], rows[k] = rows[k], rows[r]
+            level[r], level[k] = level[k], level[r]
+            sign = -sign
+        # entries left of col are zero in the rows from r on
+        top = rows[r]
+        if level[r] < r:
+            scale = rows[r - 1][pivots[-1]] * inverses[level[r]]
+            top[col:] = [x * scale for x in top[col:]]
+        p = top[col]
+        for k in range(r + 1, len(rows)):
+            row = rows[k]
+            a = row[col]
+            if a:
+                d = inverses[level[k]]
+                row[col:] = [(p * x - a * y) * d for x, y in zip(row[col:], top[col:])]
+                level[k] = r + 1
+        inverses.append(p.inverse())
+        pivots.append(col)
+    return pivots, sign
 
 
 # -- calibration --------------------------------------------------------------------
@@ -521,39 +546,24 @@ def _mono_value(vals, mono):
 
 
 def _solve_linear(rows, rhs):
-    """Exact solve of an overdetermined consistent system; None if none."""
+    """Exact solve of an overdetermined consistent system; None if it is
+    inconsistent or its solution is not unique.  Each row is scaled to
+    integral coordinates first."""
     n = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        pivot = None
-        for k in range(row, len(aug)):
-            if aug[k][col]:
-                pivot = k
-                break
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = aug[row][col].inverse()
-        aug[row] = [a * inv for a in aug[row]]
-        for k in range(len(aug)):
-            if k != row and aug[k][col]:
-                factor = aug[k][col]
-                aug[k] = [a - factor * b for a, b in zip(aug[k], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(aug):
-            break
-    # inconsistency or underdetermination
-    for k in range(row, len(aug)):
-        if aug[k][n]:
-            return None
-    if len(pivots) < n:
+    aug = []
+    for row, b in zip(rows, rhs):
+        row = list(row) + [b]
+        den = lcm(*(int(q.denominator) for c in row for q in c.coeffs))
+        aug.append([c * den for c in row])
+    pivots, _ = _eliminate(aug, n)
+    if len(pivots) < n or any(row[n] for row in aug[n:]):
         return None
-    solution = [as_cyclotomic(0)] * n
-    for r, col in enumerate(pivots):
-        solution[col] = aug[r][n]
+    solution = [None] * n
+    for r in reversed(range(n)):
+        value = aug[r][n]
+        for j in range(r + 1, n):
+            value = value - aug[r][j] * solution[j]
+        solution[r] = value / aug[r][r]
     return solution
 
 

@@ -5,6 +5,7 @@ goal: its outcome is printed and reported but a failure there is recorded
 as an expected-failure rather than a suite failure.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -100,6 +101,9 @@ def test_verify_all_is_deterministic():
     second = run_command(["verify-all", "--seed", str(SEED)])
     assert first.status == 0
     assert first.json_text() == second.json_text()
+    # the seed-7 payload, pinned byte for byte
+    assert hashlib.sha256(first.json_text().encode()).hexdigest() == (
+        "72dcb4a91bd24678b1346c0fa5ff8b842efb668f6f404c281f50994a77be7eae")
     payload = json.loads(first.json_text())
     assert payload["blocking_failures"] == 0
     assert len(payload["checks"]) == 10

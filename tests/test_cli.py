@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +124,42 @@ def test_deep_nesting_is_a_bound_error(text):
     result = run_command(["stabilizer", text])
     assert result.status == 3
     assert result.payload["error"]["code"] == "nesting-too-deep"
+
+
+@pytest.mark.parametrize("op", ["+", "-"])
+def test_long_sum_is_a_degree_one_form(op):
+    result = run_command(["stabilizer", op.join(["x"] * 3000)])
+    assert result.status == 2
+    assert result.payload["error"]["code"] == "infinite-stabilizer"
+
+
+DEMO_RINGS = Path(__file__).resolve().parent.parent / "demos" / "rings"
+
+
+@pytest.mark.parametrize("name, decomposition, gerbe", [
+    ("quartic", None, 1),
+    ("quintic", ([1, 2, 3], 9, 2), 2),
+    ("sextic", ([1, 2, 3, 5], 15, 1), 1),
+    ("cubic_curve", None, 2),
+    ("cubic_surface", ([1, 2, 3, 4, 5], 25, 4), 4),
+])
+def test_demo_rings(name, decomposition, gerbe):
+    path = str(DEMO_RINGS / f"{name}.ring")
+    result = run_command(["decompose", path])
+    if decomposition is None:
+        # free rings have no two-sheeted relation to decompose along
+        assert result.status == 2
+        assert result.payload["error"]["code"] == "relation-shape"
+    else:
+        coarse, degree, index = decomposition
+        assert result.status == 0
+        assert result.payload["coarse_weights"] == coarse
+        assert result.payload["canonical_weights"] == coarse
+        assert result.payload["root"]["degree_on_canonical_stack"] == degree
+        assert result.payload["gerbe_index"] == index
+    result = run_command(["rigidify", path])
+    assert result.status == 0
+    assert result.payload["gerbe_index"] == gerbe
 
 
 def test_unknown_generator_error(quintic_file):

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -16,7 +18,9 @@ from stackygit.invariants import (
     QUINTIC_RECIPE,
     SEXTIC_RECIPE,
     RecipeStep,
+    _eliminate,
     _rational_root,
+    _solve_linear,
     calibrate_invariants,
     catalog_ring,
     evaluate_recipe,
@@ -173,6 +177,71 @@ class TestTransvectant:
         g = common * form("x^2 + y^2")
         assert not resultant(f, g)
         assert resultant(form("x"), form("y")) == 1
+
+
+def _product_of_linear(factors):
+    f = BinaryForm([1])
+    for a, b in factors:
+        f = f * BinaryForm([a, -b])
+    return f
+
+
+class TestElimination:
+    @pytest.mark.parametrize("f_factors, g_factors", [
+        # roots in Q(i), Q(zeta_3), Q(zeta_5) and leading coefficients 2, zeta_5
+        ([(2, zeta(4)), (1, zeta(3)), (1, 1 + zeta(5))],
+         [(1, -zeta(4)), (zeta(5), 1), (1, zeta(3) ** 2 + zeta(4))]),
+        # y*(x - y) has a0 = 0: the first pivot needs a row swap
+        ([(0, -1), (1, 1)], [(1, zeta(4)), (1, zeta(5)), (3, zeta(3))]),
+        # both forms vanish at infinity: singular Sylvester matrix
+        ([(0, 1), (1, zeta(4))], [(0, 2), (1, 1)]),
+    ])
+    def test_resultant_is_product_of_root_differences(self, f_factors, g_factors):
+        # Res(prod (a_i x - b_i y), prod (c_j x - d_j y)) = prod (b_i c_j - a_i d_j),
+        # which is a0^e b0^d prod (r_i - s_j) when every a_i and c_j is nonzero.
+        f = _product_of_linear(f_factors)
+        g = _product_of_linear(g_factors)
+        expected = as_cyclotomic(1)
+        for a, b in f_factors:
+            for c, d in g_factors:
+                expected = expected * (b * c - a * d)
+        assert resultant(f, g) == expected
+        assert resultant(g, f) == expected * (-1) ** (f.degree * g.degree)
+
+    def test_eliminate_keeps_integers_and_reads_determinant(self):
+        rng = random.Random(3)
+        cases = [[[-5, 0, 0, 7], [2, 0, 0, -5], [7, 0, 0, 0], [0, 3, 0, 2]]]
+        for _ in range(300):
+            n = rng.randint(2, 5)
+            cases.append([[rng.choice([0, 0, 0, 0, 2, 3, -5, 7]) for _ in range(n)]
+                          for _ in range(n)])
+        for m in cases:
+            n = len(m)
+            det = 0
+            for perm in itertools.permutations(range(n)):
+                inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+                det += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(n))
+            rows = [[as_cyclotomic(c) for c in row] for row in m]
+            pivots, sign = _eliminate(rows, n)
+            assert all(c.is_integer() for row in rows for c in row)
+            assert sign * rows[-1][-1] == det
+            assert (len(pivots) == n) == (det != 0)
+
+    def test_solve_linear(self):
+        half, i = as_cyclotomic(QQ(1, 2)), zeta(4)
+        rows = [[1, half], [i, 3], [half * i, 2 - i]]
+        x = [i + QQ(1, 3), -half]
+        rhs = [sum((a * v for a, v in zip(row, x)), as_cyclotomic(0)) for row in rows]
+        rows = [[as_cyclotomic(a) for a in row] for row in rows]
+        assert _solve_linear(rows, rhs) == x
+
+    def test_solve_linear_inconsistent(self):
+        rows = [[as_cyclotomic(a) for a in row] for row in ([1, 0], [0, 1], [1, 1])]
+        assert _solve_linear(rows, [as_cyclotomic(b) for b in (1, 1, 3)]) is None
+
+    def test_solve_linear_rank_deficient(self):
+        rows = [[as_cyclotomic(a) for a in row] for row in ([1, 2], [2, 4], [3, 6])]
+        assert _solve_linear(rows, [as_cyclotomic(b) for b in (1, 2, 3)]) is None
 
 
 class TestRelationPolynomials:

@@ -70,6 +70,21 @@ def test_nesting_bound():
         parse_poly("(" * MAX_NESTING + "-x" + ")" * MAX_NESTING)
 
 
+@pytest.mark.parametrize("op, expected", [
+    ("+", "3000*x"), ("-", "-2998*x"), ("*", "x^3000")])
+def test_long_chains(op, expected):
+    text = op.join(["x"] * 3000)
+    assert collect_variables(parse_poly(text)) == ("x",)
+    f = form(text)
+    assert str(f) == expected
+    assert f.degree == (3000 if op == "*" else 1)
+
+
+def test_long_relation_chain():
+    ring = ringspec.loads("a : 1\nb : 1\nrelation: " + "+".join(["a*b"] * 3000) + "\n")
+    assert str(ring.relation) == "3000*a*b"
+
+
 def test_zeta_and_sugar():
     node = parse_poly("zeta(8)^2 + i")
     value = lower_to_multipoly(node, ()).constant_term()
