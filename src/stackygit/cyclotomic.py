@@ -1,27 +1,27 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
-A :class:`CyclotomicNumber` is stored as its coordinate vector in the power
-basis ``{zeta_m^k : 0 <= k < phi(m)}``, fully reduced modulo the m-th
-cyclotomic polynomial.  Because the power basis is a Q-basis, the reduced
-representation is unique, so zero-testing and equality are coordinate-wise.
-``zeta_m`` is the abstract primitive m-th root of unity with minimal
-polynomial Phi_m; no floating-point embedding is ever used.
+A :class:`CyclotomicNumber` of order m is ``(c_0 + c_1 zeta_m + ... +
+c_{phi-1} zeta_m^{phi-1}) / den``, stored as the integer coordinates
+``coords`` and one positive ``den`` with ``gcd(den, *coords) = 1`` (the
+layout of FLINT/Antic's ``nf_elem``).  The coordinates are fully reduced
+modulo the m-th cyclotomic polynomial Phi_m, which is monic over Z, so
+reduction is integer arithmetic that leaves ``den`` alone.  The power basis
+is a Z-basis of the integers of Q(zeta_m), so a value has one
+representation per field and equality compares coordinates.  ``zeta_m`` is
+the abstract primitive m-th root of unity; no floating-point embedding is
+ever used.  Rationals enter as ints or ``QQ`` (:class:`fractions.Fraction`)
+and leave as ``QQ`` only through :meth:`CyclotomicNumber.rational_value`,
+``str`` and ``hash``.
 
 Mixed-order arithmetic embeds both operands into Q(zeta_lcm).  Orders are
-capped (default 120, see :data:`ORDER_CAP`) to keep phi(m) small.  The
-binary polyhedral groups T, O and I need only Q(zeta_5), Q(i), Q(zeta_8)
-and Q(zeta_12), but the C_n and D_n candidates of a stabilizer search use
-zeta_2n for every n up to the form's degree, so any order up to the cap
-can occur.
-
-Bulk kernels (such as ``BinaryForm.substitute``) work on integer
-coordinate vectors over one common denominator: :func:`_to_int_coords`
-converts, :func:`_mul_vec` multiplies and reduces modulo Phi_m (which is
-monic over Z, so the reduction rows are integers), and
-:func:`_from_int_coords` divides once and rebuilds canonical values.
-
-Values whose non-constant coordinates vanish are demoted to order 1 on
-construction, so plain rationals always have the canonical order-1 form.
+capped (default 120, see :data:`ORDER_CAP`) to keep phi(m) small; the C_n
+and D_n candidates of a stabilizer search use zeta_2n for every n up to the
+form's degree, so any order up to the cap can occur.  A value keeps the
+order its computation produced, except that values whose non-constant
+coordinates vanish are demoted to order 1: rationals are always order 1.
+Bulk kernels (``BinaryForm.substitute``) read many values over one
+denominator with :func:`_to_int_coords`, multiply with :func:`_mul_vec` and
+build results with :func:`_raw`.
 
 >>> zeta(4) ** 2
 CyclotomicNumber('-1')
@@ -159,110 +159,107 @@ def _check_order(m: int):
             f"cyclotomic order {m} exceeds the cap {ORDER_CAP}")
 
 
-@lru_cache(maxsize=None)
-def _power_reductions(m: int):
-    """Reduced coordinates of zeta_m^k for k = phi(m) .. 2*phi(m) - 2.
+# -- integer coordinate vectors ------------------------------------------------
 
-    Phi_m is monic with integer coefficients, so the rows are integers.
-    """
+@lru_cache(maxsize=None)
+def _power_rows(m: int):
+    """Reduced integer coordinates of zeta_m^k for k = phi(m) .. m - 1, each
+    as the ``(index, c)`` pairs of its nonzero entries (Phi_m is monic)."""
     phi = euler_phi(m)
-    head = list(cyclotomic_polynomial(m))[:-1]
-    rows = [tuple(-int(c) for c in head)]
-    cur = list(rows[0])
-    for _ in range(phi - 2):
+    cur = [0] * (phi - 1) + [1]  # zeta_m^(phi - 1)
+    head = [-int(c) for c in cyclotomic_polynomial(m)[:-1]]
+    rows = []
+    for _ in range(phi, m):
         top = cur[-1]
         cur = [0] + cur[:-1]
         if top:
-            cur = [c + top * r for c, r in zip(cur, rows[0])]
-        rows.append(tuple(cur))
+            cur = [c + top * r for c, r in zip(cur, head)]
+        rows.append(tuple((i, c) for i, c in enumerate(cur) if c))
     return tuple(rows)
 
 
-def _mul_vec(m: int, a, b):
-    """Product of two reduced length-phi(m) vectors, reduced again.
+def _reduce(m: int, vec):
+    """The integer list ``vec`` of any length, reduced in place modulo Phi_m
+    to length phi(m): zeta_m^m = 1 folds the powers past m - 1, and
+    zeta_m^phi .. zeta_m^(m-1) are replaced by their reductions."""
+    phi = euler_phi(m)
+    for k in range(m, len(vec)):
+        vec[k % m] += vec[k]
+    if len(vec) > phi:
+        for c, row in zip(vec[phi:m], _power_rows(m)):
+            if c:
+                for i, r in row:
+                    vec[i] += c * r
+        del vec[phi:]
+    else:
+        vec += [0] * (phi - len(vec))
+    return vec
 
-    The coordinates may be QQ or plain ints; the result has their type.
-    """
-    phi = len(a)
-    prod = [0 * a[0]] * (2 * phi - 1)
+
+def _mul_vec(m: int, a, b):
+    """Product of two reduced integer coordinate vectors, reduced again."""
+    prod = [0] * (2 * len(a) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 if y:
                     prod[i + j] += x * y
-    low = prod[:phi]
-    if phi > 1:
-        rows = _power_reductions(m)
-        for k in range(phi, 2 * phi - 1):
-            c = prod[k]
-            if c:
-                row = rows[k - phi]
-                for idx, r in enumerate(row):
-                    if r:
-                        low[idx] += c * r
-    return low
+    return _reduce(m, prod)
 
 
 def _to_int_coords(values, m: int):
-    """``(den, vecs)``: the values as integer vectors in Q(zeta_m) over one
+    """``(den, vecs)``: the values' coordinates in Q(zeta_m) over one
     positive common denominator; every value's order must divide m."""
-    vecs = [v._vec(m) for v in values]
-    den = lcm(*(int(c.denominator) for vec in vecs for c in vec))
-    return den, [[int(c.numerator) * (den // int(c.denominator)) for c in vec]
-                 for vec in vecs]
+    den = lcm(*(v.den for v in values))
+    return den, [[c * (den // v.den) for c in v._vec(m)] for v in values]
 
 
-def _from_int_coords(m: int, den: int, vecs):
-    """Inverse of :func:`_to_int_coords`: canonical values vec / den."""
-    return [CyclotomicNumber._raw(m, [QQ(c, den) for c in vec]) for vec in vecs]
+def _new(order: int, coords: tuple, den: int) -> "CyclotomicNumber":
+    # coords / den must already be canonical (reduced, demoted, coprime).
+    self = _object_new(CyclotomicNumber)
+    _set_order(self, order)
+    _set_coords(self, coords)
+    _set_den(self, den)
+    return self
+
+
+def _raw(order: int, vec, den: int = 1) -> "CyclotomicNumber":
+    """The value vec / den for a reduced integer vector of length
+    phi(order) and a positive den, made canonical."""
+    if order > 1 and not any(vec[1:]):
+        order, vec = 1, vec[:1]
+    if den != 1:
+        g = gcd(den, *vec)
+        if g != 1:
+            vec = [c // g for c in vec]
+            den //= g
+    return _new(order, tuple(vec), den)
 
 
 class CyclotomicNumber:
-    """An element of Q(zeta_m), reduced modulo Phi_m.
+    """An element of Q(zeta_m): integer coordinates over one denominator.
 
     Instances are immutable and safe to share between threads.  Arithmetic
     accepts ints and rationals on either side.
     """
 
-    __slots__ = ("order", "coeffs", "_hash")
+    __slots__ = ("order", "coords", "den", "_hash")
 
-    def __init__(self, order: int, coeffs):
+    def __new__(cls, order: int, coeffs):
+        """sum coeffs[k] zeta_order^k, for rational coeffs of any length."""
         _check_order(order)
-        phi = euler_phi(order)
-        vec = [QQ(c) for c in coeffs]
-        if len(vec) >= phi + 1 or (len(vec) == phi and order == 1):
-            _, vec = _divmod(vec, list(cyclotomic_polynomial(order)))
-        vec += [_ZERO] * (phi - len(vec))
-        if order > 1 and not any(vec[1:]):
-            order, vec = 1, vec[:1]
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(vec))
-        object.__setattr__(self, "_hash", None)
+        qs = [QQ(c) for c in coeffs]
+        den = lcm(*(q.denominator for q in qs))
+        return _raw(order, _reduce(order, [q.numerator * (den // q.denominator)
+                                           for q in qs]), den)
 
     def __setattr__(self, *a):
         raise AttributeError("CyclotomicNumber is immutable")
 
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def from_rational(q) -> "CyclotomicNumber":
-        return CyclotomicNumber(1, (QQ(q),))
-
-    @staticmethod
-    def _raw(order: int, vec) -> "CyclotomicNumber":
-        # Internal: vec is a reduced list of QQ of length phi(order).
-        self = object.__new__(CyclotomicNumber)
-        if order > 1 and not any(vec[1:]):
-            order, vec = 1, vec[:1]
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(vec))
-        object.__setattr__(self, "_hash", None)
-        return self
-
     # -- predicates and conversions -----------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return self.order == 1 and not self.coords[0]
 
     def is_rational(self) -> bool:
         return self.order == 1
@@ -270,10 +267,10 @@ class CyclotomicNumber:
     def rational_value(self):
         if self.order != 1:
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return QQ(self.coords[0], self.den)
 
     def is_integer(self) -> bool:
-        return self.order == 1 and self.coeffs[0].denominator == 1
+        return self.order == 1 and self.den == 1
 
     def __bool__(self):
         return not self.is_zero()
@@ -288,79 +285,78 @@ class CyclotomicNumber:
         _check_order(order)
         if order == self.order:
             return self
-        k = order // self.order
-        vec = [_ZERO] * ((len(self.coeffs) - 1) * k + 1)
-        for i, c in enumerate(self.coeffs):
-            vec[i * k] = c
-        return CyclotomicNumber(order, vec)
+        return _raw(order, self._vec(order), self.den)
 
     def _vec(self, order):
-        # Raw coordinate vector in Q(zeta_order), padded to full length and
-        # not canonicalized; for internal arithmetic only.
+        # Coordinates in Q(zeta_order) over self.den, as a new list; not
+        # demoted.  For internal arithmetic only.
         k = order // self.order
-        vec = [_ZERO] * euler_phi(order)
         if k == 1:
-            vec[: len(self.coeffs)] = self.coeffs
-            return vec
-        tail = []
-        for i, c in enumerate(self.coeffs):
-            j = i * k
-            if j < len(vec):
-                vec[j] = c
-            else:
-                tail.extend([_ZERO] * (j - len(vec) - len(tail)) + [c])
-        if tail:
-            _, red = _divmod(vec + tail, list(cyclotomic_polynomial(order)))
-            red += [_ZERO] * (len(vec) - len(red))
-            return red
-        return vec
+            return list(self.coords)
+        vec = [0] * ((len(self.coords) - 1) * k + 1)
+        vec[::k] = self.coords
+        return _reduce(order, vec)
 
     def _pair(self, other):
-        other = as_cyclotomic(other)
         if other.order == self.order:
-            return self.coeffs, other.coeffs, self.order
+            return self.order, self.coords, other.coords
         m = self.order * other.order // gcd(self.order, other.order)
         _check_order(m)
-        return self._vec(m), other._vec(m), m
+        return m, self._vec(m), other._vec(m)
+
+    def _scale(self, n: int, d: int):
+        # self * n / d for coprime ints n and d > 0, cancelling crosswise
+        if not n:
+            return ZERO
+        coords, den = self.coords, self.den
+        g, h = gcd(n, den), gcd(d, *coords)
+        if g != 1:
+            n, den = n // g, den // g
+        if h != 1:
+            d, coords = d // h, [c // h for c in coords]
+        return _new(self.order, tuple([c * n for c in coords]), den * d)
 
     # -- arithmetic ----------------------------------------------------------
 
+    def _add(self, other, sign):
+        # self + sign * other over the common denominator lcm(den, other.den)
+        if not isinstance(other, CyclotomicNumber):
+            if not isinstance(other, (int, QQ)):
+                return NotImplemented
+            other = as_cyclotomic(other)
+        m, a, b = self._pair(other)
+        da, db = self.den, other.den
+        if da == db:
+            return _raw(m, [x + sign * y for x, y in zip(a, b)], da)
+        g = gcd(da, db)
+        s, t = db // g, da // g * sign
+        return _raw(m, [x * s + y * t for x, y in zip(a, b)], da * s)
+
     def __add__(self, other):
-        if not isinstance(other, (CyclotomicNumber, int, QQ)):
-            return NotImplemented
-        a, b, m = self._pair(other)
-        return CyclotomicNumber._raw(m, [x + y for x, y in zip(a, b)])
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if not isinstance(other, (CyclotomicNumber, int, QQ)):
-            return NotImplemented
-        a, b, m = self._pair(other)
-        return CyclotomicNumber._raw(m, [x - y for x, y in zip(a, b)])
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return as_cyclotomic(other) - self
 
     def __neg__(self):
-        return CyclotomicNumber._raw(self.order, [-c for c in self.coeffs])
+        return _new(self.order, tuple(-c for c in self.coords), self.den)
 
     def __mul__(self, other):
-        if not isinstance(other, (CyclotomicNumber, int, QQ)):
-            return NotImplemented
-        other = as_cyclotomic(other)
+        if not isinstance(other, CyclotomicNumber):
+            if not isinstance(other, (int, QQ)):
+                return NotImplemented
+            other = as_cyclotomic(other)
         if other.order == 1:
-            q = other.coeffs[0]
-            if not q:
-                return ZERO
-            return CyclotomicNumber._raw(self.order, [c * q for c in self.coeffs])
+            return self._scale(other.coords[0], other.den)
         if self.order == 1:
-            q = self.coeffs[0]
-            if not q:
-                return ZERO
-            return CyclotomicNumber._raw(other.order, [c * q for c in other.coeffs])
-        a, b, m = self._pair(other)
-        return CyclotomicNumber._raw(m, _mul_vec(m, a, b))
+            return other._scale(self.coords[0], self.den)
+        m, a, b = self._pair(other)
+        return _raw(m, _mul_vec(m, a, b), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -368,13 +364,12 @@ class CyclotomicNumber:
         if self.is_zero():
             raise ZeroDivisionError("division by zero in a cyclotomic field")
         if self.order == 1:
-            return CyclotomicNumber(1, (1 / self.coeffs[0],))
-        g, s = _xgcd(list(self.coeffs), list(cyclotomic_polynomial(self.order)))
+            n = self.coords[0]
+            return _new(1, (self.den if n > 0 else -self.den,), abs(n))
+        g, s = _xgcd([QQ(c) for c in self.coords],
+                     list(cyclotomic_polynomial(self.order)))
         # g is a nonzero constant since Phi_m is irreducible over Q
-        c = 1 / g[0]
-        s = [x * c for x in s]
-        s += [_ZERO] * (len(self.coeffs) - len(s))
-        return CyclotomicNumber._raw(self.order, s)
+        return CyclotomicNumber(self.order, [x * self.den / g[0] for x in s])
 
     def __truediv__(self, other):
         if not isinstance(other, (CyclotomicNumber, int, QQ)):
@@ -387,7 +382,7 @@ class CyclotomicNumber:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = CyclotomicNumber.from_rational(1)
+        result = ONE
         base = self
         while n:
             if n & 1:
@@ -400,41 +395,44 @@ class CyclotomicNumber:
 
     def __eq__(self, other):
         try:
-            a, b, _ = self._pair(other)
+            other = as_cyclotomic(other)
         except (TypeError, ValueError):
             return NotImplemented
-        return a == b
+        _, a, b = self._pair(other)
+        return self.den == other.den and a == b
 
     def __hash__(self):
         # Hash on the normalized trace (1/phi(m)) * Tr(a), a rational that is
         # independent of the field the value is written in, so equal values
-        # with different stored orders hash alike.
-        if self._hash is None:
-            m = self.order
-            tr = _ZERO
-            for k, c in enumerate(self.coeffs):
+        # with different stored orders hash alike, and as a rational's.
+        try:
+            return self._hash
+        except AttributeError:
+            m, tr = self.order, _ZERO
+            for k, c in enumerate(self.coords):
                 if c:
                     d = m // gcd(m, k)
-                    tr += c * moebius(d) / euler_phi(d)
-            object.__setattr__(self, "_hash", hash(tr))
-        return self._hash
+                    tr += QQ(c * moebius(d), euler_phi(d))
+            _set_hash(self, hash(tr / self.den))
+            return self._hash
 
     # -- display -------------------------------------------------------------
 
     def __str__(self):
         if self.order == 1:
-            return _fmt_q(self.coeffs[0])
+            return str(self.rational_value())
         parts = []
-        for k, c in enumerate(self.coeffs):
+        for k, c in enumerate(self.coords):
             if not c:
                 continue
+            q = QQ(abs(c), self.den)
             mono = "" if k == 0 else f"zeta({self.order})" + (f"^{k}" if k > 1 else "")
             if not mono:
-                body = _fmt_q(abs(c))
-            elif abs(c) == 1:
+                body = str(q)
+            elif q == 1:
                 body = mono
             else:
-                body = f"{_fmt_q(abs(c))}*{mono}"
+                body = f"{q}*{mono}"
             parts.append(("- " if c < 0 else "+ ") + body)
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
@@ -443,28 +441,32 @@ class CyclotomicNumber:
         return f"CyclotomicNumber('{self}')"
 
 
-def _fmt_q(q) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+_object_new = object.__new__
+_set_order = CyclotomicNumber.order.__set__
+_set_coords = CyclotomicNumber.coords.__set__
+_set_den = CyclotomicNumber.den.__set__
+_set_hash = CyclotomicNumber._hash.__set__
 
 
 def as_cyclotomic(x) -> CyclotomicNumber:
     """Coerce ints and rationals; pass CyclotomicNumber through."""
     if isinstance(x, CyclotomicNumber):
         return x
-    return CyclotomicNumber.from_rational(QQ(x))
+    if type(x) is int:
+        return _new(1, (x,), 1)
+    q = QQ(x)
+    return _new(1, (q.numerator,), q.denominator)
 
 
 @lru_cache(maxsize=None)
 def zeta(m: int) -> CyclotomicNumber:
     """The primitive m-th root of unity zeta_m."""
     _check_order(m)
-    if m == 1:
-        return CyclotomicNumber.from_rational(1)
     return CyclotomicNumber(m, (0, 1))
 
 
-ZERO = CyclotomicNumber.from_rational(0)
-ONE = CyclotomicNumber.from_rational(1)
+ZERO = as_cyclotomic(0)
+ONE = as_cyclotomic(1)
 
 
 # Sugar constants.  Each is an exact algebraic identity in its field:

@@ -553,7 +553,7 @@ def _solve_linear(rows, rhs):
     aug = []
     for row, b in zip(rows, rhs):
         row = list(row) + [b]
-        den = lcm(*(int(q.denominator) for c in row for q in c.coeffs))
+        den = lcm(*(c.den for c in row))
         aug.append([c * den for c in row])
     pivots, _ = _eliminate(aug, n)
     if len(pivots) < n or any(row[n] for row in aug[n:]):

@@ -23,8 +23,8 @@ from math import lcm
 from .cyclotomic import (
     CyclotomicNumber,
     _check_order,
-    _from_int_coords,
     _mul_vec,
+    _raw,
     _to_int_coords,
     as_cyclotomic,
 )
@@ -339,8 +339,7 @@ def _coeff_text(c: CyclotomicNumber, force=False):
         neg, q = q < 0, abs(q)
         if q == 1 and not force:
             return "", neg
-        return (str(q.numerator) if q.denominator == 1
-                else f"{q.numerator}/{q.denominator}"), neg
+        return str(q), neg
     s = str(c)
     if s.startswith("-"):
         body = s[1:]
@@ -607,7 +606,8 @@ def _substitute_terms(k, deg, terms, entries):
         acc = _mul_linear(k, acc, a, b)
         if i in fs:
             acc = [_add(u, _mul_vec(k, fs[i], v)) for u, v in zip(acc, ypows[i])]
-    return _from_int_coords(k, den_f * den_m ** deg, acc)
+    den = den_f * den_m ** deg
+    return [_raw(k, v, den) for v in acc]
 
 
 # -- dense univariate polynomials over the cyclotomic field (ascending) -------

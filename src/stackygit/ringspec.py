@@ -11,9 +11,8 @@ emitted files stay inside the expression grammar.
 from __future__ import annotations
 
 import re
-from math import gcd
+from math import lcm
 
-from .cyclotomic import QQ
 from .errors import RingSpecError
 from .exprparse import lower_to_multipoly, parse_poly
 from .graded import GradedRingPresentation
@@ -79,9 +78,5 @@ def dump(ring: GradedRingPresentation, path):
 
 def _integral(poly: MultiPoly) -> MultiPoly:
     """Scale a relation so every coefficient coordinate is an integer."""
-    lcm = 1
-    for c in poly.terms.values():
-        for q in c.coeffs:
-            d = int(q.denominator)
-            lcm = lcm * d // gcd(lcm, d)
-    return poly * QQ(lcm) if lcm > 1 else poly
+    den = lcm(*(c.den for c in poly.terms.values()))
+    return poly * den if den > 1 else poly
