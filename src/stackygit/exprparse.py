@@ -31,53 +31,78 @@ from .polynomials import BinaryForm, MultiPoly
 
 
 class Node:
+    """A parse-tree node.  Equality and hashing are structural and walk the
+    tree with an explicit stack, so chains of any length compare."""
+
     __slots__ = ()
 
+    def _key(self):
+        # pre-order (type, non-node fields) of the tree; each node type has
+        # a fixed number of children, so the sequence determines the tree
+        out, stack = [], [self]
+        while stack:
+            n = stack.pop()
+            values = [getattr(n, f) for f in n.__dataclass_fields__]
+            out.append((type(n), *(v for v in values if not isinstance(v, Node))))
+            stack += reversed([v for v in values if isinstance(v, Node)])
+        return out
 
-@dataclass(frozen=True)
+    def __eq__(self, other):
+        if not isinstance(other, Node):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(tuple(self._key()))
+
+
+_node = dataclass(frozen=True, eq=False)
+
+
+@_node
 class Num(Node):
     value: int
 
 
-@dataclass(frozen=True)
+@_node
 class Zeta(Node):
     order: int
 
 
-@dataclass(frozen=True)
+@_node
 class Const(Node):
     name: str  # one of the sugar constants
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Node):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Add(Node):
     left: Node
     right: Node
 
 
-@dataclass(frozen=True)
+@_node
 class Sub(Node):
     left: Node
     right: Node
 
 
-@dataclass(frozen=True)
+@_node
 class Mul(Node):
     left: Node
     right: Node
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(Node):
     arg: Node
 
 
-@dataclass(frozen=True)
+@_node
 class Pow(Node):
     base: Node
     exponent: int
@@ -209,6 +234,7 @@ def parse_poly(text: str) -> Node:
 # -- printing -----------------------------------------------------------------
 
 _PREC = {Add: 1, Sub: 1, Neg: 2, Mul: 3, Pow: 4}
+_BINARY_TEXT = {Add: " + ", Sub: " - ", Mul: "*"}
 
 
 def _prec(node):
@@ -217,6 +243,23 @@ def _prec(node):
 
 def print_expr(node: Node) -> str:
     """Render an AST so that parse_poly(print_expr(t)) == t."""
+    if type(node) in _BINARY_TEXT:
+        # walk the left spine of a chain like x + x + ... iteratively; '+'
+        # and '-' never parenthesize their left operand
+        spine = []
+        while type(node) in _BINARY_TEXT:
+            spine.append(node)
+            node = node.left
+        text = print_expr(node)
+        for op in reversed(spine):
+            mul = isinstance(op, Mul)
+            if mul and _prec(op.left) < 3:
+                text = f"({text})"
+            right = print_expr(op.right)
+            if _prec(op.right) <= (3 if mul else 1):
+                right = f"({right})"
+            text = f"{text}{_BINARY_TEXT[type(op)]}{right}"
+        return text
     if isinstance(node, Num):
         return str(node.value)
     if isinstance(node, Zeta):
@@ -225,16 +268,6 @@ def print_expr(node: Node) -> str:
         return node.name
     if isinstance(node, Var):
         return node.name
-    if isinstance(node, Add):
-        right = print_expr(node.right)
-        if _prec(node.right) <= 1:
-            right = f"({right})"
-        return f"{print_expr(node.left)} + {right}"
-    if isinstance(node, Sub):
-        right = print_expr(node.right)
-        if _prec(node.right) <= 1:
-            right = f"({right})"
-        return f"{print_expr(node.left)} - {right}"
     if isinstance(node, Neg):
         arg = print_expr(node.arg)
         # '-' binds looser than '*': parenthesize products and sums
@@ -243,14 +276,6 @@ def print_expr(node: Node) -> str:
         if isinstance(node.arg, Neg):
             return f"-({arg})"
         return f"-{arg}"
-    if isinstance(node, Mul):
-        left = print_expr(node.left)
-        if _prec(node.left) < 3:
-            left = f"({left})"
-        right = print_expr(node.right)
-        if _prec(node.right) <= 3:
-            right = f"({right})"
-        return f"{left}*{right}"
     if isinstance(node, Pow):
         base = print_expr(node.base)
         if _prec(node.base) < 5:

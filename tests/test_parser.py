@@ -74,7 +74,9 @@ def test_nesting_bound():
     ("+", "3000*x"), ("-", "-2998*x"), ("*", "x^3000")])
 def test_long_chains(op, expected):
     text = op.join(["x"] * 3000)
-    assert collect_variables(parse_poly(text)) == ("x",)
+    tree = parse_poly(text)
+    assert collect_variables(tree) == ("x",)
+    assert parse_poly(print_expr(tree)) == tree
     f = form(text)
     assert str(f) == expected
     assert f.degree == (3000 if op == "*" else 1)
