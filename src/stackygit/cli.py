@@ -346,6 +346,8 @@ def run_command(argv) -> CommandResult:
         return _error_result(command, err.code, str(err), err.exit_status)
     except FileNotFoundError as err:
         return _error_result(command, "file-not-found", str(err), 2)
+    except OSError as err:
+        return _error_result(command, "file-unreadable", str(err), 2)
     except ValueError as err:
         return _error_result(command, "bad-value", str(err), 2)
 

@@ -12,7 +12,8 @@ class StackygitError(Exception):
 
 
 class BoundExceededError(StackygitError):
-    """An internal safety bound was hit (order cap, closure size, parser nesting)."""
+    """An internal safety bound was hit (order cap, closure size, parser
+    nesting, form degree)."""
 
     exit_status = 3
 
@@ -27,6 +28,10 @@ class ClosureBoundExceededError(BoundExceededError):
 
 class NestingTooDeepError(BoundExceededError):
     code = "nesting-too-deep"
+
+
+class DegreeTooLargeError(BoundExceededError):
+    code = "degree-too-large"
 
 
 class IncompatibleOrderError(StackygitError):

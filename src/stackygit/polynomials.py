@@ -28,10 +28,14 @@ from .cyclotomic import (
     _to_int_coords,
     as_cyclotomic,
 )
-from .errors import ArityError, VariableMismatchError, ZeroFormError
+from .errors import ArityError, DegreeTooLargeError, VariableMismatchError, ZeroFormError
 
 _ZERO = as_cyclotomic(0)
 _ONE = as_cyclotomic(1)
+
+#: Largest degree :meth:`BinaryForm.multiplicity_profile` accepts; its gcd
+#: chain costs about deg^2 field operations.
+MAX_PROFILE_DEGREE = 256
 
 
 @dataclass(frozen=True)
@@ -536,8 +540,12 @@ class BinaryForm:
 
         The root at infinity (1:0) is read off the leading zero
         coefficients; finite roots are counted through the gcd chain of the
-        dehomogenization with its successive derivatives.
+        dehomogenization with its successive derivatives.  Forms of degree
+        above :data:`MAX_PROFILE_DEGREE` raise DegreeTooLargeError.
         """
+        if self.degree > MAX_PROFILE_DEGREE:
+            raise DegreeTooLargeError(
+                f"degree {self.degree} exceeds the root-profile bound {MAX_PROFILE_DEGREE}")
         if self.is_zero():
             raise ZeroFormError("the zero form has no root profile")
         at_infinity = 0

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -133,6 +135,25 @@ def test_long_sum_is_a_degree_one_form(op):
     assert result.payload["error"]["code"] == "infinite-stabilizer"
 
 
+def test_profile_degree_bound():
+    # the 3,000-factor product is refused before its root profile is computed
+    start = time.perf_counter()
+    result = run_command(["stabilizer", "*".join(["x"] * 3000)])
+    assert time.perf_counter() - start < 1
+    assert result.status == 3
+    assert result.payload["error"]["code"] == "degree-too-large"
+
+
+@pytest.mark.parametrize("argv", [["decompose"], ["rigidify"], ["chart", "x"]])
+def test_unreadable_ring_spec(tmp_path, argv):
+    result = run_command([argv[0], str(tmp_path), *argv[1:]])
+    assert result.status == 2
+    assert result.payload["error"]["code"] == "file-unreadable"
+    result = run_command([argv[0], str(tmp_path / "missing.ring"), *argv[1:]])
+    assert result.status == 2
+    assert result.payload["error"]["code"] == "file-not-found"
+
+
 DEMO_RINGS = Path(__file__).resolve().parent.parent / "demos" / "rings"
 
 
@@ -179,3 +200,54 @@ def test_calibrate_quintic():
     result = run_command(["calibrate", "quintic", "--seed", "11"])
     assert result.status == 0
     assert result.payload["succeeded"] is True
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["stabilizer", "x^4 + i*x*y^3"],
+     "d7d550d905612967ad549acc8c014e13e77e733e83c29337db2574b78c91a2da"),
+    (["stabilizer", "x^12 + i*x^6*y^6 + sqrtm3*y^12"],
+     "66eb36b0f96cc6c732fa51df5ad6e31a269091a05e3fac1201bb268b5883f3bd"),
+    (["stabilizer", "x^14 + zeta(9)*y^14", "--nmax", "7"],
+     "91b60e62548807f05417ee5651800f7db20a5c9891b66a085f00fced6f5fb7e3"),
+    (["klein", "T", "1", "1", "0", "1:2"],
+     "ca4f68dadbde25a2db65ccb84b44330686b9cfa24b8a978e1d8737fb4f2a84f1"),
+    (["klein", "O", "0", "1", "0"],
+     "066ffd80dea30c72f6590ac83d058896642eb145d8163953b9833451d139e32e"),
+    (["klein", "I", "1", "0", "0", "1:2"],
+     "ef89c68ec8abe187db2bb22bc263948c7a04d2afc65d27f077f0d1dd351623bd"),
+    (["ground-forms", "T"],
+     "f388ed9f986585baaf6c5dca330c2718790cdfccd36451ccada03adf07222d28"),
+    (["ground-forms", "O"],
+     "ccee7381e2e2af8ec5c98ca744a340752301f35e139218c12f1c68748eed92a8"),
+    (["ground-forms", "I"],
+     "a82460a29013973a29b4537404cedfa261e2b5afdef3706145685044c7745504"),
+    (["calibrate", "quintic", "--seed", "3"],
+     "f92b895d13f15320dff245ea9e84308c1ee0ca777408c76eef258f49560e037d"),
+    (["calibrate", "quintic", "--seed", "11"],
+     "2389daff0504fcab19673373f71084dd1042b1f319b81479f01e6f2a869df7f5"),
+    (["locus", "quintic"],
+     "939c375d1db4852cd212174df1ece4db5f69ad32935469738ce3acad55adabed"),
+    (["locus", "sextic"],
+     "692d4648303b86eff97ba99d388ff44a47c86bd99e14f5076cd4d5fe0983cbcc"),
+    (["catalog", "quartic"],
+     "7513ef50a3e61ae017660d8a346663f280fb06763694dd145f152d61b7227ad2"),
+    (["catalog", "quintic"],
+     "cb62c480358b793e90887d488a5d9eb783fc05088c7ca93aaa0c493e8038ea58"),
+    (["catalog", "sextic"],
+     "2d8353e73daa27dcc55757c85ffd63d14e4b7de1eaa26e16bedba41f23f241f4"),
+    (["catalog", "cubic-curve"],
+     "b976304fb39fb2350e82ca2474e859793619f68bb36cbc51abd041f73756d347"),
+    (["catalog", "cubic-surface"],
+     "9e2741dbd0e980ad3a3da2ab1d66d2b12b72e28a730894859de6f7b4737b6b14"),
+    (["decompose", str(DEMO_RINGS / "quintic.ring")],
+     "8525be5e6aa355e0400769b9c854f6ac7cad33d0845d8fbfcf3c48a842d425f2"),
+    (["decompose", str(DEMO_RINGS / "sextic.ring")],
+     "c2774cc00aa4f577e08c45c9617a797b049c31f84593cc3a6e590fbf52c90318"),
+    (["decompose", str(DEMO_RINGS / "cubic_surface.ring")],
+     "4685df41eed9b5587730156a751a8374387e7cc7963b7de8fd620847cefd9216"),
+])
+def test_payload_digests(argv, digest):
+    # JSON payloads pinned byte for byte (sha256 of CommandResult.json_text)
+    result = run_command(argv)
+    assert result.status == 0
+    assert hashlib.sha256(result.json_text().encode()).hexdigest() == digest

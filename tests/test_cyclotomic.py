@@ -1,6 +1,9 @@
 import random
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stackygit.cyclotomic import (
     QQ,
@@ -137,3 +140,93 @@ def test_str_roundtrip_values():
     assert str(as_cyclotomic(QQ(-3, 2))) == "-3/2"
     assert str(zeta(12) ** 7) == "-zeta(12)"
     assert str(1 + 2 * zeta(3)) == "1 + 2*zeta(3)"
+
+
+# -- differential test against Fraction coordinate polynomials ----------------
+
+
+def _ref_reduce(poly, m):
+    """A Fraction coefficient list (ascending) reduced modulo Phi_m."""
+    phi_m = cyclotomic_polynomial(m)
+    phi = len(phi_m) - 1
+    poly = list(poly) + [QQ(0)] * phi
+    for k in range(len(poly) - 1, phi - 1, -1):
+        c = poly[k]
+        if c:
+            for j, p in enumerate(phi_m):
+                poly[k - phi + j] -= c * p
+    return poly[:phi]
+
+
+def _ref_embed(vec, m, big):
+    spread = [QQ(0)] * ((len(vec) - 1) * (big // m) + 1)
+    spread[::big // m] = vec
+    return _ref_reduce(spread, big)
+
+
+def _ref_mul(u, v, m):
+    prod = [QQ(0)] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            prod[i + j] += x * y
+    return _ref_reduce(prod, m)
+
+
+def _ref_str(m, vec):
+    if m == 1:
+        return str(vec[0])
+    parts = []
+    for k, c in enumerate(vec):
+        if c:
+            mono = "" if k == 0 else f"zeta({m})" + (f"^{k}" if k > 1 else "")
+            body = str(abs(c)) if not mono else mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+            parts.append(("- " if c < 0 else "+ ") + body)
+    text = " ".join(parts)
+    return text[2:] if text.startswith("+ ") else "-" + text[2:]
+
+
+def _agrees(value, m, vec):
+    """value is vec in Q(zeta_m), demoted to order 1 when rational."""
+    if not any(vec[1:]):
+        m, vec = 1, vec[:1]
+    assert value.order == m
+    assert value.den > 0 and gcd(value.den, *value.coords) == 1
+    assert [QQ(c, value.den) for c in value.coords] == vec
+    assert str(value) == _ref_str(m, vec)
+
+
+@st.composite
+def _elements(draw):
+    """(m, Fraction coordinates), with m = 1 for rationals."""
+    m = draw(st.sampled_from(ORDERS))
+    numerators = st.integers(-3, 3) | st.integers(-10 ** 20, 10 ** 20)
+    coeff = st.builds(QQ, numerators, st.integers(1, 12))
+    vec = draw(st.lists(coeff, min_size=euler_phi(m), max_size=euler_phi(m)))
+    if draw(st.integers(0, 4)) == 0 or not any(vec[1:]):
+        m, vec = 1, vec[:1]
+    return m, vec
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(_elements(), _elements(), st.sampled_from([1, 2, 3, 5]))
+def test_agrees_with_fraction_reference(x, y, k):
+    (m, u), (n, v) = x, y
+    a, b = CyclotomicNumber(m, u), CyclotomicNumber(n, v)
+    _agrees(a, m, u)
+    _agrees(b, n, v)
+    big = lcm(m, n)
+    ua, vb = _ref_embed(u, m, big), _ref_embed(v, n, big)
+    _agrees(a + b, big, [s + t for s, t in zip(ua, vb)])
+    _agrees(a - b, big, [s - t for s, t in zip(ua, vb)])
+    _agrees(a * b, big, _ref_mul(ua, vb, big))
+    assert (a == b) == (ua == vb)
+    if a:
+        inv = a.inverse()
+        w = _ref_embed([QQ(c, inv.den) for c in inv.coords], inv.order, m)
+        _agrees(inv, m, w)
+        assert _ref_mul(u, w, m) == _ref_embed([QQ(1)], 1, m)
+    wide = a.embed(m * k)
+    _agrees(wide, m * k, _ref_embed(u, m, m * k))
+    assert wide == a and hash(wide) == hash(a)
+    if m == 1:
+        assert hash(a) == hash(u[0])

@@ -5,13 +5,14 @@ import pytest
 from stackygit.cyclotomic import QQ, zeta
 from stackygit.errors import (
     ArityError,
+    DegreeTooLargeError,
     OrderCapExceededError,
     VariableMismatchError,
     ZeroFormError,
 )
 from stackygit.exprparse import form
 from stackygit.groups import GroupSpec, SL2Matrix, group_generators
-from stackygit.polynomials import BinaryForm, MultiPoly, WeightedGrading
+from stackygit.polynomials import MAX_PROFILE_DEGREE, BinaryForm, MultiPoly, WeightedGrading
 
 
 def quintic_f324():
@@ -207,6 +208,12 @@ class TestBinaryForm:
                 b = rng.randint(-3, 3)
             f = (BinaryForm([1, -a]) ** 3) * (BinaryForm([1, -b]) ** 2)
             assert f.multiplicity_profile() == (2, 3)
+
+    def test_profile_degree_bound(self):
+        f = form(f"x^{MAX_PROFILE_DEGREE - 1}*y + y^{MAX_PROFILE_DEGREE}")
+        assert f.multiplicity_profile() == (1,) * MAX_PROFILE_DEGREE
+        with pytest.raises(DegreeTooLargeError):
+            form(f"x^{MAX_PROFILE_DEGREE + 1}").multiplicity_profile()
 
     def test_zero_form_profile_raises(self):
         with pytest.raises(ZeroFormError):
