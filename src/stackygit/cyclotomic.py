@@ -10,8 +10,8 @@ is a Z-basis of the integers of Q(zeta_m), so a value has one
 representation per field and equality compares coordinates.  ``zeta_m`` is
 the abstract primitive m-th root of unity; no floating-point embedding is
 ever used.  Rationals enter as ints or ``QQ`` (:class:`fractions.Fraction`)
-and leave as ``QQ`` only through :meth:`CyclotomicNumber.rational_value`,
-``str`` and ``hash``.
+and leave as ``QQ`` through :meth:`CyclotomicNumber.rational_value`; ``str``
+and ``hash`` build ``QQ`` values only for their output.
 
 Mixed-order arithmetic embeds both operands into Q(zeta_lcm).  Orders are
 capped (default 120, see :data:`ORDER_CAP`) to keep phi(m) small; the C_n
@@ -404,7 +404,7 @@ class CyclotomicNumber:
     def __hash__(self):
         # Hash on the normalized trace (1/phi(m)) * Tr(a), a rational that is
         # independent of the field the value is written in, so equal values
-        # with different stored orders hash alike, and as a rational's.
+        # with different stored orders hash alike and a rational q as q.
         try:
             return self._hash
         except AttributeError:
