@@ -11,7 +11,10 @@ representation per field and equality compares coordinates.  ``zeta_m`` is
 the abstract primitive m-th root of unity; no floating-point embedding is
 ever used.  Rationals enter as ints or ``QQ`` (:class:`fractions.Fraction`)
 and leave as ``QQ`` through :meth:`CyclotomicNumber.rational_value`; ``str``
-and ``hash`` build ``QQ`` values only for their output.
+and ``hash`` build ``QQ`` values only for their output.  No arithmetic
+runs on rational polynomials: Phi_m is built from integers, and the
+inverse of a is the product of its other Galois conjugates over the
+integer norm N(a).
 
 Mixed-order arithmetic embeds both operands into Q(zeta_lcm).  Orders are
 capped (default 120, see :data:`ORDER_CAP`) to keep phi(m) small; the C_n
@@ -33,7 +36,6 @@ True
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction as QQ
 from functools import lru_cache
 from math import gcd, lcm
@@ -41,7 +43,6 @@ from math import gcd, lcm
 from .errors import IncompatibleOrderError, OrderCapExceededError
 
 _ZERO = QQ(0)
-_ONE = QQ(1)
 
 #: Largest permitted cyclotomic order.  Mutable module setting; operations
 #: that would need a bigger field raise OrderCapExceededError.
@@ -84,71 +85,26 @@ def moebius(m: int) -> int:
     return result
 
 
-# -- dense rational polynomials (ascending coefficients) --------------------
-
-def _trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _mul(a, b):
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _trim(out)
-
-
-def _divmod(a, b):
-    # b must be nonzero; exact division in QQ[x]
-    a = _trim(list(a))
-    b = _trim(list(b))
-    q = [_ZERO] * max(len(a) - len(b) + 1, 0)
-    inv = 1 / b[-1]
-    while len(a) >= len(b):
-        c = a[-1] * inv
-        if c:
-            k = len(a) - len(b)
-            q[k] = c
-            for j, y in enumerate(b):
-                a[k + j] -= c * y
-        a.pop()
-        _trim(a)
-    return _trim(q), a
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple:
-    """Coefficients of Phi_m, ascending, monic.
+    """Integer coefficients of Phi_m, ascending: the product of
+    (x^d - 1)^mu(m/d) over the divisors d of m.
 
-    >>> [int(c) for c in cyclotomic_polynomial(12)]
-    [1, 0, -1, 0, 1]
+    >>> cyclotomic_polynomial(12)
+    (1, 0, -1, 0, 1)
     """
     if m < 1:
         raise ValueError("order must be positive")
-    poly = [-_ONE] + [_ZERO] * (m - 1) + [_ONE]  # x^m - 1
-    for d in range(1, m):
-        if m % d == 0:
-            poly, rem = _divmod(poly, list(cyclotomic_polynomial(d)))
-            assert not rem
+    poly = [1]
+    for d in range(1, m + 1):  # times x^d - 1: a shift and a subtract
+        if m % d == 0 and moebius(m // d) == 1:
+            poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
+    for d in range(1, m + 1):  # divide by x^d - 1, exactly
+        if m % d == 0 and moebius(m // d) == -1:
+            poly = [-c for c in poly[:-d]]
+            for k in range(d, len(poly)):
+                poly[k] += poly[k - d]
     return tuple(poly)
-
-
-def _xgcd(a, b):
-    # extended gcd in QQ[x]; returns (g, s) with s*a = g modulo b
-    r0, r1 = list(a), list(b)
-    s0, s1 = [_ONE], []
-    while _trim(r1):
-        q, r = _divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _trim([x - y for x, y in
-                            itertools.zip_longest(s0, _mul(q, s1), fillvalue=_ZERO)])
-    return r0, s0
 
 
 def _check_order(m: int):
@@ -167,7 +123,7 @@ def _power_rows(m: int):
     as the ``(index, c)`` pairs of its nonzero entries (Phi_m is monic)."""
     phi = euler_phi(m)
     cur = [0] * (phi - 1) + [1]  # zeta_m^(phi - 1)
-    head = [-int(c) for c in cyclotomic_polynomial(m)[:-1]]
+    head = [-c for c in cyclotomic_polynomial(m)[:-1]]
     rows = []
     for _ in range(phi, m):
         top = cur[-1]
@@ -366,10 +322,19 @@ class CyclotomicNumber:
         if self.order == 1:
             n = self.coords[0]
             return _new(1, (self.den if n > 0 else -self.den,), abs(n))
-        g, s = _xgcd([QQ(c) for c in self.coords],
-                     list(cyclotomic_polynomial(self.order)))
-        # g is a nonzero constant since Phi_m is irreducible over Q
-        return CyclotomicNumber(self.order, [x * self.den / g[0] for x in s])
+        # 1/a is the product of the other Galois conjugates sigma_k(a),
+        # k coprime to m, over the norm N(a): an integer for integer coords,
+        # and positive because the conjugates pair into |sigma_k(a)|^2
+        m, coords = self.order, self.coords
+        prod = [1] + [0] * (len(coords) - 1)
+        for k in range(2, m):
+            if gcd(k, m) == 1:
+                conj = [0] * m
+                for j, c in enumerate(coords):
+                    conj[j * k % m] = c
+                prod = _mul_vec(m, prod, _reduce(m, conj))
+        norm = _mul_vec(m, coords, prod)[0]
+        return _raw(m, [self.den * c for c in prod], norm)
 
     def __truediv__(self, other):
         if not isinstance(other, (CyclotomicNumber, int, QQ)):
