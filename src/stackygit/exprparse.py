@@ -32,7 +32,8 @@ from .polynomials import BinaryForm, MultiPoly
 
 class Node:
     """A parse-tree node.  Equality and hashing are structural and walk the
-    tree with an explicit stack, so chains of any length compare."""
+    tree with an explicit stack, and ``repr`` is built on :func:`print_expr`,
+    so chains of any length compare and print."""
 
     __slots__ = ()
 
@@ -55,8 +56,11 @@ class Node:
     def __hash__(self):
         return hash(tuple(self._key()))
 
+    def __repr__(self):
+        return f"parse_poly({print_expr(self)!r})"
 
-_node = dataclass(frozen=True, eq=False)
+
+_node = dataclass(frozen=True, eq=False, repr=False)
 
 
 @_node

@@ -275,6 +275,9 @@ def recognize_typical(ring: GradedRingPresentation) -> TypicalData:
                 f"relation is not of the shape {ring.generators[top]}^2 - F")
         rest[exps[:-1]] = -c / lead
     F = MultiPoly(ring.generators[:-1], rest)
+    if F.is_zero():
+        raise ShapeError(
+            f"relation {ring.generators[top]}^2 has no base part F")
     d_top = ring.weights[top]
     degF = F.weighted_degree(WeightedGrading(ring.weights[:-1]))
     assert degF == 2 * d_top  # homogeneity of the relation guarantees this

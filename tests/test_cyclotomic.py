@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stackygit.cyclotomic import (
+    ORDER_CAP,
     QQ,
     CyclotomicNumber,
     as_cyclotomic,
@@ -40,6 +41,20 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(3) == (1, 1, 1)
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+    # x^m - 1 is the product of Phi_d over the divisors d of m
+    for m in range(1, ORDER_CAP + 1):
+        product = [1]
+        for d in range(1, m + 1):
+            if m % d == 0:
+                phi_d = cyclotomic_polynomial(d)
+                assert all(type(c) is int for c in phi_d)
+                assert len(phi_d) == euler_phi(d) + 1 and phi_d[-1] == 1
+                out = [0] * (len(product) + len(phi_d) - 1)
+                for i, a in enumerate(product):
+                    for j, b in enumerate(phi_d):
+                        out[i + j] += a * b
+                product = out
+        assert product == [-1] + [0] * (m - 1) + [1]
 
 
 def test_make_reduces_canonically():
@@ -108,6 +123,19 @@ def test_field_axioms_on_random_samples():
             assert x * x.inverse() == 1
 
 
+def test_inverse_in_large_fields():
+    for m in range(2, ORDER_CAP + 1):
+        assert zeta(m) ** -1 == zeta(m) ** (m - 1)
+    rng = random.Random(53)
+    for m in (53, 113):
+        # dense elements with 6-bit numerators over a common denominator
+        x = CyclotomicNumber(
+            m, [QQ(rng.randint(-32, 31), 7) for _ in range(euler_phi(m))])
+        inv = x.inverse()
+        assert inv.order == m
+        assert x * inv == 1
+
+
 def test_canonical_equality_and_hash():
     # same value stored at different orders compares and hashes equal
     a = zeta(3)
@@ -134,6 +162,14 @@ def test_order_cap():
         zeta(121)
     with pytest.raises(OrderCapExceededError):
         zeta(16) * zeta(9)  # lcm 144 > 120
+    # past the cap, unequal normalized traces still prove inequality
+    assert zeta(11) != zeta(13)  # lcm 143
+    assert not zeta(11) == zeta(13)
+    # equal traces decide nothing: Tr(zeta_13 - 1/60) / 12 = -1/10 as for zeta_11
+    other = zeta(13) - QQ(1, 60)
+    assert hash(other) == hash(zeta(11))
+    with pytest.raises(OrderCapExceededError):
+        zeta(11) == other
 
 
 def test_str_roundtrip_values():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from stackygit.cli import run_command
 from stackygit.errors import (
     ArityError,
     CommonFactorError,
@@ -154,7 +155,7 @@ class TestRecognizeAndDecompose:
         assert data.d == d and data.e == e
         assert data.canonical_divisor_degree % 2 == 1
 
-    def test_shape_errors(self):
+    def test_shape_errors(self, tmp_path):
         with pytest.raises(ShapeError):
             recognize_typical(free_ring(("a", "b"), (2, 3)))
         bad = GradedRingPresentation(
@@ -165,6 +166,16 @@ class TestRecognizeAndDecompose:
         # two weights, so well-formedness fails with an arity error
         with pytest.raises(ArityError):
             recognize_typical(bad)
+        # t^2 alone: F = 0, so there is no base part to take a root along
+        square_only = GradedRingPresentation(
+            ("a", "t"), (2, 3), MultiPoly(("a", "t"), {(0, 2): 1}))
+        with pytest.raises(ShapeError):
+            recognize_typical(square_only)
+        spec = tmp_path / "square.ring"
+        spec.write_text("a : 2\nt : 3\nrelation: t^2\n")
+        result = run_command(["decompose", str(spec)])
+        assert result.status == 2
+        assert result.payload["error"]["code"] == "relation-shape"
 
     def test_condition_violations(self):
         # (i): top weight divisible by the base hcf

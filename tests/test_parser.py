@@ -77,6 +77,7 @@ def test_long_chains(op, expected):
     tree = parse_poly(text)
     assert collect_variables(tree) == ("x",)
     assert parse_poly(print_expr(tree)) == tree
+    assert repr(tree) == f"parse_poly({print_expr(tree)!r})"
     f = form(text)
     assert str(f) == expected
     assert f.degree == (3000 if op == "*" else 1)
