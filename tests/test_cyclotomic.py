@@ -164,7 +164,6 @@ def test_order_cap():
         zeta(16) * zeta(9)  # lcm 144 > 120
     # past the cap, unequal normalized traces still prove inequality
     assert zeta(11) != zeta(13)  # lcm 143
-    assert not zeta(11) == zeta(13)
     # equal traces decide nothing: Tr(zeta_13 - 1/60) / 12 = -1/10 as for zeta_11
     other = zeta(13) - QQ(1, 60)
     assert hash(other) == hash(zeta(11))
