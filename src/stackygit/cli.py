@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import ringspec
 from .errors import StackygitError
-from .exprparse import form, parse_poly
+from .exprparse import form
 from .graded import affine_chart, rigidify, stacky_decompose
 from .groups import GroupSpec, group_generators
 from .invariants import (

@@ -14,7 +14,7 @@ import re
 from math import lcm
 
 from .errors import RingSpecError
-from .exprparse import lower_to_multipoly, parse_poly
+from .exprparse import parse_poly
 from .graded import GradedRingPresentation
 from .polynomials import MultiPoly
 
@@ -52,7 +52,7 @@ def loads(text: str) -> GradedRingPresentation:
         raise RingSpecError("no generators")
     relation = None
     if relation_text is not None:
-        relation = lower_to_multipoly(parse_poly(relation_text), tuple(generators))
+        relation = parse_poly(relation_text, generators)
     return GradedRingPresentation(
         tuple(generators), tuple(weights), relation, field_order)
 

@@ -1,10 +1,9 @@
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stackygit import ringspec
+from stackygit.cli import run_command
 from stackygit.cyclotomic import zeta
 from stackygit.errors import (
     NestingTooDeepError,
@@ -12,25 +11,10 @@ from stackygit.errors import (
     RingSpecError,
     UnknownIdentifierError,
 )
-from stackygit.exprparse import (
-    MAX_NESTING,
-    Add,
-    Const,
-    Mul,
-    Neg,
-    Num,
-    Pow,
-    Sub,
-    Var,
-    Zeta,
-    collect_variables,
-    form,
-    lower_to_multipoly,
-    parse_poly,
-    print_expr,
-)
+from stackygit.exprparse import MAX_NESTING, SUGAR, form, parse_poly
 from stackygit.graded import presentations_isomorphic
 from stackygit.invariants import catalog_ring
+from stackygit.polynomials import MultiPoly
 
 
 def test_tetrahedral_quartic():
@@ -48,36 +32,49 @@ def test_octahedral_sextic():
 
 def test_empty_is_syntax_error():
     with pytest.raises(ParseError):
-        parse_poly("")
+        parse_poly("", ("x",))
 
 
 def test_error_carries_position():
     with pytest.raises(ParseError) as err:
-        parse_poly("x + * y")
+        parse_poly("x + * y", ("x", "y"))
     assert err.value.position == 4
 
 
 def test_unknown_identifier_at_lowering():
-    node = parse_poly("x + q")
-    with pytest.raises(UnknownIdentifierError):
-        lower_to_multipoly(node, ("x", "y"))
+    with pytest.raises(UnknownIdentifierError) as err:
+        parse_poly("x + q", ("x", "y"))
+    assert str(err.value) == "unknown identifier 'q' (variables: x, y)"
+    # reported only once the whole input has parsed
+    with pytest.raises(ParseError):
+        parse_poly("q + * x", ("x", "y"))
+
+
+def test_form_names_identifiers_in_first_occurrence_order():
+    with pytest.raises(UnknownIdentifierError) as err:
+        form("b*a + c^2*b + x")
+    assert str(err.value) == "a binary form uses only x and y, found ('b', 'a', 'c', 'x')"
+
+
+def test_arithmetic_error_comes_before_a_later_syntax_error():
+    # the parser evaluates as it reads, so zeta(1000) fails before '*'
+    result = run_command(["stabilizer", "zeta(1000) + * x"])
+    assert result.status == 3
+    assert result.payload["error"]["code"] == "order-cap-exceeded"
 
 
 def test_nesting_bound():
     half = MAX_NESTING // 2
     assert form("-(" * half + "x^2 - y^2" + ")" * half) == form("x^2 - y^2")
     with pytest.raises(NestingTooDeepError):
-        parse_poly("(" * MAX_NESTING + "-x" + ")" * MAX_NESTING)
+        parse_poly("(" * MAX_NESTING + "-x" + ")" * MAX_NESTING, ("x",))
 
 
 @pytest.mark.parametrize("op, expected", [
     ("+", "3000*x"), ("-", "-2998*x"), ("*", "x^3000")])
 def test_long_chains(op, expected):
     text = op.join(["x"] * 3000)
-    tree = parse_poly(text)
-    assert collect_variables(tree) == ("x",)
-    assert parse_poly(print_expr(tree)) == tree
-    assert repr(tree) == f"parse_poly({print_expr(tree)!r})"
+    assert str(parse_poly(text, ("x",))) == expected
     f = form(text)
     assert str(f) == expected
     assert f.degree == (3000 if op == "*" else 1)
@@ -89,48 +86,45 @@ def test_long_relation_chain():
 
 
 def test_zeta_and_sugar():
-    node = parse_poly("zeta(8)^2 + i")
-    value = lower_to_multipoly(node, ()).constant_term()
+    value = parse_poly("zeta(8)^2 + i", ()).constant_term()
     assert value == 2 * zeta(4)
 
 
-def test_collect_variables_order():
-    node = parse_poly("b*a + c^2*b")
-    assert collect_variables(node) == ("b", "a", "c")
+# -- Python's own parser as the reference --------------------------------------
+
+VARIABLES = ("x", "y", "I4")
+NAMESPACE = {v: MultiPoly.variable(VARIABLES, v) for v in VARIABLES}
+NAMESPACE.update({c: MultiPoly.constant(VARIABLES, make()) for c, make in SUGAR.items()})
+NAMESPACE["zeta"] = lambda m: MultiPoly.constant(VARIABLES, zeta(m))
+
+_ATOMS = st.one_of(
+    st.integers(0, 12).map(str),
+    st.sampled_from(VARIABLES + tuple(SUGAR)),
+    st.sampled_from((3, 4, 5, 8)).map(lambda m: f"zeta({m})"),
+)
 
 
-def _random_ast(rng, depth):
-    r = rng.random()
-    if depth <= 0 or r < 0.25:
-        return rng.choice([
-            Num(rng.randint(0, 12)),
-            Var(rng.choice(["x", "y", "I4"])),
-            Zeta(rng.choice([3, 4, 8])),
-            Const(rng.choice(["i", "sqrt2", "sqrt5", "sqrtm3"])),
-        ])
-    if r < 0.42:
-        return Add(_random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
-    if r < 0.58:
-        return Sub(_random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
-    if r < 0.78:
-        return Mul(_random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
-    if r < 0.9:
-        return Neg(_random_ast(rng, depth - 1))
-    return Pow(_random_ast(rng, depth - 1), rng.randint(0, 6))
+def _sums(inner):
+    """Expressions whose factors are atoms or parenthesized ``inner``
+    expressions, with at most one '^' per factor and unary minus only at
+    the start of a term."""
+    factor = st.tuples(
+        st.one_of(_ATOMS, inner.map(lambda e: f"({e})")),
+        st.sampled_from(("", "^0", "^1", "^2", "^3")),
+    ).map("".join)
+    term = st.tuples(
+        st.sampled_from(("", "-", "- -")),
+        st.lists(factor, min_size=1, max_size=3).map("*".join),
+    ).map("".join)
+    rest = st.lists(st.tuples(st.sampled_from((" + ", " - ")), term), max_size=3)
+    return st.tuples(term, rest).map(lambda t: t[0] + "".join(op + u for op, u in t[1]))
 
 
-def test_print_parse_roundtrip_200():
-    rng = random.Random(23)
-    for _ in range(200):
-        tree = _random_ast(rng, 4)
-        assert parse_poly(print_expr(tree)) == tree
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 31))
-def test_print_parse_roundtrip_hypothesis(seed):
-    tree = _random_ast(random.Random(seed), 3)
-    assert parse_poly(print_expr(tree)) == tree
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.recursive(_ATOMS, _sums, max_leaves=10))
+def test_parse_agrees_with_python_eval(text):
+    expected = MultiPoly.constant(VARIABLES, 0) + eval(text.replace("^", "**"), dict(NAMESPACE))
+    assert parse_poly(text, VARIABLES) == expected
 
 
 class TestRingSpec:
