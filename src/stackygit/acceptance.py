@@ -38,10 +38,10 @@ from .invariants import (
     sextic_F,
 )
 from .locus import PointW, is_singular_at, on_divisor
-from .polynomials import BinaryForm, WeightedGrading
+from .polynomials import BinaryForm
 from .symmetry import (
     NUMBERED_CASES,
-    ground_forms,
+    klein_degree,
     klein_generate,
     semi_invariance,
 )
@@ -231,20 +231,19 @@ def check_klein_suite(seed: int = DEFAULT_SEED, draws: int = 100) -> CheckResult
     details = []
     ok = True
     for spec in KLEIN_SUITE_GROUPS:
-        failures = 0
+        failures = []
         for _ in range(draws):
-            alpha, beta, gamma, params = _klein_draw(rng, spec)
+            alpha, beta, gamma, params = draw = _klein_draw(rng, spec)
             f = klein_generate(spec, alpha, beta, gamma, params)
-            if spec.kind == "C":
-                expected = alpha + beta + len(params) * spec.n
-            else:
-                degs = [g.degree for g in ground_forms(spec).forms]
-                expected = (alpha * degs[0] + beta * degs[1] + gamma * degs[2]
-                            + len(params) * spec.order // 2)
+            expected = klein_degree(spec, alpha, beta, gamma, len(params))
             if f.degree != expected or semi_invariance(f, spec) is None:
-                failures += 1
-        ok &= failures == 0
-        details.append(f"{spec.label}: {draws} draws, {failures} failures")
+                failures.append(draw)
+        ok &= not failures
+        line = f"{spec.label}: {draws} draws, {len(failures)} failures"
+        if failures:
+            line += "; first failing (alpha, beta, gamma, params): " + ", ".join(
+                str(d) for d in failures[:3])
+        details.append(line)
     return CheckResult(6, "generative semi-invariance suite", ok,
                        details=tuple(details))
 
@@ -288,7 +287,7 @@ def check_quartic_invariants(seed: int = DEFAULT_SEED) -> CheckResult:
             ok = False
     details.append(f"invariance under 100 rational determinant-1 matrices: {ok}")
 
-    w = WeightedGrading((2, 3))
+    w = (2, 3)
     p1 = quartic_point(form("x^4 + y^4")) == PointW((1, 0), w)
     p2 = quartic_point(form("x^4 + 2*sqrtm3*x^2*y^2 + y^4")) == PointW((0, 1), w)
     details.append(f"case (I) lands on (1:0): {p1}; case (II) on (0:1): {p2}")
@@ -314,7 +313,7 @@ def check_quartic_invariants(seed: int = DEFAULT_SEED) -> CheckResult:
 def check_quintic_locus() -> CheckResult:
     """The divisor's values and gradients at the four distinguished points."""
     F = quintic_F()
-    w = WeightedGrading((1, 2, 3))
+    w = (1, 2, 3)
     f324 = F * 324
     details = []
     checks = []
@@ -356,7 +355,7 @@ def check_sextic_divisor() -> CheckResult:
     ok &= euler_ok
     details.append(f"Euler identity sum w_i x_i dF/dx_i = 30 F: {euler_ok}")
 
-    w = WeightedGrading((1, 2, 3, 5))
+    w = (1, 2, 3, 5)
     pts = [PointW(tuple(1 if j == i else 0 for j in range(4)), w)
            for i in range(1, 4)]
     values = [F.evaluate(p.coordinates) for p in pts]

@@ -16,7 +16,9 @@ an identifier outside them is reported once the whole input has parsed.
 Parentheses and unary minus signs may nest at most :data:`MAX_NESTING`
 deep; deeper input raises NestingTooDeepError before the parser recurses
 further.  Sums and products of any length are parsed iteratively, so they
-need no such bound.
+need no such bound.  A power whose degree would exceed
+:data:`~stackygit.polynomials.MAX_PROFILE_DEGREE` raises DegreeTooLargeError
+before it is expanded.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import re
 
 from . import cyclotomic
 from .cyclotomic import zeta
-from .errors import NestingTooDeepError, ParseError, UnknownIdentifierError
-from .polynomials import BinaryForm, MultiPoly
+from .errors import DegreeTooLargeError, NestingTooDeepError, ParseError, UnknownIdentifierError
+from .polynomials import MAX_PROFILE_DEGREE, BinaryForm, MultiPoly
 
 SUGAR = {
     "i": cyclotomic.imag_unit,
@@ -116,7 +118,13 @@ class _Parser:
         value = self.atom()
         if self.peek()[0] == "^":
             self.advance()
-            value = value ** self.expect("num")[1]
+            exponent, pos = self.expect("num")[1:]
+            degree = max((sum(e) for e in value.terms), default=0) * exponent
+            if degree > MAX_PROFILE_DEGREE:
+                raise DegreeTooLargeError(
+                    f"power of degree {degree} exceeds the bound {MAX_PROFILE_DEGREE}"
+                    f" (at position {pos})")
+            value = value ** exponent
         return value
 
     def atom(self):

@@ -27,7 +27,7 @@ from .errors import (
     ShapeError,
     UnknownGeneratorError,
 )
-from .polynomials import MultiPoly, WeightedGrading
+from .polynomials import MultiPoly
 
 #: The printed evenness condition on 2*w(t)/d conflicts with every worked
 #: example; divisibility d | 2*w(t) is what the square-root construction
@@ -62,13 +62,9 @@ class GradedRingPresentation:
                 raise ArityError("relation must be written in the generators")
             if self.relation.is_zero():
                 object.__setattr__(self, "relation", None)
-            elif self.relation.weighted_degree(self.grading) is None:
+            elif self.relation.weighted_degree(self.weights) is None:
                 raise InhomogeneousError(
                     f"relation {self.relation} is not weighted-homogeneous")
-
-    @property
-    def grading(self) -> WeightedGrading:
-        return WeightedGrading(self.weights)
 
     def weight_of(self, name: str) -> int:
         try:
@@ -212,7 +208,7 @@ def root_stack(ring: GradedRingPresentation, s, r: int,
         s = MultiPoly.variable(ring.generators, s)
     if s.variables != ring.generators:
         raise ArityError("the section must be written in the base generators")
-    n = s.weighted_degree(ring.grading)
+    n = s.weighted_degree(ring.weights)
     if n is None:
         raise InhomogeneousError(f"section {s} is not homogeneous")
     if n < 1:
@@ -279,7 +275,7 @@ def recognize_typical(ring: GradedRingPresentation) -> TypicalData:
         raise ShapeError(
             f"relation {ring.generators[top]}^2 has no base part F")
     d_top = ring.weights[top]
-    degF = F.weighted_degree(WeightedGrading(ring.weights[:-1]))
+    degF = F.weighted_degree(ring.weights[:-1])
     assert degF == 2 * d_top  # homogeneity of the relation guarantees this
     d = 0
     for w in ring.weights[:-1]:

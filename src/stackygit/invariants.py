@@ -36,7 +36,7 @@ from .errors import (
     WrongDegreeError,
 )
 from .graded import GradedRingPresentation
-from .polynomials import BinaryForm, MultiPoly, WeightedGrading
+from .polynomials import BinaryForm, MultiPoly
 
 FAMILIES = ("quartic", "quintic", "sextic", "cubic-curve", "cubic-surface")
 
@@ -180,7 +180,7 @@ def quartic_point(f: BinaryForm):
     if not _squarefree(f):
         raise NonStableError("the value point is taken on stable quartics")
     inv = quartic_invariants(f)
-    weights = WeightedGrading((2, 3))
+    weights = (2, 3)
     if not inv.I2 and not inv.I3:
         raise NonStableError("I2 = I3 = 0 cannot happen for a stable quartic")
     if not inv.I3:

@@ -16,7 +16,7 @@ from math import gcd
 from .cyclotomic import as_cyclotomic
 from .errors import ArityError, InhomogeneousError, WeightMismatchError
 from .graded import wps_singular_strata
-from .polynomials import MultiPoly, WeightedGrading
+from .polynomials import MultiPoly
 
 
 @dataclass(frozen=True)
@@ -24,13 +24,14 @@ class PointW:
     """A point of a weighted projective space, coordinates not all zero."""
 
     coordinates: tuple
-    weights: WeightedGrading
+    weights: tuple
 
     def __post_init__(self):
         coords = tuple(as_cyclotomic(c) for c in self.coordinates)
         object.__setattr__(self, "coordinates", coords)
-        if isinstance(self.weights, (tuple, list)):
-            object.__setattr__(self, "weights", WeightedGrading(tuple(self.weights)))
+        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+        if any(w < 1 for w in self.weights):
+            raise ValueError("weights must be positive")
         if len(coords) != len(self.weights):
             raise ArityError("one weight per coordinate")
         if not any(coords):
@@ -102,21 +103,21 @@ def _xgcd_int(a, b):
     return old_r, old_s, old_t
 
 
-def _check_divisor_point(F: MultiPoly, w: WeightedGrading, p: PointW):
+def _check_divisor_point(F: MultiPoly, w: tuple, p: PointW):
     if F.weighted_degree(w) is None:
         raise InhomogeneousError(f"{F} is not homogeneous for {tuple(w)}")
-    if tuple(p.weights) != tuple(w):
+    if p.weights != tuple(w):
         raise WeightMismatchError(
-            f"point weights {tuple(p.weights)} differ from {tuple(w)}")
+            f"point weights {p.weights} differ from {tuple(w)}")
 
 
-def on_divisor(F: MultiPoly, w: WeightedGrading, p: PointW) -> bool:
+def on_divisor(F: MultiPoly, w: tuple, p: PointW) -> bool:
     """Whether F vanishes at p (well defined by homogeneity)."""
     _check_divisor_point(F, w, p)
     return not F.evaluate(p.coordinates)
 
 
-def is_singular_at(F: MultiPoly, w: WeightedGrading, p: PointW) -> bool:
+def is_singular_at(F: MultiPoly, w: tuple, p: PointW) -> bool:
     """Affine-cone Jacobian criterion: F and all partials vanish at p.
 
     At points inside singular strata of the ambient space this is
@@ -176,7 +177,7 @@ def _coordinate_points(weights):
     pts = []
     for i in range(n):
         coords = tuple(1 if j == i else 0 for j in range(n))
-        pts.append(PointW(coords, WeightedGrading(weights)))
+        pts.append(PointW(coords, weights))
     return pts
 
 
@@ -189,7 +190,7 @@ def quintic_locus_report() -> LocusReport:
     """
     from .invariants import quintic_F
 
-    w = WeightedGrading((1, 2, 3))
+    w = (1, 2, 3)
     F = quintic_F()
     claims = []
 
@@ -255,8 +256,8 @@ def sextic_locus_report() -> LocusReport:
     """
     from .invariants import SEXTIC_REPAIR_NOTE, sextic_F
 
-    w = WeightedGrading((1, 2, 3, 5))
-    wd = WeightedGrading((2, 4, 6, 10))
+    w = (1, 2, 3, 5)
+    wd = (2, 4, 6, 10)
     F = sextic_F()
     claims = []
 

@@ -17,7 +17,6 @@ sequence to limit coefficient growth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from .cyclotomic import (
@@ -36,27 +35,6 @@ _ONE = as_cyclotomic(1)
 #: Largest degree :meth:`BinaryForm.multiplicity_profile` accepts; its gcd
 #: chain costs about deg^2 field operations.
 MAX_PROFILE_DEGREE = 256
-
-
-@dataclass(frozen=True)
-class WeightedGrading:
-    """Positive integer weights, one per variable."""
-
-    weights: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        if any(w < 1 for w in self.weights):
-            raise ValueError("weights must be positive")
-
-    def __len__(self):
-        return len(self.weights)
-
-    def __iter__(self):
-        return iter(self.weights)
-
-    def __getitem__(self, i):
-        return self.weights[i]
 
 
 class MultiPoly:
@@ -208,25 +186,23 @@ class MultiPoly:
 
     # -- structure ------------------------------------------------------------
 
-    def weighted_degree(self, grading: WeightedGrading):
-        """Common weighted degree of all terms, or None if inhomogeneous.
+    def weighted_degree(self, weights):
+        """Common weighted degree of all terms for one weight per variable,
+        or None if inhomogeneous.
 
         The zero polynomial and constants have degree 0.
         """
-        if len(grading) != len(self.variables):
+        if len(weights) != len(self.variables):
             raise VariableMismatchError(
-                f"{len(grading)} weights for {len(self.variables)} variables")
+                f"{len(weights)} weights for {len(self.variables)} variables")
         degree = None
         for e in self.terms:
-            d = sum(w * k for w, k in zip(grading, e))
+            d = sum(w * k for w, k in zip(weights, e))
             if degree is None:
                 degree = d
             elif d != degree:
                 return None
         return 0 if degree is None else degree
-
-    def is_homogeneous(self, grading: WeightedGrading):
-        return self.weighted_degree(grading) is not None
 
     def partial(self, i: int) -> "MultiPoly":
         terms = {}
@@ -284,19 +260,6 @@ class MultiPoly:
             for v, k in zip(self.variables, e):
                 e2[pos[v]] = k
             terms[tuple(e2)] = c
-        return MultiPoly(new_variables, terms)
-
-    def restricted(self, new_variables) -> "MultiPoly":
-        """Drop variables that occur in no term."""
-        new_variables = tuple(new_variables)
-        keep = [self.variables.index(v) for v in new_variables]
-        drop = [i for i in range(len(self.variables)) if i not in keep]
-        terms = {}
-        for e, c in self.terms.items():
-            if any(e[i] for i in drop):
-                raise VariableMismatchError(
-                    f"term {e} uses a variable outside {new_variables}")
-            terms[tuple(e[i] for i in keep)] = c
         return MultiPoly(new_variables, terms)
 
     def proportional_to(self, other):

@@ -15,6 +15,7 @@ from functools import lru_cache
 
 from .cyclotomic import CyclotomicNumber, as_cyclotomic
 from .errors import (
+    DegreeTooLargeError,
     InfiniteStabilizerError,
     NoGroundFormsError,
     UnknownCaseError,
@@ -23,7 +24,7 @@ from .errors import (
 )
 from .exprparse import form
 from .groups import GroupSpec, SL2Matrix, group_contains, group_generators
-from .polynomials import BinaryForm
+from .polynomials import MAX_PROFILE_DEGREE, BinaryForm
 
 
 @dataclass(frozen=True)
@@ -138,16 +139,30 @@ def ground_forms(spec: GroupSpec) -> GroundFormSet:
     return GroundFormSet(spec, forms, nu)
 
 
+def klein_degree(spec: GroupSpec, alpha: int, beta: int, gamma: int, count: int) -> int:
+    """Degree of :func:`klein_generate`'s form with ``count`` parameter pairs."""
+    if spec.kind == "C":
+        return alpha + beta + count * spec.n
+    d1, d2, d3 = (g.degree for g in ground_forms(spec).forms)
+    return alpha * d1 + beta * d2 + gamma * d3 + count * spec.order // 2
+
+
 def klein_generate(spec: GroupSpec, alpha: int, beta: int, gamma: int, params=()) -> BinaryForm:
     """The general semi-invariant of the group, expanded.
 
     Cyclic groups: x^alpha y^beta prod_i (lambda_i x^n + mu_i y^n), with
     gamma ignored.  Other groups: F1^alpha F2^beta F3^gamma
-    prod_i (lambda_i F1^nu1 + mu_i F2^nu2).
+    prod_i (lambda_i F1^nu1 + mu_i F2^nu2).  A degree above
+    :data:`~stackygit.polynomials.MAX_PROFILE_DEGREE` raises
+    DegreeTooLargeError before any product is formed.
     """
     for lam, mu in params:
         if not as_cyclotomic(lam) and not as_cyclotomic(mu):
             raise ZeroParameterError("(0, 0) is not a point of P^1")
+    degree = klein_degree(spec, alpha, beta, gamma, len(params))
+    if degree > MAX_PROFILE_DEGREE:
+        raise DegreeTooLargeError(
+            f"degree {degree} exceeds the bound {MAX_PROFILE_DEGREE}")
     if spec.kind == "C":
         n = spec.n
         result = BinaryForm.from_dict(alpha + beta, {beta: 1})

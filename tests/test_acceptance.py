@@ -7,9 +7,11 @@ as an expected-failure rather than a suite failure.
 
 import hashlib
 import json
+import random
 
 import pytest
 
+from stackygit import acceptance
 from stackygit.acceptance import (
     check_calibration,
     check_decompositions,
@@ -66,6 +68,26 @@ def test_criterion_06_klein_property_suite():
     result = check_klein_suite(seed=SEED)
     _report(result)
     assert result.passed
+
+
+def test_klein_suite_records_failing_draws(monkeypatch):
+    # refute the 2nd to 5th C3 draws: the first three of them are named
+    calls = []
+
+    def refute(f, spec):
+        calls.append(spec)
+        return None if 2 <= len(calls) <= 5 else True
+
+    monkeypatch.setattr(acceptance, "semi_invariance", refute)
+    result = check_klein_suite(seed=SEED, draws=5)
+    rng = random.Random(SEED)
+    c3 = [acceptance._klein_draw(rng, acceptance.KLEIN_SUITE_GROUPS[0]) for _ in range(5)]
+    assert not result.passed
+    assert result.details[0] == (
+        "C3: 5 draws, 4 failures; first failing (alpha, beta, gamma, params): "
+        + ", ".join(str(d) for d in c3[1:4]))
+    assert result.details[1:] == ("D4: 5 draws, 0 failures", "T: 5 draws, 0 failures",
+                                  "O: 5 draws, 0 failures", "I: 5 draws, 0 failures")
 
 
 def test_criterion_07_quartic_invariants():

@@ -144,6 +144,20 @@ def test_profile_degree_bound():
     assert result.payload["error"]["code"] == "degree-too-large"
 
 
+@pytest.mark.parametrize("argv", [
+    ["stabilizer", "(x+y)^2000"],
+    ["stabilizer", "x^1000000*y + x*y^1000000"],
+    ["stabilizer", "x^100000000*y + x*y^100000000"],
+    ["klein", "C3", "3000", "0", "0", "1:1"],
+])
+def test_degree_bound_before_expansion(argv):
+    start = time.perf_counter()
+    result = run_command(argv)
+    assert time.perf_counter() - start < 1
+    assert result.status == 3
+    assert result.payload["error"]["code"] == "degree-too-large"
+
+
 @pytest.mark.parametrize("argv", [["decompose"], ["rigidify"], ["chart", "x"]])
 def test_unreadable_ring_spec(tmp_path, argv):
     result = run_command([argv[0], str(tmp_path), *argv[1:]])

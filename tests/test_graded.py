@@ -39,7 +39,7 @@ class TestVeronese:
     def test_quintic_halving(self):
         half = veronese(quintic_ring(), 2)
         assert half.weights == (2, 4, 6, 9)
-        assert half.relation.weighted_degree(half.grading) == 18
+        assert half.relation.weighted_degree(half.weights) == 18
 
     def test_cubic_curve(self):
         assert veronese(catalog_ring("cubic-curve").ring, 2).weights == (2, 3)

@@ -12,9 +12,9 @@ from stackygit.locus import (
     quintic_locus_report,
     sextic_locus_report,
 )
-from stackygit.polynomials import MultiPoly, WeightedGrading
+from stackygit.polynomials import MultiPoly
 
-W123 = WeightedGrading((1, 2, 3))
+W123 = (1, 2, 3)
 
 
 class TestPointW:
@@ -37,14 +37,19 @@ class TestPointW:
         # (1, 1) and (1, -1) in P(2, 3) ARE equal: t = -1 fixes the first
         # coordinate and flips the second.  With weights (2, 4) they are
         # not: t^2 = 1 forces t^4 = 1.
-        w23 = WeightedGrading((2, 3))
+        w23 = (2, 3)
         assert PointW((1, 1), w23) == PointW((1, -1), w23)
-        w24 = WeightedGrading((2, 4))
+        w24 = (2, 4)
         assert PointW((1, 1), w24) != PointW((1, -1), w24)
 
     def test_not_all_zero(self):
         with pytest.raises(ValueError):
             PointW((0, 0, 0), W123)
+
+    @pytest.mark.parametrize("weights", [(1, 0, 3), (1, -2, 3), [0, 2, 3]])
+    def test_weights_must_be_positive(self, weights):
+        with pytest.raises(ValueError):
+            PointW((1, 0, 0), weights)
 
 
 class TestDivisorChecks:
@@ -81,7 +86,7 @@ class TestDivisorChecks:
     def test_weight_mismatch(self):
         with pytest.raises(WeightMismatchError):
             on_divisor(quintic_F(), W123,
-                       PointW((1, 0, 0), WeightedGrading((1, 2, 4))))
+                       PointW((1, 0, 0), (1, 2, 4)))
 
 
 class TestEulerRelation:

@@ -12,7 +12,7 @@ from stackygit.errors import (
 )
 from stackygit.exprparse import form
 from stackygit.groups import GroupSpec, SL2Matrix, group_generators
-from stackygit.polynomials import MAX_PROFILE_DEGREE, BinaryForm, MultiPoly, WeightedGrading
+from stackygit.polynomials import MAX_PROFILE_DEGREE, BinaryForm, MultiPoly
 
 
 def quintic_f324():
@@ -24,24 +24,24 @@ def quintic_f324():
 
 class TestMultiPoly:
     def test_weighted_degree_homogeneous(self):
-        w = WeightedGrading((4, 8, 12))
+        w = (4, 8, 12)
         assert quintic_f324().weighted_degree(w) == 36
 
     def test_weighted_degree_constant(self):
         p = MultiPoly.constant(("a", "b"), 1)
-        assert p.weighted_degree(WeightedGrading((3, 5))) == 0
+        assert p.weighted_degree((3, 5)) == 0
 
     def test_weighted_degree_inhomogeneous_marker(self):
         p = MultiPoly(("t1", "t2"), {(2, 0): 1, (0, 1): 1})
-        assert p.weighted_degree(WeightedGrading((1, 3))) is None
+        assert p.weighted_degree((1, 3)) is None
 
     def test_weighted_degree_variable_mismatch(self):
         with pytest.raises(VariableMismatchError):
-            quintic_f324().weighted_degree(WeightedGrading((1, 2)))
+            quintic_f324().weighted_degree((1, 2))
 
     def test_degree_additive_on_products(self):
         rng = random.Random(3)
-        w = WeightedGrading((1, 2, 3))
+        w = (1, 2, 3)
         vs = ("a", "b", "c")
         for _ in range(20):
             e1 = (rng.randint(0, 3), rng.randint(0, 2), rng.randint(0, 2))
