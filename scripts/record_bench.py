@@ -57,8 +57,7 @@ def environment(checkouts) -> dict:
         "nproc": nproc,
         "python": platform.python_version(),
         "gmpy2": find_spec("gmpy2") is not None,
-        "checkouts": {name: {"path": str(path), "commit": git_commit(path)}
-                      for name, path in checkouts.items()},
+        "commits": {name: git_commit(path) for name, path in checkouts.items()},
     }
 
 

@@ -11,7 +11,7 @@ from stackygit.errors import (
     RingSpecError,
     UnknownIdentifierError,
 )
-from stackygit.exprparse import MAX_NESTING, SUGAR, form, parse_poly
+from stackygit.exprparse import MAX_NESTING, form, parse_poly
 from stackygit.graded import presentations_isomorphic
 from stackygit.invariants import catalog_ring
 from stackygit.polynomials import MultiPoly
@@ -93,13 +93,19 @@ def test_zeta_and_sugar():
 # -- Python's own parser as the reference --------------------------------------
 
 VARIABLES = ("x", "y", "I4")
+CONSTANTS = {
+    "i": zeta(4),
+    "sqrt2": zeta(8) + zeta(8) ** 7,
+    "sqrt5": 1 + 2 * zeta(5) + 2 * zeta(5) ** 4,
+    "sqrtm3": 1 + 2 * zeta(3),
+}
 NAMESPACE = {v: MultiPoly.variable(VARIABLES, v) for v in VARIABLES}
-NAMESPACE.update({c: MultiPoly.constant(VARIABLES, make()) for c, make in SUGAR.items()})
+NAMESPACE.update({c: MultiPoly.constant(VARIABLES, v) for c, v in CONSTANTS.items()})
 NAMESPACE["zeta"] = lambda m: MultiPoly.constant(VARIABLES, zeta(m))
 
 _ATOMS = st.one_of(
     st.integers(0, 12).map(str),
-    st.sampled_from(VARIABLES + tuple(SUGAR)),
+    st.sampled_from(VARIABLES + tuple(CONSTANTS)),
     st.sampled_from((3, 4, 5, 8)).map(lambda m: f"zeta({m})"),
 )
 

@@ -17,12 +17,12 @@ def _load():
 
 def test_environment_record(tmp_path):
     env = _load().environment({"change": ROOT, "plain": tmp_path})
-    assert set(env) == {"cpu_model", "nproc", "python", "gmpy2", "checkouts"}
+    assert set(env) == {"cpu_model", "nproc", "python", "gmpy2", "commits"}
     assert isinstance(env["cpu_model"], str) and env["cpu_model"]
     assert isinstance(env["nproc"], int) and env["nproc"] >= 1
     assert env["python"] == platform.python_version()
     assert isinstance(env["gmpy2"], bool)
-    assert env["checkouts"]["plain"] == {"path": str(tmp_path), "commit": None}
-    commit = env["checkouts"]["change"]["commit"]
+    assert env["commits"]["plain"] is None
+    commit = env["commits"]["change"]
     assert commit is None or re.fullmatch(r"[0-9a-f]{40}(\+dirty)?", commit)
 
