@@ -10,8 +10,7 @@ produces a diagnostic, not a suite failure.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from math import gcd
+from dataclasses import dataclass
 
 from .cyclotomic import QQ
 from .errors import CommonFactorError

@@ -17,9 +17,11 @@ inverse of a is the product of its other Galois conjugates over the
 integer norm N(a).
 
 Mixed-order arithmetic embeds both operands into Q(zeta_lcm).  Orders are
-capped (default 120, see :data:`ORDER_CAP`) to keep phi(m) small; the C_n
-and D_n candidates of a stabilizer search use zeta_2n for every n up to the
-form's degree, so any order up to the cap can occur.  A value keeps the
+capped (default 120, see :data:`ORDER_CAP`) to keep phi(m) small.  A
+stabilizer search builds zeta_2n only for the C_n and D_n candidates that
+pass the support rule (n divides every difference of support indices), so
+a form whose support allows an n past half the cap, such as x^62 + y^62,
+still needs a field past it.  A value keeps the
 order its computation produced, except that values whose non-constant
 coordinates vanish are demoted to order 1: rationals are always order 1.
 Bulk kernels (``BinaryForm.substitute``) read many values over one

@@ -13,7 +13,7 @@ class StackygitError(Exception):
 
 class BoundExceededError(StackygitError):
     """An internal safety bound was hit (order cap, closure size, parser
-    nesting, form degree)."""
+    nesting, form degree, coefficient size)."""
 
     exit_status = 3
 
@@ -32,6 +32,10 @@ class NestingTooDeepError(BoundExceededError):
 
 class DegreeTooLargeError(BoundExceededError):
     code = "degree-too-large"
+
+
+class CoefficientTooLargeError(BoundExceededError):
+    code = "coefficient-too-large"
 
 
 class IncompatibleOrderError(StackygitError):

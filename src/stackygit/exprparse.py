@@ -18,7 +18,9 @@ deep; deeper input raises NestingTooDeepError before the parser recurses
 further.  Sums and products of any length are parsed iteratively, so they
 need no such bound.  A power whose degree would exceed
 :data:`~stackygit.polynomials.MAX_PROFILE_DEGREE` raises DegreeTooLargeError
-before it is expanded.
+before it is expanded, and a power of a constant whose estimated size
+exceeds :data:`MAX_COEFFICIENT_BITS` raises CoefficientTooLargeError before
+it is computed.
 """
 
 from __future__ import annotations
@@ -27,7 +29,13 @@ import re
 
 from . import cyclotomic
 from .cyclotomic import zeta
-from .errors import DegreeTooLargeError, NestingTooDeepError, ParseError, UnknownIdentifierError
+from .errors import (
+    CoefficientTooLargeError,
+    DegreeTooLargeError,
+    NestingTooDeepError,
+    ParseError,
+    UnknownIdentifierError,
+)
 from .polynomials import MAX_PROFILE_DEGREE, BinaryForm, MultiPoly
 
 SUGAR = {
@@ -40,6 +48,11 @@ SUGAR = {
 #: Deepest accepted nesting of parentheses and unary minus signs.  Each
 #: level costs a few Python stack frames in the parser.
 MAX_NESTING = 100
+
+#: Largest estimated bit size of a power of a constant: the exponent times
+#: the bit length of the base's largest coordinate or denominator.  A power
+#: at the bound prints in about 3,000 decimal digits.
+MAX_COEFFICIENT_BITS = 10_000
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^]))")
 
@@ -124,6 +137,12 @@ class _Parser:
                 raise DegreeTooLargeError(
                     f"power of degree {degree} exceeds the bound {MAX_PROFILE_DEGREE}"
                     f" (at position {pos})")
+            if value.is_constant():
+                bits = exponent * _size_bits(value.constant_term())
+                if bits > MAX_COEFFICIENT_BITS:
+                    raise CoefficientTooLargeError(
+                        f"power of about {bits} bits exceeds the bound {MAX_COEFFICIENT_BITS}"
+                        f" (at position {pos})")
             value = value ** exponent
         return value
 
@@ -145,6 +164,16 @@ class _Parser:
             self.expect(")")
             return inner
         raise ParseError(f"unexpected token {value!r}", pos)
+
+
+def _size_bits(c) -> int:
+    """Bit length of the largest coordinate or denominator of c; 0 for zero
+    and for a root of unity written as one coordinate +-1 over denominator
+    1, whose powers stay that small."""
+    nonzero = [x for x in c.coords if x]
+    if not nonzero or (c.den == 1 and len(nonzero) == 1 and abs(nonzero[0]) == 1):
+        return 0
+    return max(abs(x).bit_length() for x in (*c.coords, c.den))
 
 
 def _parse(text: str, variables):

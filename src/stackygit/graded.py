@@ -13,7 +13,7 @@ into coarse space, canonical stack, square-root divisor and gerbe index.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .errors import (

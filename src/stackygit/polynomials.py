@@ -5,9 +5,11 @@ coefficient) used for graded-ring relations and divisor equations.
 :class:`BinaryForm` is the dense two-variable case ``f = a_0 x^d +
 a_1 x^{d-1} y + ... + a_d y^d`` with the substitution action of SL(2) and
 root-multiplicity analysis.  Substitution is the hot path of every
-symmetry check; it runs on integer coordinate vectors over one common
-denominator per field and divides once at the end (see
-:meth:`BinaryForm.substitute`).
+symmetry check.  It factors the matrix into scalings and at most two
+Taylor shifts by 1 (scale-shift-scale), so a diagonal matrix costs one
+scaling and a shift costs additions only.  It runs on integer coordinate
+vectors over one common denominator per field and divides once at the end
+(see :meth:`BinaryForm.substitute`).
 
 Root multiplicities are computed by iterated gcds of the dehomogenization
 with its derivative (so everything stays in exact arithmetic, with no root
@@ -463,14 +465,29 @@ class BinaryForm:
         (checked against the order cap) and the groups are added at the end,
         so a field is entered only where a coefficient meets the entries, as
         in term-by-term arithmetic, and a form over one field takes one pass.
+        A group's image coefficients are stored in Q(zeta_k), or in Q when
+        rational, whatever their values.
         When c or d is zero the last term is the single product f_deg c^deg
         or f_deg d^deg and is formed as such, so it stays in the field of
         f_deg where that power is rational.
 
-        Within a group the Horner scheme runs on integer coordinate vectors:
-        the coefficients over one common denominator D_f, the entries over
-        D_M, so step i of Horner carries D_f * D_M^i implicitly and no gcd is
-        taken until the single division by D_f * D_M^deg at the end.
+        Within a group the image comes from scalings and Taylor shifts by 1
+        (von zur Gathen and Gerhard, ISSAC 1997).  For a != 0, with e =
+        det/a, s = b/a and t = c/e, the image is f(a u, c u + e v) at u = x
+        + s y, v = y, and each factor becomes a change of variable:
+
+        1. scale a_i by a^(deg-i) c^i and shift by 1 (c u + e v = c (u +
+           v/t));
+        2. scale coefficient j by t^-j s^(deg-j) and shift by 1 in the
+           other variable (x + s y = s (x/s + y));
+        3. scale coefficient j by s^-(deg-j).
+
+        A shift whose scalar is zero is skipped, and the scalings around it
+        merge, so a diagonal matrix costs one scaling: O(deg) vector
+        products where a shift costs O(deg^2) vector additions.  For a = 0
+        the coefficients are reversed and [[c, d], [0, b]] is used.  The
+        vectors carry one common denominator, multiplied by that of each
+        scaling, and are divided by it once at the end.
         """
         deg = self.degree
         if deg == 0:
@@ -544,41 +561,62 @@ class BinaryForm:
         return f"BinaryForm('{self}')"
 
 
-def _add(u, v):
-    return [x + y for x, y in zip(u, v)]
+def _powers(x, n):
+    """[1, x, x^2, ..., x^n]."""
+    out = [_ONE]
+    for _ in range(n):
+        out.append(out[-1] * x)
+    return out
 
 
-def _mul_linear(k, coeffs, p, q):
-    """(sum c_j x^(n-j) y^j) * (p x + q y), dense in descending x-degree, on
-    integer coordinate vectors in Q(zeta_k)."""
-    zero = [0] * len(p)
-    px = [_mul_vec(k, v, p) for v in coeffs] if any(p) else [zero] * len(coeffs)
-    if not any(q):
-        return px + [zero]
-    qy = [_mul_vec(k, v, q) for v in coeffs]
-    return [px[0]] + [_add(u, v) for u, v in zip(px[1:], qy)] + [qy[-1]]
+def _scaled(k, den, vecs, scalars):
+    """The integer coordinate vectors ``vecs`` (over ``den``) times the
+    scalars, entry by entry, in Q(zeta_k); returns the new common
+    denominator and vectors."""
+    sden, ss = _to_int_coords(scalars, k)
+    return den * sden, [_mul_vec(k, s, v) if any(v) else v for s, v in zip(ss, vecs)]
+
+
+def _shift(vecs):
+    """In place: sum p_i z^i -> sum p_i (z + 1)^i on the coefficient vectors
+    p_i, by additions alone (the Taylor shift by 1)."""
+    n = len(vecs) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            u, v = vecs[j], vecs[j + 1]
+            if any(v):
+                vecs[j] = [x + y for x, y in zip(u, v)]
 
 
 def _substitute_terms(k, deg, terms, entries):
     """Coefficients of sum f_i X^(deg-i) Y^i over the terms {i: f_i}, for
     X = a x + b y and Y = c x + d y, computed in Q(zeta_k) on integer
-    coordinate vectors (see :meth:`BinaryForm.substitute`)."""
+    coordinate vectors by scale-shift-scale (see
+    :meth:`BinaryForm.substitute`)."""
     _check_order(k)
-    first, last = min(terms), max(terms)
-    den_f, fs = _to_int_coords(list(terms.values()), k)
-    fs = dict(zip(terms, fs))
-    den_m, (a, b, c, d) = _to_int_coords(entries, k)
-    # Horner in X with precomputed powers of Y, from the first term on.
-    ypows = [[[1] + [0] * (len(a) - 1)]]
-    for _ in range(last):
-        ypows.append(_mul_linear(k, ypows[-1], c, d))
-    acc = [_mul_vec(k, fs[first], v) for v in ypows[first]]
-    for i in range(first + 1, deg + 1):
-        acc = _mul_linear(k, acc, a, b)
-        if i in fs:
-            acc = [_add(u, _mul_vec(k, fs[i], v)) for u, v in zip(acc, ypows[i])]
-    den = den_f * den_m ** deg
-    return [_raw(k, v, den) for v in acc]
+    a, b, c, d = entries
+    den, vecs = _to_int_coords([terms.get(i, _ZERO) for i in range(deg + 1)], k)
+    if not a:  # f(b y, c x + d y) is the reversed form at [[c, d], [0, b]]
+        vecs.reverse()
+        a, b, c, d = c, d, _ZERO, b
+    e = d - b * c / a if c else d  # det/a, with no inverse when c = 0
+    # f(a u, c u + e v) with u = x + s y, v = y and s = b/a
+    pa, pg = _powers(a, deg), _powers(c or e, deg)
+    scalars = [pa[deg - i] * g for i, g in enumerate(pg)]
+    if c:  # c u + e v = c (u + w) with w = v/t and t = c/e
+        den, vecs = _scaled(k, den, vecs, scalars)
+        _shift(vecs)
+        scalars = _powers(e / c, deg)
+    if b:  # u = s (z + y) with z = x/s
+        ps = _powers(b / a, deg)
+        scalars = [x * ps[deg - j] for j, x in enumerate(scalars)]
+        den, vecs = _scaled(k, den, vecs, scalars)
+        vecs.reverse()
+        _shift(vecs)
+        vecs.reverse()
+        scalars = _powers(a / b, deg)[::-1]
+    den, vecs = _scaled(k, den, vecs, scalars)
+    return [_raw(k, v, den) for v in vecs]
 
 
 # -- dense univariate polynomials over the cyclotomic field (ascending) -------

@@ -10,7 +10,7 @@ forms keyed by the traditional Roman numerals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .cyclotomic import CyclotomicNumber, as_cyclotomic
@@ -23,7 +23,7 @@ from .errors import (
     ZeroParameterError,
 )
 from .exprparse import form
-from .groups import GroupSpec, SL2Matrix, group_contains, group_generators
+from .groups import GroupSpec, group_contains, group_generators
 from .polynomials import MAX_PROFILE_DEGREE, BinaryForm
 
 
@@ -50,9 +50,20 @@ class GroundFormSet:
 
 
 def semi_invariance(f: BinaryForm, spec: GroupSpec):
-    """Certificate with one exact scalar per generator, or None."""
+    """Certificate with one exact scalar per generator, or None.
+
+    Every generator is substituted and the image checked proportional to f,
+    except that C_n and D_n are first refuted from the support: diag(eps,
+    eps^-1) with eps = zeta_2n scales a_i by eps^(d-2i), so f can only be
+    semi-invariant when n divides every difference of support indices.  A
+    refuted candidate never builds zeta_2n.
+    """
     if f.is_zero():
         raise ZeroFormError("the zero form is semi-invariant under everything")
+    if spec.kind in ("C", "D"):
+        support = [i for i, c in enumerate(f.coeffs) if c]
+        if any((i - support[0]) % spec.n for i in support):
+            return None
     scalars = []
     for g in group_generators(spec):
         lam = f.substitute(g).proportional_to(f)

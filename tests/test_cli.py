@@ -75,6 +75,37 @@ def test_stabilizer_mixed_fields(argv, groups, scalars):
         assert certificates[group] == expected
 
 
+@pytest.mark.parametrize("text, group, scalars", [
+    # n = 30 and n = 11 divide every support-index difference; every larger
+    # C_n/D_n is refuted from the support before zeta_2n is built
+    ("x^61*y + x*y^61 + x^31*y^31", "D30", ["1", "-1"]),
+    ("4*x^32*y^29 - 4*x^21*y^40 - 2*x^10*y^51", "C11", ["zeta(22)^3"]),
+])
+def test_stabilizer_past_half_the_order_cap(text, group, scalars):
+    result = run_command(["stabilizer", text])
+    assert result.status == 0
+    assert result.payload["maximal_groups"] == [group]
+    assert [(c["group"], c["scalars"]) for c in result.payload["certificates"]] \
+        == [(group, scalars)]
+
+
+def test_stabilizer_of_a_high_degree_generic_form_is_fast():
+    start = time.perf_counter()
+    result = run_command(["stabilizer", "(x+2*y)^200*x*y"])
+    assert time.perf_counter() - start < 1
+    assert result.status == 0
+    assert result.payload["maximal_groups"] == ["C1"]
+
+
+def test_stabilizer_needing_a_field_past_the_cap_fails_fast():
+    # D62 passes the support rule and needs zeta_124
+    start = time.perf_counter()
+    result = run_command(["stabilizer", "x^62 + y^62"])
+    assert time.perf_counter() - start < 1
+    assert result.status == 3
+    assert result.payload["error"]["code"] == "order-cap-exceeded"
+
+
 def test_ground_forms():
     result = run_command(["ground-forms", "I"])
     assert result.status == 0
@@ -156,6 +187,15 @@ def test_degree_bound_before_expansion(argv):
     assert time.perf_counter() - start < 1
     assert result.status == 3
     assert result.payload["error"]["code"] == "degree-too-large"
+
+
+@pytest.mark.parametrize("text", ["3^200000*x*y*(x+y)", "3^20000000*x*y*(x+y)"])
+def test_coefficient_bound_before_expansion(text):
+    start = time.perf_counter()
+    result = run_command(["stabilizer", text])
+    assert time.perf_counter() - start < 1
+    assert result.status == 3
+    assert result.payload["error"]["code"] == "coefficient-too-large"
 
 
 @pytest.mark.parametrize("argv", [["decompose"], ["rigidify"], ["chart", "x"]])

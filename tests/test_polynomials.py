@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stackygit.cyclotomic import QQ, zeta
 from stackygit.errors import (
@@ -223,6 +225,52 @@ class TestBinaryForm:
         # y^2 * (x^3 + y^3): the (1:0) root comes from leading zeros
         f = BinaryForm.from_dict(5, {2: 1, 5: 1})
         assert f.multiplicity_profile() == (1, 1, 1, 2)
+
+
+_RATIONALS = st.builds(QQ, st.integers(-6, 6), st.integers(1, 4))
+_NONZERO = _RATIONALS.filter(bool)
+
+
+def _one_zero_entry(which, p, q):
+    """An SL(2) matrix with entry ``which`` zero, the others from p != 0
+    and q."""
+    if which == "a":
+        return SL2Matrix(0, p, -1 / p, q)
+    if which == "b":
+        return SL2Matrix(p, 0, q, 1 / p)
+    if which == "c":
+        return SL2Matrix(p, q, 0, 1 / p)
+    return SL2Matrix(q, p, -1 / p, 0)
+
+
+_GENERATORS = [g for spec in ([f"C{n}" for n in range(1, 13)] + [f"D{n}" for n in range(1, 13)]
+                              + ["T", "O", "I"])
+               for g in group_generators(GroupSpec.parse(spec))]
+_MATRICES = st.one_of(
+    st.tuples(_NONZERO, _RATIONALS, _RATIONALS).map(
+        lambda t: SL2Matrix(t[0], t[1], t[2], (1 + t[1] * t[2]) / t[0])),
+    st.builds(_one_zero_entry, st.sampled_from("abcd"), _NONZERO, _RATIONALS),
+    st.sampled_from(_GENERATORS),
+)
+
+
+@st.composite
+def _forms(draw):
+    """Forms of degree 0..9 over Q, Q(i) or Q(zeta_3), often sparse."""
+    unit = draw(st.sampled_from((1, zeta(4), zeta(3))))
+    pairs = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    coeffs = [p + q * unit for p, q in draw(st.lists(pairs, min_size=1, max_size=10))]
+    for i in draw(st.lists(st.integers(0, len(coeffs) - 1), max_size=len(coeffs))):
+        coeffs[i] = 0
+    return BinaryForm(coeffs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_forms(), _MATRICES, _RATIONALS, _RATIONALS)
+def test_substitute_agrees_with_evaluation(f, m, x0, y0):
+    # f(M)(x0, y0) == f(a x0 + b y0, c x0 + d y0), exactly
+    left = f.substitute(m).evaluate(x0, y0)
+    assert left == f.evaluate(m.a * x0 + m.b * y0, m.c * x0 + m.d * y0)
 
 
 def _random_sl2(rng):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from stackygit.cyclotomic import zeta
 from stackygit.errors import (
     InfiniteStabilizerError,
     NoGroundFormsError,
@@ -9,7 +10,8 @@ from stackygit.errors import (
     ZeroParameterError,
 )
 from stackygit.exprparse import form
-from stackygit.groups import GroupSpec, group_elements, group_generators
+from stackygit.groups import GroupSpec, group_generators
+from stackygit.polynomials import BinaryForm
 from stackygit.symmetry import (
     CATALOG,
     NUMBERED_CASES,
@@ -49,6 +51,29 @@ class TestSemiInvariance:
                     matrix = matrix * gens[k]
                 lam = cert.scalar_for_word(word)
                 assert f.substitute(matrix) == lam * f
+
+
+    def test_support_rule_rejects_only_what_substitution_refutes(self):
+        # Sparse forms whose support is often an arithmetic progression,
+        # symmetric about the middle half the time, over Q and Q(i).
+        rng = random.Random(37)
+        for _ in range(60):
+            degree, step = rng.randint(2, 24), rng.randint(1, 12)
+            start = rng.randint(0, degree)
+            coeffs = [0] * (degree + 1)
+            for i in range(start, degree + 1, step):
+                coeffs[i] = rng.choice((-3, -1, 1, 2, 1 + zeta(4)))
+            if rng.random() < 0.5:
+                coeffs = [a or b for a, b in zip(coeffs, reversed(coeffs))]
+            if rng.random() < 0.3:
+                coeffs[rng.randint(0, degree)] = 5
+            f = BinaryForm(coeffs)
+            for kind in "CD":
+                for n in range(1, 13):
+                    spec = GroupSpec(kind, n)
+                    certified = all(f.substitute(g).proportional_to(f) is not None
+                                    for g in group_generators(spec))
+                    assert (semi_invariance(f, spec) is not None) == certified, (coeffs, spec)
 
 
 class TestGroundForms:
