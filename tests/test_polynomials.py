@@ -211,6 +211,20 @@ class TestBinaryForm:
             f = (BinaryForm([1, -a]) ** 3) * (BinaryForm([1, -b]) ** 2)
             assert f.multiplicity_profile() == (2, 3)
 
+    def test_profile_of_random_multiplicities(self):
+        # up to four distinct roots, among them (1:0), (0:1) and roots in
+        # Q(i) and Q(zeta_3), with multiplicities up to 40
+        rng = random.Random(23)
+        roots = [QQ(-3, 2), 1, 2, zeta(4), zeta(3), 1 - zeta(4)]
+        for _ in range(30):
+            chosen = rng.sample(range(-2, len(roots)), rng.randint(1, 4))
+            mults = [rng.choice((1, 2, 3, 5, 40)) for _ in chosen]
+            f = BinaryForm([rng.choice((1, -2, zeta(4)))])
+            for k, m in zip(chosen, mults):
+                linear = {-2: [0, 1], -1: [1, 0]}.get(k) or [1, -roots[k]]
+                f = f * BinaryForm(linear) ** m
+            assert f.multiplicity_profile() == tuple(sorted(mults))
+
     def test_profile_degree_bound(self):
         f = form(f"x^{MAX_PROFILE_DEGREE - 1}*y + y^{MAX_PROFILE_DEGREE}")
         assert f.multiplicity_profile() == (1,) * MAX_PROFILE_DEGREE
