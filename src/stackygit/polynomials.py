@@ -443,11 +443,7 @@ class BinaryForm:
         xv, yv = as_cyclotomic(xv), as_cyclotomic(yv)
         d = self.degree
         total = _ZERO
-        xp = [as_cyclotomic(1)]
-        yp = [as_cyclotomic(1)]
-        for _ in range(d):
-            xp.append(xp[-1] * xv)
-            yp.append(yp[-1] * yv)
+        xp, yp = _powers(xv, d), _powers(yv, d)
         for i, a in enumerate(self.coeffs):
             if a:
                 total = total + a * xp[d - i] * yp[i]
