@@ -34,8 +34,9 @@ from .errors import ArityError, DegreeTooLargeError, VariableMismatchError, Zero
 _ZERO = as_cyclotomic(0)
 _ONE = as_cyclotomic(1)
 
-#: Largest degree :meth:`BinaryForm.multiplicity_profile` accepts; its gcd
-#: chain costs about deg^2 field operations.
+#: Largest degree :meth:`BinaryForm.multiplicity_profile` and
+#: :meth:`BinaryForm.distinct_root_count` accept; the gcd chain costs about
+#: deg^2 field operations.
 MAX_PROFILE_DEGREE = 256
 
 
@@ -511,30 +512,48 @@ class BinaryForm:
         """Coefficients of f(t, 1), ascending in t."""
         return [self.coeffs[self.degree - j] for j in range(self.degree + 1)]
 
-    def multiplicity_profile(self):
-        """Sorted multiplicities of the roots in P^1 over the closure.
-
-        The roots (1:0) and (0:1) are read off the zero coefficients at
-        either end; the others are the roots of the dehomogenization (see
-        :func:`_cp_multiplicities`).  Forms of degree above
-        :data:`MAX_PROFILE_DEGREE` raise DegreeTooLargeError.
-        """
+    def _gcd_chain(self, steps):
+        """The multiplicity of the root (1:0) and the degrees of p, gcd(p, p'),
+        the gcd of that with its derivative, and so on, for the
+        dehomogenization p; the chain stops at degree 0 or after ``steps``
+        gcds.  Forms of degree above :data:`MAX_PROFILE_DEGREE` raise
+        DegreeTooLargeError."""
         if self.degree > MAX_PROFILE_DEGREE:
             raise DegreeTooLargeError(
                 f"degree {self.degree} exceeds the root-profile bound {MAX_PROFILE_DEGREE}")
         if self.is_zero():
             raise ZeroFormError("the zero form has no root profile")
-        at_infinity = at_zero = 0
+        at_infinity = 0
         while not self.coeffs[at_infinity]:
             at_infinity += 1
-        while not self.coeffs[-1 - at_zero]:
-            at_zero += 1
-        p = _cp_trim(self.dehomogenized()[at_zero:])
-        profile = [m for m in (at_infinity, at_zero) if m] + _cp_multiplicities(p)
+        p = _cp_trim(self.dehomogenized())
+        degrees = [len(p) - 1]
+        while len(p) > 1 and len(degrees) <= steps:
+            p = _cp_gcd(p, _cp_deriv(p))
+            degrees.append(len(p) - 1)
+        return at_infinity, degrees
+
+    def multiplicity_profile(self):
+        """Sorted multiplicities of the roots in P^1 over the closure.
+
+        The root at infinity (1:0) is read off the leading zero
+        coefficients; finite roots are counted through the whole gcd chain
+        of the dehomogenization with its successive derivatives.
+        """
+        at_infinity, degrees = self._gcd_chain(self.degree)
+        profile = [at_infinity] if at_infinity else []
+        degrees.append(0)
+        # degrees[k-1] - degrees[k] roots have multiplicity >= k
+        for k in range(1, len(degrees) - 1):
+            exactly_k = (degrees[k - 1] - degrees[k]) - (degrees[k] - degrees[k + 1])
+            profile.extend([k] * exactly_k)
         return tuple(sorted(profile))
 
     def distinct_root_count(self) -> int:
-        return len(self.multiplicity_profile())
+        """Number of distinct roots in P^1: deg p - deg gcd(p, p') for the
+        dehomogenization p, plus one if (1:0) is a root."""
+        at_infinity, degrees = self._gcd_chain(1)
+        return (at_infinity > 0) + degrees[0] - degrees[-1]
 
     # -- display ----------------------------------------------------------------------
 
@@ -618,56 +637,6 @@ def _cp_trim(c):
 
 def _cp_deriv(c):
     return [c[k] * k for k in range(1, len(c))]
-
-
-def _cp_sub(a, b):
-    n = max(len(a), len(b))
-    a, b = a + [_ZERO] * (n - len(a)), b + [_ZERO] * (n - len(b))
-    return _cp_trim([x - y for x, y in zip(a, b)])
-
-
-def _cp_quo(a, b):
-    """The exact quotient a / b for a monic b dividing a."""
-    a = list(a)
-    n = len(b) - 1
-    q = [_ZERO] * (len(a) - n)
-    for k in range(len(q) - 1, -1, -1):
-        c = q[k] = a[k + n]
-        if c:
-            for j, y in enumerate(b[:-1]):
-                a[k + j] = a[k + j] - c * y
-    return q
-
-
-def _cp_multiplicities(p):
-    """Multiplicities of the roots of the nonzero polynomial p over the
-    closure.
-
-    g = gcd(p, p') holds the repeated roots, each once fewer, and p has
-    deg p - deg g distinct roots.  While g is at most that size the count
-    recurses on g; once g is larger it is cheaper to follow the distinct
-    roots by Yun's square-free decomposition p = prod a_k^k, where a_k has
-    one simple root per root of multiplicity exactly k and every gcd has at
-    most the degree of the distinct roots.
-    """
-    dp = _cp_deriv(p)
-    g = _cp_gcd(p, dp)
-    distinct = len(p) - len(g)
-    if len(g) == 1:
-        return [1] * distinct
-    if len(g) - 1 <= distinct:
-        inner = _cp_multiplicities(g)
-        return [m + 1 for m in inner] + [1] * (distinct - len(inner))
-    b = _cp_quo(p, g)
-    d = _cp_sub(_cp_quo(dp, g), _cp_deriv(b))
-    out, k = [], 1
-    while len(b) > 1:
-        a = _cp_gcd(b, d)
-        out += [k] * (len(a) - 1)
-        b = _cp_quo(b, a)
-        d = _cp_sub(_cp_quo(d, a), _cp_deriv(b))
-        k += 1
-    return out
 
 
 def _cp_monic(c):

@@ -224,6 +224,7 @@ class TestBinaryForm:
                 linear = {-2: [0, 1], -1: [1, 0]}.get(k) or [1, -roots[k]]
                 f = f * BinaryForm(linear) ** m
             assert f.multiplicity_profile() == tuple(sorted(mults))
+            assert f.distinct_root_count() == len(mults)
 
     def test_profile_degree_bound(self):
         f = form(f"x^{MAX_PROFILE_DEGREE - 1}*y + y^{MAX_PROFILE_DEGREE}")
