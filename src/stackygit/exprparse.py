@@ -25,6 +25,7 @@ it is computed.
 
 from __future__ import annotations
 
+import math
 import re
 
 from . import cyclotomic
@@ -49,9 +50,10 @@ SUGAR = {
 #: level costs a few Python stack frames in the parser.
 MAX_NESTING = 100
 
-#: Largest estimated bit size of a power of a constant: the exponent times
-#: the bit length of the base's largest coordinate or denominator.  A power
-#: at the bound prints in about 3,000 decimal digits.
+#: Largest estimated bit size of a power of a constant that is not a root
+#: of unity: the exponent times log2 of the larger of the base's denominator
+#: and the sum of its absolute coordinates.  A power at the bound prints in
+#: about 3,000 decimal digits.
 MAX_COEFFICIENT_BITS = 10_000
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^]))")
@@ -138,11 +140,12 @@ class _Parser:
                     f"power of degree {degree} exceeds the bound {MAX_PROFILE_DEGREE}"
                     f" (at position {pos})")
             if value.is_constant():
-                bits = exponent * _size_bits(value.constant_term())
-                if bits > MAX_COEFFICIENT_BITS:
+                base = value.constant_term()
+                bits = exponent * _growth_bits(base)
+                if bits > MAX_COEFFICIENT_BITS and not _is_root_of_unity(base):
                     raise CoefficientTooLargeError(
-                        f"power of about {bits} bits exceeds the bound {MAX_COEFFICIENT_BITS}"
-                        f" (at position {pos})")
+                        f"power of about {math.ceil(bits)} bits exceeds the bound"
+                        f" {MAX_COEFFICIENT_BITS} (at position {pos})")
             value = value ** exponent
         return value
 
@@ -166,14 +169,24 @@ class _Parser:
         raise ParseError(f"unexpected token {value!r}", pos)
 
 
-def _size_bits(c) -> int:
-    """Bit length of the largest coordinate or denominator of c; 0 for zero
-    and for a root of unity written as one coordinate +-1 over denominator
-    1, whose powers stay that small."""
-    nonzero = [x for x in c.coords if x]
-    if not nonzero or (c.den == 1 and len(nonzero) == 1 and abs(nonzero[0]) == 1):
-        return 0
-    return max(abs(x).bit_length() for x in (*c.coords, c.den))
+def _growth_bits(c) -> float:
+    """Bits by which each further factor c can grow a power of c: log2 of
+    the larger of the denominator and the sum of the absolute coordinates,
+    which bounds |c| in every embedding; 0 for zero."""
+    if not c:
+        return 0.0
+    return math.log2(max(sum(abs(x) for x in c.coords), c.den))
+
+
+def _is_root_of_unity(c) -> bool:
+    """Whether c is one of the roots of unity +-zeta_m^k of its field
+    Q(zeta_m), whose powers stay among them."""
+    step, z = zeta(c.order), cyclotomic.ONE
+    for _ in range(c.order):
+        if c == z or c == -z:
+            return True
+        z = z * step
+    return False
 
 
 def _parse(text: str, variables):

@@ -198,6 +198,17 @@ def test_coefficient_bound_before_expansion(text):
     assert result.payload["error"]["code"] == "coefficient-too-large"
 
 
+@pytest.mark.parametrize("text", [
+    "2^5001*x*y*(x+y)",                # about 5,000 bits
+    "(zeta(3)^2)^10001*x*y*(x+y)",     # roots of unity written with several
+    "(zeta(5)^4)^10001*x*y*(x+y)",     # coordinates stay roots of unity
+])
+def test_powers_under_the_coefficient_bound(text):
+    result = run_command(["stabilizer", text])
+    assert result.status == 0
+    assert result.payload["maximal_groups"] == ["D1"]
+
+
 @pytest.mark.parametrize("argv", [["decompose"], ["rigidify"], ["chart", "x"]])
 def test_unreadable_ring_spec(tmp_path, argv):
     result = run_command([argv[0], str(tmp_path), *argv[1:]])
