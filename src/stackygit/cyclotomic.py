@@ -282,8 +282,25 @@ class CyclotomicNumber:
             if not isinstance(other, (int, QQ)):
                 return NotImplemented
             other = as_cyclotomic(other)
-        m, a, b = self._pair(other)
         da, db = self.den, other.den
+        if self.order == 1 == other.order:
+            # rationals: one numerator over the lcm denominator and one gcd,
+            # which only needs to see gcd(da, db) when the denominators
+            # differ (Knuth, TAOCP 4.5.1, as in fractions.Fraction); values
+            # in lowest terms with different denominators never cancel to 0
+            a, b = self.coords[0], sign * other.coords[0]
+            if da == db:
+                n = a + b
+                g = gcd(n, da)
+                return _new(1, (n // g,), da // g)
+            g = gcd(da, db)
+            if g == 1:
+                return _new(1, (a * db + b * da,), da * db)
+            s = da // g
+            n = a * (db // g) + b * s
+            h = gcd(n, g)
+            return _new(1, (n // h,), s * (db // h))
+        m, a, b = self._pair(other)
         if da == db:
             return _raw(m, [x + sign * y for x, y in zip(a, b)], da)
         g = gcd(da, db)

@@ -20,7 +20,9 @@ need no such bound.  A power whose degree would exceed
 :data:`~stackygit.polynomials.MAX_PROFILE_DEGREE` raises DegreeTooLargeError
 before it is expanded, and a power of a constant whose estimated size
 exceeds :data:`MAX_COEFFICIENT_BITS` raises CoefficientTooLargeError before
-it is computed.
+it is computed.  A product of such factors is checked once it is formed:
+one with a coefficient past the same bound raises CoefficientTooLargeError,
+so no chain of bounded factors builds an unbounded coefficient.
 """
 
 from __future__ import annotations
@@ -51,8 +53,9 @@ SUGAR = {
 MAX_NESTING = 100
 
 #: Largest estimated bit size of a power of a constant that is not a root
-#: of unity: the exponent times log2 of the larger of the base's denominator
-#: and the sum of its absolute coordinates.  A power at the bound prints in
+#: of unity (the exponent times log2 of the larger of the base's denominator
+#: and the sum of its absolute coordinates) and of each coefficient of a
+#: product (log2 of the same maximum).  A coefficient at the bound prints in
 #: about 3,000 decimal digits.
 MAX_COEFFICIENT_BITS = 10_000
 
@@ -125,8 +128,13 @@ class _Parser:
             return -self.nested(self.term, pos)
         value = self.factor()
         while self.peek()[0] == "*":
-            self.advance()
+            pos = self.advance()[2]
             value = value * self.factor()
+            bits = max(map(_growth_bits, value.terms.values()), default=0.0)
+            if bits > MAX_COEFFICIENT_BITS:
+                raise CoefficientTooLargeError(
+                    f"product with a coefficient of about {math.ceil(bits)} bits exceeds"
+                    f" the bound {MAX_COEFFICIENT_BITS} (at position {pos})")
         return value
 
     def factor(self):

@@ -15,19 +15,33 @@ Transvectants use the classical normalization
 and the calibration harness matches transvectant-built invariants against a
 catalog relation by per-degree scalars.
 
-One Gaussian-elimination routine, the fraction-free (Bareiss) forward
-elimination :func:`_eliminate`, serves both exact linear-algebra needs:
-:func:`resultant` reads the Sylvester determinant off its last pivot, and
-the calibration's linear solve back-substitutes over its pivot rows.
+No matrix is eliminated over the cyclotomic field.  :func:`resultant` runs
+the subresultant pseudo-remainder sequence that the root-multiplicity gcds
+use, at the forms' formal degrees.  The calibration's linear solve
+:func:`_solve_linear` is multi-modular: Gauss-Jordan elimination modulo
+62-bit primes, Chinese remaindering and rational reconstruction, with every
+answer certified by an exact integer check (a solution that satisfies every
+row, a failing row, or a kernel vector).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial, isqrt, lcm
 
-from .cyclotomic import QQ, CyclotomicNumber, as_cyclotomic
+from .cyclotomic import (
+    ONE,
+    QQ,
+    ZERO,
+    CyclotomicNumber,
+    _check_order,
+    _raw,
+    _reduce,
+    _to_int_coords,
+    as_cyclotomic,
+    euler_phi,
+)
 from .errors import (
     NonStableError,
     OrderTooLargeError,
@@ -36,7 +50,7 @@ from .errors import (
     WrongDegreeError,
 )
 from .graded import GradedRingPresentation
-from .polynomials import BinaryForm, MultiPoly
+from .polynomials import BinaryForm, MultiPoly, _cp_prem
 
 FAMILIES = ("quartic", "quintic", "sextic", "cubic-curve", "cubic-surface")
 
@@ -223,62 +237,47 @@ def transvectant(f: BinaryForm, g: BinaryForm, r: int) -> BinaryForm:
 
 
 def resultant(f: BinaryForm, g: BinaryForm) -> CyclotomicNumber:
-    """Resultant of two binary forms at their formal degrees (Sylvester)."""
-    d, e = f.degree, g.degree
-    size = d + e
-    rows = []
-    for k in range(e):
-        rows.append([as_cyclotomic(0)] * k + list(f.coeffs)
-                    + [as_cyclotomic(0)] * (e - 1 - k))
-    for k in range(d):
-        rows.append([as_cyclotomic(0)] * k + list(g.coeffs)
-                    + [as_cyclotomic(0)] * (d - 1 - k))
-    # below full rank the last row is eliminated to zero
-    _, sign = _eliminate(rows, size)
-    return sign * rows[-1][-1] if size else as_cyclotomic(1)
-
-
-def _eliminate(rows, ncols):
-    """Fraction-free (Bareiss) forward elimination of ``rows`` in place.
-
-    Columns ``0 .. ncols-1`` are eliminated and later ones (a right-hand
-    side) carried along; a row with a nonzero entry is swapped into the
-    pivot position, and a column without one is skipped.  Returns the pivot
-    columns and the sign of the row permutation.  Entries stay minors of
-    the input, so integral input stays integral, and the signed last pivot
-    of a full-rank square matrix is its determinant (Bareiss, Math. Comp.
-    22, 1968).  A row that is zero in the pivot column would only be
-    rescaled by p_r / p_(r-1); it is left as it is, and its next update
-    divides by the pivot before the step that last changed it.
-    """
-    pivots, sign = [], 1
-    inverses = [as_cyclotomic(1)]  # inverses[j] = 1 / (pivot of step j - 1)
-    level = [0] * len(rows)        # row k is up to date before step level[k]
-    for col in range(ncols):
-        r = len(pivots)
-        k = next((k for k in range(r, len(rows)) if rows[k][col]), None)
-        if k is None:
-            continue
-        if k != r:
-            rows[r], rows[k] = rows[k], rows[r]
-            level[r], level[k] = level[k], level[r]
+    """Resultant of two binary forms at their formal degrees: the Sylvester
+    determinant, by the subresultant pseudo-remainder sequence (Collins;
+    Brown-Traub; H. Cohen, *A Course in Computational Algebraic Number
+    Theory*, Algorithm 3.3.7).  A vanishing leading coefficient is expanded
+    along the first Sylvester column first: Res_{d,e}(f, g) is
+    (-1)^e b0 Res_{d-1,e}(f', g) when a0 = 0, a0 Res_{d,e-1}(f, g') when
+    b0 = 0, and 0 when both vanish, where ' drops the leading coefficient."""
+    a, b = list(f.coeffs), list(g.coeffs)  # descending in x: a[0] = a0
+    factor = ONE
+    while len(a) > 1 and len(b) > 1 and not (a[0] and b[0]):
+        if not a[0]:
+            if not b[0]:
+                return ZERO
+            factor = factor * b[0] * (-1) ** (len(b) - 1)
+            a = a[1:]
+        else:
+            factor = factor * a[0]
+            b = b[1:]
+    d, e = len(a) - 1, len(b) - 1
+    if not d or not e:  # Res_{0,e} = a0^e and Res_{d,0} = b0^d
+        return factor * a[0] ** e * b[0] ** d
+    # both leading coefficients are nonzero; ascending lists for _cp_prem
+    A, B = a[::-1], b[::-1]
+    sign = -1 if d % 2 and e % 2 and d < e else 1
+    if d < e:
+        A, B = B, A
+    g = h = ONE
+    while True:
+        delta = len(A) - len(B)
+        if len(A) % 2 == 0 and len(B) % 2 == 0:  # both degrees odd
             sign = -sign
-        # entries left of col are zero in the rows from r on
-        top = rows[r]
-        if level[r] < r:
-            scale = rows[r - 1][pivots[-1]] * inverses[level[r]]
-            top[col:] = [x * scale for x in top[col:]]
-        p = top[col]
-        for k in range(r + 1, len(rows)):
-            row = rows[k]
-            a = row[col]
-            if a:
-                d = inverses[level[k]]
-                row[col:] = [(p * x - a * y) * d for x, y in zip(row[col:], top[col:])]
-                level[k] = r + 1
-        inverses.append(p.inverse())
-        pivots.append(col)
-    return pivots, sign
+        r = _cp_prem(A, B)
+        if not r:
+            return ZERO
+        scale = (g * h ** delta).inverse()
+        A, B = B, [x * scale for x in r]
+        g = A[-1]
+        h = h ** (1 - delta) * g ** delta
+        if len(B) == 1:
+            deg = len(A) - 1
+            return factor * sign * h ** (1 - deg) * B[0] ** deg
 
 
 # -- calibration --------------------------------------------------------------------
@@ -546,25 +545,201 @@ def _mono_value(vals, mono):
 
 
 def _solve_linear(rows, rhs):
-    """Exact solve of an overdetermined consistent system; None if it is
-    inconsistent or its solution is not unique.  Each row is scaled to
-    integral coordinates first."""
-    n = len(rows[0])
-    aug = []
-    for row, b in zip(rows, rhs):
-        row = list(row) + [b]
-        den = lcm(*(c.den for c in row))
-        aug.append([c * den for c in row])
-    pivots, _ = _eliminate(aug, n)
-    if len(pivots) < n or any(row[n] for row in aug[n:]):
-        return None
-    solution = [None] * n
-    for r in reversed(range(n)):
-        value = aug[r][n]
-        for j in range(r + 1, n):
-            value = value - aug[r][j] * solution[j]
-        solution[r] = value / aug[r][r]
-    return solution
+    """Exact solve of an overdetermined system over a cyclotomic field; None
+    if it is inconsistent or its solution is not unique.
+
+    Each row is scaled to integers, and entries of order m > 1 are
+    rewritten over Q (restriction of scalars): every entry becomes its
+    phi(m) x phi(m) multiplication matrix and every unknown its phi(m)
+    coordinates, which leaves uniqueness and consistency as they were.
+    Gauss-Jordan elimination modulo a prime p picks independent rows.  At
+    full rank they form a square block that is nonsingular over Q because
+    it is modulo p; its solution comes from :func:`_solve_block` and is
+    checked exactly on every other row, and a failing row proves the system
+    inconsistent.  Below full rank the pivot block gives a candidate kernel
+    vector the same way: if it is one, exactly, the solution is not unique,
+    and otherwise p was unlucky and the next prime is taken.
+    """
+    m = lcm(*(c.order for row in rows for c in row), *(c.order for c in rhs))
+    _check_order(m)
+    A, b = _restrict_scalars(rows, rhs, m)
+    phi = euler_phi(m)
+    ncols = len(rows[0]) * phi
+    bound, unlucky, p = _hadamard(A), 1, _PRIME_START
+    while unlucky <= bound:  # unlucky primes divide a nonzero minor
+        p = _prev_prime(p)
+        reduced, picked, pivots = _gauss_jordan_mod(
+            [row + [c] for row, c in zip(A, b)], ncols, p)
+        if len(pivots) == ncols:
+            x, den = _solve_block([A[i] for i in picked], [b[i] for i in picked],
+                                  p, [row[-1] for row in reduced[:ncols]])
+            if any(_dot(row, x) != c * den for row, c in zip(A, b)):
+                return None
+            return [_raw(m, x[j:j + phi], den) for j in range(0, ncols, phi)]
+        free = min(set(range(ncols)) - set(pivots))
+        y, den = _solve_block([[A[i][j] for j in pivots] for i in picked],
+                              [-A[i][free] for i in picked],
+                              p, [-row[free] % p for row in reduced[:len(pivots)]])
+        v = [0] * ncols
+        v[free] = den
+        for j, yj in zip(pivots, y):
+            v[j] = yj
+        if not any(_dot(row, v) for row in A):
+            return None
+        unlucky *= p
+    raise ArithmeticError("no lucky prime below the Hadamard bound of the system")
+
+
+def _restrict_scalars(rows, rhs, m):
+    """The integer system over Q equivalent to ``rows . x = rhs`` over
+    Q(zeta_m): each equation, scaled to integer coordinates, becomes phi(m)
+    equations, one per coordinate, in the phi(m) coordinates of each
+    unknown.  Column l of an entry's block is the coordinate vector of
+    entry * zeta_m^l."""
+    phi = euler_phi(m)
+    A, b = [], []
+    for row, c in zip(rows, rhs):
+        _, vecs = _to_int_coords(list(row) + [c], m)
+        blocks = []
+        for vec in vecs[:-1]:
+            cols = [vec]
+            for _ in range(phi - 1):
+                cols.append(_reduce(m, [0] + cols[-1]))
+            blocks.append(cols)
+        for k in range(phi):
+            A.append([col[k] for cols in blocks for col in cols])
+            b.append(vecs[-1][k])
+    return A, b
+
+
+#: The primes used are the primes below 2^62, largest first.
+_PRIME_START = 1 << 62
+
+#: Miller-Rabin with these bases is deterministic below 2^64.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _prev_prime(n: int) -> int:
+    """The largest prime below n > 3."""
+    n -= 1
+    while not _is_prime(n):
+        n -= 1
+    return n
+
+
+def _dot(row, x):
+    return sum(a * v for a, v in zip(row, x) if a)
+
+
+def _hadamard(rows) -> int:
+    """Hadamard's bound: the product of the rows' Euclidean lengths, rounded
+    up, bounds |det| of every square submatrix."""
+    bound = 1
+    for row in rows:
+        bound *= isqrt(sum(a * a for a in row)) + 1
+    return bound
+
+
+def _gauss_jordan_mod(rows, ncols, p):
+    """Gauss-Jordan elimination of the integer ``rows`` modulo p in columns
+    ``0 .. ncols-1``; later columns are carried along.  Returns the reduced
+    rows (the pivot rows first, each with 1 at its pivot and 0 at the other
+    pivots), the input indices of the pivot rows and the pivot columns."""
+    rows = [[a % p for a in row] for row in rows]
+    index = list(range(len(rows)))
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        k = next((k for k in range(r, len(rows)) if rows[k][col]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        index[r], index[k] = index[k], index[r]
+        inv = pow(rows[r][col], -1, p)
+        # entries left of col are zero in the rows from r on
+        top = rows[r] = rows[r][:col] + [a * inv % p for a in rows[r][col:]]
+        tail = top[col:]
+        for k, row in enumerate(rows):
+            a = row[col]
+            if a and k != r:
+                row[col:] = [(x - a * y) % p for x, y in zip(row[col:], tail)]
+        pivots.append(col)
+    return rows, index[:len(pivots)], pivots
+
+
+def _solve_block(S, b, p, residues):
+    """The solution of ``S x = b`` for a square integer matrix S that is
+    nonsingular modulo the prime p, given ``x mod p``, as integer
+    numerators over one positive denominator.
+
+    Solutions modulo further primes are combined by the Chinese remainder
+    theorem, and after each prime rational reconstruction proposes x
+    (von zur Gathen & Gerhard, *Modern Computer Algebra*, 5.10); a proposal
+    is accepted only when ``S x == b`` holds exactly, which proves it the
+    unique solution.  By Cramer's rule and Hadamard's bound H the
+    reconstruction is right once the modulus passes 2 H^2, so the loop ends
+    there at the latest."""
+    bound = 2 * _hadamard([row + [c] for row, c in zip(S, b)]) ** 2
+    n, modulus, q = len(S), p, p
+    while True:
+        found = _reconstruct(residues, modulus)
+        if found and all(_dot(row, found[0]) == c * found[1] for row, c in zip(S, b)):
+            return found
+        if modulus > bound:
+            raise ArithmeticError("rational reconstruction failed past the Hadamard bound")
+        q = _prev_prime(q)
+        reduced, _, pivots = _gauss_jordan_mod([row + [c] for row, c in zip(S, b)], n, q)
+        if len(pivots) < n:  # q divides det S
+            continue
+        inv = pow(modulus, -1, q)
+        residues = [x + modulus * ((row[-1] - x) * inv % q)
+                    for x, row in zip(residues, reduced)]
+        modulus *= q
+
+
+def _reconstruct(residues, modulus):
+    """Rationals with the given residues modulo ``modulus``, as numerators
+    over one common denominator, or None.  Each entry is reconstructed
+    after multiplying by the denominator so far, so only new factors of the
+    denominator are searched for; numerators and denominators found are at
+    most sqrt(modulus / 2)."""
+    limit = isqrt(modulus // 2)
+    nums, den = [], 1
+    for x in residues:
+        r0, r1, s0, s1 = modulus, x * den % modulus, 0, 1
+        while r1 > limit:
+            q = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+        if not s1 or abs(s1) > limit:
+            return None
+        if s1 < 0:
+            r1, s1 = -r1, -s1
+        if s1 != 1:
+            nums = [v * s1 for v in nums]
+            den *= s1
+        nums.append(r1)
+    return nums, den
 
 
 def _match_pattern(lam, rel, base_count):

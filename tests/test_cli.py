@@ -209,6 +209,28 @@ def test_powers_under_the_coefficient_bound(text):
     assert result.payload["maximal_groups"] == ["D1"]
 
 
+@pytest.mark.parametrize("text", [
+    "3^5000*3^5000*x*y*(x+y)",         # each power is under the bound
+    "(3^5000*x)*(3^5000*y)",
+    "2^5000*2^5001*x*y*(x+y)",         # 10,001 bits
+    "(2^9000*x+y)^2*x*y + x^4",        # the product after a power of a sum
+])
+def test_products_past_the_coefficient_bound(text):
+    result = run_command(["stabilizer", text])
+    assert result.status == 3
+    assert result.payload["error"]["code"] == "coefficient-too-large"
+
+
+@pytest.mark.parametrize("text", [
+    "2^5000*2^5000*x*y*(x+y)",         # 10,000 bits, at the bound
+    "zeta(7)^5000*zeta(7)^5000*x*y*(x+y)",
+])
+def test_products_under_the_coefficient_bound(text):
+    result = run_command(["stabilizer", text])
+    assert result.status == 0
+    assert result.payload["maximal_groups"] == ["D1"]
+
+
 @pytest.mark.parametrize("argv", [["decompose"], ["rigidify"], ["chart", "x"]])
 def test_unreadable_ring_spec(tmp_path, argv):
     result = run_command([argv[0], str(tmp_path), *argv[1:]])

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 
 import pytest
@@ -18,7 +17,7 @@ from stackygit.invariants import (
     QUINTIC_RECIPE,
     SEXTIC_RECIPE,
     RecipeStep,
-    _eliminate,
+    _prev_prime,
     _rational_root,
     _solve_linear,
     calibrate_invariants,
@@ -208,24 +207,32 @@ class TestElimination:
         assert resultant(f, g) == expected
         assert resultant(g, f) == expected * (-1) ** (f.degree * g.degree)
 
-    def test_eliminate_keeps_integers_and_reads_determinant(self):
+    def test_resultant_matches_sylvester_determinant(self):
+        # Leibniz expansion of the Sylvester matrix at the formal degrees,
+        # over Q, Q(i) and Q(zeta_3), with leading zeros on either side
         rng = random.Random(3)
-        cases = [[[-5, 0, 0, 7], [2, 0, 0, -5], [7, 0, 0, 0], [0, 3, 0, 2]]]
-        for _ in range(300):
-            n = rng.randint(2, 5)
-            cases.append([[rng.choice([0, 0, 0, 0, 2, 3, -5, 7]) for _ in range(n)]
-                          for _ in range(n)])
-        for m in cases:
-            n = len(m)
-            det = 0
+        entries = [0, 0, 0, 1, -2, 3, QQ(1, 2), QQ(-5, 3), zeta(4), 1 - 2 * zeta(4),
+                   zeta(3), QQ(2, 3) + zeta(3), zeta(4) + zeta(3)]
+        leads = [([0], [1]), ([1], [0]), ([0], [0]), ([0, 0], [2]), (None, None)]
+        for case in range(300):
+            d, e = rng.randint(0, 3), rng.randint(0, 3)
+            f = [rng.choice(entries) for _ in range(d + 1)]
+            g = [rng.choice(entries) for _ in range(e + 1)]
+            lf, lg = leads[case % len(leads)]
+            if lf is not None:
+                f[:len(lf)] = lf[:d + 1]
+                g[:len(lg)] = lg[:e + 1]
+            n = d + e
+            m = ([[0] * k + f + [0] * (e - 1 - k) for k in range(e)]
+                 + [[0] * k + g + [0] * (d - 1 - k) for k in range(d)])
+            det = as_cyclotomic(0)
             for perm in itertools.permutations(range(n)):
                 inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-                det += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(n))
-            rows = [[as_cyclotomic(c) for c in row] for row in m]
-            pivots, sign = _eliminate(rows, n)
-            assert all(c.is_integer() for row in rows for c in row)
-            assert sign * rows[-1][-1] == det
-            assert (len(pivots) == n) == (det != 0)
+                term = as_cyclotomic((-1) ** inversions)
+                for i in range(n):
+                    term = term * m[i][perm[i]]
+                det = det + term
+            assert resultant(BinaryForm(f), BinaryForm(g)) == det, (f, g)
 
     def test_solve_linear(self):
         half, i = as_cyclotomic(QQ(1, 2)), zeta(4)
@@ -242,6 +249,76 @@ class TestElimination:
     def test_solve_linear_rank_deficient(self):
         rows = [[as_cyclotomic(a) for a in row] for row in ([1, 2], [2, 4], [3, 6])]
         assert _solve_linear(rows, [as_cyclotomic(b) for b in (1, 2, 3)]) is None
+
+    def test_solve_linear_unlucky_prime(self):
+        # the determinant is the first prime tried: singular modulo it, so
+        # the kernel candidate fails its exact check and the next prime is used
+        p = _prev_prime(1 << 62)
+        m = [[1, 2, 0], [3, 6 + p, 0], [0, 5, 1]]
+        x = [QQ(1, 3), -2, 7]
+        rows = [[as_cyclotomic(a) for a in row] for row in m]
+        rhs = [as_cyclotomic(sum(a * v for a, v in zip(row, x))) for row in m]
+        assert _solve_linear(rows, rhs) == x
+
+    def test_solve_linear_large_entries(self):
+        # 200-bit entries need several primes before reconstruction succeeds
+        rng = random.Random(11)
+        n = 4
+        m = [[rng.getrandbits(200) - (1 << 199) for _ in range(n)] for _ in range(n + 2)]
+        x = [QQ(rng.getrandbits(150) + 1, rng.getrandbits(120) + 1) for _ in range(n)]
+        rows = [[as_cyclotomic(a) for a in row] for row in m]
+        rhs = [as_cyclotomic(sum(a * v for a, v in zip(row, x))) for row in m]
+        assert _solve_linear(rows, rhs) == x
+        rhs[-1] = rhs[-1] + 1
+        assert _solve_linear(rows, rhs) is None
+
+    def test_solve_linear_inconsistent_outside_the_block(self):
+        # the first three rows are independent and consistent, so they form
+        # the square block; the last row is their sum with a wrong right side
+        m = [[2, -1, 0], [1, 3, 4], [0, 5, -7], [3, 7, -3]]
+        x = [1, QQ(-1, 2), 2]
+        rhs = [sum(a * v for a, v in zip(row, x)) for row in m]
+        rhs[-1] += QQ(1, 7)
+        rows = [[as_cyclotomic(a) for a in row] for row in m]
+        assert _solve_linear(rows, [as_cyclotomic(b) for b in rhs]) is None
+
+    def test_solve_linear_matches_fraction_gauss_jordan(self):
+        def reference(m, rhs):
+            # unique solution of m x = rhs over Q, or None
+            n = len(m[0])
+            aug = [[QQ(a) for a in row] + [QQ(b)] for row, b in zip(m, rhs)]
+            r = 0
+            for col in range(n):
+                k = next((k for k in range(r, len(aug)) if aug[k][col]), None)
+                if k is None:
+                    return None
+                aug[r], aug[k] = aug[k], aug[r]
+                aug[r] = [a / aug[r][col] for a in aug[r]]
+                for k in range(len(aug)):
+                    if k != r and aug[k][col]:
+                        aug[k] = [a - aug[k][col] * b for a, b in zip(aug[k], aug[r])]
+                r += 1
+            if any(row[n] for row in aug[n:]):
+                return None
+            return [row[n] for row in aug[:n]]
+
+        rng = random.Random(17)
+        values = [0, 0, 1, -1, 2, 3, -5, QQ(1, 2), QQ(-7, 3), QQ(5, 4)]
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            m = [[rng.choice(values) for _ in range(n)] for _ in range(rng.randint(1, n + 3))]
+            if rng.random() < 0.3 and len(m) > 1:  # a dependent row
+                c = rng.choice(values)
+                m[-1] = [a + c * b for a, b in zip(m[0], m[-2])]
+            if rng.random() < 0.5:
+                x = [rng.choice(values) for _ in range(n)]
+                rhs = [sum(a * v for a, v in zip(row, x)) for row in m]
+            else:
+                rhs = [rng.choice(values) for _ in m]
+            expected = reference(m, rhs)
+            rows = [[as_cyclotomic(a) for a in row] for row in m]
+            got = _solve_linear(rows, [as_cyclotomic(b) for b in rhs])
+            assert got == expected, (m, rhs)
 
 
 class TestRelationPolynomials:
