@@ -263,7 +263,7 @@ def resultant(f: BinaryForm, g: BinaryForm) -> CyclotomicNumber:
     sign = -1 if d % 2 and e % 2 and d < e else 1
     if d < e:
         A, B = B, A
-    g = h = ONE
+    lead = h = ONE
     while True:
         delta = len(A) - len(B)
         if len(A) % 2 == 0 and len(B) % 2 == 0:  # both degrees odd
@@ -271,10 +271,10 @@ def resultant(f: BinaryForm, g: BinaryForm) -> CyclotomicNumber:
         r = _cp_prem(A, B)
         if not r:
             return ZERO
-        scale = (g * h ** delta).inverse()
+        scale = (lead * h ** delta).inverse()
         A, B = B, [x * scale for x in r]
-        g = A[-1]
-        h = h ** (1 - delta) * g ** delta
+        lead = A[-1]
+        h = h ** (1 - delta) * lead ** delta
         if len(B) == 1:
             deg = len(A) - 1
             return factor * sign * h ** (1 - deg) * B[0] ** deg
