@@ -18,11 +18,13 @@ deep; deeper input raises NestingTooDeepError before the parser recurses
 further.  Sums and products of any length are parsed iteratively, so they
 need no such bound.  A power whose degree would exceed
 :data:`~stackygit.polynomials.MAX_PROFILE_DEGREE` raises DegreeTooLargeError
-before it is expanded, and a power of a constant whose estimated size
-exceeds :data:`MAX_COEFFICIENT_BITS` raises CoefficientTooLargeError before
-it is computed.  A product of such factors is checked once it is formed:
-one with a coefficient past the same bound raises CoefficientTooLargeError,
-so no chain of bounded factors builds an unbounded coefficient.
+before it is expanded, and a power whose estimated coefficient size (the
+exponent times log2 of the base's coefficient 1-norm) exceeds
+:data:`MAX_COEFFICIENT_BITS` raises CoefficientTooLargeError before it is
+computed; a root of unity is exempt.  A product of such factors is checked
+once it is formed: one with a coefficient past the same bound raises
+CoefficientTooLargeError, so no chain of bounded factors builds an
+unbounded coefficient.
 """
 
 from __future__ import annotations
@@ -52,11 +54,11 @@ SUGAR = {
 #: level costs a few Python stack frames in the parser.
 MAX_NESTING = 100
 
-#: Largest estimated bit size of a power of a constant that is not a root
-#: of unity (the exponent times log2 of the larger of the base's denominator
-#: and the sum of its absolute coordinates) and of each coefficient of a
-#: product (log2 of the same maximum).  A coefficient at the bound prints in
-#: about 3,000 decimal digits.
+#: Largest estimated bit size of the coefficients of a power whose base is
+#: not a root of unity (the exponent times log2 of the base's 1-norm, see
+#: :func:`_growth_bits`) and of each coefficient of a product (log2 of the
+#: larger of its denominator and the sum of its absolute coordinates).  A
+#: coefficient at the bound prints in about 3,000 decimal digits.
 MAX_COEFFICIENT_BITS = 10_000
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^]))")
@@ -130,7 +132,7 @@ class _Parser:
         while self.peek()[0] == "*":
             pos = self.advance()[2]
             value = value * self.factor()
-            bits = max(map(_growth_bits, value.terms.values()), default=0.0)
+            bits = max((_growth_bits([c]) for c in value.terms.values()), default=0.0)
             if bits > MAX_COEFFICIENT_BITS:
                 raise CoefficientTooLargeError(
                     f"product with a coefficient of about {math.ceil(bits)} bits exceeds"
@@ -147,13 +149,12 @@ class _Parser:
                 raise DegreeTooLargeError(
                     f"power of degree {degree} exceeds the bound {MAX_PROFILE_DEGREE}"
                     f" (at position {pos})")
-            if value.is_constant():
-                base = value.constant_term()
-                bits = exponent * _growth_bits(base)
-                if bits > MAX_COEFFICIENT_BITS and not _is_root_of_unity(base):
-                    raise CoefficientTooLargeError(
-                        f"power of about {math.ceil(bits)} bits exceeds the bound"
-                        f" {MAX_COEFFICIENT_BITS} (at position {pos})")
+            bits = exponent * _growth_bits(value.terms.values())
+            if bits > MAX_COEFFICIENT_BITS and not (
+                    value.is_constant() and _is_root_of_unity(value.constant_term())):
+                raise CoefficientTooLargeError(
+                    f"power of about {math.ceil(bits)} bits exceeds the bound"
+                    f" {MAX_COEFFICIENT_BITS} (at position {pos})")
             value = value ** exponent
         return value
 
@@ -177,13 +178,15 @@ class _Parser:
         raise ParseError(f"unexpected token {value!r}", pos)
 
 
-def _growth_bits(c) -> float:
-    """Bits by which each further factor c can grow a power of c: log2 of
-    the larger of the denominator and the sum of the absolute coordinates,
-    which bounds |c| in every embedding; 0 for zero."""
-    if not c:
-        return 0.0
-    return math.log2(max(sum(abs(x) for x in c.coords), c.den))
+def _growth_bits(coeffs) -> float:
+    """Bits by which each further factor can grow the coefficients of a
+    power of a polynomial with the coefficients ``coeffs``: log2 of the
+    larger of their common denominator D and the 1-norm, the sum of the
+    absolute coordinates of D times each coefficient.  D^k times a
+    coefficient of the k-th power has absolute value at most norm^k in
+    every complex embedding."""
+    den = math.lcm(*(c.den for c in coeffs))
+    return math.log2(max(sum(abs(x) * (den // c.den) for c in coeffs for x in c.coords), den))
 
 
 def _is_root_of_unity(c) -> bool:

@@ -11,9 +11,17 @@ symbolic degree-200 placeholder stands in; the stack decomposition only
 needs the weights.
 
 Transvectants use the classical normalization
-((d-r)! (e-r)! / (d! e!)) * sum_i (-1)^i C(r, i) f_{x^{r-i} y^i} g_{x^i y^{r-i}},
-and the calibration harness matches transvectant-built invariants against a
-catalog relation by per-degree scalars.
+((d-r)! (e-r)! / (d! e!)) * sum_k (-1)^k C(r, k) f_{x^{r-k} y^k} g_{x^k y^{r-k}}.
+No derivative form is built: for f = sum f_i x^(d-i) y^i and g = sum g_j
+x^(e-j) y^j, coefficient n of (f, g)_r is sum_{i+j=n+r} W(i, j) f_i g_j
+with the integer weights
+W(i, j) = sum_k (-1)^k C(r, k) (d-i)_(r-k) i_(k) (e-j)_(k) j_(r-k)
+(falling factorials), cached per (d, e, r).  Each coefficient is summed on
+integer coordinates in Q(zeta_m), m the lcm of the orders of the nonzero
+f_i and g_j that reach it with a nonzero weight, so rational forms have a
+rational transvectant and each coefficient's field is the one its own terms
+need.  The calibration harness matches transvectant-built invariants
+against a catalog relation by per-degree scalars.
 
 No matrix is eliminated over the cyclotomic field.  :func:`resultant` runs
 the subresultant pseudo-remainder sequence that the root-multiplicity gcds
@@ -28,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, isqrt, lcm
+from math import comb, factorial, isqrt, lcm, perm
 
 from .cyclotomic import (
     ONE,
@@ -50,7 +58,7 @@ from .errors import (
     WrongDegreeError,
 )
 from .graded import GradedRingPresentation
-from .polynomials import BinaryForm, MultiPoly, _cp_prem
+from .polynomials import BinaryForm, MultiPoly, _cp_prem, _powers
 
 FAMILIES = ("quartic", "quintic", "sextic", "cubic-curve", "cubic-surface")
 
@@ -212,28 +220,72 @@ def _squarefree(f: BinaryForm) -> bool:
 # -- transvectants -----------------------------------------------------------------
 
 
-def _derivative_row(f: BinaryForm, r: int):
-    """Mixed partials d^r f / dx^(r-i) dy^i for i = 0..r."""
-    row = [f]
-    for _ in range(r):
-        row = [g.partial_x() for g in row] + [row[-1].partial_y()]
-    return row
+@lru_cache(maxsize=None)
+def _transvectant_weights(d: int, e: int, r: int):
+    """The integer weights of the r-th transvectant of forms of degrees d
+    and e: entry n lists the triples (i, j, W(i, j)) with i + j = n + r and
+    W(i, j) != 0, where
+
+        W(i, j) = sum_k (-1)^k C(r, k) (d-i)_(r-k) i_(k) (e-j)_(k) j_(r-k)
+
+    with falling factorials n_(k) = n (n-1) ... (n-k+1); and the
+    normalization (d-r)! (e-r)! / (d! e!) as a numerator and denominator in
+    lowest terms."""
+    signs = [(-1) ** k * comb(r, k) for k in range(r + 1)]
+    rows = []
+    for n in range(d + e - 2 * r + 1):
+        row = []
+        for i in range(max(0, n + r - e), min(d, n + r) + 1):
+            j = n + r - i
+            w = sum(s * perm(d - i, r - k) * perm(i, k) * perm(e - j, k) * perm(j, r - k)
+                    for k, s in enumerate(signs))
+            if w:
+                row.append((i, j, w))
+        rows.append(tuple(row))
+    scale = QQ(factorial(d - r) * factorial(e - r), factorial(d) * factorial(e))
+    return tuple(rows), scale.numerator, scale.denominator
 
 
 def transvectant(f: BinaryForm, g: BinaryForm, r: int) -> BinaryForm:
-    """The r-th transvectant of two forms, degree d + e - 2r."""
+    """The r-th transvectant (f, g)_r of two forms, of degree d + e - 2r.
+
+    Coefficient n is sum_{i+j=n+r} W(i, j) f_i g_j times the normalization
+    (d-r)! (e-r)! / (d! e!), with the integer weights W of
+    :func:`_transvectant_weights`.  It is computed in Q(zeta_m), m the lcm
+    of the orders of the nonzero f_i and g_j that reach it with a nonzero
+    weight (checked against the order cap): one unreduced integer vector
+    sums the products of their coordinates over one common denominator and
+    is reduced once.  A pair of rational forms takes one integer sum per
+    coefficient."""
     d, e = f.degree, g.degree
     if r > min(d, e):
         raise OrderTooLargeError(
             f"transvectant order {r} exceeds min(deg) = {min(d, e)}")
-    df = _derivative_row(f, r)
-    dg = _derivative_row(g, r)
-    total = None
-    for i in range(r + 1):
-        term = df[i] * dg[r - i] * ((-1) ** i * comb(r, i))
-        total = term if total is None else total + term
-    scale = QQ(factorial(d - r) * factorial(e - r), factorial(d) * factorial(e))
-    return total * scale
+    rows, num, den = _transvectant_weights(d, e, r)
+    fc, gc = f.coeffs, g.coeffs
+    if lcm(*(c.order for c in fc), *(c.order for c in gc)) == 1:
+        fd, gd = lcm(*(c.den for c in fc)), lcm(*(c.den for c in gc))
+        F = [c.coords[0] * (fd // c.den) for c in fc]
+        G = [c.coords[0] * (gd // c.den) for c in gc]
+        den *= fd * gd
+        return BinaryForm([_raw(1, [num * sum(w * F[i] * G[j] for i, j, w in row)], den)
+                           for row in rows])
+    out = []
+    for row in rows:
+        row = [(i, j, w) for i, j, w in row if fc[i] and gc[j]]
+        m = lcm(*(fc[i].order for i, _, _ in row), *(gc[j].order for _, j, _ in row))
+        _check_order(m)
+        fd, F = _to_int_coords([fc[i] for i, _, _ in row], m)
+        gd, G = _to_int_coords([gc[j] for _, j, _ in row], m)
+        acc = [0] * (2 * euler_phi(m) - 1)
+        for (_, _, w), a, b in zip(row, F, G):
+            for s, x in enumerate(a):
+                if x:
+                    x *= w
+                    for t, y in enumerate(b, s):
+                        acc[t] += x * y
+        out.append(_raw(m, [num * c for c in _reduce(m, acc)], den * fd * gd))
+    return BinaryForm(out)
 
 
 def resultant(f: BinaryForm, g: BinaryForm) -> CyclotomicNumber:
@@ -510,7 +562,7 @@ def _solve_scalars(entry, names, weights, probe_values):
     monos = _weighted_monomials(weights[:base_count], target_degree)
     rows, rhs = [], []
     for vals in probe_values:
-        rows.append([_mono_value(vals, m) for m in monos])
+        rows.append(_mono_row(vals[:base_count], monos))
         rhs.append(vals[-1] ** 2)
     solution = _solve_linear(rows, rhs)
     if solution is None:
@@ -534,6 +586,20 @@ def _weighted_monomials(weights, degree):
 
     rec(0, degree, [])
     return sorted(out)
+
+
+def _mono_row(vals, monos):
+    """The values of the monomials ``monos`` at ``vals``, multiplied from one
+    table of the powers vals[j]^0 .. vals[j]^max per value."""
+    tables = [_powers(v, max(m[j] for m in monos)) for j, v in enumerate(vals)]
+    row = []
+    for mono in monos:
+        value = ONE
+        for table, k in zip(tables, mono):
+            if k:
+                value = value * table[k]
+        row.append(value)
+    return row
 
 
 def _mono_value(vals, mono):

@@ -426,19 +426,7 @@ class BinaryForm:
                 return None
         return c
 
-    # -- calculus and substitution ------------------------------------------------
-
-    def partial_x(self) -> "BinaryForm":
-        d = self.degree
-        if d == 0:
-            return BinaryForm([0])
-        return BinaryForm([self.coeffs[i] * (d - i) for i in range(d)])
-
-    def partial_y(self) -> "BinaryForm":
-        d = self.degree
-        if d == 0:
-            return BinaryForm([0])
-        return BinaryForm([self.coeffs[j + 1] * (j + 1) for j in range(d)])
+    # -- evaluation and substitution ----------------------------------------------
 
     def evaluate(self, xv, yv) -> CyclotomicNumber:
         xv, yv = as_cyclotomic(xv), as_cyclotomic(yv)

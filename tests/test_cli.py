@@ -231,6 +231,24 @@ def test_products_under_the_coefficient_bound(text):
     assert result.payload["maximal_groups"] == ["D1"]
 
 
+@pytest.mark.parametrize("text", [
+    "(2^9000*x+3*y)^4 + x^3*y",                  # about 36,000 bits, before expanding
+    "(2^3000*x+y)^3*(2^3000*x+y)^3*x*y + x^8",   # each power is under the bound
+])
+def test_powers_of_sums_past_the_coefficient_bound(text):
+    start = time.perf_counter()
+    result = run_command(["stabilizer", text])
+    assert time.perf_counter() - start < 1
+    assert result.status == 3
+    assert result.payload["error"]["code"] == "coefficient-too-large"
+
+
+def test_power_of_a_sum_under_the_coefficient_bound():
+    result = run_command(["stabilizer", "(2^2000*x+3*y)^4 + x^3*y"])  # about 8,000 bits
+    assert result.status == 0
+    assert result.payload["maximal_groups"] == ["C1"]
+
+
 @pytest.mark.parametrize("argv", [["decompose"], ["rigidify"], ["chart", "x"]])
 def test_unreadable_ring_spec(tmp_path, argv):
     result = run_command([argv[0], str(tmp_path), *argv[1:]])

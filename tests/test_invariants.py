@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import comb, factorial, lcm
 
 import pytest
 
@@ -17,9 +18,12 @@ from stackygit.invariants import (
     QUINTIC_RECIPE,
     SEXTIC_RECIPE,
     RecipeStep,
+    _mono_row,
+    _mono_value,
     _prev_prime,
     _rational_root,
     _solve_linear,
+    _weighted_monomials,
     calibrate_invariants,
     catalog_ring,
     evaluate_recipe,
@@ -44,6 +48,69 @@ def _random_sl2(rng):
     return SL2Matrix(a, b, c, (1 + b * c) / a)
 
 
+def _derivative_row(f, r):
+    """Reference: the mixed partials d^r f / dx^(r-k) dy^k, k = 0..r, by
+    repeated differentiation of BinaryForms."""
+    def dx(h):
+        d = h.degree
+        return BinaryForm([h.a(i) * (d - i) for i in range(d)] or [0])
+
+    def dy(h):
+        return BinaryForm([h.a(i + 1) * (i + 1) for i in range(h.degree)] or [0])
+
+    row = [f]
+    for _ in range(r):
+        row = [dx(h) for h in row] + [dy(row[-1])]
+    return row
+
+
+def _reference_transvectant(f, g, r):
+    """Reference: the classical definition ((d-r)! (e-r)! / (d! e!)) sum_k
+    (-1)^k C(r, k) f_{x^(r-k) y^k} g_{x^k y^(r-k)} on BinaryForm arithmetic."""
+    d, e = f.degree, g.degree
+    df, dg = _derivative_row(f, r), _derivative_row(g, r)
+    total = BinaryForm([0] * (d + e - 2 * r + 1))
+    for k in range(r + 1):
+        total = total + df[k] * dg[r - k] * ((-1) ** k * comb(r, k))
+    return total * QQ(factorial(d - r) * factorial(e - r), factorial(d) * factorial(e))
+
+
+def _gaussian_binomial(n, k):
+    """Coefficients of the q-binomial [n choose k]_q: entry t counts the
+    partitions of t into at most k parts of size at most n - k."""
+    poly = [1]
+    for i in range(1, k + 1):
+        a = n - k + i  # times (1 - q^a), then divided by (1 - q^i) exactly
+        poly = [c - (poly[t - a] if t >= a else 0) for t, c in enumerate(poly + [0] * a)]
+        for t in range(i, len(poly)):
+            poly[t] += poly[t - i]
+        assert not any(poly[len(poly) - i:])
+        del poly[len(poly) - i:]
+    return poly
+
+
+def _cayley_sylvester(d, k):
+    """Dimension of the degree-k invariants of binary d-ics:
+    p(k, d; dk/2) - p(k, d; dk/2 - 1), p(k, d; n) the partitions of n into
+    at most k parts of size at most d."""
+    if d * k % 2:
+        return 0
+    p, n = _gaussian_binomial(k + d, k), d * k // 2
+    return p[n] - (p[n - 1] if n else 0)
+
+
+def _hilbert_series(weights, relation_degree, top):
+    """Coefficients through t^top of (1 - t^r) / prod (1 - t^w)."""
+    series = [1] + [0] * top
+    for w in weights:
+        for t in range(w, top + 1):
+            series[t] += series[t - w]
+    if relation_degree is not None:
+        for t in range(top, relation_degree - 1, -1):
+            series[t] -= series[t - relation_degree]
+    return series
+
+
 class TestCatalogRing:
     def test_quartic_free(self):
         entry = catalog_ring("quartic")
@@ -64,6 +131,26 @@ class TestCatalogRing:
     def test_unknown_family(self):
         with pytest.raises(UnknownFamilyError):
             catalog_ring("octic")
+
+    @pytest.mark.parametrize("family, d, weights, relation_degree", [
+        ("quartic", 4, (2, 3), None),
+        ("quintic", 5, (4, 8, 12, 18), 36),
+        ("sextic", 6, (2, 4, 6, 10, 15), 30),
+    ])
+    def test_hilbert_series_by_cayley_sylvester(self, family, d, weights, relation_degree):
+        # the presented ring has as many invariants in each degree as the
+        # Cayley-Sylvester formula counts for binary d-ics
+        ring = catalog_ring(family).ring
+        assert ring.weights == weights
+        degree = ring.relation.weighted_degree(weights) if ring.relation else None
+        assert degree == relation_degree
+        series = _hilbert_series(weights, degree, 60)
+        assert series == [_cayley_sylvester(d, k) for k in range(61)]
+
+    def test_cayley_sylvester_small_cases(self):
+        # binary cubics: one invariant, the discriminant, in degree 4
+        assert [_cayley_sylvester(3, k) for k in range(9)] == [1, 0, 0, 0, 1, 0, 0, 0, 1]
+        assert _gaussian_binomial(4, 2) == [1, 1, 2, 1, 1]
 
 
 class TestQuarticInvariants:
@@ -130,6 +217,41 @@ class TestTransvectant:
     def test_order_too_large(self):
         with pytest.raises(OrderTooLargeError):
             transvectant(form("x^2"), form("x^3"), 3)
+
+    @pytest.mark.parametrize("fields", [(1,), (4,), (3,), (5,), (1, 4, 3, 5)])
+    def test_matches_the_derivative_definition(self, fields):
+        # every degree pair up to 8 and every order r, against forms over Q
+        # with denominators, Q(i), Q(zeta_3), Q(zeta_5) and mixed fields
+        rng = random.Random(61 + sum(fields))
+        choices = [(1,), (4,), (3,), (5,), (1, 4, 3, 5)]
+
+        def coeff(orders):
+            if rng.random() < 0.25:
+                return 0
+            c = as_cyclotomic(QQ(rng.randint(-6, 6), rng.randint(1, 4)))
+            m = rng.choice(orders)
+            return c + QQ(rng.randint(-3, 3), rng.randint(1, 3)) * zeta(m) ** rng.randint(1, m) \
+                if m > 1 else c
+
+        for d, e in itertools.product(range(9), repeat=2):
+            f = BinaryForm([coeff(fields) for _ in range(d + 1)])
+            g = BinaryForm([coeff(rng.choice(choices)) for _ in range(e + 1)])
+            for r in range(min(d, e) + 1):
+                got = transvectant(f, g, r)
+                assert got == _reference_transvectant(f, g, r), (str(f), str(g), r)
+                for n, c in enumerate(got.coeffs):
+                    # the field is the one the terms reaching coefficient n need
+                    terms = [(f.a(i), g.a(n + r - i)) for i in range(d + 1)
+                             if 0 <= n + r - i <= e and f.a(i) and g.a(n + r - i)]
+                    assert lcm(*(x.order for pair in terms for x in pair)) % c.order == 0
+                if all(c.order == 1 for c in f.coeffs + g.coeffs):
+                    assert all(c.order == 1 for c in got.coeffs)
+
+    def test_fields_past_the_cap_in_different_coefficients(self):
+        # zeta(11) and zeta(13) meet x in different coefficients, so no
+        # coefficient needs Q(zeta_143)
+        got = transvectant(form("zeta(11)*x + zeta(13)*y"), form("x"), 0)
+        assert got.coeffs == (zeta(11), zeta(13), as_cyclotomic(0))
 
     def test_fourth_transvectant_calibrates_to_I2(self):
         # two-point calibration: compute the constant at x^4 + y^4, then
@@ -399,6 +521,21 @@ class TestCalibration:
         env = evaluate_recipe(QUINTIC_RECIPE, form("x^5 + x*y^4 + y^5"))
         assert {"I4", "I8", "I12", "I18"} <= set(env)
         assert env["I18"].degree == 0
+
+
+class TestMonomialRows:
+    def test_power_table_rows_match_monomial_values(self):
+        # the calibration rows multiply entries of one power table per
+        # value; each entry is the monomial value, in the same field
+        rng = random.Random(67)
+        monos = _weighted_monomials((2, 4, 6, 10), 30)
+        for values in ([as_cyclotomic(QQ(rng.randint(-9, 9), rng.randint(1, 5)))
+                        for _ in range(4)],
+                       [zeta(4), 1 + zeta(3), QQ(3, 7) * zeta(5), zeta(12) ** 3]):
+            row = _mono_row(values, monos)
+            expected = [_mono_value(values, m) for m in monos]
+            assert [(v.order, v.coords, v.den) for v in row] == \
+                [(v.order, v.coords, v.den) for v in expected]
 
 
 class TestRationalRoot:
