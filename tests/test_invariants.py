@@ -48,7 +48,7 @@ def _random_sl2(rng):
     return SL2Matrix(a, b, c, (1 + b * c) / a)
 
 
-def _derivative_row(f, r):
+def _mixed_partials(f, r):
     """Reference: the mixed partials d^r f / dx^(r-k) dy^k, k = 0..r, by
     repeated differentiation of BinaryForms."""
     def dx(h):
@@ -68,7 +68,7 @@ def _reference_transvectant(f, g, r):
     """Reference: the classical definition ((d-r)! (e-r)! / (d! e!)) sum_k
     (-1)^k C(r, k) f_{x^(r-k) y^k} g_{x^k y^(r-k)} on BinaryForm arithmetic."""
     d, e = f.degree, g.degree
-    df, dg = _derivative_row(f, r), _derivative_row(g, r)
+    df, dg = _mixed_partials(f, r), _mixed_partials(g, r)
     total = BinaryForm([0] * (d + e - 2 * r + 1))
     for k in range(r + 1):
         total = total + df[k] * dg[r - k] * ((-1) ** k * comb(r, k))
@@ -230,8 +230,9 @@ class TestTransvectant:
                 return 0
             c = as_cyclotomic(QQ(rng.randint(-6, 6), rng.randint(1, 4)))
             m = rng.choice(orders)
-            return c + QQ(rng.randint(-3, 3), rng.randint(1, 3)) * zeta(m) ** rng.randint(1, m) \
-                if m > 1 else c
+            if m > 1:
+                c = c + QQ(rng.randint(-3, 3), rng.randint(1, 3)) * zeta(m) ** rng.randint(1, m)
+            return c
 
         for d, e in itertools.product(range(9), repeat=2):
             f = BinaryForm([coeff(fields) for _ in range(d + 1)])
