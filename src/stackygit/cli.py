@@ -3,6 +3,11 @@
 Every subcommand produces a JSON payload (``--json``) and a markdown
 rendering derived from it; exit status 0 means everything verified, 1 a
 refuted claim or failed check, 2 bad input, 3 an exceeded internal bound.
+
+The argument parser is built once per process, on the first
+:func:`run_command` call, and shared by every later call; it must not be
+mutated.  Each parse returns a fresh namespace, so no state passes from one
+call to the next.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from . import ringspec
 from .errors import StackygitError
@@ -271,6 +277,7 @@ def _cmd_verify_all(args) -> CommandResult:
                          "\n".join(lines) + "\n")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stackygit",

@@ -46,6 +46,12 @@ class MultiPoly:
     ``variables`` is an ordered tuple of names; ``terms`` maps exponent
     tuples (one entry per variable) to nonzero coefficients.  Instances are
     treated as immutable.
+
+    ``__init__`` is the one validator of outside input: it checks arity and
+    signs of the exponents, converts coefficients and merges or drops zero
+    ones.  Arithmetic results whose terms are clean by construction (the
+    operands were validated, zero sums are dropped as they arise) are built
+    with the unchecked :meth:`_of` instead.
     """
 
     __slots__ = ("variables", "terms")
@@ -70,6 +76,15 @@ class MultiPoly:
                     del clean[exps]
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _of(cls, variables, terms):
+        """Trusted constructor: ``variables`` a tuple, ``terms`` a dict of
+        int exponent tuples of that length to nonzero coefficients."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable")
@@ -129,12 +144,12 @@ class MultiPoly:
                 terms[e] = s
             elif e in terms:
                 del terms[e]
-        return MultiPoly(self.variables, terms)
+        return MultiPoly._of(self.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._of(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -147,8 +162,8 @@ class MultiPoly:
             c = as_cyclotomic(other)
             if not c:
                 return MultiPoly.zero(self.variables)
-            return MultiPoly(self.variables,
-                             {e: x * c for e, x in self.terms.items()})
+            return MultiPoly._of(self.variables,
+                                 {e: x * c for e, x in self.terms.items()})
         other = self._coerce(other)
         terms = {}
         for e1, c1 in self.terms.items():
@@ -161,7 +176,7 @@ class MultiPoly:
                     terms[e] = s
                 elif e in terms:
                     del terms[e]
-        return MultiPoly(self.variables, terms)
+        return MultiPoly._of(self.variables, terms)
 
     __rmul__ = __mul__
 
@@ -208,6 +223,7 @@ class MultiPoly:
         return 0 if degree is None else degree
 
     def partial(self, i: int) -> "MultiPoly":
+        i = range(len(self.variables))[i]
         terms = {}
         for e, c in self.terms.items():
             if e[i]:
@@ -217,7 +233,7 @@ class MultiPoly:
                     terms[e2] = s
                 elif e2 in terms:
                     del terms[e2]
-        return MultiPoly(self.variables, terms)
+        return MultiPoly._of(self.variables, terms)
 
     def partials(self):
         """Partial derivatives in variable order."""
@@ -240,7 +256,7 @@ class MultiPoly:
     def renamed(self, mapping) -> "MultiPoly":
         """Rename variables via {old: new}; order is preserved."""
         vs = tuple(mapping.get(v, v) for v in self.variables)
-        return MultiPoly(vs, dict(self.terms))
+        return MultiPoly._of(vs, dict(self.terms))
 
     def permuted(self, new_variables) -> "MultiPoly":
         """Express over ``new_variables`` (a permutation of self.variables)."""
@@ -250,7 +266,7 @@ class MultiPoly:
                 f"{new_variables} is not a permutation of {self.variables}")
         pos = [self.variables.index(v) for v in new_variables]
         terms = {tuple(e[p] for p in pos): c for e, c in self.terms.items()}
-        return MultiPoly(new_variables, terms)
+        return MultiPoly._of(new_variables, terms)
 
     def lifted(self, new_variables) -> "MultiPoly":
         """Embed into a ring with extra variables (superset, any order)."""
@@ -263,7 +279,7 @@ class MultiPoly:
             for v, k in zip(self.variables, e):
                 e2[pos[v]] = k
             terms[tuple(e2)] = c
-        return MultiPoly(new_variables, terms)
+        return MultiPoly._of(new_variables, terms)
 
     def proportional_to(self, other):
         """Scalar c with self == c*other, or None."""

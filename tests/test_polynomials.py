@@ -296,3 +296,61 @@ def _random_sl2(rng):
     b = QQ(rng.randint(-5, 5), rng.randint(1, 3))
     c = QQ(rng.randint(-5, 5), rng.randint(1, 3))
     return SL2Matrix(a, b, c, (1 + b * c) / a)
+
+
+_VARS = ("x", "y", "z")
+
+
+def _random_coefficient(rng, unit):
+    c = QQ(rng.randint(-4, 4), rng.randint(1, 3))
+    if unit != 1:
+        c = c + QQ(rng.randint(-3, 3), rng.randint(1, 2)) * unit
+    return c
+
+
+def _random_multipoly(rng):
+    """Sparse, over Q (with denominators), Q(i), Q(zeta_3) or a mix; some
+    coefficients are zero, some exponent vectors repeat."""
+    units = rng.choice(((1,), (zeta(4),), (zeta(3),), (1, zeta(4), zeta(3))))
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        e = tuple(rng.randint(0, 3) for _ in _VARS)
+        terms[e] = _random_coefficient(rng, rng.choice(units))
+    return MultiPoly(_VARS, terms)
+
+
+def _assert_clean(r):
+    # what the checking constructor would build, with no zero coefficient
+    # and one exponent per variable
+    assert MultiPoly(r.variables, r.terms) == r
+    assert type(r.variables) is tuple
+    for e, c in r.terms.items():
+        assert c
+        assert len(e) == len(r.variables)
+        assert all(type(k) is int and k >= 0 for k in e)
+
+
+def test_arithmetic_results_are_clean():
+    # results built by the unchecked MultiPoly._of against the checking
+    # constructor, on random operands and on pairs that cancel
+    rng = random.Random(20)
+    x, y, z = (MultiPoly.variable(_VARS, v) for v in _VARS)
+    scalars = [0, 3, QQ(-2, 5), zeta(3), 1 + zeta(4)]
+    fixed = [(x, x), ((x + y), (x - y)), (x + y * QQ(1, 2), -x + z)]
+    for k in range(120):
+        p, q = (fixed[k] if k < len(fixed)
+                else (_random_multipoly(rng), _random_multipoly(rng)))
+        if k % 4 == 3:
+            # q cancels p except for one monomial
+            q = -p + MultiPoly.monomial(_VARS, (1, 0, 2), QQ(3, 7))
+        results = [p + q, p - q, q - p, p - p, -p, p * q, p * (-p), (p + q) * (p - q),
+                   p * q - q * p, 2 + p, p - 1, 1 - p, p ** rng.randint(0, 3)]
+        results += [p * s for s in scalars] + [s * q for s in scalars]
+        results += [p.partial(i) for i in range(3)] + list(q.partials())
+        results += [p.permuted(rng.sample(_VARS, 3)), q.lifted(("w",) + _VARS),
+                    p.lifted(rng.sample(("u",) + _VARS, 4)), p.renamed({"x": "u", "z": "v"})]
+        for r in results:
+            _assert_clean(r)
+    assert x - x == MultiPoly.zero(_VARS) and not (x - x).terms
+    assert (x + y) * (x - y) == MultiPoly(_VARS, {(2, 0, 0): 1, (0, 2, 0): -1})
+    assert (x * 0).terms == {} and (x * zeta(3)).terms == {(1, 0, 0): zeta(3)}
