@@ -2,10 +2,10 @@
 
 One generator per line as ``name : weight``; an optional ``relation:``
 line with a polynomial expression over the generators; an optional
-``field: zeta(m)`` line choosing the coefficient field.  Blank lines and
-``#`` comments are ignored.  The writer clears denominators in the
-relation (a relation is only meaningful up to a nonzero scalar), so
-emitted files stay inside the expression grammar.
+``field: zeta(m)`` line choosing the coefficient field, 1 <= m <=
+``ORDER_CAP``.  Blank lines and ``#`` comments are ignored.  The writer
+clears denominators in the relation (a relation is only meaningful up to
+a nonzero scalar), so emitted files stay inside the expression grammar.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from math import lcm
 
+from .cyclotomic import _check_order
 from .errors import RingSpecError
 from .exprparse import parse_poly
 from .graded import GradedRingPresentation
@@ -41,6 +42,9 @@ def loads(text: str) -> GradedRingPresentation:
         m = _FIELD_LINE.match(line)
         if m:
             field_order = int(m.group(1))
+            if field_order < 1:
+                raise RingSpecError(f"line {lineno}: field order must be positive")
+            _check_order(field_order)
             continue
         m = _GEN_LINE.match(line)
         if m:

@@ -93,8 +93,11 @@ def catalog_stabilizer(f: BinaryForm, n_max: int | None = None):
     Candidates are C_n and D_n for n <= n_max (default: deg f) plus T, O,
     I; maximality is with respect to literal containment of the standard
     matrix groups.  Conjugate copies are out of scope: the catalog's normal
-    forms realize their stabilizers in the standard embeddings.
+    forms realize their stabilizers in the standard embeddings.  An
+    ``n_max`` below 1 raises ValueError: every form is fixed by C_1.
     """
+    if n_max is not None and n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     if f.distinct_root_count() <= 2:
         raise InfiniteStabilizerError(
             "forms with at most two distinct roots have infinite stabilizer")

@@ -1,12 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import stackygit
 from stackygit import ringspec
-from stackygit.cli import run_command
+from stackygit.cli import build_parser, run_command
 from stackygit.invariants import catalog_ring
 
 
@@ -56,6 +60,14 @@ def test_stabilizer_nmax_flag():
     result = run_command(["stabilizer", "x^2*(x^3 + y^3)", "--nmax", "8"])
     assert result.status == 0
     assert result.payload["maximal_groups"] == ["C3"]
+
+
+@pytest.mark.parametrize("nmax", ["0", "-3"])
+def test_stabilizer_nmax_below_one(nmax):
+    # every form is fixed by C1, so an empty candidate range is bad input
+    result = run_command(["stabilizer", "x^5 + y^5", "--nmax", nmax])
+    assert result.status == 2
+    assert result.payload["error"]["code"] == "bad-value"
 
 
 @pytest.mark.parametrize("argv, groups, scalars", [
@@ -356,3 +368,28 @@ def test_payload_digests(argv, digest):
     result = run_command(argv)
     assert result.status == 0
     assert hashlib.sha256(result.json_text().encode()).hexdigest() == digest
+
+
+def _fresh_process_json(argv) -> str:
+    """The JSON text the CLI prints for ``argv`` in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(stackygit.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "stackygit.cli", "--json", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    return done.stdout
+
+
+def test_shared_parser_carries_no_state(quintic_file):
+    # the parser is built once per process; each call must answer as the
+    # first call of a fresh process would
+    assert build_parser() is build_parser()
+    form_argv = ["stabilizer", "x^14 + zeta(9)*y^14"]
+    for argv in (form_argv + ["--nmax", "7"], form_argv):
+        result = run_command(argv)
+        assert result.status == 0
+        assert result.json_text() + "\n" == _fresh_process_json(argv)
+    usage = run_command(["verify-all", "--seed", "x"])
+    assert (usage.status, usage.payload["error"]["code"]) == (2, "usage")
+    chart_argv = ["chart", quintic_file, "I12"]
+    result = run_command(chart_argv)
+    assert result.status == 0
+    assert result.json_text() + "\n" == _fresh_process_json(chart_argv)

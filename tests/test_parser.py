@@ -4,9 +4,10 @@ from hypothesis import strategies as st
 
 from stackygit import ringspec
 from stackygit.cli import run_command
-from stackygit.cyclotomic import zeta
+from stackygit.cyclotomic import ORDER_CAP, zeta
 from stackygit.errors import (
     NestingTooDeepError,
+    OrderCapExceededError,
     ParseError,
     RingSpecError,
     UnknownIdentifierError,
@@ -150,6 +151,28 @@ class TestRingSpec:
     def test_field_line(self):
         ring = ringspec.loads("a : 1\nfield: zeta(8)\n")
         assert ring.field_order == 8
+
+    def test_field_order_zero_is_refused(self):
+        # dumps would drop the line, so zeta(0) must not load
+        with pytest.raises(RingSpecError, match="line 2: field order must be positive"):
+            ringspec.loads("a : 1\nfield: zeta(0)\n")
+
+    def test_field_order_past_the_cap_is_refused_at_load(self):
+        ring = ringspec.loads(f"a : 1\nfield: zeta({ORDER_CAP})\n")
+        assert ring.field_order == ORDER_CAP
+        with pytest.raises(OrderCapExceededError):
+            ringspec.loads(f"a : 1\nfield: zeta({ORDER_CAP + 1})\n")
+        with pytest.raises(OrderCapExceededError):
+            ringspec.loads("a : 1\nfield: zeta(100000)\n")
+
+    @pytest.mark.parametrize("order, status, code", [
+        (0, 2, "ringspec-error"), (100000, 3, "order-cap-exceeded")])
+    def test_bad_field_order_exit_status(self, tmp_path, order, status, code):
+        path = tmp_path / "bad.ring"
+        path.write_text(f"a : 1\nb : 2\nfield: zeta({order})\n", encoding="utf-8")
+        for argv in (["rigidify", str(path)], ["chart", str(path), "a"]):
+            result = run_command(argv)
+            assert (result.status, result.payload["error"]["code"]) == (status, code)
 
     def test_bad_line(self):
         with pytest.raises(RingSpecError):
