@@ -323,7 +323,6 @@ def _assert_clean(r):
     # what the checking constructor would build, with no zero coefficient
     # and one exponent per variable
     assert MultiPoly(r.variables, r.terms) == r
-    assert type(r.variables) is tuple
     for e, c in r.terms.items():
         assert c
         assert len(e) == len(r.variables)
