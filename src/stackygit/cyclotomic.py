@@ -17,7 +17,7 @@ inverse of a is the product of its other Galois conjugates over the
 integer norm N(a).
 
 Mixed-order arithmetic embeds both operands into Q(zeta_lcm).  Orders are
-capped (default 120, see :data:`ORDER_CAP`) to keep phi(m) small.  A
+capped at 120 (the constant :data:`ORDER_CAP`) to keep phi(m) small.  A
 stabilizer search builds zeta_2n only for the C_n and D_n candidates that
 pass the support rule (n divides every difference of support indices), so
 a form whose support allows an n past half the cap, such as x^62 + y^62,
@@ -46,8 +46,8 @@ from .errors import IncompatibleOrderError, OrderCapExceededError
 
 _ZERO = QQ(0)
 
-#: Largest permitted cyclotomic order.  Mutable module setting; operations
-#: that would need a bigger field raise OrderCapExceededError.
+#: Largest permitted cyclotomic order, a constant: operations that would
+#: need a bigger field raise OrderCapExceededError.
 ORDER_CAP = 120
 
 
@@ -170,6 +170,19 @@ def _to_int_coords(values, m: int):
     positive common denominator; every value's order must divide m."""
     den = lcm(*(v.den for v in values))
     return den, [[c * (den // v.den) for c in v._vec(m)] for v in values]
+
+
+def _power(base, n: int, one):
+    """``base ** n`` for an int n >= 0 by square-and-multiply, starting from
+    the unit ``one``; the one powering loop behind every ``__pow__``."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 def _new(order: int, coords: tuple, den: int) -> "CyclotomicNumber":
@@ -365,15 +378,8 @@ class CyclotomicNumber:
 
     def __pow__(self, n: int):
         if n < 0:
-            return self.inverse() ** (-n)
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+            return _power(self.inverse(), -n, ONE)
+        return _power(self, n, ONE)
 
     # -- comparison ----------------------------------------------------------
 

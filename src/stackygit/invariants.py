@@ -23,9 +23,10 @@ rational transvectant and each coefficient's field is the one its own terms
 need.  The calibration harness matches transvectant-built invariants
 against a catalog relation by per-degree scalars.
 
-No matrix is eliminated over the cyclotomic field.  :func:`resultant` runs
-the subresultant pseudo-remainder sequence that the root-multiplicity gcds
-use, at the forms' formal degrees.  The calibration's linear solve
+No matrix is eliminated over the cyclotomic field.  :func:`resultant` reads
+the resultant off :func:`stackygit.polynomials._subresultants`, the one
+subresultant pseudo-remainder sequence, which the root-multiplicity gcds
+also run; it works at the forms' formal degrees.  The calibration's linear solve
 :func:`_solve_linear` is multi-modular: Gauss-Jordan elimination modulo
 62-bit primes, Chinese remaindering and rational reconstruction, with every
 answer certified by an exact integer check (a solution that satisfies every
@@ -58,7 +59,7 @@ from .errors import (
     WrongDegreeError,
 )
 from .graded import GradedRingPresentation
-from .polynomials import BinaryForm, MultiPoly, _cp_prem, _powers
+from .polynomials import BinaryForm, MultiPoly, _powers, _subresultants
 
 FAMILIES = ("quartic", "quintic", "sextic", "cubic-curve", "cubic-surface")
 
@@ -310,26 +311,18 @@ def resultant(f: BinaryForm, g: BinaryForm) -> CyclotomicNumber:
     d, e = len(a) - 1, len(b) - 1
     if not d or not e:  # Res_{0,e} = a0^e and Res_{d,0} = b0^d
         return factor * a[0] ** e * b[0] ** d
-    # both leading coefficients are nonzero; ascending lists for _cp_prem
-    A, B = a[::-1], b[::-1]
+    # both leading coefficients are nonzero; the sequence runs on ascending
+    # lists, longer first, and each step between two odd degrees flips sign
     sign = -1 if d % 2 and e % 2 and d < e else 1
-    if d < e:
-        A, B = B, A
-    lead = h = ONE
-    while True:
-        delta = len(A) - len(B)
-        if len(A) % 2 == 0 and len(B) % 2 == 0:  # both degrees odd
+    A, B = (a[::-1], b[::-1]) if d >= e else (b[::-1], a[::-1])
+    members, h = _subresultants(A, B)
+    if len(members[-1]) > 1:
+        return ZERO
+    for A, B in zip(members, members[1:-1]):
+        if len(A) % 2 == 0 and len(B) % 2 == 0:
             sign = -sign
-        r = _cp_prem(A, B)
-        if not r:
-            return ZERO
-        scale = (lead * h ** delta).inverse()
-        A, B = B, [x * scale for x in r]
-        lead = A[-1]
-        h = h ** (1 - delta) * lead ** delta
-        if len(B) == 1:
-            deg = len(A) - 1
-            return factor * sign * h ** (1 - deg) * B[0] ** deg
+    deg = len(members[-2]) - 1
+    return factor * sign * h ** (1 - deg) * members[-1][0] ** deg
 
 
 # -- calibration --------------------------------------------------------------------

@@ -2,8 +2,8 @@
 spaces, and the assembled locus reports for the quintic and sextic moduli.
 
 Points carry weighted-projective equality: two coordinate vectors are equal
-when one is the weighted rescaling of the other, decided exactly through an
-extended-gcd combination of the weights (no root extraction).  Singularity
+when one is the weighted rescaling of the other, decided exactly by
+comparing powers of the coordinate ratios pairwise (no root extraction).  Singularity
 of a divisor at a point is tested on the affine cone: the value and every
 partial derivative must vanish.
 """
@@ -11,6 +11,7 @@ partial derivative must vanish.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 
 from .cyclotomic import as_cyclotomic
@@ -57,50 +58,19 @@ class PointW:
         if sup != other.support():
             return False
         ratios = [other.coordinates[i] / self.coordinates[i] for i in sup]
-        exps = [self.weights[i] for i in sup]
-        # Solvability of ratios_i = t^{e_i} over the algebraic closure:
-        # with g = gcd(e_i) and sum c_i (e_i/g) = 1, the candidate u = t^g
-        # is prod ratios_i^{c_i}, and the system holds iff each ratio is
-        # the matching power of u.
-        g = 0
-        for e in exps:
-            g = gcd(g, e)
-        reduced = [e // g for e in exps]
-        combo = _gcd_combination(reduced)
-        u = as_cyclotomic(1)
-        for r, c in zip(ratios, combo):
-            u = u * r ** c
-        return all(r == u ** e for r, e in zip(ratios, reduced))
+        # r_i = t^{e_i} is solvable over the algebraic closure iff
+        # r_i^{e_j/g} = r_j^{e_i/g} for every pair, g = gcd(e_i): if so, and
+        # sum c_i e_i/g = 1, then u = prod r_i^{c_i} has u^{e_j/g} = r_j, and
+        # t is any g-th root of u
+        g = gcd(*(self.weights[i] for i in sup))
+        exps = [self.weights[i] // g for i in sup]
+        return all(ratios[i] ** exps[j] == ratios[j] ** exps[i]
+                   for i, j in combinations(range(len(sup)), 2))
 
     __hash__ = None
 
     def __str__(self):
         return "(" + " : ".join(str(c) for c in self.coordinates) + ")"
-
-
-def _gcd_combination(values):
-    """Integers c_i with sum c_i * values_i = gcd(values) = 1 here."""
-    combo = [0] * len(values)
-    combo[0] = 1
-    g = values[0]
-    for i in range(1, len(values)):
-        g2, x, y = _xgcd_int(g, values[i])
-        combo = [c * x for c in combo]
-        combo[i] = y
-        g = g2
-    return combo
-
-
-def _xgcd_int(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
 
 
 def _check_divisor_point(F: MultiPoly, w: tuple, p: PointW):

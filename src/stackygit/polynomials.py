@@ -13,8 +13,9 @@ vectors over one common denominator per field and divides once at the end
 
 Root multiplicities are computed by iterated gcds of the dehomogenization
 with its derivative (so everything stays in exact arithmetic, with no root
-extraction); the gcd itself uses a fraction-free subresultant remainder
-sequence to limit coefficient growth.
+extraction).  Each gcd is the last member of :func:`_subresultants`, the
+one fraction-free subresultant sequence, which limits coefficient growth
+and which :func:`stackygit.invariants.resultant` also runs.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .cyclotomic import (
     CyclotomicNumber,
     _check_order,
     _mul_vec,
+    _power,
     _raw,
     _to_int_coords,
     as_cyclotomic,
@@ -183,15 +185,7 @@ class MultiPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = MultiPoly.constant(self.variables, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, MultiPoly.constant(self.variables, 1))
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
@@ -412,15 +406,7 @@ class BinaryForm:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a form")
-        result = BinaryForm([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, BinaryForm([1]))
 
     def __eq__(self, other):
         return isinstance(other, BinaryForm) and self.coeffs == other.coeffs
@@ -533,7 +519,8 @@ class BinaryForm:
         p = _cp_trim(self.dehomogenized())
         degrees = [len(p) - 1]
         while len(p) > 1 and len(degrees) <= steps:
-            p = _cp_gcd(p, _cp_deriv(p))
+            last = _subresultants(p, _cp_deriv(p))[0][-1]
+            p = _cp_monic(last) if len(last) > 1 else [_ONE]
             degrees.append(len(p) - 1)
         return at_infinity, degrees
 
@@ -668,25 +655,27 @@ def _cp_prem(a, b):
     return a
 
 
-def _cp_gcd(a, b):
-    """Monic gcd via the subresultant pseudo-remainder sequence."""
-    a, b = _cp_trim(list(a)), _cp_trim(list(b))
-    if not a:
-        return _cp_monic(b) if b else []
-    if not b:
-        return _cp_monic(a)
-    if len(a) < len(b):
-        a, b = b, a
-    g = _ONE
-    h = _ONE
-    while True:
+def _subresultants(a, b):
+    """The subresultant pseudo-remainder sequence of the ascending lists
+    ``a`` and ``b``, deg a >= deg b, with nonzero leading coefficients
+    (Collins; Brown-Traub; H. Cohen, *A Course in Computational Algebraic
+    Number Theory*, Algorithm 3.3.1).
+
+    Returns ``(members, h)``: a, b, ... up to the last nonzero member, a
+    gcd of a and b, or up to a constant; and the last step's scale h =
+    g^delta h^(1-delta), g the leading coefficient of the last member but
+    one.  Dividing each pseudo-remainder by g h^delta of the step before
+    keeps coefficient growth linear in the degree."""
+    members = [a, b]
+    g = h = _ONE
+    while len(b) > 1:
         delta = len(a) - len(b)
         r = _cp_prem(a, b)
         if not r:
-            return _cp_monic(b) if len(b) > 1 else [_ONE]
-        if len(r) == 1:
-            return [_ONE]
+            break
         scale = (g * h ** delta).inverse()
         a, b = b, [x * scale for x in r]
         g = a[-1]
         h = h ** (1 - delta) * g ** delta
+        members.append(b)
+    return members, h

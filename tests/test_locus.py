@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -42,6 +43,16 @@ class TestPointW:
         w24 = (2, 4)
         assert PointW((1, 1), w24) != PointW((1, -1), w24)
 
+    def test_pairwise_equality_matches_the_extended_gcd_rule(self):
+        rng = random.Random(1109)
+        answers = []
+        for _ in range(2000):
+            p, q = _random_point_pair(rng)
+            answer = p == q
+            assert answer is _xgcd_rule(p, q), (p, q)
+            answers.append(answer)
+        assert 500 < sum(answers) < 1500
+
     def test_not_all_zero(self):
         with pytest.raises(ValueError):
             PointW((0, 0, 0), W123)
@@ -50,6 +61,60 @@ class TestPointW:
     def test_weights_must_be_positive(self, weights):
         with pytest.raises(ValueError):
             PointW((1, 0, 0), weights)
+
+
+def _xgcd_rule(p, q):
+    """Reference for PointW equality: with g = gcd(e_i) and integers c_i
+    with sum c_i e_i/g = 1 (extended Euclid), the candidate u = t^g is
+    prod r_i^{c_i}, and the points agree iff every ratio r_i is u^{e_i/g}."""
+    if p.weights != q.weights or p.support() != q.support():
+        return False
+    sup = p.support()
+    ratios = [q.coordinates[i] / p.coordinates[i] for i in sup]
+    g = gcd(*(p.weights[i] for i in sup))
+    exps = [p.weights[i] // g for i in sup]
+    combo, d = [1] + [0] * (len(exps) - 1), exps[0]
+    for i in range(1, len(exps)):
+        old_r, r, old_s, s, old_t, t = d, exps[i], 1, 0, 0, 1
+        while r:
+            k = old_r // r
+            old_r, r = r, old_r - k * r
+            old_s, s = s, old_s - k * s
+            old_t, t = t, old_t - k * t
+        combo = [c * old_s for c in combo]
+        combo[i], d = old_t, old_r
+    u = 1
+    for r, c in zip(ratios, combo):
+        u = u * r ** c
+    return all(r == u ** e for r, e in zip(ratios, exps))
+
+
+def _random_point_pair(rng):
+    """Two points of one P(w) over Q, Q(i), Q(zeta_3) or Q(zeta_8): a
+    rescaling, a rescaling with one coordinate twisted by a root of unity,
+    or an unrelated point with the same support."""
+    m = rng.choice([1, 4, 3, 8])
+    z = zeta(m) if m > 1 else 1
+
+    def value(nonzero=False):
+        v = sum(rng.randint(-3, 3) * z ** k for k in range(2))
+        return v if v or not nonzero else 1
+
+    weights = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 4)))
+    coords = [value() if rng.random() < 0.7 else 0 for _ in weights]
+    coords[rng.randrange(len(coords))] = value(nonzero=True)
+    p = PointW(coords, weights)
+    kind = rng.choice(["rescale", "twist", "other"])
+    if kind == "other":
+        other = [value(nonzero=True) if c else 0 for c in p.coordinates]
+        return p, PointW(other, weights)
+    q = p.rescaled(value(nonzero=True))
+    if kind == "twist":
+        twisted = list(q.coordinates)
+        i = rng.choice(p.support())
+        twisted[i] = twisted[i] * zeta(rng.choice([2, 3, 4, 6, 8])) ** rng.randint(1, 7)
+        q = PointW(twisted, weights)
+    return p, q
 
 
 class TestDivisorChecks:
