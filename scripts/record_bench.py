@@ -12,7 +12,8 @@ first rotates from seed to seed.  The file records the CPU model, ``nproc``,
 the Python version, whether ``gmpy2`` imports, the git commit of every
 checkout and the result line (the last line of standard output) of every
 run.  It is rewritten after each run, so an interrupted recording keeps the
-runs that finished.
+runs that finished.  A checkout with local changes (``+dirty``) is refused
+before any run, with exit status 2.
 """
 
 from __future__ import annotations
@@ -94,8 +95,15 @@ def main(argv=None) -> int:
         name, _, path = item.partition("=")
         checkouts[name] = Path(path).resolve()
     names = list(checkouts)
+    env = environment(checkouts)
+    dirty = [f"{name} ({checkouts[name]})" for name, commit in env["commits"].items()
+             if commit and commit.endswith("+dirty")]
+    if dirty:
+        print("refusing to record: local changes in " + ", ".join(dirty)
+              + "; commit or stash them so that every run is reproducible", file=sys.stderr)
+        return 2
     out = ROOT / f"BENCH_{args.tag}.json"
-    record = {"tag": args.tag, "environment": environment(checkouts), "runs": []}
+    record = {"tag": args.tag, "environment": env, "runs": []}
     for workload in args.workloads.split(","):
         for k, seed in enumerate(parse_seeds(args.seeds)):
             for name in names[k % len(names):] + names[:k % len(names)]:

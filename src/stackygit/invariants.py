@@ -475,35 +475,41 @@ SEXTIC_RECIPE = (
 )
 
 
-def random_form(rng, degree: int, span: int = 9) -> BinaryForm:
-    coeffs = [rng.randint(-span, span) for _ in range(degree + 1)]
+# The families calibrate_invariants accepts, with the degree of their forms.
+_FORM_DEGREES = {"quintic": 5, "sextic": 6}
+
+#: The least number of random forms a calibration is verified at.
+CALIBRATION_SAMPLES = 25
+
+#: The coefficients of :func:`random_form` lie in [-FORM_SPAN, FORM_SPAN].
+FORM_SPAN = 9
+
+
+def random_form(rng, degree: int) -> BinaryForm:
+    coeffs = [rng.randint(-FORM_SPAN, FORM_SPAN) for _ in range(degree + 1)]
     if not any(coeffs):
         coeffs[0] = 1
     return BinaryForm(coeffs)
 
 
-def calibrate_invariants(family: str, recipe, generator_names=None,
-                         seed: int = DEFAULT_SEED, samples: int = 25) -> CalibrationResult:
+def calibrate_invariants(family: str, recipe, seed: int = DEFAULT_SEED) -> CalibrationResult:
     """Find per-degree scalars matching recipe invariants to the catalog
     relation, verified exactly at random forms.
 
     For the quintic: scalars (c4, c8, c12, c18) with (c18*J18)^2 =
-    F(c4*J4, c8*J8, c12*J12) at ``samples`` random quintics; c18 is
-    normalized to 1.  The sextic relation is handled the same way with five
-    scalars.  Failure returns a report with the nonzero residuals.
+    F(c4*J4, c8*J8, c12*J12) at :data:`CALIBRATION_SAMPLES` or more random
+    quintics; c18 is normalized to 1.  The sextic relation is handled the
+    same way with five scalars.  The recipe must define every generator of
+    the family's ring; other families raise UnknownFamilyError.  Failure
+    returns a report with the nonzero residuals.
     """
     import random
 
     entry = catalog_ring(family)
-    if entry.F is None:
+    if family not in _FORM_DEGREES:
         raise UnknownFamilyError(f"family {family!r} has no relation to calibrate")
-    base_vars = entry.F.variables
-    top_name = entry.ring.generators[-1]
-    names = tuple(generator_names) if generator_names else base_vars + (top_name,)
-    if len(names) != len(base_vars) + 1:
-        raise UnderDeterminedError(
-            f"recipe must name {len(base_vars) + 1} invariants")
-    degree = {"quintic": 5, "sextic": 6}[family]
+    names = entry.ring.generators
+    degree = _FORM_DEGREES[family]
     weights = entry.ring.weights
     rng = random.Random(seed)
 
@@ -513,7 +519,8 @@ def calibrate_invariants(family: str, recipe, generator_names=None,
 
     # enough probes to pin every coefficient of the degree-2w(top) space
     mono_count = len(_weighted_monomials(weights[:-1], 2 * weights[-1]))
-    probe = [random_form(rng, degree) for _ in range(max(samples, mono_count + 8))]
+    probe = [random_form(rng, degree)
+             for _ in range(max(CALIBRATION_SAMPLES, mono_count + 8))]
     probe_values = [values_at(f) for f in probe]
     for j, name in enumerate(names):
         if all(not v[j] for v in probe_values):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
 from .cyclotomic import CyclotomicNumber, as_cyclotomic
 from .errors import (
@@ -95,6 +96,12 @@ def catalog_stabilizer(f: BinaryForm, n_max: int | None = None):
     matrix groups.  Conjugate copies are out of scope: the catalog's normal
     forms realize their stabilizers in the standard embeddings.  An
     ``n_max`` below 1 raises ValueError: every form is fixed by C_1.
+
+    The support rule of :func:`semi_invariance` refutes every C_n and D_n
+    whose n does not divide g, the gcd of the support-index differences, so
+    only the divisors of g are tried; g is at least 1 and at most deg f
+    because three distinct roots need two support indices.  The work is
+    therefore bounded by the degree however large ``n_max`` is.
     """
     if n_max is not None and n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
@@ -103,8 +110,10 @@ def catalog_stabilizer(f: BinaryForm, n_max: int | None = None):
             "forms with at most two distinct roots have infinite stabilizer")
     if n_max is None:
         n_max = max(f.degree, 1)
-    candidates = [GroupSpec("C", n) for n in range(1, n_max + 1)]
-    candidates += [GroupSpec("D", n) for n in range(1, n_max + 1)]
+    support = [i for i, c in enumerate(f.coeffs) if c]
+    g = gcd(*(i - support[0] for i in support))
+    ns = [n for n in range(1, min(g, n_max) + 1) if g % n == 0]
+    candidates = [GroupSpec("C", n) for n in ns] + [GroupSpec("D", n) for n in ns]
     candidates += [GroupSpec("T"), GroupSpec("O"), GroupSpec("I")]
     passing = [s for s in candidates if semi_invariance(f, s) is not None]
     maximal = [
@@ -166,10 +175,13 @@ def klein_generate(spec: GroupSpec, alpha: int, beta: int, gamma: int, params=()
 
     Cyclic groups: x^alpha y^beta prod_i (lambda_i x^n + mu_i y^n), with
     gamma ignored.  Other groups: F1^alpha F2^beta F3^gamma
-    prod_i (lambda_i F1^nu1 + mu_i F2^nu2).  A degree above
+    prod_i (lambda_i F1^nu1 + mu_i F2^nu2).  A negative exponent raises
+    ValueError and a degree above
     :data:`~stackygit.polynomials.MAX_PROFILE_DEGREE` raises
-    DegreeTooLargeError before any product is formed.
+    DegreeTooLargeError, both before any product is formed.
     """
+    if min(alpha, beta, gamma) < 0:
+        raise ValueError(f"exponents must be nonnegative, got {(alpha, beta, gamma)}")
     for lam, mu in params:
         if not as_cyclotomic(lam) and not as_cyclotomic(mu):
             raise ZeroParameterError("(0, 0) is not a point of P^1")

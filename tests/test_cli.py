@@ -10,7 +10,7 @@ import pytest
 
 import stackygit
 from stackygit import ringspec
-from stackygit.cli import build_parser, run_command
+from stackygit.cli import build_parser, main, run_command
 from stackygit.invariants import catalog_ring
 
 
@@ -68,6 +68,17 @@ def test_stabilizer_nmax_below_one(nmax):
     result = run_command(["stabilizer", "x^5 + y^5", "--nmax", nmax])
     assert result.status == 2
     assert result.payload["error"]["code"] == "bad-value"
+
+
+def test_stabilizer_huge_nmax_answers_like_the_default():
+    # only the divisors of the support gcd are candidates, whatever --nmax is
+    for text in ("x*y*(x-y)", "x^5 + y^5", "x^2*(x^3 + y^3)"):
+        default = run_command(["stabilizer", text])
+        start = time.perf_counter()
+        result = run_command(["stabilizer", text, "--nmax", "99999999999999999999"])
+        assert time.perf_counter() - start < 1
+        assert result.status == default.status == 0
+        assert result.json_text() == default.json_text()
 
 
 @pytest.mark.parametrize("argv, groups, scalars", [
@@ -129,6 +140,14 @@ def test_klein():
     assert result.status == 0
     assert result.payload["semi_invariant"] is True
     assert result.payload["degree"] == 6
+
+
+@pytest.mark.parametrize("group", ["C3", "D4", "T"])
+def test_klein_negative_exponent(group):
+    for exponents in (["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]):
+        result = run_command(["klein", group, *exponents])
+        assert result.status == 2
+        assert result.payload["error"]["code"] == "bad-value"
 
 
 def test_locus_commands():
@@ -368,6 +387,18 @@ def test_payload_digests(argv, digest):
     result = run_command(argv)
     assert result.status == 0
     assert hashlib.sha256(result.json_text().encode()).hexdigest() == digest
+
+
+def test_main_prints_json_or_markdown_and_returns_the_status(capsys):
+    argv = ["stabilizer", "x^5 + y^5"]
+    assert main(["--json", *argv]) == 0
+    assert capsys.readouterr().out == run_command(["--json", *argv]).json_text() + "\n"
+    assert main(argv) == 0
+    assert capsys.readouterr().out == run_command(argv).markdown
+    assert main(["stabilizer", "x^3*y^3"]) == 2  # infinite stabilizer
+    capsys.readouterr()
+    assert main(["verify-all", "--seed", "x"]) == 2  # usage error
+    assert capsys.readouterr().out == run_command(["verify-all", "--seed", "x"]).markdown
 
 
 def _fresh_process_json(argv) -> str:

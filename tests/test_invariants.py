@@ -518,6 +518,12 @@ class TestCalibration:
         with pytest.raises(UnknownFamilyError):
             calibrate_invariants("quartic", QUINTIC_RECIPE)
 
+    @pytest.mark.parametrize("family", ["cubic-curve", "cubic-surface", "octic"])
+    def test_only_quintics_and_sextics_calibrate(self, family):
+        # the cubic-surface relation is a placeholder, not one to calibrate
+        with pytest.raises(UnknownFamilyError):
+            calibrate_invariants(family, QUINTIC_RECIPE)
+
     def test_recipe_evaluation_names(self):
         env = evaluate_recipe(QUINTIC_RECIPE, form("x^5 + x*y^4 + y^5"))
         assert {"I4", "I8", "I12", "I18"} <= set(env)

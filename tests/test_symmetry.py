@@ -10,7 +10,7 @@ from stackygit.errors import (
     ZeroParameterError,
 )
 from stackygit.exprparse import form
-from stackygit.groups import GroupSpec, group_generators
+from stackygit.groups import GroupSpec, group_contains, group_generators
 from stackygit.polynomials import BinaryForm
 from stackygit.symmetry import (
     CATALOG,
@@ -179,6 +179,28 @@ class TestCatalog:
     def test_infinite_stabilizer_rejected(self):
         with pytest.raises(InfiniteStabilizerError):
             catalog_stabilizer(form("x^3*y^4"))
+
+    def test_stabilizer_matches_a_loop_over_every_n(self):
+        # the divisors of the support gcd give what every n <= n_max gives
+        rng = random.Random(1117)
+        for _ in range(40):
+            degree, step = rng.randint(3, 16), rng.randint(1, 8)
+            coeffs = [0] * (degree + 1)
+            for i in range(rng.randint(0, 2), degree + 1, step):
+                coeffs[i] = rng.choice((-3, -1, 1, 2, 1 + zeta(4)))
+            if rng.random() < 0.5:
+                coeffs = [a or b for a, b in zip(coeffs, reversed(coeffs))]
+            f = BinaryForm(coeffs)
+            if f.distinct_root_count() <= 2:
+                continue
+            n_max = rng.randint(1, 2 * degree)
+            specs = [GroupSpec(kind, n) for kind in "CD" for n in range(1, n_max + 1)]
+            specs += [GroupSpec("T"), GroupSpec("O"), GroupSpec("I")]
+            passing = [s for s in specs if semi_invariance(f, s) is not None]
+            maximal = [s for s in passing
+                       if not any(t != s and group_contains(t, s) for t in passing)]
+            assert catalog_stabilizer(f, n_max) == \
+                sorted(maximal, key=lambda s: (s.order, s.label)), (coeffs, n_max)
 
     def test_unknown_case(self):
         with pytest.raises(UnknownCaseError):
