@@ -24,13 +24,14 @@ need.  The calibration harness matches transvectant-built invariants
 against a catalog relation by per-degree scalars.
 
 No matrix is eliminated over the cyclotomic field.  :func:`resultant` reads
-the resultant off :func:`stackygit.polynomials._subresultants`, the one
-subresultant pseudo-remainder sequence, which the root-multiplicity gcds
-also run; it works at the forms' formal degrees.  The calibration's linear solve
-:func:`_solve_linear` is multi-modular: Gauss-Jordan elimination modulo
-62-bit primes, Chinese remaindering and rational reconstruction, with every
-answer certified by an exact integer check (a solution that satisfies every
-row, a failing row, or a kernel vector).
+the resultant, at the forms' formal degrees, off
+:func:`stackygit.polynomials._subresultants`, the one subresultant
+pseudo-remainder sequence, which the root-multiplicity gcds also run.  The
+calibration's linear solve :func:`_solve_linear` is multi-modular:
+Gauss-Jordan elimination modulo 62-bit primes, Chinese remaindering and
+rational reconstruction, with every answer certified by an exact integer
+check (a solution that satisfies every row, a failing row, or a kernel
+vector).
 """
 
 from __future__ import annotations

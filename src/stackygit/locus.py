@@ -3,9 +3,9 @@ spaces, and the assembled locus reports for the quintic and sextic moduli.
 
 Points carry weighted-projective equality: two coordinate vectors are equal
 when one is the weighted rescaling of the other, decided exactly by
-comparing powers of the coordinate ratios pairwise (no root extraction).  Singularity
-of a divisor at a point is tested on the affine cone: the value and every
-partial derivative must vanish.
+comparing powers of the coordinate ratios pairwise (no root extraction).
+Singularity of a divisor at a point is tested on the affine cone: the value
+and every partial derivative must vanish.
 """
 
 from __future__ import annotations

@@ -61,10 +61,8 @@ def semi_invariance(f: BinaryForm, spec: GroupSpec):
     """
     if f.is_zero():
         raise ZeroFormError("the zero form is semi-invariant under everything")
-    if spec.kind in ("C", "D"):
-        support = [i for i, c in enumerate(f.coeffs) if c]
-        if any((i - support[0]) % spec.n for i in support):
-            return None
+    if spec.kind in ("C", "D") and _support_gcd(f) % spec.n:
+        return None
     scalars = []
     for g in group_generators(spec):
         lam = f.substitute(g).proportional_to(f)
@@ -72,6 +70,13 @@ def semi_invariance(f: BinaryForm, spec: GroupSpec):
             return None
         scalars.append(lam)
     return SemiInvarianceCertificate(spec, tuple(scalars))
+
+
+def _support_gcd(f: BinaryForm) -> int:
+    """The gcd of the differences of the indices of the nonzero coefficients
+    (0 for a monomial): C_n and D_n need n to divide it."""
+    support = [i for i, c in enumerate(f.coeffs) if c]
+    return gcd(*(i - support[0] for i in support))
 
 
 def is_stable(f: BinaryForm) -> bool:
@@ -110,8 +115,7 @@ def catalog_stabilizer(f: BinaryForm, n_max: int | None = None):
             "forms with at most two distinct roots have infinite stabilizer")
     if n_max is None:
         n_max = max(f.degree, 1)
-    support = [i for i, c in enumerate(f.coeffs) if c]
-    g = gcd(*(i - support[0] for i in support))
+    g = _support_gcd(f)
     ns = [n for n in range(1, min(g, n_max) + 1) if g % n == 0]
     candidates = [GroupSpec("C", n) for n in ns] + [GroupSpec("D", n) for n in ns]
     candidates += [GroupSpec("T"), GroupSpec("O"), GroupSpec("I")]
