@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from . import ringspec
-from .errors import StackygitError
+from .errors import ExactArithmeticError, StackygitError
 from .exprparse import form
 from .graded import affine_chart, rigidify, stacky_decompose
 from .groups import GroupSpec, group_generators
@@ -351,6 +351,9 @@ def run_command(argv) -> CommandResult:
         return args.func(args)
     except StackygitError as err:
         return _error_result(command, err.code, str(err), err.exit_status)
+    except ArithmeticError as err:
+        return _error_result(command, ExactArithmeticError.code, str(err),
+                             ExactArithmeticError.exit_status)
     except FileNotFoundError as err:
         return _error_result(command, "file-not-found", str(err), 2)
     except OSError as err:

@@ -2,7 +2,8 @@
 
 Every error carries a machine-readable ``code`` (stable across releases,
 used verbatim in CLI JSON payloads) and an ``exit_status`` matching the
-command-line convention: 2 for bad input, 3 for an exceeded internal bound.
+command-line convention: 2 for bad input, 3 for an exceeded internal bound
+or a failed exact-arithmetic check.
 """
 
 
@@ -36,6 +37,16 @@ class DegreeTooLargeError(BoundExceededError):
 
 class CoefficientTooLargeError(BoundExceededError):
     code = "coefficient-too-large"
+
+
+class ExactArithmeticError(StackygitError, ArithmeticError):
+    """An exact-arithmetic check failed: a division that must be exact in
+    the coefficient ring left a remainder, or a multi-modular solve ran past
+    its Hadamard bound.  Other ArithmeticErrors reaching the command line
+    are reported with the same code."""
+
+    code = "arithmetic-error"
+    exit_status = 3
 
 
 class IncompatibleOrderError(StackygitError):

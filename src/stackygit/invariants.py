@@ -26,7 +26,8 @@ against a catalog relation by per-degree scalars.
 No matrix is eliminated over the cyclotomic field.  :func:`resultant` reads
 the resultant, at the forms' formal degrees, off
 :func:`stackygit.polynomials._subresultants`, the one subresultant
-pseudo-remainder sequence, which the root-multiplicity gcds also run.  The
+pseudo-remainder sequence, which the root-multiplicity gcds also run; for
+rational forms it runs on integers.  The
 calibration's linear solve :func:`_solve_linear` is multi-modular:
 Gauss-Jordan elimination modulo 62-bit primes, Chinese remaindering and
 rational reconstruction, with every answer certified by an exact integer
@@ -38,14 +39,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, isqrt, lcm, perm
+from math import comb, factorial, isqrt, lcm, perm, prod
 
 from .cyclotomic import (
-    ONE,
     QQ,
-    ZERO,
     CyclotomicNumber,
     _check_order,
+    _mul_vec,
     _raw,
     _reduce,
     _to_int_coords,
@@ -53,6 +53,7 @@ from .cyclotomic import (
     euler_phi,
 )
 from .errors import (
+    ExactArithmeticError,
     NonStableError,
     OrderTooLargeError,
     UnderDeterminedError,
@@ -60,7 +61,7 @@ from .errors import (
     WrongDegreeError,
 )
 from .graded import GradedRingPresentation
-from .polynomials import BinaryForm, MultiPoly, _powers, _subresultants
+from .polynomials import BinaryForm, MultiPoly, _exact_quotients, _powers, _subresultants
 
 FAMILIES = ("quartic", "quintic", "sextic", "cubic-curve", "cubic-surface")
 
@@ -294,16 +295,33 @@ def resultant(f: BinaryForm, g: BinaryForm) -> CyclotomicNumber:
     """Resultant of two binary forms at their formal degrees: the Sylvester
     determinant, by the subresultant pseudo-remainder sequence (Collins;
     Brown-Traub; H. Cohen, *A Course in Computational Algebraic Number
-    Theory*, Algorithm 3.3.7).  A vanishing leading coefficient is expanded
-    along the first Sylvester column first: Res_{d,e}(f, g) is
-    (-1)^e b0 Res_{d-1,e}(f', g) when a0 = 0, a0 Res_{d,e-1}(f, g') when
-    b0 = 0, and 0 when both vanish, where ' drops the leading coefficient."""
-    a, b = list(f.coeffs), list(g.coeffs)  # descending in x: a[0] = a0
-    factor = ONE
+    Theory*, Algorithm 3.3.7).
+
+    Rational forms run it on ints: with f = F/fd and g = G/gd for integer
+    forms F and G of degrees d and e, Res(f, g) = Res(F, G) / (fd^e gd^d),
+    and every division of the sequence is exact in Z.  Other forms run it
+    on their CyclotomicNumber coefficients."""
+    fc, gc = f.coeffs, g.coeffs
+    if any(c.order != 1 for c in fc + gc):
+        return as_cyclotomic(_resultant(list(fc), list(gc)))
+    fd, gd = lcm(*(c.den for c in fc)), lcm(*(c.den for c in gc))
+    a = [c.coords[0] * (fd // c.den) for c in fc]
+    b = [c.coords[0] * (gd // c.den) for c in gc]
+    return _raw(1, [_resultant(a, b)], fd ** g.degree * gd ** f.degree)
+
+
+def _resultant(a, b):
+    """Res_{d,e} of the descending coefficient lists ``a`` (a0 first) and
+    ``b``, all ints or all CyclotomicNumbers.  A vanishing leading
+    coefficient is expanded along the first Sylvester column first:
+    Res_{d,e} is (-1)^e b0 Res_{d-1,e}(a', b) when a0 = 0, a0 Res_{d,e-1}(a,
+    b') when b0 = 0, and 0 when both vanish, where ' drops the leading
+    coefficient."""
+    factor = 1
     while len(a) > 1 and len(b) > 1 and not (a[0] and b[0]):
         if not a[0]:
             if not b[0]:
-                return ZERO
+                return 0
             factor = factor * b[0] * (-1) ** (len(b) - 1)
             a = a[1:]
         else:
@@ -318,12 +336,14 @@ def resultant(f: BinaryForm, g: BinaryForm) -> CyclotomicNumber:
     A, B = (a[::-1], b[::-1]) if d >= e else (b[::-1], a[::-1])
     members, h = _subresultants(A, B)
     if len(members[-1]) > 1:
-        return ZERO
+        return 0
     for A, B in zip(members, members[1:-1]):
         if len(A) % 2 == 0 and len(B) % 2 == 0:
             sign = -sign
     deg = len(members[-2]) - 1
-    return factor * sign * h ** (1 - deg) * members[-1][0] ** deg
+    # Res = lc^deg / h^(deg-1) for the last, constant member lc
+    last = _exact_quotients([members[-1][0] ** deg], h ** (deg - 1))[0]
+    return factor * sign * last
 
 
 # -- calibration --------------------------------------------------------------------
@@ -501,8 +521,9 @@ def calibrate_invariants(family: str, recipe, seed: int = DEFAULT_SEED) -> Calib
     F(c4*J4, c8*J8, c12*J12) at :data:`CALIBRATION_SAMPLES` or more random
     quintics; c18 is normalized to 1.  The sextic relation is handled the
     same way with five scalars.  The recipe must define every generator of
-    the family's ring; other families raise UnknownFamilyError.  Failure
-    returns a report with the nonzero residuals.
+    the family's ring: a missing one raises UnderDeterminedError, naming it,
+    before anything is evaluated.  Other families raise UnknownFamilyError.
+    Failure returns a report with the nonzero residuals.
     """
     import random
 
@@ -510,6 +531,11 @@ def calibrate_invariants(family: str, recipe, seed: int = DEFAULT_SEED) -> Calib
     if family not in _FORM_DEGREES:
         raise UnknownFamilyError(f"family {family!r} has no relation to calibrate")
     names = entry.ring.generators
+    defined = {step.name for step in recipe}
+    missing = [n for n in names if n not in defined]
+    if missing:
+        raise UnderDeterminedError(
+            f"the recipe defines no step for generator(s) {', '.join(missing)}")
     degree = _FORM_DEGREES[family]
     weights = entry.ring.weights
     rng = random.Random(seed)
@@ -590,16 +616,28 @@ def _weighted_monomials(weights, degree):
 
 
 def _mono_row(vals, monos):
-    """The values of the monomials ``monos`` at ``vals``, multiplied from one
-    table of the powers vals[j]^0 .. vals[j]^max per value."""
-    tables = [_powers(v, max(m[j] for m in monos)) for j, v in enumerate(vals)]
+    """The values of the monomials ``monos`` at ``vals``, each read off one
+    table of powers 0 .. max per value and made canonical once.  Over Q the
+    tables hold the values' integer numerators and denominators, and an
+    entry is a product of numerators over a product of denominators;
+    otherwise they hold the values' powers, whose integer coordinate
+    vectors are multiplied in Q(zeta_m), m the lcm of their orders (a
+    rational power has order 1)."""
+    tops = [max(m[j] for m in monos) for j in range(len(vals))]
+    if all(v.order == 1 for v in vals):
+        nums = [_powers(v.coords[0], t) for v, t in zip(vals, tops)]
+        dens = [_powers(v.den, t) for v, t in zip(vals, tops)]
+        return [_raw(1, [prod(n[k] for n, k in zip(nums, mono))],
+                     prod(d[k] for d, k in zip(dens, mono))) for mono in monos]
+    tables = [_powers(v, t) for v, t in zip(vals, tops)]
     row = []
     for mono in monos:
-        value = ONE
-        for table, k in zip(tables, mono):
-            if k:
-                value = value * table[k]
-        row.append(value)
+        factors = [table[k] for table, k in zip(tables, mono) if k]
+        m = lcm(*(x.order for x in factors))
+        vec = [1] + [0] * (euler_phi(m) - 1)
+        for x in factors:
+            vec = _mul_vec(m, vec, _to_int_coords([x], m)[1][0])
+        row.append(_raw(m, vec, prod(x.den for x in factors)))
     return row
 
 
@@ -654,7 +692,7 @@ def _solve_linear(rows, rhs):
         if not any(_dot(row, v) for row in A):
             return None
         unlucky *= p
-    raise ArithmeticError("no lucky prime below the Hadamard bound of the system")
+    raise ExactArithmeticError("no lucky prime below the Hadamard bound of the system")
 
 
 def _restrict_scalars(rows, rhs, m):
@@ -774,7 +812,7 @@ def _solve_block(S, b, p, residues):
         if found and all(_dot(row, found[0]) == c * found[1] for row, c in zip(S, b)):
             return found
         if modulus > bound:
-            raise ArithmeticError("rational reconstruction failed past the Hadamard bound")
+            raise ExactArithmeticError("rational reconstruction failed past the Hadamard bound")
         q = _prev_prime(q)
         reduced, _, pivots = _gauss_jordan_mod([row + [c] for row, c in zip(S, b)], n, q)
         if len(pivots) < n:  # q divides det S

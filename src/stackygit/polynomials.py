@@ -15,12 +15,13 @@ Root multiplicities are computed by iterated gcds of the dehomogenization
 with its derivative (so everything stays in exact arithmetic, with no root
 extraction).  Each gcd is the last member of :func:`_subresultants`, the
 one fraction-free subresultant sequence, which limits coefficient growth
-and which :func:`stackygit.invariants.resultant` also runs.
+and which :func:`stackygit.invariants.resultant` also runs.  Over Q the
+sequence runs on integers, since its divisions are exact in Z.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 
 from .cyclotomic import (
     CyclotomicNumber,
@@ -31,10 +32,15 @@ from .cyclotomic import (
     _to_int_coords,
     as_cyclotomic,
 )
-from .errors import ArityError, DegreeTooLargeError, VariableMismatchError, ZeroFormError
+from .errors import (
+    ArityError,
+    DegreeTooLargeError,
+    ExactArithmeticError,
+    VariableMismatchError,
+    ZeroFormError,
+)
 
 _ZERO = as_cyclotomic(0)
-_ONE = as_cyclotomic(1)
 
 #: Largest degree :meth:`BinaryForm.multiplicity_profile` and
 #: :meth:`BinaryForm.distinct_root_count` accept; the gcd chain costs about
@@ -234,18 +240,59 @@ class MultiPoly:
         return tuple(self.partial(i) for i in range(len(self.variables)))
 
     def evaluate(self, point) -> CyclotomicNumber:
+        """The value at ``point``: ints, rationals or CyclotomicNumbers, one
+        per variable.
+
+        Every term is brought over one denominator, the coefficients' common
+        denominator times d^t for each coordinate p = v/d, t the largest
+        exponent of its variable; term c x^k then contributes c v^k d^(t-k),
+        read from power tables of v and d.  Over Q the v and d are ints;
+        otherwise v is the integer coordinate vector of p in Q(zeta_m), m
+        the lcm of the orders of the coefficients and of the coordinates
+        whose variables occur, and products are :func:`_mul_vec`.  The sum
+        is made canonical once, by :func:`_raw`, so the value is stored in
+        Q(zeta_m) unless it is rational."""
         point = [as_cyclotomic(p) for p in point]
         if len(point) != len(self.variables):
             raise ArityError(
                 f"{len(point)} coordinates for {len(self.variables)} variables")
-        total = _ZERO
-        for e, c in self.terms.items():
-            v = c
-            for p, k in zip(point, e):
+        if not self.terms:
+            return _ZERO
+        tops = [max(k) for k in zip(*self.terms)]
+        m = lcm(*(c.order for c in self.terms.values()),
+                *(p.order for p, t in zip(point, tops) if t))
+        _check_order(m)
+        den, coeffs = _to_int_coords(list(self.terms.values()), m)
+        rational = m == 1
+        if rational:
+            coeffs = [c for (c,) in coeffs]
+        tables = []
+        one = 1 if rational else [1] + [0] * (len(coeffs[0]) - 1)
+        for p, t in zip(point, tops):
+            vs, pd = [one], 1
+            if t:
+                pd, (v,) = _to_int_coords([p], m)
+                for _ in range(t):
+                    vs.append(vs[-1] * v[0] if rational else _mul_vec(m, vs[-1], v))
+            ds = _powers(pd, t)[::-1]
+            tables.append((vs, ds))
+            den *= ds[0]
+        if rational:
+            total = 0
+            for e, c in zip(self.terms, coeffs):
+                for (vs, ds), k in zip(tables, e):
+                    c *= vs[k] * ds[k]
+                total += c
+            return _raw(1, [total], den)
+        total = [0] * len(coeffs[0])
+        for e, c in zip(self.terms, coeffs):
+            scale = 1
+            for (vs, ds), k in zip(tables, e):
                 if k:
-                    v = v * p ** k
-            total = total + v
-        return total
+                    c = _mul_vec(m, c, vs[k])
+                scale *= ds[k]
+            total = [x + scale * y for x, y in zip(total, c)]
+        return _raw(m, total, den)
 
     def renamed(self, mapping) -> "MultiPoly":
         """Rename variables via {old: new}; order is preserved."""
@@ -517,10 +564,17 @@ class BinaryForm:
         while not self.coeffs[at_infinity]:
             at_infinity += 1
         p = _cp_trim(self.dehomogenized())
+        if all(c.order == 1 for c in p):
+            # over Q: one integer multiple of p, and primitive parts of the gcds
+            den = lcm(*(c.den for c in p))
+            p = [c.coords[0] * (den // c.den) for c in p]
+            unit = _cp_primitive
+        else:
+            unit = _cp_monic
         degrees = [len(p) - 1]
         while len(p) > 1 and len(degrees) <= steps:
             last = _subresultants(p, _cp_deriv(p))[0][-1]
-            p = _cp_monic(last) if len(last) > 1 else [_ONE]
+            p = unit(last) if len(last) > 1 else [1]
             degrees.append(len(p) - 1)
         return at_infinity, degrees
 
@@ -561,8 +615,8 @@ class BinaryForm:
 
 
 def _powers(x, n):
-    """[1, x, x^2, ..., x^n]."""
-    out = [_ONE]
+    """[1, x, x^2, ..., x^n] for an int or a CyclotomicNumber x."""
+    out = [x ** 0]
     for _ in range(n):
         out.append(out[-1] * x)
     return out
@@ -618,10 +672,13 @@ def _substitute_terms(k, deg, terms, entries):
     return [_raw(k, v, den) for v in vecs]
 
 
-# -- dense univariate polynomials over the cyclotomic field (ascending) -------
+# -- dense univariate polynomials (ascending) ----------------------------------
+#
+# The coefficients are all ints or all CyclotomicNumbers; zero tests use
+# truthiness and the only division is :func:`_exact_quotients`.
 
 def _cp_trim(c):
-    while c and c[-1].is_zero():
+    while c and not c[-1]:
         c.pop()
     return c
 
@@ -633,6 +690,28 @@ def _cp_deriv(c):
 def _cp_monic(c):
     inv = c[-1].inverse()
     return [x * inv for x in c]
+
+
+def _cp_primitive(c):
+    """An integer list divided by the gcd of its entries."""
+    g = gcd(*c)
+    return [x // g for x in c]
+
+
+def _exact_quotients(xs, s):
+    """The quotients x / s for the x in ``xs``, known to be exact in the
+    coefficient ring: ``divmod`` for ints, where a remainder raises
+    ExactArithmeticError, and multiplication by the inverse in a field."""
+    if type(s) is not int:
+        inv = s.inverse()
+        return [x * inv for x in xs]
+    out = []
+    for x in xs:
+        q, r = divmod(x, s)
+        if r:
+            raise ExactArithmeticError("an exact division left a remainder")
+        out.append(q)
+    return out
 
 
 def _cp_prem(a, b):
@@ -659,23 +738,25 @@ def _subresultants(a, b):
     """The subresultant pseudo-remainder sequence of the ascending lists
     ``a`` and ``b``, deg a >= deg b, with nonzero leading coefficients
     (Collins; Brown-Traub; H. Cohen, *A Course in Computational Algebraic
-    Number Theory*, Algorithm 3.3.1).
+    Number Theory*, Algorithm 3.3.1).  The coefficients are all ints or all
+    CyclotomicNumbers: every division in the sequence is exact in the ring
+    they generate, so over Z it runs on ints alone.
 
     Returns ``(members, h)``: a, b, ... up to the last nonzero member, a
     gcd of a and b, or up to a constant; and the last step's scale h =
-    g^delta h^(1-delta), g the leading coefficient of the last member but
+    g^delta / h^(delta-1), g the leading coefficient of the last member but
     one.  Dividing each pseudo-remainder by g h^delta of the step before
     keeps coefficient growth linear in the degree."""
     members = [a, b]
-    g = h = _ONE
+    g = h = a[-1] ** 0  # the ring's one
     while len(b) > 1:
         delta = len(a) - len(b)
         r = _cp_prem(a, b)
         if not r:
             break
-        scale = (g * h ** delta).inverse()
-        a, b = b, [x * scale for x in r]
+        a, b = b, _exact_quotients(r, g * h ** delta)
         g = a[-1]
-        h = h ** (1 - delta) * g ** delta
+        if delta:
+            h = _exact_quotients([g ** delta], h ** (delta - 1))[0]
         members.append(b)
     return members, h

@@ -3,7 +3,8 @@
 One generator per line as ``name : weight``; an optional ``relation:``
 line with a polynomial expression over the generators; an optional
 ``field: zeta(m)`` line choosing the coefficient field, 1 <= m <=
-``ORDER_CAP``.  Blank lines and ``#`` comments are ignored.  The writer
+``ORDER_CAP`` (Q when absent).  Every relation coefficient must lie in that
+field: its order divides m.  Blank lines and ``#`` comments are ignored.  The writer
 clears denominators in the relation (a relation is only meaningful up to
 a nonzero scalar), so emitted files stay inside the expression grammar.
 """
@@ -35,7 +36,7 @@ def loads(text: str) -> GradedRingPresentation:
             _, _, rhs = line.partition(":")
             if relation_text is not None:
                 raise RingSpecError(f"line {lineno}: second relation line")
-            relation_text = rhs.strip()
+            relation_text, relation_line = rhs.strip(), lineno
             if not relation_text:
                 raise RingSpecError(f"line {lineno}: empty relation")
             continue
@@ -57,6 +58,11 @@ def loads(text: str) -> GradedRingPresentation:
     relation = None
     if relation_text is not None:
         relation = parse_poly(relation_text, generators)
+        for c in relation.terms.values():
+            if field_order % c.order:
+                raise RingSpecError(
+                    f"line {relation_line}: coefficient {c} has order {c.order}, "
+                    f"which does not divide the field order {field_order}")
     return GradedRingPresentation(
         tuple(generators), tuple(weights), relation, field_order)
 

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import stackygit
-from stackygit import ringspec
+from stackygit import invariants, ringspec
 from stackygit.cli import build_parser, main, run_command
+from stackygit.errors import ExactArithmeticError
 from stackygit.invariants import catalog_ring
 
 
@@ -336,6 +337,26 @@ def test_calibrate_quintic():
     result = run_command(["calibrate", "quintic", "--seed", "11"])
     assert result.status == 0
     assert result.payload["succeeded"] is True
+
+
+@pytest.mark.parametrize("error", [
+    ExactArithmeticError("no lucky prime below the Hadamard bound of the system"),
+    ArithmeticError("no lucky prime below the Hadamard bound of the system"),
+    ZeroDivisionError("no lucky prime below the Hadamard bound of the system")])
+def test_arithmetic_errors_are_structured(monkeypatch, capsys, error):
+    def failing_solve(rows, rhs):
+        raise error
+
+    monkeypatch.setattr(invariants, "_solve_linear", failing_solve)
+    result = run_command(["calibrate", "quintic", "--seed", "3"])
+    assert result.status == 3
+    assert result.payload["error"] == {
+        "code": "arithmetic-error",
+        "message": "no lucky prime below the Hadamard bound of the system"}
+    assert result.payload["status"] == 3
+    assert main(["calibrate", "quintic", "--seed", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == result.markdown and "Traceback" not in out + err
 
 
 @pytest.mark.parametrize("argv, digest", [

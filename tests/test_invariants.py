@@ -38,6 +38,28 @@ from stackygit.locus import PointW
 from stackygit.polynomials import BinaryForm, MultiPoly
 
 
+def _fraction_sylvester(f, g):
+    """Reference: the determinant of the Sylvester matrix of the descending
+    coefficient lists f and g at their formal degrees, by Fraction
+    elimination."""
+    d, e = len(f) - 1, len(g) - 1
+    m = ([[0] * k + f + [0] * (e - 1 - k) for k in range(e)]
+         + [[0] * k + g + [0] * (d - 1 - k) for k in range(d)])
+    det = QQ(1)
+    for col in range(d + e):
+        pivot = next((r for r in range(col, d + e) if m[r][col]), None)
+        if pivot is None:
+            return QQ(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, d + e):
+            q = m[r][col] / m[col][col]
+            m[r] = [x - q * y for x, y in zip(m[r], m[col])]
+    return det
+
+
 def _random_sl2(rng):
     while True:
         a = QQ(rng.randint(-5, 5), rng.randint(1, 3))
@@ -357,6 +379,27 @@ class TestElimination:
                 det = det + term
             assert resultant(BinaryForm(f), BinaryForm(g)) == det, (f, g)
 
+    def test_rational_resultant_matches_fraction_sylvester_determinant(self):
+        # rational forms of degrees 0-8 run the sequence on integers; the
+        # reference is the Sylvester determinant by Fraction elimination,
+        # and the result must be stored exactly as that rational.  Every
+        # other case is sparse, so remainder degrees drop by more than one.
+        rng = random.Random(71)
+        entries = [0, 0, 1, -1, 2, -7, 12, QQ(1, 2), QQ(-5, 3), QQ(7, 12), QQ(11, 30)]
+        for case in range(400):
+            d, e = rng.randint(0, 8), rng.randint(0, 8)
+            pool = entries + [0] * 12 * (case % 2)
+            f = [QQ(rng.choice(pool)) for _ in range(d + 1)]
+            g = [QQ(rng.choice(pool)) for _ in range(e + 1)]
+            for coeffs in (f, g):
+                zeros = rng.choice((0, 0, 0, 1, 2))
+                coeffs[:zeros] = [QQ(0)] * min(zeros, len(coeffs))
+            expected = _fraction_sylvester(f, g)
+            for a, b, sign in ((f, g, 1), (g, f, (-1) ** (d * e))):
+                value = resultant(BinaryForm(a), BinaryForm(b))
+                assert (value.order, value.coords, value.den) == \
+                    (1, (sign * expected.numerator,), expected.denominator), (a, b)
+
     def test_solve_linear(self):
         half, i = as_cyclotomic(QQ(1, 2)), zeta(4)
         rows = [[1, half], [i, 3], [half * i, 2 - i]]
@@ -500,6 +543,17 @@ class TestCalibration:
             RecipeStep("I18", "trans", ("i", "i"), 1),)  # (i, i)^1 = 0
         with pytest.raises(UnderDeterminedError):
             calibrate_invariants("quintic", bad)
+
+    @pytest.mark.parametrize("family, recipe, missing", [
+        ("quintic", QUINTIC_RECIPE[:-1], "I18"),
+        ("sextic", tuple(s for s in SEXTIC_RECIPE if s.name not in ("I6", "I10")),
+         "I6, I10"),
+        # a step that cannot be evaluated: the check comes before any evaluation
+        ("quintic", (RecipeStep("I4", "bogus"),), "I8, I12, I18"),
+    ])
+    def test_missing_generator_is_under_determined(self, family, recipe, missing):
+        with pytest.raises(UnderDeterminedError, match=f"generator\\(s\\) {missing}$"):
+            calibrate_invariants(family, recipe)
 
     def test_wrong_recipe_reports_failure(self):
         # swap the degree-8 construction for a degenerate square

@@ -174,6 +174,28 @@ class TestRingSpec:
             result = run_command(argv)
             assert (result.status, result.payload["error"]["code"]) == (status, code)
 
+    @pytest.mark.parametrize("text, line", [
+        ("a : 1\nb : 1\nfield: zeta(4)\nrelation: a^2 + zeta(3)*b^2\n", 4),
+        ("a : 1\nrelation: a^2 + i*b^2\nb : 1\nfield: zeta(6)\n", 2),
+        ("a : 1\nb : 1\nrelation: a^2 + i*b^2\n", 3),
+        ("a : 1\nb : 1\nrelation: a^2 + sqrt2*a*b\nfield: zeta(4)\n", 3)])
+    def test_relation_outside_the_field_is_refused(self, tmp_path, text, line):
+        with pytest.raises(RingSpecError, match=f"^line {line}: coefficient .* does not divide"):
+            ringspec.loads(text)
+        path = tmp_path / "outside.ring"
+        path.write_text(text, encoding="utf-8")
+        result = run_command(["rigidify", str(path)])
+        assert (result.status, result.payload["error"]["code"]) == (2, "ringspec-error")
+
+    @pytest.mark.parametrize("text", [
+        "a : 1\nb : 1\nfield: zeta(12)\nrelation: a^2 + zeta(4)*a*b + zeta(3)*b^2\n",
+        "a : 1\nb : 1\nfield: zeta(4)\nrelation: a^2 + zeta(4)*b^2\n",
+        "a : 1\nb : 1\nfield: zeta(8)\nrelation: a^2 + zeta(4)*b^2\n",
+        "a : 1\nb : 2\nfield: zeta(5)\nrelation: 3*a^2 - 2*b\n",
+        "a : 1\nb : 2\nrelation: 3*a^2 - 2*b\n"])
+    def test_relation_inside_the_field_round_trips(self, text):
+        assert ringspec.dumps(ringspec.loads(text)) == text
+
     def test_bad_line(self):
         with pytest.raises(RingSpecError):
             ringspec.loads("I2 = 2\n")

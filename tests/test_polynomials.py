@@ -1,20 +1,28 @@
 import random
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stackygit.cyclotomic import QQ, zeta
+from stackygit.cyclotomic import QQ, as_cyclotomic, zeta
 from stackygit.errors import (
     ArityError,
     DegreeTooLargeError,
+    ExactArithmeticError,
     OrderCapExceededError,
     VariableMismatchError,
     ZeroFormError,
 )
 from stackygit.exprparse import form
 from stackygit.groups import GroupSpec, SL2Matrix, group_generators
-from stackygit.polynomials import MAX_PROFILE_DEGREE, BinaryForm, MultiPoly
+from stackygit.invariants import quintic_F, sextic_F
+from stackygit.polynomials import (
+    MAX_PROFILE_DEGREE,
+    BinaryForm,
+    MultiPoly,
+    _exact_quotients,
+)
 
 
 def quintic_f324():
@@ -82,6 +90,39 @@ class TestMultiPoly:
     def test_evaluate_arity(self):
         with pytest.raises(ArityError):
             quintic_f324().evaluate((1, 2))
+
+    @pytest.mark.parametrize("field", ["Q", "Q(i)", "Q(zeta_3)", "mixed"])
+    def test_evaluate_matches_term_by_term_reference(self, field):
+        # over one field the value is stored exactly as the term-by-term sum
+        # stores it; mixed fields give the same value, stored in the lcm
+        # field of the data that enters unless it is rational
+        rng = random.Random(f"evaluate:{field}")
+        rationals = [0, 1, -2, 5, QQ(1, 2), QQ(-7, 3), QQ(9, 8), QQ(4, 15)]
+        units = {"Q": [1], "Q(i)": [1, zeta(4)], "Q(zeta_3)": [1, zeta(3), 1 + zeta(3)],
+                 "mixed": [1, zeta(4), zeta(3), zeta(5) ** 2, 2 - zeta(8)]}[field]
+
+        def number():
+            return rng.choice(rationals) * rng.choice(units) + rng.choice(rationals)
+
+        cases = [(quintic_F(), 3), (sextic_F(), 4)] if field == "Q" else []
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            terms = {tuple(rng.randint(0, 4) for _ in range(n)): number()
+                     for _ in range(rng.randint(0, 6))}
+            cases.append((MultiPoly([f"x{j}" for j in range(n)], terms), n))
+        for poly, n in cases:
+            for _ in range(3):
+                point = [number() for _ in range(n)]
+                value, expected = poly.evaluate(point), _term_by_term(poly, point)
+                assert value == expected, (poly, point)
+                if field != "mixed":
+                    assert (value.order, value.coords, value.den) == \
+                        (expected.order, expected.coords, expected.den), (poly, point)
+                else:
+                    tops = [max(k) for k in zip(*poly.terms)]
+                    used = [as_cyclotomic(p).order for p, t in zip(point, tops) if t]
+                    m = lcm(*(c.order for c in poly.terms.values()), *used)
+                    assert value.order in (1, m) and value.is_rational() == (value.order == 1)
 
     def test_permuted_and_lifted(self):
         p = MultiPoly(("a", "b"), {(2, 1): 3})
@@ -226,6 +267,43 @@ class TestBinaryForm:
             assert f.multiplicity_profile() == tuple(sorted(mults))
             assert f.distinct_root_count() == len(mults)
 
+    def test_rational_gcd_chain(self):
+        # over Q the chain runs on integers; its degrees are read off the
+        # multiplicities, and a form over Q(zeta_3) (the same form times
+        # zeta_3) runs it on CyclotomicNumbers with the same degrees
+        rng = random.Random(29)
+        factors = [[QQ(2, 3), QQ(-5, 7)], [1, 1], [3, 0], [QQ(1, 4), 2], [0, 1],
+                   [1, 0, 2], [QQ(5, 2), -1, QQ(1, 3)], [1, 0, 0, QQ(-2, 9)]]
+        for _ in range(25):
+            chosen = rng.sample(factors, rng.randint(1, 4))
+            mults = [rng.choice((1, 2, 3, 4, 7)) for _ in chosen]
+            f = BinaryForm([QQ(rng.choice((1, -3, 5)), rng.choice((1, 2, 9)))])
+            finite, at_infinity = [], 0
+            for factor, m in zip(chosen, mults):
+                f = f * BinaryForm(factor) ** m
+                if factor == [0, 1]:
+                    at_infinity = m
+                else:
+                    finite += [m] * (len(factor) - 1)
+            expected = [sum(finite)]
+            while expected[-1]:
+                expected.append(sum(max(0, m - len(expected)) for m in finite))
+            assert f._gcd_chain(f.degree) == (at_infinity, expected)
+            assert (f * zeta(3))._gcd_chain(f.degree) == (at_infinity, expected)
+            profile = sorted(finite + ([at_infinity] if at_infinity else []))
+            assert f.multiplicity_profile() == tuple(profile)
+            assert f.distinct_root_count() == len(profile)
+
+    def test_exact_quotients(self):
+        assert _exact_quotients([12, -8, 0], -4) == [-3, 2, 0]
+        assert _exact_quotients([2 ** 200 * 3], 2 ** 199) == [6]
+        with pytest.raises(ArithmeticError):
+            _exact_quotients([12, 7], 4)
+        with pytest.raises(ExactArithmeticError):
+            _exact_quotients([-9], 2)
+        s = 2 * zeta(4) + 1
+        assert _exact_quotients([zeta(3), s * 3], s) == [zeta(3) / s, 3]
+
     def test_profile_degree_bound(self):
         f = form(f"x^{MAX_PROFILE_DEGREE - 1}*y + y^{MAX_PROFILE_DEGREE}")
         assert f.multiplicity_profile() == (1,) * MAX_PROFILE_DEGREE
@@ -240,6 +318,19 @@ class TestBinaryForm:
         # y^2 * (x^3 + y^3): the (1:0) root comes from leading zeros
         f = BinaryForm.from_dict(5, {2: 1, 5: 1})
         assert f.multiplicity_profile() == (1, 1, 1, 2)
+
+
+def _term_by_term(poly, point):
+    """Reference: the sum of the terms' values c * x1^k1 * ..., each product
+    and sum formed in CyclotomicNumber arithmetic."""
+    total = as_cyclotomic(0)
+    for exps, c in poly.terms.items():
+        value = c
+        for x, k in zip(point, exps):
+            if k:
+                value = value * as_cyclotomic(x) ** k
+        total = total + value
+    return total
 
 
 _RATIONALS = st.builds(QQ, st.integers(-6, 6), st.integers(1, 4))
