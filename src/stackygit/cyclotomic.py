@@ -28,9 +28,10 @@ Bulk kernels (``BinaryForm.substitute``, ``invariants.transvectant``,
 ``MultiPoly.evaluate`` and the calibration's monomial rows) read many values
 over one denominator with :func:`_to_int_coords`, multiply with
 :func:`_mul_vec` and build each result once with :func:`_raw`.  Over Q they
-work on plain integer numerators and denominators instead, as do
-``invariants.resultant`` and the root-multiplicity gcd chain, which run
-the subresultant sequence on integers.
+work instead on plain integer numerators over one denominator
+(:func:`_to_ints`), as do ``invariants.resultant`` and the
+root-multiplicity gcd chain, which run the subresultant sequence on
+integers.
 
 >>> zeta(4) ** 2
 CyclotomicNumber('-1')
@@ -174,6 +175,13 @@ def _to_int_coords(values, m: int):
     positive common denominator; every value's order must divide m."""
     den = lcm(*(v.den for v in values))
     return den, [[c * (den // v.den) for c in v._vec(m)] for v in values]
+
+
+def _to_ints(values):
+    """``(den, nums)``: rational values as integer numerators over one
+    positive common denominator."""
+    den = lcm(*(v.den for v in values))
+    return den, [v.coords[0] * (den // v.den) for v in values]
 
 
 def _power(base, n: int, one):

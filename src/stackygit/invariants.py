@@ -49,6 +49,7 @@ from .cyclotomic import (
     _raw,
     _reduce,
     _to_int_coords,
+    _to_ints,
     as_cyclotomic,
     euler_phi,
 )
@@ -267,9 +268,7 @@ def transvectant(f: BinaryForm, g: BinaryForm, r: int) -> BinaryForm:
     rows, num, den = _transvectant_weights(d, e, r)
     fc, gc = f.coeffs, g.coeffs
     if lcm(*(c.order for c in fc), *(c.order for c in gc)) == 1:
-        fd, gd = lcm(*(c.den for c in fc)), lcm(*(c.den for c in gc))
-        F = [c.coords[0] * (fd // c.den) for c in fc]
-        G = [c.coords[0] * (gd // c.den) for c in gc]
+        (fd, F), (gd, G) = _to_ints(fc), _to_ints(gc)
         den *= fd * gd
         return BinaryForm([_raw(1, [num * sum(w * F[i] * G[j] for i, j, w in row)], den)
                            for row in rows])
@@ -304,9 +303,7 @@ def resultant(f: BinaryForm, g: BinaryForm) -> CyclotomicNumber:
     fc, gc = f.coeffs, g.coeffs
     if any(c.order != 1 for c in fc + gc):
         return as_cyclotomic(_resultant(list(fc), list(gc)))
-    fd, gd = lcm(*(c.den for c in fc)), lcm(*(c.den for c in gc))
-    a = [c.coords[0] * (fd // c.den) for c in fc]
-    b = [c.coords[0] * (gd // c.den) for c in gc]
+    (fd, a), (gd, b) = _to_ints(fc), _to_ints(gc)
     return _raw(1, [_resultant(a, b)], fd ** g.degree * gd ** f.degree)
 
 

@@ -30,6 +30,7 @@ from .cyclotomic import (
     _power,
     _raw,
     _to_int_coords,
+    _to_ints,
     as_cyclotomic,
 )
 from .errors import (
@@ -262,18 +263,17 @@ class MultiPoly:
         m = lcm(*(c.order for c in self.terms.values()),
                 *(p.order for p, t in zip(point, tops) if t))
         _check_order(m)
-        den, coeffs = _to_int_coords(list(self.terms.values()), m)
         rational = m == 1
-        if rational:
-            coeffs = [c for (c,) in coeffs]
-        tables = []
+        values = list(self.terms.values())
+        den, coeffs = _to_ints(values) if rational else _to_int_coords(values, m)
         one = 1 if rational else [1] + [0] * (len(coeffs[0]) - 1)
+        tables = []
         for p, t in zip(point, tops):
             vs, pd = [one], 1
             if t:
-                pd, (v,) = _to_int_coords([p], m)
+                pd, (v,) = _to_ints([p]) if rational else _to_int_coords([p], m)
                 for _ in range(t):
-                    vs.append(vs[-1] * v[0] if rational else _mul_vec(m, vs[-1], v))
+                    vs.append(vs[-1] * v if rational else _mul_vec(m, vs[-1], v))
             ds = _powers(pd, t)[::-1]
             tables.append((vs, ds))
             den *= ds[0]
@@ -553,7 +553,9 @@ class BinaryForm:
         """The multiplicity of the root (1:0) and the degrees of p, gcd(p, p'),
         the gcd of that with its derivative, and so on, for the
         dehomogenization p; the chain stops at degree 0 or after ``steps``
-        gcds.  Forms of degree above :data:`MAX_PROFILE_DEGREE` raise
+        gcds.  Over Q the chain runs on an integer multiple of p and keeps
+        the primitive part of each gcd; otherwise it makes each gcd monic.
+        Forms of degree above :data:`MAX_PROFILE_DEGREE` raise
         DegreeTooLargeError."""
         if self.degree > MAX_PROFILE_DEGREE:
             raise DegreeTooLargeError(
@@ -565,9 +567,7 @@ class BinaryForm:
             at_infinity += 1
         p = _cp_trim(self.dehomogenized())
         if all(c.order == 1 for c in p):
-            # over Q: one integer multiple of p, and primitive parts of the gcds
-            den = lcm(*(c.den for c in p))
-            p = [c.coords[0] * (den // c.den) for c in p]
+            p = _to_ints(p)[1]
             unit = _cp_primitive
         else:
             unit = _cp_monic
