@@ -24,14 +24,14 @@ a form whose support allows an n past half the cap, such as x^62 + y^62,
 still needs a field past it.  A value keeps the
 order its computation produced, except that values whose non-constant
 coordinates vanish are demoted to order 1: rationals are always order 1.
-Bulk kernels (``BinaryForm.substitute``, ``invariants.transvectant``,
-``MultiPoly.evaluate`` and the calibration's monomial rows) read many values
-over one denominator with :func:`_to_int_coords`, multiply with
-:func:`_mul_vec` and build each result once with :func:`_raw`.  Over Q they
-work instead on plain integer numerators over one denominator
-(:func:`_to_ints`), as do ``invariants.resultant`` and the
-root-multiplicity gcd chain, which run the subresultant sequence on
-integers.
+Bulk kernels (``BinaryForm.substitute``, ``invariants.transvectant`` and
+``MultiPoly.evaluate``) read many values over one denominator with
+:func:`_to_int_coords`, multiply with :func:`_mul_vec` and build each result
+once with :func:`_raw`.  Over Q they work instead on plain integer
+numerators over one denominator (:func:`_to_ints`), as do the
+subresultant sequence behind ``invariants.resultant`` and the gcd chain,
+and the calibration, whose monomial rows (``polynomials._monomial_ints``)
+and linear solve are integer throughout.
 
 >>> zeta(4) ** 2
 CyclotomicNumber('-1')

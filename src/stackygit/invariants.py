@@ -28,24 +28,23 @@ the resultant, at the forms' formal degrees, off
 :func:`stackygit.polynomials._subresultants`, the one subresultant
 pseudo-remainder sequence, which the root-multiplicity gcds also run; for
 rational forms it runs on integers.  The
-calibration's linear solve :func:`_solve_linear` is multi-modular:
-Gauss-Jordan elimination modulo 62-bit primes, Chinese remaindering and
-rational reconstruction, with every answer certified by an exact integer
-check (a solution that satisfies every row, a failing row, or a kernel
-vector).
+calibration's linear solve :func:`_solve_linear` takes the integer rows of
+rational samples and is multi-modular: Gauss-Jordan elimination modulo
+62-bit primes, Chinese remaindering and rational reconstruction, with every
+answer certified by an exact integer check (a solution that satisfies every
+row, a failing row, or a kernel vector).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, isqrt, lcm, perm, prod
+from math import comb, factorial, isqrt, lcm, perm
 
 from .cyclotomic import (
     QQ,
     CyclotomicNumber,
     _check_order,
-    _mul_vec,
     _raw,
     _reduce,
     _to_int_coords,
@@ -62,7 +61,7 @@ from .errors import (
     WrongDegreeError,
 )
 from .graded import GradedRingPresentation
-from .polynomials import BinaryForm, MultiPoly, _exact_quotients, _powers, _subresultants
+from .polynomials import BinaryForm, MultiPoly, _exact_quotients, _monomial_ints, _subresultants
 
 FAMILIES = ("quartic", "quintic", "sextic", "cubic-curve", "cubic-surface")
 
@@ -519,8 +518,10 @@ def calibrate_invariants(family: str, recipe, seed: int = DEFAULT_SEED) -> Calib
     quintics; c18 is normalized to 1.  The sextic relation is handled the
     same way with five scalars.  The recipe must define every generator of
     the family's ring: a missing one raises UnderDeterminedError, naming it,
-    before anything is evaluated.  Other families raise UnknownFamilyError.
-    Failure returns a report with the nonzero residuals.
+    before anything is evaluated.  A recipe invariant with a non-rational
+    value raises ValueError, naming it: the solve is over Q.  Other families
+    raise UnknownFamilyError.  Failure returns a report with the nonzero
+    residuals.
     """
     import random
 
@@ -550,6 +551,10 @@ def calibrate_invariants(family: str, recipe, seed: int = DEFAULT_SEED) -> Calib
         if all(not v[j] for v in probe_values):
             raise UnderDeterminedError(
                 f"recipe invariant {name} vanishes identically on the samples")
+        if any(v[j].order != 1 for v in probe_values):
+            raise ValueError(
+                f"recipe invariant {name} takes a non-rational value; "
+                "the calibration solves over Q")
 
     scalars = _solve_scalars(entry, names, weights, probe_values)
     if scalars is None:
@@ -580,18 +585,24 @@ def _solve_scalars(entry, names, weights, probe_values):
     combination against the relation's coefficient pattern.  The scalar
     vector is only determined up to the weighted rescaling freedom; the
     first base scalar is normalized to 1.
+
+    The values are rational: with a sample's monomials at nums / den
+    (:func:`_monomial_ints`) and J_top = T / t, its equation times den t^2
+    is the integer row nums t^2 = T^2 den.
     """
     base_count = len(names) - 1
-    target_degree = 2 * weights[-1]
-    monos = _weighted_monomials(weights[:base_count], target_degree)
+    monos = _weighted_monomials(weights[:base_count], 2 * weights[-1])
     rows, rhs = [], []
     for vals in probe_values:
-        rows.append(_mono_row(vals[:base_count], monos))
-        rhs.append(vals[-1] ** 2)
+        den, nums = _monomial_ints(vals[:base_count], monos)
+        scale = vals[-1].den ** 2
+        rows.append([n * scale for n in nums])
+        rhs.append(vals[-1].coords[0] ** 2 * den)
     solution = _solve_linear(rows, rhs)
     if solution is None:
         return None
-    lam = dict(zip(monos, solution))
+    nums, den = solution
+    lam = {m: _raw(1, [x], den) for m, x in zip(monos, nums)}
     rel = {m: entry.F.terms.get(m, None) for m in monos}
     return _match_pattern(lam, rel, base_count)
 
@@ -612,32 +623,6 @@ def _weighted_monomials(weights, degree):
     return sorted(out)
 
 
-def _mono_row(vals, monos):
-    """The values of the monomials ``monos`` at ``vals``, each read off one
-    table of powers 0 .. max per value and made canonical once.  Over Q the
-    tables hold the values' integer numerators and denominators, and an
-    entry is a product of numerators over a product of denominators;
-    otherwise they hold the values' powers, whose integer coordinate
-    vectors are multiplied in Q(zeta_m), m the lcm of their orders (a
-    rational power has order 1)."""
-    tops = [max(m[j] for m in monos) for j in range(len(vals))]
-    if all(v.order == 1 for v in vals):
-        nums = [_powers(v.coords[0], t) for v, t in zip(vals, tops)]
-        dens = [_powers(v.den, t) for v, t in zip(vals, tops)]
-        return [_raw(1, [prod(n[k] for n, k in zip(nums, mono))],
-                     prod(d[k] for d, k in zip(dens, mono))) for mono in monos]
-    tables = [_powers(v, t) for v, t in zip(vals, tops)]
-    row = []
-    for mono in monos:
-        factors = [table[k] for table, k in zip(tables, mono) if k]
-        m = lcm(*(x.order for x in factors))
-        vec = [1] + [0] * (euler_phi(m) - 1)
-        for x in factors:
-            vec = _mul_vec(m, vec, _to_int_coords([x], m)[1][0])
-        row.append(_raw(m, vec, prod(x.den for x in factors)))
-    return row
-
-
 def _mono_value(vals, mono):
     v = as_cyclotomic(1)
     for x, k in zip(vals, mono):
@@ -646,14 +631,12 @@ def _mono_value(vals, mono):
     return v
 
 
-def _solve_linear(rows, rhs):
-    """Exact solve of an overdetermined system over a cyclotomic field; None
-    if it is inconsistent or its solution is not unique.
+def _solve_linear(A, b):
+    """Exact solve over Q of the overdetermined integer system ``A x = b``:
+    the solution as integer numerators over one positive denominator,
+    ``(nums, den)``, or None if the system is inconsistent or its solution
+    is not unique.
 
-    Each row is scaled to integers, and entries of order m > 1 are
-    rewritten over Q (restriction of scalars): every entry becomes its
-    phi(m) x phi(m) multiplication matrix and every unknown its phi(m)
-    coordinates, which leaves uniqueness and consistency as they were.
     Gauss-Jordan elimination modulo a prime p picks independent rows.  At
     full rank they form a square block that is nonsingular over Q because
     it is modulo p; its solution comes from :func:`_solve_block` and is
@@ -662,11 +645,7 @@ def _solve_linear(rows, rhs):
     vector the same way: if it is one, exactly, the solution is not unique,
     and otherwise p was unlucky and the next prime is taken.
     """
-    m = lcm(*(c.order for row in rows for c in row), *(c.order for c in rhs))
-    _check_order(m)
-    A, b = _restrict_scalars(rows, rhs, m)
-    phi = euler_phi(m)
-    ncols = len(rows[0]) * phi
+    ncols = len(A[0])
     bound, unlucky, p = _hadamard(A), 1, _PRIME_START
     while unlucky <= bound:  # unlucky primes divide a nonzero minor
         p = _prev_prime(p)
@@ -677,7 +656,7 @@ def _solve_linear(rows, rhs):
                                   p, [row[-1] for row in reduced[:ncols]])
             if any(_dot(row, x) != c * den for row, c in zip(A, b)):
                 return None
-            return [_raw(m, x[j:j + phi], den) for j in range(0, ncols, phi)]
+            return x, den
         free = min(set(range(ncols)) - set(pivots))
         y, den = _solve_block([[A[i][j] for j in pivots] for i in picked],
                               [-A[i][free] for i in picked],
@@ -690,28 +669,6 @@ def _solve_linear(rows, rhs):
             return None
         unlucky *= p
     raise ExactArithmeticError("no lucky prime below the Hadamard bound of the system")
-
-
-def _restrict_scalars(rows, rhs, m):
-    """The integer system over Q equivalent to ``rows . x = rhs`` over
-    Q(zeta_m): each equation, scaled to integer coordinates, becomes phi(m)
-    equations, one per coordinate, in the phi(m) coordinates of each
-    unknown.  Column l of an entry's block is the coordinate vector of
-    entry * zeta_m^l."""
-    phi = euler_phi(m)
-    A, b = [], []
-    for row, c in zip(rows, rhs):
-        _, vecs = _to_int_coords(list(row) + [c], m)
-        blocks = []
-        for vec in vecs[:-1]:
-            cols = [vec]
-            for _ in range(phi - 1):
-                cols.append(_reduce(m, [0] + cols[-1]))
-            blocks.append(cols)
-        for k in range(phi):
-            A.append([col[k] for cols in blocks for col in cols])
-            b.append(vecs[-1][k])
-    return A, b
 
 
 #: The primes used are the primes below 2^62, largest first.

@@ -21,7 +21,7 @@ sequence runs on integers, since its divisions are exact in Z.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .cyclotomic import (
     CyclotomicNumber,
@@ -246,13 +246,13 @@ class MultiPoly:
 
         Every term is brought over one denominator, the coefficients' common
         denominator times d^t for each coordinate p = v/d, t the largest
-        exponent of its variable; term c x^k then contributes c v^k d^(t-k),
-        read from power tables of v and d.  Over Q the v and d are ints;
-        otherwise v is the integer coordinate vector of p in Q(zeta_m), m
-        the lcm of the orders of the coefficients and of the coordinates
-        whose variables occur, and products are :func:`_mul_vec`.  The sum
-        is made canonical once, by :func:`_raw`, so the value is stored in
-        Q(zeta_m) unless it is rational."""
+        exponent of its variable; term c x^k then contributes c v^k d^(t-k).
+        Over Q that is a dot product with the numerators of
+        :func:`_monomial_ints`; otherwise v is the integer coordinate vector
+        of p in Q(zeta_m), m the lcm of the orders of the coefficients and
+        of the coordinates whose variables occur, and products are
+        :func:`_mul_vec`.  The sum is made canonical once, by :func:`_raw`,
+        so the value is stored in Q(zeta_m) unless it is rational."""
         point = [as_cyclotomic(p) for p in point]
         if len(point) != len(self.variables):
             raise ArityError(
@@ -263,28 +263,24 @@ class MultiPoly:
         m = lcm(*(c.order for c in self.terms.values()),
                 *(p.order for p, t in zip(point, tops) if t))
         _check_order(m)
-        rational = m == 1
         values = list(self.terms.values())
-        den, coeffs = _to_ints(values) if rational else _to_int_coords(values, m)
-        one = 1 if rational else [1] + [0] * (len(coeffs[0]) - 1)
+        if m == 1:
+            den, coeffs = _to_ints(values)
+            pden, nums = _monomial_ints(point, self.terms)
+            return _raw(1, [sum(c * n for c, n in zip(coeffs, nums))], den * pden)
+        den, coeffs = _to_int_coords(values, m)
+        one = [1] + [0] * (len(coeffs[0]) - 1)
         tables = []
         for p, t in zip(point, tops):
             vs, pd = [one], 1
             if t:
-                pd, (v,) = _to_ints([p]) if rational else _to_int_coords([p], m)
+                pd, (v,) = _to_int_coords([p], m)
                 for _ in range(t):
-                    vs.append(vs[-1] * v if rational else _mul_vec(m, vs[-1], v))
+                    vs.append(_mul_vec(m, vs[-1], v))
             ds = _powers(pd, t)[::-1]
             tables.append((vs, ds))
             den *= ds[0]
-        if rational:
-            total = 0
-            for e, c in zip(self.terms, coeffs):
-                for (vs, ds), k in zip(tables, e):
-                    c *= vs[k] * ds[k]
-                total += c
-            return _raw(1, [total], den)
-        total = [0] * len(coeffs[0])
+        total = [0] * len(one)
         for e, c in zip(self.terms, coeffs):
             scale = 1
             for (vs, ds), k in zip(tables, e):
@@ -620,6 +616,21 @@ def _powers(x, n):
     for _ in range(n):
         out.append(out[-1] * x)
     return out
+
+
+def _monomial_ints(point, exps):
+    """``(den, nums)``: the monomials with exponent vectors ``exps`` at the
+    rational ``point`` p_j = v_j / d_j, as nums[i] / den.  den = prod
+    d_j^t_j, t_j the largest exponent of variable j, and monomial e has
+    numerator prod v_j^e_j d_j^(t_j - e_j), read from power tables.  A
+    variable with t_j = 0 enters as 1, so its coordinate may be irrational."""
+    tops = [max(k) for k in zip(*exps)]
+    tables, den = [], 1
+    for p, t in zip(point, tops):
+        ds = _powers(p.den, t)[::-1]
+        tables.append((_powers(p.coords[0], t), ds))
+        den *= ds[0]
+    return den, [prod(vs[k] * ds[k] for (vs, ds), k in zip(tables, e)) for e in exps]
 
 
 def _scaled(k, den, vecs, scalars):

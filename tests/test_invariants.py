@@ -1,9 +1,10 @@
 import itertools
 import random
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 
 import pytest
 
+from stackygit import cli
 from stackygit.cyclotomic import QQ, as_cyclotomic, sqrt_minus3, zeta
 from stackygit.errors import (
     NonStableError,
@@ -18,7 +19,6 @@ from stackygit.invariants import (
     QUINTIC_RECIPE,
     SEXTIC_RECIPE,
     RecipeStep,
-    _mono_row,
     _mono_value,
     _prev_prime,
     _rational_root,
@@ -35,7 +35,7 @@ from stackygit.invariants import (
     transvectant,
 )
 from stackygit.locus import PointW
-from stackygit.polynomials import BinaryForm, MultiPoly
+from stackygit.polynomials import BinaryForm, MultiPoly, _monomial_ints
 
 
 def _fraction_sylvester(f, g):
@@ -400,31 +400,21 @@ class TestElimination:
                 assert (value.order, value.coords, value.den) == \
                     (1, (sign * expected.numerator,), expected.denominator), (a, b)
 
-    def test_solve_linear(self):
-        half, i = as_cyclotomic(QQ(1, 2)), zeta(4)
-        rows = [[1, half], [i, 3], [half * i, 2 - i]]
-        x = [i + QQ(1, 3), -half]
-        rhs = [sum((a * v for a, v in zip(row, x)), as_cyclotomic(0)) for row in rows]
-        rows = [[as_cyclotomic(a) for a in row] for row in rows]
-        assert _solve_linear(rows, rhs) == x
-
     def test_solve_linear_inconsistent(self):
-        rows = [[as_cyclotomic(a) for a in row] for row in ([1, 0], [0, 1], [1, 1])]
-        assert _solve_linear(rows, [as_cyclotomic(b) for b in (1, 1, 3)]) is None
+        assert _solve_linear([[1, 0], [0, 1], [1, 1]], [1, 1, 3]) is None
 
     def test_solve_linear_rank_deficient(self):
-        rows = [[as_cyclotomic(a) for a in row] for row in ([1, 2], [2, 4], [3, 6])]
-        assert _solve_linear(rows, [as_cyclotomic(b) for b in (1, 2, 3)]) is None
+        assert _solve_linear([[1, 2], [2, 4], [3, 6]], [1, 2, 3]) is None
 
     def test_solve_linear_unlucky_prime(self):
         # the determinant is the first prime tried: singular modulo it, so
-        # the kernel candidate fails its exact check and the next prime is used
+        # the kernel candidate fails its exact check and the next prime is
+        # used (scaling a row keeps the determinant a multiple of it)
         p = _prev_prime(1 << 62)
         m = [[1, 2, 0], [3, 6 + p, 0], [0, 5, 1]]
         x = [QQ(1, 3), -2, 7]
-        rows = [[as_cyclotomic(a) for a in row] for row in m]
-        rhs = [as_cyclotomic(sum(a * v for a, v in zip(row, x))) for row in m]
-        assert _solve_linear(rows, rhs) == x
+        A, b = _integer_rows(m, [sum(a * v for a, v in zip(row, x)) for row in m])
+        assert _fractions(_solve_linear(A, b)) == x
 
     def test_solve_linear_large_entries(self):
         # 200-bit entries need several primes before reconstruction succeeds
@@ -432,11 +422,10 @@ class TestElimination:
         n = 4
         m = [[rng.getrandbits(200) - (1 << 199) for _ in range(n)] for _ in range(n + 2)]
         x = [QQ(rng.getrandbits(150) + 1, rng.getrandbits(120) + 1) for _ in range(n)]
-        rows = [[as_cyclotomic(a) for a in row] for row in m]
-        rhs = [as_cyclotomic(sum(a * v for a, v in zip(row, x))) for row in m]
-        assert _solve_linear(rows, rhs) == x
-        rhs[-1] = rhs[-1] + 1
-        assert _solve_linear(rows, rhs) is None
+        A, b = _integer_rows(m, [sum(a * v for a, v in zip(row, x)) for row in m])
+        assert _fractions(_solve_linear(A, b)) == x
+        b[-1] += 1
+        assert _solve_linear(A, b) is None
 
     def test_solve_linear_inconsistent_outside_the_block(self):
         # the first three rows are independent and consistent, so they form
@@ -445,8 +434,7 @@ class TestElimination:
         x = [1, QQ(-1, 2), 2]
         rhs = [sum(a * v for a, v in zip(row, x)) for row in m]
         rhs[-1] += QQ(1, 7)
-        rows = [[as_cyclotomic(a) for a in row] for row in m]
-        assert _solve_linear(rows, [as_cyclotomic(b) for b in rhs]) is None
+        assert _solve_linear(*_integer_rows(m, rhs)) is None
 
     def test_solve_linear_matches_fraction_gauss_jordan(self):
         def reference(m, rhs):
@@ -482,9 +470,25 @@ class TestElimination:
             else:
                 rhs = [rng.choice(values) for _ in m]
             expected = reference(m, rhs)
-            rows = [[as_cyclotomic(a) for a in row] for row in m]
-            got = _solve_linear(rows, [as_cyclotomic(b) for b in rhs])
-            assert got == expected, (m, rhs)
+            got = _solve_linear(*_integer_rows(m, rhs))
+            assert (got if got is None else _fractions(got)) == expected, (m, rhs)
+
+
+def _integer_rows(m, rhs):
+    """The equations ``m x = rhs`` over Q, each multiplied by the lcm of its
+    denominators: integer rows and right sides."""
+    A, b = [], []
+    for row, c in zip(m, rhs):
+        den = lcm(*(QQ(a).denominator for a in row), QQ(c).denominator)
+        A.append([int(a * den) for a in row])
+        b.append(int(c * den))
+    return A, b
+
+
+def _fractions(solution):
+    nums, den = solution
+    assert den > 0
+    return [QQ(n, den) for n in nums]
 
 
 class TestRelationPolynomials:
@@ -568,6 +572,22 @@ class TestCalibration:
         assert not result.succeeded
         assert result.detail
 
+    def test_non_rational_invariant_is_refused(self, monkeypatch):
+        # the solve is over Q: a zeta(4) multiple of I4 is refused by name,
+        # and the command line answers exit 2 bad-value
+        bad = []
+        for step in QUINTIC_RECIPE:
+            if step.name == "I4":
+                bad.append(RecipeStep("J4", "trans", ("i", "i"), 2))
+                step = RecipeStep("I4", "lin", combo=((zeta(4), "J4"),))
+            bad.append(step)
+        with pytest.raises(ValueError, match="recipe invariant I4 takes a non-rational"):
+            calibrate_invariants("quintic", bad)
+        monkeypatch.setattr(cli, "QUINTIC_RECIPE", bad)
+        result = cli.run_command(["calibrate", "quintic"])
+        assert result.status == 2
+        assert result.payload["error"]["code"] == "bad-value"
+
     def test_quartic_family_has_no_relation(self):
         with pytest.raises(UnknownFamilyError):
             calibrate_invariants("quartic", QUINTIC_RECIPE)
@@ -586,17 +606,27 @@ class TestCalibration:
 
 class TestMonomialRows:
     def test_power_table_rows_match_monomial_values(self):
-        # the calibration rows multiply entries of one power table per
-        # value; each entry is the monomial value, in the same field
+        # the calibration rows and MultiPoly.evaluate read monomials as
+        # integer numerators over one denominator, prod d_j^t_j
         rng = random.Random(67)
         monos = _weighted_monomials((2, 4, 6, 10), 30)
-        for values in ([as_cyclotomic(QQ(rng.randint(-9, 9), rng.randint(1, 5)))
-                        for _ in range(4)],
-                       [zeta(4), 1 + zeta(3), QQ(3, 7) * zeta(5), zeta(12) ** 3]):
-            row = _mono_row(values, monos)
-            expected = [_mono_value(values, m) for m in monos]
-            assert [(v.order, v.coords, v.den) for v in row] == \
-                [(v.order, v.coords, v.den) for v in expected]
+        tops = [max(k) for k in zip(*monos)]
+        values = [0, 1, -1, 7, QQ(-5, 3), QQ(7, 4), QQ(5, -6), QQ(-11, 10)]
+        for _ in range(30):
+            point = [as_cyclotomic(rng.choice(values)) for _ in range(4)]
+            den, nums = _monomial_ints(point, monos)
+            assert den == prod(p.den ** t for p, t in zip(point, tops))
+            assert [QQ(n, den) for n in nums] == \
+                [_mono_value(point, m).rational_value() for m in monos]
+        # a variable that occurs in no monomial (t_j = 0) may be irrational
+        point = [as_cyclotomic(QQ(2, 3)), zeta(5) + QQ(1, 7), as_cyclotomic(QQ(-1, 2))]
+        monos = [(2, 0, 1), (0, 0, 3), (1, 0, 0), (0, 0, 0)]
+        den, nums = _monomial_ints(point, monos)
+        # den = 3^2 2^3, and monomial e has numerator prod v_j^e_j d_j^(t_j - e_j)
+        assert den == 72
+        assert nums == [2 ** 2 * -1 * 2 ** 2, 3 ** 2 * (-1) ** 3, 2 * 3 * 2 ** 3, 3 ** 2 * 2 ** 3]
+        assert [QQ(n, den) for n in nums] == \
+            [_mono_value(point, m).rational_value() for m in monos]
 
 
 class TestRationalRoot:
