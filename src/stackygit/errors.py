@@ -14,7 +14,7 @@ class StackygitError(Exception):
 
 class BoundExceededError(StackygitError):
     """An internal safety bound was hit (order cap, closure size, parser
-    nesting, form degree, coefficient size)."""
+    nesting, form degree, coefficient size, product size)."""
 
     exit_status = 3
 
@@ -37,6 +37,10 @@ class DegreeTooLargeError(BoundExceededError):
 
 class CoefficientTooLargeError(BoundExceededError):
     code = "coefficient-too-large"
+
+
+class ProductTooLargeError(BoundExceededError):
+    code = "product-too-large"
 
 
 class ExactArithmeticError(StackygitError, ArithmeticError):

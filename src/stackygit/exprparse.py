@@ -21,10 +21,11 @@ need no such bound.  A power whose degree would exceed
 before it is expanded, and a power whose estimated coefficient size (the
 exponent times log2 of the base's coefficient 1-norm) exceeds
 :data:`MAX_COEFFICIENT_BITS` raises CoefficientTooLargeError before it is
-computed; a root of unity is exempt.  A product of such factors is checked
-once it is formed: one with a coefficient past the same bound raises
-CoefficientTooLargeError, so no chain of bounded factors builds an
-unbounded coefficient.
+computed; a root of unity is exempt.  A product is refused before it is
+formed when its factors have more than :data:`MAX_TERM_PRODUCTS` pairs of
+terms (ProductTooLargeError), and checked once it is formed: one with a
+coefficient past the same bound raises CoefficientTooLargeError, so no
+chain of bounded factors builds an unbounded coefficient.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .errors import (
     DegreeTooLargeError,
     NestingTooDeepError,
     ParseError,
+    ProductTooLargeError,
     UnknownIdentifierError,
 )
 from .polynomials import MAX_PROFILE_DEGREE, BinaryForm, MultiPoly
@@ -60,6 +62,10 @@ MAX_NESTING = 100
 #: larger of its denominator and the sum of its absolute coordinates).  A
 #: coefficient at the bound prints in about 3,000 decimal digits.
 MAX_COEFFICIENT_BITS = 10_000
+
+#: Most pairs of terms one product may multiply: as many as two binary
+#: forms of the largest degree the root profile accepts have.
+MAX_TERM_PRODUCTS = (MAX_PROFILE_DEGREE + 1) ** 2
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^]))")
 
@@ -131,7 +137,12 @@ class _Parser:
         value = self.factor()
         while self.peek()[0] == "*":
             pos = self.advance()[2]
-            value = value * self.factor()
+            right = self.factor()
+            if len(value.terms) * len(right.terms) > MAX_TERM_PRODUCTS:
+                raise ProductTooLargeError(
+                    f"product of {len(value.terms)} by {len(right.terms)} terms exceeds"
+                    f" the bound of {MAX_TERM_PRODUCTS} term products (at position {pos})")
+            value = value * right
             bits = max((_growth_bits([c]) for c in value.terms.values()), default=0.0)
             if bits > MAX_COEFFICIENT_BITS:
                 raise CoefficientTooLargeError(

@@ -221,6 +221,17 @@ def test_degree_bound_before_expansion(argv):
     assert result.payload["error"]["code"] == "degree-too-large"
 
 
+def test_product_bound_before_expansion():
+    # the second product would multiply 501 by 251 terms
+    start = time.perf_counter()
+    result = run_command(["stabilizer", "*".join(["(x+y)^250"] * 8)])
+    assert time.perf_counter() - start < 1
+    assert result.status == 3
+    assert result.payload["error"] == {"code": "product-too-large", "message": (
+        "product of 501 by 251 terms exceeds the bound of 66049 term products"
+        " (at position 19)")}
+
+
 @pytest.mark.parametrize("text", ["3^200000*x*y*(x+y)", "3^20000000*x*y*(x+y)"])
 def test_coefficient_bound_before_expansion(text):
     start = time.perf_counter()

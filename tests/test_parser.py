@@ -9,10 +9,11 @@ from stackygit.errors import (
     NestingTooDeepError,
     OrderCapExceededError,
     ParseError,
+    ProductTooLargeError,
     RingSpecError,
     UnknownIdentifierError,
 )
-from stackygit.exprparse import MAX_NESTING, form, parse_poly
+from stackygit.exprparse import MAX_NESTING, MAX_TERM_PRODUCTS, form, parse_poly
 from stackygit.graded import presentations_isomorphic
 from stackygit.invariants import catalog_ring
 from stackygit.polynomials import MultiPoly
@@ -84,6 +85,16 @@ def test_long_chains(op, expected):
 def test_long_relation_chain():
     ring = ringspec.loads("a : 1\nb : 1\nrelation: " + "+".join(["a*b"] * 3000) + "\n")
     assert str(ring.relation) == "3000*a*b"
+
+
+def test_product_bound_counts_pairs_of_terms():
+    # two full forms of degree 256 meet the bound; 276 terms by 257 are
+    # refused before they are multiplied, naming both term counts
+    assert 257 * 257 == MAX_TERM_PRODUCTS
+    assert len(parse_poly("(x+y)^256*(x+y)^256", ("x", "y")).terms) == 513
+    with pytest.raises(ProductTooLargeError, match="product of 276 by 257 terms"):
+        parse_poly("(x+y+z)^22*(x+y)^256", ("x", "y", "z"))
+    assert form("4*(x+y)^250").a(1) == 1000
 
 
 def test_zeta_and_sugar():
