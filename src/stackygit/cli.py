@@ -7,7 +7,8 @@ refuted claim or failed check, 2 bad input, 3 an exceeded internal bound.
 The argument parser is built once per process, on the first
 :func:`run_command` call, and shared by every later call; it must not be
 mutated.  Each parse returns a fresh namespace, so no state passes from one
-call to the next.
+call to the next.  A usage error prints nothing: it answers exit 2 with
+code ``usage`` and argparse's ``error:`` line as its message.
 """
 
 from __future__ import annotations
@@ -277,9 +278,21 @@ def _cmd_verify_all(args) -> CommandResult:
                          "\n".join(lines) + "\n")
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises its usage errors instead of printing them to stderr; the
+    subcommand parsers are of the same class."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: error: {message}")
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="stackygit",
         description="Exact stack structures on GIT quotients of graded rings.")
     parser.add_argument("--json", action="store_true",
@@ -342,6 +355,8 @@ def run_command(argv) -> CommandResult:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+    except _UsageError as err:
+        return _error_result("argparse", "usage", str(err), 2)
     except SystemExit as exc:
         code = 0 if exc.code in (0, None) else 2
         return CommandResult(code, _payload("argparse", {"error": {

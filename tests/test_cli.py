@@ -437,6 +437,17 @@ def test_main_prints_json_or_markdown_and_returns_the_status(capsys):
     assert capsys.readouterr().out == run_command(["verify-all", "--seed", "x"]).markdown
 
 
+def test_usage_errors_stay_off_the_streams(capsys):
+    result = run_command(["verify-all", "--seed", "x"])
+    assert capsys.readouterr() == ("", "")
+    assert result.status == 2
+    assert result.payload["status"] == 2
+    assert result.payload["error"] == {
+        "code": "usage",
+        "message": "stackygit verify-all: error: argument --seed: invalid int value: 'x'"}
+    assert result.markdown == f"error (usage): {result.payload['error']['message']}\n"
+
+
 def _fresh_process_json(argv) -> str:
     """The JSON text the CLI prints for ``argv`` in a new interpreter."""
     env = dict(os.environ, PYTHONPATH=str(Path(stackygit.__file__).parents[1]))
