@@ -252,9 +252,6 @@ class CyclotomicNumber:
             raise ValueError(f"{self} is not rational")
         return QQ(self.coords[0], self.den)
 
-    def is_integer(self) -> bool:
-        return self.order == 1 and self.den == 1
-
     def __bool__(self):
         return not self.is_zero()
 

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every private module-level function is used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,39 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def unreferenced_helpers(trees):
+    """The module-level functions named ``_private`` (not dunder) in the
+    modules ``trees`` (name -> ast) that no name or attribute in the
+    modules reads outside the function's own definition."""
+    def names(node):
+        counts = {}
+        for n in ast.walk(node):
+            name = n.id if isinstance(n, ast.Name) else \
+                n.attr if isinstance(n, ast.Attribute) else None
+            if name is not None:
+                counts[name] = counts.get(name, 0) + 1
+        return counts
+
+    total = {}
+    for tree in trees.values():
+        for name, count in names(tree).items():
+            total[name] = total.get(name, 0) + count
+    return sorted(
+        (module, node.name) for module, tree in trees.items() for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and total.get(node.name, 0) == names(node).get(node.name, 0))
+
+
+def test_unreferenced_helpers_are_found():
+    trees = {"a.py": ast.parse("def _used(): pass\ndef _self(): _self()\n"),
+             "b.py": ast.parse("import a\na._used()\n")}
+    assert unreferenced_helpers(trees) == [("a.py", "_self")]
+
+
+def test_every_private_helper_is_used():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SOURCE.glob("*.py"))}
+    assert unreferenced_helpers(trees) == []
