@@ -5,6 +5,12 @@ executes them in order.  Everything is exact (zero tolerance); randomized
 checks take an explicit seed and are deterministic for a fixed seed.  The
 calibration check is a stretch goal and is marked non-blocking: its failure
 produces a diagnostic, not a suite failure.
+
+A claim the library already decides is read from the function that decides
+it, not derived again here: criterion 5 reads
+:func:`~stackygit.symmetry.catalog_stabilizer`, and criteria 8 and 9 read
+the verdicts of :func:`~stackygit.locus.quintic_locus_report` and
+:func:`~stackygit.locus.sextic_locus_report`.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from .graded import (
     stacky_decompose,
     veronese,
 )
-from .groups import GroupSpec, SL2Matrix, group_contains, group_elements
+from .groups import GroupSpec, SL2Matrix, group_elements
 from .invariants import (
     DEFAULT_SEED,
     QUINTIC_RECIPE,
@@ -34,12 +40,13 @@ from .invariants import (
     quartic_invariants,
     quartic_point,
     quintic_F,
-    sextic_F,
 )
-from .locus import PointW, is_singular_at, on_divisor
+from .locus import PointW, quintic_locus_report, sextic_locus_report
 from .polynomials import BinaryForm
 from .symmetry import (
     NUMBERED_CASES,
+    catalog_stabilizer,
+    is_stable,
     klein_degree,
     klein_generate,
     semi_invariance,
@@ -167,35 +174,23 @@ SECOND_PARAMS = {
 
 
 def check_symmetry_catalog() -> CheckResult:
-    """All fifteen numbered normal forms: the stated group certifies
-    semi-invariance, every strictly larger catalog group refutes it."""
+    """All fifteen numbered normal forms: the stated group is the only
+    maximal catalog group (C_n and D_n up to n = 12, T, O, I)."""
     details = []
     ok = True
-    n_max = 12
-    candidates = [GroupSpec("C", n) for n in range(1, n_max + 1)]
-    candidates += [GroupSpec("D", n) for n in range(1, n_max + 1)]
-    candidates += [GroupSpec("T"), GroupSpec("O"), GroupSpec("I")]
     for case in NUMBERED_CASES:
         param_sets = [None]
         if case.param_count:
             param_sets = [case.default_params, SECOND_PARAMS[case.case]]
         for params in param_sets:
-            f = case.build(params)
-            cert = semi_invariance(f, case.group)
-            good = cert is not None
-            larger = [g for g in candidates
-                      if g != case.group and g.order > case.group.order
-                      and group_contains(g, case.group)]
-            for g in larger:
-                if semi_invariance(f, g) is not None:
-                    good = False
-                    details.append(f"{case.case}: larger group {g.label} "
-                                   "unexpectedly certifies")
+            groups = [c.group for c in catalog_stabilizer(case.build(params), n_max=12)]
+            good = groups == [case.group]
             ok &= good
             tag = "" if params is None else f" at params {params}"
             details.append(
-                f"{case.case}{tag}: {case.group.label} certifies, "
-                f"{len(larger)} larger groups refute: {good}")
+                f"{case.case}{tag}: maximal catalog groups "
+                f"{', '.join(g.label for g in groups)} "
+                f"(expected {case.group.label}): {good}")
     return CheckResult(5, "symmetry catalog of the fifteen normal forms", ok,
                        details=tuple(details))
 
@@ -261,7 +256,7 @@ def _random_quartic(rng, squarefree: bool) -> BinaryForm:
     while True:
         if squarefree:
             f = BinaryForm([rng.randint(-6, 6) for _ in range(5)])
-            if f and all(m == 1 for m in f.multiplicity_profile()):
+            if f and is_stable(f):
                 return f
         else:
             a = rng.randint(-4, 4)
@@ -309,63 +304,26 @@ def check_quartic_invariants(seed: int = DEFAULT_SEED) -> CheckResult:
     return CheckResult(7, "quartic invariants", ok, details=tuple(details))
 
 
-def check_quintic_locus() -> CheckResult:
-    """The divisor's values and gradients at the four distinguished points."""
-    F = quintic_F()
-    w = (1, 2, 3)
-    f324 = F * 324
-    details = []
-    checks = []
+def _locus_check(criterion: int, name: str, report) -> CheckResult:
+    """Passes iff no claim of the locus report is refuted; one detail line
+    per claim with its label, verdict and witnesses."""
+    details = tuple(
+        f"{c.label} [{c.verdict}]" + (": " + "; ".join(c.witnesses) if c.witnesses else "")
+        for c in report.claims)
+    return CheckResult(criterion, name, report.all_sound(), details=details)
 
-    for coords in ((1, 0, 0), (-3, 3, 3)):
-        value = f324.evaluate(coords)
-        grads = [d.evaluate(coords) for d in f324.partials()]
-        good = not value and all(not g for g in grads)
-        checks.append(good)
-        details.append(f"324F{coords} = {value}, gradient "
-                       f"{[str(g) for g in grads]}: singular = {good}")
-    p = PointW((0, 1, 0), w)
-    good = on_divisor(F, w, p) and not is_singular_at(F, w, p)
-    checks.append(good)
-    details.append(f"F(0,1,0) = 0 with nonvanishing gradient: {good}")
-    value = f324.evaluate((0, 0, 1))
-    checks.append(value == 144)
-    details.append(f"324F(0,0,1) = {value} (expected 144)")
-    return CheckResult(8, "quintic divisor locus", all(checks),
-                       details=tuple(details))
+
+def check_quintic_locus() -> CheckResult:
+    """The divisor's degree and its singular and smooth points, as the
+    quintic locus report decides them."""
+    return _locus_check(8, "quintic divisor locus", quintic_locus_report())
 
 
 def check_sextic_divisor() -> CheckResult:
-    """Homogeneity term by term, the Euler identity, and the pattern of the
-    divisor at the three ambient singular points."""
-    F = sextic_F()
-    wd = (2, 4, 6, 10)
-    details = []
-    degrees = {sum(w * k for w, k in zip(wd, e)) for e in F.terms}
-    ok = degrees == {30}
-    details.append(f"term-by-term weighted degrees: {sorted(degrees)}")
-
-    euler = None
-    from .polynomials import MultiPoly
-    for i, d in enumerate(F.partials()):
-        piece = MultiPoly.variable(F.variables, F.variables[i]) * d * wd[i]
-        euler = piece if euler is None else euler + piece
-    euler_ok = euler == F * 30
-    ok &= euler_ok
-    details.append(f"Euler identity sum w_i x_i dF/dx_i = 30 F: {euler_ok}")
-
-    w = (1, 2, 3, 5)
-    pts = [PointW(tuple(1 if j == i else 0 for j in range(4)), w)
-           for i in range(1, 4)]
-    values = [F.evaluate(p.coordinates) for p in pts]
-    zero_at = [p for p, v in zip(pts, values) if not v]
-    pattern = len(zero_at) == 1 and not is_singular_at(F, w, zero_at[0])
-    ok &= pattern
-    details.append("values at the three ambient singular points: "
-                   + ", ".join(str(v) for v in values)
-                   + f"; exactly one zero and smooth there: {pattern}")
-    return CheckResult(9, "sextic divisor from the repaired determinant", ok,
-                       details=tuple(details))
+    """Homogeneity term by term and the pattern of the divisor at the three
+    ambient singular points, as the sextic locus report decides them."""
+    return _locus_check(9, "sextic divisor from the repaired determinant",
+                        sextic_locus_report())
 
 
 def check_calibration(seed: int = DEFAULT_SEED) -> CheckResult:

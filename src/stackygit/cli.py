@@ -134,20 +134,18 @@ def _cmd_chart(args) -> CommandResult:
 def _cmd_stabilizer(args) -> CommandResult:
     f = form(args.form)
     maximal = catalog_stabilizer(f, n_max=args.nmax)
-    certificates = []
-    for spec in maximal:
-        cert = semi_invariance(f, spec)
-        certificates.append({
-            "group": spec.label,
-            "order": spec.order,
-            "scalars": [str(s) for s in cert.scalars],
-            "generators": [str(g) for g in group_generators(spec)],
-        })
+    certificates = [{
+        "group": c.group.label,
+        "order": c.group.order,
+        "scalars": [str(s) for s in c.scalars],
+        "generators": [str(g) for g in group_generators(c.group)],
+    } for c in maximal]
+    labels = [c.group.label for c in maximal]
     body = {"form": str(f), "degree": f.degree,
-            "maximal_groups": [s.label for s in maximal],
+            "maximal_groups": labels,
             "certificates": certificates}
     lines = [f"# Stabilizer of {f}", "",
-             f"maximal catalog groups: {', '.join(s.label for s in maximal)}", ""]
+             f"maximal catalog groups: {', '.join(labels)}", ""]
     for cert in certificates:
         lines.append(f"## {cert['group']} (order {cert['order']})")
         for g, s in zip(cert["generators"], cert["scalars"]):

@@ -201,8 +201,9 @@ def quartic_point(f: BinaryForm):
     coordinate of exactly 1 would need a square root of I2).
     """
     from .locus import PointW
+    from .symmetry import is_stable
 
-    if not _squarefree(f):
+    if not is_stable(f):
         raise NonStableError("the value point is taken on stable quartics")
     inv = quartic_invariants(f)
     weights = (2, 3)
@@ -214,10 +215,6 @@ def quartic_point(f: BinaryForm):
         return PointW((0, 1), weights)
     c = inv.I2 ** 3 / inv.I3 ** 2
     return PointW((c, c), weights)
-
-
-def _squarefree(f: BinaryForm) -> bool:
-    return all(m == 1 for m in f.multiplicity_profile())
 
 
 # -- transvectants -----------------------------------------------------------------

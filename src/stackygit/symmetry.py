@@ -94,11 +94,13 @@ def has_finite_stabilizer(f: BinaryForm) -> bool:
 
 
 def catalog_stabilizer(f: BinaryForm, n_max: int | None = None):
-    """Maximal catalog groups under which f is semi-invariant.
+    """Certificates of the maximal catalog groups under which f is
+    semi-invariant, ordered by group order, then label.
 
     Candidates are C_n and D_n for n <= n_max (default: deg f) plus T, O,
-    I; maximality is with respect to literal containment of the standard
-    matrix groups.  Conjugate copies are out of scope: the catalog's normal
+    I; each is certified once by :func:`semi_invariance`, and maximality is
+    with respect to literal containment of the certified groups in the
+    standard matrix groups.  Conjugate copies are out of scope: the catalog's normal
     forms realize their stabilizers in the standard embeddings.  An
     ``n_max`` below 1 raises ValueError: every form is fixed by C_1.
 
@@ -119,12 +121,12 @@ def catalog_stabilizer(f: BinaryForm, n_max: int | None = None):
     ns = [n for n in range(1, min(g, n_max) + 1) if g % n == 0]
     candidates = [GroupSpec("C", n) for n in ns] + [GroupSpec("D", n) for n in ns]
     candidates += [GroupSpec("T"), GroupSpec("O"), GroupSpec("I")]
-    passing = [s for s in candidates if semi_invariance(f, s) is not None]
+    passing = [c for c in (semi_invariance(f, s) for s in candidates) if c is not None]
     maximal = [
-        s for s in passing
-        if not any(t != s and group_contains(t, s) for t in passing)
+        c for c in passing
+        if not any(d.group != c.group and group_contains(d.group, c.group) for d in passing)
     ]
-    return sorted(maximal, key=lambda s: (s.order, s.label))
+    return sorted(maximal, key=lambda c: (c.group.order, c.group.label))
 
 
 @lru_cache(maxsize=None)
@@ -302,16 +304,12 @@ _BY_CASE = {c.case: c for c in CATALOG}
 
 def special_form(case: str, params=None) -> BinaryForm:
     """The catalog normal form; parameterized cases accept (lambda:mu) pairs."""
-    try:
-        entry = _BY_CASE[case]
-    except KeyError:
-        raise UnknownCaseError(
-            f"unknown case {case!r}; known: {', '.join(sorted(_BY_CASE))}") from None
-    return entry.build(params)
+    return catalog_case(case).build(params)
 
 
 def catalog_case(case: str) -> CatalogCase:
     try:
         return _BY_CASE[case]
     except KeyError:
-        raise UnknownCaseError(f"unknown case {case!r}") from None
+        raise UnknownCaseError(
+            f"unknown case {case!r}; known: {', '.join(sorted(_BY_CASE))}") from None

@@ -24,6 +24,9 @@ from stackygit.acceptance import (
     check_sextic_divisor,
     check_symmetry_catalog,
 )
+from stackygit.exprparse import form
+from stackygit.groups import GroupSpec
+from stackygit.locus import LocusClaim, LocusReport
 
 SEED = 7
 
@@ -88,6 +91,40 @@ def test_klein_suite_records_failing_draws(monkeypatch):
         + ", ".join(str(d) for d in c3[1:4]))
     assert result.details[1:] == ("D4: 5 draws, 0 failures", "T: 5 draws, 0 failures",
                                   "O: 5 draws, 0 failures", "I: 5 draws, 0 failures")
+
+
+def test_symmetry_criterion_reads_catalog_stabilizer(monkeypatch):
+    # an extra maximal group for one case fails criterion 5 for that case only
+    original = acceptance.catalog_stabilizer
+    extra = acceptance.semi_invariance(form("x^4 + y^4"), GroupSpec("C", 1))
+
+    def with_extra(f, n_max=None):
+        certs = original(f, n_max)
+        return certs + [extra] if f == form("x^5 + y^5") else certs
+
+    monkeypatch.setattr(acceptance, "catalog_stabilizer", with_extra)
+    result = check_symmetry_catalog()
+    assert not result.passed
+    failing = [line for line in result.details if not line.endswith(": True")]
+    assert failing == ["quintic.V: maximal catalog groups D5, C1 (expected D5): False"]
+    assert len(result.details) == 19
+
+
+@pytest.mark.parametrize("name, check", [
+    ("quintic_locus_report", check_quintic_locus),
+    ("sextic_locus_report", check_sextic_divisor),
+])
+def test_locus_criteria_read_the_reports(monkeypatch, name, check):
+    report = getattr(acceptance, name)()
+    assert check().passed
+    refuted = LocusClaim("planted-claim", "a claim the report refutes", "refuted",
+                         witnesses=("F = 1",))
+    monkeypatch.setattr(acceptance, name,
+                        lambda: LocusReport(report.family, report.claims + (refuted,)))
+    result = check()
+    assert not result.passed
+    assert result.details[-1] == "planted-claim [refuted]: F = 1"
+    assert len(result.details) == len(report.claims) + 1
 
 
 def test_criterion_07_quartic_invariants():

@@ -57,6 +57,25 @@ def test_stabilizer():
     assert result.payload["certificates"][0]["scalars"]
 
 
+def test_stabilizer_certifies_each_candidate_once(monkeypatch):
+    # the payload's scalars come from catalog_stabilizer's certificates; no
+    # maximal group is substituted a second time
+    from stackygit import cli, symmetry
+
+    calls = []
+    original = symmetry.semi_invariance
+
+    def counted(f, spec):
+        calls.append(spec.label)
+        return original(f, spec)
+
+    monkeypatch.setattr(symmetry, "semi_invariance", counted)
+    monkeypatch.setattr(cli, "semi_invariance", counted)
+    result = run_command(["stabilizer", "x^5 + y^5"])
+    assert result.status == 0
+    assert calls == ["C1", "C5", "D1", "D5", "T", "O", "I"]
+
+
 def test_stabilizer_nmax_flag():
     result = run_command(["stabilizer", "x^2*(x^3 + y^3)", "--nmax", "8"])
     assert result.status == 0
