@@ -162,7 +162,7 @@ def test_verify_all_is_deterministic():
     assert first.json_text() == second.json_text()
     # the seed-7 payload, pinned byte for byte
     assert hashlib.sha256(first.json_text().encode()).hexdigest() == (
-        "72dcb4a91bd24678b1346c0fa5ff8b842efb668f6f404c281f50994a77be7eae")
+        "136d5fb1346b03781c3a46816dafbf1bfbed63b369e4d295bb7e8fb8536ec89d")
     payload = json.loads(first.json_text())
     assert payload["blocking_failures"] == 0
     assert len(payload["checks"]) == 10
