@@ -23,7 +23,9 @@ exponent times log2 of the base's coefficient 1-norm) exceeds
 :data:`MAX_COEFFICIENT_BITS` raises CoefficientTooLargeError before it is
 computed; a root of unity is exempt.  A product is refused before it is
 formed when its factors have more than :data:`MAX_TERM_PRODUCTS` pairs of
-terms (ProductTooLargeError), and checked once it is formed: one with a
+terms (ProductTooLargeError), and so is a power b^k when the bound
+:func:`_power_terms` on the terms of b^ceil(k/2), squared, exceeds it.
+A product is checked once it is formed: one with a
 coefficient past the same bound raises CoefficientTooLargeError, so no
 chain of bounded factors builds an unbounded coefficient.
 """
@@ -166,6 +168,12 @@ class _Parser:
                 raise CoefficientTooLargeError(
                     f"power of about {math.ceil(bits)} bits exceeds the bound"
                     f" {MAX_COEFFICIENT_BITS} (at position {pos})")
+            half = _power_terms(value, (exponent + 1) // 2)
+            if half * half > MAX_TERM_PRODUCTS:
+                raise ProductTooLargeError(
+                    f"power {exponent} of {len(value.terms)} terms has a half power of up to"
+                    f" {half} terms, and {half} by {half} exceeds the bound of"
+                    f" {MAX_TERM_PRODUCTS} term products (at position {pos})")
             value = value ** exponent
         return value
 
@@ -198,6 +206,20 @@ def _growth_bits(coeffs) -> float:
     every complex embedding."""
     den = math.lcm(*(c.den for c in coeffs))
     return math.log2(max(sum(abs(x) * (den // c.den) for c in coeffs for x in c.coords), den))
+
+
+def _power_terms(p: MultiPoly, j: int) -> int:
+    """A bound on the number of terms of p^j: the smaller of the number of
+    multisets of j of p's t terms, C(t + j - 1, j), and the number of
+    monomials, in the n variables p uses, whose degree lies between j times
+    the least and j times the largest degree of p's terms."""
+    if not p.terms:
+        return 0
+    degrees = [sum(e) for e in p.terms]
+    n = sum(1 for column in zip(*p.terms) if any(column))
+    low, high = j * min(degrees), j * max(degrees)
+    monomials = math.comb(high + n, n) - (math.comb(low - 1 + n, n) if low else 0)
+    return min(math.comb(len(p.terms) + j - 1, j), monomials)
 
 
 def _is_root_of_unity(c) -> bool:

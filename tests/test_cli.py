@@ -293,6 +293,23 @@ def test_products_under_the_coefficient_bound(text):
     assert result.payload["maximal_groups"] == ["D1"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["stabilizer", "(a+b+c+d)^30"],
+    ["stabilizer", "(a+b+c+d)^40"],
+    ["decompose", "power.ring"],
+])
+def test_power_term_bound_before_expansion(tmp_path, argv):
+    # a relation of degree 200 in four variables, under the degree bound
+    (tmp_path / "power.ring").write_text(
+        "a : 1\nb : 1\nc : 1\nd : 1\nrelation: (a+b+c+d)^200\n")
+    argv = [str(tmp_path / a) if a.endswith(".ring") else a for a in argv]
+    start = time.perf_counter()
+    result = run_command(argv)
+    assert time.perf_counter() - start < 1
+    assert result.status == 3
+    assert result.payload["error"]["code"] == "product-too-large"
+
+
 @pytest.mark.parametrize("text", [
     "(2^9000*x+3*y)^4 + x^3*y",                  # about 36,000 bits, before expanding
     "(2^3000*x+y)^3*(2^3000*x+y)^3*x*y + x^8",   # each power is under the bound

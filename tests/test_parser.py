@@ -97,6 +97,17 @@ def test_product_bound_counts_pairs_of_terms():
     assert form("4*(x+y)^250").a(1) == 1000
 
 
+def test_power_bound_counts_the_terms_of_the_half_power():
+    # (a+b+c+d)^20 is refused as (a+b+c+d)^10*(a+b+c+d)^10 is: 286 by 286
+    # terms; binary forms are bounded by their monomials (131 of degree 130)
+    with pytest.raises(ProductTooLargeError,
+                       match="power 20 of 4 terms has a half power of up to 286 terms"):
+        parse_poly("(a+b+c+d)^20", ("a", "b", "c", "d"))
+    base = "+".join(f"x^{10 - i}*y^{i}" for i in range(11))
+    assert len(parse_poly(f"({base})^25", ("x", "y")).terms) == 251
+    assert len(parse_poly("(x+y)^256", ("x", "y")).terms) == 257
+
+
 def test_zeta_and_sugar():
     value = parse_poly("zeta(8)^2 + i", ()).constant_term()
     assert value == 2 * zeta(4)
