@@ -7,8 +7,10 @@ refuted claim or failed check, 2 bad input, 3 an exceeded internal bound.
 The argument parser is built once per process, on the first
 :func:`run_command` call, and shared by every later call; it must not be
 mutated.  Each parse returns a fresh namespace, so no state passes from one
-call to the next.  A usage error prints nothing: it answers exit 2 with
-code ``usage`` and argparse's ``error:`` line as its message.
+call to the next.  The parser prints nothing: a usage error answers exit 2
+with code ``usage`` and argparse's ``error:`` line as its message, and
+``--help`` answers exit 0 with the help text under ``help`` and as the
+markdown.
 """
 
 from __future__ import annotations
@@ -280,12 +282,19 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpRequested(Exception):
+    pass
+
+
 class _ArgumentParser(argparse.ArgumentParser):
-    """Raises its usage errors instead of printing them to stderr; the
-    subcommand parsers are of the same class."""
+    """Raises its usage errors and help text instead of printing them, so
+    argparse never exits; the subcommand parsers are of the same class."""
 
     def error(self, message):
         raise _UsageError(f"{self.prog}: error: {message}")
+
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help())
 
 
 @cache
@@ -355,10 +364,9 @@ def run_command(argv) -> CommandResult:
         args = parser.parse_args(argv)
     except _UsageError as err:
         return _error_result("argparse", "usage", str(err), 2)
-    except SystemExit as exc:
-        code = 0 if exc.code in (0, None) else 2
-        return CommandResult(code, _payload("argparse", {"error": {
-            "code": "usage", "message": "bad arguments"}}, code), "")
+    except _HelpRequested as help_text:
+        text = str(help_text)
+        return CommandResult(0, _payload("argparse", {"help": text}), text)
     command = args.command
     try:
         return args.func(args)

@@ -484,6 +484,18 @@ def test_usage_errors_stay_off_the_streams(capsys):
     assert result.markdown == f"error (usage): {result.payload['error']['message']}\n"
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["stabilizer", "--help"], ["-h"]])
+def test_help_is_a_payload(capsys, argv):
+    result = run_command(argv)
+    assert capsys.readouterr() == ("", "")
+    assert result.status == 0
+    assert set(result.payload) == {"schema", "command", "status", "help"}
+    assert result.payload["help"] == result.markdown
+    assert result.markdown.startswith("usage: stackygit")
+    assert main(argv) == 0
+    assert capsys.readouterr() == (result.markdown, "")
+
+
 def _fresh_process_json(argv) -> str:
     """The JSON text the CLI prints for ``argv`` in a new interpreter."""
     env = dict(os.environ, PYTHONPATH=str(Path(stackygit.__file__).parents[1]))
