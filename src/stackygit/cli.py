@@ -364,9 +364,8 @@ def run_command(argv) -> CommandResult:
         args = parser.parse_args(argv)
     except _UsageError as err:
         return _error_result("argparse", "usage", str(err), 2)
-    except _HelpRequested as help_text:
-        text = str(help_text)
-        return CommandResult(0, _payload("argparse", {"help": text}), text)
+    except _HelpRequested as text:
+        return CommandResult(0, _payload("argparse", {"help": str(text)}), str(text))
     command = args.command
     try:
         return args.func(args)

@@ -99,10 +99,10 @@ def catalog_stabilizer(f: BinaryForm, n_max: int | None = None):
 
     Candidates are C_n and D_n for n <= n_max (default: deg f) plus T, O,
     I; each is certified once by :func:`semi_invariance`, and maximality is
-    with respect to literal containment of the certified groups in the
-    standard matrix groups.  Conjugate copies are out of scope: the catalog's normal
-    forms realize their stabilizers in the standard embeddings.  An
-    ``n_max`` below 1 raises ValueError: every form is fixed by C_1.
+    with respect to literal containment of the standard matrix groups.
+    Conjugate copies are out of scope: the catalog's normal forms realize
+    their stabilizers in the standard embeddings.  An ``n_max`` below 1
+    raises ValueError: every form is fixed by C_1.
 
     The support rule of :func:`semi_invariance` refutes every C_n and D_n
     whose n does not divide g, the gcd of the support-index differences, so
