@@ -213,8 +213,8 @@ def _power_terms(p: MultiPoly, j: int) -> int:
     multisets of j of p's t terms, C(t + j - 1, j), and the number of
     monomials, in the n variables p uses, whose degree lies between j times
     the least and j times the largest degree of p's terms."""
-    if not p.terms:
-        return 0
+    if len(p.terms) < 2:
+        return len(p.terms)
     degrees = [sum(e) for e in p.terms]
     n = sum(1 for column in zip(*p.terms) if any(column))
     low, high = j * min(degrees), j * max(degrees)
