@@ -22,6 +22,7 @@ sequence runs on integers, since its divisions are exact in Z.
 from __future__ import annotations
 
 from math import gcd, lcm, prod
+from operator import add
 
 from .cyclotomic import (
     CyclotomicNumber,
@@ -174,6 +175,17 @@ class MultiPoly:
             return MultiPoly._of(self.variables,
                                  {e: x * c for e, x in self.terms.items()})
         other = self._coerce(other)
+        if all(c.order == 1 for c in (*self.terms.values(), *other.terms.values())):
+            # over Q: integer numerators over one denominator per operand and
+            # one division per term of the product
+            (d1, n1), (d2, n2) = _to_ints(self.terms.values()), _to_ints(other.terms.values())
+            sums = {}
+            for e1, a in zip(self.terms, n1):
+                for e2, b in zip(other.terms, n2):
+                    e = tuple(map(add, e1, e2))
+                    sums[e] = sums.get(e, 0) + a * b
+            return MultiPoly._of(self.variables,
+                                 {e: _raw(1, [n], d1 * d2) for e, n in sums.items() if n})
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

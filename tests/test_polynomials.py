@@ -420,6 +420,20 @@ def _assert_clean(r):
         assert all(type(k) is int and k >= 0 for k in e)
 
 
+def test_products_agree_with_a_term_by_term_reference():
+    # MultiPoly products (integer numerators over Q, CyclotomicNumber terms
+    # otherwise) against sums of coefficient products, term by term
+    rng = random.Random(21)
+    for _ in range(150):
+        p, q = _random_multipoly(rng), _random_multipoly(rng)
+        expected = {}
+        for e1, c1 in p.terms.items():
+            for e2, c2 in q.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                expected[e] = expected.get(e, 0) + c1 * c2
+        assert p * q == MultiPoly(_VARS, expected)
+
+
 def test_arithmetic_results_are_clean():
     # results built by the unchecked MultiPoly._of against the checking
     # constructor, on random operands and on pairs that cancel
