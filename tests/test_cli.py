@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import stackygit
-from stackygit import invariants, ringspec
+from stackygit import cli, invariants, ringspec, symmetry
 from stackygit.cli import build_parser, main, run_command
 from stackygit.errors import ExactArithmeticError
 from stackygit.invariants import catalog_ring
@@ -60,8 +60,6 @@ def test_stabilizer():
 def test_stabilizer_certifies_each_candidate_once(monkeypatch):
     # the payload's scalars come from catalog_stabilizer's certificates; no
     # maximal group is substituted a second time
-    from stackygit import cli, symmetry
-
     calls = []
     original = symmetry.semi_invariance
 
