@@ -175,9 +175,11 @@ class MultiPoly:
             return MultiPoly._of(self.variables,
                                  {e: x * c for e, x in self.terms.items()})
         other = self._coerce(other)
-        if all(c.order == 1 for c in (*self.terms.values(), *other.terms.values())):
-            # over Q: integer numerators over one denominator per operand and
-            # one division per term of the product
+        if len(self.terms) > 1 < len(other.terms) and all(
+                c.order == 1 for c in (*self.terms.values(), *other.terms.values())):
+            # over Q, where products of terms are summed: integer numerators
+            # over one denominator per operand and one division per term of
+            # the product (a one-term factor only scales the other's terms)
             (d1, n1), (d2, n2) = _to_ints(self.terms.values()), _to_ints(other.terms.values())
             sums = {}
             for e1, a in zip(self.terms, n1):
