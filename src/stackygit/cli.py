@@ -288,7 +288,14 @@ class _HelpRequested(Exception):
 
 class _ArgumentParser(argparse.ArgumentParser):
     """Raises its usage errors and help text instead of printing them, so
-    argparse never exits; the subcommand parsers are of the same class."""
+    argparse never exits; the subcommand parsers are of the same class.
+
+    Help is formatted at a fixed width of 78 columns, argparse's width on an
+    80-column terminal, so that the help payload does not depend on
+    ``COLUMNS`` or on the terminal."""
+
+    def _get_formatter(self):
+        return self.formatter_class(prog=self.prog, width=78)
 
     def error(self, message):
         raise _UsageError(f"{self.prog}: error: {message}")

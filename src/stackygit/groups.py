@@ -165,7 +165,16 @@ def group_elements(spec: GroupSpec):
 
 @lru_cache(maxsize=None)
 def group_contains(big: GroupSpec, small: GroupSpec) -> bool:
-    """Literal containment of the standard matrix groups."""
+    """Literal containment of the standard matrix groups.
+
+    C_m and D_m are decided by divisibility: both are generated by
+    diag(zeta_2m, zeta_2m^-1), whose (m/n)-th power generates C_n when n
+    divides m, and D_m adds the [[0, i], [i, 0]] of every D_n; neither
+    contains T, O or I.  Only a polyhedral ``big`` is enumerated, and then
+    ``small``'s generators are looked up among its elements.
+    """
+    if big.kind in ("C", "D"):
+        return small.kind in ("C", big.kind) and big.n % small.n == 0
     if big == small:
         return True
     if small.order > big.order or big.order % small.order:

@@ -93,6 +93,15 @@ def has_finite_stabilizer(f: BinaryForm) -> bool:
     return f.distinct_root_count() >= 3
 
 
+#: A subgroup of each polyhedral group in the standard embeddings: f can be
+#: semi-invariant under T, O or I only if it is under this subgroup.
+POLYHEDRAL_SUBGROUPS = {
+    GroupSpec("T"): GroupSpec("D", 2),
+    GroupSpec("O"): GroupSpec("D", 4),
+    GroupSpec("I"): GroupSpec("C", 5),
+}
+
+
 def catalog_stabilizer(f: BinaryForm, n_max: int | None = None):
     """Certificates of the maximal catalog groups under which f is
     semi-invariant, ordered by group order, then label.
@@ -104,11 +113,21 @@ def catalog_stabilizer(f: BinaryForm, n_max: int | None = None):
     their stabilizers in the standard embeddings.  An ``n_max`` below 1
     raises ValueError: every form is fixed by C_1.
 
-    The support rule of :func:`semi_invariance` refutes every C_n and D_n
-    whose n does not divide g, the gcd of the support-index differences, so
-    only the divisors of g are tried; g is at least 1 and at most deg f
-    because three distinct roots need two support indices.  The work is
-    therefore bounded by the degree however large ``n_max`` is.
+    Two exact rules on the coefficients refute candidates before any
+    substitution; the candidates left are certified by substitution.
+
+    - Support rule: the support rule of :func:`semi_invariance` refutes
+      every C_n and D_n whose n does not divide g, the gcd of the
+      support-index differences, so only the divisors of g are tried; g is
+      at least 1 and at most deg f because three distinct roots need two
+      support indices.  The work is therefore bounded by the degree however
+      large ``n_max`` is.
+    - Reversal rule: D_n's second generator [[0, i], [i, 0]] sends f(x, y)
+      to i^d f(y, x), so every D_n is refuted unless the reversed
+      coefficient vector is proportional to f's.
+    - Polyhedral rule: T, O and I contain D_2, D_4 and C_5 in the standard
+      embeddings, so each is refuted when its subgroup is refuted by the
+      two rules above.
     """
     if n_max is not None and n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
@@ -118,9 +137,14 @@ def catalog_stabilizer(f: BinaryForm, n_max: int | None = None):
     if n_max is None:
         n_max = max(f.degree, 1)
     g = _support_gcd(f)
-    ns = [n for n in range(1, min(g, n_max) + 1) if g % n == 0]
-    candidates = [GroupSpec("C", n) for n in ns] + [GroupSpec("D", n) for n in ns]
-    candidates += [GroupSpec("T"), GroupSpec("O"), GroupSpec("I")]
+    reversible = BinaryForm(f.coeffs[::-1]).proportional_to(f) is not None
+
+    def unrefuted(spec):
+        return g % spec.n == 0 and (spec.kind == "C" or reversible)
+
+    candidates = [GroupSpec(kind, n) for kind in "CD" for n in range(1, min(g, n_max) + 1)]
+    candidates = [s for s in candidates if unrefuted(s)]
+    candidates += [big for big, sub in POLYHEDRAL_SUBGROUPS.items() if unrefuted(sub)]
     passing = [c for c in (semi_invariance(f, s) for s in candidates) if c is not None]
     maximal = [
         c for c in passing

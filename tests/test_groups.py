@@ -81,3 +81,32 @@ def test_spec_parse_errors():
         GroupSpec("C", 0)
     with pytest.raises(ValueError):
         GroupSpec("T", 3)
+
+
+_CATALOG_GROUPS = ([GroupSpec(kind, n) for kind in "CD" for n in range(1, 13)]
+                   + [GroupSpec("T"), GroupSpec("O"), GroupSpec("I")])
+
+
+def test_containment_matches_generator_membership():
+    # divisibility for C/D and enumeration for T, O, I agree with membership
+    # of the generators among the larger group's elements
+    for big in _CATALOG_GROUPS:
+        elements = set(group_elements(big))
+        for small in _CATALOG_GROUPS:
+            if big.order % small.order:
+                continue
+            expected = all(g in elements for g in group_generators(small))
+            assert group_contains(big, small) == expected, (big, small)
+
+
+def test_cyclic_and_dihedral_containment_enumerates_nothing(monkeypatch):
+    import stackygit.groups as groups
+
+    def refuse(spec):
+        raise AssertionError(f"enumerated {spec}")
+
+    monkeypatch.setattr(groups, "group_elements", refuse)
+    for big in _CATALOG_GROUPS:
+        if big.kind in ("C", "D"):
+            for small in _CATALOG_GROUPS:
+                groups.group_contains.__wrapped__(big, small)

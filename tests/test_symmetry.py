@@ -15,6 +15,7 @@ from stackygit.polynomials import BinaryForm
 from stackygit.symmetry import (
     CATALOG,
     NUMBERED_CASES,
+    POLYHEDRAL_SUBGROUPS,
     catalog_case,
     catalog_stabilizer,
     ground_forms,
@@ -202,6 +203,59 @@ class TestCatalog:
             assert [c.group for c in catalog_stabilizer(f, n_max)] == \
                 sorted(maximal, key=lambda s: (s.order, s.label)), (coeffs, n_max)
 
+    def test_coefficient_rules_refute_only_what_substitution_refutes(self):
+        # forms that pass D_n, T, O or I, and the same forms one coefficient
+        # or one palindrome away from passing
+        bases = [ground_forms(GroupSpec("D", n)).forms[0] for n in range(3, 7)]
+        for label in "TOI":
+            bases += ground_forms(GroupSpec(label)).forms
+        bases += [
+            klein_generate(GroupSpec("D", 3), 1, 0, 1, [(2, 3)]),
+            klein_generate(GroupSpec("D", 4), 0, 1, 0, [(1, 5)]),
+            klein_generate(GroupSpec("T"), 1, 0, 1, [(2, 3)]),
+            klein_generate(GroupSpec("O"), 0, 1, 0, [(1, 2)]),
+            klein_generate(GroupSpec("I"), 1, 0, 0, []),
+            klein_generate(GroupSpec("I"), 0, 0, 1, []),
+        ]
+        bases += [case.build() for case in CATALOG]
+        checked = 0
+        for base in bases:
+            coeffs = list(base.coeffs)
+            changed = coeffs[:]
+            changed[len(coeffs) // 2] += 1
+            broken = coeffs[:]
+            last = max(i for i, c in enumerate(coeffs) if c)
+            broken[last] *= 2
+            for f in (base, BinaryForm(changed), BinaryForm(broken)):
+                if f.distinct_root_count() <= 2:
+                    continue
+                expected = [semi_invariance(f, s) for s in _every_candidate_maximal(f)]
+                assert catalog_stabilizer(f) == expected, f.coeffs
+                checked += 1
+        assert checked >= 3 * len(CATALOG)
+
+    def test_polyhedral_subgroups_are_contained(self):
+        assert {big.label: (sub.n, sub.kind) for big, sub in POLYHEDRAL_SUBGROUPS.items()} \
+            == {"T": (2, "D"), "O": (4, "D"), "I": (5, "C")}
+        for big, sub in POLYHEDRAL_SUBGROUPS.items():
+            assert group_contains(big, sub)
+        assert not group_contains(GroupSpec("I"), GroupSpec("D", 1))
+
+    def test_asymmetric_full_support_form_substitutes_only_c1(self, monkeypatch):
+        # g = 1 leaves C1 and D1; the reversal rule refutes D1, and with it
+        # T, O and I
+        f = form("x^4 + 2*x^3*y + 3*x^2*y^2 + 4*x*y^3 + 5*y^4")
+        substituted = []
+        original = BinaryForm.substitute
+
+        def counted(self, m):
+            substituted.append(m)
+            return original(self, m)
+
+        monkeypatch.setattr(BinaryForm, "substitute", counted)
+        assert [c.group.label for c in catalog_stabilizer(f)] == ["C1"]
+        assert substituted == list(group_generators(GroupSpec("C", 1)))
+
     def test_unknown_case(self):
         with pytest.raises(UnknownCaseError):
             special_form("septic.I")
@@ -211,3 +265,13 @@ class TestCatalog:
         assert [c.group.label for c in catalog_stabilizer(f)] == ["C2"]
         g = special_form("sextic.IV", ((1, 6),))
         assert [c.group.label for c in catalog_stabilizer(g)] == ["D3"]
+
+
+def _every_candidate_maximal(f):
+    """The maximal groups among every C_n, D_n (n <= deg f), T, O and I
+    under which f is semi-invariant."""
+    specs = [GroupSpec(kind, n) for kind in "CD" for n in range(1, f.degree + 1)]
+    specs += [GroupSpec("T"), GroupSpec("O"), GroupSpec("I")]
+    passing = [s for s in specs if semi_invariance(f, s) is not None]
+    maximal = [s for s in passing if not any(t != s and group_contains(t, s) for t in passing)]
+    return sorted(maximal, key=lambda s: (s.order, s.label))
