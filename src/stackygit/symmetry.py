@@ -116,12 +116,12 @@ def catalog_stabilizer(f: BinaryForm, n_max: int | None = None):
     Two exact rules on the coefficients refute candidates before any
     substitution; the candidates left are certified by substitution.
 
-    - Support rule: the support rule of :func:`semi_invariance` refutes
-      every C_n and D_n whose n does not divide g, the gcd of the
-      support-index differences, so only the divisors of g are tried; g is
-      at least 1 and at most deg f because three distinct roots need two
-      support indices.  The work is therefore bounded by the degree however
-      large ``n_max`` is.
+    - Support rule (that of :func:`semi_invariance`): every C_n and D_n
+      whose n does not divide g, the gcd of the support-index differences,
+      is refuted, so only the divisors of g are tried; g is at least 1 and
+      at most deg f because three distinct roots need two support indices.
+      The work is therefore bounded by the degree however large ``n_max``
+      is.
     - Reversal rule: D_n's second generator [[0, i], [i, 0]] sends f(x, y)
       to i^d f(y, x), so every D_n is refuted unless the reversed
       coefficient vector is proportional to f's.
