@@ -29,9 +29,7 @@ Bulk kernels (``BinaryForm.substitute``, ``invariants.transvectant`` and
 :func:`_to_int_coords`, multiply with :func:`_mul_vec` and build each result
 once with :func:`_raw`.  Over Q they work instead on plain integer
 numerators over one denominator (:func:`_to_ints`), as do the
-subresultant sequence behind ``invariants.resultant`` and the gcd chain,
-and the calibration, whose monomial rows (``polynomials._monomial_ints``)
-and linear solve are integer throughout.
+subresultant sequence behind ``invariants.resultant`` and the gcd chain.
 
 >>> zeta(4) ** 2
 CyclotomicNumber('-1')
@@ -497,56 +495,3 @@ def sqrt5() -> CyclotomicNumber:
 @lru_cache(maxsize=None)
 def sqrt_minus3() -> CyclotomicNumber:
     return 1 + 2 * zeta(3)
-
-
-# -- exact square roots of rationals ------------------------------------------
-
-@lru_cache(maxsize=None)
-def _sqrt_prime(p: int) -> CyclotomicNumber:
-    """An exact square root of the prime p, via the quadratic Gauss sum."""
-    if p == 2:
-        return sqrt2()
-    g = ZERO
-    for k in range(1, p):
-        chi = 1 if pow(k, (p - 1) // 2, p) == 1 else -1
-        g = g + chi * zeta(p) ** k
-    # g^2 = p for p = 1 mod 4 and -p for p = 3 mod 4
-    return g if p % 4 == 1 else g / imag_unit()
-
-
-def rational_sqrt(q):
-    """An exact CyclotomicNumber square root of the rational q, or None.
-
-    Square roots of rationals always live in some cyclotomic field; None is
-    returned only when the needed order exceeds ORDER_CAP or a factor of q
-    resists the (bounded) trial division.
-    """
-    q = QQ(q)
-    if q == 0:
-        return ZERO
-    n = abs(int(q.numerator * q.denominator))
-    outside, odd_primes = 1, []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                e += 1
-                n //= p
-            outside *= p ** (e // 2)
-            if e % 2:
-                odd_primes.append(p)
-        p += 1 if p == 2 else 2
-        if p > 1_000_003:
-            return None
-    if n > 1:
-        odd_primes.append(n)
-    try:
-        root = as_cyclotomic(QQ(outside, abs(int(q.denominator))))
-        for prime in odd_primes:
-            root = root * _sqrt_prime(prime)
-        if q < 0:
-            root = root * imag_unit()
-        return root
-    except OrderCapExceededError:
-        return None

@@ -45,9 +45,8 @@ class ProductTooLargeError(BoundExceededError):
 
 class ExactArithmeticError(StackygitError, ArithmeticError):
     """An exact-arithmetic check failed: a division that must be exact in
-    the coefficient ring left a remainder, or a multi-modular solve ran past
-    its Hadamard bound.  Other ArithmeticErrors reaching the command line
-    are reported with the same code."""
+    the coefficient ring left a remainder.  Other ArithmeticErrors reaching
+    the command line are reported with the same code."""
 
     code = "arithmetic-error"
     exit_status = 3

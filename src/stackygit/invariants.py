@@ -20,26 +20,21 @@ W(i, j) = sum_k (-1)^k C(r, k) (d-i)_(r-k) i_(k) (e-j)_(k) j_(r-k)
 integer coordinates in Q(zeta_m), m the lcm of the orders of the nonzero
 f_i and g_j that reach it with a nonzero weight, so rational forms have a
 rational transvectant and each coefficient's field is the one its own terms
-need.  The calibration harness matches transvectant-built invariants
-against a catalog relation by per-degree scalars.
+need.  The calibration harness checks that pinned per-degree scalars
+(:data:`QUINTIC_SCALARS`, :data:`SEXTIC_SCALARS`) match transvectant-built
+invariants to a catalog relation, exactly, at seeded random forms.
 
-No matrix is eliminated over the cyclotomic field.  :func:`resultant` reads
-the resultant, at the forms' formal degrees, off
-:func:`stackygit.polynomials._subresultants`, the one subresultant
-pseudo-remainder sequence, which the root-multiplicity gcds also run; for
-rational forms it runs on integers.  The
-calibration's linear solve :func:`_solve_linear` takes the integer rows of
-rational samples and is multi-modular: Gauss-Jordan elimination modulo
-62-bit primes, Chinese remaindering and rational reconstruction, with every
-answer certified by an exact integer check (a solution that satisfies every
-row, a failing row, or a kernel vector).
+No matrix is eliminated.  :func:`resultant` reads the resultant, at the
+forms' formal degrees, off :func:`stackygit.polynomials._subresultants`,
+the one subresultant pseudo-remainder sequence, which the
+root-multiplicity gcds also run; for rational forms it runs on integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, isqrt, lcm, perm
+from math import comb, factorial, lcm, perm
 
 from .cyclotomic import (
     QQ,
@@ -51,9 +46,9 @@ from .cyclotomic import (
     _to_ints,
     as_cyclotomic,
     euler_phi,
+    sqrt2,
 )
 from .errors import (
-    ExactArithmeticError,
     NonStableError,
     OrderTooLargeError,
     UnderDeterminedError,
@@ -61,7 +56,7 @@ from .errors import (
     WrongDegreeError,
 )
 from .graded import GradedRingPresentation
-from .polynomials import BinaryForm, MultiPoly, _exact_quotients, _monomial_ints, _subresultants
+from .polynomials import BinaryForm, MultiPoly, _exact_quotients, _subresultants
 
 FAMILIES = ("quartic", "quintic", "sextic", "cubic-curve", "cubic-surface")
 
@@ -404,38 +399,6 @@ def _invariant_value(form: BinaryForm) -> CyclotomicNumber:
     return form.a(0)
 
 
-def _iroot(n: int, k: int) -> int:
-    """The integer k-th root floor(n^(1/k)) of n >= 0, by Newton's method."""
-    if n < 2:
-        return n
-    r = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > n^(1/k)
-    while True:
-        s = ((k - 1) * r + n // r ** (k - 1)) // k
-        if s >= r:
-            return r
-        r = s
-
-
-def _rational_root(value, k: int):
-    """Exact rational k-th root of a rational CyclotomicNumber, or None."""
-    if not value.is_rational():
-        return None
-    q = value.rational_value()
-    if q == 0:
-        return None
-    sign = 1
-    if q < 0:
-        if k % 2 == 0:
-            return None
-        sign, q = -1, -q
-    # q is in lowest terms, so it is a k-th power iff both parts are
-    num, den = int(q.numerator), int(q.denominator)
-    rn, rd = _iroot(num, k), _iroot(den, k)
-    if rn ** k == num and rd ** k == den:
-        return QQ(sign * rn, rd)
-    return None
-
-
 DEFAULT_SEED = 7
 
 #: Classical covariant chain for the quintic: the quadratic covariant
@@ -453,6 +416,13 @@ QUINTIC_RECIPE = (
     RecipeStep("I12", "trans", ("tau", "tau"), 2),
     RecipeStep("I18", "res", ("f", "alpha")),
 )
+
+#: The per-degree scalars c_k that match the invariants J_k of
+#: QUINTIC_RECIPE to the catalog generators: (c18*J18)^2 = F(c4*J4, c8*J8,
+#: c12*J12), with c18 = sqrt(2)/729.  Like the 'lin' corrections of
+#: SEXTIC_RECIPE they were solved once against the relation, then frozen;
+#: :func:`calibrate_invariants` verifies them.
+QUINTIC_SCALARS = {"I4": QQ(1), "I8": QQ(1, 2), "I12": QQ(-1, 4), "I18": sqrt2() / 729}
 
 #: Transvectant chain for the sextic in degrees 2, 4, 6, 10, 15.  The raw
 #: transvectants J6 and J10 differ from the determinant convention of the
@@ -488,12 +458,17 @@ SEXTIC_RECIPE = (
         (QQ(-1, 9), "p144"), (QQ(-1, 18), "p226"))),
 )
 
+#: The per-degree scalars of SEXTIC_RECIPE: (c15*J15)^2 = F(c2*J2, c4*J4,
+#: c6*J6, c10*J10); pinned like :data:`QUINTIC_SCALARS`.
+SEXTIC_SCALARS = {"I2": QQ(1), "I4": QQ(1), "I6": QQ(1), "I10": QQ(1), "I15": QQ(5)}
 
-# The families calibrate_invariants accepts, with the degree of their forms.
-_FORM_DEGREES = {"quintic": 5, "sextic": 6}
 
-#: The least number of random forms a calibration is verified at.
-CALIBRATION_SAMPLES = 25
+#: Per family calibrate_invariants accepts: the degree of its forms, the
+#: number of random forms the pinned scalars are verified at, and the
+#: scalars.  The counts decide which forms a seed draws, so changing one
+#: moves that family's payloads: 25 quintics, and 55 sextics (the 47
+#: monomials of weight 30 in I2, I4, I6, I10, plus 8).
+_CALIBRATIONS = {"quintic": (5, 25, QUINTIC_SCALARS), "sextic": (6, 55, SEXTIC_SCALARS)}
 
 #: The coefficients of :func:`random_form` lie in [-FORM_SPAN, FORM_SPAN].
 FORM_SPAN = 9
@@ -507,23 +482,23 @@ def random_form(rng, degree: int) -> BinaryForm:
 
 
 def calibrate_invariants(family: str, recipe, seed: int = DEFAULT_SEED) -> CalibrationResult:
-    """Find per-degree scalars matching recipe invariants to the catalog
-    relation, verified exactly at random forms.
+    """Verify the pinned per-degree scalars that match recipe invariants to
+    the catalog relation, exactly, at random forms.
 
-    For the quintic: scalars (c4, c8, c12, c18) with (c18*J18)^2 =
-    F(c4*J4, c8*J8, c12*J12) at :data:`CALIBRATION_SAMPLES` or more random
-    quintics; c18 is normalized to 1.  The sextic relation is handled the
-    same way with five scalars.  The recipe must define every generator of
-    the family's ring: a missing one raises UnderDeterminedError, naming it,
-    before anything is evaluated.  A recipe invariant with a non-rational
-    value raises ValueError, naming it: the solve is over Q.  Other families
+    For the quintic: the scalars (c4, c8, c12, c18) of
+    :data:`QUINTIC_SCALARS` must satisfy (c18*J18)^2 = F(c4*J4, c8*J8,
+    c12*J12) at 25 random quintics.  The sextic relation is checked the
+    same way with the five :data:`SEXTIC_SCALARS` at 55 random sextics.
+    The recipe must define every generator of the family's ring: a missing
+    one raises UnderDeterminedError, naming it, before anything is
+    evaluated, and so does one that vanishes at every form.  Other families
     raise UnknownFamilyError.  Failure returns a report with the nonzero
     residuals.
     """
     import random
 
     entry = catalog_ring(family)
-    if family not in _FORM_DEGREES:
+    if family not in _CALIBRATIONS:
         raise UnknownFamilyError(f"family {family!r} has no relation to calibrate")
     names = entry.ring.generators
     defined = {step.name for step in recipe}
@@ -531,34 +506,21 @@ def calibrate_invariants(family: str, recipe, seed: int = DEFAULT_SEED) -> Calib
     if missing:
         raise UnderDeterminedError(
             f"the recipe defines no step for generator(s) {', '.join(missing)}")
-    degree = _FORM_DEGREES[family]
-    weights = entry.ring.weights
+    degree, count, pinned = _CALIBRATIONS[family]
     rng = random.Random(seed)
 
     def values_at(f):
         env = evaluate_recipe(recipe, f)
         return [_invariant_value(env[n]) for n in names]
 
-    # enough probes to pin every coefficient of the degree-2w(top) space
-    mono_count = len(_weighted_monomials(weights[:-1], 2 * weights[-1]))
-    probe = [random_form(rng, degree)
-             for _ in range(max(CALIBRATION_SAMPLES, mono_count + 8))]
+    probe = [random_form(rng, degree) for _ in range(count)]
     probe_values = [values_at(f) for f in probe]
     for j, name in enumerate(names):
         if all(not v[j] for v in probe_values):
             raise UnderDeterminedError(
                 f"recipe invariant {name} vanishes identically on the samples")
-        if any(v[j].order != 1 for v in probe_values):
-            raise ValueError(
-                f"recipe invariant {name} takes a non-rational value; "
-                "the calibration solves over Q")
 
-    scalars = _solve_scalars(entry, names, weights, probe_values)
-    if scalars is None:
-        return CalibrationResult(family, None, detail=(
-            "no per-degree scalars match the relation; the recipe "
-            "invariants differ from the catalog generators by more than scale"))
-
+    scalars = [as_cyclotomic(pinned[n]) for n in names]
     residuals = []
     for f, vals in zip(probe, probe_values):
         scaled = [c * v for c, v in zip(scalars, vals)]
@@ -567,320 +529,9 @@ def calibrate_invariants(family: str, recipe, seed: int = DEFAULT_SEED) -> Calib
         if lhs != rhs:
             residuals.append((str(f), str(lhs - rhs)))
     if residuals:
-        return CalibrationResult(family, None, tuple(residuals),
-                                 "scalars fitted on coefficients but residuals remain")
+        return CalibrationResult(family, None, tuple(residuals), (
+            f"the pinned scalars leave residuals at {len(residuals)} of "
+            f"{len(probe)} random forms (seed {seed})"))
     return CalibrationResult(
         family, dict(zip(names, scalars)),
         detail=f"relation verified exactly at {len(probe)} random forms (seed {seed})")
-
-
-def _solve_scalars(entry, names, weights, probe_values):
-    """Solve for the per-generator scalars from the relation coefficients.
-
-    Writes J_top^2 as an exact linear combination of the monomials in the
-    base invariants (a linear solve over the samples), then matches that
-    combination against the relation's coefficient pattern.  The scalar
-    vector is only determined up to the weighted rescaling freedom; the
-    first base scalar is normalized to 1.
-
-    The values are rational: with a sample's monomials at nums / den
-    (:func:`_monomial_ints`) and J_top = T / t, its equation times den t^2
-    is the integer row nums t^2 = T^2 den.
-    """
-    base_count = len(names) - 1
-    monos = _weighted_monomials(weights[:base_count], 2 * weights[-1])
-    rows, rhs = [], []
-    for vals in probe_values:
-        den, nums = _monomial_ints(vals[:base_count], monos)
-        scale = vals[-1].den ** 2
-        rows.append([n * scale for n in nums])
-        rhs.append(vals[-1].coords[0] ** 2 * den)
-    solution = _solve_linear(rows, rhs)
-    if solution is None:
-        return None
-    nums, den = solution
-    lam = {m: _raw(1, [x], den) for m, x in zip(monos, nums)}
-    rel = {m: entry.F.terms.get(m, None) for m in monos}
-    return _match_pattern(lam, rel, base_count)
-
-
-def _weighted_monomials(weights, degree):
-    out = []
-
-    def rec(i, left, current):
-        if i == len(weights):
-            if left == 0:
-                out.append(tuple(current))
-            return
-        top = left // weights[i]
-        for k in range(top + 1):
-            rec(i + 1, left - k * weights[i], current + [k])
-
-    rec(0, degree, [])
-    return sorted(out)
-
-
-def _mono_value(vals, mono):
-    v = as_cyclotomic(1)
-    for x, k in zip(vals, mono):
-        if k:
-            v = v * x ** k
-    return v
-
-
-def _solve_linear(A, b):
-    """Exact solve over Q of the overdetermined integer system ``A x = b``:
-    the solution as integer numerators over one positive denominator,
-    ``(nums, den)``, or None if the system is inconsistent or its solution
-    is not unique.
-
-    Gauss-Jordan elimination modulo a prime p picks independent rows.  At
-    full rank they form a square block that is nonsingular over Q because
-    it is modulo p; its solution comes from :func:`_solve_block` and is
-    checked exactly on every other row, and a failing row proves the system
-    inconsistent.  Below full rank the pivot block gives a candidate kernel
-    vector the same way: if it is one, exactly, the solution is not unique,
-    and otherwise p was unlucky and the next prime is taken.
-    """
-    ncols = len(A[0])
-    bound, unlucky, p = _hadamard(A), 1, _PRIME_START
-    while unlucky <= bound:  # unlucky primes divide a nonzero minor
-        p = _prev_prime(p)
-        reduced, picked, pivots = _gauss_jordan_mod(
-            [row + [c] for row, c in zip(A, b)], ncols, p)
-        if len(pivots) == ncols:
-            x, den = _solve_block([A[i] for i in picked], [b[i] for i in picked],
-                                  p, [row[-1] for row in reduced[:ncols]])
-            if any(_dot(row, x) != c * den for row, c in zip(A, b)):
-                return None
-            return x, den
-        free = min(set(range(ncols)) - set(pivots))
-        y, den = _solve_block([[A[i][j] for j in pivots] for i in picked],
-                              [-A[i][free] for i in picked],
-                              p, [-row[free] % p for row in reduced[:len(pivots)]])
-        v = [0] * ncols
-        v[free] = den
-        for j, yj in zip(pivots, y):
-            v[j] = yj
-        if not any(_dot(row, v) for row in A):
-            return None
-        unlucky *= p
-    raise ExactArithmeticError("no lucky prime below the Hadamard bound of the system")
-
-
-#: The primes used are the primes below 2^62, largest first.
-_PRIME_START = 1 << 62
-
-#: Miller-Rabin with these bases is deterministic below 2^64.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while not d & 1:
-        d, s = d >> 1, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def _prev_prime(n: int) -> int:
-    """The largest prime below n > 3."""
-    n -= 1
-    while not _is_prime(n):
-        n -= 1
-    return n
-
-
-def _dot(row, x):
-    return sum(a * v for a, v in zip(row, x) if a)
-
-
-def _hadamard(rows) -> int:
-    """Hadamard's bound: the product of the rows' Euclidean lengths, rounded
-    up, bounds |det| of every square submatrix."""
-    bound = 1
-    for row in rows:
-        bound *= isqrt(sum(a * a for a in row)) + 1
-    return bound
-
-
-def _gauss_jordan_mod(rows, ncols, p):
-    """Gauss-Jordan elimination of the integer ``rows`` modulo p in columns
-    ``0 .. ncols-1``; later columns are carried along.  Returns the reduced
-    rows (the pivot rows first, each with 1 at its pivot and 0 at the other
-    pivots), the input indices of the pivot rows and the pivot columns."""
-    rows = [[a % p for a in row] for row in rows]
-    index = list(range(len(rows)))
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        k = next((k for k in range(r, len(rows)) if rows[k][col]), None)
-        if k is None:
-            continue
-        rows[r], rows[k] = rows[k], rows[r]
-        index[r], index[k] = index[k], index[r]
-        inv = pow(rows[r][col], -1, p)
-        # entries left of col are zero in the rows from r on
-        top = rows[r] = rows[r][:col] + [a * inv % p for a in rows[r][col:]]
-        tail = top[col:]
-        for k, row in enumerate(rows):
-            a = row[col]
-            if a and k != r:
-                row[col:] = [(x - a * y) % p for x, y in zip(row[col:], tail)]
-        pivots.append(col)
-    return rows, index[:len(pivots)], pivots
-
-
-def _solve_block(S, b, p, residues):
-    """The solution of ``S x = b`` for a square integer matrix S that is
-    nonsingular modulo the prime p, given ``x mod p``, as integer
-    numerators over one positive denominator.
-
-    Solutions modulo further primes are combined by the Chinese remainder
-    theorem, and after each prime rational reconstruction proposes x
-    (von zur Gathen & Gerhard, *Modern Computer Algebra*, 5.10); a proposal
-    is accepted only when ``S x == b`` holds exactly, which proves it the
-    unique solution.  By Cramer's rule and Hadamard's bound H the
-    reconstruction is right once the modulus passes 2 H^2, so the loop ends
-    there at the latest."""
-    bound = 2 * _hadamard([row + [c] for row, c in zip(S, b)]) ** 2
-    n, modulus, q = len(S), p, p
-    while True:
-        found = _reconstruct(residues, modulus)
-        if found and all(_dot(row, found[0]) == c * found[1] for row, c in zip(S, b)):
-            return found
-        if modulus > bound:
-            raise ExactArithmeticError("rational reconstruction failed past the Hadamard bound")
-        q = _prev_prime(q)
-        reduced, _, pivots = _gauss_jordan_mod([row + [c] for row, c in zip(S, b)], n, q)
-        if len(pivots) < n:  # q divides det S
-            continue
-        inv = pow(modulus, -1, q)
-        residues = [x + modulus * ((row[-1] - x) * inv % q)
-                    for x, row in zip(residues, reduced)]
-        modulus *= q
-
-
-def _reconstruct(residues, modulus):
-    """Rationals with the given residues modulo ``modulus``, as numerators
-    over one common denominator, or None.  Each entry is reconstructed
-    after multiplying by the denominator so far, so only new factors of the
-    denominator are searched for; numerators and denominators found are at
-    most sqrt(modulus / 2)."""
-    limit = isqrt(modulus // 2)
-    nums, den = [], 1
-    for x in residues:
-        r0, r1, s0, s1 = modulus, x * den % modulus, 0, 1
-        while r1 > limit:
-            q = r0 // r1
-            r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-        if not s1 or abs(s1) > limit:
-            return None
-        if s1 < 0:
-            r1, s1 = -r1, -s1
-        if s1 != 1:
-            nums = [v * s1 for v in nums]
-            den *= s1
-        nums.append(r1)
-    return nums, den
-
-
-def _match_pattern(lam, rel, base_count):
-    """Solve lambda_m * s_top^2 = c_m * prod s_i^{m_i} for the scalars.
-
-    Multiplicative linear algebra: integer row reduction on the exponent
-    vectors (m, -2) with the values prod s_i^{m_i} * s_top^-2 = lam_m/c_m
-    carried along multiplicatively, then back-substitution with exact
-    roots.  The weighted rescaling freedom appears as a pivotless column
-    and is fixed by setting that scalar to 1; a final verification guards
-    the root-sign choices.
-    """
-    for m, c in rel.items():
-        if (c is None) != (not lam[m]):
-            return None
-    nonzero = sorted(m for m, c in rel.items() if c is not None)
-    if not nonzero:
-        return None
-    ncols = base_count + 1
-    # Column order: top scalar first, first base scalar last, so that the
-    # rescaling freedom lands on the first base generator (normalized to 1).
-    perm = [ncols - 1] + list(range(1, base_count)) + [0]
-    rows = [[(list(m) + [-2])[p] for p in perm] for m in nonzero]
-    vals = [lam[m] / rel[m] for m in nonzero]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        while True:
-            live = [k for k in range(r, len(rows)) if rows[k][col]]
-            if not live:
-                break
-            k0 = min(live, key=lambda k: abs(rows[k][col]))
-            rows[r], rows[k0] = rows[k0], rows[r]
-            vals[r], vals[k0] = vals[k0], vals[r]
-            clean = True
-            for k in range(r + 1, len(rows)):
-                if rows[k][col]:
-                    q = rows[k][col] // rows[r][col]
-                    if q:
-                        rows[k] = [a - q * b for a, b in zip(rows[k], rows[r])]
-                        vals[k] = vals[k] / vals[r] ** q
-                    if rows[k][col]:
-                        clean = False
-            if clean:
-                break
-        if r < len(rows) and rows[r][col]:
-            pivots.append((r, col))
-            r += 1
-        if r == len(rows):
-            break
-    for k in range(r, len(rows)):
-        if not any(rows[k]) and vals[k] != 1:
-            return None
-    permuted = [None] * ncols
-    for ri, col in reversed(pivots):
-        value = vals[ri]
-        for j in range(col + 1, ncols):
-            if rows[ri][j]:
-                if permuted[j] is None:
-                    permuted[j] = as_cyclotomic(1)
-                value = value / permuted[j] ** rows[ri][j]
-        root = _kth_root(value, rows[ri][col])
-        if root is None:
-            return None
-        permuted[col] = root
-    permuted = [as_cyclotomic(1) if s is None else s for s in permuted]
-    scalars = [None] * ncols
-    for where, p in enumerate(perm):
-        scalars[p] = permuted[where]
-    # verification (also guards even-root sign choices)
-    top_sq = scalars[-1] ** 2
-    for m in nonzero:
-        if _mono_value(scalars[:-1], m) != (lam[m] / rel[m]) * top_sq:
-            return None
-    return scalars
-
-
-def _kth_root(value, k: int):
-    if k < 0:
-        value, k = value.inverse(), -k
-    if k == 1:
-        return value
-    if k == 2 and value.is_rational():
-        from .cyclotomic import rational_sqrt
-
-        return rational_sqrt(value.rational_value())
-    root = _rational_root(value, k)
-    return None if root is None else as_cyclotomic(root)

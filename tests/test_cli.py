@@ -389,10 +389,11 @@ def test_calibrate_quintic():
     ArithmeticError("no lucky prime below the Hadamard bound of the system"),
     ZeroDivisionError("no lucky prime below the Hadamard bound of the system")])
 def test_arithmetic_errors_are_structured(monkeypatch, capsys, error):
-    def failing_solve(rows, rhs):
+    # calibrate quintic takes I18 as a resultant
+    def failing_resultant(f, g):
         raise error
 
-    monkeypatch.setattr(invariants, "_solve_linear", failing_solve)
+    monkeypatch.setattr(invariants, "resultant", failing_resultant)
     result = run_command(["calibrate", "quintic", "--seed", "3"])
     assert result.status == 3
     assert result.payload["error"] == {

@@ -14,7 +14,6 @@ from stackygit.cyclotomic import (
     euler_phi,
     imag_unit,
     moebius,
-    rational_sqrt,
     sqrt2,
     sqrt5,
     sqrt_minus3,
@@ -170,19 +169,6 @@ def test_order_cap():
     assert hash(other) == hash(zeta(11))
     with pytest.raises(OrderCapExceededError):
         zeta(11) == other
-
-
-@pytest.mark.parametrize("q", [3, 5, 7, 11, 13, -1, -3, QQ(-5, 12)])
-def test_rational_sqrt_squares_back(q):
-    # odd primes take the quadratic Gauss sum, negatives a factor i
-    root = rational_sqrt(q)
-    assert root is not None
-    assert root ** 2 == q
-
-
-def test_rational_sqrt_past_the_cap_is_none():
-    # sqrt(67) lies in Q(zeta_268), past the order cap
-    assert rational_sqrt(67) is None
 
 
 def test_str_roundtrip_values():

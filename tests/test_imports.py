@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module, and
-every private module-level function is used somewhere in the package."""
+every private module-level function and constant is used somewhere in the
+package."""
 
 import ast
 from pathlib import Path
@@ -39,33 +40,42 @@ def test_no_unused_imports(path):
 
 
 def unreferenced_helpers(trees):
-    """The module-level functions named ``_private`` (not dunder) in the
-    modules ``trees`` (name -> ast) that no name or attribute in the
-    modules reads outside the function's own definition."""
-    def names(node):
+    """The module-level functions and constants (``_NAME = ...``) named
+    ``_private`` (not dunder) in the modules ``trees`` (name -> ast) that no
+    name or attribute in the modules reads outside their own definition."""
+    def reads(node):
         counts = {}
         for n in ast.walk(node):
-            name = n.id if isinstance(n, ast.Name) else \
+            name = n.id if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store) else \
                 n.attr if isinstance(n, ast.Attribute) else None
             if name is not None:
                 counts[name] = counts.get(name, 0) + 1
         return counts
 
+    def defined(node):
+        if isinstance(node, ast.FunctionDef):
+            return [node.name]
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
     total = {}
     for tree in trees.values():
-        for name, count in names(tree).items():
+        for name, count in reads(tree).items():
             total[name] = total.get(name, 0) + count
     return sorted(
-        (module, node.name) for module, tree in trees.items() for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
-        and not node.name.startswith("__")
-        and total.get(node.name, 0) == names(node).get(node.name, 0))
+        (module, name) for module, tree in trees.items() for node in tree.body
+        for name in defined(node)
+        if name.startswith("_") and not name.startswith("__")
+        and total.get(name, 0) == reads(node).get(name, 0))
 
 
 def test_unreferenced_helpers_are_found():
-    trees = {"a.py": ast.parse("def _used(): pass\ndef _self(): _self()\n"),
-             "b.py": ast.parse("import a\na._used()\n")}
-    assert unreferenced_helpers(trees) == [("a.py", "_self")]
+    trees = {"a.py": ast.parse("def _used(): pass\ndef _self(): _self()\n"
+                               "_READ = 1\n_DEAD = 2\n_TYPED: int = 3\n"
+                               "_A, _B = _READ, 4\nprint(_B)\n"),
+             "b.py": ast.parse("import a\na._used()\nprint(a._TYPED)\n")}
+    assert unreferenced_helpers(trees) == [("a.py", "_A"), ("a.py", "_DEAD"), ("a.py", "_self")]
 
 
 def test_every_private_helper_is_used():

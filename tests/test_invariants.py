@@ -17,13 +17,9 @@ from stackygit.exprparse import form
 from stackygit.groups import SL2Matrix
 from stackygit.invariants import (
     QUINTIC_RECIPE,
+    QUINTIC_SCALARS,
     SEXTIC_RECIPE,
     RecipeStep,
-    _mono_value,
-    _prev_prime,
-    _rational_root,
-    _solve_linear,
-    _weighted_monomials,
     calibrate_invariants,
     catalog_ring,
     evaluate_recipe,
@@ -400,96 +396,6 @@ class TestElimination:
                 assert (value.order, value.coords, value.den) == \
                     (1, (sign * expected.numerator,), expected.denominator), (a, b)
 
-    def test_solve_linear_inconsistent(self):
-        assert _solve_linear([[1, 0], [0, 1], [1, 1]], [1, 1, 3]) is None
-
-    def test_solve_linear_rank_deficient(self):
-        assert _solve_linear([[1, 2], [2, 4], [3, 6]], [1, 2, 3]) is None
-
-    def test_solve_linear_unlucky_prime(self):
-        # the determinant is the first prime tried: singular modulo it, so
-        # the kernel candidate fails its exact check and the next prime is
-        # used (scaling a row keeps the determinant a multiple of it)
-        p = _prev_prime(1 << 62)
-        m = [[1, 2, 0], [3, 6 + p, 0], [0, 5, 1]]
-        x = [QQ(1, 3), -2, 7]
-        A, b = _integer_rows(m, [sum(a * v for a, v in zip(row, x)) for row in m])
-        assert _fractions(_solve_linear(A, b)) == x
-
-    def test_solve_linear_large_entries(self):
-        # 200-bit entries need several primes before reconstruction succeeds
-        rng = random.Random(11)
-        n = 4
-        m = [[rng.getrandbits(200) - (1 << 199) for _ in range(n)] for _ in range(n + 2)]
-        x = [QQ(rng.getrandbits(150) + 1, rng.getrandbits(120) + 1) for _ in range(n)]
-        A, b = _integer_rows(m, [sum(a * v for a, v in zip(row, x)) for row in m])
-        assert _fractions(_solve_linear(A, b)) == x
-        b[-1] += 1
-        assert _solve_linear(A, b) is None
-
-    def test_solve_linear_inconsistent_outside_the_block(self):
-        # the first three rows are independent and consistent, so they form
-        # the square block; the last row is their sum with a wrong right side
-        m = [[2, -1, 0], [1, 3, 4], [0, 5, -7], [3, 7, -3]]
-        x = [1, QQ(-1, 2), 2]
-        rhs = [sum(a * v for a, v in zip(row, x)) for row in m]
-        rhs[-1] += QQ(1, 7)
-        assert _solve_linear(*_integer_rows(m, rhs)) is None
-
-    def test_solve_linear_matches_fraction_gauss_jordan(self):
-        def reference(m, rhs):
-            # unique solution of m x = rhs over Q, or None
-            n = len(m[0])
-            aug = [[QQ(a) for a in row] + [QQ(b)] for row, b in zip(m, rhs)]
-            r = 0
-            for col in range(n):
-                k = next((k for k in range(r, len(aug)) if aug[k][col]), None)
-                if k is None:
-                    return None
-                aug[r], aug[k] = aug[k], aug[r]
-                aug[r] = [a / aug[r][col] for a in aug[r]]
-                for k in range(len(aug)):
-                    if k != r and aug[k][col]:
-                        aug[k] = [a - aug[k][col] * b for a, b in zip(aug[k], aug[r])]
-                r += 1
-            if any(row[n] for row in aug[n:]):
-                return None
-            return [row[n] for row in aug[:n]]
-
-        rng = random.Random(17)
-        values = [0, 0, 1, -1, 2, 3, -5, QQ(1, 2), QQ(-7, 3), QQ(5, 4)]
-        for _ in range(200):
-            n = rng.randint(1, 5)
-            m = [[rng.choice(values) for _ in range(n)] for _ in range(rng.randint(1, n + 3))]
-            if rng.random() < 0.3 and len(m) > 1:  # a dependent row
-                c = rng.choice(values)
-                m[-1] = [a + c * b for a, b in zip(m[0], m[-2])]
-            if rng.random() < 0.5:
-                x = [rng.choice(values) for _ in range(n)]
-                rhs = [sum(a * v for a, v in zip(row, x)) for row in m]
-            else:
-                rhs = [rng.choice(values) for _ in m]
-            expected = reference(m, rhs)
-            got = _solve_linear(*_integer_rows(m, rhs))
-            assert (got if got is None else _fractions(got)) == expected, (m, rhs)
-
-
-def _integer_rows(m, rhs):
-    """The equations ``m x = rhs`` over Q, each multiplied by the lcm of its
-    denominators: integer rows and right sides."""
-    A, b = [], []
-    for row, c in zip(m, rhs):
-        den = lcm(*(QQ(a).denominator for a in row), QQ(c).denominator)
-        A.append([int(a * den) for a in row])
-        b.append(int(c * den))
-    return A, b
-
-
-def _fractions(solution):
-    nums, den = solution
-    assert den > 0
-    return [QQ(n, den) for n in nums]
-
 
 class TestRelationPolynomials:
     def test_quintic_values(self):
@@ -570,23 +476,37 @@ class TestCalibration:
                 steps.append(step)
         result = calibrate_invariants("quintic", tuple(steps))
         assert not result.succeeded
-        assert result.detail
+        assert result.residuals
+        assert result.detail.startswith("the pinned scalars leave residuals")
+
+    def test_wrong_pinned_scalar_reports_failure(self, monkeypatch):
+        # the verification is not vacuous: one wrong pinned scalar fails it
+        monkeypatch.setitem(QUINTIC_SCALARS, "I8", QQ(1))
+        result = calibrate_invariants("quintic", QUINTIC_RECIPE)
+        assert not result.succeeded
+        assert result.scalars is None
+        assert result.residuals
+        assert result.detail == (
+            f"the pinned scalars leave residuals at {len(result.residuals)} "
+            "of 25 random forms (seed 7)")
 
     def test_non_rational_invariant_is_refused(self, monkeypatch):
-        # the solve is over Q: a zeta(4) multiple of I4 is refused by name,
-        # and the command line answers exit 2 bad-value
+        # a zeta(4) multiple of I4 does not match the pinned scalars: the
+        # calibration fails with residuals, and the command line exits 1
         bad = []
         for step in QUINTIC_RECIPE:
             if step.name == "I4":
                 bad.append(RecipeStep("J4", "trans", ("i", "i"), 2))
                 step = RecipeStep("I4", "lin", combo=((zeta(4), "J4"),))
             bad.append(step)
-        with pytest.raises(ValueError, match="recipe invariant I4 takes a non-rational"):
-            calibrate_invariants("quintic", bad)
+        result = calibrate_invariants("quintic", bad)
+        assert not result.succeeded
+        assert result.residuals
         monkeypatch.setattr(cli, "QUINTIC_RECIPE", bad)
         result = cli.run_command(["calibrate", "quintic"])
-        assert result.status == 2
-        assert result.payload["error"]["code"] == "bad-value"
+        assert result.status == 1
+        assert result.payload["succeeded"] is False
+        assert result.payload["residuals"]
 
     def test_quartic_family_has_no_relation(self):
         with pytest.raises(UnknownFamilyError):
@@ -606,18 +526,26 @@ class TestCalibration:
 
 class TestMonomialRows:
     def test_power_table_rows_match_monomial_values(self):
-        # the calibration rows and MultiPoly.evaluate read monomials as
-        # integer numerators over one denominator, prod d_j^t_j
+        # MultiPoly.evaluate reads monomials of rational values as integer
+        # numerators over one denominator, prod d_j^t_j; the reference
+        # multiplies Fractions
+        def reference(values, monos):
+            return [prod((QQ(v) ** k for v, k in zip(values, m) if k), start=QQ(1))
+                    for m in monos]
+
         rng = random.Random(67)
-        monos = _weighted_monomials((2, 4, 6, 10), 30)
+        # the monomials of weight 30 in weights (2, 4, 6, 10)
+        monos = [m for m in itertools.product(range(16), range(8), range(6), range(4))
+                 if 2 * m[0] + 4 * m[1] + 6 * m[2] + 10 * m[3] == 30]
+        assert len(monos) == 47
         tops = [max(k) for k in zip(*monos)]
         values = [0, 1, -1, 7, QQ(-5, 3), QQ(7, 4), QQ(5, -6), QQ(-11, 10)]
         for _ in range(30):
-            point = [as_cyclotomic(rng.choice(values)) for _ in range(4)]
+            rationals = [rng.choice(values) for _ in range(4)]
+            point = [as_cyclotomic(v) for v in rationals]
             den, nums = _monomial_ints(point, monos)
             assert den == prod(p.den ** t for p, t in zip(point, tops))
-            assert [QQ(n, den) for n in nums] == \
-                [_mono_value(point, m).rational_value() for m in monos]
+            assert [QQ(n, den) for n in nums] == reference(rationals, monos)
         # a variable that occurs in no monomial (t_j = 0) may be irrational
         point = [as_cyclotomic(QQ(2, 3)), zeta(5) + QQ(1, 7), as_cyclotomic(QQ(-1, 2))]
         monos = [(2, 0, 1), (0, 0, 3), (1, 0, 0), (0, 0, 0)]
@@ -625,25 +553,4 @@ class TestMonomialRows:
         # den = 3^2 2^3, and monomial e has numerator prod v_j^e_j d_j^(t_j - e_j)
         assert den == 72
         assert nums == [2 ** 2 * -1 * 2 ** 2, 3 ** 2 * (-1) ** 3, 2 * 3 * 2 ** 3, 3 ** 2 * 2 ** 3]
-        assert [QQ(n, den) for n in nums] == \
-            [_mono_value(point, m).rational_value() for m in monos]
-
-
-class TestRationalRoot:
-    def test_powers_beyond_float_range(self):
-        # 3^700 does not fit in a float
-        assert _rational_root(as_cyclotomic(3 ** 700), 2) == 3 ** 350
-        assert _rational_root(as_cyclotomic(QQ(1, 3 ** 700)), 7) == QQ(1, 3 ** 100)
-        assert _rational_root(as_cyclotomic(3 ** 701), 2) is None
-
-    def test_cube_beyond_float_precision(self):
-        n = 2 ** 60 + 1
-        assert _rational_root(as_cyclotomic(n ** 3), 3) == n
-        assert _rational_root(as_cyclotomic(QQ(-n ** 3, 8)), 3) == QQ(-n, 2)
-        assert _rational_root(as_cyclotomic(n ** 3 + 1), 3) is None
-
-    def test_non_roots(self):
-        assert _rational_root(as_cyclotomic(QQ(-4, 9)), 2) is None
-        assert _rational_root(as_cyclotomic(QQ(2, 9)), 2) is None
-        assert _rational_root(zeta(3), 3) is None
-        assert _rational_root(as_cyclotomic(0), 3) is None
+        assert [QQ(n, den) for n in nums] == reference((QQ(2, 3), None, QQ(-1, 2)), monos)
