@@ -33,13 +33,10 @@ from .graded import (
 from .groups import GroupSpec, SL2Matrix, group_elements
 from .invariants import (
     DEFAULT_SEED,
-    QUINTIC_RECIPE,
-    SEXTIC_RECIPE,
     calibrate_invariants,
     catalog_ring,
     quartic_invariants,
     quartic_point,
-    quintic_F,
 )
 from .locus import PointW, quintic_locus_report, sextic_locus_report
 from .polynomials import BinaryForm
@@ -80,9 +77,9 @@ def check_root_stack_law() -> CheckResult:
     rigidification; equal root and section degrees are rejected."""
     details = []
     base = free_ring(("I4", "I8", "I12"), (1, 2, 3))
-    divisor = quintic_F()
-    rebuilt = root_stack(base, divisor, 2, root_name="I18")
-    target = veronese(catalog_ring("quintic").ring, 2)
+    quintic = catalog_ring("quintic")
+    rebuilt = root_stack(base, quintic.F, 2, root_name="I18")
+    target = veronese(quintic.ring, 2)
     ok1 = presentations_isomorphic(rebuilt, target)
     details.append(f"root stack on (1,2,3) along the degree-9 divisor: "
                    f"{rebuilt.describe()} == rigidification: {ok1}")
@@ -327,11 +324,12 @@ def check_sextic_divisor() -> CheckResult:
 
 
 def check_calibration(seed: int = DEFAULT_SEED) -> CheckResult:
-    """Stretch: transvectant recipes reproduce both catalog relations."""
+    """Stretch: transvectant-built invariants reproduce both catalog
+    relations."""
     details = []
     ok = True
-    for family, recipe in (("quintic", QUINTIC_RECIPE), ("sextic", SEXTIC_RECIPE)):
-        result = calibrate_invariants(family, recipe, seed=seed)
+    for family in ("quintic", "sextic"):
+        result = calibrate_invariants(family, seed=seed)
         ok &= result.succeeded
         if result.succeeded:
             scal = ", ".join(f"{k} -> {v}" for k, v in result.scalars.items())

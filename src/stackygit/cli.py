@@ -26,13 +26,7 @@ from .errors import ExactArithmeticError, StackygitError
 from .exprparse import form
 from .graded import affine_chart, rigidify, stacky_decompose
 from .groups import GroupSpec, group_generators
-from .invariants import (
-    DEFAULT_SEED,
-    QUINTIC_RECIPE,
-    SEXTIC_RECIPE,
-    calibrate_invariants,
-    catalog_ring,
-)
+from .invariants import DEFAULT_SEED, calibrate_invariants, catalog_ring
 from .locus import quintic_locus_report, sextic_locus_report
 from .symmetry import catalog_stabilizer, ground_forms, klein_generate, semi_invariance
 
@@ -232,8 +226,7 @@ def _cmd_catalog(args) -> CommandResult:
 
 
 def _cmd_calibrate(args) -> CommandResult:
-    recipe = QUINTIC_RECIPE if args.family == "quintic" else SEXTIC_RECIPE
-    result = calibrate_invariants(args.family, recipe, seed=args.seed)
+    result = calibrate_invariants(args.family, seed=args.seed)
     body = {
         "family": args.family,
         "seed": args.seed,

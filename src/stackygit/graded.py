@@ -86,28 +86,6 @@ def free_ring(names, weights, field_order=1) -> GradedRingPresentation:
 
 
 @dataclass(frozen=True)
-class TypicalData:
-    """A recognized two-sheeted ring t^2 = F with its weight bookkeeping."""
-
-    ring: GradedRingPresentation
-    n: int                      # number of base generators
-    weights: tuple              # d_1, ..., d_{n+1}
-    F: MultiPoly                # in the first n generators
-    d: int                      # hcf(d_1, ..., d_n)
-    e: tuple                    # e_i = d_i / d
-    notes: tuple = ()
-
-    @property
-    def top_weight(self) -> int:
-        return self.weights[-1]
-
-    @property
-    def canonical_divisor_degree(self) -> int:
-        """Degree of F in the rescaled weights e_i (always odd)."""
-        return 2 * self.top_weight // self.d
-
-
-@dataclass(frozen=True)
 class DecompositionReport:
     """Coarse space, canonical stack, rigidification and square-root datum."""
 
@@ -244,13 +222,19 @@ def is_well_formed(weights) -> bool:
     return True
 
 
-def recognize_typical(ring: GradedRingPresentation) -> TypicalData:
-    """Match the shape t^2 = F(rest) and check the weight conditions.
+def stacky_decompose(ring: GradedRingPresentation) -> DecompositionReport:
+    """Decompose a two-sheeted ring t^2 = F(rest) into its stack-theoretic
+    layers.
 
-    Conditions: (i) d = hcf of the base weights does not divide the top
-    weight; (ii) the rescaled base weights d_i/d are well formed; (iii) d
-    divides 2*(top weight) -- see CONDITION_NOTE for why divisibility, not
-    evenness of the quotient, is the faithful reading.
+    The shape is matched first, then the weight conditions: (i) d = hcf of
+    the base weights does not divide the top weight; (ii) the rescaled base
+    weights e_i = d_i/d are well formed; (iii) d divides 2*(top weight) --
+    see CONDITION_NOTE for why divisibility, not evenness of the quotient,
+    is the faithful reading.  The coarse space is the weighted projective
+    space on e_1..e_n, the canonical stack is the corresponding weighted
+    projective stack, the rigidification is the (d/2)-th Veronese, reached
+    from the canonical stack by a square root along F, and the ring itself
+    is an essentially trivial mu_{d/2}-gerbe over the rigidification.
     """
     if ring.relation is None:
         raise ShapeError("the presentation has no relation")
@@ -270,13 +254,13 @@ def recognize_typical(ring: GradedRingPresentation) -> TypicalData:
             raise ShapeError(
                 f"relation is not of the shape {ring.generators[top]}^2 - F")
         rest[exps[:-1]] = -c / lead
-    F = MultiPoly(ring.generators[:-1], rest)
-    if F.is_zero():
+    base_names = ring.generators[:-1]
+    divisor = MultiPoly(base_names, rest)
+    if divisor.is_zero():
         raise ShapeError(
             f"relation {ring.generators[top]}^2 has no base part F")
     d_top = ring.weights[top]
-    degF = F.weighted_degree(ring.weights[:-1])
-    assert degF == 2 * d_top  # homogeneity of the relation guarantees this
+    assert divisor.weighted_degree(ring.weights[:-1]) == 2 * d_top  # homogeneity
     d = 0
     for w in ring.weights[:-1]:
         d = gcd(d, w)
@@ -290,26 +274,11 @@ def recognize_typical(ring: GradedRingPresentation) -> TypicalData:
     if (2 * d_top) % d:
         raise ConditionViolationError(
             "iii", f"hcf {d} of the base weights does not divide 2*{d_top}")
-    q = 2 * d_top // d
+    q = 2 * d_top // d  # degree of F in the weights e_i
     assert q % 2 == 1  # forced by (i) together with (iii)
-    return TypicalData(ring, top, ring.weights, F, d, e, notes=(CONDITION_NOTE,))
-
-
-def stacky_decompose(ring: GradedRingPresentation) -> DecompositionReport:
-    """Decompose a two-sheeted ring into its stack-theoretic layers.
-
-    The coarse space is the weighted projective space on e_1..e_n, the
-    canonical stack is the corresponding weighted projective stack, the
-    rigidification is the (d/2)-th Veronese, reached from the canonical
-    stack by a square root along F, and the ring itself is an essentially
-    trivial mu_{d/2}-gerbe over the rigidification.
-    """
-    data = recognize_typical(ring)
-    gerbe = data.d // 2
+    gerbe = d // 2
     rigidification = veronese(ring, gerbe)
-    base_names = ring.generators[:-1]
-    canonical_ring = free_ring(base_names, data.e, ring.field_order)
-    divisor = data.F
+    canonical_ring = free_ring(base_names, e, ring.field_order)
     # Reconstruction cross-check: adjoining a square root of F to the
     # canonical stack must reproduce the rigidification.
     rebuilt = root_stack(canonical_ring, divisor, 2,
@@ -320,13 +289,13 @@ def stacky_decompose(ring: GradedRingPresentation) -> DecompositionReport:
             "rigidification; the presentation is inconsistent")
     return DecompositionReport(
         ring=ring,
-        coarse_weights=data.e,
+        coarse_weights=e,
         rigidification=rigidification,
         gerbe_index=gerbe,
         root_order=2,
         root_divisor=divisor,
-        root_divisor_degree=data.canonical_divisor_degree,
-        notes=data.notes,
+        root_divisor_degree=q,
+        notes=(CONDITION_NOTE,),
     )
 
 

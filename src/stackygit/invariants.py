@@ -20,9 +20,14 @@ W(i, j) = sum_k (-1)^k C(r, k) (d-i)_(r-k) i_(k) (e-j)_(k) j_(r-k)
 integer coordinates in Q(zeta_m), m the lcm of the orders of the nonzero
 f_i and g_j that reach it with a nonzero weight, so rational forms have a
 rational transvectant and each coefficient's field is the one its own terms
-need.  The calibration harness checks that pinned per-degree scalars
-(:data:`QUINTIC_SCALARS`, :data:`SEXTIC_SCALARS`) match transvectant-built
-invariants to a catalog relation, exactly, at seeded random forms.
+need.
+
+Two plain functions, :func:`_quintic_recipe` and :func:`_sextic_recipe`,
+build one invariant per catalog generator from transvectants and a
+resultant (:func:`evaluate_recipe` picks one by family).  The calibration
+harness checks that pinned per-degree scalars (:data:`QUINTIC_SCALARS`,
+:data:`SEXTIC_SCALARS`) match these invariants to the catalog relation,
+exactly, at seeded random forms.
 
 No matrix is eliminated.  :func:`resultant` reads the resultant, at the
 forms' formal degrees, off :func:`stackygit.polynomials._subresultants`,
@@ -57,6 +62,7 @@ from .errors import (
 )
 from .graded import GradedRingPresentation
 from .polynomials import BinaryForm, MultiPoly, _exact_quotients, _subresultants
+from .symmetry import is_stable
 
 FAMILIES = ("quartic", "quintic", "sextic", "cubic-curve", "cubic-surface")
 
@@ -195,8 +201,7 @@ def quartic_point(f: BinaryForm):
     (c : c) with c = I2^3/I3^2 when both coordinates are nonzero (a first
     coordinate of exactly 1 would need a square root of I2).
     """
-    from .locus import PointW
-    from .symmetry import is_stable
+    from .locus import PointW  # locus imports this module at load time
 
     if not is_stable(f):
         raise NonStableError("the value point is taken on stable quartics")
@@ -338,24 +343,6 @@ def _resultant(a, b):
 
 
 @dataclass(frozen=True)
-class RecipeStep:
-    """One construction step: kind is 'trans', 'mul', 'pow' or 'lin'.
-
-    'trans': transvectant(args[0], args[1], order)
-    'mul':   product of the named covariants in args
-    'pow':   args[0] raised to the power 'order'
-    'lin':   sum of coefficient * named covariant over 'combo'
-    'res':   resultant(args[0], args[1]) as a degree-0 form
-    """
-
-    name: str
-    kind: str
-    args: tuple = ()
-    order: int = 0
-    combo: tuple = ()
-
-
-@dataclass(frozen=True)
 class CalibrationResult:
     family: str
     scalars: dict | None
@@ -367,31 +354,6 @@ class CalibrationResult:
         return self.scalars is not None
 
 
-def evaluate_recipe(recipe, f: BinaryForm) -> dict:
-    """Run recipe steps on the source form; returns name -> covariant."""
-    env = {"f": f}
-    for step in recipe:
-        if step.kind == "trans":
-            value = transvectant(env[step.args[0]], env[step.args[1]], step.order)
-        elif step.kind == "mul":
-            value = env[step.args[0]]
-            for other in step.args[1:]:
-                value = value * env[other]
-        elif step.kind == "pow":
-            value = env[step.args[0]] ** step.order
-        elif step.kind == "lin":
-            value = None
-            for coeff, name in step.combo:
-                term = env[name] * as_cyclotomic(coeff)
-                value = term if value is None else value + term
-        elif step.kind == "res":
-            value = BinaryForm([resultant(env[step.args[0]], env[step.args[1]])])
-        else:
-            raise ValueError(f"unknown recipe step kind {step.kind!r}")
-        env[step.name] = value
-    return env
-
-
 def _invariant_value(form: BinaryForm) -> CyclotomicNumber:
     if form.degree != 0:
         raise UnderDeterminedError(
@@ -401,74 +363,75 @@ def _invariant_value(form: BinaryForm) -> CyclotomicNumber:
 
 DEFAULT_SEED = 7
 
-#: Classical covariant chain for the quintic: the quadratic covariant
-#: i = (f,f)^4, the cubic alpha = (f,i)^2 and its square-transvectant
-#: tau = (alpha,alpha)^2 yield invariants in degrees 4, 8, 12; the
-#: degree-18 invariant is the resultant of f with alpha (the degree-18
-#: invariant space is one-dimensional, so any nonzero choice is
-#: proportional to the catalog generator).
-QUINTIC_RECIPE = (
-    RecipeStep("i", "trans", ("f", "f"), 4),
-    RecipeStep("alpha", "trans", ("f", "i"), 2),
-    RecipeStep("tau", "trans", ("alpha", "alpha"), 2),
-    RecipeStep("I4", "trans", ("i", "i"), 2),
-    RecipeStep("I8", "trans", ("i", "tau"), 2),
-    RecipeStep("I12", "trans", ("tau", "tau"), 2),
-    RecipeStep("I18", "res", ("f", "alpha")),
-)
+
+def _quintic_recipe(f: BinaryForm) -> dict:
+    """The classical covariant chain of a quintic: the quadratic covariant
+    i = (f,f)^4, the cubic alpha = (f,i)^2 and its square-transvectant
+    tau = (alpha,alpha)^2 yield invariants in degrees 4, 8, 12; the
+    degree-18 invariant is the resultant of f with alpha (the degree-18
+    invariant space is one-dimensional, so any nonzero choice is
+    proportional to the catalog generator)."""
+    i = transvectant(f, f, 4)
+    alpha = transvectant(f, i, 2)
+    tau = transvectant(alpha, alpha, 2)
+    return {"I4": transvectant(i, i, 2), "I8": transvectant(i, tau, 2),
+            "I12": transvectant(tau, tau, 2), "I18": BinaryForm([resultant(f, alpha)])}
+
 
 #: The per-degree scalars c_k that match the invariants J_k of
-#: QUINTIC_RECIPE to the catalog generators: (c18*J18)^2 = F(c4*J4, c8*J8,
-#: c12*J12), with c18 = sqrt(2)/729.  Like the 'lin' corrections of
-#: SEXTIC_RECIPE they were solved once against the relation, then frozen;
-#: :func:`calibrate_invariants` verifies them.
+#: :func:`_quintic_recipe` to the catalog generators: (c18*J18)^2 =
+#: F(c4*J4, c8*J8, c12*J12), with c18 = sqrt(2)/729.  Like the corrections
+#: of :func:`_sextic_recipe` they were solved once against the relation,
+#: then frozen; :func:`calibrate_invariants` verifies them.
 QUINTIC_SCALARS = {"I4": QQ(1), "I8": QQ(1, 2), "I12": QQ(-1, 4), "I18": sqrt2() / 729}
 
-#: Transvectant chain for the sextic in degrees 2, 4, 6, 10, 15.  The raw
-#: transvectants J6 and J10 differ from the determinant convention of the
-#: catalog relation by lower-filtration terms; the 'lin' steps apply the
-#: exact corrections (solved once against the relation, then frozen), after
-#: which per-degree scalars suffice.  The degree-15 invariant is the
-#: sixth transvectant of two order-6 covariant products (the degree-15
-#: space is one-dimensional).
-SEXTIC_RECIPE = (
-    RecipeStep("h", "trans", ("f", "f"), 4),
-    RecipeStep("ell", "trans", ("f", "h"), 4),
-    RecipeStep("y", "trans", ("f", "ell"), 2),
-    RecipeStep("m", "trans", ("h", "ell"), 1),
-    RecipeStep("I2", "trans", ("f", "f"), 6),
-    RecipeStep("I4", "trans", ("h", "h"), 4),
-    RecipeStep("J6", "trans", ("ell", "ell"), 2),
-    RecipeStep("ell3", "pow", ("ell",), 3),
-    RecipeStep("J10", "trans", ("f", "ell3"), 6),
-    RecipeStep("elly", "mul", ("ell", "y")),
-    RecipeStep("ellm", "mul", ("ell", "m")),
-    RecipeStep("I15", "trans", ("elly", "ellm"), 6),
-    RecipeStep("p24", "mul", ("I2", "I4")),
-    RecipeStep("I6", "lin", combo=((QQ(1, 2), "J6"), (QQ(-1, 6), "p24"))),
-    RecipeStep("p46", "mul", ("I4", "J6")),
-    RecipeStep("i2sq", "pow", ("I2",), 2),
-    RecipeStep("i2cu", "pow", ("I2",), 3),
-    RecipeStep("i4sq", "pow", ("I4",), 2),
-    RecipeStep("p224", "mul", ("i2cu", "I4")),
-    RecipeStep("p144", "mul", ("I2", "i4sq")),
-    RecipeStep("p226", "mul", ("i2sq", "J6")),
-    RecipeStep("I10", "lin", combo=(
-        (QQ(1, 2), "J10"), (QQ(1, 3), "p46"), (QQ(1, 54), "p224"),
-        (QQ(-1, 9), "p144"), (QQ(-1, 18), "p226"))),
-)
 
-#: The per-degree scalars of SEXTIC_RECIPE: (c15*J15)^2 = F(c2*J2, c4*J4,
-#: c6*J6, c10*J10); pinned like :data:`QUINTIC_SCALARS`.
+def _sextic_recipe(f: BinaryForm) -> dict:
+    """Transvectant chain of a sextic in degrees 2, 4, 6, 10, 15.  The raw
+    transvectants J6 and J10 differ from the determinant convention of the
+    catalog relation by lower-filtration terms; I6 and I10 apply the exact
+    corrections (solved once against the relation, then frozen), after
+    which per-degree scalars suffice.  The degree-15 invariant is the sixth
+    transvectant of two order-6 covariant products (the degree-15 space is
+    one-dimensional)."""
+    h = transvectant(f, f, 4)
+    ell = transvectant(f, h, 4)
+    y = transvectant(f, ell, 2)
+    m = transvectant(h, ell, 1)
+    i2 = transvectant(f, f, 6)
+    i4 = transvectant(h, h, 4)
+    j6 = transvectant(ell, ell, 2)
+    j10 = transvectant(f, ell ** 3, 6)
+    i15 = transvectant(ell * y, ell * m, 6)
+    i6 = j6 * QQ(1, 2) + i2 * i4 * QQ(-1, 6)
+    i10 = (j10 * QQ(1, 2) + i4 * j6 * QQ(1, 3) + i2 ** 3 * i4 * QQ(1, 54)
+           + i2 * i4 ** 2 * QQ(-1, 9) + i2 ** 2 * j6 * QQ(-1, 18))
+    return {"I2": i2, "I4": i4, "I6": i6, "I10": i10, "I15": i15}
+
+
+#: The per-degree scalars of :func:`_sextic_recipe`: (c15*J15)^2 =
+#: F(c2*J2, c4*J4, c6*J6, c10*J10); pinned like :data:`QUINTIC_SCALARS`.
 SEXTIC_SCALARS = {"I2": QQ(1), "I4": QQ(1), "I6": QQ(1), "I10": QQ(1), "I15": QQ(5)}
 
 
 #: Per family calibrate_invariants accepts: the degree of its forms, the
-#: number of random forms the pinned scalars are verified at, and the
-#: scalars.  The counts decide which forms a seed draws, so changing one
-#: moves that family's payloads: 25 quintics, and 55 sextics (the 47
-#: monomials of weight 30 in I2, I4, I6, I10, plus 8).
-_CALIBRATIONS = {"quintic": (5, 25, QUINTIC_SCALARS), "sextic": (6, 55, SEXTIC_SCALARS)}
+#: number of random forms the pinned scalars are verified at, the scalars
+#: and the function that builds the invariants.  The counts decide which
+#: forms a seed draws, so changing one moves that family's payloads: 25
+#: quintics, and 55 sextics (the 47 monomials of weight 30 in I2, I4, I6,
+#: I10, plus 8).
+_CALIBRATIONS = {"quintic": (5, 25, QUINTIC_SCALARS, _quintic_recipe),
+                 "sextic": (6, 55, SEXTIC_SCALARS, _sextic_recipe)}
+
+
+def evaluate_recipe(family: str, f: BinaryForm) -> dict:
+    """The transvectant-built invariants of a quintic or sextic f, one
+    degree-0 form per generator of the family's catalog ring, in the ring's
+    order.  Families without a calibration raise UnknownFamilyError."""
+    if family not in _CALIBRATIONS:
+        raise UnknownFamilyError(f"family {family!r} has no calibration recipe")
+    return _CALIBRATIONS[family][3](f)
+
 
 #: The coefficients of :func:`random_form` lie in [-FORM_SPAN, FORM_SPAN].
 FORM_SPAN = 9
@@ -481,19 +444,19 @@ def random_form(rng, degree: int) -> BinaryForm:
     return BinaryForm(coeffs)
 
 
-def calibrate_invariants(family: str, recipe, seed: int = DEFAULT_SEED) -> CalibrationResult:
-    """Verify the pinned per-degree scalars that match recipe invariants to
-    the catalog relation, exactly, at random forms.
+def calibrate_invariants(family: str, seed: int = DEFAULT_SEED) -> CalibrationResult:
+    """Verify the pinned per-degree scalars that match the invariants of
+    :func:`evaluate_recipe` to the catalog relation, exactly, at random
+    forms.
 
     For the quintic: the scalars (c4, c8, c12, c18) of
     :data:`QUINTIC_SCALARS` must satisfy (c18*J18)^2 = F(c4*J4, c8*J8,
     c12*J12) at 25 random quintics.  The sextic relation is checked the
     same way with the five :data:`SEXTIC_SCALARS` at 55 random sextics.
-    The recipe must define every generator of the family's ring: a missing
-    one raises UnderDeterminedError, naming it, before anything is
-    evaluated, and so does one that vanishes at every form.  Other families
-    raise UnknownFamilyError.  Failure returns a report with the nonzero
-    residuals.
+    A vacuous verification raises UnderDeterminedError: an invariant that
+    vanishes at every form, or one that is a covariant of nonzero order.
+    Other families raise UnknownFamilyError.  Failure returns a report with
+    the nonzero residuals.
     """
     import random
 
@@ -501,16 +464,11 @@ def calibrate_invariants(family: str, recipe, seed: int = DEFAULT_SEED) -> Calib
     if family not in _CALIBRATIONS:
         raise UnknownFamilyError(f"family {family!r} has no relation to calibrate")
     names = entry.ring.generators
-    defined = {step.name for step in recipe}
-    missing = [n for n in names if n not in defined]
-    if missing:
-        raise UnderDeterminedError(
-            f"the recipe defines no step for generator(s) {', '.join(missing)}")
-    degree, count, pinned = _CALIBRATIONS[family]
+    degree, count, pinned, _ = _CALIBRATIONS[family]
     rng = random.Random(seed)
 
     def values_at(f):
-        env = evaluate_recipe(recipe, f)
+        env = evaluate_recipe(family, f)
         return [_invariant_value(env[n]) for n in names]
 
     probe = [random_form(rng, degree) for _ in range(count)]

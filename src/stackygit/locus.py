@@ -17,6 +17,7 @@ from math import gcd
 from .cyclotomic import as_cyclotomic
 from .errors import ArityError, InhomogeneousError, WeightMismatchError
 from .graded import wps_singular_strata
+from .invariants import SEXTIC_REPAIR_NOTE, catalog_ring
 from .polynomials import MultiPoly
 
 
@@ -158,10 +159,8 @@ def quintic_locus_report() -> LocusReport:
     invariants; the divisor is the square-rooted polynomial F of the
     decomposition.
     """
-    from .invariants import quintic_F
-
     w = (1, 2, 3)
-    F = quintic_F()
+    F = catalog_ring("quintic").F
     claims = []
 
     deg = F.weighted_degree(w)
@@ -224,11 +223,9 @@ def sextic_locus_report() -> LocusReport:
     The coarse space is P(1,2,3,5); curve-level claims that need explicit
     equations for the two singular-locus components are out of scope.
     """
-    from .invariants import SEXTIC_REPAIR_NOTE, sextic_F
-
     w = (1, 2, 3, 5)
     wd = (2, 4, 6, 10)
-    F = sextic_F()
+    F = catalog_ring("sextic").F
     claims = []
 
     term_degrees = {sum(wi * k for wi, k in zip(wd, e)) for e in F.terms}

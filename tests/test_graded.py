@@ -19,7 +19,6 @@ from stackygit.graded import (
     hcf_degrees,
     is_well_formed,
     presentations_isomorphic,
-    recognize_typical,
     regrade_inverse,
     rigidify,
     root_stack,
@@ -151,13 +150,13 @@ class TestRecognizeAndDecompose:
         ("cubic-surface", 8, (1, 2, 3, 4, 5)),
     ])
     def test_recognize(self, family, d, e):
-        data = recognize_typical(catalog_ring(family).ring)
-        assert data.d == d and data.e == e
-        assert data.canonical_divisor_degree % 2 == 1
+        report = stacky_decompose(catalog_ring(family).ring)
+        assert report.gerbe_index == d // 2 and report.coarse_weights == e
+        assert report.root_divisor_degree % 2 == 1
 
     def test_shape_errors(self, tmp_path):
         with pytest.raises(ShapeError):
-            recognize_typical(free_ring(("a", "b"), (2, 3)))
+            stacky_decompose(free_ring(("a", "b"), (2, 3)))
         bad = GradedRingPresentation(
             ("a", "t"), (2, 3),
             MultiPoly(("a", "t"), {(0, 2): 1, (3, 0): -1, (0, 1): 0}))
@@ -165,12 +164,12 @@ class TestRecognizeAndDecompose:
         # conditions: d = 2, top = 3: 3 % 2 = 1 so (i) holds; e = (1) needs
         # two weights, so well-formedness fails with an arity error
         with pytest.raises(ArityError):
-            recognize_typical(bad)
+            stacky_decompose(bad)
         # t^2 alone: F = 0, so there is no base part to take a root along
         square_only = GradedRingPresentation(
             ("a", "t"), (2, 3), MultiPoly(("a", "t"), {(0, 2): 1}))
         with pytest.raises(ShapeError):
-            recognize_typical(square_only)
+            stacky_decompose(square_only)
         spec = tmp_path / "square.ring"
         spec.write_text("a : 2\nt : 3\nrelation: t^2\n")
         result = run_command(["decompose", str(spec)])
@@ -183,14 +182,14 @@ class TestRecognizeAndDecompose:
             ("a", "b", "t"), (2, 4, 6),
             MultiPoly(("a", "b", "t"), {(0, 0, 2): 1, (2, 2, 0): -1}))
         with pytest.raises(ConditionViolationError) as err:
-            recognize_typical(r1)
+            stacky_decompose(r1)
         assert err.value.condition == "i"
         # (ii): rescaled weights not well formed
         r2 = GradedRingPresentation(
             ("a", "b", "t"), (2, 4, 5),
             MultiPoly(("a", "b", "t"), {(0, 0, 2): 1, (5, 0, 0): -1}))
         with pytest.raises(ConditionViolationError) as err:
-            recognize_typical(r2)
+            stacky_decompose(r2)
         assert err.value.condition == "ii"
 
     @pytest.mark.parametrize("family, coarse, degree, gerbe", [

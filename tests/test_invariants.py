@@ -16,10 +16,8 @@ from stackygit.errors import (
 from stackygit.exprparse import form
 from stackygit.groups import SL2Matrix
 from stackygit.invariants import (
-    QUINTIC_RECIPE,
+    _CALIBRATIONS,
     QUINTIC_SCALARS,
-    SEXTIC_RECIPE,
-    RecipeStep,
     calibrate_invariants,
     catalog_ring,
     evaluate_recipe,
@@ -433,9 +431,21 @@ class TestRelationPolynomials:
         assert any(d.evaluate(point) for d in F.partials())
 
 
+def _patch_quintic(monkeypatch, **changes):
+    """Replace quintic invariants of the calibration table: each keyword
+    maps a generator to a function of the form and its built invariants."""
+    degree, count, scalars, recipe = _CALIBRATIONS["quintic"]
+
+    def patched(f):
+        env = recipe(f)
+        return {**env, **{name: change(f, env) for name, change in changes.items()}}
+
+    monkeypatch.setitem(_CALIBRATIONS, "quintic", (degree, count, scalars, patched))
+
+
 class TestCalibration:
     def test_quintic_succeeds(self):
-        result = calibrate_invariants("quintic", QUINTIC_RECIPE)
+        result = calibrate_invariants("quintic")
         assert result.succeeded
         assert result.scalars["I4"] == 1
         assert result.scalars["I8"] == QQ(1, 2)
@@ -444,37 +454,33 @@ class TestCalibration:
         assert result.scalars["I18"] ** 2 == QQ(2, 531441)
 
     def test_sextic_succeeds(self):
-        result = calibrate_invariants("sextic", SEXTIC_RECIPE)
+        result = calibrate_invariants("sextic")
         assert result.succeeded
         assert result.scalars["I15"] ** 2 == 25
 
-    def test_zero_invariant_is_under_determined(self):
-        bad = QUINTIC_RECIPE[:-1] + (
-            RecipeStep("I18", "trans", ("i", "i"), 1),)  # (i, i)^1 = 0
-        with pytest.raises(UnderDeterminedError):
-            calibrate_invariants("quintic", bad)
+    def test_zero_invariant_is_under_determined(self, monkeypatch):
+        # (i, i)^1 = 0 for the quadratic covariant i = (f, f)^4, a covariant
+        # of order 2
+        def zero_covariant(f, env):
+            i = transvectant(f, f, 4)
+            return transvectant(i, i, 1)
 
-    @pytest.mark.parametrize("family, recipe, missing", [
-        ("quintic", QUINTIC_RECIPE[:-1], "I18"),
-        ("sextic", tuple(s for s in SEXTIC_RECIPE if s.name not in ("I6", "I10")),
-         "I6, I10"),
-        # a step that cannot be evaluated: the check comes before any evaluation
-        ("quintic", (RecipeStep("I4", "bogus"),), "I8, I12, I18"),
-    ])
-    def test_missing_generator_is_under_determined(self, family, recipe, missing):
-        with pytest.raises(UnderDeterminedError, match=f"generator\\(s\\) {missing}$"):
-            calibrate_invariants(family, recipe)
+        _patch_quintic(monkeypatch, I18=zero_covariant)
+        with pytest.raises(UnderDeterminedError, match="order 2"):
+            calibrate_invariants("quintic")
+        # an invariant that vanishes at every form
+        _patch_quintic(monkeypatch, I18=lambda f, env: BinaryForm([0]))
+        with pytest.raises(UnderDeterminedError, match="I18 vanishes identically"):
+            calibrate_invariants("quintic")
 
-    def test_wrong_recipe_reports_failure(self):
+    def test_wrong_recipe_reports_failure(self, monkeypatch):
         # swap the degree-8 construction for a degenerate square
-        steps = []
-        for step in QUINTIC_RECIPE:
-            if step.name == "I8":
-                steps.append(RecipeStep("i2", "pow", ("i",), 2))
-                steps.append(RecipeStep("I8", "trans", ("i2", "i2"), 4))
-            else:
-                steps.append(step)
-        result = calibrate_invariants("quintic", tuple(steps))
+        def square(f, env):
+            i2 = transvectant(f, f, 4) ** 2
+            return transvectant(i2, i2, 4)
+
+        _patch_quintic(monkeypatch, I8=square)
+        result = calibrate_invariants("quintic")
         assert not result.succeeded
         assert result.residuals
         assert result.detail.startswith("the pinned scalars leave residuals")
@@ -482,7 +488,7 @@ class TestCalibration:
     def test_wrong_pinned_scalar_reports_failure(self, monkeypatch):
         # the verification is not vacuous: one wrong pinned scalar fails it
         monkeypatch.setitem(QUINTIC_SCALARS, "I8", QQ(1))
-        result = calibrate_invariants("quintic", QUINTIC_RECIPE)
+        result = calibrate_invariants("quintic")
         assert not result.succeeded
         assert result.scalars is None
         assert result.residuals
@@ -493,16 +499,10 @@ class TestCalibration:
     def test_non_rational_invariant_is_refused(self, monkeypatch):
         # a zeta(4) multiple of I4 does not match the pinned scalars: the
         # calibration fails with residuals, and the command line exits 1
-        bad = []
-        for step in QUINTIC_RECIPE:
-            if step.name == "I4":
-                bad.append(RecipeStep("J4", "trans", ("i", "i"), 2))
-                step = RecipeStep("I4", "lin", combo=((zeta(4), "J4"),))
-            bad.append(step)
-        result = calibrate_invariants("quintic", bad)
+        _patch_quintic(monkeypatch, I4=lambda f, env: env["I4"] * zeta(4))
+        result = calibrate_invariants("quintic")
         assert not result.succeeded
         assert result.residuals
-        monkeypatch.setattr(cli, "QUINTIC_RECIPE", bad)
         result = cli.run_command(["calibrate", "quintic"])
         assert result.status == 1
         assert result.payload["succeeded"] is False
@@ -510,18 +510,23 @@ class TestCalibration:
 
     def test_quartic_family_has_no_relation(self):
         with pytest.raises(UnknownFamilyError):
-            calibrate_invariants("quartic", QUINTIC_RECIPE)
+            calibrate_invariants("quartic")
 
     @pytest.mark.parametrize("family", ["cubic-curve", "cubic-surface", "octic"])
     def test_only_quintics_and_sextics_calibrate(self, family):
         # the cubic-surface relation is a placeholder, not one to calibrate
         with pytest.raises(UnknownFamilyError):
-            calibrate_invariants(family, QUINTIC_RECIPE)
+            calibrate_invariants(family)
+        with pytest.raises(UnknownFamilyError):
+            evaluate_recipe(family, form("x^5 + y^5"))
 
     def test_recipe_evaluation_names(self):
-        env = evaluate_recipe(QUINTIC_RECIPE, form("x^5 + x*y^4 + y^5"))
-        assert {"I4", "I8", "I12", "I18"} <= set(env)
-        assert env["I18"].degree == 0
+        # one invariant per catalog generator, in the ring's order
+        for family, source in (("quintic", "x^5 + x*y^4 + y^5"),
+                               ("sextic", "x^6 + 2*x^3*y^3 - x*y^5 + 3*y^6")):
+            env = evaluate_recipe(family, form(source))
+            assert tuple(env) == catalog_ring(family).ring.generators
+            assert all(value.degree == 0 for value in env.values())
 
 
 class TestMonomialRows:
