@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from . import ringspec
-from .errors import ExactArithmeticError, StackygitError
+from .errors import ExactArithmeticError, NestingTooDeepError, StackygitError
 from .exprparse import form
 from .graded import affine_chart, rigidify, stacky_decompose
 from .groups import GroupSpec, group_generators
@@ -374,6 +374,9 @@ def run_command(argv) -> CommandResult:
     except ArithmeticError as err:
         return _error_result(command, ExactArithmeticError.code, str(err),
                              ExactArithmeticError.exit_status)
+    except RecursionError as err:  # a backstop: the parser bounds its own nesting
+        return _error_result(command, NestingTooDeepError.code, str(err),
+                             NestingTooDeepError.exit_status)
     except FileNotFoundError as err:
         return _error_result(command, "file-not-found", str(err), 2)
     except OSError as err:

@@ -10,8 +10,9 @@ is a Z-basis of the integers of Q(zeta_m), so a value has one
 representation per field and equality compares coordinates.  ``zeta_m`` is
 the abstract primitive m-th root of unity; no floating-point embedding is
 ever used.  Rationals enter as ints or ``QQ`` (:class:`fractions.Fraction`)
-and leave as ``QQ`` through :meth:`CyclotomicNumber.rational_value`; ``str``
-and ``hash`` build ``QQ`` values only for their output.  No arithmetic
+and leave as ``QQ`` through :meth:`CyclotomicNumber.rational_value`; ``hash``
+and ``str`` of an irrational value build ``QQ`` values only for their
+output, and a rational prints from its integers.  No arithmetic
 runs on rational polynomials: Phi_m is built from integers, and the
 inverse of a is the product of its other Galois conjugates over the
 integer norm N(a).
@@ -386,6 +387,8 @@ class CyclotomicNumber:
     def __pow__(self, n: int):
         if n < 0:
             return _power(self.inverse(), -n, ONE)
+        if self.order == 1:  # coprime num and den > 0 stay so
+            return _new(1, (self.coords[0] ** n,), self.den ** n)
         return _power(self, n, ONE)
 
     # -- comparison ----------------------------------------------------------
@@ -424,7 +427,7 @@ class CyclotomicNumber:
 
     def __str__(self):
         if self.order == 1:
-            return str(self.rational_value())
+            return str(self.coords[0]) if self.den == 1 else f"{self.coords[0]}/{self.den}"
         parts = []
         for k, c in enumerate(self.coords):
             if not c:

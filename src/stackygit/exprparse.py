@@ -12,6 +12,9 @@ constants (zeta_4, zeta_8 + zeta_8^7, 1 + 2 zeta_5 + 2 zeta_5^4,
 1 + 2 zeta_3); every other identifier is a variable.  The parser evaluates
 as it goes, straight into a :class:`MultiPoly` over the caller's variables;
 an identifier outside them is reported once the whole input has parsed.
+A power of a one-term base is formed in closed form (its exponents times
+k, its coefficient to the k-th power) after the same checks as any other
+power.
 
 Parentheses and unary minus signs may nest at most :data:`MAX_NESTING`
 deep; deeper input raises NestingTooDeepError before the parser recurses
@@ -36,7 +39,7 @@ import math
 import re
 
 from . import cyclotomic
-from .cyclotomic import zeta
+from .cyclotomic import as_cyclotomic, zeta
 from .errors import (
     CoefficientTooLargeError,
     DegreeTooLargeError,
@@ -75,11 +78,8 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^]))")
 def _tokenize(text: str):
     pos = 0
     tokens = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == m.start():
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    for m in _TOKEN.finditer(text):
+        if m.start() != pos:
             break
         number, ident, op = m.groups()
         if number is not None:
@@ -89,6 +89,8 @@ def _tokenize(text: str):
         else:
             tokens.append((op, op, m.start(3)))
         pos = m.end()
+    if text[pos:].strip():
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
     tokens.append(("end", None, len(text)))
     return tokens
 
@@ -99,6 +101,10 @@ class _Parser:
         self.variables = variables
         self.k = 0
         self.depth = 0
+        self.zero = (0,) * len(variables)
+        self.units = {}  # each name's unit exponent vector, at its first occurrence
+        for i, v in enumerate(variables):
+            self.units.setdefault(v, tuple(int(j == i) for j in range(len(variables))))
 
     def peek(self):
         return self.tokens[self.k]
@@ -174,22 +180,29 @@ class _Parser:
                     f"power {exponent} of {len(value.terms)} terms has a half power of up to"
                     f" {half} terms, and {half} by {half} exceeds the bound of"
                     f" {MAX_TERM_PRODUCTS} term products (at position {pos})")
+            if len(value.terms) == 1:
+                [(e, c)] = value.terms.items()
+                return MultiPoly._of(self.variables,
+                                     {tuple(x * exponent for x in e): c ** exponent})
             value = value ** exponent
         return value
+
+    def constant(self, c):
+        return MultiPoly._of(self.variables, {self.zero: c} if c else {})
 
     def atom(self):
         kind, value, pos = self.advance()
         if kind == "num":
-            return MultiPoly.constant(self.variables, value)
+            return self.constant(as_cyclotomic(value))
         if kind == "ident":
             if value == "zeta":
                 self.expect("(")
                 m = self.expect("num")[1]
                 self.expect(")")
-                return MultiPoly.constant(self.variables, zeta(m))
+                return self.constant(zeta(m))
             if value in SUGAR:
-                return MultiPoly.constant(self.variables, SUGAR[value]())
-            return MultiPoly.variable(self.variables, value)
+                return self.constant(SUGAR[value]())
+            return MultiPoly._of(self.variables, {self.units[value]: cyclotomic.ONE})
         if kind == "(":
             inner = self.nested(self.expr, pos)
             self.expect(")")

@@ -371,12 +371,11 @@ class MultiPoly:
 
 def _coeff_text(c: CyclotomicNumber, force=False):
     """Render a coefficient for use as a factor; returns (text, negated)."""
-    if c.is_rational():
-        q = c.rational_value()
-        neg, q = q < 0, abs(q)
-        if q == 1 and not force:
-            return "", neg
-        return str(q), neg
+    if c.order == 1:
+        num, den = c.coords[0], c.den
+        if abs(num) == den == 1 and not force:
+            return "", num < 0
+        return (str(abs(num)) if den == 1 else f"{abs(num)}/{den}"), num < 0
     s = str(c)
     if s.startswith("-"):
         body = s[1:]

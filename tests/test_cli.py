@@ -11,7 +11,7 @@ import pytest
 import stackygit
 from stackygit import cli, invariants, ringspec, symmetry
 from stackygit.cli import build_parser, main, run_command
-from stackygit.errors import ExactArithmeticError
+from stackygit.errors import ExactArithmeticError, NestingTooDeepError
 from stackygit.invariants import catalog_ring
 
 
@@ -403,6 +403,17 @@ def test_arithmetic_errors_are_structured(monkeypatch, capsys, error):
     assert main(["calibrate", "quintic", "--seed", "3"]) == 3
     out, err = capsys.readouterr()
     assert out == result.markdown and "Traceback" not in out + err
+
+
+def test_recursion_error_is_structured(monkeypatch):
+    def deep(text):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "form", deep)
+    result = run_command(["stabilizer", "x^2 - y^2"])
+    assert result.status == NestingTooDeepError.exit_status == 3
+    assert result.payload["error"]["code"] == NestingTooDeepError.code == "nesting-too-deep"
+    assert result.payload["command"] == "stabilizer"
 
 
 @pytest.mark.parametrize("argv, digest", [

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stackygit.cyclotomic import (
+    ONE,
     ORDER_CAP,
     QQ,
     CyclotomicNumber,
@@ -17,6 +18,7 @@ from stackygit.cyclotomic import (
     sqrt2,
     sqrt5,
     sqrt_minus3,
+    _power,
     zeta,
 )
 from stackygit.errors import IncompatibleOrderError, OrderCapExceededError
@@ -265,3 +267,21 @@ def test_agrees_with_fraction_reference(x, y, k):
     assert wide == a and hash(wide) == hash(a)
     if m == 1:
         assert hash(a) == hash(u[0])
+
+
+@pytest.mark.parametrize("q", [
+    0, 1, -1, 2, QQ(-3, 4), QQ(7, 12), QQ(2 ** 70 + 1, 3 ** 44)])
+def test_rational_power_matches_square_and_multiply(q):
+    c = as_cyclotomic(q)
+    for n in range(21):
+        power, reference = c ** n, _power(c, n, ONE)
+        assert (power.order, power.coords, power.den) == (
+            reference.order, reference.coords, reference.den)
+    assert as_cyclotomic(0) ** 0 == 1
+
+
+def test_negative_rational_power_inverts():
+    c = as_cyclotomic(QQ(-3, 4))
+    assert c ** -3 == _power(c.inverse(), 3, ONE) == QQ(-64, 27)
+    with pytest.raises(ZeroDivisionError):
+        as_cyclotomic(0) ** -1

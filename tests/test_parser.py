@@ -43,6 +43,24 @@ def test_error_carries_position():
     assert err.value.position == 4
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("x + $", "unexpected character ' '", 3),
+    ("x$", "unexpected character '$'", 1),
+    ("x +  # ", "unexpected character ' '", 3),
+    ("x y", "trailing input 'y'", 2),
+    ("x^", "expected 'num', found None", 2)])
+def test_parse_error_names_the_first_unreadable_position(text, message, position):
+    # the character reported is the first the token pattern cannot read,
+    # even when it is the whitespace before the bad one
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, ("x", "y"))
+    assert (str(err.value), err.value.position) == (f"{message} (at position {position})", position)
+
+
+def test_trailing_whitespace_is_ignored():
+    assert str(parse_poly("x+y ", ("x", "y"))) == "x + y"
+
+
 def test_unknown_identifier_at_lowering():
     with pytest.raises(UnknownIdentifierError) as err:
         parse_poly("x + q", ("x", "y"))
@@ -138,7 +156,7 @@ def _sums(inner):
     the start of a term."""
     factor = st.tuples(
         st.one_of(_ATOMS, inner.map(lambda e: f"({e})")),
-        st.sampled_from(("", "^0", "^1", "^2", "^3")),
+        st.sampled_from(("", "^0", "^1", "^2", "^3", "^5", "^7", "^12")),
     ).map("".join)
     term = st.tuples(
         st.sampled_from(("", "-", "- -")),
@@ -152,7 +170,9 @@ def _sums(inner):
 @given(st.recursive(_ATOMS, _sums, max_leaves=10))
 def test_parse_agrees_with_python_eval(text):
     expected = MultiPoly.constant(VARIABLES, 0) + eval(text.replace("^", "**"), dict(NAMESPACE))
-    assert parse_poly(text, VARIABLES) == expected
+    value = parse_poly(text, VARIABLES)
+    assert value == expected
+    assert str(value) == str(expected)
 
 
 class TestRingSpec:
