@@ -25,12 +25,14 @@ a form whose support allows an n past half the cap, such as x^62 + y^62,
 still needs a field past it.  A value keeps the
 order its computation produced, except that values whose non-constant
 coordinates vanish are demoted to order 1: rationals are always order 1.
-Bulk kernels (``BinaryForm.substitute``, ``invariants.transvectant`` and
-``MultiPoly.evaluate``) read many values over one denominator with
-:func:`_to_int_coords`, multiply with :func:`_mul_vec` and build each result
-once with :func:`_raw`.  Over Q they work instead on plain integer
-numerators over one denominator (:func:`_to_ints`), as do the
-subresultant sequence behind ``invariants.resultant`` and the gcd chain.
+Substitution (``BinaryForm.substitute``) reads many values over one
+denominator with :func:`_to_int_coords`, multiplies with :func:`_mul_vec`
+and builds each result once with :func:`_raw`.  The other bulk kernels
+(the products of ``MultiPoly`` and ``BinaryForm``, ``MultiPoly.evaluate``,
+``invariants.transvectant``, ``invariants.resultant`` and the gcd chain)
+have one body over their coefficient ring, which :func:`_numerators`
+picks: plain int numerators over one denominator when every coefficient
+is rational, the values themselves otherwise; :func:`_over` divides back.
 
 >>> zeta(4) ** 2
 CyclotomicNumber('-1')
@@ -176,11 +178,29 @@ def _to_int_coords(values, m: int):
     return den, [[c * (den // v.den) for c in v._vec(m)] for v in values]
 
 
-def _to_ints(values):
-    """``(den, nums)``: rational values as integer numerators over one
-    positive common denominator."""
-    den = lcm(*(v.den for v in values))
-    return den, [v.coords[0] * (den // v.den) for v in values]
+def _numerators(*lists):
+    """One ``(den, nums)`` pair per list of values, choosing the ring the
+    bulk kernels run in.  When every value in every list is rational, nums
+    are int numerators over the list's positive common denominator den;
+    otherwise they are the values themselves over 1.  :func:`_over` turns
+    a result back into a value."""
+    pairs = []
+    for vs in lists:
+        dens = [v.den for v in vs if v.order == 1]
+        if len(dens) < len(vs):
+            return [(1, list(ws)) for ws in lists]
+        den = lcm(*dens)
+        pairs.append((den, [v.coords[0] * (den // v.den) for v in vs]))
+    return pairs
+
+
+def _over(n, den: int) -> "CyclotomicNumber":
+    """The canonical value n / den for an int or a CyclotomicNumber n and
+    a positive int den."""
+    if type(n) is int:
+        g = gcd(n, den)
+        return _new(1, (n // g,), den // g)
+    return n if den == 1 else n._scale(1, den)
 
 
 def _power(base, n: int, one):
@@ -252,7 +272,7 @@ class CyclotomicNumber:
         return QQ(self.coords[0], self.den)
 
     def __bool__(self):
-        return not self.is_zero()
+        return self.order != 1 or self.coords[0] != 0
 
     # -- field change --------------------------------------------------------
 

@@ -16,11 +16,11 @@ No derivative form is built: for f = sum f_i x^(d-i) y^i and g = sum g_j
 x^(e-j) y^j, coefficient n of (f, g)_r is sum_{i+j=n+r} W(i, j) f_i g_j
 with the integer weights
 W(i, j) = sum_k (-1)^k C(r, k) (d-i)_(r-k) i_(k) (e-j)_(k) j_(r-k)
-(falling factorials), cached per (d, e, r).  Each coefficient is summed on
-integer coordinates in Q(zeta_m), m the lcm of the orders of the nonzero
-f_i and g_j that reach it with a nonzero weight, so rational forms have a
-rational transvectant and each coefficient's field is the one its own terms
-need.
+(falling factorials), cached per (d, e, r).  Each coefficient is one sum
+in the ring of :func:`stackygit.cyclotomic._numerators`: int numerators
+over one denominator per form when both forms are rational, so rational
+forms have a rational transvectant, and field elements otherwise, so each
+coefficient is stored in the field its own arithmetic produces.
 
 Two plain functions, :func:`_quintic_recipe` and :func:`_sextic_recipe`,
 build one invariant per catalog generator from transvectants and a
@@ -39,20 +39,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, lcm, perm
+from math import comb, factorial, perm
 
-from .cyclotomic import (
-    QQ,
-    CyclotomicNumber,
-    _check_order,
-    _raw,
-    _reduce,
-    _to_int_coords,
-    _to_ints,
-    as_cyclotomic,
-    euler_phi,
-    sqrt2,
-)
+from .cyclotomic import QQ, CyclotomicNumber, _numerators, _over, as_cyclotomic, sqrt2
 from .errors import (
     NonStableError,
     OrderTooLargeError,
@@ -251,39 +240,21 @@ def transvectant(f: BinaryForm, g: BinaryForm, r: int) -> BinaryForm:
 
     Coefficient n is sum_{i+j=n+r} W(i, j) f_i g_j times the normalization
     (d-r)! (e-r)! / (d! e!), with the integer weights W of
-    :func:`_transvectant_weights`.  It is computed in Q(zeta_m), m the lcm
-    of the orders of the nonzero f_i and g_j that reach it with a nonzero
-    weight (checked against the order cap): one unreduced integer vector
-    sums the products of their coordinates over one common denominator and
-    is reduced once.  A pair of rational forms takes one integer sum per
-    coefficient."""
+    :func:`_transvectant_weights`, summed in the ring of
+    :func:`stackygit.cyclotomic._numerators`.  Rational forms take one
+    integer sum per coefficient over one common denominator.  Otherwise
+    each coefficient is stored in the field its own arithmetic produces,
+    which divides the lcm of the orders of the nonzero f_i and g_j that
+    reach it with a nonzero weight."""
     d, e = f.degree, g.degree
     if r > min(d, e):
         raise OrderTooLargeError(
             f"transvectant order {r} exceeds min(deg) = {min(d, e)}")
     rows, num, den = _transvectant_weights(d, e, r)
-    fc, gc = f.coeffs, g.coeffs
-    if lcm(*(c.order for c in fc), *(c.order for c in gc)) == 1:
-        (fd, F), (gd, G) = _to_ints(fc), _to_ints(gc)
-        den *= fd * gd
-        return BinaryForm([_raw(1, [num * sum(w * F[i] * G[j] for i, j, w in row)], den)
-                           for row in rows])
-    out = []
-    for row in rows:
-        row = [(i, j, w) for i, j, w in row if fc[i] and gc[j]]
-        m = lcm(*(fc[i].order for i, _, _ in row), *(gc[j].order for _, j, _ in row))
-        _check_order(m)
-        fd, F = _to_int_coords([fc[i] for i, _, _ in row], m)
-        gd, G = _to_int_coords([gc[j] for _, j, _ in row], m)
-        acc = [0] * (2 * euler_phi(m) - 1)
-        for (_, _, w), a, b in zip(row, F, G):
-            for s, x in enumerate(a):
-                if x:
-                    x *= w
-                    for t, y in enumerate(b, s):
-                        acc[t] += x * y
-        out.append(_raw(m, [num * c for c in _reduce(m, acc)], den * fd * gd))
-    return BinaryForm(out)
+    (fd, F), (gd, G) = _numerators(f.coeffs, g.coeffs)
+    den *= fd * gd
+    return BinaryForm([_over(num * sum(w * F[i] * G[j] for i, j, w in row), den)
+                       for row in rows])
 
 
 def resultant(f: BinaryForm, g: BinaryForm) -> CyclotomicNumber:
@@ -292,15 +263,13 @@ def resultant(f: BinaryForm, g: BinaryForm) -> CyclotomicNumber:
     Brown-Traub; H. Cohen, *A Course in Computational Algebraic Number
     Theory*, Algorithm 3.3.7).
 
-    Rational forms run it on ints: with f = F/fd and g = G/gd for integer
-    forms F and G of degrees d and e, Res(f, g) = Res(F, G) / (fd^e gd^d),
-    and every division of the sequence is exact in Z.  Other forms run it
-    on their CyclotomicNumber coefficients."""
-    fc, gc = f.coeffs, g.coeffs
-    if any(c.order != 1 for c in fc + gc):
-        return as_cyclotomic(_resultant(list(fc), list(gc)))
-    (fd, a), (gd, b) = _to_ints(fc), _to_ints(gc)
-    return _raw(1, [_resultant(a, b)], fd ** g.degree * gd ** f.degree)
+    It runs in the ring of :func:`stackygit.cyclotomic._numerators`.  For
+    rational forms that is Z: with f = F/fd and g = G/gd for integer forms
+    F and G of degrees d and e, Res(f, g) = Res(F, G) / (fd^e gd^d), and
+    every division of the sequence is exact in Z.  Other forms run it on
+    their CyclotomicNumber coefficients, with fd = gd = 1."""
+    (fd, a), (gd, b) = _numerators(f.coeffs, g.coeffs)
+    return _over(_resultant(a, b), fd ** g.degree * gd ** f.degree)
 
 
 def _resultant(a, b):

@@ -28,10 +28,11 @@ from .cyclotomic import (
     CyclotomicNumber,
     _check_order,
     _mul_vec,
+    _numerators,
+    _over,
     _power,
     _raw,
     _to_int_coords,
-    _to_ints,
     as_cyclotomic,
 )
 from .errors import (
@@ -175,31 +176,20 @@ class MultiPoly:
             return MultiPoly._of(self.variables,
                                  {e: x * c for e, x in self.terms.items()})
         other = self._coerce(other)
-        if len(self.terms) > 1 < len(other.terms) and all(
-                c.order == 1 for c in (*self.terms.values(), *other.terms.values())):
-            # over Q, where products of terms are summed: integer numerators
-            # over one denominator per operand and one division per term of
-            # the product (a one-term factor only scales the other's terms)
-            (d1, n1), (d2, n2) = _to_ints(self.terms.values()), _to_ints(other.terms.values())
-            sums = {}
-            for e1, a in zip(self.terms, n1):
-                for e2, b in zip(other.terms, n2):
-                    e = tuple(map(add, e1, e2))
-                    sums[e] = sums.get(e, 0) + a * b
-            return MultiPoly._of(self.variables,
-                                 {e: _raw(1, [n], d1 * d2) for e, n in sums.items() if n})
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                p = c1 * c2
-                s = terms.get(e)
-                s = p if s is None else s + p
-                if s:
-                    terms[e] = s
-                elif e in terms:
-                    del terms[e]
-        return MultiPoly._of(self.variables, terms)
+        # products of terms are summed in the ring of _numerators; a
+        # one-term factor only scales the other's terms, so both keep
+        # their values
+        p, q = self.terms.values(), other.terms.values()
+        (d1, n1), (d2, n2) = (_numerators(p, q) if len(p) > 1 < len(q)
+                              else ((1, p), (1, q)))
+        sums = {}
+        for e1, a in zip(self.terms, n1):
+            for e2, b in zip(other.terms, n2):
+                e = tuple(map(add, e1, e2))
+                s = sums.get(e)
+                sums[e] = a * b if s is None else s + a * b
+        return MultiPoly._of(self.variables,
+                             {e: _over(n, d1 * d2) for e, n in sums.items() if n})
 
     __rmul__ = __mul__
 
@@ -258,15 +248,12 @@ class MultiPoly:
         """The value at ``point``: ints, rationals or CyclotomicNumbers, one
         per variable.
 
-        Every term is brought over one denominator, the coefficients' common
-        denominator times d^t for each coordinate p = v/d, t the largest
-        exponent of its variable; term c x^k then contributes c v^k d^(t-k).
-        Over Q that is a dot product with the numerators of
-        :func:`_monomial_ints`; otherwise v is the integer coordinate vector
-        of p in Q(zeta_m), m the lcm of the orders of the coefficients and
-        of the coordinates whose variables occur, and products are
-        :func:`_mul_vec`.  The sum is made canonical once, by :func:`_raw`,
-        so the value is stored in Q(zeta_m) unless it is rational."""
+        The value is the dot product of the coefficients, in the ring of
+        :func:`_numerators`, with the monomials of :func:`_monomial_ints`,
+        over the product of their denominators.  It is stored in
+        Q(zeta_m) unless it is rational, m the lcm of the orders of the
+        coefficients and of the coordinates whose variables occur (checked
+        against the order cap)."""
         point = [as_cyclotomic(p) for p in point]
         if len(point) != len(self.variables):
             raise ArityError(
@@ -276,33 +263,9 @@ class MultiPoly:
         tops = [max(k) for k in zip(*self.terms)]
         m = lcm(*(c.order for c in self.terms.values()),
                 *(p.order for p, t in zip(point, tops) if t))
-        _check_order(m)
-        values = list(self.terms.values())
-        if m == 1:
-            den, coeffs = _to_ints(values)
-            pden, nums = _monomial_ints(point, self.terms)
-            return _raw(1, [sum(c * n for c, n in zip(coeffs, nums))], den * pden)
-        den, coeffs = _to_int_coords(values, m)
-        one = [1] + [0] * (len(coeffs[0]) - 1)
-        tables = []
-        for p, t in zip(point, tops):
-            vs, pd = [one], 1
-            if t:
-                pd, (v,) = _to_int_coords([p], m)
-                for _ in range(t):
-                    vs.append(_mul_vec(m, vs[-1], v))
-            ds = _powers(pd, t)[::-1]
-            tables.append((vs, ds))
-            den *= ds[0]
-        total = [0] * len(one)
-        for e, c in zip(self.terms, coeffs):
-            scale = 1
-            for (vs, ds), k in zip(tables, e):
-                if k:
-                    c = _mul_vec(m, c, vs[k])
-                scale *= ds[k]
-            total = [x + scale * y for x, y in zip(total, c)]
-        return _raw(m, total, den)
+        (den, coeffs), = _numerators(self.terms.values())
+        pden, nums = _monomial_ints(point, self.terms)
+        return _over(sum(c * n for c, n in zip(coeffs, nums)), den * pden).embed(m)
 
     def renamed(self, mapping) -> "MultiPoly":
         """Rename variables via {old: new}; order is preserved."""
@@ -370,25 +333,19 @@ class MultiPoly:
 
 
 def _coeff_text(c: CyclotomicNumber, force=False):
-    """Render a coefficient for use as a factor; returns (text, negated)."""
+    """Render a nonzero coefficient for use as a factor; returns (text,
+    negated).  A coefficient with more than one nonzero coordinate is
+    parenthesized whole; otherwise its sign is pulled out, and 1 prints
+    as nothing unless ``force``."""
     if c.order == 1:
         num, den = c.coords[0], c.den
         if abs(num) == den == 1 and not force:
             return "", num < 0
         return (str(abs(num)) if den == 1 else f"{abs(num)}/{den}"), num < 0
-    s = str(c)
-    if s.startswith("-"):
-        body = s[1:]
-        if "+" in body or "- " in body:
-            return f"({s})", False
-        return body if _is_single_factor(body) else f"({body})", True
-    if "+" in s or " - " in s:
-        return f"({s})", False
-    return s if _is_single_factor(s) else f"({s})", False
-
-
-def _is_single_factor(s: str) -> bool:
-    return "*" not in s or s.count("*") == s.count("*zeta")
+    if len([x for x in c.coords if x]) > 1:
+        return f"({c})", False
+    neg = min(c.coords) < 0
+    return str(-c if neg else c), neg
 
 
 class BinaryForm:
@@ -449,13 +406,14 @@ class BinaryForm:
         if not isinstance(other, BinaryForm):
             c = as_cyclotomic(other)
             return BinaryForm([a * c for a in self.coeffs])
-        out = [_ZERO] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
+        (da, A), (db, B) = _numerators(self.coeffs, other.coeffs)
+        out = [0] * (self.degree + other.degree + 1)
+        for i, a in enumerate(A):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(B):
                     if b:
-                        out[i + j] = out[i + j] + a * b
-        return BinaryForm(out)
+                        out[i + j] += a * b
+        return BinaryForm([_over(n, da * db) for n in out])
 
     __rmul__ = __mul__
 
@@ -562,8 +520,9 @@ class BinaryForm:
         """The multiplicity of the root (1:0) and the degrees of p, gcd(p, p'),
         the gcd of that with its derivative, and so on, for the
         dehomogenization p; the chain stops at degree 0 or after ``steps``
-        gcds.  Over Q the chain runs on an integer multiple of p and keeps
-        the primitive part of each gcd; otherwise it makes each gcd monic.
+        gcds.  It runs in the ring of :func:`_numerators`: over Q on an
+        integer multiple of p, keeping the primitive part of each gcd, and
+        otherwise on the field elements, making each gcd monic.
         Forms of degree above :data:`MAX_PROFILE_DEGREE` raise
         DegreeTooLargeError."""
         if self.degree > MAX_PROFILE_DEGREE:
@@ -574,12 +533,8 @@ class BinaryForm:
         at_infinity = 0
         while not self.coeffs[at_infinity]:
             at_infinity += 1
-        p = _cp_trim(self.dehomogenized())
-        if all(c.order == 1 for c in p):
-            p = _to_ints(p)[1]
-            unit = _cp_primitive
-        else:
-            unit = _cp_monic
+        (_, p), = _numerators(_cp_trim(self.dehomogenized()))
+        unit = _cp_primitive if type(p[0]) is int else _cp_monic
         degrees = [len(p) - 1]
         while len(p) > 1 and len(degrees) <= steps:
             last = _subresultants(p, _cp_deriv(p))[0][-1]
@@ -632,16 +587,20 @@ def _powers(x, n):
 
 
 def _monomial_ints(point, exps):
-    """``(den, nums)``: the monomials with exponent vectors ``exps`` at the
-    rational ``point`` p_j = v_j / d_j, as nums[i] / den.  den = prod
-    d_j^t_j, t_j the largest exponent of variable j, and monomial e has
-    numerator prod v_j^e_j d_j^(t_j - e_j), read from power tables.  A
-    variable with t_j = 0 enters as 1, so its coordinate may be irrational."""
+    """``(den, nums)``: the monomials with exponent vectors ``exps`` at
+    ``point``, as nums[i] / den.  A rational coordinate p_j = v_j / d_j
+    enters as the int v_j over d_j, an irrational one whose variable occurs
+    as itself over d_j = 1.  den = prod d_j^t_j, t_j the largest exponent
+    of variable j, and monomial e has numerator prod v_j^e_j d_j^(t_j -
+    e_j), read from power tables; the nums are ints when the coordinates
+    whose variables occur are rational.  A variable with t_j = 0 enters as
+    1."""
     tops = [max(k) for k in zip(*exps)]
     tables, den = [], 1
     for p, t in zip(point, tops):
-        ds = _powers(p.den, t)[::-1]
-        tables.append((_powers(p.coords[0], t), ds))
+        v, d = (p, 1) if t and p.order != 1 else (p.coords[0], p.den)
+        ds = _powers(d, t)[::-1]
+        tables.append((_powers(v, t), ds))
         den *= ds[0]
     return den, [prod(vs[k] * ds[k] for (vs, ds), k in zip(tables, e)) for e in exps]
 

@@ -22,6 +22,7 @@ from .polynomials import MultiPoly
 
 _GEN_LINE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)\s*:\s*(\d+)$")
 _FIELD_LINE = re.compile(r"^field\s*:\s*zeta\((\d+)\)$")
+_RELATION_LINE = re.compile(r"^relation\s*:(.*)$")
 
 
 def loads(text: str) -> GradedRingPresentation:
@@ -32,11 +33,11 @@ def loads(text: str) -> GradedRingPresentation:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("relation"):
-            _, _, rhs = line.partition(":")
+        m = _RELATION_LINE.match(line)
+        if m:
             if relation_text is not None:
                 raise RingSpecError(f"line {lineno}: second relation line")
-            relation_text, relation_line = rhs.strip(), lineno
+            relation_text, relation_line = m.group(1).strip(), lineno
             if not relation_text:
                 raise RingSpecError(f"line {lineno}: empty relation")
             continue

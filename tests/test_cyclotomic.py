@@ -18,6 +18,8 @@ from stackygit.cyclotomic import (
     sqrt2,
     sqrt5,
     sqrt_minus3,
+    _numerators,
+    _over,
     _power,
     zeta,
 )
@@ -285,3 +287,41 @@ def test_negative_rational_power_inverts():
     assert c ** -3 == _power(c.inverse(), 3, ONE) == QQ(-64, 27)
     with pytest.raises(ZeroDivisionError):
         as_cyclotomic(0) ** -1
+
+
+def _layout(c):
+    return (c.order, c.coords, c.den)
+
+
+def test_numerators_are_ints_over_q_and_the_values_otherwise():
+    a = [as_cyclotomic(QQ(1, 2)), as_cyclotomic(QQ(-2, 3)), as_cyclotomic(5)]
+    b = [as_cyclotomic(QQ(3, 4)), as_cyclotomic(0)]
+    # each list over the lcm of its own denominators
+    assert _numerators(a, b) == [(6, [3, -4, 30]), (4, [3, 0])]
+    assert all(type(n) is int for _, nums in _numerators(a, b) for n in nums)
+    assert _numerators(a) == [(6, [3, -4, 30])]
+    assert _numerators([]) == [(1, [])]
+    # one irrational value anywhere puts every list on its values over 1
+    c = [as_cyclotomic(QQ(1, 2)), zeta(4) / 3]
+    for lists in ((a, c), (c, b), (a, b, c), (c,)):
+        pairs = _numerators(*lists)
+        assert [den for den, _ in pairs] == [1] * len(lists)
+        assert all(len(nums) == len(vs) and all(n is v for n, v in zip(nums, vs))
+                   for (_, nums), vs in zip(pairs, lists))
+
+
+def test_over_is_canonical():
+    # n / den against the checking constructor, for ints and for values
+    rng = random.Random(71)
+    for _ in range(300):
+        den = rng.choice([1, 2, 3, 4, 6, 9, 12, 35, 64])
+        n = rng.randint(-40, 40)
+        q = QQ(n, den)
+        assert _layout(_over(n, den)) == (1, (q.numerator,), q.denominator)
+        value = random_value(rng, rng.choice(ORDERS)) * rng.randint(-6, 6)
+        expected = CyclotomicNumber(value.order, [QQ(c, value.den * den) for c in value.coords])
+        got = _over(value, den)
+        assert _layout(got) == _layout(expected)
+        assert got.den > 0 and gcd(got.den, *got.coords) == 1
+    assert _layout(_over(0, 7)) == _layout(_over(as_cyclotomic(0), 7)) == (1, (0,), 1)
+    assert _over(zeta(5), 1) is zeta(5)

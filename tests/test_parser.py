@@ -245,6 +245,18 @@ class TestRingSpec:
         with pytest.raises(RingSpecError):
             ringspec.loads("# nothing here\n")
 
+    def test_generator_named_like_the_relation_keyword(self, tmp_path):
+        # only a line reading "relation :" is the relation line
+        text = "a : 1\nrelation2 : 4\n"
+        ring = ringspec.loads(text)
+        assert (ring.generators, ring.weights, ring.relation) == (("a", "relation2"), (1, 4), None)
+        path = tmp_path / "keyword.ring"
+        path.write_text(text, encoding="utf-8")
+        result = run_command(["rigidify", str(path)])
+        assert result.status == 0
+        names = [g["name"] for g in result.payload["ring"]["generators"]]
+        assert names == ["a", "relation2"]
+
     def test_duplicate_relation(self):
         text = "t : 1\nrelation: t\nrelation: t\n"
         with pytest.raises(RingSpecError):

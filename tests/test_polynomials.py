@@ -458,3 +458,77 @@ def test_arithmetic_results_are_clean():
     assert x - x == MultiPoly.zero(_VARS) and not (x - x).terms
     assert (x + y) * (x - y) == MultiPoly(_VARS, {(2, 0, 0): 1, (0, 2, 0): -1})
     assert (x * 0).terms == {} and (x * zeta(3)).terms == {(1, 0, 0): zeta(3)}
+
+
+def _layouts(coeffs):
+    return [(c.order, c.coords, c.den) for c in coeffs]
+
+
+_PRODUCT_FIELDS = {"Q": (1,), "Q(i)": (zeta(4),), "Q(zeta_5)": (zeta(5), zeta(5) ** 3),
+                   "mixed": (1, zeta(4), zeta(3), zeta(5))}
+
+
+def _field_coefficient(rng, units):
+    if rng.random() < 0.2:
+        return 0
+    return _random_coefficient(rng, rng.choice(units))
+
+
+@pytest.mark.parametrize("field", list(_PRODUCT_FIELDS))
+def test_form_products_match_a_schoolbook_product(field):
+    # every coefficient stored as the plain sum of coefficient products
+    # stores it: same order, integer coordinates and denominator
+    rng = random.Random(f"form products:{field}")
+    units = _PRODUCT_FIELDS[field]
+    for _ in range(80):
+        f = BinaryForm([_field_coefficient(rng, units) for _ in range(rng.randint(1, 7))])
+        g = BinaryForm([_field_coefficient(rng, units) for _ in range(rng.randint(1, 7))])
+        expected = [as_cyclotomic(0)] * (f.degree + g.degree + 1)
+        for i, a in enumerate(f.coeffs):
+            for j, b in enumerate(g.coeffs):
+                expected[i + j] = expected[i + j] + a * b
+        assert _layouts((f * g).coeffs) == _layouts(expected), (str(f), str(g))
+
+
+@pytest.mark.parametrize("field", list(_PRODUCT_FIELDS))
+def test_multipoly_products_match_a_schoolbook_product(field):
+    # one-term and many-term factors alike, with cancelling terms
+    rng = random.Random(f"multipoly products:{field}")
+    units = _PRODUCT_FIELDS[field]
+    for _ in range(80):
+        p, q = (MultiPoly(_VARS[:2], {(rng.randint(0, 3), rng.randint(0, 3)):
+                                      _field_coefficient(rng, units)
+                                      for _ in range(rng.randint(0, 6))})
+                for _ in range(2))
+        expected = {}
+        for e1, c1 in p.terms.items():
+            for e2, c2 in q.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                expected[e] = expected.get(e, as_cyclotomic(0)) + c1 * c2
+        expected = {e: c for e, c in expected.items() if c}
+        got = (p * q).terms
+        assert got.keys() == expected.keys(), (str(p), str(q))
+        assert _layouts(got.values()) == _layouts(expected[e] for e in got), (str(p), str(q))
+
+
+def test_coefficients_print_from_their_coordinates():
+    # a coefficient with one nonzero coordinate prints bare, its sign
+    # pulled out; one with more is parenthesized whole
+    v = ("x", "y")
+    cases = [
+        ({(1, 0): zeta(8) ** 3}, "zeta(8)^3*x"),
+        ({(1, 0): -3 * zeta(5) ** 2}, "-3*zeta(5)^2*x"),
+        ({(1, 0): QQ(3, 4) * zeta(8)}, "3/4*zeta(8)*x"),
+        ({(1, 0): 1 + zeta(3)}, "(1 + zeta(3))*x"),
+        ({(1, 0): -1 - zeta(3)}, "(-1 - zeta(3))*x"),
+        ({(1, 0): -1, (0, 1): zeta(8) - zeta(8) ** 3}, "-x + (zeta(8) - zeta(8)^3)*y"),
+        ({(0, 0): zeta(8) ** 3}, "zeta(8)^3"),
+        ({(0, 0): QQ(-3, 4) * zeta(12) ** 3, (1, 0): -zeta(7) ** 2},
+         "-zeta(7)^2*x - 3/4*zeta(12)^3"),
+        ({(0, 0): 1 + zeta(3), (0, 1): QQ(-2, 3)}, "-2/3*y + (1 + zeta(3))"),
+        ({(0, 0): -1, (1, 1): 1}, "x*y - 1"),
+        ({(2, 1): QQ(-5, 6) * zeta(9) ** 4 + QQ(1, 2), (0, 3): -zeta(4)},
+         "(1/2 - 5/6*zeta(9)^4)*x^2*y - zeta(4)*y^3"),
+    ]
+    for terms, text in cases:
+        assert str(MultiPoly(v, terms)) == text
