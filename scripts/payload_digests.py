@@ -53,12 +53,19 @@ def digest(argvs) -> str:
     return h.hexdigest()
 
 
-def workload_digest(workload: str, seed: int, seconds: float = SECONDS) -> str:
-    """The digest of one benchmark run's operations; the current directory
-    must be the repository root, which the operations' paths are relative to."""
+def workload_argvs(workload: str, seed: int, seconds: float = SECONDS):
+    """The argument lists of one benchmark run's operations, with their
+    input files written; the current directory must be the repository root,
+    which the operations' paths are relative to."""
     ops = build_ops(workload, seed, seconds)
     write_inputs(ops)
-    return digest(op["argv"] for op in ops)
+    return [op["argv"] for op in ops]
+
+
+def workload_digest(workload: str, seed: int, seconds: float = SECONDS) -> str:
+    """The digest of one benchmark run's operations, from the repository
+    root."""
+    return digest(workload_argvs(workload, seed, seconds))
 
 
 def main(argv=None) -> int:

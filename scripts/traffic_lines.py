@@ -32,24 +32,13 @@ for path in (ROOT / "src", ROOT / "scripts"):
     if str(path) not in sys.path:
         sys.path.insert(0, str(path))
 
-from payload_digests import SECONDS  # noqa: E402
-from record_bench import WORKLOADS, parse_seeds  # noqa: E402  (puts perfbench/ on the path)
-from run import write_inputs  # noqa: E402
-from workloads import build_ops  # noqa: E402
+from payload_digests import workload_argvs  # noqa: E402
+from record_bench import WORKLOADS, parse_seeds  # noqa: E402
 
 import stackygit  # noqa: E402
 from stackygit.cli import run_command  # noqa: E402
 
 VERIFY_ALL = ["--json", "verify-all", "--seed", "7"]
-
-
-def workload_argvs(workload: str, seed: int, seconds: float = SECONDS):
-    """The argument lists of one benchmark run's operations, with their
-    input files written; the current directory must be the repository root,
-    which the operations' paths are relative to."""
-    ops = build_ops(workload, seed, seconds)
-    write_inputs(ops)
-    return [op["argv"] for op in ops]
 
 
 def _children(node):
