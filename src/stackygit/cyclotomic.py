@@ -25,8 +25,9 @@ a form whose support allows an n past half the cap, such as x^62 + y^62,
 still needs a field past it.  A value keeps the
 order its computation produced, except that values whose non-constant
 coordinates vanish are demoted to order 1: rationals are always order 1.
-Substitution (``BinaryForm.substitute``) reads many values over one
-denominator with :func:`_to_int_coords`, multiplies with :func:`_mul_vec`
+Substitution (``BinaryForm.substitute``) reads a form's coefficients over
+one denominator with :func:`_to_int_coords`, builds the powers of each
+scalar as integer vectors and multiplies by them with :func:`_mul_vec`,
 and builds each result once with :func:`_raw`.  The other bulk kernels
 (the products of ``MultiPoly`` and ``BinaryForm``, ``MultiPoly.evaluate``,
 ``invariants.transvectant``, ``invariants.resultant`` and the gcd chain)

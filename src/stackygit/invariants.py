@@ -253,8 +253,8 @@ def transvectant(f: BinaryForm, g: BinaryForm, r: int) -> BinaryForm:
     rows, num, den = _transvectant_weights(d, e, r)
     (fd, F), (gd, G) = _numerators(f.coeffs, g.coeffs)
     den *= fd * gd
-    return BinaryForm([_over(num * sum(w * F[i] * G[j] for i, j, w in row), den)
-                       for row in rows])
+    return BinaryForm._of([_over(num * sum(w * F[i] * G[j] for i, j, w in row), den)
+                           for row in rows])
 
 
 def resultant(f: BinaryForm, g: BinaryForm) -> CyclotomicNumber:

@@ -6,10 +6,11 @@ coefficient) used for graded-ring relations and divisor equations.
 a_1 x^{d-1} y + ... + a_d y^d`` with the substitution action of SL(2) and
 root-multiplicity analysis.  Substitution is the hot path of every
 symmetry check.  It factors the matrix into scalings and at most two
-Taylor shifts by 1 (scale-shift-scale), so a diagonal matrix costs one
-scaling and a shift costs additions only.  It runs on integer coordinate
-vectors over one common denominator per field and divides once at the end
-(see :meth:`BinaryForm.substitute`).
+Taylor shifts by 1 (scale-shift-scale), so a diagonal matrix needs no
+shift and a shift costs additions only.  It runs on integer coordinate
+vectors over one common denominator per field: each scaling multiplies by
+a table of integer power vectors, each shift is a run of prefix sums, and
+the result is divided once at the end (see :meth:`BinaryForm.substitute`).
 
 Root multiplicities are computed by iterated gcds of the dehomogenization
 with its derivative (so everything stays in exact arithmetic, with no root
@@ -21,6 +22,7 @@ sequence runs on integers, since its divisions are exact in Z.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import gcd, lcm, prod
 from operator import add
 
@@ -353,6 +355,9 @@ class BinaryForm:
 
     The formal degree is explicit: leading coefficients may vanish (the root
     at infinity).  Instances are immutable.
+
+    ``__init__`` converts and checks outside input; kernels whose
+    coefficients are canonical values already build with :meth:`_of`.
     """
 
     __slots__ = ("coeffs",)
@@ -362,6 +367,14 @@ class BinaryForm:
         if not coeffs:
             raise ValueError("a binary form needs at least one coefficient")
         object.__setattr__(self, "coeffs", coeffs)
+
+    @classmethod
+    def _of(cls, coeffs):
+        """Trusted constructor: ``coeffs`` a nonempty iterable of
+        CyclotomicNumbers."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "coeffs", tuple(coeffs))
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("BinaryForm is immutable")
@@ -392,20 +405,20 @@ class BinaryForm:
     def __add__(self, other):
         if self.degree != other.degree:
             raise ArityError("cannot add forms of different degrees")
-        return BinaryForm([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return BinaryForm._of([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
         if self.degree != other.degree:
             raise ArityError("cannot subtract forms of different degrees")
-        return BinaryForm([a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return BinaryForm._of([a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
-        return BinaryForm([-a for a in self.coeffs])
+        return BinaryForm._of([-a for a in self.coeffs])
 
     def __mul__(self, other):
         if not isinstance(other, BinaryForm):
             c = as_cyclotomic(other)
-            return BinaryForm([a * c for a in self.coeffs])
+            return BinaryForm._of([a * c for a in self.coeffs])
         (da, A), (db, B) = _numerators(self.coeffs, other.coeffs)
         out = [0] * (self.degree + other.degree + 1)
         for i, a in enumerate(A):
@@ -413,7 +426,7 @@ class BinaryForm:
                 for j, b in enumerate(B):
                     if b:
                         out[i + j] += a * b
-        return BinaryForm([_over(n, da * db) for n in out])
+        return BinaryForm._of([_over(n, da * db) for n in out])
 
     __rmul__ = __mul__
 
@@ -477,18 +490,26 @@ class BinaryForm:
         det/a, s = b/a and t = c/e, the image is f(a u, c u + e v) at u = x
         + s y, v = y, and each factor becomes a change of variable:
 
-        1. scale a_i by a^(deg-i) c^i and shift by 1 (c u + e v = c (u +
-           v/t));
-        2. scale coefficient j by t^-j s^(deg-j) and shift by 1 in the
-           other variable (x + s y = s (x/s + y));
+        1. scale a_i by a^(deg-i), then by c^i, and shift by 1 (c u + e v =
+           c (u + v/t));
+        2. scale coefficient j by t^-j, then by s^(deg-j), and shift by 1
+           in the other variable (x + s y = s (x/s + y));
         3. scale coefficient j by s^-(deg-j).
 
-        A shift whose scalar is zero is skipped, and the scalings around it
-        merge, so a diagonal matrix costs one scaling: O(deg) vector
-        products where a shift costs O(deg^2) vector additions.  For a = 0
-        the coefficients are reversed and [[c, d], [0, b]] is used.  The
-        vectors carry one common denominator, multiplied by that of each
-        scaling, and are divided by it once at the end.
+        For c = 0 the first shift and the scaling by t^-j are skipped and
+        a_i is scaled by e^i in place of c^i; for b = 0 the scaling by
+        s^(deg-j), step 2's shift and step 3 are skipped.  So a diagonal
+        matrix costs two scalings, O(deg) vector products each, where a
+        shift costs O(deg^2) additions.  For a = 0 the coefficients are
+        reversed and [[c, d], [0, b]] is used.
+
+        Each scaling by the powers of one value x = X/D is one pass with a
+        table of integer vectors X^j D^(n-j) over D^n, built with
+        ``_mul_vec``; each shift replaces suffixes of the coefficients by
+        their suffix sums, done as prefix sums (``itertools.accumulate``)
+        over the reversed coordinate columns.  The vectors carry one common
+        denominator, multiplied by D^n at each scaling, and each image
+        coefficient is made canonical once, at the end.
         """
         deg = self.degree
         if deg == 0:
@@ -508,7 +529,7 @@ class BinaryForm:
             parts.append(part)
         if not parts:
             return self
-        return BinaryForm([sum(cs, _ZERO) for cs in zip(*parts)])
+        return BinaryForm._of([sum(cs[1:], cs[0]) for cs in zip(*parts)])
 
     # -- roots ----------------------------------------------------------------------
 
@@ -605,23 +626,41 @@ def _monomial_ints(point, exps):
     return den, [prod(vs[k] * ds[k] for (vs, ds), k in zip(tables, e)) for e in exps]
 
 
-def _scaled(k, den, vecs, scalars):
-    """The integer coordinate vectors ``vecs`` (over ``den``) times the
-    scalars, entry by entry, in Q(zeta_k); returns the new common
-    denominator and vectors."""
-    sden, ss = _to_int_coords(scalars, k)
-    return den * sden, [_mul_vec(k, s, v) if any(v) else v for s, v in zip(ss, vecs)]
+def _scaled(k, den, vecs, x, reverse=False):
+    """The integer coordinate vectors ``vecs`` (over ``den``) with entry j
+    times x^j, or x^(n-j) when ``reverse``, in Q(zeta_k); the order of x
+    divides k.  The powers form one table of integer vectors over D^n, for
+    x = X/D: entry j is X^j D^(n-j).  Returns the new common denominator
+    and vectors."""
+    n = len(vecs) - 1
+    X, D = x._vec(k), x.den
+    table = [[1] + [0] * (len(X) - 1)]
+    for _ in range(n):
+        table.append(_mul_vec(k, X, table[-1]))
+    dn = 1  # D^(n-j) at entry j, D^n after entry 0
+    if D != 1:
+        for j in range(n - 1, -1, -1):
+            dn *= D
+            table[j] = [c * dn for c in table[j]]
+    if reverse:
+        table.reverse()
+    return den * dn, [_mul_vec(k, t, v) if any(v) else v for t, v in zip(table, vecs)]
 
 
 def _shift(vecs):
-    """In place: sum p_i z^i -> sum p_i (z + 1)^i on the coefficient vectors
-    p_i, by additions alone (the Taylor shift by 1)."""
+    """The Taylor shift by 1, sum p_i z^i -> sum p_i (z + 1)^i, of the
+    integer coefficient vectors p_i: new vectors q_j = sum_(i >= j) C(i, j)
+    p_i.  Pass i < n replaces p_i .. p_n by their suffix sums, which on
+    each reversed coordinate column is one prefix sum."""
     n = len(vecs) - 1
-    for i in range(n):
-        for j in range(n - 1, i - 1, -1):
-            u, v = vecs[j], vecs[j + 1]
-            if any(v):
-                vecs[j] = [x + y for x, y in zip(u, v)]
+    cols = []
+    for col in zip(*vecs):
+        col = list(col[::-1])
+        if any(col):
+            for i in range(n):
+                col[:n + 1 - i] = accumulate(col[:n + 1 - i])
+        cols.append(col[::-1])
+    return list(zip(*cols))
 
 
 def _substitute_terms(k, deg, terms, entries):
@@ -637,21 +676,15 @@ def _substitute_terms(k, deg, terms, entries):
         a, b, c, d = c, d, _ZERO, b
     e = d - b * c / a if c else d  # det/a, with no inverse when c = 0
     # f(a u, c u + e v) with u = x + s y, v = y and s = b/a
-    pa, pg = _powers(a, deg), _powers(c or e, deg)
-    scalars = [pa[deg - i] * g for i, g in enumerate(pg)]
+    den, vecs = _scaled(k, den, vecs, a, reverse=True)
+    den, vecs = _scaled(k, den, vecs, c or e)
     if c:  # c u + e v = c (u + w) with w = v/t and t = c/e
-        den, vecs = _scaled(k, den, vecs, scalars)
-        _shift(vecs)
-        scalars = _powers(e / c, deg)
+        vecs = _shift(vecs)
+        den, vecs = _scaled(k, den, vecs, e / c)
     if b:  # u = s (z + y) with z = x/s
-        ps = _powers(b / a, deg)
-        scalars = [x * ps[deg - j] for j, x in enumerate(scalars)]
-        den, vecs = _scaled(k, den, vecs, scalars)
-        vecs.reverse()
-        _shift(vecs)
-        vecs.reverse()
-        scalars = _powers(a / b, deg)[::-1]
-    den, vecs = _scaled(k, den, vecs, scalars)
+        den, vecs = _scaled(k, den, vecs, b / a, reverse=True)
+        vecs = _shift(vecs[::-1])[::-1]
+        den, vecs = _scaled(k, den, vecs, a / b, reverse=True)
     return [_raw(k, v, den) for v in vecs]
 
 

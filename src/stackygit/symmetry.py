@@ -137,7 +137,7 @@ def catalog_stabilizer(f: BinaryForm, n_max: int | None = None):
     if n_max is None:
         n_max = max(f.degree, 1)
     g = _support_gcd(f)
-    reversible = BinaryForm(f.coeffs[::-1]).proportional_to(f) is not None
+    reversible = BinaryForm._of(f.coeffs[::-1]).proportional_to(f) is not None
 
     def unrefuted(spec):
         return g % spec.n == 0 and (spec.kind == "C" or reversible)

@@ -1,11 +1,12 @@
+import hashlib
 import random
-from math import lcm
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stackygit.cyclotomic import QQ, as_cyclotomic, zeta
+from stackygit.cyclotomic import QQ, CyclotomicNumber, as_cyclotomic, zeta
 from stackygit.errors import (
     ArityError,
     DegreeTooLargeError,
@@ -16,12 +17,13 @@ from stackygit.errors import (
 )
 from stackygit.exprparse import form
 from stackygit.groups import GroupSpec, SL2Matrix, group_generators
-from stackygit.invariants import quintic_F, sextic_F
+from stackygit.invariants import quintic_F, sextic_F, transvectant
 from stackygit.polynomials import (
     MAX_PROFILE_DEGREE,
     BinaryForm,
     MultiPoly,
     _exact_quotients,
+    _shift,
 )
 
 
@@ -532,3 +534,75 @@ def test_coefficients_print_from_their_coordinates():
     ]
     for terms, text in cases:
         assert str(MultiPoly(v, terms)) == text
+
+
+_IMAGE_FIELDS = {"Q": (1,), "Q(i)": (zeta(4),), "Q(zeta_3)": (zeta(3),),
+                 "mixed": (1, zeta(4), zeta(3), zeta(5))}
+_IMAGE_MATRICES = _GENERATORS + [_one_zero_entry(w, QQ(3, 2), QQ(-5, 7)) for w in "abcd"]
+
+# sha256 of the stored layouts of every image coefficient, recorded with
+# the term-by-term cyclotomic scalings that preceded the integer power tables
+_IMAGE_DIGESTS = {
+    "Q": "c778547c473be8425a3c3c9a0d1d9453dbb732b6445cf03c2225f594aadbb009",
+    "Q(i)": "6b4bfdc6c3c42549f928dc56f0ceb6809bb19a5eed5f8b3d131cf159c2de30bd",
+    "Q(zeta_3)": "47f5357ee2549ced7e108a2cb00eb3e03aeb77d03adbdc31606a049c21b73fe4",
+    "mixed": "a6c374ca56bd37f8a94fc6545a6caaf388352466d49e6671d89a57045d5b5efb",
+}
+
+
+@pytest.mark.parametrize("field", list(_IMAGE_FIELDS))
+def test_substitution_images_keep_their_stored_fields(field):
+    # the printed form of a coefficient depends on the field it is stored
+    # in, which == does not see: pin (order, coords, den) of every
+    # coefficient of f.substitute(m) for the generators of C_n, D_n (n <=
+    # 12), T, O and I and rational matrices with a zero in each position,
+    # on forms of degree 0, 1, 12, 40 and 120 with both end coefficients
+    # nonzero (the y-monomial term of diagonal and antidiagonal matrices)
+    rng = random.Random(f"substitution images:{field}")
+    units = _IMAGE_FIELDS[field]
+    forms = []
+    for deg in (0, 1, 12, 40, 120):
+        coeffs = [_field_coefficient(rng, units) for _ in range(deg + 1)]
+        coeffs[0] = coeffs[-1] = _random_coefficient(rng, rng.choice(units)) or 1
+        forms.append(BinaryForm(coeffs))
+    h = hashlib.sha256()
+    for m in _IMAGE_MATRICES:
+        for f in forms:
+            h.update(repr(_layouts(f.substitute(m).coeffs)).encode())
+    assert h.hexdigest() == _IMAGE_DIGESTS[field]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 60])
+def test_shift_matches_the_binomial_sums(n):
+    # the Taylor shift by 1 of integer vectors p_0 .. p_n is q_j = sum_(i >= j)
+    # C(i, j) p_i, coordinate by coordinate
+    rng = random.Random(f"shift:{n}")
+    for length in range(1, 5):
+        cases = [[[0] * length for _ in range(n + 1)]]
+        cases += [[[rng.randint(-9, 9) for _ in range(length)] for _ in range(n + 1)]
+                  for _ in range(5)]
+        cases.append([[0] * length] * n + [[rng.randint(-9, -1)] * length])
+        for p in cases:
+            expected = [[sum(comb(i, j) * p[i][t] for i in range(j, n + 1))
+                         for t in range(length)] for j in range(n + 1)]
+            assert [list(q) for q in _shift(p)] == expected
+
+
+def test_form_results_are_clean():
+    # forms built by the unchecked BinaryForm._of against the checking
+    # constructor: a tuple of canonical CyclotomicNumbers
+    rng = random.Random(22)
+    units = _PRODUCT_FIELDS["mixed"]
+    gens = group_generators(GroupSpec.parse("O")) + (_one_zero_entry("a", QQ(2), QQ(1, 3)),)
+    for _ in range(40):
+        deg = rng.randint(0, 6)
+        f, g = (BinaryForm([_field_coefficient(rng, units) for _ in range(deg + 1)])
+                for _ in range(2))
+        results = [f + g, f - g, f - f, -f, f * g, f * 3, f * zeta(3), f * 0,
+                   transvectant(f, g, min(deg, 2))]
+        results += [h.substitute(m) for h in (f, f * 0) for m in gens]
+        for r in results:
+            assert type(r.coeffs) is tuple and r.coeffs
+            assert all(type(c) is CyclotomicNumber for c in r.coeffs)
+            assert BinaryForm(r.coeffs) == r
+            assert _layouts(BinaryForm(r.coeffs).coeffs) == _layouts(r.coeffs)
