@@ -481,9 +481,10 @@ class BinaryForm:
         in term-by-term arithmetic, and a form over one field takes one pass.
         A group's image coefficients are stored in Q(zeta_k), or in Q when
         rational, whatever their values.
-        When c or d is zero the last term is the single product f_deg c^deg
-        or f_deg d^deg and is formed as such, so it stays in the field of
-        f_deg where that power is rational.
+        When a or b is zero the first term is the single product f_0 a^deg
+        or f_0 b^deg, and when c or d is zero the last term is f_deg c^deg
+        or f_deg d^deg; each is formed as such, so it stays in the field of
+        its coefficient where that power is rational.
 
         Within a group the image comes from scalings and Taylor shifts by 1
         (von zur Gathen and Gerhard, ISSAC 1997).  For a != 0, with e =
@@ -516,17 +517,18 @@ class BinaryForm:
             return self
         entries = (m.a, m.b, m.c, m.d)
         e = lcm(*(v.order for v in entries))
-        y_monomial = not (m.c and m.d)
+        # f_0 X^deg and f_deg Y^deg, when X or Y is a monomial
+        singles = {i: uv for i, uv in ((0, (m.a, m.b)), (deg, (m.c, m.d))) if not all(uv)}
         groups = {}
-        for i, fi in enumerate(self.coeffs[:-1] if y_monomial else self.coeffs):
-            if fi:
+        for i, fi in enumerate(self.coeffs):
+            if fi and i not in singles:
                 groups.setdefault(lcm(fi.order, e), {})[i] = fi
         parts = [_substitute_terms(k, deg, terms, entries) for k, terms in groups.items()]
-        last = self.coeffs[-1]
-        if y_monomial and last:
-            part = [_ZERO] * (deg + 1)
-            part[0 if m.c else deg] = last * (m.c or m.d) ** deg
-            parts.append(part)
+        for i, (u, v) in singles.items():
+            if self.coeffs[i]:
+                part = [_ZERO] * (deg + 1)
+                part[0 if u else deg] = self.coeffs[i] * (u or v) ** deg
+                parts.append(part)
         if not parts:
             return self
         return BinaryForm._of([sum(cs[1:], cs[0]) for cs in zip(*parts)])

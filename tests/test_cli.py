@@ -106,6 +106,8 @@ def test_stabilizer_huge_nmax_answers_like_the_default():
     (["x^12 + i*x^6*y^6 + sqrtm3*y^12"], ["C6"], {"C6": ["1"]}),
     # zeta_14^14 = 1 keeps the y^14 term in Q(zeta_9), not Q(zeta_126)
     (["x^14 + zeta(9)*y^14", "--nmax", "7"], ["C2", "C7"], {}),
+    # and a^14 = 1 keeps the x^14 term of the mirror there
+    (["zeta(9)*x^14 + y^14", "--nmax", "7"], ["C2", "C7"], {}),
 ])
 def test_stabilizer_mixed_fields(argv, groups, scalars):
     result = run_command(["stabilizer", *argv])

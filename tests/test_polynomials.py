@@ -225,6 +225,11 @@ class TestBinaryForm:
         image = h.substitute(group_generators(GroupSpec("C", 7))[0])
         assert image == h
         assert image.coeffs[-1].order == 9
+        # the mirror: a^14 = 1 keeps the x^14 term in Q(zeta_9)
+        h = form("zeta(9)*x^14 + y^14")
+        image = h.substitute(group_generators(GroupSpec("C", 7))[0])
+        assert image == h
+        assert image.coeffs[0].order == 9
 
     def test_profile_monomial(self):
         assert form("x^2*y^3").multiplicity_profile() == (2, 3)
