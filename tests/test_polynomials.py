@@ -546,12 +546,15 @@ _IMAGE_FIELDS = {"Q": (1,), "Q(i)": (zeta(4),), "Q(zeta_3)": (zeta(3),),
 _IMAGE_MATRICES = _GENERATORS + [_one_zero_entry(w, QQ(3, 2), QQ(-5, 7)) for w in "abcd"]
 
 # sha256 of the stored layouts of every image coefficient, recorded from
-# the kernel that scaled by powers built as CyclotomicNumbers
+# the kernel that scaled by powers built as CyclotomicNumbers; the
+# non-rational fields re-recorded when the x^deg term of a matrix with a
+# or b zero became the single product f_0 a^deg or f_0 b^deg, stored in
+# its own field (equal values, smaller fields at the end coefficients)
 _IMAGE_DIGESTS = {
     "Q": "c778547c473be8425a3c3c9a0d1d9453dbb732b6445cf03c2225f594aadbb009",
-    "Q(i)": "6b4bfdc6c3c42549f928dc56f0ceb6809bb19a5eed5f8b3d131cf159c2de30bd",
-    "Q(zeta_3)": "47f5357ee2549ced7e108a2cb00eb3e03aeb77d03adbdc31606a049c21b73fe4",
-    "mixed": "a6c374ca56bd37f8a94fc6545a6caaf388352466d49e6671d89a57045d5b5efb",
+    "Q(i)": "4c6c14c237f7480b4415a01c00d36b728674e9ce973fb5e237eb3f35c28ddbe4",
+    "Q(zeta_3)": "897849999bcb4862addc6bcada1df8185876ff03bbcce2ca84063f01ced26bde",
+    "mixed": "f0f8f94a2b46f86a525493b0f7d0aacb20a1485980a3b9509d0dec9dddce3558",
 }
 
 
