@@ -8,6 +8,10 @@ hcf of the weights, killing the generic mu_n of automorphisms), root
 adjunction t^r = s for gcd(r, deg s) = 1, recognition of the two-sheeted
 shape t^2 = F with its weight conditions, and the resulting decomposition
 into coarse space, canonical stack, square-root divisor and gerbe index.
+Points of weighted projective space (:class:`PointW`) carry exact
+weighted-projective equality: two coordinate vectors are equal when one is
+the weighted rescaling of the other, decided by comparing powers of the
+coordinate ratios pairwise.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
+from .cyclotomic import as_cyclotomic
 from .errors import (
     ArityError,
     CommonFactorError,
@@ -300,6 +305,59 @@ def stacky_decompose(ring: GradedRingPresentation) -> DecompositionReport:
 
 
 # -- weighted projective geometry ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PointW:
+    """A point of a weighted projective space, coordinates not all zero."""
+
+    coordinates: tuple
+    weights: tuple
+
+    def __post_init__(self):
+        coords = tuple(as_cyclotomic(c) for c in self.coordinates)
+        object.__setattr__(self, "coordinates", coords)
+        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+        if any(w < 1 for w in self.weights):
+            raise ValueError("weights must be positive")
+        if len(coords) != len(self.weights):
+            raise ArityError("one weight per coordinate")
+        if not any(coords):
+            raise ValueError("a projective point needs a nonzero coordinate")
+
+    def support(self):
+        return tuple(i for i, c in enumerate(self.coordinates) if c)
+
+    def rescaled(self, t) -> "PointW":
+        t = as_cyclotomic(t)
+        if not t:
+            raise ValueError("rescaling needs t != 0")
+        return PointW(
+            tuple(c * t ** w for c, w in zip(self.coordinates, self.weights)),
+            self.weights)
+
+    def __eq__(self, other):
+        if not isinstance(other, PointW):
+            return NotImplemented
+        if self.weights != other.weights:
+            return False
+        sup = self.support()
+        if sup != other.support():
+            return False
+        ratios = [other.coordinates[i] / self.coordinates[i] for i in sup]
+        # r_i = t^{e_i} is solvable over the algebraic closure iff
+        # r_i^{e_j/g} = r_j^{e_i/g} for every pair, g = gcd(e_i): if so, and
+        # sum c_i e_i/g = 1, then u = prod r_i^{c_i} has u^{e_j/g} = r_j, and
+        # t is any g-th root of u
+        g = gcd(*(self.weights[i] for i in sup))
+        exps = [self.weights[i] // g for i in sup]
+        return all(ratios[i] ** exps[j] == ratios[j] ** exps[i]
+                   for i, j in itertools.combinations(range(len(sup)), 2))
+
+    __hash__ = None
+
+    def __str__(self):
+        return "(" + " : ".join(str(c) for c in self.coordinates) + ")"
 
 
 def wps_singular_strata(weights):

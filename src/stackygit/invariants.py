@@ -49,7 +49,7 @@ from .errors import (
     UnknownFamilyError,
     WrongDegreeError,
 )
-from .graded import GradedRingPresentation
+from .graded import GradedRingPresentation, PointW
 from .polynomials import BinaryForm, MultiPoly, _exact_quotients, _subresultants
 from .symmetry import is_stable
 
@@ -190,8 +190,6 @@ def quartic_point(f: BinaryForm):
     (c : c) with c = I2^3/I3^2 when both coordinates are nonzero (a first
     coordinate of exactly 1 would need a square root of I2).
     """
-    from .locus import PointW  # locus imports this module at load time
-
     if not is_stable(f):
         raise NonStableError("the value point is taken on stable quartics")
     inv = quartic_invariants(f)

@@ -1,77 +1,19 @@
 """Exact divisor membership and singularity checks on weighted projective
 spaces, and the assembled locus reports for the quintic and sextic moduli.
 
-Points carry weighted-projective equality: two coordinate vectors are equal
-when one is the weighted rescaling of the other, decided exactly by
-comparing powers of the coordinate ratios pairwise (no root extraction).
-Singularity of a divisor at a point is tested on the affine cone: the value
+Points are :class:`~stackygit.graded.PointW`, whose equality is weighted
+rescaling decided exactly (no root extraction).  Singularity of a divisor at a point is tested on the affine cone: the value
 and every partial derivative must vanish.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import gcd
 
-from .cyclotomic import as_cyclotomic
-from .errors import ArityError, InhomogeneousError, WeightMismatchError
-from .graded import wps_singular_strata
+from .errors import InhomogeneousError, WeightMismatchError
+from .graded import PointW, wps_singular_strata
 from .invariants import SEXTIC_REPAIR_NOTE, catalog_ring
 from .polynomials import MultiPoly
-
-
-@dataclass(frozen=True)
-class PointW:
-    """A point of a weighted projective space, coordinates not all zero."""
-
-    coordinates: tuple
-    weights: tuple
-
-    def __post_init__(self):
-        coords = tuple(as_cyclotomic(c) for c in self.coordinates)
-        object.__setattr__(self, "coordinates", coords)
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        if any(w < 1 for w in self.weights):
-            raise ValueError("weights must be positive")
-        if len(coords) != len(self.weights):
-            raise ArityError("one weight per coordinate")
-        if not any(coords):
-            raise ValueError("a projective point needs a nonzero coordinate")
-
-    def support(self):
-        return tuple(i for i, c in enumerate(self.coordinates) if c)
-
-    def rescaled(self, t) -> "PointW":
-        t = as_cyclotomic(t)
-        if not t:
-            raise ValueError("rescaling needs t != 0")
-        return PointW(
-            tuple(c * t ** w for c, w in zip(self.coordinates, self.weights)),
-            self.weights)
-
-    def __eq__(self, other):
-        if not isinstance(other, PointW):
-            return NotImplemented
-        if self.weights != other.weights:
-            return False
-        sup = self.support()
-        if sup != other.support():
-            return False
-        ratios = [other.coordinates[i] / self.coordinates[i] for i in sup]
-        # r_i = t^{e_i} is solvable over the algebraic closure iff
-        # r_i^{e_j/g} = r_j^{e_i/g} for every pair, g = gcd(e_i): if so, and
-        # sum c_i e_i/g = 1, then u = prod r_i^{c_i} has u^{e_j/g} = r_j, and
-        # t is any g-th root of u
-        g = gcd(*(self.weights[i] for i in sup))
-        exps = [self.weights[i] // g for i in sup]
-        return all(ratios[i] ** exps[j] == ratios[j] ** exps[i]
-                   for i, j in combinations(range(len(sup)), 2))
-
-    __hash__ = None
-
-    def __str__(self):
-        return "(" + " : ".join(str(c) for c in self.coordinates) + ")"
 
 
 def _check_divisor_point(F: MultiPoly, w: tuple, p: PointW):

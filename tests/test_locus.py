@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 
 from stackygit.cyclotomic import QQ, zeta
+from stackygit import graded
 from stackygit.errors import InhomogeneousError, WeightMismatchError
 from stackygit.invariants import quintic_F, sextic_F
 from stackygit.locus import (
@@ -19,6 +20,10 @@ W123 = (1, 2, 3)
 
 
 class TestPointW:
+    def test_defined_in_graded(self):
+        # invariants and locus both import the one class from graded
+        assert PointW is graded.PointW
+
     def test_weighted_rescaling_equality(self):
         p = PointW((-3, 3, 3), W123)
         rng = random.Random(61)
