@@ -3,9 +3,11 @@
 A form is semi-invariant under a group when every generator carries it to
 an exact scalar multiple of itself; the scalars extend multiplicatively to
 a character.  Klein's generative description produces all semi-invariants
-of a group from its ground forms, and the classification of quartics,
-quintics and sextics with extra symmetry is exposed as a catalog of normal
-forms keyed by the traditional Roman numerals.
+of a group from its ground forms, and :func:`klein_generate` is the one
+place it is stated.  The classification of quartics, quintics and sextics
+with extra symmetry is a catalog of normal forms keyed by the traditional
+Roman numerals; each entry is Klein data (exponents and pencil pairs) that
+:func:`klein_generate` expands.
 """
 
 from __future__ import annotations
@@ -238,7 +240,9 @@ def klein_generate(spec: GroupSpec, alpha: int, beta: int, gamma: int, params=()
 
 @dataclass(frozen=True)
 class CatalogCase:
-    """A normal form with extra symmetry, possibly with (lambda:mu) parameters.
+    """A normal form with extra symmetry, as Klein data: the exponents
+    (alpha, beta, gamma), the ``fixed`` pencil pairs and ``param_count``
+    free (lambda:mu) pairs of :func:`klein_generate` for ``group``.
 
     ``genericity`` documents the open condition under which the listed
     stabilizer is exact; parameter defaults satisfy it.
@@ -246,78 +250,44 @@ class CatalogCase:
 
     case: str
     group: GroupSpec
-    builder: object
+    exponents: tuple
+    fixed: tuple = ()
     param_count: int = 0
     default_params: tuple = ()
     genericity: str = ""
 
     def build(self, params=None) -> BinaryForm:
-        if self.param_count == 0:
-            return self.builder()
         params = tuple(params) if params is not None else self.default_params
         if len(params) != self.param_count:
             raise ZeroParameterError(
                 f"case {self.case} takes {self.param_count} (lambda:mu) pairs")
-        for lam, mu in params:
-            if not as_cyclotomic(lam) and not as_cyclotomic(mu):
-                raise ZeroParameterError("(0, 0) is not a point of P^1")
-        return self.builder(*params)
+        return klein_generate(self.group, *self.exponents, self.fixed + params)
 
 
-def _pair_form(text):
-    return lambda: form(text)
-
-
-def _quartic_generic(p):
-    lam, mu = p
-    return lam * form("(x^2 + y^2)^2") + mu * form("(x^2 - y^2)^2")
-
-
-def _quintic_i(p):
-    lam, mu = p
-    return form("x*(x^2 + y^2)") * BinaryForm.from_dict(2, {0: lam, 2: mu})
-
-
-def _sextic_i(p1, p2):
-    f = form("x^2 + y^2")
-    for lam, mu in (p1, p2):
-        f = f * BinaryForm.from_dict(2, {0: lam, 2: mu})
-    return f
-
-
-def _sextic_iii(p):
-    lam, mu = p
-    return form("x*y") * (lam * form("(x^2 + y^2)^2") + mu * form("(x^2 - y^2)^2"))
-
-
-def _sextic_iv(p):
-    lam, mu = p
-    return lam * form("(x^3 + y^3)^2") + mu * form("(x^3 - y^3)^2")
-
+_PAIR = ((1, 1),)  # the pencil member x^n + y^n of C_n
 
 CATALOG = (
-    CatalogCase("quartic.generic", GroupSpec("D", 2), _quartic_generic, 1, ((2, 3),),
+    CatalogCase("quartic.generic", GroupSpec("D", 2), (0, 0, 0), (), 1, ((2, 3),),
                 "lambda*mu*(lambda^2 - mu^2) != 0 and (lambda - mu)^2 != -3*(lambda + mu)^2"),
-    CatalogCase("quartic.I", GroupSpec("D", 4), _pair_form("x^4 + y^4")),
-    CatalogCase("quartic.II", GroupSpec("T"),
-                _pair_form("x^4 + 2*sqrtm3*x^2*y^2 + y^4")),
-    CatalogCase("quintic.I", GroupSpec("C", 2), _quintic_i, 1, ((2, 3),),
+    CatalogCase("quartic.I", GroupSpec("D", 4), (1, 0, 0)),
+    CatalogCase("quartic.II", GroupSpec("T"), (1, 0, 0)),
+    CatalogCase("quintic.I", GroupSpec("C", 2), (1, 0, 0), _PAIR, 1, ((2, 3),),
                 "lambda*mu*(lambda - mu) != 0"),
-    CatalogCase("quintic.II", GroupSpec("C", 3), _pair_form("x^2*(x^3 + y^3)")),
-    CatalogCase("quintic.III", GroupSpec("C", 4), _pair_form("x*(x^4 + y^4)")),
-    CatalogCase("quintic.IV", GroupSpec("D", 3), _pair_form("x*y*(x^3 + y^3)")),
-    CatalogCase("quintic.V", GroupSpec("D", 5), _pair_form("x^5 + y^5")),
-    CatalogCase("sextic.I", GroupSpec("C", 2), _sextic_i, 2, ((2, 3), (5, 7)),
+    CatalogCase("quintic.II", GroupSpec("C", 3), (2, 0, 0), _PAIR),
+    CatalogCase("quintic.III", GroupSpec("C", 4), (1, 0, 0), _PAIR),
+    CatalogCase("quintic.IV", GroupSpec("D", 3), (1, 0, 1)),
+    CatalogCase("quintic.V", GroupSpec("D", 5), (1, 0, 0)),
+    CatalogCase("sextic.I", GroupSpec("C", 2), (0, 0, 0), _PAIR, 2, ((2, 3), (5, 7)),
                 "the three quadratic factors are pairwise distinct in P^1"),
-    CatalogCase("sextic.II", GroupSpec("C", 5), _pair_form("x*(x^5 + y^5)")),
-    CatalogCase("sextic.III", GroupSpec("D", 2), _sextic_iii, 1, ((2, 3),),
+    CatalogCase("sextic.II", GroupSpec("C", 5), (1, 0, 0), _PAIR),
+    CatalogCase("sextic.III", GroupSpec("D", 2), (0, 0, 1), (), 1, ((2, 3),),
                 "lambda*mu*(lambda^2 - mu^2) != 0 and (lambda - mu)^2 != -3*(lambda + mu)^2"),
-    CatalogCase("sextic.IV", GroupSpec("D", 3), _sextic_iv, 1, ((2, 3),),
+    CatalogCase("sextic.IV", GroupSpec("D", 3), (0, 0, 0), (), 1, ((2, 3),),
                 "lambda*mu*(lambda^2 - mu^2) != 0"),
-    CatalogCase("sextic.V", GroupSpec("D", 6), _pair_form("x^6 + y^6")),
-    CatalogCase("sextic.VI", GroupSpec("O"), _pair_form("x*y*(x^4 - y^4)")),
-    CatalogCase("sextic.VII", GroupSpec("C", 3), _pair_form("x^2*y*(x^3 + y^3)")),
-    CatalogCase("sextic.VIII", GroupSpec("C", 4), _pair_form("x^2*(x^4 + y^4)")),
+    CatalogCase("sextic.V", GroupSpec("D", 6), (1, 0, 0)),
+    CatalogCase("sextic.VI", GroupSpec("O"), (1, 0, 0)),
+    CatalogCase("sextic.VII", GroupSpec("C", 3), (2, 1, 0), _PAIR),
+    CatalogCase("sextic.VIII", GroupSpec("C", 4), (2, 0, 0), _PAIR),
 )
 
 #: The fifteen numbered normal forms (the generic quartic family is extra).

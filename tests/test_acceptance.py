@@ -5,9 +5,9 @@ goal: its outcome is printed and reported but a failure there is recorded
 as an expected-failure rather than a suite failure.
 """
 
+import dataclasses
 import hashlib
 import json
-import random
 
 import pytest
 
@@ -68,29 +68,58 @@ def test_criterion_05_symmetry_catalog():
 
 
 def test_criterion_06_klein_property_suite():
-    result = check_klein_suite(seed=SEED)
+    result = check_klein_suite()
     _report(result)
     assert result.passed
+    assert result.details == tuple(
+        f"{label}: factors of degrees {degrees} semi-invariant: True; "
+        f"chi1^{nu1} == chi2^{nu2} on every generator: True; klein_degree additive, "
+        f"pencil degree {pencil}: True"
+        for label, degrees, nu1, nu2, pencil in [
+            ("C3", "1, 1", 3, 3, "3*1 == 3*1 == 3"),
+            ("D4", "4, 4, 2", 2, 2, "2*4 == 2*4 == 8"),
+            ("T", "4, 4, 6", 3, 3, "3*4 == 3*4 == 12"),
+            ("O", "6, 8, 12", 4, 3, "4*6 == 3*8 == 24"),
+            ("I", "12, 20, 30", 5, 3, "5*12 == 3*20 == 60"),
+        ])
 
 
-def test_klein_suite_records_failing_draws(monkeypatch):
-    # refute the 2nd to 5th C3 draws: the first three of them are named
-    calls = []
+def test_klein_suite_fails_on_a_refuted_factor(monkeypatch):
+    # refuting T's third ground form fails criterion 6 on the T line only;
+    # the same form under O is still certified
+    original = acceptance.semi_invariance
+    t = GroupSpec("T")
+    third = acceptance.ground_forms(t).forms[2]
 
     def refute(f, spec):
-        calls.append(spec)
-        return None if 2 <= len(calls) <= 5 else True
+        return None if spec == t and f == third else original(f, spec)
 
     monkeypatch.setattr(acceptance, "semi_invariance", refute)
-    result = check_klein_suite(seed=SEED, draws=5)
-    rng = random.Random(SEED)
-    c3 = [acceptance._klein_draw(rng, acceptance.KLEIN_SUITE_GROUPS[0]) for _ in range(5)]
+    result = check_klein_suite()
     assert not result.passed
-    assert result.details[0] == (
-        "C3: 5 draws, 4 failures; first failing (alpha, beta, gamma, params): "
-        + ", ".join(str(d) for d in c3[1:4]))
-    assert result.details[1:] == ("D4: 5 draws, 0 failures", "T: 5 draws, 0 failures",
-                                  "O: 5 draws, 0 failures", "I: 5 draws, 0 failures")
+    failing = [line for line in result.details if "False" in line]
+    assert failing == [
+        "T: factors of degrees 4, 4, 6 semi-invariant: False; chi1^3 == chi2^3 on every "
+        "generator: True; klein_degree additive, pencil degree 3*4 == 3*4 == 12: True"]
+
+
+def test_klein_suite_fails_on_a_wrong_nu(monkeypatch):
+    # with nu1 = 2 for T, chi1^2 is a primitive cube root of unity on the
+    # third generator while chi2^3 = 1, and 2*4 is not the pencil degree
+    original = acceptance.ground_forms
+    t = GroupSpec("T")
+
+    def wrong_nu(spec):
+        gf = original(spec)
+        return dataclasses.replace(gf, nu=(2,) + gf.nu[1:]) if spec == t else gf
+
+    monkeypatch.setattr(acceptance, "ground_forms", wrong_nu)
+    result = check_klein_suite()
+    assert not result.passed
+    failing = [line for line in result.details if "False" in line]
+    assert failing == [
+        "T: factors of degrees 4, 4, 6 semi-invariant: True; chi1^2 == chi2^3 on every "
+        "generator: False; klein_degree additive, pencil degree 2*4 == 3*4 == 12: False"]
 
 
 def test_symmetry_criterion_reads_catalog_stabilizer(monkeypatch):
