@@ -191,7 +191,7 @@ def test_verify_all_is_deterministic():
     assert first.json_text() == second.json_text()
     # the seed-7 payload, pinned byte for byte
     assert hashlib.sha256(first.json_text().encode()).hexdigest() == (
-        "136d5fb1346b03781c3a46816dafbf1bfbed63b369e4d295bb7e8fb8536ec89d")
+        "64b42ef6276e11d54c679461b2eb7a7819c5177103d13cce6cc93f126808823d")
     payload = json.loads(first.json_text())
     assert payload["blocking_failures"] == 0
     assert len(payload["checks"]) == 10
