@@ -46,8 +46,8 @@ from .polynomials import BinaryForm
 from .symmetry import (
     NUMBERED_CASES,
     catalog_stabilizer,
-    is_stable,
     ground_forms,
+    is_stable,
     klein_degree,
     semi_invariance,
 )
@@ -207,15 +207,16 @@ def check_klein_suite() -> CheckResult:
     parameter.  The factors (x and y for C_n, the ground forms otherwise)
     are semi-invariant; the pencil members F1^nu1 and F2^nu2 share a
     character, so every lambda*F1^nu1 + mu*F2^nu2 is semi-invariant; and
-    :func:`klein_degree` gives each factor's degree and the pencil degree
-    nu1*d1 = nu2*d2.  A product of semi-invariants is semi-invariant, so
-    every output of :func:`klein_generate` is, with the degree
-    :func:`klein_degree` states."""
+    :func:`~stackygit.symmetry.klein_degree` gives each factor's degree and
+    the pencil degree nu1*d1 = nu2*d2.  A product of semi-invariants is
+    semi-invariant, so every output of
+    :func:`~stackygit.symmetry.klein_generate` is, with the degree that
+    ``klein_degree`` states."""
     details = []
     ok = True
     for spec in KLEIN_SUITE_GROUPS:
         if spec.kind == "C":
-            factors, (nu1, nu2) = (BinaryForm([1, 0]), BinaryForm([0, 1])), (spec.n, spec.n)
+            factors, nu1, nu2 = (BinaryForm([1, 0]), BinaryForm([0, 1])), spec.n, spec.n
         else:
             gf = ground_forms(spec)
             factors, (nu1, nu2, _) = gf.forms, gf.nu

@@ -2,8 +2,9 @@
 spaces, and the assembled locus reports for the quintic and sextic moduli.
 
 Points are :class:`~stackygit.graded.PointW`, whose equality is weighted
-rescaling decided exactly (no root extraction).  Singularity of a divisor at a point is tested on the affine cone: the value
-and every partial derivative must vanish.
+rescaling decided exactly (no root extraction).  Singularity of a divisor
+at a point is tested on the affine cone: the value and every partial
+derivative must vanish.
 """
 
 from __future__ import annotations

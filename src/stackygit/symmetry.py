@@ -269,25 +269,25 @@ _PAIR = ((1, 1),)  # the pencil member x^n + y^n of C_n
 CATALOG = (
     CatalogCase("quartic.generic", GroupSpec("D", 2), (0, 0, 0), (), 1, ((2, 3),),
                 "lambda*mu*(lambda^2 - mu^2) != 0 and (lambda - mu)^2 != -3*(lambda + mu)^2"),
-    CatalogCase("quartic.I", GroupSpec("D", 4), (1, 0, 0)),
-    CatalogCase("quartic.II", GroupSpec("T"), (1, 0, 0)),
+    CatalogCase("quartic.I", GroupSpec("D", 4), (1, 0, 0)),  # x^4 + y^4
+    CatalogCase("quartic.II", GroupSpec("T"), (1, 0, 0)),  # x^4 + 2*sqrtm3*x^2*y^2 + y^4
     CatalogCase("quintic.I", GroupSpec("C", 2), (1, 0, 0), _PAIR, 1, ((2, 3),),
                 "lambda*mu*(lambda - mu) != 0"),
-    CatalogCase("quintic.II", GroupSpec("C", 3), (2, 0, 0), _PAIR),
-    CatalogCase("quintic.III", GroupSpec("C", 4), (1, 0, 0), _PAIR),
-    CatalogCase("quintic.IV", GroupSpec("D", 3), (1, 0, 1)),
-    CatalogCase("quintic.V", GroupSpec("D", 5), (1, 0, 0)),
+    CatalogCase("quintic.II", GroupSpec("C", 3), (2, 0, 0), _PAIR),  # x^2*(x^3 + y^3)
+    CatalogCase("quintic.III", GroupSpec("C", 4), (1, 0, 0), _PAIR),  # x*(x^4 + y^4)
+    CatalogCase("quintic.IV", GroupSpec("D", 3), (1, 0, 1)),  # x*y*(x^3 + y^3)
+    CatalogCase("quintic.V", GroupSpec("D", 5), (1, 0, 0)),  # x^5 + y^5
     CatalogCase("sextic.I", GroupSpec("C", 2), (0, 0, 0), _PAIR, 2, ((2, 3), (5, 7)),
                 "the three quadratic factors are pairwise distinct in P^1"),
-    CatalogCase("sextic.II", GroupSpec("C", 5), (1, 0, 0), _PAIR),
+    CatalogCase("sextic.II", GroupSpec("C", 5), (1, 0, 0), _PAIR),  # x*(x^5 + y^5)
     CatalogCase("sextic.III", GroupSpec("D", 2), (0, 0, 1), (), 1, ((2, 3),),
                 "lambda*mu*(lambda^2 - mu^2) != 0 and (lambda - mu)^2 != -3*(lambda + mu)^2"),
     CatalogCase("sextic.IV", GroupSpec("D", 3), (0, 0, 0), (), 1, ((2, 3),),
                 "lambda*mu*(lambda^2 - mu^2) != 0"),
-    CatalogCase("sextic.V", GroupSpec("D", 6), (1, 0, 0)),
-    CatalogCase("sextic.VI", GroupSpec("O"), (1, 0, 0)),
-    CatalogCase("sextic.VII", GroupSpec("C", 3), (2, 1, 0), _PAIR),
-    CatalogCase("sextic.VIII", GroupSpec("C", 4), (2, 0, 0), _PAIR),
+    CatalogCase("sextic.V", GroupSpec("D", 6), (1, 0, 0)),  # x^6 + y^6
+    CatalogCase("sextic.VI", GroupSpec("O"), (1, 0, 0)),  # x*y*(x^4 - y^4)
+    CatalogCase("sextic.VII", GroupSpec("C", 3), (2, 1, 0), _PAIR),  # x^2*y*(x^3 + y^3)
+    CatalogCase("sextic.VIII", GroupSpec("C", 4), (2, 0, 0), _PAIR),  # x^2*(x^4 + y^4)
 )
 
 #: The fifteen numbered normal forms (the generic quartic family is extra).

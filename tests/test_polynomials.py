@@ -547,9 +547,8 @@ _IMAGE_MATRICES = _GENERATORS + [_one_zero_entry(w, QQ(3, 2), QQ(-5, 7)) for w i
 
 # sha256 of the stored layouts of every image coefficient, recorded from
 # the kernel that scaled by powers built as CyclotomicNumbers; the
-# non-rational fields re-recorded when the x^deg term of a matrix with a
-# or b zero became the single product f_0 a^deg or f_0 b^deg, stored in
-# its own field (equal values, smaller fields at the end coefficients)
+# non-rational fields since the x^deg term of a monomial X is the single
+# product f_0 a^deg or f_0 b^deg, stored in its own field
 _IMAGE_DIGESTS = {
     "Q": "c778547c473be8425a3c3c9a0d1d9453dbb732b6445cf03c2225f594aadbb009",
     "Q(i)": "4c6c14c237f7480b4415a01c00d36b728674e9ce973fb5e237eb3f35c28ddbe4",
