@@ -167,7 +167,10 @@ def _cmd_ground_forms(args) -> CommandResult:
 
 def _parse_pair(text: str):
     lam, _, mu = text.partition(":")
-    return int(lam), int(mu)
+    try:
+        return int(lam), int(mu)
+    except ValueError:
+        raise ValueError(f"parameter pair {text!r}: expected integers lambda:mu") from None
 
 
 def _cmd_klein(args) -> CommandResult:

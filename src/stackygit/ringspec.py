@@ -82,11 +82,6 @@ def dumps(ring: GradedRingPresentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dump(ring: GradedRingPresentation, path):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(ring))
-
-
 def _integral(poly: MultiPoly) -> MultiPoly:
     """Scale a relation so every coefficient coordinate is an integer."""
     den = lcm(*(c.den for c in poly.terms.values()))

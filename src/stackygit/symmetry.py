@@ -2,11 +2,13 @@
 
 A form is semi-invariant under a group when every generator carries it to
 an exact scalar multiple of itself; the scalars extend multiplicatively to
-a character.  Klein's generative description produces all semi-invariants
-of a group from its ground forms, and :func:`klein_generate` is the one
-place it is stated.  The classification of quartics, quintics and sextics
-with extra symmetry is a catalog of normal forms keyed by the traditional
-Roman numerals; each entry is Klein data (exponents and pencil pairs) that
+a character.  :func:`semi_invariance` decides it, from the coefficients
+for C_n and D_n and by substitution for T, O and I.  Klein's generative
+description produces all semi-invariants of a group from its ground forms,
+and :func:`klein_generate` is the one place it is stated.  The
+classification of quartics, quintics and sextics with extra symmetry is a
+catalog of normal forms keyed by the traditional Roman numerals; each
+entry is Klein data (exponents and pencil pairs) that
 :func:`klein_generate` expands.
 """
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .cyclotomic import CyclotomicNumber, as_cyclotomic
+from .cyclotomic import CyclotomicNumber, as_cyclotomic, imag_unit, zeta
 from .errors import (
     DegreeTooLargeError,
     InfiniteStabilizerError,
@@ -55,16 +57,29 @@ class GroundFormSet:
 def semi_invariance(f: BinaryForm, spec: GroupSpec):
     """Certificate with one exact scalar per generator, or None.
 
-    Every generator is substituted and the image checked proportional to f,
-    except that C_n and D_n are first refuted from the support: diag(eps,
-    eps^-1) with eps = zeta_2n scales a_i by eps^(d-2i), so f can only be
-    semi-invariant when n divides every difference of support indices.  A
-    refuted candidate never builds zeta_2n.
+    C_n and D_n are decided from the coefficients.  diag(eps, eps^-1), eps
+    = zeta_2n, scales a_i by eps^(d-2i): the support rule asks n to divide
+    every support-index difference, and the scalar is eps^(d-2i) at the
+    first support index i.  [[0, i], [i, 0]] sends f(x, y) to i^d f(y, x):
+    for D_n the reversal rule asks the reversed coefficients to be
+    proportional to f, and the scalar is i^d a_(d-i) / a_i.  Both rules run
+    before zeta_2n is built; each scalar is a_i times its factor over a_i,
+    so it lies in the field substitution stores it in.  T, O and I are
+    decided by substituting each generator.
     """
     if f.is_zero():
         raise ZeroFormError("the zero form is semi-invariant under everything")
-    if spec.kind in ("C", "D") and _support_gcd(f) % spec.n:
-        return None
+    if spec.kind in ("C", "D"):
+        c, d = f.coeffs, f.degree
+        if _support_gcd(f) % spec.n:
+            return None
+        if spec.kind == "D" and BinaryForm._of(c[::-1]).proportional_to(f) is None:
+            return None
+        i0 = next(i for i, a in enumerate(c) if a)
+        scalars = (c[i0] * zeta(2 * spec.n) ** (d - 2 * i0) / c[i0],)
+        if spec.kind == "D":
+            scalars += (c[d - i0] * imag_unit() ** d / c[i0],)
+        return SemiInvarianceCertificate(spec, scalars)
     scalars = []
     for g in group_generators(spec):
         lam = f.substitute(g).proportional_to(f)
@@ -115,21 +130,13 @@ def catalog_stabilizer(f: BinaryForm, n_max: int | None = None):
     their stabilizers in the standard embeddings.  An ``n_max`` below 1
     raises ValueError: every form is fixed by C_1.
 
-    Two exact rules on the coefficients refute candidates before any
-    substitution; the candidates left are certified by substitution.
-
-    - Support rule (that of :func:`semi_invariance`): every C_n and D_n
-      whose n does not divide g, the gcd of the support-index differences,
-      is refuted, so only the divisors of g are tried; g is at least 1 and
-      at most deg f because three distinct roots need two support indices.
-      The work is therefore bounded by the degree however large ``n_max``
-      is.
-    - Reversal rule: D_n's second generator [[0, i], [i, 0]] sends f(x, y)
-      to i^d f(y, x), so every D_n is refuted unless the reversed
-      coefficient vector is proportional to f's.
-    - Polyhedral rule: T, O and I contain D_2, D_4 and C_5 in the standard
-      embeddings, so each is refuted when its subgroup is refuted by the
-      two rules above.
+    By the support rule of :func:`semi_invariance`, only the C_n and D_n
+    whose n divides g, the gcd of the support-index differences, can pass,
+    so only those are tried; g is at least 1 and at most deg f because
+    three distinct roots need two support indices, so the work is bounded
+    by the degree however large ``n_max`` is.  T, O and I contain D_2, D_4
+    and C_5 in the standard embeddings, so each is tried only when its
+    subgroup's certificate exists.
     """
     if n_max is not None and n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
@@ -139,15 +146,12 @@ def catalog_stabilizer(f: BinaryForm, n_max: int | None = None):
     if n_max is None:
         n_max = max(f.degree, 1)
     g = _support_gcd(f)
-    reversible = BinaryForm._of(f.coeffs[::-1]).proportional_to(f) is not None
-
-    def unrefuted(spec):
-        return g % spec.n == 0 and (spec.kind == "C" or reversible)
-
-    candidates = [GroupSpec(kind, n) for kind in "CD" for n in range(1, min(g, n_max) + 1)]
-    candidates = [s for s in candidates if unrefuted(s)]
-    candidates += [big for big, sub in POLYHEDRAL_SUBGROUPS.items() if unrefuted(sub)]
-    passing = [c for c in (semi_invariance(f, s) for s in candidates) if c is not None]
+    certs = {spec: semi_invariance(f, spec) for spec in (
+        GroupSpec(kind, n) for kind in "CD" for n in range(1, min(g, n_max) + 1) if g % n == 0)}
+    for big, sub in POLYHEDRAL_SUBGROUPS.items():
+        if g % sub.n == 0 and (certs[sub] if sub in certs else semi_invariance(f, sub)):
+            certs[big] = semi_invariance(f, big)
+    passing = [c for c in certs.values() if c is not None]
     maximal = [
         c for c in passing
         if not any(d.group != c.group and group_contains(d.group, c.group) for d in passing)
@@ -294,11 +298,6 @@ CATALOG = (
 NUMBERED_CASES = tuple(c for c in CATALOG if c.case != "quartic.generic")
 
 _BY_CASE = {c.case: c for c in CATALOG}
-
-
-def special_form(case: str, params=None) -> BinaryForm:
-    """The catalog normal form; parameterized cases accept (lambda:mu) pairs."""
-    return catalog_case(case).build(params)
 
 
 def catalog_case(case: str) -> CatalogCase:

@@ -18,7 +18,7 @@ from stackygit.invariants import catalog_ring
 @pytest.fixture(scope="module")
 def quintic_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("rings") / "quintic.ring"
-    ringspec.dump(catalog_ring("quintic").ring, path)
+    path.write_text(ringspec.dumps(catalog_ring("quintic").ring), encoding="utf-8")
     return str(path)
 
 
@@ -108,6 +108,9 @@ def test_stabilizer_huge_nmax_answers_like_the_default():
     (["x^14 + zeta(9)*y^14", "--nmax", "7"], ["C2", "C7"], {}),
     # and a^14 = 1 keeps the x^14 term of the mirror there
     (["zeta(9)*x^14 + y^14", "--nmax", "7"], ["C2", "C7"], {}),
+    # the closed form needs zeta_14 and Q(zeta_9) apart, where substitution
+    # carried the interior term into Q(zeta_126) and exceeded the order cap
+    (["x^14 + zeta(9)*x^7*y^7 + y^14"], ["D7"], {"D7": ["1", "-1"]}),
 ])
 def test_stabilizer_mixed_fields(argv, groups, scalars):
     result = run_command(["stabilizer", *argv])
@@ -160,6 +163,15 @@ def test_klein():
     assert result.status == 0
     assert result.payload["semi_invariant"] is True
     assert result.payload["degree"] == 6
+
+
+@pytest.mark.parametrize("pair", ["1:", ":1", "1:2:3", "1/2:3", "x"])
+def test_klein_malformed_pair(pair):
+    result = run_command(["klein", "I", "1", "1", "2", pair])
+    assert result.status == 2
+    assert result.payload["error"]["code"] == "bad-value"
+    assert f"'{pair}'" in result.payload["error"]["message"]
+    assert "lambda:mu" in result.payload["error"]["message"]
 
 
 @pytest.mark.parametrize("group", ["C3", "D4", "T"])

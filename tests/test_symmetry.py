@@ -8,6 +8,7 @@ from stackygit.cyclotomic import zeta
 from stackygit.errors import (
     InfiniteStabilizerError,
     NoGroundFormsError,
+    OrderCapExceededError,
     UnknownCaseError,
     ZeroParameterError,
 )
@@ -25,7 +26,6 @@ from stackygit.symmetry import (
     is_stable,
     klein_generate,
     semi_invariance,
-    special_form,
 )
 
 
@@ -43,7 +43,7 @@ class TestSemiInvariance:
         rng = random.Random(31)
         for case_id, label in [("quintic.V", "D5"), ("sextic.VI", "O"),
                                ("quartic.II", "T")]:
-            f = special_form(case_id)
+            f = catalog_case(case_id).build()
             spec = GroupSpec.parse(label)
             cert = semi_invariance(f, spec)
             gens = group_generators(spec)
@@ -56,16 +56,34 @@ class TestSemiInvariance:
                 assert f.substitute(matrix) == lam * f
 
 
+    def test_cyclic_and_dihedral_are_decided_without_substituting(self, monkeypatch):
+        def refuse(self, m):
+            raise AssertionError("substituted")
+
+        monkeypatch.setattr(BinaryForm, "substitute", refuse)
+        decided = 0
+        for case in CATALOG:
+            f = case.build()
+            for kind in "CD":
+                for n in range(1, 13):
+                    decided += semi_invariance(f, GroupSpec(kind, n)) is not None
+        assert decided >= 2 * len(CATALOG)
+
     def test_support_rule_rejects_only_what_substitution_refutes(self):
         # Sparse forms whose support is often an arithmetic progression,
-        # symmetric about the middle half the time, over Q and Q(i).
+        # symmetric about the middle half the time, over Q, Q(i), Q(zeta_3),
+        # Q(zeta_5) and Q(zeta_9).  Each certificate's scalars, as stored,
+        # are those of substituting the generators, wherever substitution
+        # stays within the order cap.
         rng = random.Random(37)
+        pool = (-3, -1, 1, 2, 1 + zeta(4), zeta(3), 2 - zeta(5), zeta(9))
+        compared = 0
         for _ in range(60):
             degree, step = rng.randint(2, 24), rng.randint(1, 12)
             start = rng.randint(0, degree)
             coeffs = [0] * (degree + 1)
             for i in range(start, degree + 1, step):
-                coeffs[i] = rng.choice((-3, -1, 1, 2, 1 + zeta(4)))
+                coeffs[i] = rng.choice(pool)
             if rng.random() < 0.5:
                 coeffs = [a or b for a, b in zip(coeffs, reversed(coeffs))]
             if rng.random() < 0.3:
@@ -74,9 +92,15 @@ class TestSemiInvariance:
             for kind in "CD":
                 for n in range(1, 13):
                     spec = GroupSpec(kind, n)
-                    certified = all(f.substitute(g).proportional_to(f) is not None
-                                    for g in group_generators(spec))
-                    assert (semi_invariance(f, spec) is not None) == certified, (coeffs, spec)
+                    try:
+                        expected = _substituted_scalars(f, spec)
+                    except OrderCapExceededError:
+                        continue
+                    cert = semi_invariance(f, spec)
+                    assert _layout(cert.scalars if cert else None) == \
+                        _layout(expected), (coeffs, spec)
+                    compared += 1
+        assert compared >= 1200
 
 
 class TestGroundForms:
@@ -244,9 +268,9 @@ class TestCatalog:
             assert group_contains(big, sub)
         assert not group_contains(GroupSpec("I"), GroupSpec("D", 1))
 
-    def test_asymmetric_full_support_form_substitutes_only_c1(self, monkeypatch):
-        # g = 1 leaves C1 and D1; the reversal rule refutes D1, and with it
-        # T, O and I
+    def test_asymmetric_full_support_form_substitutes_nothing(self, monkeypatch):
+        # g = 1 leaves C1 and D1, both decided from the coefficients; the
+        # reversal rule refutes D1, and with it T, O and I
         f = form("x^4 + 2*x^3*y + 3*x^2*y^2 + 4*x*y^3 + 5*y^4")
         substituted = []
         original = BinaryForm.substitute
@@ -257,11 +281,11 @@ class TestCatalog:
 
         monkeypatch.setattr(BinaryForm, "substitute", counted)
         assert [c.group.label for c in catalog_stabilizer(f)] == ["C1"]
-        assert substituted == list(group_generators(GroupSpec("C", 1)))
+        assert substituted == []
 
     def test_unknown_case(self):
         with pytest.raises(UnknownCaseError):
-            special_form("septic.I")
+            catalog_case("septic.I")
 
     def test_catalog_layouts(self):
         # sha256 of (order, coords, den) of every coefficient of the 21
@@ -289,10 +313,20 @@ class TestCatalog:
             catalog_case("sextic.IV").build(((0, 0),))
 
     def test_parameterized_cases_at_second_values(self):
-        f = special_form("quintic.I", ((5, 7),))
+        f = catalog_case("quintic.I").build(((5, 7),))
         assert [c.group.label for c in catalog_stabilizer(f)] == ["C2"]
-        g = special_form("sextic.IV", ((1, 6),))
+        g = catalog_case("sextic.IV").build(((1, 6),))
         assert [c.group.label for c in catalog_stabilizer(g)] == ["D3"]
+
+
+def _substituted_scalars(f, spec):
+    """The scalars of substituting each generator of spec, or None."""
+    scalars = [f.substitute(g).proportional_to(f) for g in group_generators(spec)]
+    return None if any(s is None for s in scalars) else scalars
+
+
+def _layout(scalars):
+    return scalars and [(s.order, s.coords, s.den) for s in scalars]
 
 
 def _every_candidate_maximal(f):
