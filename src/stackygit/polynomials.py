@@ -5,9 +5,9 @@ coefficient) used for graded-ring relations and divisor equations.
 :class:`BinaryForm` is the dense two-variable case ``f = a_0 x^d +
 a_1 x^{d-1} y + ... + a_d y^d`` with the substitution action of SL(2) and
 root-multiplicity analysis.  Substitution is the hot path of every
-symmetry check.  It factors the matrix into scalings and at most two
-Taylor shifts by 1 (scale-shift-scale), so a diagonal matrix needs no
-shift and a shift costs additions only.  It runs on integer coordinate
+symmetry check.  It factors the matrix into at most three scalings and
+two Taylor shifts by 1 (scale-shift-scale), so a diagonal matrix is one
+scaling and a shift costs additions only.  It runs on integer coordinate
 vectors over one common denominator per field: each scaling multiplies by
 a table of integer power vectors, each shift is a run of prefix sums, and
 the result is divided once at the end (see :meth:`BinaryForm.substitute`).
@@ -27,6 +27,7 @@ from math import gcd, lcm, prod
 from operator import add
 
 from .cyclotomic import (
+    ONE,
     CyclotomicNumber,
     _check_order,
     _mul_vec,
@@ -489,28 +490,37 @@ class BinaryForm:
         Within a group the image comes from scalings and Taylor shifts by 1
         (von zur Gathen and Gerhard, ISSAC 1997).  For a != 0, with e =
         det/a, s = b/a and t = c/e, the image is f(a u, c u + e v) at u = x
-        + s y, v = y, and each factor becomes a change of variable:
+        + s y, v = y.  Each factor is a change of variable: a_i times
+        a^(deg-i) c^i, a shift by 1 (c u + e v = c (u + v/t)), coefficient
+        j times t^-j s^(deg-j), a shift by 1 in the other variable (x + s y
+        = s (x/s + y)), and coefficient j times s^-(deg-j).  Adjacent
+        scalings fuse, since x^(deg-j) y^j = x^deg (y/x)^j, and a scaling
+        by a constant commutes with the shifts, which are linear: the
+        constants s^deg and s^-deg of the last two scalings cancel, and the
+        constant a^deg of the first is carried to the end.  So the kernel
+        is three passes:
 
-        1. scale a_i by a^(deg-i), then by c^i, and shift by 1 (c u + e v =
-           c (u + v/t));
-        2. scale coefficient j by t^-j, then by s^(deg-j), and shift by 1
-           in the other variable (x + s y = s (x/s + y));
-        3. scale coefficient j by s^-(deg-j).
+        1. scale coefficient i by (c/a)^i and shift by 1;
+        2. scale coefficient j by (e a/(c b))^j and shift by 1 in the other
+           variable;
+        3. scale coefficient j by a^deg (b/a)^j.
 
-        For c = 0 the first shift and the scaling by t^-j are skipped and
-        a_i is scaled by e^i in place of c^i; for b = 0 the scaling by
-        s^(deg-j), step 2's shift and step 3 are skipped.  So a diagonal
-        matrix costs two scalings, O(deg) vector products each, where a
-        shift costs O(deg^2) additions.  For a = 0 the coefficients are
+        For c = 0 the first pass is dropped and step 2 scales by (e/b)^j;
+        for b = 0 step 2 is dropped and step 3 scales by a^deg (e/c)^j, or
+        by a^deg (e/a)^j when c = 0 as well.  So a diagonal matrix costs
+        one scaling, O(deg) vector products, where a shift costs O(deg^2)
+        additions, and a scaling by 1 is skipped (T's and O's generator
+        with no zero entry has c = a).  For a = 0 the coefficients are
         reversed and [[c, d], [0, b]] is used.
 
         Each scaling by the powers of one value x = X/D is one pass with a
         table of integer vectors X^j D^(n-j) over D^n, built with
-        ``_mul_vec``; each shift replaces suffixes of the coefficients by
-        their suffix sums, done as prefix sums (``itertools.accumulate``)
-        over the reversed coordinate columns.  The vectors carry one common
-        denominator, multiplied by D^n at each scaling, and each image
-        coefficient is made canonical once, at the end.
+        ``_mul_vec`` from a first entry of 1, or of a^deg in the last pass;
+        each shift replaces suffixes of the coefficients by their suffix
+        sums, done as prefix sums (``itertools.accumulate``) over the
+        reversed coordinate columns.  The vectors carry one common
+        denominator, multiplied by that of the table at each scaling, and
+        each image coefficient is made canonical once, at the end.
         """
         deg = self.degree
         if deg == 0:
@@ -628,15 +638,18 @@ def _monomial_ints(point, exps):
     return den, [prod(vs[k] * ds[k] for (vs, ds), k in zip(tables, e)) for e in exps]
 
 
-def _scaled(k, den, vecs, x, reverse=False):
+def _scaled(k, den, vecs, x, seed=ONE):
     """The integer coordinate vectors ``vecs`` (over ``den``) with entry j
-    times x^j, or x^(n-j) when ``reverse``, in Q(zeta_k); the order of x
-    divides k.  The powers form one table of integer vectors over D^n, for
-    x = X/D: entry j is X^j D^(n-j).  Returns the new common denominator
-    and vectors."""
+    times seed * x^j in Q(zeta_k); the orders of x and seed divide k.  The
+    factors form one table of integer vectors over E D^n, for x = X/D and
+    seed = S/E: entry j is S X^j D^(n-j).  Returns the new common
+    denominator and vectors, which are ``den`` and ``vecs`` themselves for
+    a scaling by 1."""
+    if x == 1 == seed:
+        return den, vecs
     n = len(vecs) - 1
     X, D = x._vec(k), x.den
-    table = [[1] + [0] * (len(X) - 1)]
+    table = [seed._vec(k)]
     for _ in range(n):
         table.append(_mul_vec(k, X, table[-1]))
     dn = 1  # D^(n-j) at entry j, D^n after entry 0
@@ -644,9 +657,8 @@ def _scaled(k, den, vecs, x, reverse=False):
         for j in range(n - 1, -1, -1):
             dn *= D
             table[j] = [c * dn for c in table[j]]
-    if reverse:
-        table.reverse()
-    return den * dn, [_mul_vec(k, t, v) if any(v) else v for t, v in zip(table, vecs)]
+    return den * seed.den * dn, [_mul_vec(k, t, v) if any(v) else v
+                                 for t, v in zip(table, vecs)]
 
 
 def _shift(vecs):
@@ -677,16 +689,17 @@ def _substitute_terms(k, deg, terms, entries):
         vecs.reverse()
         a, b, c, d = c, d, _ZERO, b
     e = d - b * c / a if c else d  # det/a, with no inverse when c = 0
-    # f(a u, c u + e v) with u = x + s y, v = y and s = b/a
-    den, vecs = _scaled(k, den, vecs, a, reverse=True)
-    den, vecs = _scaled(k, den, vecs, c or e)
+    # f(a u, c u + e v) with u = x + s y, v = y and s = b/a, in fused passes
+    x = e / a
     if c:  # c u + e v = c (u + w) with w = v/t and t = c/e
+        den, vecs = _scaled(k, den, vecs, c / a)
         vecs = _shift(vecs)
-        den, vecs = _scaled(k, den, vecs, e / c)
+        x = e / c
     if b:  # u = s (z + y) with z = x/s
-        den, vecs = _scaled(k, den, vecs, b / a, reverse=True)
+        den, vecs = _scaled(k, den, vecs, x * a / b)
         vecs = _shift(vecs[::-1])[::-1]
-        den, vecs = _scaled(k, den, vecs, a / b, reverse=True)
+        x = b / a
+    den, vecs = _scaled(k, den, vecs, x, a ** deg)
     return [_raw(k, v, den) for v in vecs]
 
 

@@ -2,13 +2,14 @@
 
 A form is semi-invariant under a group when every generator carries it to
 an exact scalar multiple of itself; the scalars extend multiplicatively to
-a character.  :func:`semi_invariance` decides it, from the coefficients
-for C_n and D_n and by substitution for T, O and I.  Klein's generative
-description produces all semi-invariants of a group from its ground forms,
-and :func:`klein_generate` is the one place it is stated.  The
-classification of quartics, quintics and sextics with extra symmetry is a
-catalog of normal forms keyed by the traditional Roman numerals; each
-entry is Klein data (exponents and pencil pairs) that
+a character.  :func:`semi_invariance` decides it from the coefficients for
+the monomial generators (all of C_n and D_n, and all but one of T, O and
+I) and by substitution for the one generator of T, O and I with no zero
+entry.  Klein's generative description produces all semi-invariants of a
+group from its ground forms, and :func:`klein_generate` is the one place
+it is stated.  The classification of quartics, quintics and sextics with
+extra symmetry is a catalog of normal forms keyed by the traditional Roman
+numerals; each entry is Klein data (exponents and pencil pairs) that
 :func:`klein_generate` expands.
 """
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .cyclotomic import CyclotomicNumber, as_cyclotomic, imag_unit, zeta
+from .cyclotomic import CyclotomicNumber, as_cyclotomic
 from .errors import (
     DegreeTooLargeError,
     InfiniteStabilizerError,
@@ -57,36 +58,53 @@ class GroundFormSet:
 def semi_invariance(f: BinaryForm, spec: GroupSpec):
     """Certificate with one exact scalar per generator, or None.
 
-    C_n and D_n are decided from the coefficients.  diag(eps, eps^-1), eps
-    = zeta_2n, scales a_i by eps^(d-2i): the support rule asks n to divide
-    every support-index difference, and the scalar is eps^(d-2i) at the
-    first support index i.  [[0, i], [i, 0]] sends f(x, y) to i^d f(y, x):
-    for D_n the reversal rule asks the reversed coefficients to be
-    proportional to f, and the scalar is i^d a_(d-i) / a_i.  Both rules run
-    before zeta_2n is built; each scalar is a_i times its factor over a_i,
-    so it lies in the field substitution stores it in.  T, O and I are
-    decided by substituting each generator.
+    Monomial generators are decided from the coefficients.  diag(u, u^-1)
+    scales a_i by u^(d-2i): the support rule asks u^(2g) = 1, g the gcd of
+    the support-index differences, and the scalar is u^(d-2i) at the
+    first support index i.  [[0, w], [w, 0]] sends f(x, y) to w^d f(y, x):
+    the reversal rule asks the reversed coefficients to be proportional to
+    f, and the scalar is w^d a_(d-i) / a_i.  For C_n and D_n every
+    generator is monomial, and both rules run on n (zeta_2n^(2g) = 1 iff n
+    divides g) before zeta_2n is built.  Each scalar is a_i times its
+    factor over a_i, so it lies in the field substitution stores it in.
+    Only the generators with four nonzero entries are substituted: one
+    each of T, O and I.
     """
     if f.is_zero():
         raise ZeroFormError("the zero form is semi-invariant under everything")
+    g = _support_gcd(f)
     if spec.kind in ("C", "D"):
-        c, d = f.coeffs, f.degree
-        if _support_gcd(f) % spec.n:
+        if g % spec.n or spec.kind == "D" and not _reverses(f):
             return None
-        if spec.kind == "D" and BinaryForm._of(c[::-1]).proportional_to(f) is None:
-            return None
-        i0 = next(i for i, a in enumerate(c) if a)
-        scalars = (c[i0] * zeta(2 * spec.n) ** (d - 2 * i0) / c[i0],)
-        if spec.kind == "D":
-            scalars += (c[d - i0] * imag_unit() ** d / c[i0],)
-        return SemiInvarianceCertificate(spec, scalars)
+        return SemiInvarianceCertificate(
+            spec, tuple(_monomial_scalar(f, m) for m in group_generators(spec)))
     scalars = []
-    for g in group_generators(spec):
-        lam = f.substitute(g).proportional_to(f)
+    for m in group_generators(spec):
+        if not (m.b or m.c):
+            lam = _monomial_scalar(f, m) if m.a ** (2 * g) == 1 else None
+        elif not (m.a or m.d) and m.b == m.c:
+            lam = _monomial_scalar(f, m) if _reverses(f) else None
+        else:
+            lam = f.substitute(m).proportional_to(f)
         if lam is None:
             return None
         scalars.append(lam)
     return SemiInvarianceCertificate(spec, tuple(scalars))
+
+
+def _monomial_scalar(f: BinaryForm, m) -> CyclotomicNumber:
+    """The scalar of f o m = scalar * f for m = diag(u, u^-1) or [[0, w],
+    [w, 0]], given that f passes m's rule."""
+    c, d = f.coeffs, f.degree
+    i0 = next(i for i, a in enumerate(c) if a)
+    if m.a:
+        return c[i0] * m.a ** (d - 2 * i0) / c[i0]
+    return c[d - i0] * m.b ** d / c[i0]
+
+
+def _reverses(f: BinaryForm) -> bool:
+    """The reversal rule: the reversed coefficients are proportional to f."""
+    return BinaryForm._of(f.coeffs[::-1]).proportional_to(f) is not None
 
 
 def _support_gcd(f: BinaryForm) -> int:

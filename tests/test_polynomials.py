@@ -579,6 +579,50 @@ def test_substitution_images_keep_their_stored_fields(field):
     assert h.hexdigest() == _IMAGE_DIGESTS[field]
 
 
+_FUSED_FIELDS = {"Q(zeta_8)": (zeta(8), 1 + zeta(8) ** 3, QQ(-2, 3)),
+                 "Q(zeta_5)": (zeta(5), 2 - zeta(5) ** 2, QQ(3, 4))}
+
+
+def _schoolbook_image(f, m):
+    """sum f_i X^(deg-i) Y^i for X = a x + b y and Y = c x + d y, from
+    BinaryForm products."""
+    d = f.degree
+    xs, ys = (_powers_of(BinaryForm(row), d) for row in ([m.a, m.b], [m.c, m.d]))
+    total = BinaryForm([0] * (d + 1))
+    for i, fi in enumerate(f.coeffs):
+        total = total + xs[d - i] * ys[i] * fi
+    return total
+
+
+def _powers_of(g, n):
+    out = [BinaryForm([1])]
+    for _ in range(n):
+        out.append(out[-1] * g)
+    return out
+
+
+@pytest.mark.parametrize("matrix_field", list(_FUSED_FIELDS))
+@pytest.mark.parametrize("form_field", list(_FUSED_FIELDS))
+def test_fused_scalings_match_a_schoolbook_image(form_field, matrix_field):
+    # every branch of the substitution kernel (zero entry at b, at c, at b
+    # and c, at a with d != 0, or nowhere, with c = a, b = a or neither) with
+    # irrational entries, on forms of degree 0, 1, 7 and 30 with both end
+    # coefficients nonzero
+    rng = random.Random(f"fused scalings:{form_field}:{matrix_field}")
+    units = _FUSED_FIELDS[form_field]
+    p, q, r = _FUSED_FIELDS[matrix_field]
+    matrices = [_one_zero_entry("b", p, q), _one_zero_entry("c", q, r),
+                SL2Matrix.diagonal(q, 1 / q), _one_zero_entry("a", p, q),
+                _one_zero_entry("a", r, p), SL2Matrix(p, q, r, (1 + q * r) / p),
+                SL2Matrix(q, p, q, (1 + p * q) / q), SL2Matrix(p, p, q, (1 + p * q) / p)]
+    for deg in (0, 1, 7, 30):
+        coeffs = [_field_coefficient(rng, units) for _ in range(deg + 1)]
+        coeffs[0] = coeffs[-1] = _random_coefficient(rng, rng.choice(units)) or 1
+        f = BinaryForm(coeffs)
+        for m in matrices:
+            assert f.substitute(m) == _schoolbook_image(f, m), (str(f), str(m))
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 60])
 def test_shift_matches_the_binomial_sums(n):
     # the Taylor shift by 1 of integer vectors p_0 .. p_n is q_j = sum_(i >= j)

@@ -102,6 +102,82 @@ class TestSemiInvariance:
                     compared += 1
         assert compared >= 1200
 
+    def test_polyhedral_certificates_match_substitution(self):
+        # Klein forms of T, O and I with pencil pairs over Q, Q(i), Q(zeta_5)
+        # and Q(zeta_9), some times a linear factor over those fields (which
+        # breaks the symmetry, or keeps it for the factors x and y under
+        # the diagonal generators); each certificate's scalars, as stored,
+        # are those of substituting every generator
+        rng = random.Random(41)
+        fields = ((1, -2, 3), (zeta(4), 1 - zeta(4), 2), (zeta(5), 2 + zeta(5) ** 2, -1),
+                  (zeta(9), zeta(9) ** 4 - 1, 3))
+        compared = certified = 0
+        for _ in range(150):
+            spec = GroupSpec(rng.choice("TOI"))
+            pool = rng.choice(fields)
+            exps = [rng.randint(0, 1) for _ in range(3)]
+            params = [(rng.choice(pool), rng.choice(pool))
+                      for _ in range(rng.randint(0, 1 if spec.kind == "I" else 2))]
+            try:
+                f = klein_generate(spec, *exps, params)
+                if rng.random() < 0.4:
+                    f = f * BinaryForm(rng.choice(([1, rng.choice(pool)], [1, 0], [0, 1])))
+            except OrderCapExceededError:
+                continue
+            if f.degree > 70:
+                continue
+            for other in (GroupSpec("T"), GroupSpec("O"), GroupSpec("I")):
+                try:
+                    expected = _substituted_scalars(f, other)
+                except OrderCapExceededError:
+                    continue
+                cert = semi_invariance(f, other)
+                assert _layout(cert.scalars if cert else None) == \
+                    _layout(expected), (str(f), other)
+                compared += 1
+                certified += cert is not None
+        assert compared >= 300
+        assert 50 <= certified <= compared - 50
+
+    def test_only_matrices_with_no_zero_entry_are_substituted(self, monkeypatch):
+        substituted = []
+        original = BinaryForm.substitute
+
+        def recorded(self, m):
+            substituted.append(m)
+            return original(self, m)
+
+        monkeypatch.setattr(BinaryForm, "substitute", recorded)
+        forms = [case.build() for case in CATALOG]
+        for label in "TOI":
+            spec = GroupSpec(label)
+            forms += [klein_generate(spec, *exps) for exps in
+                      ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1))]
+            forms.append(klein_generate(spec, 0, 0, 0, [(2, 3)]))
+        specs = [GroupSpec(kind, n) for kind in "CD" for n in range(1, 13)]
+        specs += [GroupSpec("T"), GroupSpec("O"), GroupSpec("I")]
+        for f in forms:
+            for spec in specs:
+                semi_invariance(f, spec)
+        assert len(substituted) >= len(forms)
+        assert all(m.a and m.b and m.c and m.d for m in substituted)
+        full = {m for spec in specs[-3:] for m in group_generators(spec)
+                if m.a and m.b and m.c and m.d}
+        assert set(substituted) == full and len(full) == 2
+
+    @pytest.mark.parametrize("text, labels", [
+        ("zeta(45)*x^3*y + x*y^3", "T"),
+        ("x^5*y + zeta(35)*x*y^5", "TO"),
+    ])
+    def test_rules_refute_where_substitution_passes_the_cap(self, text, labels):
+        # substituting diag(i, -i) needs Q(zeta_180) or Q(zeta_140), past
+        # the cap; the support rule passes and the reversal rule refutes
+        f = form(text)
+        with pytest.raises(OrderCapExceededError):
+            f.substitute(group_generators(GroupSpec("T"))[0])
+        for label in labels:
+            assert semi_invariance(f, GroupSpec(label)) is None
+
 
 class TestGroundForms:
     @pytest.mark.parametrize("label, nu", [
