@@ -688,17 +688,17 @@ def _substitute_terms(k, deg, terms, entries):
     if not a:  # f(b y, c x + d y) is the reversed form at [[c, d], [0, b]]
         vecs.reverse()
         a, b, c, d = c, d, _ZERO, b
-    e = d - b * c / a if c else d  # det/a, with no inverse when c = 0
+    ia = a.inverse()
+    e = d - b * c * ia if c else d  # det/a
     # f(a u, c u + e v) with u = x + s y, v = y and s = b/a, in fused passes
-    x = e / a
     if c:  # c u + e v = c (u + w) with w = v/t and t = c/e
-        den, vecs = _scaled(k, den, vecs, c / a)
+        den, vecs = _scaled(k, den, vecs, c * ia)
         vecs = _shift(vecs)
-        x = e / c
+    x = e / c if c else e * ia
     if b:  # u = s (z + y) with z = x/s
         den, vecs = _scaled(k, den, vecs, x * a / b)
         vecs = _shift(vecs[::-1])[::-1]
-        x = b / a
+        x = b * ia
     den, vecs = _scaled(k, den, vecs, x, a ** deg)
     return [_raw(k, v, den) for v in vecs]
 
