@@ -64,11 +64,11 @@ def semi_invariance(f: BinaryForm, spec: GroupSpec):
     first support index i.  [[0, w], [w, 0]] sends f(x, y) to w^d f(y, x):
     the reversal rule asks the reversed coefficients to be proportional to
     f, and the scalar is w^d a_(d-i) / a_i.  For C_n and D_n every
-    generator is monomial, and both rules run on n (zeta_2n^(2g) = 1 iff n
-    divides g) before zeta_2n is built.  Each scalar is a_i times its
-    factor over a_i, so it lies in the field substitution stores it in.
-    Only the generators with four nonzero entries are substituted: one
-    each of T, O and I.
+    generator is monomial, and both rules run before zeta_2n is built, the
+    support rule on n (zeta_2n^(2g) = 1 iff n divides g).  Each scalar is
+    a_i times its factor over a_i, so it lies in the field substitution
+    stores it in.  Only the generators with four nonzero entries are
+    substituted: one each of T, O and I.
     """
     if f.is_zero():
         raise ZeroFormError("the zero form is semi-invariant under everything")

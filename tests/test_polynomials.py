@@ -23,6 +23,7 @@ from stackygit.polynomials import (
     BinaryForm,
     MultiPoly,
     _exact_quotients,
+    _powers,
     _shift,
 )
 
@@ -587,18 +588,11 @@ def _schoolbook_image(f, m):
     """sum f_i X^(deg-i) Y^i for X = a x + b y and Y = c x + d y, from
     BinaryForm products."""
     d = f.degree
-    xs, ys = (_powers_of(BinaryForm(row), d) for row in ([m.a, m.b], [m.c, m.d]))
+    xs, ys = (_powers(BinaryForm(row), d) for row in ([m.a, m.b], [m.c, m.d]))
     total = BinaryForm([0] * (d + 1))
     for i, fi in enumerate(f.coeffs):
         total = total + xs[d - i] * ys[i] * fi
     return total
-
-
-def _powers_of(g, n):
-    out = [BinaryForm([1])]
-    for _ in range(n):
-        out.append(out[-1] * g)
-    return out
 
 
 @pytest.mark.parametrize("matrix_field", list(_FUSED_FIELDS))
