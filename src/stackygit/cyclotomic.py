@@ -17,7 +17,8 @@ runs on rational polynomials: Phi_m is built from integers, and the
 inverse of a is the product of its other Galois conjugates over the
 integer norm N(a).
 
-Mixed-order arithmetic embeds both operands into Q(zeta_lcm).  Orders are
+Mixed-order arithmetic embeds both operands into Q(zeta_lcm), except that
+values of different coprime orders are unequal at once.  Orders are
 capped at 120 (the constant :data:`ORDER_CAP`) to keep phi(m) small.  A
 stabilizer search builds zeta_2n only for the C_n and D_n candidates that
 pass the support rule (n divides every difference of support indices), so
@@ -25,10 +26,11 @@ a form whose support allows an n past half the cap, such as x^62 + y^62,
 still needs a field past it.  A value keeps the
 order its computation produced, except that values whose non-constant
 coordinates vanish are demoted to order 1: rationals are always order 1.
-Substitution (``BinaryForm.substitute``) reads a form's coefficients over
-one denominator with :func:`_to_int_coords`, builds the powers of each
-scalar as integer vectors and multiplies by them with :func:`_mul_vec`,
-and builds each result once with :func:`_raw`.  The other bulk kernels
+The substitution kernel (``BinaryForm.substitute`` at a matrix that is
+not monomial) reads a form's coefficients over one denominator with
+:func:`_to_int_coords`, builds the powers of each scalar as integer
+vectors and multiplies by them with :func:`_mul_vec`, and builds each
+result once with :func:`_raw`.  The other bulk kernels
 (the products of ``MultiPoly`` and ``BinaryForm``, ``MultiPoly.evaluate``,
 ``invariants.transvectant``, ``invariants.resultant`` and the gcd chain)
 have one body over their coefficient ring, which :func:`_numerators`
@@ -419,6 +421,10 @@ class CyclotomicNumber:
             other = as_cyclotomic(other)
         except (TypeError, ValueError):
             return NotImplemented
+        if self.order != other.order and gcd(self.order, other.order) == 1:
+            # Q(zeta_m) and Q(zeta_n) meet in Q for coprime m and n, and
+            # every rational is stored at order 1
+            return False
         try:
             _, a, b = self._pair(other)
         except OrderCapExceededError:

@@ -4,13 +4,14 @@
 coefficient) used for graded-ring relations and divisor equations.
 :class:`BinaryForm` is the dense two-variable case ``f = a_0 x^d +
 a_1 x^{d-1} y + ... + a_d y^d`` with the substitution action of SL(2) and
-root-multiplicity analysis.  Substitution is the hot path of every
-symmetry check.  It factors the matrix into at most three scalings and
-two Taylor shifts by 1 (scale-shift-scale), so a diagonal matrix is one
-scaling and a shift costs additions only.  It runs on integer coordinate
-vectors over one common denominator per field: each scaling multiplies by
-a table of integer power vectors, each shift is a run of prefix sums, and
-the result is divided once at the end (see :meth:`BinaryForm.substitute`).
+root-multiplicity analysis.  Substitution follows two rules (see
+:meth:`BinaryForm.substitute`).  A monomial matrix, diagonal or
+antidiagonal, acts term by term.  Every other matrix runs one kernel in
+one field: it factors the matrix into at most three scalings and two
+Taylor shifts by 1 (scale-shift-scale), on integer coordinate vectors over
+one common denominator, so each scaling multiplies by a table of integer
+power vectors, each shift is a run of prefix sums and costs additions
+only, and the result is divided once at the end.
 
 Root multiplicities are computed by iterated gcds of the dehomogenization
 with its derivative (so everything stays in exact arithmetic, with no root
@@ -253,22 +254,17 @@ class MultiPoly:
 
         The value is the dot product of the coefficients, in the ring of
         :func:`_numerators`, with the monomials of :func:`_monomial_ints`,
-        over the product of their denominators.  It is stored in
-        Q(zeta_m) unless it is rational, m the lcm of the orders of the
-        coefficients and of the coordinates whose variables occur (checked
-        against the order cap)."""
+        over the product of their denominators, and is stored as the
+        term-by-term sum of the products c * x1^k1 * ... stores it."""
         point = [as_cyclotomic(p) for p in point]
         if len(point) != len(self.variables):
             raise ArityError(
                 f"{len(point)} coordinates for {len(self.variables)} variables")
         if not self.terms:
             return _ZERO
-        tops = [max(k) for k in zip(*self.terms)]
-        m = lcm(*(c.order for c in self.terms.values()),
-                *(p.order for p, t in zip(point, tops) if t))
         (den, coeffs), = _numerators(self.terms.values())
         pden, nums = _monomial_ints(point, self.terms)
-        return _over(sum(c * n for c, n in zip(coeffs, nums)), den * pden).embed(m)
+        return _over(sum(c * n for c, n in zip(coeffs, nums)), den * pden)
 
     def renamed(self, mapping) -> "MultiPoly":
         """Rename variables via {old: new}; order is preserved."""
@@ -474,74 +470,30 @@ class BinaryForm:
         The substitution is the right action used throughout: f.substitute(M
         N) == f.substitute(M).substitute(N).
 
-        The terms f_i X^(deg-i) Y^i (X = a x + b y, Y = c x + d y) are
-        grouped by their field Q(zeta_k), k the lcm of the order of f_i and
-        the orders of the entries.  Each group is summed in its own field
-        (checked against the order cap) and the groups are added at the end,
-        so a field is entered only where a coefficient meets the entries, as
-        in term-by-term arithmetic, and a form over one field takes one pass.
-        A group's image coefficients are stored in Q(zeta_k), or in Q when
-        rational, whatever their values.
-        When a or b is zero the first term is the single product f_0 a^deg
-        or f_0 b^deg, and when c or d is zero the last term is f_deg c^deg
-        or f_deg d^deg; each is formed as such, so it stays in the field of
-        its coefficient where that power is rational.
+        A monomial matrix acts term by term.  For b = c = 0 image
+        coefficient i is (a^(deg-i) d^i) f_i, and for a = d = 0 image
+        coefficient j is (c^(deg-j) b^j) f_(deg-j), each formed in
+        CyclotomicNumber arithmetic from :func:`_powers` of the entries, so
+        it enters only the field its term needs.
 
-        Within a group the image comes from scalings and Taylor shifts by 1
-        (von zur Gathen and Gerhard, ISSAC 1997).  For a != 0, with e =
-        det/a, s = b/a and t = c/e, the image is f(a u, c u + e v) at u = x
-        + s y, v = y.  Each factor is a change of variable: a_i times
-        a^(deg-i) c^i, a shift by 1 (c u + e v = c (u + v/t)), coefficient
-        j times t^-j s^(deg-j), a shift by 1 in the other variable (x + s y
-        = s (x/s + y)), and coefficient j times s^-(deg-j).  Adjacent
-        scalings fuse, since x^(deg-j) y^j = x^deg (y/x)^j, and a scaling
-        by a constant commutes with the shifts, which are linear: the
-        constants s^deg and s^-deg of the last two scalings cancel, and the
-        constant a^deg of the first is carried to the end.  So the kernel
-        is three passes:
-
-        1. scale coefficient i by (c/a)^i and shift by 1;
-        2. scale coefficient j by (e a/(c b))^j and shift by 1 in the other
-           variable;
-        3. scale coefficient j by a^deg (b/a)^j.
-
-        For c = 0 the first pass is dropped and step 2 scales by (e/b)^j;
-        for b = 0 step 2 is dropped and step 3 scales by a^deg (e/c)^j, or
-        by a^deg (e/a)^j when c = 0 as well.  So a diagonal matrix costs
-        one scaling, O(deg) vector products, where a shift costs O(deg^2)
-        additions, and a scaling by 1 is skipped (T's and O's generator
-        with no zero entry has c = a).  For a = 0 the coefficients are
-        reversed and [[c, d], [0, b]] is used.
-
-        Each scaling by the powers of one value x = X/D is one pass with a
-        table of integer vectors X^j D^(n-j) over D^n, built with
-        ``_mul_vec`` from a first entry of 1, or of a^deg in the last pass;
-        each shift replaces suffixes of the coefficients by their suffix
-        sums, done as prefix sums (``itertools.accumulate``) over the
-        reversed coordinate columns.  The vectors carry one common
-        denominator, multiplied by that of the table at each scaling, and
-        each image coefficient is made canonical once, at the end.
+        Every other matrix runs :func:`_substitute_terms` once, in
+        Q(zeta_k) for k the lcm of the orders of the entries and of the
+        nonzero coefficients (checked against the order cap); the image
+        coefficients are stored in Q(zeta_k), or in Q when rational.
         """
         deg = self.degree
         if deg == 0:
             return self
-        entries = (m.a, m.b, m.c, m.d)
-        e = lcm(*(v.order for v in entries))
-        # f_0 X^deg and f_deg Y^deg, when X or Y is a monomial
-        singles = {i: uv for i, uv in ((0, (m.a, m.b)), (deg, (m.c, m.d))) if not all(uv)}
-        groups = {}
-        for i, fi in enumerate(self.coeffs):
-            if fi and i not in singles:
-                groups.setdefault(lcm(fi.order, e), {})[i] = fi
-        parts = [_substitute_terms(k, deg, terms, entries) for k, terms in groups.items()]
-        for i, (u, v) in singles.items():
-            if self.coeffs[i]:
-                part = [_ZERO] * (deg + 1)
-                part[0 if u else deg] = self.coeffs[i] * (u or v) ** deg
-                parts.append(part)
-        if not parts:
-            return self
-        return BinaryForm._of([sum(cs[1:], cs[0]) for cs in zip(*parts)])
+        a, b, c, d = entries = (m.a, m.b, m.c, m.d)
+        if not (b or c):  # coefficient i is (a^(deg-i) d^i) f_i
+            xs, ys, fs = _powers(a, deg), _powers(d, deg), self.coeffs
+        elif not (a or d):  # coefficient j is (c^(deg-j) b^j) f_(deg-j)
+            xs, ys, fs = _powers(c, deg), _powers(b, deg), self.coeffs[::-1]
+        else:
+            k = lcm(*(v.order for v in entries), *(f.order for f in self.coeffs if f))
+            return BinaryForm._of(_substitute_terms(k, self.coeffs, entries))
+        return BinaryForm._of([xs[deg - i] * ys[i] * f if f else _ZERO
+                               for i, f in enumerate(fs)])
 
     # -- roots ----------------------------------------------------------------------
 
@@ -677,29 +629,59 @@ def _shift(vecs):
     return list(zip(*cols))
 
 
-def _substitute_terms(k, deg, terms, entries):
-    """Coefficients of sum f_i X^(deg-i) Y^i over the terms {i: f_i}, for
-    X = a x + b y and Y = c x + d y, computed in Q(zeta_k) on integer
-    coordinate vectors by scale-shift-scale (see
-    :meth:`BinaryForm.substitute`)."""
+def _substitute_terms(k, coeffs, entries):
+    """Coefficients of f(a x + b y, c x + d y) for the coefficients f_i of
+    f and a matrix that is not monomial, computed in Q(zeta_k) on integer
+    coordinate vectors; the orders of the entries and coefficients divide
+    k.
+
+    The image comes from scalings and Taylor shifts by 1 (von zur Gathen
+    and Gerhard, ISSAC 1997).  For a != 0, with e = det/a, s = b/a and t =
+    c/e, the image is f(a u, c u + e v) at u = x + s y, v = y.  Each factor
+    is a change of variable: a_i times a^(deg-i) c^i, a shift by 1 (c u + e
+    v = c (u + v/t)), coefficient j times t^-j s^(deg-j), a shift by 1 in
+    the other variable (x + s y = s (x/s + y)), and coefficient j times
+    s^-(deg-j).  Adjacent scalings fuse, since x^(deg-j) y^j = x^deg
+    (y/x)^j, and a scaling by a constant commutes with the shifts, which
+    are linear: the constants s^deg and s^-deg of the last two scalings
+    cancel, and the constant a^deg of the first is carried to the end.  So
+    the kernel is three passes:
+
+    1. scale coefficient i by (c/a)^i and shift by 1;
+    2. scale coefficient j by (e a/(c b))^j and shift by 1 in the other
+       variable;
+    3. scale coefficient j by a^deg (b/a)^j.
+
+    For c = 0 the first pass is dropped and step 2 scales by (e/b)^j; for
+    b = 0 step 2 is dropped and step 3 scales by a^deg (e/c)^j.  A scaling
+    by 1 is skipped (T's and O's generator with no zero entry has c = a).
+    For a = 0 the coefficients are reversed and [[c, d], [0, b]] is used.
+
+    Each scaling by the powers of one value x = X/D is one pass with a
+    table of integer vectors X^j D^(n-j) over D^n, built with ``_mul_vec``
+    from a first entry of 1, or of a^deg in the last pass; each shift
+    replaces suffixes of the coefficients by their suffix sums, done as
+    prefix sums (``itertools.accumulate``) over the reversed coordinate
+    columns.  The vectors carry one common denominator, multiplied by that
+    of the table at each scaling, and each image coefficient is made
+    canonical once, at the end."""
     _check_order(k)
     a, b, c, d = entries
-    den, vecs = _to_int_coords([terms.get(i, _ZERO) for i in range(deg + 1)], k)
+    deg = len(coeffs) - 1
+    den, vecs = _to_int_coords(coeffs, k)
     if not a:  # f(b y, c x + d y) is the reversed form at [[c, d], [0, b]]
         vecs.reverse()
         a, b, c, d = c, d, _ZERO, b
     ia = a.inverse()
-    e = d - b * c * ia if c else d  # det/a
+    e = d - b * c * ia  # det/a
     # f(a u, c u + e v) with u = x + s y, v = y and s = b/a, in fused passes
     if c:  # c u + e v = c (u + w) with w = v/t and t = c/e
         den, vecs = _scaled(k, den, vecs, c * ia)
         vecs = _shift(vecs)
-    x = e / c if c else e * ia
     if b:  # u = s (z + y) with z = x/s
-        den, vecs = _scaled(k, den, vecs, x * a / b)
+        den, vecs = _scaled(k, den, vecs, e * a / (c * b) if c else e / b)
         vecs = _shift(vecs[::-1])[::-1]
-        x = b * ia
-    den, vecs = _scaled(k, den, vecs, x, a ** deg)
+    den, vecs = _scaled(k, den, vecs, b * ia if b else e / c, a ** deg)
     return [_raw(k, v, den) for v in vecs]
 
 

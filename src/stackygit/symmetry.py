@@ -66,9 +66,10 @@ def semi_invariance(f: BinaryForm, spec: GroupSpec):
     f, and the scalar is w^d a_(d-i) / a_i.  For C_n and D_n every
     generator is monomial, and both rules run before zeta_2n is built, the
     support rule on n (zeta_2n^(2g) = 1 iff n divides g).  Each scalar is
-    a_i times its factor over a_i, so it lies in the field substitution
-    stores it in.  Only the generators with four nonzero entries are
-    substituted: one each of T, O and I.
+    a_i times its factor over a_i: substitution acts on a monomial matrix
+    term by term, so the scalar is stored as
+    ``f.substitute(m).proportional_to(f)`` stores it.  Only the generators
+    with four nonzero entries are substituted: one each of T, O and I.
     """
     if f.is_zero():
         raise ZeroFormError("the zero form is semi-invariant under everything")
@@ -122,9 +123,8 @@ def is_stable(f: BinaryForm) -> bool:
 
 
 def has_finite_stabilizer(f: BinaryForm) -> bool:
-    """At least three distinct roots force a finite stabilizer."""
-    if f.is_zero():
-        raise ZeroFormError("the zero form has no stabilizer dichotomy")
+    """At least three distinct roots force a finite stabilizer; the zero
+    form raises ZeroFormError."""
     return f.distinct_root_count() >= 3
 
 
@@ -158,7 +158,7 @@ def catalog_stabilizer(f: BinaryForm, n_max: int | None = None):
     """
     if n_max is not None and n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    if f.distinct_root_count() <= 2:
+    if not has_finite_stabilizer(f):
         raise InfiniteStabilizerError(
             "forms with at most two distinct roots have infinite stabilizer")
     if n_max is None:

@@ -167,12 +167,16 @@ def test_order_cap():
     with pytest.raises(OrderCapExceededError):
         zeta(16) * zeta(9)  # lcm 144 > 120
     # past the cap, unequal normalized traces still prove inequality
-    assert zeta(11) != zeta(13)  # lcm 143
-    # equal traces decide nothing: Tr(zeta_13 - 1/60) / 12 = -1/10 as for zeta_11
+    assert zeta(44) != zeta(24) + 1  # lcm 264
+    # equal traces decide nothing: both normalized traces are 0
+    assert hash(zeta(44)) == hash(zeta(24))
+    with pytest.raises(OrderCapExceededError):
+        zeta(44) == zeta(24)
+    # coprime orders decide without the lcm field, since Q(zeta_11) and
+    # Q(zeta_13) meet in Q: Tr(zeta_13 - 1/60) / 12 = -1/10 as for zeta_11
     other = zeta(13) - QQ(1, 60)
     assert hash(other) == hash(zeta(11))
-    with pytest.raises(OrderCapExceededError):
-        zeta(11) == other
+    assert zeta(11) != other and zeta(11) != zeta(13)  # lcm 143
 
 
 def test_str_roundtrip_values():

@@ -25,3 +25,21 @@ def test_workload_digest_is_reproducible_and_sees_payloads(monkeypatch):
     assert digests.workload_digest("rings", 1, seconds=1) == first
     monkeypatch.setattr(cli, "SCHEMA_VERSION", 2)
     assert digests.workload_digest("rings", 1, seconds=1) != first
+
+
+#: workload_digest(workload, 501): the payload bytes of each benchmark
+#: workload's seed-501 run.  A change that keeps the payloads keeps these.
+_SEED_501 = {
+    "klein": "85766fefa21a33b42d8fdd27d0187dc4fa97b6c0f950804a81d315860cd6edd1",
+    "stabilizer": "53a67e35fb8bdb9ea200e32c30a3c2aabff532f84a836e4a0a0c8d35b340f9e7",
+    "calibrate": "5e99c1b1d84fadd2b3bd7f5f5628037df7be088344b28d5d0e011fe740669bbe",
+    "rings": "f541c1867c4c99430f230b7d474db86e1c29e39c5e514c63912509fa5e126699",
+}
+
+
+def test_seed_501_payloads_keep_their_bytes(monkeypatch):
+    digests = _load()
+    monkeypatch.chdir(ROOT)
+    assert list(_SEED_501) == list(digests.WORKLOADS)
+    for workload, expected in _SEED_501.items():
+        assert digests.workload_digest(workload, 501) == expected, workload

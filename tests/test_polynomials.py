@@ -96,9 +96,8 @@ class TestMultiPoly:
 
     @pytest.mark.parametrize("field", ["Q", "Q(i)", "Q(zeta_3)", "mixed"])
     def test_evaluate_matches_term_by_term_reference(self, field):
-        # over one field the value is stored exactly as the term-by-term sum
-        # stores it; mixed fields give the same value, stored in the lcm
-        # field of the data that enters unless it is rational
+        # the value is stored exactly as the term-by-term sum stores it, over
+        # one field and over mixed fields alike
         rng = random.Random(f"evaluate:{field}")
         rationals = [0, 1, -2, 5, QQ(1, 2), QQ(-7, 3), QQ(9, 8), QQ(4, 15)]
         units = {"Q": [1], "Q(i)": [1, zeta(4)], "Q(zeta_3)": [1, zeta(3), 1 + zeta(3)],
@@ -118,14 +117,8 @@ class TestMultiPoly:
                 point = [number() for _ in range(n)]
                 value, expected = poly.evaluate(point), _term_by_term(poly, point)
                 assert value == expected, (poly, point)
-                if field != "mixed":
-                    assert (value.order, value.coords, value.den) == \
-                        (expected.order, expected.coords, expected.den), (poly, point)
-                else:
-                    tops = [max(k) for k in zip(*poly.terms)]
-                    used = [as_cyclotomic(p).order for p, t in zip(point, tops) if t]
-                    m = lcm(*(c.order for c in poly.terms.values()), *used)
-                    assert value.order in (1, m) and value.is_rational() == (value.order == 1)
+                assert (value.order, value.coords, value.den) == \
+                    (expected.order, expected.coords, expected.den), (poly, point)
 
     def test_permuted_and_lifted(self):
         p = MultiPoly(("a", "b"), {(2, 1): 3})
@@ -211,15 +204,16 @@ class TestBinaryForm:
             f.substitute(m)
 
     def test_substitution_enters_only_the_fields_its_terms_need(self):
-        # Under C11 the terms of i and sqrtm3 meet zeta_22 apart, in
-        # Q(zeta_44) and Q(zeta_66); no term needs lcm(4, 3, 22) = 132 > cap.
+        # Under C11 each term is scaled on its own: zeta_22^6 zeta_22^-6 = 1
+        # leaves the term of i in Q(i), and the term of sqrtm3 meets zeta_22
+        # in Q(zeta_66); no term needs lcm(4, 3, 22) = 132 > cap.
         f = form("x^12 + i*x^6*y^6 + sqrtm3*y^12")
         eps = zeta(22)
         m = group_generators(GroupSpec("C", 11))[0]
         g = f.substitute(m)
         assert g == BinaryForm([eps ** 12] + [0] * 5 + [zeta(4)] + [0] * 5
                                + [form("sqrtm3*x").coeffs[0] * eps ** -12])
-        assert [c.order for c in g.coeffs if c] == [22, 44, 66]
+        assert [c.order for c in g.coeffs if c] == [22, 4, 66]
         # d^14 = 1 under C7, so the y^14 term stays in Q(zeta_9) (lcm(9, 14)
         # = 126 would pass the cap).
         h = form("x^14 + zeta(9)*y^14")
@@ -546,26 +540,24 @@ _IMAGE_FIELDS = {"Q": (1,), "Q(i)": (zeta(4),), "Q(zeta_3)": (zeta(3),),
                  "mixed": (1, zeta(4), zeta(3), zeta(5))}
 _IMAGE_MATRICES = _GENERATORS + [_one_zero_entry(w, QQ(3, 2), QQ(-5, 7)) for w in "abcd"]
 
-# sha256 of the stored layouts of every image coefficient, recorded from
-# the kernel that scaled by powers built as CyclotomicNumbers; the
-# non-rational fields since the x^deg term of a monomial X is the single
-# product f_0 a^deg or f_0 b^deg, stored in its own field
-_IMAGE_DIGESTS = {
-    "Q": "c778547c473be8425a3c3c9a0d1d9453dbb732b6445cf03c2225f594aadbb009",
-    "Q(i)": "4c6c14c237f7480b4415a01c00d36b728674e9ce973fb5e237eb3f35c28ddbe4",
-    "Q(zeta_3)": "897849999bcb4862addc6bcada1df8185876ff03bbcce2ca84063f01ced26bde",
-    "mixed": "f0f8f94a2b46f86a525493b0f7d0aacb20a1485980a3b9509d0dec9dddce3558",
-}
+# sha256 of the stored layouts of every image coefficient over Q, recorded
+# from the kernel that scaled by powers built as CyclotomicNumbers
+_Q_IMAGE_DIGEST = "c778547c473be8425a3c3c9a0d1d9453dbb732b6445cf03c2225f594aadbb009"
 
 
 @pytest.mark.parametrize("field", list(_IMAGE_FIELDS))
 def test_substitution_images_keep_their_stored_fields(field):
     # the printed form of a coefficient depends on the field it is stored
-    # in, which == does not see: pin (order, coords, den) of every
+    # in, which == does not see: check (order, coords, den) of every
     # coefficient of f.substitute(m) for the generators of C_n, D_n (n <=
     # 12), T, O and I and rational matrices with a zero in each position,
     # on forms of degree 0, 1, 12, 40 and 120 with both end coefficients
-    # nonzero (the y-monomial term of diagonal and antidiagonal matrices)
+    # nonzero.  A degree-0 form comes back as it is.  A monomial matrix
+    # stores each coefficient as the schoolbook image does, checked through
+    # degree 40 (the reference takes O(deg^2) products per matrix).  Any
+    # other matrix stores each nonzero coefficient in Q(zeta_k), k the lcm
+    # of the orders of the entries and of the nonzero coefficients, or in
+    # Q when rational.  Over Q every layout is pinned by a digest.
     rng = random.Random(f"substitution images:{field}")
     units = _IMAGE_FIELDS[field]
     forms = []
@@ -575,9 +567,22 @@ def test_substitution_images_keep_their_stored_fields(field):
         forms.append(BinaryForm(coeffs))
     h = hashlib.sha256()
     for m in _IMAGE_MATRICES:
+        entries = (m.a, m.b, m.c, m.d)
+        monomial = not (m.b or m.c) or not (m.a or m.d)
         for f in forms:
-            h.update(repr(_layouts(f.substitute(m).coeffs)).encode())
-    assert h.hexdigest() == _IMAGE_DIGESTS[field]
+            image = f.substitute(m)
+            layouts = _layouts(image.coeffs)
+            h.update(repr(layouts).encode())
+            if f.degree == 0:
+                assert image is f
+            elif monomial:
+                if f.degree <= 40:
+                    assert layouts == _layouts(_schoolbook_image(f, m).coeffs), (str(f), str(m))
+            else:
+                k = lcm(*(v.order for v in entries), *(c.order for c in f.coeffs if c))
+                assert all(c.order in (1, k) for c in image.coeffs if c), (str(f), str(m))
+    if field == "Q":
+        assert h.hexdigest() == _Q_IMAGE_DIGEST
 
 
 _FUSED_FIELDS = {"Q(zeta_8)": (zeta(8), 1 + zeta(8) ** 3, QQ(-2, 3)),

@@ -10,6 +10,7 @@ from stackygit.errors import (
     NoGroundFormsError,
     OrderCapExceededError,
     UnknownCaseError,
+    ZeroFormError,
     ZeroParameterError,
 )
 from stackygit.exprparse import form
@@ -170,11 +171,15 @@ class TestSemiInvariance:
         ("x^5*y + zeta(35)*x*y^5", "TO"),
     ])
     def test_rules_refute_where_substitution_passes_the_cap(self, text, labels):
-        # substituting diag(i, -i) needs Q(zeta_180) or Q(zeta_140), past
-        # the cap; the support rule passes and the reversal rule refutes
+        # diag(i, -i) acts term by term, so substituting it stays in the
+        # coefficients' field where the lcm with i, 180 or 140, would pass
+        # the cap; its scalar is the support rule's (C2 has this generator),
+        # and the reversal rule refutes
         f = form(text)
-        with pytest.raises(OrderCapExceededError):
-            f.substitute(group_generators(GroupSpec("T"))[0])
+        m = group_generators(GroupSpec("T"))[0]
+        assert group_generators(GroupSpec("C", 2)) == (m,)
+        scalar = semi_invariance(f, GroupSpec("C", 2)).scalars[0]
+        assert f.substitute(m) == scalar * f
         for label in labels:
             assert semi_invariance(f, GroupSpec(label)) is None
 
@@ -262,6 +267,10 @@ class TestStability:
         assert not has_finite_stabilizer(form("x^3*y^2"))
         assert has_finite_stabilizer(form("x^5 + y^5"))
         assert has_finite_stabilizer(form("x^2*y^2*(x + y)"))
+        # the zero form is refused by the root count both read
+        for check in (has_finite_stabilizer, catalog_stabilizer):
+            with pytest.raises(ZeroFormError, match="no root profile"):
+                check(form("0*x^3"))
 
 
 class TestCatalog:
