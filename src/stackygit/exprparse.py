@@ -7,14 +7,23 @@ Grammar (whitespace insensitive)::
     factor := atom ('^' nonneg-integer)?
     atom   := identifier | integer | 'zeta' '(' integer ')' | '(' expr ')'
 
-The identifiers ``i``, ``sqrt2``, ``sqrt5`` and ``sqrtm3`` are reserved
-constants (zeta_4, zeta_8 + zeta_8^7, 1 + 2 zeta_5 + 2 zeta_5^4,
-1 + 2 zeta_3); every other identifier is a variable.  The parser evaluates
-as it goes, straight into a :class:`MultiPoly` over the caller's variables;
-an identifier outside them is reported once the whole input has parsed.
-A power of a one-term base is formed in closed form (its exponents times
-k, its coefficient to the k-th power) after the same checks as any other
-power.
+The identifiers ``zeta``, ``i``, ``sqrt2``, ``sqrt5`` and ``sqrtm3`` are
+reserved (:data:`RESERVED`): ``zeta(m)`` is zeta_m, and the others are the
+constants zeta_4, zeta_8 + zeta_8^7, 1 + 2 zeta_5 + 2 zeta_5^4 and
+1 + 2 zeta_3.  They are never read as variables, even when a caller names
+them among its variables; every other identifier is a variable.  The
+parser evaluates as it goes, straight into a :class:`MultiPoly` over the
+caller's variables; an identifier outside them is reported once the whole
+input has parsed.
+
+A term is read as one coefficient and one exponent vector (a *monomial*)
+until a factor with more than one term arrives: a constant factor
+multiplies the coefficient, and a variable factor adds to the exponents.
+From the first factor with more terms on, the term is a MultiPoly and each
+further factor multiplies it as a polynomial.  A power of a one-term base
+is formed in closed form (its exponents times k, its coefficient to the
+k-th power) after the same checks as any other power.  The sum adds every
+term into one dict of terms.
 
 Parentheses and unary minus signs may nest at most :data:`MAX_NESTING`
 deep; deeper input raises NestingTooDeepError before the parser recurses
@@ -30,16 +39,22 @@ terms (ProductTooLargeError), and so is a power b^k when the bound
 :func:`_power_terms` on the terms of b^ceil(k/2), squared, exceeds it.
 A product is checked once it is formed: one with a
 coefficient past the same bound raises CoefficientTooLargeError, so no
-chain of bounded factors builds an unbounded coefficient.
+chain of bounded factors builds an unbounded coefficient.  A monomial's
+check reruns only where its coefficient may have grown: at the first '*',
+whose left factor's coefficient was never checked, and at every factor
+whose coefficient is not the 1 of a variable.  A numeral of more than
+:data:`MAX_NUMERAL_DIGITS` significant digits is refused with
+CoefficientTooLargeError as it is read, before it is converted.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from operator import add
 
 from . import cyclotomic
-from .cyclotomic import as_cyclotomic, zeta
+from .cyclotomic import ONE, ZERO, as_cyclotomic, zeta
 from .errors import (
     CoefficientTooLargeError,
     DegreeTooLargeError,
@@ -57,6 +72,9 @@ SUGAR = {
     "sqrtm3": cyclotomic.sqrt_minus3,
 }
 
+#: Identifiers that never name a variable.
+RESERVED = ("zeta", *SUGAR)
+
 #: Deepest accepted nesting of parentheses and unary minus signs.  Each
 #: level costs a few Python stack frames in the parser.
 MAX_NESTING = 100
@@ -72,7 +90,19 @@ MAX_COEFFICIENT_BITS = 10_000
 #: forms of the largest degree the root profile accepts have.
 MAX_TERM_PRODUCTS = (MAX_PROFILE_DEGREE + 1) ** 2
 
+#: Most significant digits a numeral may have (CPython's default limit on
+#: converting a string to an int).  A longer numeral has more than
+#: :data:`MAX_COEFFICIENT_BITS` bits.
+MAX_NUMERAL_DIGITS = 4300
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^]))")
+
+
+def numeral(digits: str):
+    """The int that the decimal ``digits`` name, or None when they have
+    more than :data:`MAX_NUMERAL_DIGITS` significant digits."""
+    digits = digits.lstrip("0") or "0"
+    return int(digits) if len(digits) <= MAX_NUMERAL_DIGITS else None
 
 
 def _tokenize(text: str):
@@ -83,7 +113,12 @@ def _tokenize(text: str):
             break
         number, ident, op = m.groups()
         if number is not None:
-            tokens.append(("num", int(number), m.start(1)))
+            value = numeral(number)
+            if value is None:
+                raise CoefficientTooLargeError(
+                    f"numeral of {len(number.lstrip('0'))} digits has more than"
+                    f" {MAX_COEFFICIENT_BITS} bits (at position {m.start(1)})")
+            tokens.append(("num", value, m.start(1)))
         elif ident is not None:
             tokens.append(("ident", ident, m.start(2)))
         else:
@@ -96,6 +131,10 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    """Evaluates the tokens as it reads them.  ``term``, ``factor`` and
+    ``atom`` return a monomial, the pair (coefficient, exponent tuple),
+    when their value has at most one term, and a MultiPoly otherwise."""
+
     def __init__(self, tokens, variables):
         self.tokens = tokens
         self.variables = variables
@@ -130,84 +169,129 @@ class _Parser:
         self.depth -= 1
         return value
 
+    def poly(self, value):
+        """``value`` as a MultiPoly."""
+        if isinstance(value, MultiPoly):
+            return value
+        c, e = value
+        return MultiPoly._of(self.variables, {e: c} if c else {})
+
+    def monomial(self, p):
+        """``p`` as a monomial pair when it has at most one term."""
+        if len(p.terms) > 1:
+            return p
+        [(e, c)] = p.terms.items() or [(self.zero, ZERO)]
+        return c, e
+
     def expr(self):
-        value = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            right = self.term()
-            value = value + right if op == "+" else value - right
-        return value
+        terms, negate = {}, False
+        while True:
+            value = self.term()
+            for e, c in (value.terms.items() if isinstance(value, MultiPoly)
+                         else [(value[1], value[0])]):
+                if not c:
+                    continue
+                if negate:
+                    c = -c
+                s = terms.get(e)
+                s = c if s is None else s + c
+                if s:
+                    terms[e] = s
+                else:
+                    del terms[e]
+            if self.peek()[0] not in ("+", "-"):
+                return MultiPoly._of(self.variables, terms)
+            negate = self.advance()[0] == "-"
 
     def term(self):
         if self.peek()[0] == "-":
             pos = self.advance()[2]
-            return -self.nested(self.term, pos)
-        value = self.factor()
+            value = self.nested(self.term, pos)
+            return -value if isinstance(value, MultiPoly) else (-value[0], value[1])
+        value, checked = self.factor(), False
         while self.peek()[0] == "*":
             pos = self.advance()[2]
             right = self.factor()
+            if isinstance(value, tuple) and isinstance(right, tuple):
+                (c, e), (d, f) = value, right
+                if d is not ONE:
+                    c, checked = c * d, False
+                if not checked:
+                    _check_product_bits((c,), pos)
+                    checked = True
+                value = c, tuple(map(add, e, f))
+                continue
+            value, right = self.poly(value), self.poly(right)
             if len(value.terms) * len(right.terms) > MAX_TERM_PRODUCTS:
                 raise ProductTooLargeError(
                     f"product of {len(value.terms)} by {len(right.terms)} terms exceeds"
                     f" the bound of {MAX_TERM_PRODUCTS} term products (at position {pos})")
             value = value * right
-            bits = max((_growth_bits([c]) for c in value.terms.values()), default=0.0)
-            if bits > MAX_COEFFICIENT_BITS:
-                raise CoefficientTooLargeError(
-                    f"product with a coefficient of about {math.ceil(bits)} bits exceeds"
-                    f" the bound {MAX_COEFFICIENT_BITS} (at position {pos})")
+            _check_product_bits(value.terms.values(), pos)
         return value
 
     def factor(self):
         value = self.atom()
-        if self.peek()[0] == "^":
-            self.advance()
-            exponent, pos = self.expect("num")[1:]
-            degree = max((sum(e) for e in value.terms), default=0) * exponent
-            if degree > MAX_PROFILE_DEGREE:
-                raise DegreeTooLargeError(
-                    f"power of degree {degree} exceeds the bound {MAX_PROFILE_DEGREE}"
-                    f" (at position {pos})")
+        if self.peek()[0] != "^":
+            return value
+        self.advance()
+        exponent, pos = self.expect("num")[1:]
+        if isinstance(value, MultiPoly):
+            degree = max(sum(e) for e in value.terms) * exponent
             bits = exponent * _growth_bits(value.terms.values())
-            if bits > MAX_COEFFICIENT_BITS and not (
-                    value.is_constant() and _is_root_of_unity(value.constant_term())):
-                raise CoefficientTooLargeError(
-                    f"power of about {math.ceil(bits)} bits exceeds the bound"
-                    f" {MAX_COEFFICIENT_BITS} (at position {pos})")
-            half = _power_terms(value, (exponent + 1) // 2)
-            if half * half > MAX_TERM_PRODUCTS:
-                raise ProductTooLargeError(
-                    f"power {exponent} of {len(value.terms)} terms has a half power of up to"
-                    f" {half} terms, and {half} by {half} exceeds the bound of"
-                    f" {MAX_TERM_PRODUCTS} term products (at position {pos})")
-            if len(value.terms) == 1:
-                [(e, c)] = value.terms.items()
-                return MultiPoly._of(self.variables,
-                                     {tuple(x * exponent for x in e): c ** exponent})
-            value = value ** exponent
-        return value
-
-    def constant(self, c):
-        return MultiPoly._of(self.variables, {self.zero: c} if c else {})
+            constant = None  # a sum of two or more terms
+        else:
+            c, e = value
+            degree = sum(e) * exponent
+            bits = 0 if c is ONE else exponent * _growth_bits((c,))
+            constant = None if any(e) else c
+        if degree > MAX_PROFILE_DEGREE:
+            raise DegreeTooLargeError(
+                f"power of degree {degree} exceeds the bound {MAX_PROFILE_DEGREE}"
+                f" (at position {pos})")
+        if bits > MAX_COEFFICIENT_BITS and not (
+                constant is not None and _is_root_of_unity(constant)):
+            raise CoefficientTooLargeError(
+                f"power of about {math.ceil(bits)} bits exceeds the bound"
+                f" {MAX_COEFFICIENT_BITS} (at position {pos})")
+        if not isinstance(value, MultiPoly):
+            return (c if c is ONE else c ** exponent), tuple(x * exponent for x in e)
+        half = _power_terms(value, (exponent + 1) // 2)
+        if half * half > MAX_TERM_PRODUCTS:
+            raise ProductTooLargeError(
+                f"power {exponent} of {len(value.terms)} terms has a half power of up to"
+                f" {half} terms, and {half} by {half} exceeds the bound of"
+                f" {MAX_TERM_PRODUCTS} term products (at position {pos})")
+        return self.monomial(value ** exponent)
 
     def atom(self):
         kind, value, pos = self.advance()
         if kind == "num":
-            return self.constant(as_cyclotomic(value))
+            return as_cyclotomic(value), self.zero
         if kind == "ident":
             if value == "zeta":
                 self.expect("(")
                 m = self.expect("num")[1]
                 self.expect(")")
-                return self.constant(zeta(m))
+                return zeta(m), self.zero
             if value in SUGAR:
-                return self.constant(SUGAR[value]())
-            return MultiPoly._of(self.variables, {self.units[value]: cyclotomic.ONE})
+                return SUGAR[value](), self.zero
+            return ONE, self.units[value]
         if kind == "(":
             inner = self.nested(self.expr, pos)
             self.expect(")")
-            return inner
+            return self.monomial(inner)
         raise ParseError(f"unexpected token {value!r}", pos)
+
+
+def _check_product_bits(coeffs, pos):
+    """Refuse a product, read at ``pos``, that has one of the coefficients
+    ``coeffs`` past :data:`MAX_COEFFICIENT_BITS`."""
+    bits = max((_growth_bits([c]) for c in coeffs), default=0.0)
+    if bits > MAX_COEFFICIENT_BITS:
+        raise CoefficientTooLargeError(
+            f"product with a coefficient of about {math.ceil(bits)} bits exceeds"
+            f" the bound {MAX_COEFFICIENT_BITS} (at position {pos})")
 
 
 def _growth_bits(coeffs) -> float:
@@ -253,8 +337,7 @@ def _parse(text: str, variables):
         raise ParseError("empty expression", 0)
     tokens = _tokenize(text)
     names = tuple(dict.fromkeys(
-        value for kind, value, _ in tokens
-        if kind == "ident" and value != "zeta" and value not in SUGAR))
+        value for kind, value, _ in tokens if kind == "ident" and value not in RESERVED))
     parser = _Parser(tokens, variables + tuple(n for n in names if n not in variables))
     value = parser.expr()
     end = parser.peek()

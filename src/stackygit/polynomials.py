@@ -67,9 +67,12 @@ class MultiPoly:
     ones.  Arithmetic results whose terms are clean by construction (the
     operands were validated, zero sums are dropped as they arise) are built
     with the unchecked :meth:`_of` instead.
+
+    ``str`` memoises its text in the slot ``_text``, set on first use; an
+    instance printed for several parts of one payload is rendered once.
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "terms", "_text")
 
     def __init__(self, variables, terms=None):
         variables = tuple(variables)
@@ -311,6 +314,10 @@ class MultiPoly:
     # -- display ---------------------------------------------------------------
 
     def __str__(self):
+        try:
+            return self._text
+        except AttributeError:
+            pass
         if not self.terms:
             return "0"
         parts = []
@@ -325,7 +332,9 @@ class MultiPoly:
                 body = f"{body}*{mono}" if body else mono
             parts.append(("- " if neg else "+ ") + body)
         text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
+        text = text[2:] if text.startswith("+ ") else "-" + text[2:]
+        object.__setattr__(self, "_text", text)
+        return text
 
     def __repr__(self):
         return f"MultiPoly({self.variables}, '{self}')"

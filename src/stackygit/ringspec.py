@@ -1,12 +1,16 @@
 """The ring-spec text format.
 
-One generator per line as ``name : weight``; an optional ``relation:``
+One generator per line as ``name : weight``, where the name is an
+identifier other than the reserved ``zeta``, ``i``, ``sqrt2``, ``sqrt5``
+and ``sqrtm3`` of the expression grammar; an optional ``relation:``
 line with a polynomial expression over the generators; an optional
 ``field: zeta(m)`` line choosing the coefficient field, 1 <= m <=
-``ORDER_CAP`` (Q when absent).  Every relation coefficient must lie in that
-field: its order divides m.  Blank lines and ``#`` comments are ignored.  The writer
-clears denominators in the relation (a relation is only meaningful up to
-a nonzero scalar), so emitted files stay inside the expression grammar.
+``ORDER_CAP`` (Q when absent).  A weight or field order of more than
+``MAX_NUMERAL_DIGITS`` significant digits is refused, naming its line.
+Every relation coefficient must lie in that field: its order divides m.
+Blank lines and ``#`` comments are ignored.  The writer clears
+denominators in the relation (a relation is only meaningful up to a
+nonzero scalar), so emitted files stay inside the expression grammar.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from math import lcm
 
 from .cyclotomic import _check_order
 from .errors import RingSpecError
-from .exprparse import parse_poly
+from .exprparse import MAX_NUMERAL_DIGITS, RESERVED, numeral, parse_poly
 from .graded import GradedRingPresentation
 from .polynomials import MultiPoly
 
@@ -43,15 +47,18 @@ def loads(text: str) -> GradedRingPresentation:
             continue
         m = _FIELD_LINE.match(line)
         if m:
-            field_order = int(m.group(1))
+            field_order = _line_numeral(m.group(1), "field order", lineno)
             if field_order < 1:
                 raise RingSpecError(f"line {lineno}: field order must be positive")
             _check_order(field_order)
             continue
         m = _GEN_LINE.match(line)
         if m:
+            if m.group(1) in RESERVED:
+                raise RingSpecError(
+                    f"line {lineno}: {m.group(1)!r} is reserved and cannot name a generator")
             generators.append(m.group(1))
-            weights.append(int(m.group(2)))
+            weights.append(_line_numeral(m.group(2), "weight", lineno))
             continue
         raise RingSpecError(f"line {lineno}: cannot parse {raw.strip()!r}")
     if not generators:
@@ -66,6 +73,14 @@ def loads(text: str) -> GradedRingPresentation:
                     f"which does not divide the field order {field_order}")
     return GradedRingPresentation(
         tuple(generators), tuple(weights), relation, field_order)
+
+
+def _line_numeral(digits: str, what: str, lineno: int) -> int:
+    value = numeral(digits)
+    if value is None:
+        raise RingSpecError(
+            f"line {lineno}: {what} has more than {MAX_NUMERAL_DIGITS} digits")
+    return value
 
 
 def load(path) -> GradedRingPresentation:

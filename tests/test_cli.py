@@ -340,6 +340,49 @@ def test_power_of_a_sum_under_the_coefficient_bound():
     assert result.payload["maximal_groups"] == ["C1"]
 
 
+@pytest.mark.parametrize("name", ["zeta", "i", "sqrt2", "sqrt5", "sqrtm3"])
+def test_reserved_generator_names_are_refused(tmp_path, name):
+    # the relation would read the name as a constant, not as the generator
+    path = tmp_path / "reserved.ring"
+    path.write_text(f"u : 4\n{name} : 2\nrelation: {name}^2 - u\n", encoding="utf-8")
+    for argv in (["decompose", str(path)], ["rigidify", str(path)], ["chart", str(path), "u"]):
+        result = run_command(argv)
+        assert result.status == 2
+        assert result.payload["error"] == {"code": "ringspec-error", "message": (
+            f"line 2: '{name}' is reserved and cannot name a generator")}
+
+
+def test_overlong_numeral_in_an_expression():
+    result = run_command(["stabilizer", "x*y*(x+y)*" + "7" * 5000])
+    assert result.status == 3
+    assert result.payload["error"] == {"code": "coefficient-too-large", "message": (
+        "numeral of 5000 digits has more than 10000 bits (at position 10)")}
+    # one digit fewer than the bound keeps the product check's payload
+    result = run_command(["stabilizer", "x*y*(x+y)*" + "7" * 4300])
+    assert result.status == 3
+    assert result.payload["error"] == {"code": "coefficient-too-large", "message": (
+        "product with a coefficient of about 14284 bits exceeds the bound 10000"
+        " (at position 9)")}
+
+
+@pytest.mark.parametrize("line, what", [("u : {}", "weight"), ("field: zeta({})", "field order")])
+def test_overlong_numeral_in_a_ring_spec(tmp_path, line, what):
+    path = tmp_path / "long.ring"
+    path.write_text("a : 1\n" + line.format("7" * 5000) + "\n", encoding="utf-8")
+    result = run_command(["rigidify", str(path)])
+    assert result.status == 2
+    assert result.payload["error"] == {"code": "ringspec-error", "message": (
+        f"line 2: {what} has more than 4300 digits")}
+
+
+def test_weight_of_4300_digits_is_read(tmp_path):
+    path = tmp_path / "long.ring"
+    path.write_text("a : 1\nu : " + "7" * 4300 + "\n", encoding="utf-8")
+    result = run_command(["rigidify", str(path)])
+    assert result.status == 0
+    assert [g["weight"] for g in result.payload["ring"]["generators"]] == [1, int("7" * 4300)]
+
+
 @pytest.mark.parametrize("argv", [["decompose"], ["rigidify"], ["chart", "x"]])
 def test_unreadable_ring_spec(tmp_path, argv):
     result = run_command([argv[0], str(tmp_path), *argv[1:]])

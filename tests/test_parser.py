@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,14 @@ from stackygit.errors import (
     RingSpecError,
     UnknownIdentifierError,
 )
-from stackygit.exprparse import MAX_NESTING, MAX_TERM_PRODUCTS, form, parse_poly
+from stackygit.exprparse import (
+    MAX_NESTING,
+    MAX_NUMERAL_DIGITS,
+    MAX_TERM_PRODUCTS,
+    RESERVED,
+    form,
+    parse_poly,
+)
 from stackygit.graded import presentations_isomorphic
 from stackygit.invariants import catalog_ring
 from stackygit.polynomials import MultiPoly
@@ -173,6 +182,127 @@ def test_parse_agrees_with_python_eval(text):
     value = parse_poly(text, VARIABLES)
     assert value == expected
     assert str(value) == str(expected)
+
+
+# -- MultiPoly arithmetic on the same pieces as the reference --------------------
+
+def _layout(p):
+    """Each stored term with its coefficient's field, coordinates and
+    denominator, in the order the dict holds them."""
+    return [(e, c.order, c.coords, c.den) for e, c in p.terms.items()]
+
+
+def _random_factor(rng, depth):
+    r = rng.random()
+    if r < 0.25:
+        n = rng.choice((0, 1, 2, 3, 7, 12, 2**70))
+        text, value = str(n), MultiPoly.constant(VARIABLES, n)
+    elif r < 0.3:
+        text, value = "0", MultiPoly.constant(VARIABLES, 0)
+    elif r < 0.6 or depth == 0:
+        name = rng.choice(VARIABLES)
+        text, value = name, NAMESPACE[name]
+    elif r < 0.7:
+        m = rng.choice((3, 4, 5, 8, 12))
+        text, value = f"zeta({m})", MultiPoly.constant(VARIABLES, zeta(m))
+    elif r < 0.8:
+        name = rng.choice(tuple(CONSTANTS))
+        text, value = name, NAMESPACE[name]
+    else:
+        text, value = _random_expr(rng, depth - 1)
+        text = f"({text})"
+    if rng.random() < 0.3:
+        k = rng.choice((0, 1, 2) if text.endswith(")") else (0, 1, 2, 3, 5))
+        text, value = f"{text}^{k}", value ** k
+    return text, value
+
+
+def _random_term(rng, depth):
+    if depth and rng.random() < 0.15:
+        text, value = _random_term(rng, depth - 1)
+        return "-" + text, -value
+    if rng.random() < 0.1:
+        text, value = _random_factor(rng, depth)
+        return f"0*{text}", MultiPoly.constant(VARIABLES, 0) * value
+    text, value = _random_factor(rng, depth)
+    for _ in range(rng.randrange(3)):
+        right_text, right = _random_factor(rng, depth)
+        text, value = f"{text}*{right_text}", value * right
+    return text, value
+
+
+def _random_expr(rng, depth):
+    """A random expression and the MultiPoly that MultiPoly arithmetic
+    builds from its pieces, read left to right as the grammar reads them."""
+    text, value = _random_term(rng, depth)
+    for _ in range(rng.randrange(3)):
+        op = rng.choice("+-")
+        right_text, right = _random_term(rng, depth)
+        text = f"{text} {op} {right_text}"
+        value = value + right if op == "+" else value - right
+    return text, value
+
+
+def test_parse_matches_multipoly_arithmetic():
+    # the monomial fast path stores what the arithmetic stores: the same
+    # terms in the same order, each coefficient in the same field
+    rng = random.Random(2009)
+    for _ in range(1000):
+        text, expected = _random_expr(rng, 2)
+        value = parse_poly(text, VARIABLES)
+        assert _layout(value) == _layout(expected), text
+        assert str(value) == str(expected), text
+
+
+def test_reserved_identifiers_are_never_variables():
+    # even when the caller names them among its variables
+    assert RESERVED == ("zeta", "i", "sqrt2", "sqrt5", "sqrtm3")
+    assert str(parse_poly("i^2 - u", ("i", "u"))) == "-u - 1"
+    assert str(parse_poly("sqrt2^2*u", ("sqrt2", "u"))) == "2*u"
+    with pytest.raises(ParseError, match="expected '\\(', found '\\^'"):
+        parse_poly("zeta^2 - u", ("zeta", "u"))
+
+
+_BOUND_ERRORS = [
+    ("7" * 3500 + "*x", "coefficient-too-large",
+     "product with a coefficient of about 11627 bits exceeds the bound 10000 (at position 3500)"),
+    ("x*" + "7" * 3500, "coefficient-too-large",
+     "product with a coefficient of about 11627 bits exceeds the bound 10000 (at position 1)"),
+    ("7" * 3500 + "*(x+y)*x*y", "coefficient-too-large",
+     "product with a coefficient of about 11627 bits exceeds the bound 10000 (at position 3500)"),
+    ("2^5000*x*y*2^5001", "coefficient-too-large",
+     "product with a coefficient of about 10001 bits exceeds the bound 10000 (at position 10)"),
+    ("3^5000*3^5000*x*y*(x+y)", "coefficient-too-large",
+     "product with a coefficient of about 15850 bits exceeds the bound 10000 (at position 6)"),
+    ("(3^5000*x)*(3^5000*y)", "coefficient-too-large",
+     "product with a coefficient of about 15850 bits exceeds the bound 10000 (at position 10)"),
+    ("7" * MAX_NUMERAL_DIGITS + "*x", "coefficient-too-large",
+     "product with a coefficient of about 14284 bits exceeds the bound 10000 (at position 4300)"),
+    ("0*" + "7" * 3500 + "*x*y*(x+y)", "zero-form", "the zero form has no root profile"),
+    ("x^300*y", "degree-too-large", "power of degree 300 exceeds the bound 256 (at position 2)"),
+    ("7" * 5000 + "*x*y*(x+y)", "coefficient-too-large",
+     "numeral of 5000 digits has more than 10000 bits (at position 0)"),
+    ("x*y*(x+zeta(" + "9" * 4400 + "))", "coefficient-too-large",
+     "numeral of 4400 digits has more than 10000 bits (at position 12)"),
+]
+
+
+@pytest.mark.parametrize("text, code, message", _BOUND_ERRORS,
+                         ids=[f"{text[:12]}..{len(text)}" for text, _, _ in _BOUND_ERRORS])
+def test_bound_errors_keep_their_payloads(text, code, message):
+    # the checks, their order and their positions are those of a parser
+    # that multiplies every factor as a MultiPoly; only the last two
+    # numerals, past MAX_NUMERAL_DIGITS, are refused as they are read
+    result = run_command(["stabilizer", text])
+    assert result.payload["error"] == {"code": code, "message": message}
+    assert result.status == (2 if code == "zero-form" else 3)
+
+
+def test_numerals_count_their_significant_digits():
+    # leading zeros neither count nor reach int()
+    padded = "0" * 5000 + "7"
+    assert parse_poly(f"{padded}*x", ("x",)) == parse_poly("7*x", ("x",))
+    assert len(str(parse_poly("7" * MAX_NUMERAL_DIGITS, ()))) == MAX_NUMERAL_DIGITS
 
 
 class TestRingSpec:

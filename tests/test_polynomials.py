@@ -15,7 +15,7 @@ from stackygit.errors import (
     VariableMismatchError,
     ZeroFormError,
 )
-from stackygit.exprparse import form
+from stackygit.exprparse import form, parse_poly
 from stackygit.groups import GroupSpec, SL2Matrix, group_generators
 from stackygit.invariants import quintic_F, sextic_F, transvectant
 from stackygit.polynomials import (
@@ -460,6 +460,26 @@ def test_arithmetic_results_are_clean():
     assert x - x == MultiPoly.zero(_VARS) and not (x - x).terms
     assert (x + y) * (x - y) == MultiPoly(_VARS, {(2, 0, 0): 1, (0, 2, 0): -1})
     assert (x * 0).terms == {} and (x * zeta(3)).terms == {(1, 0, 0): zeta(3)}
+
+
+def test_printing_is_memoised_and_matches_a_fresh_instance():
+    rng = random.Random(25)
+    x, y, z = (MultiPoly.variable(_VARS, v) for v in _VARS)
+    polys = [MultiPoly._of(_VARS, {(1, 0, 2): zeta(5), (0, 0, 0): as_cyclotomic(-3)}),
+             MultiPoly._of(_VARS, {}), MultiPoly(_VARS, {(2, 1, 0): QQ(-1, 2), (0, 0, 1): 1}),
+             MultiPoly.zero(_VARS), x - x, (x + y) * (x - y * zeta(3)), -(x * z) ** 3,
+             parse_poly("2*x^2*y - (x - z)^3 + i*sqrt5*z", _VARS), parse_poly("0*x", _VARS)]
+    for _ in range(40):
+        p, q = _random_multipoly(rng), _random_multipoly(rng)
+        polys += [p, p + q, p - q, p * q, p ** 2]
+    for p in polys:
+        text = str(p)
+        assert text == str(MultiPoly(p.variables, p.terms))
+        assert str(p) is text and repr(p) == f"MultiPoly({_VARS}, '{text}')"
+        for name in ("_text", "terms", "variables", "other"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, "x")
+        assert str(p) == text
 
 
 def _layouts(coeffs):
