@@ -9,10 +9,9 @@ reduction is integer arithmetic that leaves ``den`` alone.  The power basis
 is a Z-basis of the integers of Q(zeta_m), so a value has one
 representation per field and equality compares coordinates.  ``zeta_m`` is
 the abstract primitive m-th root of unity; no floating-point embedding is
-ever used.  Rationals enter as ints or ``QQ`` (:class:`fractions.Fraction`)
-and leave as ``QQ`` through :meth:`CyclotomicNumber.rational_value`; ``hash``
-and ``str`` of an irrational value build ``QQ`` values only for their
-output, and a rational prints from its integers.  No arithmetic
+ever used.  Rationals enter as ints or ``QQ`` (:class:`fractions.Fraction`);
+``hash`` and ``str`` of an irrational value build ``QQ`` values only for
+their output, and a rational prints from its integers.  No arithmetic
 runs on rational polynomials: Phi_m is built from integers, and the
 inverse of a is the product of its other Galois conjugates over the
 integer norm N(a).
@@ -51,7 +50,7 @@ from fractions import Fraction as QQ
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import IncompatibleOrderError, OrderCapExceededError
+from .errors import OrderCapExceededError
 
 _ZERO = QQ(0)
 
@@ -62,20 +61,8 @@ ORDER_CAP = 120
 
 @lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
-    phi = 1
-    n = m
-    for p in range(2, n + 1):
-        if p * p > n:
-            break
-        if n % p == 0:
-            phi *= p - 1
-            n //= p
-            while n % p == 0:
-                phi *= p
-                n //= p
-    if n > 1:
-        phi *= n - 1
-    return phi
+    """phi(m), the degree of Phi_m."""
+    return len(cyclotomic_polynomial(m)) - 1
 
 
 @lru_cache(maxsize=None)
@@ -266,28 +253,8 @@ class CyclotomicNumber:
     def is_zero(self) -> bool:
         return self.order == 1 and not self.coords[0]
 
-    def is_rational(self) -> bool:
-        return self.order == 1
-
-    def rational_value(self):
-        if self.order != 1:
-            raise ValueError(f"{self} is not rational")
-        return QQ(self.coords[0], self.den)
-
     def __bool__(self):
         return self.order != 1 or self.coords[0] != 0
-
-    # -- field change --------------------------------------------------------
-
-    def embed(self, order: int) -> "CyclotomicNumber":
-        """The same number written in Q(zeta_order); requires self.order | order."""
-        if order % self.order:
-            raise IncompatibleOrderError(
-                f"order {self.order} does not divide {order}")
-        _check_order(order)
-        if order == self.order:
-            return self
-        return _raw(order, self._vec(order), self.den)
 
     def _vec(self, order):
         # Coordinates in Q(zeta_order) over self.den, as a new list; not

@@ -52,10 +52,6 @@ class ExactArithmeticError(StackygitError, ArithmeticError):
     exit_status = 3
 
 
-class IncompatibleOrderError(StackygitError):
-    code = "incompatible-order"
-
-
 class VariableMismatchError(StackygitError):
     code = "variable-mismatch"
 
@@ -116,10 +112,6 @@ class NoGroundFormsError(StackygitError):
 
 class InfiniteStabilizerError(StackygitError):
     code = "infinite-stabilizer"
-
-
-class UnknownCaseError(StackygitError):
-    code = "unknown-case"
 
 
 class UnknownFamilyError(StackygitError):

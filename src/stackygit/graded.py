@@ -2,8 +2,8 @@
 
 A presentation is a list of positively weighted generators with at most one
 weighted-homogeneous relation (the two-sheeted hypersurface shape covers
-every ring in the catalog).  On top of it: Veronese subrings and inverse
-regrading, rigidification (pass to the subring of degrees divisible by the
+every ring in the catalog).  On top of it: Veronese subrings,
+rigidification (pass to the subring of degrees divisible by the
 hcf of the weights, killing the generic mu_n of automorphisms), root
 adjunction t^r = s for gcd(r, deg s) = 1, recognition of the two-sheeted
 shape t^2 = F with its weight conditions, and the resulting decomposition
@@ -147,15 +147,6 @@ def veronese(ring: GradedRingPresentation, n: int) -> GradedRingPresentation:
         ring.relation, ring.field_order)
 
 
-def regrade_inverse(ring: GradedRingPresentation, n: int) -> GradedRingPresentation:
-    """The same ring with all degrees multiplied by n."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return GradedRingPresentation(
-        ring.generators, tuple(w * n for w in ring.weights),
-        ring.relation, ring.field_order)
-
-
 def rigidify(ring: GradedRingPresentation):
     """Kill the generic mu_n of automorphisms; returns (ring, gerbe index).
 
@@ -260,7 +251,7 @@ def stacky_decompose(ring: GradedRingPresentation) -> DecompositionReport:
                 f"relation is not of the shape {ring.generators[top]}^2 - F")
         rest[exps[:-1]] = -c / lead
     base_names = ring.generators[:-1]
-    divisor = MultiPoly(base_names, rest)
+    divisor = MultiPoly._of(base_names, rest)
     if divisor.is_zero():
         raise ShapeError(
             f"relation {ring.generators[top]}^2 has no base part F")
@@ -329,6 +320,8 @@ class PointW:
         return tuple(i for i, c in enumerate(self.coordinates) if c)
 
     def rescaled(self, t) -> "PointW":
+        """The point t . x, coordinate i times t^(weight i); the tests'
+        reference for weighted-projective equality."""
         t = as_cyclotomic(t)
         if not t:
             raise ValueError("rescaling needs t != 0")

@@ -46,9 +46,6 @@ class SL2Matrix:
             self.c * other.b + self.d * other.d,
         )
 
-    def inverse(self) -> "SL2Matrix":
-        return SL2Matrix(self.d, -self.b, -self.c, self.a)
-
     @staticmethod
     def identity() -> "SL2Matrix":
         return SL2Matrix(1, 0, 0, 1)

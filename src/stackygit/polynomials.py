@@ -125,10 +125,6 @@ class MultiPoly:
         exps = tuple(1 if j == i else 0 for j in range(len(variables)))
         return MultiPoly(variables, {exps: 1})
 
-    @staticmethod
-    def monomial(variables, exps, c=1):
-        return MultiPoly(variables, {tuple(exps): c})
-
     # -- predicates -----------------------------------------------------------
 
     def is_zero(self):
@@ -464,6 +460,7 @@ class BinaryForm:
     # -- evaluation and substitution ----------------------------------------------
 
     def evaluate(self, xv, yv) -> CyclotomicNumber:
+        """f(xv, yv), term by term; the tests' reference for substitute."""
         xv, yv = as_cyclotomic(xv), as_cyclotomic(yv)
         d = self.degree
         total = _ZERO
@@ -562,8 +559,8 @@ class BinaryForm:
 
     def to_multipoly(self, variables=("x", "y")) -> MultiPoly:
         d = self.degree
-        return MultiPoly(variables,
-                         {(d - i, i): c for i, c in enumerate(self.coeffs) if c})
+        return MultiPoly._of(tuple(variables),
+                             {(d - i, i): c for i, c in enumerate(self.coeffs) if c})
 
     def __str__(self):
         return str(self.to_multipoly())

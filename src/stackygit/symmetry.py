@@ -24,7 +24,6 @@ from .errors import (
     DegreeTooLargeError,
     InfiniteStabilizerError,
     NoGroundFormsError,
-    UnknownCaseError,
     ZeroFormError,
     ZeroParameterError,
 )
@@ -39,13 +38,6 @@ class SemiInvarianceCertificate:
 
     group: GroupSpec
     scalars: tuple
-
-    def scalar_for_word(self, indices) -> CyclotomicNumber:
-        """The character value on a word in the generators."""
-        value = as_cyclotomic(1)
-        for i in indices:
-            value = value * self.scalars[i]
-        return value
 
 
 @dataclass(frozen=True)
@@ -314,13 +306,3 @@ CATALOG = (
 
 #: The fifteen numbered normal forms (the generic quartic family is extra).
 NUMBERED_CASES = tuple(c for c in CATALOG if c.case != "quartic.generic")
-
-_BY_CASE = {c.case: c for c in CATALOG}
-
-
-def catalog_case(case: str) -> CatalogCase:
-    try:
-        return _BY_CASE[case]
-    except KeyError:
-        raise UnknownCaseError(
-            f"unknown case {case!r}; known: {', '.join(sorted(_BY_CASE))}") from None

@@ -19,7 +19,6 @@ from stackygit.graded import (
     hcf_degrees,
     is_well_formed,
     presentations_isomorphic,
-    regrade_inverse,
     rigidify,
     root_stack,
     stacky_decompose,
@@ -50,11 +49,6 @@ class TestVeronese:
     def test_indivisible(self):
         with pytest.raises(IndivisibleWeightError):
             veronese(quintic_ring(), 3)
-
-    def test_inverse_regrade_roundtrip(self):
-        r = free_ring(("a", "b", "c"), (1, 2, 3))
-        assert regrade_inverse(r, 4).weights == (4, 8, 12)
-        assert veronese(regrade_inverse(r, 4), 4) == r
 
 
 class TestHcfAndRigidify:
@@ -115,8 +109,8 @@ class TestRootStack:
         base = free_ring(("a", "b", "c"), (1, 2, 3))
         rooted = root_stack(base, quintic_F().renamed(
             {"I4": "a", "I8": "b", "I12": "c"}), 1)
-        # t = s eliminates the new generator; the base part is the regrading
-        assert rooted.weights[:3] == regrade_inverse(base, 1).weights
+        # t = s eliminates the new generator; the base weights are unchanged
+        assert rooted.weights[:3] == base.weights
         assert rooted.weights[3] == 9
         t_only = [e for e in rooted.relation.terms if e[3] == 1]
         assert len(t_only) == 1  # relation is linear in t, so t is eliminable

@@ -69,11 +69,6 @@ def test_closure_bound(monkeypatch):
     group_elements.cache_clear()
 
 
-def test_matrix_inverse():
-    m = SL2Matrix(1, 2, 1, 3)
-    assert m * m.inverse() == SL2Matrix.identity()
-
-
 def test_spec_parse_errors():
     with pytest.raises(ValueError):
         GroupSpec.parse("Q8")

@@ -1,13 +1,35 @@
-"""Every name a module of the package imports is used in that module, and
+"""Every name a module of the package imports is used in that module,
 every private module-level function and constant is used somewhere in the
-package."""
+package, and every public module-level function and class is used by the
+package, the benchmark or the scripts."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "stackygit"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "stackygit"
+
+
+def reads(node):
+    """How often each name is read under ``node``, as a name or an
+    attribute."""
+    counts = {}
+    for n in ast.walk(node):
+        name = n.id if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store) else \
+            n.attr if isinstance(n, ast.Attribute) else None
+        if name is not None:
+            counts[name] = counts.get(name, 0) + 1
+    return counts
+
+
+def total_reads(trees):
+    total = {}
+    for tree in trees.values():
+        for name, count in reads(tree).items():
+            total[name] = total.get(name, 0) + count
+    return total
 
 
 def unused_imports(tree):
@@ -43,15 +65,6 @@ def unreferenced_helpers(trees):
     """The module-level functions and constants (``_NAME = ...``) named
     ``_private`` (not dunder) in the modules ``trees`` (name -> ast) that no
     name or attribute in the modules reads outside their own definition."""
-    def reads(node):
-        counts = {}
-        for n in ast.walk(node):
-            name = n.id if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store) else \
-                n.attr if isinstance(n, ast.Attribute) else None
-            if name is not None:
-                counts[name] = counts.get(name, 0) + 1
-        return counts
-
     def defined(node):
         if isinstance(node, ast.FunctionDef):
             return [node.name]
@@ -59,10 +72,7 @@ def unreferenced_helpers(trees):
             [node.target] if isinstance(node, ast.AnnAssign) else []
         return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
 
-    total = {}
-    for tree in trees.values():
-        for name, count in reads(tree).items():
-            total[name] = total.get(name, 0) + count
+    total = total_reads(trees)
     return sorted(
         (module, name) for module, tree in trees.items() for node in tree.body
         for name in defined(node)
@@ -82,3 +92,36 @@ def test_every_private_helper_is_used():
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SOURCE.glob("*.py"))}
     assert unreferenced_helpers(trees) == []
+
+
+def unread_public_names(trees, users):
+    """The public module-level functions and classes of the modules
+    ``trees`` (name -> ast) that no name or attribute in ``trees`` or in
+    ``users`` reads outside their own definition.
+
+    Methods are not checked: several classes share method names such as
+    ``evaluate``, ``inverse`` and ``monomial``, so a read of an attribute
+    cannot tell which class's method it is."""
+    total = total_reads({**trees, **users})
+    return sorted(
+        (module, node.name) for module, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and total.get(node.name, 0) == reads(node).get(node.name, 0))
+
+
+def test_unread_public_names_are_found():
+    trees = {"a.py": ast.parse("def used(): pass\ndef dead(): dead()\n"
+                               "class Used: pass\nclass Dead: pass\n"
+                               "def _private(): pass\nprint(Used)\n")}
+    users = {"b.py": ast.parse("import a\na.used()\n")}
+    assert unread_public_names(trees, users) == [("a.py", "Dead"), ("a.py", "dead")]
+
+
+def test_every_public_name_is_used():
+    # reads from the tests do not count: a name only the tests read is dead
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SOURCE.glob("*.py"))}
+    users = {f"{d.name}/{path.name}": ast.parse(path.read_text(encoding="utf-8"))
+             for d in (ROOT / "perfbench", ROOT / "scripts") for path in sorted(d.glob("*.py"))}
+    assert unread_public_names(trees, users) == []

@@ -59,9 +59,9 @@ class TestMultiPoly:
         for _ in range(20):
             e1 = (rng.randint(0, 3), rng.randint(0, 2), rng.randint(0, 2))
             e2 = (rng.randint(0, 3), rng.randint(0, 2), rng.randint(0, 2))
-            p = MultiPoly.monomial(vs, e1, rng.randint(1, 5)) \
-                + MultiPoly.monomial(vs, _same_degree(e1, (1, 2, 3), rng), 1)
-            q = MultiPoly.monomial(vs, e2, rng.randint(1, 5))
+            p = MultiPoly(vs, {e1: rng.randint(1, 5)}) \
+                + MultiPoly(vs, {_same_degree(e1, (1, 2, 3), rng): 1})
+            q = MultiPoly(vs, {e2: rng.randint(1, 5)})
             assert (p * q).weighted_degree(w) == \
                 p.weighted_degree(w) + q.weighted_degree(w)
 
@@ -448,7 +448,7 @@ def test_arithmetic_results_are_clean():
                 else (_random_multipoly(rng), _random_multipoly(rng)))
         if k % 4 == 3:
             # q cancels p except for one monomial
-            q = -p + MultiPoly.monomial(_VARS, (1, 0, 2), QQ(3, 7))
+            q = -p + MultiPoly(_VARS, {(1, 0, 2): QQ(3, 7)})
         results = [p + q, p - q, q - p, p - p, -p, p * q, p * (-p), (p + q) * (p - q),
                    p * q - q * p, 2 + p, p - 1, 1 - p, p ** rng.randint(0, 3)]
         results += [p * s for s in scalars] + [s * q for s in scalars]

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from math import prod
 
 import pytest
 
@@ -9,7 +10,6 @@ from stackygit.errors import (
     InfiniteStabilizerError,
     NoGroundFormsError,
     OrderCapExceededError,
-    UnknownCaseError,
     ZeroFormError,
     ZeroParameterError,
 )
@@ -20,7 +20,6 @@ from stackygit.symmetry import (
     CATALOG,
     NUMBERED_CASES,
     POLYHEDRAL_SUBGROUPS,
-    catalog_case,
     catalog_stabilizer,
     ground_forms,
     has_finite_stabilizer,
@@ -28,6 +27,8 @@ from stackygit.symmetry import (
     klein_generate,
     semi_invariance,
 )
+
+BY_CASE = {c.case: c for c in CATALOG}
 
 
 class TestSemiInvariance:
@@ -44,7 +45,7 @@ class TestSemiInvariance:
         rng = random.Random(31)
         for case_id, label in [("quintic.V", "D5"), ("sextic.VI", "O"),
                                ("quartic.II", "T")]:
-            f = catalog_case(case_id).build()
+            f = BY_CASE[case_id].build()
             spec = GroupSpec.parse(label)
             cert = semi_invariance(f, spec)
             gens = group_generators(spec)
@@ -53,7 +54,7 @@ class TestSemiInvariance:
                 matrix = gens[word[0]]
                 for k in word[1:]:
                     matrix = matrix * gens[k]
-                lam = cert.scalar_for_word(word)
+                lam = prod(cert.scalars[i] for i in word)
                 assert f.substitute(matrix) == lam * f
 
 
@@ -276,7 +277,7 @@ class TestStability:
 class TestCatalog:
     @pytest.mark.parametrize("case", [c.case for c in CATALOG])
     def test_stabilizers_match(self, case):
-        entry = catalog_case(case)
+        entry = BY_CASE[case]
         f = entry.build()
         assert [c.group.label for c in catalog_stabilizer(f)] == [entry.group.label]
 
@@ -368,10 +369,6 @@ class TestCatalog:
         assert [c.group.label for c in catalog_stabilizer(f)] == ["C1"]
         assert substituted == []
 
-    def test_unknown_case(self):
-        with pytest.raises(UnknownCaseError):
-            catalog_case("septic.I")
-
     def test_catalog_layouts(self):
         # sha256 of (order, coords, den) of every coefficient of the 21
         # catalog builds (the defaults and criterion 5's second parameter
@@ -391,16 +388,16 @@ class TestCatalog:
 
     def test_build_checks_the_parameter_count(self):
         with pytest.raises(ZeroParameterError, match="case quartic.I takes 0"):
-            catalog_case("quartic.I").build(((1, 2),))
+            BY_CASE["quartic.I"].build(((1, 2),))
         with pytest.raises(ZeroParameterError, match="case sextic.I takes 2"):
-            catalog_case("sextic.I").build(((1, 2),))
+            BY_CASE["sextic.I"].build(((1, 2),))
         with pytest.raises(ZeroParameterError, match=r"\(0, 0\) is not a point"):
-            catalog_case("sextic.IV").build(((0, 0),))
+            BY_CASE["sextic.IV"].build(((0, 0),))
 
     def test_parameterized_cases_at_second_values(self):
-        f = catalog_case("quintic.I").build(((5, 7),))
+        f = BY_CASE["quintic.I"].build(((5, 7),))
         assert [c.group.label for c in catalog_stabilizer(f)] == ["C2"]
-        g = catalog_case("sextic.IV").build(((1, 6),))
+        g = BY_CASE["sextic.IV"].build(((1, 6),))
         assert [c.group.label for c in catalog_stabilizer(g)] == ["D3"]
 
 
