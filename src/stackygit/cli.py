@@ -140,7 +140,7 @@ def _cmd_stabilizer(args) -> CommandResult:
     body = {"form": str(f), "degree": f.degree,
             "maximal_groups": labels,
             "certificates": certificates}
-    lines = [f"# Stabilizer of {f}", "",
+    lines = [f"# Stabilizer of {body['form']}", "",
              f"maximal catalog groups: {', '.join(labels)}", ""]
     for cert in certificates:
         lines.append(f"## {cert['group']} (order {cert['order']})")
@@ -160,8 +160,8 @@ def _cmd_ground_forms(args) -> CommandResult:
                   for g, n in zip(gf.forms, gf.nu)],
     }
     lines = [f"# Ground forms of {spec.label} (order {spec.order})", ""]
-    lines += [f"- F{i+1} = {g}  (degree {g.degree}, nu = {n})"
-              for i, (g, n) in enumerate(zip(gf.forms, gf.nu))]
+    lines += [f"- F{i+1} = {g['form']}  (degree {g['degree']}, nu = {g['nu']})"
+              for i, g in enumerate(body["forms"])]
     return CommandResult(0, _payload("ground-forms", body), "\n".join(lines) + "\n")
 
 
@@ -188,9 +188,9 @@ def _cmd_klein(args) -> CommandResult:
         "scalars": [str(s) for s in cert.scalars] if cert else [],
     }
     md = (f"# Generated semi-invariant for {spec.label}\n\n"
-          f"- form: {f}\n- degree: {f.degree}\n"
+          f"- form: {body['form']}\n- degree: {body['degree']}\n"
           f"- semi-invariance certificate: "
-          f"{', '.join(str(s) for s in cert.scalars) if cert else 'none'}\n")
+          f"{', '.join(body['scalars']) or 'none'}\n")
     status = 0 if cert else 1
     return CommandResult(status, _payload("klein", body, status), md)
 
@@ -223,7 +223,7 @@ def _cmd_catalog(args) -> CommandResult:
         "notes": list(entry.notes),
     }
     md = [f"# Invariant ring: {entry.family}", "",
-          f"{entry.source}", "", "```", ringspec.dumps(entry.ring).rstrip(), "```"]
+          f"{entry.source}", "", "```", body["ring"]["text"].rstrip(), "```"]
     md += [f"note: {n}" for n in entry.notes]
     return CommandResult(0, _payload("catalog", body), "\n".join(md) + "\n")
 
@@ -241,7 +241,7 @@ def _cmd_calibrate(args) -> CommandResult:
     status = 0 if result.succeeded else 1
     md = (f"# Calibration: {args.family}\n\n- outcome: "
           f"{'success' if result.succeeded else 'failure'}\n- {result.detail}\n")
-    for k, v in (result.scalars or {}).items():
+    for k, v in body["scalars"].items():
         md += f"- {k}: {v}\n"
     return CommandResult(status, _payload("calibrate", body, status), md)
 
@@ -264,12 +264,6 @@ def _cmd_verify_all(args) -> CommandResult:
         lines.append(f"{r.criterion:2d}. {r.name:<{width}}  [{r.status}]  ({kind})")
     lines.append("")
     lines.append(f"blocking failures: {failures}")
-    if args.verbose:
-        lines.append("")
-        for r in results:
-            lines.append(f"## {r.criterion}. {r.name}")
-            lines.extend(f"- {d}" for d in r.details)
-            lines.append("")
     return CommandResult(status, _payload("verify-all", body, status),
                          "\n".join(lines) + "\n")
 
@@ -355,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="run the full acceptance suite")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=_cmd_verify_all)
 
     return parser

@@ -372,16 +372,10 @@ def form(text: str) -> BinaryForm:
     if not set(names) <= {"x", "y"}:
         raise UnknownIdentifierError(
             f"a binary form uses only x and y, found {names}")
-    if poly.is_zero():
-        return BinaryForm([0])
-    degree = None
-    for (ex, ey) in poly.terms:
-        d = ex + ey
-        if degree is None:
-            degree = d
-        elif d != degree:
-            raise ValueError(f"{text!r} is not homogeneous")
-    coeffs = [0] * (degree + 1)
-    for (ex, ey), c in poly.terms.items():
+    degree = poly.weighted_degree((1, 1))  # 0 for the zero form
+    if degree is None:
+        raise ValueError(f"{text!r} is not homogeneous")
+    coeffs = [ZERO] * (degree + 1)
+    for (_, ey), c in poly.terms.items():
         coeffs[ey] = c
-    return BinaryForm(coeffs)
+    return BinaryForm._of(coeffs)

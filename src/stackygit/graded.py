@@ -82,9 +82,6 @@ class GradedRingPresentation:
         rel = f" / ({self.relation})" if self.relation is not None else ""
         return f"k[{gens}]{rel}"
 
-    def __str__(self):
-        return self.describe()
-
 
 def free_ring(names, weights, field_order=1) -> GradedRingPresentation:
     return GradedRingPresentation(tuple(names), tuple(weights), None, field_order)
@@ -94,7 +91,6 @@ def free_ring(names, weights, field_order=1) -> GradedRingPresentation:
 class DecompositionReport:
     """Coarse space, canonical stack, rigidification and square-root datum."""
 
-    ring: GradedRingPresentation
     coarse_weights: tuple            # also the canonical stack's weights
     rigidification: GradedRingPresentation
     gerbe_index: int
@@ -108,7 +104,6 @@ class DecompositionReport:
 class ChartPresentation:
     """The affine chart f = 1 with its residual Z/r grading."""
 
-    base: GradedRingPresentation
     chart_generator: str
     modulus: int
     residual: tuple  # ((name, weight mod r), ...) over the other generators
@@ -125,10 +120,7 @@ def hcf_degrees(ring: GradedRingPresentation) -> int:
     """gcd of the generator weights (= hcf of occupied degrees)."""
     if not ring.generators:
         raise EmptyPresentationError("presentation has no generators")
-    g = 0
-    for w in ring.weights:
-        g = gcd(g, w)
-    return g
+    return gcd(*ring.weights)
 
 
 def veronese(ring: GradedRingPresentation, n: int) -> GradedRingPresentation:
@@ -178,8 +170,6 @@ def root_stack(ring: GradedRingPresentation, s, r: int,
         raise ValueError("root order must be positive")
     if ring.relation is not None:
         raise ShapeError("root adjunction is implemented over free base rings")
-    if isinstance(s, str):
-        s = MultiPoly.variable(ring.generators, s)
     if s.variables != ring.generators:
         raise ArityError("the section must be written in the base generators")
     n = s.weighted_degree(ring.weights)
@@ -208,14 +198,8 @@ def is_well_formed(weights) -> bool:
     weights = tuple(int(w) for w in weights)
     if len(weights) < 2:
         raise ArityError("well-formedness needs at least two weights")
-    for skip in range(len(weights)):
-        g = 0
-        for i, w in enumerate(weights):
-            if i != skip:
-                g = gcd(g, w)
-        if g > 1:
-            return False
-    return True
+    return all(gcd(*weights[:skip], *weights[skip + 1:]) == 1
+               for skip in range(len(weights)))
 
 
 def stacky_decompose(ring: GradedRingPresentation) -> DecompositionReport:
@@ -257,9 +241,7 @@ def stacky_decompose(ring: GradedRingPresentation) -> DecompositionReport:
             f"relation {ring.generators[top]}^2 has no base part F")
     d_top = ring.weights[top]
     assert divisor.weighted_degree(ring.weights[:-1]) == 2 * d_top  # homogeneity
-    d = 0
-    for w in ring.weights[:-1]:
-        d = gcd(d, w)
+    d = gcd(*ring.weights[:-1])
     if d_top % d == 0:
         raise ConditionViolationError(
             "i", f"hcf {d} of the base weights divides the top weight {d_top}")
@@ -275,16 +257,16 @@ def stacky_decompose(ring: GradedRingPresentation) -> DecompositionReport:
     gerbe = d // 2
     rigidification = veronese(ring, gerbe)
     canonical_ring = free_ring(base_names, e, ring.field_order)
-    # Reconstruction cross-check: adjoining a square root of F to the
-    # canonical stack must reproduce the rigidification.
+    # Reconstruction cross-check: a square root of F over the canonical stack
+    # must rebuild the rigidification by position, generators base_names +
+    # (top,) with weights 2*w_i/d = w_i/(d/2), relation up to a scalar.
     rebuilt = root_stack(canonical_ring, divisor, 2,
                          root_name=ring.generators[-1])
-    if not presentations_isomorphic(rebuilt, rigidification):
+    if not presentations_equal(rebuilt, rigidification):
         raise AssertionError(
             "square root of F over the canonical stack does not match the "
             "rigidification; the presentation is inconsistent")
     return DecompositionReport(
-        ring=ring,
         coarse_weights=e,
         rigidification=rigidification,
         gerbe_index=gerbe,
@@ -362,15 +344,9 @@ def wps_singular_strata(weights):
     weights = tuple(int(w) for w in weights)
     if not is_well_formed(weights):
         raise NotWellFormedError(f"weights {weights} are not well formed")
-    found = []
-    indices = range(len(weights))
-    for size in range(1, len(weights) + 1):
-        for subset in itertools.combinations(indices, size):
-            g = 0
-            for i in subset:
-                g = gcd(g, weights[i])
-            if g > 1:
-                found.append((subset, g))
+    subsets = (s for size in range(1, len(weights) + 1)
+               for s in itertools.combinations(range(len(weights)), size))
+    found = [(s, g) for s in subsets if (g := gcd(*(weights[i] for i in s))) > 1]
     maximal = [
         (s, g) for (s, g) in found
         if not any(set(s) < set(t) for (t, _) in found)
@@ -386,38 +362,19 @@ def affine_chart(ring: GradedRingPresentation, name: str) -> ChartPresentation:
     r = ring.weight_of(name)
     residual = tuple(
         (g, w % r) for g, w in zip(ring.generators, ring.weights) if g != name)
-    return ChartPresentation(ring, name, r, residual)
+    return ChartPresentation(name, r, residual)
 
 
 # -- presentation comparison ------------------------------------------------------------
 
 
-def presentations_isomorphic(p: GradedRingPresentation,
-                             q: GradedRingPresentation) -> bool:
-    """Equality up to a weight-preserving renaming of generators, with
-    relations matched up to a nonzero scalar."""
-    if len(p.generators) != len(q.generators):
+def presentations_equal(p: GradedRingPresentation,
+                        q: GradedRingPresentation) -> bool:
+    """Equality by position: the same generators and weights in the same
+    order, relations equal up to a nonzero scalar.  This is how a rebuilt
+    presentation is checked against the one it must reproduce."""
+    if (p.generators, p.weights) != (q.generators, q.weights):
         return False
-    if sorted(p.weights) != sorted(q.weights):
-        return False
-    if (p.relation is None) != (q.relation is None):
-        return False
-    by_weight = {}
-    for g, w in zip(q.generators, q.weights):
-        by_weight.setdefault(w, []).append(g)
-    # all weight-preserving bijections p-generators -> q-generators
-    groups = {}
-    for g, w in zip(p.generators, p.weights):
-        groups.setdefault(w, []).append(g)
-    weight_keys = list(groups)
-    choices = [itertools.permutations(by_weight[w]) for w in weight_keys]
-    for assignment in itertools.product(*choices):
-        mapping = {}
-        for w, perm in zip(weight_keys, assignment):
-            mapping.update(zip(groups[w], perm))
-        if p.relation is None:
-            return True
-        renamed = p.relation.renamed(mapping).permuted(q.generators)
-        if renamed.proportional_to(q.relation) is not None:
-            return True
-    return False
+    if p.relation is None or q.relation is None:
+        return p.relation is q.relation
+    return p.relation.proportional_to(q.relation) is not None

@@ -265,21 +265,6 @@ class MultiPoly:
         pden, nums = _monomial_ints(point, self.terms)
         return _over(sum(c * n for c, n in zip(coeffs, nums)), den * pden)
 
-    def renamed(self, mapping) -> "MultiPoly":
-        """Rename variables via {old: new}; order is preserved."""
-        vs = tuple(mapping.get(v, v) for v in self.variables)
-        return MultiPoly._of(vs, dict(self.terms))
-
-    def permuted(self, new_variables) -> "MultiPoly":
-        """Express over ``new_variables`` (a permutation of self.variables)."""
-        new_variables = tuple(new_variables)
-        if sorted(new_variables) != sorted(self.variables):
-            raise VariableMismatchError(
-                f"{new_variables} is not a permutation of {self.variables}")
-        pos = [self.variables.index(v) for v in new_variables]
-        terms = {tuple(e[p] for p in pos): c for e, c in self.terms.items()}
-        return MultiPoly._of(new_variables, terms)
-
     def lifted(self, new_variables) -> "MultiPoly":
         """Embed into a ring with extra variables (superset, any order)."""
         new_variables = tuple(new_variables)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from stackygit.graded import (
     free_ring,
     hcf_degrees,
     is_well_formed,
-    presentations_isomorphic,
+    presentations_equal,
     rigidify,
     root_stack,
     stacky_decompose,
@@ -82,7 +83,7 @@ class TestRootStack:
         base = free_ring(("I4", "I8", "I12"), (1, 2, 3))
         rooted = root_stack(base, quintic_F(), 2, root_name="I18")
         assert rooted.weights == (2, 4, 6, 9)
-        assert presentations_isomorphic(rooted, veronese(quintic_ring(), 2))
+        assert presentations_equal(rooted, veronese(quintic_ring(), 2))
 
     def test_common_factor_rejected(self):
         base = free_ring(("x0", "x1"), (1, 1))
@@ -107,8 +108,7 @@ class TestRootStack:
 
     def test_first_root_matches_regrade(self):
         base = free_ring(("a", "b", "c"), (1, 2, 3))
-        rooted = root_stack(base, quintic_F().renamed(
-            {"I4": "a", "I8": "b", "I12": "c"}), 1)
+        rooted = root_stack(base, MultiPoly(("a", "b", "c"), quintic_F().terms), 1)
         # t = s eliminates the new generator; the base weights are unchanged
         assert rooted.weights[:3] == base.weights
         assert rooted.weights[3] == 9
@@ -135,6 +135,12 @@ class TestWellFormed:
         assert not is_well_formed((2, 4, 3))
         with pytest.raises(ArityError):
             is_well_formed((5,))
+
+    def test_random_weights_match_the_reference(self):
+        rng = random.Random(27)
+        for _ in range(300):
+            weights = tuple(rng.randint(1, 30) for _ in range(rng.randint(2, 5)))
+            assert is_well_formed(weights) == _well_formed_reference(weights), weights
 
 
 class TestRecognizeAndDecompose:
@@ -213,6 +219,16 @@ class TestStrataAndCharts:
         assert wps_singular_strata((1, 2, 3, 4, 5)) == \
             [((1, 3), 2), ((2,), 3), ((4,), 5)]
 
+    def test_random_strata_match_the_reference(self):
+        rng = random.Random(28)
+        checked = 0
+        while checked < 100:
+            weights = tuple(rng.randint(1, 30) for _ in range(rng.randint(2, 5)))
+            if not _well_formed_reference(weights):
+                continue
+            checked += 1
+            assert wps_singular_strata(weights) == _strata_reference(weights), weights
+
     def test_strata_requires_well_formed(self):
         with pytest.raises(NotWellFormedError):
             wps_singular_strata((2, 4, 6))
@@ -239,21 +255,31 @@ class TestStrataAndCharts:
 
 
 class TestPresentationEquality:
-    def test_name_insensitive(self):
+    def test_compares_by_position(self):
         a = free_ring(("x", "y"), (2, 3))
-        b = free_ring(("u", "v"), (3, 2))
-        assert presentations_isomorphic(a, b)
+        assert presentations_equal(a, free_ring(("x", "y"), (2, 3)))
+        # a renaming or a reordering of the generators is a different
+        # presentation, even where it is an isomorphic ring
+        assert not presentations_equal(a, free_ring(("u", "v"), (2, 3)))
+        assert not presentations_equal(a, free_ring(("y", "x"), (3, 2)))
+        gens = ("a", "t")
+        p = GradedRingPresentation(gens, (2, 3), MultiPoly(gens, {(0, 2): 1, (3, 0): -1}))
+        swapped = GradedRingPresentation(
+            ("t", "a"), (3, 2), MultiPoly(("t", "a"), {(2, 0): 1, (0, 3): -1}))
+        assert not presentations_equal(p, swapped)
+        assert not presentations_equal(p, free_ring(gens, (2, 3)))
 
     def test_relation_scalar(self):
         gens = ("a", "t")
         rel = MultiPoly(gens, {(0, 2): 1, (3, 0): -1})
         p = GradedRingPresentation(gens, (2, 3), rel)
-        q = GradedRingPresentation(("b", "s"), (2, 3),
-                                   MultiPoly(("b", "s"), {(0, 2): -7, (3, 0): 7}))
-        assert presentations_isomorphic(p, q)
+        q = GradedRingPresentation(gens, (2, 3), MultiPoly(gens, {(0, 2): -7, (3, 0): 7}))
+        assert presentations_equal(p, q)
+        r = GradedRingPresentation(gens, (2, 3), MultiPoly(gens, {(0, 2): 1, (3, 0): 1}))
+        assert not presentations_equal(p, r)
 
     def test_weight_mismatch(self):
-        assert not presentations_isomorphic(
+        assert not presentations_equal(
             free_ring("ab", (1, 2)), free_ring("ab", (1, 3)))
 
 
@@ -268,3 +294,22 @@ def _gcd_all(values):
     for v in values:
         g = _gcd(g, v)
     return g
+
+
+def _well_formed_reference(weights):
+    """No n - 1 of the weights share a factor, from pairwise gcds."""
+    return all(_gcd_all(weights[:i] + weights[i + 1:]) == 1 for i in range(len(weights)))
+
+
+def _strata_reference(weights):
+    """The index sets with a common factor g > 1 that no further weight
+    shares a factor with: adding an index only shrinks the gcd, so these
+    are the maximal ones."""
+    n = len(weights)
+    found = []
+    for k in range(1, n + 1):
+        for s in itertools.combinations(range(n), k):
+            g = _gcd_all([weights[i] for i in s])
+            if g > 1 and all(_gcd(g, weights[j]) == 1 for j in range(n) if j not in s):
+                found.append((s, g))
+    return sorted(found)

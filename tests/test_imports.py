@@ -125,3 +125,48 @@ def test_every_public_name_is_used():
     users = {f"{d.name}/{path.name}": ast.parse(path.read_text(encoding="utf-8"))
              for d in (ROOT / "perfbench", ROOT / "scripts") for path in sorted(d.glob("*.py"))}
     assert unread_public_names(trees, users) == []
+
+
+def unread_methods(trees, users, exempt=()):
+    """The methods of the classes in ``trees`` (name -> ast), dunders
+    aside, whose name no other class of ``trees`` defines and that no name
+    or attribute in ``trees`` or ``users`` reads outside their own
+    definition; ``exempt`` holds ``(class, method)`` pairs that are called
+    from outside the package or kept on purpose."""
+    total = total_reads({**trees, **users})
+    methods = [(module, cls.name, node) for module, tree in trees.items()
+               for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, ast.FunctionDef)
+               and not (node.name.startswith("__") and node.name.endswith("__"))]
+    classes_by_name = {}
+    for _, cls, node in methods:
+        classes_by_name.setdefault(node.name, set()).add(cls)
+    return sorted(
+        (module, f"{cls}.{node.name}") for module, cls, node in methods
+        if len(classes_by_name[node.name]) == 1 and (cls, node.name) not in exempt
+        and total.get(node.name, 0) == reads(node).get(node.name, 0))
+
+
+def test_unread_methods_are_found():
+    trees = {"a.py": ast.parse(
+        "class A:\n    def used(self): pass\n    def dead(self): self.dead()\n"
+        "    def shared(self): pass\n    def kept(self): pass\n"
+        "    def __eq__(self, other): pass\n"
+        "class B:\n    def shared(self): pass\n")}
+    users = {"b.py": ast.parse("import a\na.A().used()\n")}
+    assert unread_methods(trees, users, exempt={("A", "kept")}) == [("a.py", "A.dead")]
+
+
+#: argparse calls the parser's overrides; ``PointW.rescaled`` is the tests'
+#: reference for weighted-projective equality, as its docstring says.
+_EXEMPT_METHODS = {("_ArgumentParser", "_get_formatter"), ("_ArgumentParser", "error"),
+                   ("_ArgumentParser", "print_help"), ("PointW", "rescaled")}
+
+
+def test_every_method_is_used():
+    # as for public names, reads from the tests do not count
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SOURCE.glob("*.py"))}
+    users = {f"{d.name}/{path.name}": ast.parse(path.read_text(encoding="utf-8"))
+             for d in (ROOT / "perfbench", ROOT / "scripts") for path in sorted(d.glob("*.py"))}
+    assert unread_methods(trees, users, _EXEMPT_METHODS) == []

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from stackygit import ringspec
 from stackygit.cli import run_command
-from stackygit.cyclotomic import ORDER_CAP, zeta
+from stackygit.cyclotomic import ORDER_CAP, CyclotomicNumber, zeta
 from stackygit.errors import (
     NestingTooDeepError,
     OrderCapExceededError,
@@ -23,9 +23,9 @@ from stackygit.exprparse import (
     form,
     parse_poly,
 )
-from stackygit.graded import presentations_isomorphic
+from stackygit.graded import presentations_equal
 from stackygit.invariants import catalog_ring
-from stackygit.polynomials import MultiPoly
+from stackygit.polynomials import BinaryForm, MultiPoly
 
 
 def test_tetrahedral_quartic():
@@ -90,6 +90,30 @@ def test_arithmetic_error_comes_before_a_later_syntax_error():
     result = run_command(["stabilizer", "zeta(1000) + * x"])
     assert result.status == 3
     assert result.payload["error"]["code"] == "order-cap-exceeded"
+
+
+def test_form_reads_the_degree_off_homogeneous_terms():
+    # the zero form is the degree-0 form 0, whatever its text
+    for text in ("0", "x - x", "0*x^3*y", "(x + y)^2 - x^2 - 2*x*y - y^2"):
+        f = form(text)
+        assert (f.coeffs, str(f)) == (BinaryForm([0]).coeffs, "0"), text
+    assert form("5").coeffs == BinaryForm([5]).coeffs
+    assert form("x^3 + 0*y^2").coeffs == BinaryForm([1, 0, 0, 0]).coeffs
+    assert form("2*y^3 - i*x*y^2").coeffs == BinaryForm([0, 0, -zeta(4), 2]).coeffs
+    for text in ("x^2 + y", "x^2*y + 1", "x - x + x*y + y"):
+        with pytest.raises(ValueError) as err:
+            form(text)
+        assert str(err.value) == f"{text!r} is not homogeneous"
+    # the parser's coefficients are canonical, so the form is built from them
+    # unchecked; the checking constructor gives the same form
+    rng = random.Random(27)
+    for _ in range(60):
+        degree = rng.randint(0, 6)
+        coeffs = [rng.choice((0, 0, 1, -2, 3)) for _ in range(degree + 1)]
+        coeffs[0] = coeffs[0] or 1
+        f = form(str(BinaryForm(coeffs)))
+        assert f.coeffs == BinaryForm(coeffs).coeffs
+        assert all(isinstance(c, CyclotomicNumber) for c in f.coeffs)
 
 
 def test_nesting_bound():
@@ -311,7 +335,7 @@ class TestRingSpec:
                        "cubic-curve", "cubic-surface"):
             ring = catalog_ring(family).ring
             again = ringspec.loads(ringspec.dumps(ring))
-            assert presentations_isomorphic(ring, again)
+            assert presentations_equal(ring, again)
 
     def test_comments_and_blanks(self):
         ring = ringspec.loads(
