@@ -13,7 +13,8 @@ the Python version, whether ``gmpy2`` imports, the git commit of every
 checkout and the result line (the last line of standard output) of every
 run.  It is rewritten after each run, so an interrupted recording keeps the
 runs that finished.  A checkout with local changes (``+dirty``) is refused
-before any run, with exit status 2.
+before any run, with exit status 2; untracked ``BENCH_*.json`` files in
+its root do not count, so recordings can follow each other.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from importlib.util import find_spec
@@ -31,13 +33,13 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from run import cpu_model  # noqa: E402
-
-WORKLOADS = ("klein", "stabilizer", "calibrate", "rings")
+from workloads import WORKLOADS  # noqa: E402
 
 
 def git_commit(path) -> str | None:
     """HEAD of the checkout at ``path``, with ``+dirty`` if it has local
-    changes; None outside a git checkout."""
+    changes; None outside a git checkout.  Untracked ``BENCH_*.json`` files
+    in the checkout's root, which earlier recordings write, do not count."""
     def git(*args):
         return subprocess.run(["git", "-C", str(path), *args],
                               capture_output=True, text=True, timeout=30)
@@ -47,7 +49,9 @@ def git_commit(path) -> str | None:
         return None
     if head.returncode:
         return None
-    return head.stdout.strip() + ("+dirty" if status.stdout.strip() else "")
+    changes = [line for line in status.stdout.splitlines()
+               if not re.fullmatch(r"\?\? BENCH_[^/]*\.json", line)]
+    return head.stdout.strip() + ("+dirty" if changes else "")
 
 
 def environment(checkouts) -> dict:

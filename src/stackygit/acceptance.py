@@ -46,9 +46,9 @@ from .polynomials import BinaryForm
 from .symmetry import (
     NUMBERED_CASES,
     catalog_stabilizer,
-    ground_forms,
     is_stable,
     klein_degree,
+    klein_factors,
     semi_invariance,
 )
 
@@ -175,7 +175,7 @@ SECOND_PARAMS = {
 
 def check_symmetry_catalog() -> CheckResult:
     """All fifteen numbered normal forms: the stated group is the only
-    maximal catalog group (C_n and D_n up to n = 12, T, O, I)."""
+    maximal catalog group (C_n and D_n up to n = deg f, T, O, I)."""
     details = []
     ok = True
     for case in NUMBERED_CASES:
@@ -183,7 +183,7 @@ def check_symmetry_catalog() -> CheckResult:
         if case.param_count:
             param_sets = [case.default_params, SECOND_PARAMS[case.case]]
         for params in param_sets:
-            groups = [c.group for c in catalog_stabilizer(case.build(params), n_max=12)]
+            groups = [c.group for c in catalog_stabilizer(case.build(params))]
             good = groups == [case.group]
             ok &= good
             tag = "" if params is None else f" at params {params}"
@@ -204,8 +204,9 @@ _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # (alpha, beta, gamma) of one factor
 
 def check_klein_suite() -> CheckResult:
     """Klein's generative description, proved for every exponent and
-    parameter.  The factors (x and y for C_n, the ground forms otherwise)
-    are semi-invariant; the pencil members F1^nu1 and F2^nu2 share a
+    parameter, with C_n read like every other group: the factors of
+    :func:`~stackygit.symmetry.klein_factors` (x and y for C_n) are
+    semi-invariant; the pencil members F1^nu1 and F2^nu2 share a
     character, so every lambda*F1^nu1 + mu*F2^nu2 is semi-invariant; and
     :func:`~stackygit.symmetry.klein_degree` gives each factor's degree and
     the pencil degree nu1*d1 = nu2*d2.  A product of semi-invariants is
@@ -215,11 +216,8 @@ def check_klein_suite() -> CheckResult:
     details = []
     ok = True
     for spec in KLEIN_SUITE_GROUPS:
-        if spec.kind == "C":
-            factors, nu1, nu2 = (BinaryForm([1, 0]), BinaryForm([0, 1])), spec.n, spec.n
-        else:
-            gf = ground_forms(spec)
-            factors, (nu1, nu2, _) = gf.forms, gf.nu
+        gf = klein_factors(spec)
+        factors, (nu1, nu2) = gf.forms, gf.nu[:2]
         certs = [semi_invariance(f, spec) for f in factors]
         semi = all(certs)
         shared = all(certs[:2]) and all(

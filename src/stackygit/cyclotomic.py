@@ -66,42 +66,30 @@ def euler_phi(m: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def moebius(m: int) -> int:
-    if m == 1:
-        return 1
-    result, n = 1, m
-    for p in range(2, n + 1):
-        if p * p > n:
-            break
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-    if n > 1:
-        result = -result
-    return result
-
-
-@lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple:
-    """Integer coefficients of Phi_m, ascending: the product of
-    (x^d - 1)^mu(m/d) over the divisors d of m.
+    """Integer coefficients of Phi_m, ascending: x^m - 1 divided exactly by
+    Phi_d for each proper divisor d of m, by monic long division.  Its
+    length is phi(m) + 1 (:func:`euler_phi`), and its coefficient of
+    x^(phi(m) - 1) is -mu(m), minus the sum of the primitive m-th roots of
+    unity.
 
     >>> cyclotomic_polynomial(12)
     (1, 0, -1, 0, 1)
     """
     if m < 1:
         raise ValueError("order must be positive")
-    poly = [1]
-    for d in range(1, m + 1):  # times x^d - 1: a shift and a subtract
-        if m % d == 0 and moebius(m // d) == 1:
-            poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
-    for d in range(1, m + 1):  # divide by x^d - 1, exactly
-        if m % d == 0 and moebius(m // d) == -1:
-            poly = [-c for c in poly[:-d]]
-            for k in range(d, len(poly)):
-                poly[k] += poly[k - d]
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            divisor = cyclotomic_polynomial(d)
+            k = len(divisor) - 1
+            quotient = [0] * (len(poly) - k)
+            for i in reversed(range(len(quotient))):
+                q = quotient[i] = poly[i + k]
+                if q:
+                    for j, c in enumerate(divisor):
+                        poly[i + j] -= q * c
+            poly = quotient
     return tuple(poly)
 
 
@@ -413,7 +401,7 @@ class CyclotomicNumber:
             for k, c in enumerate(self.coords):
                 if c:
                     d = m // gcd(m, k)
-                    tr += QQ(c * moebius(d), euler_phi(d))
+                    tr += QQ(-c * cyclotomic_polynomial(d)[-2], euler_phi(d))
             _set_hash(self, hash(tr / self.den))
             return self._hash
 

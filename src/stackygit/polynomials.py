@@ -366,14 +366,6 @@ class BinaryForm:
     def __setattr__(self, *a):
         raise AttributeError("BinaryForm is immutable")
 
-    @staticmethod
-    def from_dict(degree: int, entries) -> "BinaryForm":
-        """Build from {i: a_i} where a_i multiplies x^(d-i) y^i."""
-        coeffs = [0] * (degree + 1)
-        for i, c in entries.items():
-            coeffs[i] = c
-        return BinaryForm(coeffs)
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1

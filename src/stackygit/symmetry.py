@@ -6,11 +6,13 @@ a character.  :func:`semi_invariance` decides it from the coefficients for
 the monomial generators (all of C_n and D_n, and all but one of T, O and
 I) and by substitution for the one generator of T, O and I with no zero
 entry.  Klein's generative description produces all semi-invariants of a
-group from its ground forms, and :func:`klein_generate` is the one place
-it is stated.  The classification of quartics, quintics and sextics with
-extra symmetry is a catalog of normal forms keyed by the traditional Roman
-numerals; each entry is Klein data (exponents and pencil pairs) that
-:func:`klein_generate` expands.
+group from its factors: :func:`klein_factors` holds Klein's data (x and y
+for C_n, the ground forms otherwise, with the exponents nu_i), and
+:func:`klein_generate`, :func:`klein_degree`, :func:`ground_forms` and
+criterion 6 of the acceptance suite read it.  The classification of
+quartics, quintics and sextics with extra symmetry is a catalog of normal
+forms keyed by the traditional Roman numerals; each entry is Klein data
+(exponents and pencil pairs) that :func:`klein_generate` expands.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ class SemiInvarianceCertificate:
 @dataclass(frozen=True)
 class GroundFormSet:
     group: GroupSpec
-    forms: tuple  # (F1, F2, F3)
+    forms: tuple  # (x, y) for C_n, (F1, F2, F3) otherwise
     nu: tuple     # nu_i = |G| / (2 deg F_i)
 
 
@@ -170,21 +172,19 @@ def catalog_stabilizer(f: BinaryForm, n_max: int | None = None):
 
 
 @lru_cache(maxsize=None)
-def ground_forms(spec: GroupSpec) -> GroundFormSet:
-    """The three forms cutting the sub-generic orbits, with nu_i.
+def klein_factors(spec: GroupSpec) -> GroundFormSet:
+    """Klein's data for the group: the factors F_i and nu_i.
 
-    For D_n: x^n + y^n, x^n - y^n, xy.  The tetrahedral, octahedral and
-    icosahedral triples are the classical ones over Q(i), Q, and Q(zeta_5).
+    For C_n: x and y.  For D_n: x^n + y^n, x^n - y^n, xy.  The tetrahedral,
+    octahedral and icosahedral triples are the classical ones over Q(i), Q,
+    and Q(zeta_5).  nu_i = |G| / (2 deg F_i), so nu = (n, n) for C_n.
     """
+    x, y = BinaryForm([1, 0]), BinaryForm([0, 1])
     if spec.kind == "C":
-        raise NoGroundFormsError("cyclic groups have no ground-form triple")
-    if spec.kind == "D":
+        forms = (x, y)
+    elif spec.kind == "D":
         n = spec.n
-        forms = (
-            BinaryForm.from_dict(n, {0: 1, n: 1}),
-            BinaryForm.from_dict(n, {0: 1, n: -1}),
-            form("x*y"),
-        )
+        forms = (x ** n + y ** n, x ** n - y ** n, x * y)
     elif spec.kind == "T":
         forms = (
             form("x^4 + 2*sqrtm3*x^2*y^2 + y^4"),
@@ -208,22 +208,27 @@ def ground_forms(spec: GroupSpec) -> GroundFormSet:
     return GroundFormSet(spec, forms, nu)
 
 
+def ground_forms(spec: GroupSpec) -> GroundFormSet:
+    """The three forms cutting the sub-generic orbits, with nu_i: the
+    :func:`klein_factors` of every group but C_n, which has no triple."""
+    if spec.kind == "C":
+        raise NoGroundFormsError("cyclic groups have no ground-form triple")
+    return klein_factors(spec)
+
+
 def klein_degree(spec: GroupSpec, alpha: int, beta: int, gamma: int, count: int) -> int:
     """Degree of :func:`klein_generate`'s form with ``count`` parameter pairs."""
-    if spec.kind == "C":
-        return alpha + beta + count * spec.n
-    d1, d2, d3 = (g.degree for g in ground_forms(spec).forms)
-    return alpha * d1 + beta * d2 + gamma * d3 + count * spec.order // 2
+    gf = klein_factors(spec)
+    return (sum(e * f.degree for e, f in zip((alpha, beta, gamma), gf.forms))
+            + count * gf.nu[0] * gf.forms[0].degree)
 
 
 def klein_generate(spec: GroupSpec, alpha: int, beta: int, gamma: int, params=()) -> BinaryForm:
-    """The general semi-invariant of the group, expanded.
-
-    Cyclic groups: x^alpha y^beta prod_i (lambda_i x^n + mu_i y^n), with
-    gamma ignored.  Other groups: F1^alpha F2^beta F3^gamma
-    prod_i (lambda_i F1^nu1 + mu_i F2^nu2).  A negative exponent raises
-    ValueError and a degree above
-    :data:`~stackygit.polynomials.MAX_PROFILE_DEGREE` raises
+    """The general semi-invariant of the group, expanded:
+    F1^alpha F2^beta F3^gamma prod_i (lambda_i F1^nu1 + mu_i F2^nu2) over
+    the :func:`klein_factors`.  C_n has the two factors x and y, so gamma
+    is ignored there.  A negative exponent raises ValueError and a degree
+    above :data:`~stackygit.polynomials.MAX_PROFILE_DEGREE` raises
     DegreeTooLargeError, both before any product is formed.
     """
     if min(alpha, beta, gamma) < 0:
@@ -235,17 +240,15 @@ def klein_generate(spec: GroupSpec, alpha: int, beta: int, gamma: int, params=()
     if degree > MAX_PROFILE_DEGREE:
         raise DegreeTooLargeError(
             f"degree {degree} exceeds the bound {MAX_PROFILE_DEGREE}")
-    if spec.kind == "C":
-        n = spec.n
-        result = BinaryForm.from_dict(alpha + beta, {beta: 1})
+    gf = klein_factors(spec)
+    f1, f2 = gf.forms[:2]
+    result = f1 ** alpha * f2 ** beta
+    if len(gf.forms) == 3:
+        result = result * gf.forms[2] ** gamma
+    if params:
+        p1, p2 = f1 ** gf.nu[0], f2 ** gf.nu[1]
         for lam, mu in params:
-            result = result * BinaryForm.from_dict(n, {0: lam, n: mu})
-        return result
-    gf = ground_forms(spec)
-    f1, f2, f3 = gf.forms
-    result = f1 ** alpha * f2 ** beta * f3 ** gamma
-    for lam, mu in params:
-        result = result * (lam * f1 ** gf.nu[0] + mu * f2 ** gf.nu[1])
+            result = result * (lam * p1 + mu * p2)
     return result
 
 

@@ -89,7 +89,7 @@ def test_klein_suite_fails_on_a_refuted_factor(monkeypatch):
     # the same form under O is still certified
     original = acceptance.semi_invariance
     t = GroupSpec("T")
-    third = acceptance.ground_forms(t).forms[2]
+    third = acceptance.klein_factors(t).forms[2]
 
     def refute(f, spec):
         return None if spec == t and f == third else original(f, spec)
@@ -106,14 +106,14 @@ def test_klein_suite_fails_on_a_refuted_factor(monkeypatch):
 def test_klein_suite_fails_on_a_wrong_nu(monkeypatch):
     # with nu1 = 2 for T, chi1^2 is a primitive cube root of unity on the
     # third generator while chi2^3 = 1, and 2*4 is not the pencil degree
-    original = acceptance.ground_forms
+    original = acceptance.klein_factors
     t = GroupSpec("T")
 
     def wrong_nu(spec):
         gf = original(spec)
         return dataclasses.replace(gf, nu=(2,) + gf.nu[1:]) if spec == t else gf
 
-    monkeypatch.setattr(acceptance, "ground_forms", wrong_nu)
+    monkeypatch.setattr(acceptance, "klein_factors", wrong_nu)
     result = check_klein_suite()
     assert not result.passed
     failing = [line for line in result.details if "False" in line]
@@ -121,6 +121,26 @@ def test_klein_suite_fails_on_a_wrong_nu(monkeypatch):
         "T: factors of degrees 4, 4, 6 semi-invariant: True; chi1^2 == chi2^3 on every "
         "generator: False; klein_degree additive, pencil degree 2*4 == 3*4 == 12: False"]
 
+
+
+def test_klein_suite_reads_c_n_from_the_table(monkeypatch):
+    # C3 comes from the same klein_factors table as every other group: a
+    # wrong nu there fails the C3 line only, since chi1^2 != chi2^3 on the
+    # generator and 2*1 is not the pencil degree 3
+    original = acceptance.klein_factors
+    c3 = GroupSpec("C", 3)
+
+    def wrong_nu(spec):
+        gf = original(spec)
+        return dataclasses.replace(gf, nu=(2,) + gf.nu[1:]) if spec == c3 else gf
+
+    monkeypatch.setattr(acceptance, "klein_factors", wrong_nu)
+    result = check_klein_suite()
+    assert not result.passed
+    failing = [line for line in result.details if "False" in line]
+    assert failing == [
+        "C3: factors of degrees 1, 1 semi-invariant: True; chi1^2 == chi2^3 on every "
+        "generator: False; klein_degree additive, pencil degree 2*1 == 3*1 == 3: False"]
 
 def test_symmetry_criterion_reads_catalog_stabilizer(monkeypatch):
     # an extra maximal group for one case fails criterion 5 for that case only

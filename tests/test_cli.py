@@ -158,6 +158,12 @@ def test_ground_forms():
     assert [f["nu"] for f in result.payload["forms"]] == [5, 3, 2]
 
 
+def test_ground_forms_of_a_cyclic_group_are_refused():
+    result = run_command(["ground-forms", "C4"])
+    assert result.status == 2
+    assert result.payload["error"]["code"] == "no-ground-forms"
+    assert result.payload["error"]["message"] == "cyclic groups have no ground-form triple"
+
 def test_klein():
     result = run_command(["klein", "D3", "0", "0", "0", "2:3"])
     assert result.status == 0

@@ -14,7 +14,6 @@ from stackygit.cyclotomic import (
     cyclotomic_polynomial,
     euler_phi,
     imag_unit,
-    moebius,
     sqrt2,
     sqrt5,
     sqrt_minus3,
@@ -35,9 +34,41 @@ def random_value(rng, order):
     )
 
 
+def _mu(m):
+    """Reference Moebius function by trial division."""
+    result, p = 1, 2
+    while m > 1:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return result
+
+
 def test_phi_and_moebius():
+    # phi(m) is the degree of Phi_m and -mu(m) its coefficient of x^(phi - 1)
     assert [euler_phi(m) for m in (1, 2, 3, 4, 8, 12, 40)] == [1, 1, 2, 2, 4, 4, 16]
-    assert [moebius(m) for m in (1, 2, 4, 6, 30)] == [1, -1, 0, 1, -1]
+    assert [-cyclotomic_polynomial(m)[-2] for m in (1, 2, 4, 6, 30)] == [1, -1, 0, 1, -1]
+
+
+def test_cyclotomic_polynomials_match_the_moebius_product():
+    # Phi_m = prod over d | m of (x^d - 1)^mu(m/d), up to m = 240
+    for m in range(1, 241):
+        poly = [1]
+        for d in range(1, m + 1):
+            if m % d == 0 and _mu(m // d) == 1:
+                poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
+        for d in range(1, m + 1):
+            if m % d == 0 and _mu(m // d) == -1:  # divide by x^d - 1
+                poly = [-c for c in poly[:-d]]
+                for k in range(d, len(poly)):
+                    poly[k] += poly[k - d]
+        assert cyclotomic_polynomial(m) == tuple(poly), m
+        assert -cyclotomic_polynomial(m)[-2] == _mu(m), m
+    # the first cyclotomic polynomial with a coefficient outside {-1, 0, 1}
+    assert min(cyclotomic_polynomial(105)) == -2 == cyclotomic_polynomial(105)[7]
 
 
 def test_cyclotomic_polynomials():

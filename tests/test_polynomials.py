@@ -316,7 +316,7 @@ class TestBinaryForm:
 
     def test_profile_root_at_infinity(self):
         # y^2 * (x^3 + y^3): the (1:0) root comes from leading zeros
-        f = BinaryForm.from_dict(5, {2: 1, 5: 1})
+        f = BinaryForm([0, 0, 1, 0, 0, 1])
         assert f.multiplicity_profile() == (1, 1, 1, 2)
 
 

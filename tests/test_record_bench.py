@@ -35,7 +35,7 @@ def test_dirty_checkouts_are_refused_before_any_run(tmp_path, monkeypatch, capsy
     env = dict(os.environ, GIT_AUTHOR_NAME="t", GIT_AUTHOR_EMAIL="t@example.org",
                GIT_COMMITTER_NAME="t", GIT_COMMITTER_EMAIL="t@example.org")
     repos = {}
-    for name in ("clean", "edited", "untracked"):
+    for name in ("clean", "edited", "untracked", "recorded"):
         repo = tmp_path / name
         repo.mkdir()
         (repo / "a.txt").write_text("a\n")
@@ -44,6 +44,7 @@ def test_dirty_checkouts_are_refused_before_any_run(tmp_path, monkeypatch, capsy
         repos[name] = repo
     (repos["edited"] / "a.txt").write_text("b\n")
     (repos["untracked"] / "b.txt").write_text("b\n")
+    (repos["recorded"] / "BENCH_x.json").write_text("{}\n")  # an earlier recording
 
     def no_run(*args):
         raise AssertionError("a benchmark ran")
@@ -57,4 +58,5 @@ def test_dirty_checkouts_are_refused_before_any_run(tmp_path, monkeypatch, capsy
     assert f"edited ({repos['edited']})" in err
     assert f"untracked ({repos['untracked']})" in err
     assert f"clean ({repos['clean']})" not in err
+    assert f"recorded ({repos['recorded']})" not in err and "BENCH_x.json" not in err
     assert not (ROOT / f"BENCH_{tag}.json").exists()

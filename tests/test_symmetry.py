@@ -5,7 +5,7 @@ from math import prod
 import pytest
 
 from stackygit.acceptance import SECOND_PARAMS
-from stackygit.cyclotomic import zeta
+from stackygit.cyclotomic import QQ, as_cyclotomic, zeta
 from stackygit.errors import (
     InfiniteStabilizerError,
     NoGroundFormsError,
@@ -24,6 +24,7 @@ from stackygit.symmetry import (
     ground_forms,
     has_finite_stabilizer,
     is_stable,
+    klein_degree,
     klein_generate,
     semi_invariance,
 )
@@ -249,6 +250,48 @@ class TestKlein:
                 expected = (alpha * degs[0] + beta * degs[1] + gamma * degs[2]
                             + len(params) * spec.order // 2)
             assert f.degree == expected
+
+
+    def test_cyclic_outputs_match_a_dense_expansion(self):
+        # x^alpha y^beta prod (lambda x^n + mu y^n), expanded coefficient by
+        # coefficient (index i multiplies x^(d-i) y^i); gamma is ignored
+        def draw(rng, m):  # a + b*zeta_m over Q(zeta_m), m in (1, 4, 3)
+            a, b = (QQ(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2))
+            return as_cyclotomic(a) + b * zeta(m) if m > 1 else as_cyclotomic(a)
+
+        rng = random.Random(2801)
+        for n in range(1, 9):
+            for _ in range(12):
+                alpha, beta, gamma = (rng.randint(0, 3) for _ in range(3))
+                m = rng.choice((1, 4, 3))
+                params, count = [], rng.randint(0, 2)
+                while len(params) < count:
+                    lam, mu = draw(rng, m), draw(rng, m)
+                    if lam or mu:
+                        params.append((lam, mu))
+                expected = [as_cyclotomic(0)] * (alpha + beta + 1)
+                expected[beta] = as_cyclotomic(1)
+                for lam, mu in params:
+                    out = [as_cyclotomic(0)] * (len(expected) + n)
+                    for i, a in enumerate(expected):
+                        out[i] = out[i] + a * lam
+                        out[i + n] = out[i + n] + a * mu
+                    expected = out
+                f = klein_generate(GroupSpec("C", n), alpha, beta, gamma, params)
+                assert f == BinaryForm(expected), (n, alpha, beta, params)
+                assert [(c.order, c.coords, c.den) for c in f.coeffs] == \
+                    [(c.order, c.coords, c.den) for c in expected], (n, alpha, beta, params)
+
+    @pytest.mark.parametrize("label", ["C1", "C4", "D2", "D5", "T", "O", "I"])
+    def test_klein_degree_is_the_built_degree(self, label):
+        spec = GroupSpec.parse(label)
+        rng = random.Random(2802)
+        for _ in range(8):
+            cap = 1 if spec.kind in ("O", "I") else 3
+            exponents = [rng.randint(0, cap) for _ in range(3)]
+            params = [(rng.randint(1, 4), rng.randint(-4, 4)) for _ in range(rng.randint(0, 1))]
+            f = klein_generate(spec, *exponents, params)
+            assert klein_degree(spec, *exponents, len(params)) == f.degree
 
 
 class TestStability:
