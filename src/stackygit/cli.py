@@ -297,7 +297,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 @cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
-        prog="stackygit",
+        prog="stackygit", allow_abbrev=False,
         description="Exact stack structures on GIT quotients of graded rings.")
     parser.add_argument("--json", action="store_true",
                         help="emit the JSON payload instead of markdown")

@@ -32,7 +32,7 @@ class SL2Matrix:
     def __post_init__(self):
         for field in "abcd":
             object.__setattr__(self, field, as_cyclotomic(getattr(self, field)))
-        if self.a * self.d - self.b * self.c != 1:
+        if self.det() != 1:
             raise ValueError(f"determinant of {self} is not 1")
 
     def det(self) -> CyclotomicNumber:

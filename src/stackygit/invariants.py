@@ -53,8 +53,6 @@ from .graded import GradedRingPresentation, PointW
 from .polynomials import BinaryForm, MultiPoly, _exact_quotients, _subresultants
 from .symmetry import is_stable
 
-FAMILIES = ("quartic", "quintic", "sextic", "cubic-curve", "cubic-surface")
-
 SEXTIC_REPAIR_NOTE = (
     "entry a33: first term taken as (1/2)*I4*I10 (degree 14); the printed "
     "(1/2)*I6*I10 has degree 16 and would make the determinant inhomogeneous "
@@ -124,42 +122,40 @@ def sextic_F() -> MultiPoly:
     return 2 * det
 
 
+def _cubic_surface_F() -> MultiPoly:
+    """The placeholder I40^5 of :data:`CUBIC_SURFACE_NOTE`, degree 200."""
+    return MultiPoly(("I8", "I16", "I24", "I32", "I40"), {(0, 0, 0, 0, 5): 1})
+
+
+#: family: (generators, weights, F builder or None, source, notes); a family
+#: with an F has the two-sheeted relation t^2 - F in its last generator t.
+_CATALOG = {
+    "quartic": (("I2", "I3"), (2, 3), None, "invariants of binary quartics", ()),
+    "quintic": (("I4", "I8", "I12", "I18"), (4, 8, 12, 18), quintic_F,
+                "invariants of binary quintics", ()),
+    "sextic": (("I2", "I4", "I6", "I10", "I15"), (2, 4, 6, 10, 15), sextic_F,
+               "invariants of binary sextics", (SEXTIC_REPAIR_NOTE,)),
+    "cubic-curve": (("I4", "I6"), (4, 6), None, "invariants of plane cubic curves", ()),
+    "cubic-surface": (("I8", "I16", "I24", "I32", "I40", "I100"), (8, 16, 24, 32, 40, 100),
+                      _cubic_surface_F, "invariants of cubic surfaces", (CUBIC_SURFACE_NOTE,)),
+}
+
+FAMILIES = tuple(_CATALOG)
+
+
 @lru_cache(maxsize=None)
 def catalog_ring(family: str) -> InvariantCatalogEntry:
     """The invariant-ring presentation of a catalog family."""
-    if family == "quartic":
-        ring = GradedRingPresentation(("I2", "I3"), (2, 3))
-        return InvariantCatalogEntry(family, ring, None,
-                                     "invariants of binary quartics")
-    if family == "cubic-curve":
-        ring = GradedRingPresentation(("I4", "I6"), (4, 6))
-        return InvariantCatalogEntry(family, ring, None,
-                                     "invariants of plane cubic curves")
-    if family == "quintic":
-        F = quintic_F()
-        gens = ("I4", "I8", "I12", "I18")
-        rel = MultiPoly(gens, {(0, 0, 0, 2): 1}) - F.lifted(gens)
-        ring = GradedRingPresentation(gens, (4, 8, 12, 18), rel)
-        return InvariantCatalogEntry(family, ring, F,
-                                     "invariants of binary quintics")
-    if family == "sextic":
-        F = sextic_F()
-        gens = ("I2", "I4", "I6", "I10", "I15")
-        rel = MultiPoly(gens, {(0, 0, 0, 0, 2): 1}) - F.lifted(gens)
-        ring = GradedRingPresentation(gens, (2, 4, 6, 10, 15), rel)
-        return InvariantCatalogEntry(family, ring, F,
-                                     "invariants of binary sextics",
-                                     notes=(SEXTIC_REPAIR_NOTE,))
-    if family == "cubic-surface":
-        gens = ("I8", "I16", "I24", "I32", "I40", "I100")
-        F = MultiPoly(gens[:-1], {(0, 0, 0, 0, 5): 1})  # placeholder, degree 200
-        rel = MultiPoly(gens, {(0, 0, 0, 0, 0, 2): 1}) - F.lifted(gens)
-        ring = GradedRingPresentation(gens, (8, 16, 24, 32, 40, 100), rel)
-        return InvariantCatalogEntry(family, ring, F,
-                                     "invariants of cubic surfaces",
-                                     notes=(CUBIC_SURFACE_NOTE,))
-    raise UnknownFamilyError(
-        f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    if family not in _CATALOG:
+        raise UnknownFamilyError(
+            f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    gens, weights, build_F, source, notes = _CATALOG[family]
+    F = relation = None
+    if build_F:
+        F = build_F()
+        relation = MultiPoly(gens, {(0,) * (len(gens) - 1) + (2,): 1}) - F.lifted(gens)
+    ring = GradedRingPresentation(gens, weights, relation)
+    return InvariantCatalogEntry(family, ring, F, source, notes)
 
 
 # -- quartic invariants -----------------------------------------------------------

@@ -232,16 +232,8 @@ class MultiPoly:
 
     def partial(self, i: int) -> "MultiPoly":
         i = range(len(self.variables))[i]
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
-                s = terms.get(e2, _ZERO) + c * e[i]
-                if s:
-                    terms[e2] = s
-                elif e2 in terms:
-                    del terms[e2]
-        return MultiPoly._of(self.variables, terms)
+        return MultiPoly._of(self.variables, {
+            e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in self.terms.items() if e[i]})
 
     def partials(self):
         """Partial derivatives in variable order."""

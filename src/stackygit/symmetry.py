@@ -2,17 +2,18 @@
 
 A form is semi-invariant under a group when every generator carries it to
 an exact scalar multiple of itself; the scalars extend multiplicatively to
-a character.  :func:`semi_invariance` decides it from the coefficients for
-the monomial generators (all of C_n and D_n, and all but one of T, O and
-I) and by substitution for the one generator of T, O and I with no zero
-entry.  Klein's generative description produces all semi-invariants of a
-group from its factors: :func:`klein_factors` holds Klein's data (x and y
-for C_n, the ground forms otherwise, with the exponents nu_i), and
-:func:`klein_generate`, :func:`klein_degree`, :func:`ground_forms` and
-criterion 6 of the acceptance suite read it.  The classification of
-quartics, quintics and sextics with extra symmetry is a catalog of normal
-forms keyed by the traditional Roman numerals; each entry is Klein data
-(exponents and pencil pairs) that :func:`klein_generate` expands.
+a character.  :func:`semi_invariance` decides the monomial generators (all
+of C_n and D_n, and all but one of T, O and I) by two coefficient rules,
+checked once for the group they generate with -1, and substitutes the one
+generator of T, O and I with no zero entry.  Klein's generative
+description produces all semi-invariants of a group from its factors:
+:func:`klein_factors` holds Klein's data (x and y for C_n, the ground
+forms otherwise, with the exponents nu_i), and :func:`klein_generate`,
+:func:`klein_degree`, :func:`ground_forms` and criterion 6 of the
+acceptance suite read it.  The classification of quartics, quintics and
+sextics with extra symmetry is a catalog of normal forms keyed by the
+traditional Roman numerals; each entry is Klein data (exponents and pencil
+pairs) that :func:`klein_generate` expands.
 """
 
 from __future__ import annotations
@@ -44,45 +45,50 @@ class SemiInvarianceCertificate:
 
 @dataclass(frozen=True)
 class GroundFormSet:
-    group: GroupSpec
     forms: tuple  # (x, y) for C_n, (F1, F2, F3) otherwise
     nu: tuple     # nu_i = |G| / (2 deg F_i)
+
+
+#: The group that each polyhedral group's monomial generators generate
+#: together with -1, in the standard embeddings.
+POLYHEDRAL_SUBGROUPS = {
+    GroupSpec("T"): GroupSpec("D", 2),
+    GroupSpec("O"): GroupSpec("D", 4),
+    GroupSpec("I"): GroupSpec("C", 5),
+}
 
 
 def semi_invariance(f: BinaryForm, spec: GroupSpec):
     """Certificate with one exact scalar per generator, or None.
 
-    Monomial generators are decided from the coefficients.  diag(u, u^-1)
-    scales a_i by u^(d-2i): the support rule asks u^(2g) = 1, g the gcd of
-    the support-index differences, and the scalar is u^(d-2i) at the
-    first support index i.  [[0, w], [w, 0]] sends f(x, y) to w^d f(y, x):
-    the reversal rule asks the reversed coefficients to be proportional to
-    f, and the scalar is w^d a_(d-i) / a_i.  For C_n and D_n every
-    generator is monomial, and both rules run before zeta_2n is built, the
-    support rule on n (zeta_2n^(2g) = 1 iff n divides g).  Each scalar is
-    a_i times its factor over a_i: substitution acts on a monomial matrix
-    term by term, so the scalar is stored as
-    ``f.substitute(m).proportional_to(f)`` stores it.  Only the generators
-    with four nonzero entries are substituted: one each of T, O and I.
+    The monomial generators are decided by two coefficient rules, checked
+    once, before any generator is built, for the group they generate with
+    -1: the group itself for C_n and D_n, its :data:`POLYHEDRAL_SUBGROUPS`
+    entry for T, O and I.  -1 scales every form by (-1)^d, so it adds no
+    condition.  diag(u, u^-1) scales a_i by u^(d-2i): the support rule asks
+    u^(2g) = 1, g the gcd of the support-index differences, which for the
+    generator zeta_2n of C_n and D_n means that n divides g.
+    [[0, w], [w, 0]] sends f(x, y) to w^d f(y, x): D_n adds the reversal
+    rule, that the reversed coefficients are proportional to f.  A form
+    that passes both has the scalar u^(d-2i), or w^d a_(d-i) / a_i, at the
+    first support index i, stored as a_i times its factor over a_i, as
+    ``f.substitute(m).proportional_to(f)`` stores it (substitution acts on
+    a monomial matrix term by term).  Only the generators with four nonzero
+    entries are substituted: one each of T, O and I.
     """
     if f.is_zero():
         raise ZeroFormError("the zero form is semi-invariant under everything")
-    g = _support_gcd(f)
-    if spec.kind in ("C", "D"):
-        if g % spec.n or spec.kind == "D" and not _reverses(f):
-            return None
-        return SemiInvarianceCertificate(
-            spec, tuple(_monomial_scalar(f, m) for m in group_generators(spec)))
+    sub = POLYHEDRAL_SUBGROUPS.get(spec, spec)
+    if _support_gcd(f) % sub.n or sub.kind == "D" and not _reverses(f):
+        return None
     scalars = []
     for m in group_generators(spec):
-        if not (m.b or m.c):
-            lam = _monomial_scalar(f, m) if m.a ** (2 * g) == 1 else None
-        elif not (m.a or m.d) and m.b == m.c:
-            lam = _monomial_scalar(f, m) if _reverses(f) else None
-        else:
+        if m.a and m.b:  # four nonzero entries; the others are monomial
             lam = f.substitute(m).proportional_to(f)
-        if lam is None:
-            return None
+            if lam is None:
+                return None
+        else:
+            lam = _monomial_scalar(f, m)
         scalars.append(lam)
     return SemiInvarianceCertificate(spec, tuple(scalars))
 
@@ -122,33 +128,21 @@ def has_finite_stabilizer(f: BinaryForm) -> bool:
     return f.distinct_root_count() >= 3
 
 
-#: A subgroup of each polyhedral group in the standard embeddings: f can be
-#: semi-invariant under T, O or I only if it is under this subgroup.
-POLYHEDRAL_SUBGROUPS = {
-    GroupSpec("T"): GroupSpec("D", 2),
-    GroupSpec("O"): GroupSpec("D", 4),
-    GroupSpec("I"): GroupSpec("C", 5),
-}
-
-
 def catalog_stabilizer(f: BinaryForm, n_max: int | None = None):
     """Certificates of the maximal catalog groups under which f is
     semi-invariant, ordered by group order, then label.
 
-    Candidates are C_n and D_n for n <= n_max (default: deg f) plus T, O,
-    I; each is certified once by :func:`semi_invariance`, and maximality is
-    with respect to literal containment of the standard matrix groups.
+    Candidates are C_n and D_n for n <= n_max (default: deg f) whose n
+    divides g, the gcd of the support-index differences, plus the T, O and
+    I whose :data:`POLYHEDRAL_SUBGROUPS` entry's n divides g: the support
+    rule of :func:`semi_invariance` refutes every other group.  Each is
+    certified once by :func:`semi_invariance`, and maximality is with
+    respect to literal containment of the standard matrix groups.
     Conjugate copies are out of scope: the catalog's normal forms realize
     their stabilizers in the standard embeddings.  An ``n_max`` below 1
-    raises ValueError: every form is fixed by C_1.
-
-    By the support rule of :func:`semi_invariance`, only the C_n and D_n
-    whose n divides g, the gcd of the support-index differences, can pass,
-    so only those are tried; g is at least 1 and at most deg f because
-    three distinct roots need two support indices, so the work is bounded
-    by the degree however large ``n_max`` is.  T, O and I contain D_2, D_4
-    and C_5 in the standard embeddings, so each is tried only when its
-    subgroup's certificate exists.
+    raises ValueError: every form is fixed by C_1.  Three distinct roots
+    need two support indices, so g is at least 1 and at most deg f, and the
+    work is bounded by the degree however large ``n_max`` is.
     """
     if n_max is not None and n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
@@ -158,12 +152,11 @@ def catalog_stabilizer(f: BinaryForm, n_max: int | None = None):
     if n_max is None:
         n_max = max(f.degree, 1)
     g = _support_gcd(f)
-    certs = {spec: semi_invariance(f, spec) for spec in (
-        GroupSpec(kind, n) for kind in "CD" for n in range(1, min(g, n_max) + 1) if g % n == 0)}
-    for big, sub in POLYHEDRAL_SUBGROUPS.items():
-        if g % sub.n == 0 and (certs[sub] if sub in certs else semi_invariance(f, sub)):
-            certs[big] = semi_invariance(f, big)
-    passing = [c for c in certs.values() if c is not None]
+    candidates = [GroupSpec(kind, n) for kind in "CD"
+                  for n in range(1, min(g, n_max) + 1) if g % n == 0]
+    candidates += [big for big, sub in POLYHEDRAL_SUBGROUPS.items() if g % sub.n == 0]
+    certs = (semi_invariance(f, spec) for spec in candidates)
+    passing = [c for c in certs if c is not None]
     maximal = [
         c for c in passing
         if not any(d.group != c.group and group_contains(d.group, c.group) for d in passing)
@@ -205,7 +198,7 @@ def klein_factors(spec: GroupSpec) -> GroundFormSet:
                  " - 10005*(x^20*y^10 + x^10*y^20)"),
         )
     nu = tuple(spec.order // (2 * g.degree) for g in forms)
-    return GroundFormSet(spec, forms, nu)
+    return GroundFormSet(forms, nu)
 
 
 def ground_forms(spec: GroupSpec) -> GroundFormSet:

@@ -546,6 +546,19 @@ def test_main_prints_json_or_markdown_and_returns_the_status(capsys):
     assert capsys.readouterr().out == run_command(["verify-all", "--seed", "x"]).markdown
 
 
+def test_the_json_flag_takes_no_abbreviation(capsys):
+    # main looks for the literal --json, so the top-level parser refuses
+    # its prefixes; the subcommands' options keep their abbreviations
+    result = run_command(["--js", "catalog", "quartic"])
+    assert (result.status, result.payload["error"]["code"]) == (2, "usage")
+    assert result.payload["error"]["message"] == \
+        "stackygit: error: unrecognized arguments: --js"
+    assert main(["--js", "catalog", "quartic"]) == 2
+    assert capsys.readouterr().out == result.markdown
+    assert run_command(["stabilizer", "x^5 + y^5", "--nm", "8"]).payload["maximal_groups"] \
+        == ["D5"]
+
+
 def test_usage_errors_stay_off_the_streams(capsys):
     result = run_command(["verify-all", "--seed", "x"])
     assert capsys.readouterr() == ("", "")

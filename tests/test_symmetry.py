@@ -14,7 +14,13 @@ from stackygit.errors import (
     ZeroParameterError,
 )
 from stackygit.exprparse import form
-from stackygit.groups import GroupSpec, group_contains, group_generators
+from stackygit.groups import (
+    GroupSpec,
+    SL2Matrix,
+    group_contains,
+    group_elements,
+    group_generators,
+)
 from stackygit.polynomials import BinaryForm
 from stackygit.symmetry import (
     CATALOG,
@@ -186,17 +192,42 @@ class TestSemiInvariance:
             assert semi_invariance(f, GroupSpec(label)) is None
 
 
+    @pytest.mark.parametrize("text", [
+        "x^4*y^2 + x^2*y^4", "x^6*y^2 + x^4*y^4 + x^2*y^6"])
+    def test_octahedral_rules_refute_before_substituting(self, text, monkeypatch):
+        # both pass D2's rules, so T's generator with no zero entry could be
+        # substituted, but D4's support rule refutes them first
+        def refuse(self, m):
+            raise AssertionError("substituted")
+
+        monkeypatch.setattr(BinaryForm, "substitute", refuse)
+        f = form(text)
+        assert semi_invariance(f, GroupSpec("D", 2)) is not None
+        assert semi_invariance(f, GroupSpec("O")) is None
+
+    def test_monomial_generators_are_diagonal_or_symmetric_antidiagonal(self):
+        # _monomial_scalar reads diag(u, u^-1) and [[0, w], [w, 0]] only
+        specs = [GroupSpec(kind, n) for kind in "CD" for n in range(1, 13)]
+        specs += [GroupSpec("T"), GroupSpec("O"), GroupSpec("I")]
+        monomial = [m for spec in specs for m in group_generators(spec)
+                    if not (m.a and m.b and m.c and m.d)]
+        assert len(monomial) == 12 + 24 + 2 + 3 + 1
+        for m in monomial:
+            assert (m.b, m.c) == (0, 0) or (m.a, m.d) == (0, 0) and m.b == m.c, str(m)
+
+
 class TestGroundForms:
     @pytest.mark.parametrize("label, nu", [
         ("D3", (2, 2, 3)), ("D5", (2, 2, 5)),
         ("T", (3, 3, 2)), ("O", (4, 3, 2)), ("I", (5, 3, 2)),
     ])
     def test_nu_values(self, label, nu):
-        gf = ground_forms(GroupSpec.parse(label))
+        spec = GroupSpec.parse(label)
+        gf = ground_forms(spec)
         assert gf.nu == nu
         # integrality: |G| divisible by 2 deg F_i
         for g in gf.forms:
-            assert gf.group.order % (2 * g.degree) == 0
+            assert spec.order % (2 * g.degree) == 0
 
     @pytest.mark.parametrize("label", ["D2", "D4", "D6", "T", "O", "I"])
     def test_ground_forms_semi_invariant(self, label):
@@ -396,6 +427,21 @@ class TestCatalog:
         for big, sub in POLYHEDRAL_SUBGROUPS.items():
             assert group_contains(big, sub)
         assert not group_contains(GroupSpec("I"), GroupSpec("D", 1))
+
+    @pytest.mark.parametrize("label", "TOI")
+    def test_polyhedral_subgroups_are_generated_by_the_monomial_generators(self, label):
+        # with -1, which scales every form by (-1)^d, the monomial
+        # generators of T, O and I generate exactly their subgroup, so the
+        # subgroup's coefficient rules are theirs
+        spec = GroupSpec(label)
+        gens = [m for m in group_generators(spec) if not (m.a and m.b and m.c and m.d)]
+        gens.append(SL2Matrix(-1, 0, 0, -1))
+        closure = {SL2Matrix.identity()}
+        frontier = list(closure)
+        while frontier:
+            frontier = [p for p in {m * g for m in frontier for g in gens} if p not in closure]
+            closure.update(frontier)
+        assert closure == set(group_elements(POLYHEDRAL_SUBGROUPS[spec]))
 
     def test_asymmetric_full_support_form_substitutes_nothing(self, monkeypatch):
         # g = 1 leaves C1 and D1, both decided from the coefficients; the
