@@ -180,7 +180,7 @@ def check_symmetry_catalog() -> CheckResult:
     ok = True
     for case in NUMBERED_CASES:
         param_sets = [None]
-        if case.param_count:
+        if case.default_params:
             param_sets = [case.default_params, SECOND_PARAMS[case.case]]
         for params in param_sets:
             groups = [c.group for c in catalog_stabilizer(case.build(params))]

@@ -20,6 +20,7 @@ import json
 import sys
 from dataclasses import dataclass
 from functools import cache
+from itertools import takewhile
 
 from . import ringspec
 from .errors import ExactArithmeticError, NestingTooDeepError, StackygitError
@@ -382,8 +383,11 @@ def run_command(argv) -> CommandResult:
 
 
 def main(argv=None) -> int:
-    result = run_command(sys.argv[1:] if argv is None else argv)
-    wants_json = "--json" in (sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else argv
+    result = run_command(argv)
+    # --json is read where the parser reads it: among the options before the
+    # subcommand and before any "--"
+    wants_json = "--json" in takewhile(lambda t: t != "--" and t.startswith("-"), argv)
     sys.stdout.write(result.json_text() + "\n" if wants_json else result.markdown)
     return result.status
 

@@ -9,7 +9,9 @@ reduction is integer arithmetic that leaves ``den`` alone.  The power basis
 is a Z-basis of the integers of Q(zeta_m), so a value has one
 representation per field and equality compares coordinates.  ``zeta_m`` is
 the abstract primitive m-th root of unity; no floating-point embedding is
-ever used.  Rationals enter as ints or ``QQ`` (:class:`fractions.Fraction`);
+ever used.  Rationals enter as ints or ``QQ`` (:class:`fractions.Fraction`)
+and nothing else: a float or a string raises TypeError, so no inexact
+value reaches a decision, and neither compares equal to a value.
 ``hash`` and ``str`` of an irrational value build ``QQ`` values only for
 their output, and a rational prints from its integers.  No arithmetic
 runs on rational polynomials: Phi_m is built from integers, and the
@@ -31,7 +33,7 @@ not monomial) reads a form's coefficients over one denominator with
 vectors and multiplies by them with :func:`_mul_vec`, and builds each
 result once with :func:`_raw`.  The other bulk kernels
 (the products of ``MultiPoly`` and ``BinaryForm``, ``MultiPoly.evaluate``,
-``invariants.transvectant``, ``invariants.resultant`` and the gcd chain)
+``invariants.transvectant``, ``polynomials.resultant`` and the gcd chain)
 have one body over their coefficient ring, which :func:`_numerators`
 picks: plain int numerators over one denominator when every coefficient
 is rational, the values themselves otherwise; :func:`_over` divides back.
@@ -228,7 +230,7 @@ class CyclotomicNumber:
     def __new__(cls, order: int, coeffs):
         """sum coeffs[k] zeta_order^k, for rational coeffs of any length."""
         _check_order(order)
-        qs = [QQ(c) for c in coeffs]
+        qs = [_rational(c) for c in coeffs]
         den = lcm(*(q.denominator for q in qs))
         return _raw(order, _reduce(order, [q.numerator * (den // q.denominator)
                                            for q in qs]), den)
@@ -237,9 +239,6 @@ class CyclotomicNumber:
         raise AttributeError("CyclotomicNumber is immutable")
 
     # -- predicates and conversions -----------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.order == 1 and not self.coords[0]
 
     def __bool__(self):
         return self.order != 1 or self.coords[0] != 0
@@ -335,7 +334,7 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        if self.is_zero():
+        if not self:
             raise ZeroDivisionError("division by zero in a cyclotomic field")
         if self.order == 1:
             n = self.coords[0]
@@ -374,7 +373,7 @@ class CyclotomicNumber:
     def __eq__(self, other):
         try:
             other = as_cyclotomic(other)
-        except (TypeError, ValueError):
+        except TypeError:
             return NotImplemented
         if self.order != other.order and gcd(self.order, other.order) == 1:
             # Q(zeta_m) and Q(zeta_n) meet in Q for coprime m and n, and
@@ -437,20 +436,27 @@ _set_den = CyclotomicNumber.den.__set__
 _set_hash = CyclotomicNumber._hash.__set__
 
 
+def _rational(x) -> QQ:
+    """An int or a QQ as a QQ; any other type raises TypeError."""
+    if isinstance(x, (int, QQ)):
+        return QQ(x)
+    raise TypeError(f"not an exact number: {x!r}")
+
+
 def as_cyclotomic(x) -> CyclotomicNumber:
-    """Coerce ints and rationals; pass CyclotomicNumber through."""
+    """Coerce ints and rationals; pass CyclotomicNumber through.  Any other
+    type raises TypeError."""
     if isinstance(x, CyclotomicNumber):
         return x
     if type(x) is int:
         return _new(1, (x,), 1)
-    q = QQ(x)
+    q = _rational(x)
     return _new(1, (q.numerator,), q.denominator)
 
 
 @lru_cache(maxsize=None)
 def zeta(m: int) -> CyclotomicNumber:
     """The primitive m-th root of unity zeta_m."""
-    _check_order(m)
     return CyclotomicNumber(m, (0, 1))
 
 

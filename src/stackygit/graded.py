@@ -65,7 +65,7 @@ class GradedRingPresentation:
         if self.relation is not None:
             if self.relation.variables != self.generators:
                 raise ArityError("relation must be written in the generators")
-            if self.relation.is_zero():
+            if not self.relation:
                 object.__setattr__(self, "relation", None)
             elif self.relation.weighted_degree(self.weights) is None:
                 raise InhomogeneousError(
@@ -236,7 +236,7 @@ def stacky_decompose(ring: GradedRingPresentation) -> DecompositionReport:
         rest[exps[:-1]] = -c / lead
     base_names = ring.generators[:-1]
     divisor = MultiPoly._of(base_names, rest)
-    if divisor.is_zero():
+    if not divisor:
         raise ShapeError(
             f"relation {ring.generators[top]}^2 has no base part F")
     d_top = ring.weights[top]

@@ -28,11 +28,6 @@ resultant (:func:`evaluate_recipe` picks one by family).  The calibration
 harness checks that pinned per-degree scalars (:data:`QUINTIC_SCALARS`,
 :data:`SEXTIC_SCALARS`) match these invariants to the catalog relation,
 exactly, at seeded random forms.
-
-No matrix is eliminated.  :func:`resultant` reads the resultant, at the
-forms' formal degrees, off :func:`stackygit.polynomials._subresultants`,
-the one subresultant pseudo-remainder sequence, which the
-root-multiplicity gcds also run; for rational forms it runs on integers.
 """
 
 from __future__ import annotations
@@ -50,7 +45,7 @@ from .errors import (
     WrongDegreeError,
 )
 from .graded import GradedRingPresentation, PointW
-from .polynomials import BinaryForm, MultiPoly, _exact_quotients, _subresultants
+from .polynomials import BinaryForm, MultiPoly, resultant
 from .symmetry import is_stable
 
 SEXTIC_REPAIR_NOTE = (
@@ -181,23 +176,15 @@ def quartic_invariants(f: BinaryForm) -> QuarticInvariants:
 def quartic_point(f: BinaryForm):
     """The value point (I2 : I3) of a stable quartic in P(2, 3).
 
-    The representative is normalized inside the coefficient field: (1:0)
-    and (0:1) at the special quartics, and the scaling-canonical form
-    (c : c) with c = I2^3/I3^2 when both coordinates are nonzero (a first
-    coordinate of exactly 1 would need a square root of I2).
+    The point is the orbit of the invariants under t . (I2, I3) = (t^2 I2,
+    t^3 I3), which :class:`PointW` equality decides, so no representative
+    is chosen.  A stable quartic is off the nullcone, so I2 and I3 do not
+    both vanish.
     """
     if not is_stable(f):
         raise NonStableError("the value point is taken on stable quartics")
     inv = quartic_invariants(f)
-    weights = (2, 3)
-    if not inv.I2 and not inv.I3:
-        raise NonStableError("I2 = I3 = 0 cannot happen for a stable quartic")
-    if not inv.I3:
-        return PointW((1, 0), weights)
-    if not inv.I2:
-        return PointW((0, 1), weights)
-    c = inv.I2 ** 3 / inv.I3 ** 2
-    return PointW((c, c), weights)
+    return PointW((inv.I2, inv.I3), (2, 3))
 
 
 # -- transvectants -----------------------------------------------------------------
@@ -249,57 +236,6 @@ def transvectant(f: BinaryForm, g: BinaryForm, r: int) -> BinaryForm:
     den *= fd * gd
     return BinaryForm._of([_over(num * sum(w * F[i] * G[j] for i, j, w in row), den)
                            for row in rows])
-
-
-def resultant(f: BinaryForm, g: BinaryForm) -> CyclotomicNumber:
-    """Resultant of two binary forms at their formal degrees: the Sylvester
-    determinant, by the subresultant pseudo-remainder sequence (Collins;
-    Brown-Traub; H. Cohen, *A Course in Computational Algebraic Number
-    Theory*, Algorithm 3.3.7).
-
-    It runs in the ring of :func:`stackygit.cyclotomic._numerators`.  For
-    rational forms that is Z: with f = F/fd and g = G/gd for integer forms
-    F and G of degrees d and e, Res(f, g) = Res(F, G) / (fd^e gd^d), and
-    every division of the sequence is exact in Z.  Other forms run it on
-    their CyclotomicNumber coefficients, with fd = gd = 1."""
-    (fd, a), (gd, b) = _numerators(f.coeffs, g.coeffs)
-    return _over(_resultant(a, b), fd ** g.degree * gd ** f.degree)
-
-
-def _resultant(a, b):
-    """Res_{d,e} of the descending coefficient lists ``a`` (a0 first) and
-    ``b``, all ints or all CyclotomicNumbers.  A vanishing leading
-    coefficient is expanded along the first Sylvester column first:
-    Res_{d,e} is (-1)^e b0 Res_{d-1,e}(a', b) when a0 = 0, a0 Res_{d,e-1}(a,
-    b') when b0 = 0, and 0 when both vanish, where ' drops the leading
-    coefficient."""
-    factor = 1
-    while len(a) > 1 and len(b) > 1 and not (a[0] and b[0]):
-        if not a[0]:
-            if not b[0]:
-                return 0
-            factor = factor * b[0] * (-1) ** (len(b) - 1)
-            a = a[1:]
-        else:
-            factor = factor * a[0]
-            b = b[1:]
-    d, e = len(a) - 1, len(b) - 1
-    if not d or not e:  # Res_{0,e} = a0^e and Res_{d,0} = b0^d
-        return factor * a[0] ** e * b[0] ** d
-    # both leading coefficients are nonzero; the sequence runs on ascending
-    # lists, longer first, and each step between two odd degrees flips sign
-    sign = -1 if d % 2 and e % 2 and d < e else 1
-    A, B = (a[::-1], b[::-1]) if d >= e else (b[::-1], a[::-1])
-    members, h = _subresultants(A, B)
-    if len(members[-1]) > 1:
-        return 0
-    for A, B in zip(members, members[1:-1]):
-        if len(A) % 2 == 0 and len(B) % 2 == 0:
-            sign = -sign
-    deg = len(members[-2]) - 1
-    # Res = lc^deg / h^(deg-1) for the last, constant member lc
-    last = _exact_quotients([members[-1][0] ** deg], h ** (deg - 1))[0]
-    return factor * sign * last
 
 
 # -- calibration --------------------------------------------------------------------

@@ -15,10 +15,12 @@ only, and the result is divided once at the end.
 
 Root multiplicities are computed by iterated gcds of the dehomogenization
 with its derivative (so everything stays in exact arithmetic, with no root
-extraction).  Each gcd is the last member of :func:`_subresultants`, the
-one fraction-free subresultant sequence, which limits coefficient growth
-and which :func:`stackygit.invariants.resultant` also runs.  Over Q the
-sequence runs on integers, since its divisions are exact in Z.
+extraction).  No matrix is eliminated: each gcd is the last member of
+:func:`_subresultants`, the one fraction-free subresultant
+pseudo-remainder sequence, which limits coefficient growth, and
+:func:`resultant` reads the resultant of two forms, at their formal
+degrees, off the same sequence.  Over Q the sequence runs on integers,
+since its divisions are exact in Z.
 """
 
 from __future__ import annotations
@@ -62,11 +64,12 @@ class MultiPoly:
     tuples (one entry per variable) to nonzero coefficients.  Instances are
     treated as immutable.
 
-    ``__init__`` is the one validator of outside input: it checks arity and
-    signs of the exponents, converts coefficients and merges or drops zero
-    ones.  Arithmetic results whose terms are clean by construction (the
-    operands were validated, zero sums are dropped as they arise) are built
-    with the unchecked :meth:`_of` instead.
+    ``__init__`` validates the arguments of library callers: it checks
+    arity and signs of the exponents, converts coefficients and merges or
+    drops zero ones.  The expression parser, and through it the ring
+    specs, build with the unchecked :meth:`_of`, as do arithmetic results
+    whose terms are clean by construction (the operands were validated,
+    zero sums are dropped as they arise).
 
     ``str`` memoises its text in the slot ``_text``, set on first use; an
     instance printed for several parts of one payload is rendered once.
@@ -126,9 +129,6 @@ class MultiPoly:
         return MultiPoly(variables, {exps: 1})
 
     # -- predicates -----------------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -273,7 +273,7 @@ class MultiPoly:
     def proportional_to(self, other):
         """Scalar c with self == c*other, or None."""
         other = self._coerce(other)
-        if self.is_zero() or other.is_zero():
+        if not self or not other:
             return None
         if set(self.terms) != set(other.terms):
             return None
@@ -365,11 +365,8 @@ class BinaryForm:
     def a(self, i: int) -> CyclotomicNumber:
         return self.coeffs[i]
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.coeffs)
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -413,7 +410,7 @@ class BinaryForm:
 
     def proportional_to(self, other):
         """Scalar c with self == c*other (same degree), or None."""
-        if self.degree != other.degree or self.is_zero() or other.is_zero():
+        if self.degree != other.degree or not self or not other:
             return None
         c = None
         for a, b in zip(self.coeffs, other.coeffs):
@@ -472,10 +469,6 @@ class BinaryForm:
 
     # -- roots ----------------------------------------------------------------------
 
-    def dehomogenized(self):
-        """Coefficients of f(t, 1), ascending in t."""
-        return [self.coeffs[self.degree - j] for j in range(self.degree + 1)]
-
     def _gcd_chain(self, steps):
         """The multiplicity of the root (1:0) and the degrees of p, gcd(p, p'),
         the gcd of that with its derivative, and so on, for the
@@ -488,12 +481,13 @@ class BinaryForm:
         if self.degree > MAX_PROFILE_DEGREE:
             raise DegreeTooLargeError(
                 f"degree {self.degree} exceeds the root-profile bound {MAX_PROFILE_DEGREE}")
-        if self.is_zero():
+        if not self:
             raise ZeroFormError("the zero form has no root profile")
         at_infinity = 0
         while not self.coeffs[at_infinity]:
             at_infinity += 1
-        (_, p), = _numerators(_cp_trim(self.dehomogenized()))
+        # f(t, 1) ascending in t, its leading zeros (the root at infinity) cut
+        (_, p), = _numerators(self.coeffs[at_infinity:][::-1])
         unit = _cp_primitive if type(p[0]) is int else _cp_monic
         degrees = [len(p) - 1]
         while len(p) > 1 and len(degrees) <= steps:
@@ -748,3 +742,54 @@ def _subresultants(a, b):
             h = _exact_quotients([g ** delta], h ** (delta - 1))[0]
         members.append(b)
     return members, h
+
+
+def resultant(f: BinaryForm, g: BinaryForm) -> CyclotomicNumber:
+    """Resultant of two binary forms at their formal degrees: the Sylvester
+    determinant, by the subresultant pseudo-remainder sequence (Collins;
+    Brown-Traub; H. Cohen, *A Course in Computational Algebraic Number
+    Theory*, Algorithm 3.3.7).
+
+    It runs in the ring of :func:`stackygit.cyclotomic._numerators`.  For
+    rational forms that is Z: with f = F/fd and g = G/gd for integer forms
+    F and G of degrees d and e, Res(f, g) = Res(F, G) / (fd^e gd^d), and
+    every division of the sequence is exact in Z.  Other forms run it on
+    their CyclotomicNumber coefficients, with fd = gd = 1."""
+    (fd, a), (gd, b) = _numerators(f.coeffs, g.coeffs)
+    return _over(_resultant(a, b), fd ** g.degree * gd ** f.degree)
+
+
+def _resultant(a, b):
+    """Res_{d,e} of the descending coefficient lists ``a`` (a0 first) and
+    ``b``, all ints or all CyclotomicNumbers.  A vanishing leading
+    coefficient is expanded along the first Sylvester column first:
+    Res_{d,e} is (-1)^e b0 Res_{d-1,e}(a', b) when a0 = 0, a0 Res_{d,e-1}(a,
+    b') when b0 = 0, and 0 when both vanish, where ' drops the leading
+    coefficient."""
+    factor = 1
+    while len(a) > 1 and len(b) > 1 and not (a[0] and b[0]):
+        if not a[0]:
+            if not b[0]:
+                return 0
+            factor = factor * b[0] * (-1) ** (len(b) - 1)
+            a = a[1:]
+        else:
+            factor = factor * a[0]
+            b = b[1:]
+    d, e = len(a) - 1, len(b) - 1
+    if not d or not e:  # Res_{0,e} = a0^e and Res_{d,0} = b0^d
+        return factor * a[0] ** e * b[0] ** d
+    # both leading coefficients are nonzero; the sequence runs on ascending
+    # lists, longer first, and each step between two odd degrees flips sign
+    sign = -1 if d % 2 and e % 2 and d < e else 1
+    A, B = (a[::-1], b[::-1]) if d >= e else (b[::-1], a[::-1])
+    members, h = _subresultants(A, B)
+    if len(members[-1]) > 1:
+        return 0
+    for A, B in zip(members, members[1:-1]):
+        if len(A) % 2 == 0 and len(B) % 2 == 0:
+            sign = -sign
+    deg = len(members[-2]) - 1
+    # Res = lc^deg / h^(deg-1) for the last, constant member lc
+    last = _exact_quotients([members[-1][0] ** deg], h ** (deg - 1))[0]
+    return factor * sign * last

@@ -76,7 +76,7 @@ def semi_invariance(f: BinaryForm, spec: GroupSpec):
     a monomial matrix term by term).  Only the generators with four nonzero
     entries are substituted: one each of T, O and I.
     """
-    if f.is_zero():
+    if not f:
         raise ZeroFormError("the zero form is semi-invariant under everything")
     sub = POLYHEDRAL_SUBGROUPS.get(spec, spec)
     if _support_gcd(f) % sub.n or sub.kind == "D" and not _reverses(f):
@@ -116,9 +116,8 @@ def _support_gcd(f: BinaryForm) -> int:
 
 
 def is_stable(f: BinaryForm) -> bool:
-    """Every root has multiplicity strictly below degree/2."""
-    if f.is_zero():
-        raise ZeroFormError("stability is undefined for the zero form")
+    """Every root has multiplicity strictly below degree/2; the zero form
+    raises ZeroFormError."""
     return 2 * max(f.multiplicity_profile()) < f.degree
 
 
@@ -250,9 +249,10 @@ def klein_generate(spec: GroupSpec, alpha: int, beta: int, gamma: int, params=()
 
 @dataclass(frozen=True)
 class CatalogCase:
-    """A normal form with extra symmetry, as Klein data: the exponents
-    (alpha, beta, gamma), the ``fixed`` pencil pairs and ``param_count``
-    free (lambda:mu) pairs of :func:`klein_generate` for ``group``.
+    """A normal form with extra symmetry, as Klein data of
+    :func:`klein_generate` for ``group``: the exponents (alpha, beta,
+    gamma), the ``fixed`` pencil pairs and as many free (lambda:mu) pairs
+    as ``default_params`` holds.
 
     ``genericity`` documents the open condition under which the listed
     stabilizer is exact; parameter defaults satisfy it.
@@ -262,37 +262,36 @@ class CatalogCase:
     group: GroupSpec
     exponents: tuple
     fixed: tuple = ()
-    param_count: int = 0
     default_params: tuple = ()
     genericity: str = ""
 
     def build(self, params=None) -> BinaryForm:
         params = tuple(params) if params is not None else self.default_params
-        if len(params) != self.param_count:
+        if len(params) != len(self.default_params):
             raise ZeroParameterError(
-                f"case {self.case} takes {self.param_count} (lambda:mu) pairs")
+                f"case {self.case} takes {len(self.default_params)} (lambda:mu) pairs")
         return klein_generate(self.group, *self.exponents, self.fixed + params)
 
 
 _PAIR = ((1, 1),)  # the pencil member x^n + y^n of C_n
 
 CATALOG = (
-    CatalogCase("quartic.generic", GroupSpec("D", 2), (0, 0, 0), (), 1, ((2, 3),),
+    CatalogCase("quartic.generic", GroupSpec("D", 2), (0, 0, 0), (), ((2, 3),),
                 "lambda*mu*(lambda^2 - mu^2) != 0 and (lambda - mu)^2 != -3*(lambda + mu)^2"),
     CatalogCase("quartic.I", GroupSpec("D", 4), (1, 0, 0)),  # x^4 + y^4
     CatalogCase("quartic.II", GroupSpec("T"), (1, 0, 0)),  # x^4 + 2*sqrtm3*x^2*y^2 + y^4
-    CatalogCase("quintic.I", GroupSpec("C", 2), (1, 0, 0), _PAIR, 1, ((2, 3),),
+    CatalogCase("quintic.I", GroupSpec("C", 2), (1, 0, 0), _PAIR, ((2, 3),),
                 "lambda*mu*(lambda - mu) != 0"),
     CatalogCase("quintic.II", GroupSpec("C", 3), (2, 0, 0), _PAIR),  # x^2*(x^3 + y^3)
     CatalogCase("quintic.III", GroupSpec("C", 4), (1, 0, 0), _PAIR),  # x*(x^4 + y^4)
     CatalogCase("quintic.IV", GroupSpec("D", 3), (1, 0, 1)),  # x*y*(x^3 + y^3)
     CatalogCase("quintic.V", GroupSpec("D", 5), (1, 0, 0)),  # x^5 + y^5
-    CatalogCase("sextic.I", GroupSpec("C", 2), (0, 0, 0), _PAIR, 2, ((2, 3), (5, 7)),
+    CatalogCase("sextic.I", GroupSpec("C", 2), (0, 0, 0), _PAIR, ((2, 3), (5, 7)),
                 "the three quadratic factors are pairwise distinct in P^1"),
     CatalogCase("sextic.II", GroupSpec("C", 5), (1, 0, 0), _PAIR),  # x*(x^5 + y^5)
-    CatalogCase("sextic.III", GroupSpec("D", 2), (0, 0, 1), (), 1, ((2, 3),),
+    CatalogCase("sextic.III", GroupSpec("D", 2), (0, 0, 1), (), ((2, 3),),
                 "lambda*mu*(lambda^2 - mu^2) != 0 and (lambda - mu)^2 != -3*(lambda + mu)^2"),
-    CatalogCase("sextic.IV", GroupSpec("D", 3), (0, 0, 0), (), 1, ((2, 3),),
+    CatalogCase("sextic.IV", GroupSpec("D", 3), (0, 0, 0), (), ((2, 3),),
                 "lambda*mu*(lambda^2 - mu^2) != 0"),
     CatalogCase("sextic.V", GroupSpec("D", 6), (1, 0, 0)),  # x^6 + y^6
     CatalogCase("sextic.VI", GroupSpec("O"), (1, 0, 0)),  # x*y*(x^4 - y^4)

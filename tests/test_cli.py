@@ -546,6 +546,18 @@ def test_main_prints_json_or_markdown_and_returns_the_status(capsys):
     assert capsys.readouterr().out == run_command(["verify-all", "--seed", "x"]).markdown
 
 
+def test_main_reads_the_json_flag_where_the_parser_does(capsys):
+    # after "--" the token is a parameter of klein, which refuses it as a
+    # value; only the options before the subcommand select JSON output
+    argv = ["klein", "T", "1", "0", "0", "--", "--json"]
+    result = run_command(argv)
+    assert (result.status, result.payload["error"]["code"]) == (2, "bad-value")
+    assert main(argv) == 2
+    assert capsys.readouterr().out == result.markdown
+    assert main(["--json", "klein", "T", "1", "0", "0", "--", "--json"]) == 2
+    assert capsys.readouterr().out == result.json_text() + "\n"
+
+
 def test_the_json_flag_takes_no_abbreviation(capsys):
     # main looks for the literal --json, so the top-level parser refuses
     # its prefixes; the subcommands' options keep their abbreviations

@@ -167,7 +167,20 @@ def test_canonical_equality_and_hash():
 
 def test_zero_is_canonical():
     z = zeta(8) - zeta(8)
-    assert z.is_zero() and z.order == 1 and not z
+    assert z.coords == (0,) and z.order == 1 and not z
+
+
+@pytest.mark.parametrize("bad", ["1", "1/3", 1.0, 0.1, 2.5, None, 1j])
+def test_only_exact_types_are_numbers(bad):
+    # ints, rationals and values coerce; anything else is refused, so no
+    # float reaches a decision and == agrees with the hash
+    with pytest.raises(TypeError, match="not an exact number"):
+        as_cyclotomic(bad)
+    with pytest.raises(TypeError, match="not an exact number"):
+        CyclotomicNumber(4, (1, bad))
+    assert not ONE == bad and ONE != bad
+    assert not zeta(4) == bad
+    assert {ONE: 1}.get(bad) is None
 
 
 def test_division_by_zero():

@@ -1,7 +1,8 @@
-"""Every name a module of the package imports is used in that module,
-every private module-level function and constant is used somewhere in the
-package, and every public module-level function and class is used by the
-package, the benchmark or the scripts."""
+"""Every name a module of the package imports is used in that module, no
+module imports a private name of ``polynomials``, every private
+module-level function and constant is used somewhere in the package, and
+every public module-level function and class is used by the package, the
+benchmark or the scripts."""
 
 import ast
 from pathlib import Path
@@ -59,6 +60,28 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def private_imports(tree, module):
+    """The ``_private`` names that ``tree`` imports from the package module
+    ``module``, relatively or by its full name."""
+    return sorted(alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.module, node.level) in ((module, 1), (f"stackygit.{module}", 0))
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+def test_private_imports_are_found():
+    tree = ast.parse("from .polynomials import BinaryForm, _subresultants\n"
+                     "from stackygit.polynomials import _shift\n"
+                     "from .cyclotomic import _over\n")
+    assert private_imports(tree, "polynomials") == ["_shift", "_subresultants"]
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_private_name_of_polynomials(path):
+    # the subresultant layer and its helpers stay inside polynomials.py
+    assert private_imports(ast.parse(path.read_text(encoding="utf-8")), "polynomials") == []
 
 
 def unreferenced_helpers(trees):

@@ -30,6 +30,7 @@ from stackygit.invariants import (
 )
 from stackygit.locus import PointW
 from stackygit.polynomials import BinaryForm, MultiPoly, _monomial_ints
+from stackygit.symmetry import is_stable
 
 
 def _fraction_sylvester(f, g):
@@ -204,6 +205,26 @@ class TestQuarticInvariants:
         p = quartic_point(f)
         assert all(p.coordinates)
 
+    def test_point_is_the_orbit_of_the_invariants(self):
+        # t.f scales (I2, I3) by (t^2, t^3), the action of t on P(2, 3), and
+        # f o m keeps both for m in SL(2): no representative is chosen
+        rng = random.Random(67)
+        quartics = [form("x^4 - 2*x^3*y + 5*x*y^3 - y^4")]
+        while len(quartics) < 4:
+            f = BinaryForm([rng.randint(-6, 6) for _ in range(5)])
+            if f and is_stable(f):
+                quartics.append(f)
+        for f in quartics:
+            p = quartic_point(f)
+            for _ in range(5):
+                t = QQ(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+                assert quartic_point(t * f) == p, (f, t)
+                m = _random_sl2(rng)
+                assert quartic_point(f.substitute(m)) == p, (f, m)
+        p = quartic_point(quartics[0])
+        assert all(p.coordinates)
+        assert p != quartic_point(form("x^4 + y^4")) != quartic_point(3 * quartics[0] + form("x^4"))
+
     def test_point_needs_stability(self):
         with pytest.raises(NonStableError):
             quartic_point(form("x^2*(x^2 + y^2)"))
@@ -227,8 +248,8 @@ class TestTransvectant:
 
     def test_odd_self_transvectants_vanish(self):
         f = form("x^4 + 2*x*y^3 - y^4")
-        assert transvectant(f, f, 1).is_zero()
-        assert transvectant(f, f, 3).is_zero()
+        assert not transvectant(f, f, 1)
+        assert not transvectant(f, f, 3)
 
     def test_order_too_large(self):
         with pytest.raises(OrderTooLargeError):

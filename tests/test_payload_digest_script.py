@@ -37,6 +37,21 @@ _SEED_501 = {
 }
 
 
+#: digest(FIXED[name]) for each fixed command list: verify-all --json --seed 7
+#: and calibrate quintic|sextic --json --seed 1..20.
+_FIXED = {
+    "verify-all:seed7": "9eaed47ff8de05b9c95a89af9a4f1f63110a28b7ae1cd3b594eed877a75b79a9",
+    "calibrate:seeds1-20": "bdcd60c5a284ef230790ec78647586198c68ad0e141fabfd56fb7fb3d0e9b9df",
+}
+
+
+def test_fixed_payloads_keep_their_bytes():
+    digests = _load()
+    assert list(_FIXED) == list(digests.FIXED)
+    for name, expected in _FIXED.items():
+        assert digests.digest(digests.FIXED[name]) == expected, name
+
+
 def test_seed_501_payloads_keep_their_bytes(monkeypatch):
     digests = _load()
     monkeypatch.chdir(ROOT)

@@ -71,9 +71,17 @@ class TestMultiPoly:
         assert dt == MultiPoly(("t", "s"), {(1, 0): 2})
         assert ds == MultiPoly.constant(("t", "s"), -1)
 
+    def test_coefficients_must_be_exact(self):
+        with pytest.raises(TypeError, match="not an exact number"):
+            MultiPoly(("x",), {(1,): 0.5})
+        with pytest.raises(TypeError, match="not an exact number"):
+            MultiPoly(("x",), {(1,): "1/2"})
+        with pytest.raises(TypeError, match="not an exact number"):
+            MultiPoly.constant(("x",), 1) * 2.0
+
     def test_partials_of_constant(self):
         p = MultiPoly.constant(("x", "y"), 5)
-        assert all(d.is_zero() for d in p.partials())
+        assert not any(p.partials())
 
     def test_quintic_partials_vanish_at_special_point(self):
         # hand-checked: all three partials of the six-term polynomial are 0
@@ -138,6 +146,12 @@ def _same_degree(e, weights, rng):
 
 
 class TestBinaryForm:
+    def test_coefficients_must_be_exact(self):
+        for coeffs in (["1/3", 2], [QQ(1, 3), 2.5], [1, None]):
+            with pytest.raises(TypeError, match="not an exact number"):
+                BinaryForm(coeffs)
+        assert str(BinaryForm([QQ(1, 3), QQ(5, 2)])) == "1/3*x + 5/2*y"
+
     def test_substitute_antidiagonal(self):
         # xy under [[0, i], [i, 0]] is -xy
         f = form("x*y")

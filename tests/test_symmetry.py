@@ -466,7 +466,7 @@ class TestCatalog:
         h = hashlib.sha256()
         builds = 0
         for case in CATALOG:
-            param_sets = [None] + ([SECOND_PARAMS[case.case]] if case.param_count else [])
+            param_sets = [None] + ([SECOND_PARAMS[case.case]] if case.default_params else [])
             for params in param_sets:
                 f = case.build(params)
                 h.update(repr([(c.order, c.coords, c.den) for c in f.coeffs]).encode())
