@@ -9,8 +9,8 @@ For each benchmark workload and seed it runs every operation of
 ``stackygit.cli.run_command``, writing the operations' input files under
 ``perfbench/.work/`` first as ``perfbench/run.py`` does, and prints one
 sha256 over the JSON text and the markdown of all of them.  It then prints
-one digest for ``verify-all --json --seed 7`` and one for
-``calibrate quintic|sextic --json --seed 1..20``.  Copy the script into
+one digest for ``--json verify-all --seed 7`` and one for
+``--json calibrate quintic|sextic --seed 1..20``.  Copy the script into
 another checkout and run it there to compare the two line by line.
 """
 

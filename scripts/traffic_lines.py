@@ -8,7 +8,7 @@ For each benchmark workload and seed it runs every operation of
 ``perfbench/workloads.build_ops(workload, seed, 15)`` through
 ``stackygit.cli.run_command``, writing the operations' input files under
 ``perfbench/.work/`` first as ``perfbench/run.py`` does, then runs
-``verify-all --json --seed 7``, all under one :func:`sys.settrace` line
+``--json verify-all --seed 7``, all under one :func:`sys.settrace` line
 tracer.  It prints, per module of ``src/stackygit``, the statements inside
 functions that never ran.  Docstrings, ``def``, ``class`` and imports are
 not counted, nor are module and class bodies, which run at import.  A

@@ -2,11 +2,12 @@
 
 Each criterion is a function returning a :class:`CheckResult`; `run_all`
 executes them in order.  Everything is exact (zero tolerance).  Only
-criteria 7 and 10 are seeded: they sample random matrices and forms from an
-explicit seed, deterministically for a fixed seed; criterion 6 proves
-Klein's generative description for every exponent and parameter.  The
-calibration check is a stretch goal and is marked non-blocking: its failure
-produces a diagnostic, not a suite failure.
+criterion 10 is seeded: it samples random forms from an explicit seed,
+deterministically for a fixed seed.  Criterion 6 proves Klein's generative
+description for every exponent and parameter, and criterion 7 its
+identities on principal lattices.  The calibration check is a stretch goal
+and is marked non-blocking: its failure produces a diagnostic, not a suite
+failure.
 
 A claim the library already decides is read from the function that decides
 it, not derived again here: criterion 5 reads
@@ -17,10 +18,8 @@ the verdicts of :func:`~stackygit.locus.quintic_locus_report` and
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
-from .cyclotomic import QQ
 from .errors import CommonFactorError
 from .exprparse import form
 from .graded import (
@@ -42,11 +41,10 @@ from .invariants import (
     quartic_point,
 )
 from .locus import quintic_locus_report, sextic_locus_report
-from .polynomials import BinaryForm
+from .polynomials import BinaryForm, principal_lattice, resultant
 from .symmetry import (
     NUMBERED_CASES,
     catalog_stabilizer,
-    is_stable,
     klein_degree,
     klein_factors,
     semi_invariance,
@@ -237,44 +235,30 @@ def check_klein_suite() -> CheckResult:
                        details=tuple(details))
 
 
-def _random_sl2(rng) -> SL2Matrix:
-    while True:
-        a = QQ(rng.randint(-6, 6), rng.randint(1, 4))
-        if a:
-            break
-    b = QQ(rng.randint(-6, 6), rng.randint(1, 4))
-    c = QQ(rng.randint(-6, 6), rng.randint(1, 4))
-    return SL2Matrix(a, b, c, (1 + b * c) / a)
+#: u and w; the powers u^t = [[1, t], [0, 1]] and w generate SL(2).
+_U, _W = SL2Matrix(1, 1, 0, 1), SL2Matrix(0, 1, -1, 0)
 
 
-def _random_quartic(rng, squarefree: bool) -> BinaryForm:
-    while True:
-        if squarefree:
-            f = BinaryForm([rng.randint(-6, 6) for _ in range(5)])
-            if f and is_stable(f):
-                return f
-        else:
-            a = rng.randint(-4, 4)
-            double = BinaryForm([1, -2 * a, a * a])  # (x - a y)^2
-            rest = BinaryForm([rng.randint(-4, 4) for _ in range(3)])
-            if rest:
-                return double * rest
+def check_quartic_invariants() -> CheckResult:
+    """SL(2)-invariance, the two special value points, and the
+    discriminant combination separating double roots from square-free, the
+    identities proved on the principal lattices of their degrees.
 
-
-def check_quartic_invariants(seed: int = DEFAULT_SEED) -> CheckResult:
-    """Exact SL(2)-invariance, the two special value points, and the
-    discriminant combination separating double roots from square-free."""
-    rng = random.Random(seed)
+    I(f.u) - I(f) and I(f.w) - I(f) have the degree of I, 2 or 3; then
+    I(f.u^t) - I(f), a polynomial in t zero at every integer t, is zero.
+    4096*(I2^3 - 27*I3^2) and Res(f_x, f_y) have degree 6, and the
+    resultant vanishes iff f has a repeated root in P^1, as 4f = x*f_x +
+    y*f_y."""
     details = []
-    f = BinaryForm([1, 3, -2, 1, 2])
     ok = True
-    for _ in range(100):
-        m = _random_sl2(rng)
-        before = quartic_invariants(f)
-        after = quartic_invariants(f.substitute(m))
-        if before.I2 != after.I2 or before.I3 != after.I3:
-            ok = False
-    details.append(f"invariance under 100 rational determinant-1 matrices: {ok}")
+    for name, degree in (("I2", 2), ("I3", 3)):
+        forms = [BinaryForm(p) for p in principal_lattice(5, degree)]
+        held = sum(getattr(quartic_invariants(f.substitute(m)), name)
+                   == getattr(quartic_invariants(f), name) for f in forms for m in (_U, _W))
+        ok &= held == 2 * len(forms)
+        details.append(f"{name} invariant under u = [[1, 1], [0, 1]] and w = [[0, 1], [-1, 0]]:"
+                       f" {held} of {2 * len(forms)} checks at the {len(forms)} points of"
+                       f" the degree-{degree} lattice")
 
     w = (2, 3)
     p1 = quartic_point(form("x^4 + y^4")) == PointW((1, 0), w)
@@ -282,20 +266,16 @@ def check_quartic_invariants(seed: int = DEFAULT_SEED) -> CheckResult:
     details.append(f"case (I) lands on (1:0): {p1}; case (II) on (0:1): {p2}")
     ok &= p1 and p2
 
-    separated = True
-    for _ in range(20):
-        g = _random_quartic(rng, squarefree=False)
-        inv = quartic_invariants(g)
-        if inv.I2 ** 3 - 27 * inv.I3 ** 2:
-            separated = False
-    for _ in range(20):
-        g = _random_quartic(rng, squarefree=True)
-        inv = quartic_invariants(g)
-        if not inv.I2 ** 3 - 27 * inv.I3 ** 2:
-            separated = False
-    details.append(f"I2^3 - 27*I3^2 separates 20 double-root from "
-                   f"20 square-free samples: {separated}")
-    ok &= separated
+    points = principal_lattice(5, 6)
+    held = 0
+    for a in points:
+        inv = quartic_invariants(BinaryForm(a))
+        f_x = BinaryForm([(4 - i) * a[i] for i in range(4)])
+        f_y = BinaryForm([i * a[i] for i in range(1, 5)])
+        held += 4096 * (inv.I2 ** 3 - 27 * inv.I3 ** 2) == resultant(f_x, f_y)
+    ok &= held == len(points)
+    details.append(f"4096*(I2^3 - 27*I3^2) == Res(f_x, f_y) at {held} of the"
+                   f" {len(points)} points of the degree-6 lattice")
     return CheckResult(7, "quartic invariants", ok, details=tuple(details))
 
 
@@ -355,14 +335,10 @@ ALL_CHECKS = (
 
 
 def run_all(seed: int = DEFAULT_SEED):
-    """All criteria in order; randomized ones consume the given seed."""
-    results = []
-    for check in ALL_CHECKS:
-        if check in (check_quartic_invariants, check_calibration):
-            results.append(check(seed=seed))
-        else:
-            results.append(check())
-    return results
+    """All criteria in order; the seed goes to criterion 10, the only
+    randomized one."""
+    return [check(seed=seed) if check is check_calibration else check()
+            for check in ALL_CHECKS]
 
 
 def blocking_failures(results) -> int:

@@ -314,7 +314,7 @@ class CyclotomicNumber:
         return self._add(other, -1)
 
     def __rsub__(self, other):
-        return as_cyclotomic(other) - self
+        return (-self)._add(other, 1)
 
     def __neg__(self):
         return _new(self.order, tuple(-c for c in self.coords), self.den)
@@ -359,6 +359,8 @@ class CyclotomicNumber:
         return self * as_cyclotomic(other).inverse()
 
     def __rtruediv__(self, other):
+        if not isinstance(other, (int, QQ)):
+            return NotImplemented
         return as_cyclotomic(other) * self.inverse()
 
     def __pow__(self, n: int):

@@ -81,7 +81,7 @@ MAX_NESTING = 100
 
 #: Largest estimated bit size of the coefficients of a power whose base is
 #: not a root of unity (the exponent times log2 of the base's 1-norm, see
-#: :func:`_growth_bits`) and of each coefficient of a product (log2 of the
+#: :func:`_growth_norm`) and of each coefficient of a product (log2 of the
 #: larger of its denominator and the sum of its absolute coordinates).  A
 #: coefficient at the bound prints in about 3,000 decimal digits.
 MAX_COEFFICIENT_BITS = 10_000
@@ -238,21 +238,20 @@ class _Parser:
         exponent, pos = self.expect("num")[1:]
         if isinstance(value, MultiPoly):
             degree = max(sum(e) for e in value.terms) * exponent
-            bits = exponent * _growth_bits(value.terms.values())
+            bits = _bits_past_bound(_growth_norm(value.terms.values()), exponent)
             constant = None  # a sum of two or more terms
         else:
             c, e = value
             degree = sum(e) * exponent
-            bits = 0 if c is ONE else exponent * _growth_bits((c,))
+            bits = 0 if c is ONE else _bits_past_bound(_growth_norm((c,)), exponent)
             constant = None if any(e) else c
         if degree > MAX_PROFILE_DEGREE:
             raise DegreeTooLargeError(
                 f"power of degree {degree} exceeds the bound {MAX_PROFILE_DEGREE}"
                 f" (at position {pos})")
-        if bits > MAX_COEFFICIENT_BITS and not (
-                constant is not None and _is_root_of_unity(constant)):
+        if bits and not (constant is not None and _is_root_of_unity(constant)):
             raise CoefficientTooLargeError(
-                f"power of about {math.ceil(bits)} bits exceeds the bound"
+                f"power of about {bits} bits exceeds the bound"
                 f" {MAX_COEFFICIENT_BITS} (at position {pos})")
         if not isinstance(value, MultiPoly):
             return (c if c is ONE else c ** exponent), tuple(x * exponent for x in e)
@@ -287,22 +286,33 @@ class _Parser:
 def _check_product_bits(coeffs, pos):
     """Refuse a product, read at ``pos``, that has one of the coefficients
     ``coeffs`` past :data:`MAX_COEFFICIENT_BITS`."""
-    bits = max((_growth_bits([c]) for c in coeffs), default=0.0)
-    if bits > MAX_COEFFICIENT_BITS:
+    bits = max((_bits_past_bound(_growth_norm([c])) for c in coeffs), default=0)
+    if bits:
         raise CoefficientTooLargeError(
-            f"product with a coefficient of about {math.ceil(bits)} bits exceeds"
+            f"product with a coefficient of about {bits} bits exceeds"
             f" the bound {MAX_COEFFICIENT_BITS} (at position {pos})")
 
 
-def _growth_bits(coeffs) -> float:
-    """Bits by which each further factor can grow the coefficients of a
-    power of a polynomial with the coefficients ``coeffs``: log2 of the
-    larger of their common denominator D and the 1-norm, the sum of the
-    absolute coordinates of D times each coefficient.  D^k times a
-    coefficient of the k-th power has absolute value at most norm^k in
-    every complex embedding."""
+def _growth_norm(coeffs) -> int:
+    """The factor by which each further factor can grow the coefficients
+    of a power of a polynomial with the coefficients ``coeffs``: the larger
+    of their common denominator D and the 1-norm, the sum of the absolute
+    coordinates of D times each coefficient.  D^k times a coefficient of
+    the k-th power has absolute value at most norm^k in every complex
+    embedding."""
     den = math.lcm(*(c.den for c in coeffs))
-    return math.log2(max(sum(abs(x) * (den // c.den) for c in coeffs for x in c.coords), den))
+    return max(sum(abs(x) * (den // c.den) for c in coeffs for x in c.coords), den)
+
+
+def _bits_past_bound(x: int, k: int = 1) -> int:
+    """About log2(x^k), for an int x >= 1, if x^k > 2^B for B =
+    :data:`MAX_COEFFICIENT_BITS`, else 0.  As 2^(k(b-1)) <= x^k < 2^(kb)
+    for b the bit length of x, x^k is formed only when B lies between."""
+    b = x.bit_length()
+    if k * (b - 1) > MAX_COEFFICIENT_BITS:
+        return k * (x - 1).bit_length()
+    bits = (x ** k - 1).bit_length() if k * b > MAX_COEFFICIENT_BITS else 0
+    return bits if bits > MAX_COEFFICIENT_BITS else 0
 
 
 def _power_terms(p: MultiPoly, j: int) -> int:

@@ -25,7 +25,7 @@ since its divisions are exact in Z.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, product
 from math import gcd, lcm, prod
 from operator import add
 
@@ -793,3 +793,10 @@ def _resultant(a, b):
     # Res = lc^deg / h^(deg-1) for the last, constant member lc
     last = _exact_quotients([members[-1][0] ** deg], h ** (deg - 1))[0]
     return factor * sign * last
+
+
+def principal_lattice(n: int, d: int):
+    """The principal lattice {p in Z>=0^n : sum(p) <= d}, C(n + d, d) points:
+    a polynomial of total degree <= d in n variables that vanishes at all of
+    them is zero (Nicolaides, *SIAM J. Numer. Anal.* 9, 1972)."""
+    return [p for p in product(range(d + 1), repeat=n) if sum(p) <= d]

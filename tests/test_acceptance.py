@@ -26,6 +26,7 @@ from stackygit.acceptance import (
 )
 from stackygit.exprparse import form
 from stackygit.groups import GroupSpec
+from stackygit.invariants import QuarticInvariants
 from stackygit.locus import LocusClaim, LocusReport
 
 SEED = 7
@@ -177,9 +178,41 @@ def test_locus_criteria_read_the_reports(monkeypatch, name, check):
 
 
 def test_criterion_07_quartic_invariants():
-    result = check_quartic_invariants(seed=SEED)
+    result = check_quartic_invariants()
     _report(result)
     assert result.passed
+    generators = "u = [[1, 1], [0, 1]] and w = [[0, 1], [-1, 0]]"
+    assert result.details == (
+        f"I2 invariant under {generators}: 42 of 42 checks at the 21 points of the"
+        " degree-2 lattice",
+        f"I3 invariant under {generators}: 112 of 112 checks at the 56 points of the"
+        " degree-3 lattice",
+        "case (I) lands on (1:0): True; case (II) on (0:1): True",
+        "4096*(I2^3 - 27*I3^2) == Res(f_x, f_y) at 462 of the 462 points of the"
+        " degree-6 lattice",
+    )
+
+
+def _plain_quartic_invariants(f):
+    """The classical formulas read on the coefficients themselves, not on
+    a_i / C(4, i): neither is SL(2)-invariant."""
+    a = f.coeffs
+    return QuarticInvariants(
+        a[0] * a[4] - 4 * a[1] * a[3] + 3 * a[2] ** 2,
+        a[0] * a[2] * a[4] - a[0] * a[3] ** 2 + 2 * a[1] * a[2] * a[3]
+        - a[1] ** 2 * a[4] - a[2] ** 3)
+
+
+def test_criterion_07_refutes_the_unweighted_invariants(monkeypatch):
+    monkeypatch.setattr(acceptance, "quartic_invariants", _plain_quartic_invariants)
+    result = check_quartic_invariants()
+    assert not result.passed
+    # 46 of the 154 invariance checks and 286 of the 462 discriminant
+    # points fail; the value points stay on (1:0) and (0:1)
+    assert "31 of 42 checks" in result.details[0]
+    assert "77 of 112 checks" in result.details[1]
+    assert result.details[2].endswith("(1:0): True; case (II) on (0:1): True")
+    assert "at 176 of the 462 points" in result.details[3]
 
 
 def test_criterion_08_quintic_locus():

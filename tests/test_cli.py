@@ -280,6 +280,7 @@ def test_coefficient_bound_before_expansion(text):
 
 @pytest.mark.parametrize("text", [
     "2^5001*x*y*(x+y)",                # about 5,000 bits
+    "(2^5000)^2*x*y*(x+y)",            # 10,000 bits, at the bound
     "(zeta(3)^2)^10001*x*y*(x+y)",     # roots of unity written with several
     "(zeta(5)^4)^10001*x*y*(x+y)",     # coordinates stay roots of unity
 ])

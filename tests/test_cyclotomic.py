@@ -183,6 +183,17 @@ def test_only_exact_types_are_numbers(bad):
     assert {ONE: 1}.get(bad) is None
 
 
+def test_reflected_operators_refuse_foreign_operands():
+    # __rsub__ and __rtruediv__ return NotImplemented for a foreign left
+    # operand, as the other operators do, so Python raises its own error
+    with pytest.raises(TypeError, match="unsupported operand type.*for -"):
+        "1" - ONE
+    with pytest.raises(TypeError, match="unsupported operand type.*for /"):
+        "1" / ONE
+    assert 6 - ONE == 5 and 6 / (ONE + ONE) == 3
+    assert QQ(1, 2) - ONE == QQ(-1, 2) and QQ(1, 2) / zeta(4) == -zeta(4) / 2
+
+
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         zeta(3) / (zeta(5) - zeta(5))

@@ -8,6 +8,7 @@ from stackygit import ringspec
 from stackygit.cli import run_command
 from stackygit.cyclotomic import ORDER_CAP, CyclotomicNumber, zeta
 from stackygit.errors import (
+    CoefficientTooLargeError,
     NestingTooDeepError,
     OrderCapExceededError,
     ParseError,
@@ -320,6 +321,20 @@ def test_bound_errors_keep_their_payloads(text, code, message):
     result = run_command(["stabilizer", text])
     assert result.payload["error"] == {"code": code, "message": message}
     assert result.status == (2 if code == "zero-form" else 3)
+
+
+@pytest.mark.parametrize("text, variables, message", [
+    (str(2 ** 10000 + 1) + "*a*b", ("a", "b"),
+     "product with a coefficient of about 10001 bits exceeds the bound 10000 (at position 3011)"),
+    ("(" + str(2 ** 5000 + 1) + ")^2", ("a",),
+     "power of about 10001 bits exceeds the bound 10000 (at position 1509)"),
+], ids=["product", "power"])
+def test_bounds_are_decided_on_integers(text, variables, message):
+    # 2^10000 + 1 and (2^5000 + 1)^2 are past 2^10000, though a float log2
+    # of either rounds to 10000 bits, at the bound
+    with pytest.raises(CoefficientTooLargeError) as info:
+        parse_poly(text, variables)
+    assert str(info.value) == message
 
 
 def test_numerals_count_their_significant_digits():

@@ -37,8 +37,8 @@ _SEED_501 = {
 }
 
 
-#: digest(FIXED[name]) for each fixed command list: verify-all --json --seed 7
-#: and calibrate quintic|sextic --json --seed 1..20.
+#: digest(FIXED[name]) for each fixed command list: --json verify-all --seed 7
+#: and --json calibrate quintic|sextic --seed 1..20.
 _FIXED = {
     "verify-all:seed7": "9eaed47ff8de05b9c95a89af9a4f1f63110a28b7ae1cd3b594eed877a75b79a9",
     "calibrate:seeds1-20": "bdcd60c5a284ef230790ec78647586198c68ad0e141fabfd56fb7fb3d0e9b9df",

@@ -1,6 +1,6 @@
 import hashlib
 import random
-from math import comb, lcm
+from math import comb, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +25,7 @@ from stackygit.polynomials import (
     _exact_quotients,
     _powers,
     _shift,
+    principal_lattice,
 )
 
 
@@ -687,3 +688,33 @@ def test_form_results_are_clean():
             assert type(r.coeffs) is tuple and r.coeffs
             assert all(type(c) is CyclotomicNumber for c in r.coeffs)
             assert _layouts(BinaryForm(r.coeffs).coeffs) == _layouts(r.coeffs)
+
+
+def _rank(rows):
+    """Rank of a matrix of rationals, by Gaussian elimination."""
+    rows, rank = [[QQ(x) for x in row] for row in rows], 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            q = rows[r][col] / rows[rank][col]
+            rows[r] = [a - q * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("n, d", [(1, 0), (1, 4), (2, 3), (3, 3), (5, 2), (5, 3)])
+def test_principal_lattice_is_unisolvent_and_tight(n, d):
+    points = principal_lattice(n, d)
+    assert len(points) == len(set(points)) == comb(n + d, d)
+    assert all(len(p) == n and min(p) >= 0 and sum(p) <= d for p in points)
+    # the monomials of degree <= d are indexed by the same lattice, and
+    # their values at its points form an invertible square matrix, so only
+    # the zero polynomial of degree <= d vanishes at every point
+    assert _rank([[prod(x ** e for x, e in zip(p, m)) for m in points]
+                  for p in points]) == len(points)
+    # the product of x_1 - j over j <= d has degree d + 1 and vanishes at
+    # every point, so the degree bound d is tight
+    assert all(prod(p[0] - j for j in range(d + 1)) == 0 for p in points)
