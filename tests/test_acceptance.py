@@ -244,7 +244,7 @@ def test_verify_all_is_deterministic():
     assert first.json_text() == second.json_text()
     # the seed-7 payload, pinned byte for byte
     assert hashlib.sha256(first.json_text().encode()).hexdigest() == (
-        "64b42ef6276e11d54c679461b2eb7a7819c5177103d13cce6cc93f126808823d")
+        "431b2cfb6888f09140464a0f1c1e7aede435192f62e6900f58f5ae3a87f057f5")
     payload = json.loads(first.json_text())
     assert payload["blocking_failures"] == 0
     assert len(payload["checks"]) == 10

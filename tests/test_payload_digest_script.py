@@ -40,7 +40,7 @@ _SEED_501 = {
 #: digest(FIXED[name]) for each fixed command list: --json verify-all --seed 7
 #: and --json calibrate quintic|sextic --seed 1..20.
 _FIXED = {
-    "verify-all:seed7": "9eaed47ff8de05b9c95a89af9a4f1f63110a28b7ae1cd3b594eed877a75b79a9",
+    "verify-all:seed7": "e1c85f8b207a123916dd64e652921291cba9a3bba206e6efc556a285713bf6bb",
     "calibrate:seeds1-20": "bdcd60c5a284ef230790ec78647586198c68ad0e141fabfd56fb7fb3d0e9b9df",
 }
 
