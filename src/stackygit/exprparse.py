@@ -81,7 +81,7 @@ MAX_NESTING = 100
 
 #: Largest estimated bit size of the coefficients of a power whose base is
 #: not a root of unity (the exponent times log2 of the base's 1-norm, see
-#: :func:`_growth_norm`) and of each coefficient of a product (log2 of the
+#: :func:`_bits_past_bound`) and of each coefficient of a product (log2 of the
 #: larger of its denominator and the sum of its absolute coordinates).  A
 #: coefficient at the bound prints in about 3,000 decimal digits.
 MAX_COEFFICIENT_BITS = 10_000
@@ -238,12 +238,12 @@ class _Parser:
         exponent, pos = self.expect("num")[1:]
         if isinstance(value, MultiPoly):
             degree = max(sum(e) for e in value.terms) * exponent
-            bits = _bits_past_bound(_growth_norm(value.terms.values()), exponent)
+            bits = _bits_past_bound(value.terms.values(), exponent)
             constant = None  # a sum of two or more terms
         else:
             c, e = value
             degree = sum(e) * exponent
-            bits = 0 if c is ONE else _bits_past_bound(_growth_norm((c,)), exponent)
+            bits = 0 if c is ONE else _bits_past_bound((c,), exponent)
             constant = None if any(e) else c
         if degree > MAX_PROFILE_DEGREE:
             raise DegreeTooLargeError(
@@ -286,28 +286,24 @@ class _Parser:
 def _check_product_bits(coeffs, pos):
     """Refuse a product, read at ``pos``, that has one of the coefficients
     ``coeffs`` past :data:`MAX_COEFFICIENT_BITS`."""
-    bits = max((_bits_past_bound(_growth_norm([c])) for c in coeffs), default=0)
+    bits = max((_bits_past_bound((c,)) for c in coeffs), default=0)
     if bits:
         raise CoefficientTooLargeError(
             f"product with a coefficient of about {bits} bits exceeds"
             f" the bound {MAX_COEFFICIENT_BITS} (at position {pos})")
 
 
-def _growth_norm(coeffs) -> int:
-    """The factor by which each further factor can grow the coefficients
-    of a power of a polynomial with the coefficients ``coeffs``: the larger
-    of their common denominator D and the 1-norm, the sum of the absolute
-    coordinates of D times each coefficient.  D^k times a coefficient of
-    the k-th power has absolute value at most norm^k in every complex
-    embedding."""
+def _bits_past_bound(coeffs, k: int = 1) -> int:
+    """About log2(x^k) if x^k > 2^B, else 0, for B =
+    :data:`MAX_COEFFICIENT_BITS` and x the growth norm of ``coeffs``: the
+    larger of their common denominator D and the 1-norm, the sum of the
+    absolute coordinates of D times each coefficient.  D^k times a
+    coefficient of the k-th power of a polynomial with these coefficients
+    has absolute value at most x^k in every complex embedding.  As
+    2^(k(b-1)) <= x^k < 2^(kb) for b the bit length of x, x^k is formed
+    only when B lies between."""
     den = math.lcm(*(c.den for c in coeffs))
-    return max(sum(abs(x) * (den // c.den) for c in coeffs for x in c.coords), den)
-
-
-def _bits_past_bound(x: int, k: int = 1) -> int:
-    """About log2(x^k), for an int x >= 1, if x^k > 2^B for B =
-    :data:`MAX_COEFFICIENT_BITS`, else 0.  As 2^(k(b-1)) <= x^k < 2^(kb)
-    for b the bit length of x, x^k is formed only when B lies between."""
+    x = max(sum(abs(v) * (den // c.den) for c in coeffs for v in c.coords), den)
     b = x.bit_length()
     if k * (b - 1) > MAX_COEFFICIENT_BITS:
         return k * (x - 1).bit_length()

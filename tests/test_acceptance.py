@@ -208,7 +208,8 @@ def test_criterion_07_refutes_the_unweighted_invariants(monkeypatch):
     result = check_quartic_invariants()
     assert not result.passed
     # 46 of the 154 invariance checks and 286 of the 462 discriminant
-    # points fail; the value points stay on (1:0) and (0:1)
+    # points fail; the value points come from invariants.quartic_point,
+    # which the patch leaves alone
     assert "31 of 42 checks" in result.details[0]
     assert "77 of 112 checks" in result.details[1]
     assert result.details[2].endswith("(1:0): True; case (II) on (0:1): True")
