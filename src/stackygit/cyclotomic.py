@@ -54,8 +54,6 @@ from math import gcd, lcm
 
 from .errors import OrderCapExceededError
 
-_ZERO = QQ(0)
-
 #: Largest permitted cyclotomic order, a constant: operations that would
 #: need a bigger field raise OrderCapExceededError.
 ORDER_CAP = 120
@@ -120,6 +118,14 @@ def _power_rows(m: int):
             cur = [c + top * r for c, r in zip(cur, head)]
         rows.append(tuple((i, c) for i, c in enumerate(cur) if c))
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _traces(m: int) -> tuple:
+    """The integers Tr(zeta_m^k) = mu(d) phi(m) / phi(d), d = m / gcd(m, k), k < phi(m)."""
+    phi = euler_phi(m)
+    return tuple(-cyclotomic_polynomial(d)[-2] * (phi // euler_phi(d))
+                 for d in (m // gcd(m, k) for k in range(phi)))
 
 
 def _reduce(m: int, vec):
@@ -298,6 +304,10 @@ class CyclotomicNumber:
             n = a * (db // g) + b * s
             h = gcd(n, g)
             return _new(1, (n // h,), s * (db // h))
+        if not other:  # x +- 0 and 0 +- y need no embedding into the lcm field
+            return self
+        if not self:
+            return other if sign == 1 else -other
         m, a, b = self._pair(other)
         if da == db:
             return _raw(m, [x + sign * y for x, y in zip(a, b)], da)
@@ -339,10 +349,14 @@ class CyclotomicNumber:
         if self.order == 1:
             n = self.coords[0]
             return _new(1, (self.den if n > 0 else -self.den,), abs(n))
+        m, coords = self.order, self.coords
+        (j, c), *rest = [(j, c) for j, c in enumerate(coords) if c]
+        if not rest:  # a monomial (c / den) zeta_m^j inverts to (den / c) zeta_m^(m-j)
+            vec = [0] * (m - j) + [self.den if c > 0 else -self.den]
+            return _raw(m, _reduce(m, vec), abs(c))
         # 1/a is the product of the other Galois conjugates sigma_k(a),
         # k coprime to m, over the norm N(a): an integer for integer coords,
         # and positive because the conjugates pair into |sigma_k(a)|^2
-        m, coords = self.order, self.coords
         prod = [1] + [0] * (len(coords) - 1)
         for k in range(2, m):
             if gcd(k, m) == 1:
@@ -394,16 +408,14 @@ class CyclotomicNumber:
     def __hash__(self):
         # Hash on the normalized trace (1/phi(m)) * Tr(a), a rational that is
         # independent of the field the value is written in, so equal values
-        # with different stored orders hash alike and a rational q as q.
+        # with different stored orders hash alike and a rational q as q.  It
+        # is one integer, sum c_k Tr(zeta_m^k) (:func:`_traces`), over
+        # phi(m) * den; mu(d) in Tr(zeta_m^k) is read off as -Phi_d[-2].
         try:
             return self._hash
         except AttributeError:
-            m, tr = self.order, _ZERO
-            for k, c in enumerate(self.coords):
-                if c:
-                    d = m // gcd(m, k)
-                    tr += QQ(-c * cyclotomic_polynomial(d)[-2], euler_phi(d))
-            _set_hash(self, hash(tr / self.den))
+            tr = sum([c * t for c, t in zip(self.coords, _traces(self.order))])
+            _set_hash(self, hash(QQ(tr, euler_phi(self.order) * self.den)))
             return self._hash
 
     # -- display -------------------------------------------------------------

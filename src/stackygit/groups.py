@@ -108,12 +108,10 @@ def _tetrahedral_generators():
 @lru_cache(maxsize=None)
 def group_generators(spec: GroupSpec):
     """The defining generator matrices, determinants verified exactly."""
-    if spec.kind == "C":
+    if spec.kind in ("C", "D"):
         eps = zeta(2 * spec.n)
-        return (SL2Matrix.diagonal(eps, eps ** -1),)
-    if spec.kind == "D":
-        eps = zeta(2 * spec.n)
-        return (SL2Matrix.diagonal(eps, eps ** -1), SL2Matrix(0, imag_unit(), imag_unit(), 0))
+        flip = (SL2Matrix(0, imag_unit(), imag_unit(), 0),) if spec.kind == "D" else ()
+        return (SL2Matrix.diagonal(eps, eps ** -1),) + flip
     if spec.kind == "T":
         return _tetrahedral_generators()
     if spec.kind == "O":
@@ -137,12 +135,15 @@ def group_generators(spec: GroupSpec):
 def group_elements(spec: GroupSpec):
     """All elements, as the closure of the generators under multiplication.
 
+    Every group here has even order, so it contains -1, the only element of
+    order 2 in SL(2).  The closure starts from {1, -1} and adds each new
+    product p with -p, multiplying only p further since (-p) g = -(p g).
     Breadth-first products keep the enumeration order deterministic.
     """
     gens = group_generators(spec)
     identity = SL2Matrix.identity()
-    seen = {identity}
-    ordered = [identity]
+    ordered = [identity, SL2Matrix(-1, 0, 0, -1)]
+    seen = set(ordered)
     frontier = [identity]
     while frontier:
         next_frontier = []
@@ -150,8 +151,8 @@ def group_elements(spec: GroupSpec):
             for g in gens:
                 p = m * g
                 if p not in seen:
-                    seen.add(p)
-                    ordered.append(p)
+                    ordered += (p, SL2Matrix(-p.a, -p.b, -p.c, -p.d))
+                    seen.update(ordered[-2:])
                     next_frontier.append(p)
                     if len(ordered) > CLOSURE_BOUND:
                         raise ClosureBoundExceededError(

@@ -1,3 +1,4 @@
+import operator
 import random
 from math import gcd, lcm
 
@@ -9,6 +10,7 @@ from stackygit.cyclotomic import (
     ONE,
     ORDER_CAP,
     QQ,
+    ZERO,
     CyclotomicNumber,
     as_cyclotomic,
     cyclotomic_polynomial,
@@ -143,6 +145,14 @@ def test_field_axioms_on_random_samples():
 def test_inverse_in_large_fields():
     for m in range(2, ORDER_CAP + 1):
         assert zeta(m) ** -1 == zeta(m) ** (m - 1)
+        # c zeta_m^j for every j < m up to m = 60, past that every monomial
+        # of the power basis (j < phi(m)), which inverts in one step
+        for j in range(m if m <= 60 else euler_phi(m)):
+            c = QQ(-3, 7) if j % 2 else QQ(5 * j + 1, 4)
+            x = CyclotomicNumber(m, [0] * j + [c])
+            inv = x.inverse()
+            assert x * inv == 1, (m, j)
+            assert inv == CyclotomicNumber(m, [0] * (m - j) + [1 / c]), (m, j)
     rng = random.Random(53)
     for m in (53, 113):
         # dense elements with 6-bit numerators over a common denominator
@@ -165,6 +175,26 @@ def test_canonical_equality_and_hash():
     assert r.order == 1 and r == 1
 
 
+def _fraction_trace_hash(value):
+    """The hash of the normalized trace (1/phi(m)) Tr(a), summed one
+    Fraction per coordinate: Tr(zeta_m^k) / phi(m) = mu(d) / phi(d) for
+    d = m / gcd(m, k)."""
+    m, tr = value.order, QQ(0)
+    for k, c in enumerate(value.coords):
+        if c:
+            d = m // gcd(m, k)
+            tr += QQ(c * _mu(d), euler_phi(d))
+    return hash(tr / value.den)
+
+
+def test_hash_of_every_root_of_unity_is_the_fraction_trace():
+    for m in range(1, ORDER_CAP + 1):
+        for k in range(m):
+            z = CyclotomicNumber(m, [0] * k + [1])
+            assert hash(z) == _fraction_trace_hash(z), (m, k)
+            assert hash(z / 3) == _fraction_trace_hash(z / 3), (m, k)
+
+
 def test_zero_is_canonical():
     z = zeta(8) - zeta(8)
     assert z.coords == (0,) and z.order == 1 and not z
@@ -181,6 +211,18 @@ def test_only_exact_types_are_numbers(bad):
     assert not ONE == bad and ONE != bad
     assert not zeta(4) == bad
     assert {ONE: 1}.get(bad) is None
+
+
+@pytest.mark.parametrize("bad", [None, "", 0.0, []])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_falsy_foreign_operands_are_refused(bad, op):
+    # the zero shortcut of + and - runs after coercion, so a falsy operand
+    # that is not a number is still refused on either side
+    for value in (ONE, ZERO, zeta(5)):
+        with pytest.raises(TypeError):
+            op(value, bad)
+        with pytest.raises(TypeError):
+            op(bad, value)
 
 
 def test_reflected_operators_refuse_foreign_operands():
@@ -301,6 +343,16 @@ def test_agrees_with_fraction_reference(x, y, k):
     _agrees(a - b, big, [s - t for s, t in zip(ua, vb)])
     _agrees(a * b, big, _ref_mul(ua, vb, big))
     assert (a == b) == (ua == vb)
+    for value in (a, b, a + b, a * b):
+        assert hash(value) == _fraction_trace_hash(value)
+    # an irrational value plus or minus zero takes the shortcut of _add;
+    # every result keeps the reference's canonical (order, coords, den)
+    for zero in (0, QQ(0), zeta(5) - zeta(5)):
+        _agrees(a + zero, m, u)
+        _agrees(zero + a, m, u)
+        _agrees(a - zero, m, u)
+        _agrees(zero - a, m, [-c for c in u])
+    _agrees(sum([a, b, a]), big, [2 * s + t for s, t in zip(ua, vb)])
     if a:
         inv = a.inverse()
         w = _ref_embed([QQ(c, inv.den) for c in inv.coords], inv.order, m)

@@ -42,6 +42,18 @@ def test_group_orders(label, order):
     assert all(m.det() == 1 for m in elements)
 
 
+@pytest.mark.parametrize(
+    "spec", [GroupSpec(kind, n) for kind in "CD" for n in range(1, 25)]
+    + [GroupSpec("T"), GroupSpec("O"), GroupSpec("I")], ids=str)
+def test_closure_is_the_group_and_closed_under_negation(spec):
+    # the closure adds each product with its negative, which is exact
+    # because every group here has even order and so contains -1
+    elements = group_elements(spec)
+    assert len(set(elements)) == len(elements) == spec.order
+    assert SL2Matrix(-1, 0, 0, -1) in elements
+    assert {SL2Matrix(-g.a, -g.b, -g.c, -g.d) for g in elements} == set(elements)
+
+
 def test_closure_is_deterministic():
     a = group_elements(GroupSpec("T"))
     b = group_elements(GroupSpec("T"))
