@@ -4,6 +4,10 @@ Every subcommand produces a JSON payload (``--json``) and a markdown
 rendering derived from it; exit status 0 means everything verified, 1 a
 refuted claim or failed check, 2 bad input, 3 an exceeded internal bound.
 
+The JSON text is ``json.dumps(payload, sort_keys=True, indent=2)`` byte for
+byte (``tests/test_cli.py::test_json_text_is_json_dumps``), written directly
+because ``indent`` turns ``json``'s C encoder off.
+
 The argument parser is built once per process, on the first
 :func:`run_command` call, and shared by every later call; it must not be
 mutated.  Each parse returns a fresh namespace, so no state passes from one
@@ -16,11 +20,11 @@ markdown.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
 from functools import cache
 from itertools import takewhile
+from json.encoder import encode_basestring_ascii
 
 from . import ringspec
 from .errors import ExactArithmeticError, NestingTooDeepError, StackygitError
@@ -41,7 +45,39 @@ class CommandResult:
     markdown: str
 
     def json_text(self) -> str:
-        return json.dumps(self.payload, sort_keys=True, indent=2)
+        """``json.dumps(self.payload, sort_keys=True, indent=2)`` byte for byte
+        (``test_json_text_is_json_dumps``), written by :func:`_json` because
+        ``indent`` turns ``json``'s C encoder off."""
+        return _json(self.payload, "\n")
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json(value, newline: str) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes
+    it, ``newline`` being the line break and indent of its own level.  A
+    float, a key that is not a str or any other type raises TypeError."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return _JSON_CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = ("," + inner).join([f"{encode_basestring_ascii(key)}: {_json(value[key], inner)}"
+                                    for key in sorted(value)])
+        return f"{{{inner}{items}{newline}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = ("," + inner).join([_json(item, inner) for item in value])
+        return f"[{inner}{items}{newline}]"
+    raise TypeError(f"{type(value).__name__} has no place in a payload")
 
 
 def _payload(command: str, body: dict, status: int = 0) -> dict:

@@ -169,8 +169,12 @@ def klein_factors(spec: GroupSpec) -> GroundFormSet:
 
     For C_n: x and y.  For D_n: x^n + y^n, x^n - y^n, xy.  The tetrahedral,
     octahedral and icosahedral triples are the classical ones over Q(i), Q,
-    and Q(zeta_5).  nu_i = |G| / (2 deg F_i), so nu = (n, n) for C_n.
+    and Q(zeta_5).  nu_i = |G| / (2 deg F_i), so nu = (n, n) for C_n.  D_n
+    with n > MAX_PROFILE_DEGREE raises DegreeTooLargeError before any form.
     """
+    if spec.kind == "D" and spec.n > MAX_PROFILE_DEGREE:
+        raise DegreeTooLargeError(
+            f"D_n ground forms of degree {spec.n} exceed the bound {MAX_PROFILE_DEGREE}")
     x, y = BinaryForm([1, 0]), BinaryForm([0, 1])
     if spec.kind == "C":
         forms = (x, y)

@@ -164,6 +164,18 @@ def test_ground_forms_of_a_cyclic_group_are_refused():
     assert result.payload["error"]["code"] == "no-ground-forms"
     assert result.payload["error"]["message"] == "cyclic groups have no ground-form triple"
 
+@pytest.mark.parametrize("argv", [["ground-forms", "D99999999999"],
+                                  ["klein", "D99999999999", "0", "0", "0"]])
+def test_dihedral_ground_forms_past_the_degree_bound_are_refused_fast(argv):
+    # x^n + y^n is refused before it is expanded
+    start = time.perf_counter()
+    result = run_command(argv)
+    assert time.perf_counter() - start < 0.5
+    assert result.status == 3
+    assert result.payload["error"]["code"] == "degree-too-large"
+    assert run_command(["ground-forms", "D256"]).status == 0
+
+
 def test_klein():
     result = run_command(["klein", "D3", "0", "0", "0", "2:3"])
     assert result.status == 0
@@ -533,6 +545,48 @@ def test_payload_digests(argv, digest):
     result = run_command(argv)
     assert result.status == 0
     assert hashlib.sha256(result.json_text().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", str(DEMO_RINGS / "quintic.ring")],
+    ["rigidify", str(DEMO_RINGS / "quartic.ring")],  # a free ring: relation null
+    ["chart", str(DEMO_RINGS / "quintic.ring"), "I12"],
+    ["stabilizer", "x^5 + y^5"],
+    ["ground-forms", "I"],
+    ["klein", "T", "1", "1", "0", "1:2"],
+    ["locus", "sextic"],
+    ["catalog", "cubic-surface"],
+    ["calibrate", "quintic", "--seed", "3"],
+    ["verify-all", "--seed", "7"],
+    ["--help"],
+    ["verify-all", "--seed", "x"],  # a usage error
+    ["stabilizer", "x+\u00e9"],  # a parse error that echoes the non-ASCII character
+], ids=lambda argv: " ".join(argv[:2]))
+def test_json_text_is_json_dumps(argv):
+    # json_text writes the payload itself; json.dumps is the reference
+    result = run_command(argv)
+    assert result.json_text() == json.dumps(result.payload, sort_keys=True, indent=2)
+
+
+def test_json_text_of_every_kind_of_value_is_json_dumps():
+    payload = {
+        "empty": {"dict": {}, "list": [], "nested": [{}, [], [[]], {"a": {}}]},
+        "tuple": (1, ("two", None), ()),
+        "constants": [True, False, None],
+        "ints": [0, -1, -(10 ** 299), 10 ** 299 + 7],
+        "strings": ['"quoted"', "back\\slash", "\x00\x1f\n\t\x7f",
+                    "caf\u00e9 \u03b6", "\U0001d54a", ""],
+        "\u00e9 key": "value",
+        "": 0,
+    }
+    text = cli.CommandResult(0, payload, "").json_text()
+    assert text == json.dumps(payload, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("payload", [{"x": 0.5}, {"x": [1, 2.0]}, {1: "x"}, {"x": {2: 3}}])
+def test_json_text_refuses_floats_and_keys_that_are_not_str(payload):
+    with pytest.raises(TypeError):
+        cli.CommandResult(0, payload, "").json_text()
 
 
 def test_main_prints_json_or_markdown_and_returns_the_status(capsys):
