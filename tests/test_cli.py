@@ -164,15 +164,15 @@ def test_ground_forms_of_a_cyclic_group_are_refused():
     assert result.payload["error"]["code"] == "no-ground-forms"
     assert result.payload["error"]["message"] == "cyclic groups have no ground-form triple"
 
-@pytest.mark.parametrize("argv", [["ground-forms", "D99999999999"],
-                                  ["klein", "D99999999999", "0", "0", "0"]])
-def test_dihedral_ground_forms_past_the_degree_bound_are_refused_fast(argv):
+
+def test_dihedral_ground_forms_past_the_degree_bound_are_refused_fast():
     # x^n + y^n is refused before it is expanded
-    start = time.perf_counter()
-    result = run_command(argv)
-    assert time.perf_counter() - start < 0.5
-    assert result.status == 3
-    assert result.payload["error"]["code"] == "degree-too-large"
+    for argv in (["ground-forms", "D99999999999"], ["klein", "D99999999999", "0", "0", "0"]):
+        start = time.perf_counter()
+        result = run_command(argv)
+        assert time.perf_counter() - start < 0.5
+        assert result.status == 3
+        assert result.payload["error"]["code"] == "degree-too-large"
     assert run_command(["ground-forms", "D256"]).status == 0
 
 
@@ -561,7 +561,7 @@ def test_payload_digests(argv, digest):
     ["--help"],
     ["verify-all", "--seed", "x"],  # a usage error
     ["stabilizer", "x+\u00e9"],  # a parse error that echoes the non-ASCII character
-], ids=lambda argv: " ".join(argv[:2]))
+], ids=lambda argv: " ".join(Path(arg).name for arg in argv))
 def test_json_text_is_json_dumps(argv):
     # json_text writes the payload itself; json.dumps is the reference
     result = run_command(argv)
