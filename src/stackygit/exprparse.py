@@ -124,7 +124,9 @@ def _tokenize(text: str):
         else:
             tokens.append((op, op, m.start(3)))
         pos = m.end()
-    if text[pos:].strip():
+    rest = text[pos:].lstrip()
+    if rest:
+        pos = len(text) - len(rest)
         raise ParseError(f"unexpected character {text[pos]!r}", pos)
     tokens.append(("end", None, len(text)))
     return tokens

@@ -54,14 +54,15 @@ def test_error_carries_position():
 
 
 @pytest.mark.parametrize("text, message, position", [
-    ("x + $", "unexpected character ' '", 3),
+    ("x + $", "unexpected character '$'", 4),
     ("x$", "unexpected character '$'", 1),
-    ("x +  # ", "unexpected character ' '", 3),
+    ("x +  # ", "unexpected character '#'", 5),
+    ("x^2 + é*y", "unexpected character 'é'", 6),
     ("x y", "trailing input 'y'", 2),
     ("x^", "expected 'num', found None", 2)])
 def test_parse_error_names_the_first_unreadable_position(text, message, position):
     # the character reported is the first the token pattern cannot read,
-    # even when it is the whitespace before the bad one
+    # past any whitespace before it
     with pytest.raises(ParseError) as err:
         parse_poly(text, ("x", "y"))
     assert (str(err.value), err.value.position) == (f"{message} (at position {position})", position)
