@@ -37,6 +37,8 @@ result once with :func:`_raw`.  The other bulk kernels
 have one body over their coefficient ring, which :func:`_numerators`
 picks: plain int numerators over one denominator when every coefficient
 is rational, the values themselves otherwise; :func:`_over` divides back.
+:func:`_convolve` is the one dense product body, behind :func:`_mul_vec`,
+``BinaryForm.__mul__`` and the covariant products of ``invariants``.
 
 >>> zeta(4) ** 2
 CyclotomicNumber('-1')
@@ -146,15 +148,23 @@ def _reduce(m: int, vec):
     return vec
 
 
-def _mul_vec(m: int, a, b):
-    """Product of two reduced integer coordinate vectors, reduced again."""
-    prod = [0] * (2 * len(a) - 1)
+def _convolve(a, b):
+    """The coefficient list of the product of two polynomials given by the
+    coefficient lists ``a`` and ``b``, all ints or all CyclotomicNumbers;
+    zero entries are skipped, so a sum that no product reaches stays the
+    int 0."""
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 if y:
-                    prod[i + j] += x * y
-    return _reduce(m, prod)
+                    out[i + j] += x * y
+    return out
+
+
+def _mul_vec(m: int, a, b):
+    """Product of two reduced integer coordinate vectors, reduced again."""
+    return _reduce(m, _convolve(a, b))
 
 
 def _to_int_coords(values, m: int):

@@ -16,15 +16,24 @@ No derivative form is built: for f = sum f_i x^(d-i) y^i and g = sum g_j
 x^(e-j) y^j, coefficient n of (f, g)_r is sum_{i+j=n+r} W(i, j) f_i g_j
 with the integer weights
 W(i, j) = sum_k (-1)^k C(r, k) (d-i)_(r-k) i_(k) (e-j)_(k) j_(r-k)
-(falling factorials), cached per (d, e, r).  Each coefficient is one sum
-in the ring of :func:`stackygit.cyclotomic._numerators`: int numerators
-over one denominator per form when both forms are rational, so rational
-forms have a rational transvectant, and field elements otherwise, so each
-coefficient is stored in the field its own arithmetic produces.
+(falling factorials), cached per (d, e, r).  One kernel,
+:func:`_transvectant`, forms these sums on coefficient lists in the ring of
+:func:`stackygit.cyclotomic._numerators`: int numerators when every
+coefficient is rational, field elements otherwise.  It divides nothing: a
+covariant is carried as a triple (coefficient list, num, den) standing for
+the form with coefficients c * num / den, and the kernel multiplies the
+normalization into num and den.  Division happens once, where a covariant
+becomes a :class:`BinaryForm` (:func:`_form`, one
+:func:`stackygit.cyclotomic._over` per coefficient), so rational forms have
+a rational transvectant and each field coefficient is stored in the field
+its own arithmetic produces.  The public :func:`transvectant` is
+``_numerators``, the kernel and ``_form``.
 
 Two plain functions, :func:`_quintic_recipe` and :func:`_sextic_recipe`,
-build one invariant per catalog generator from transvectants and a
-resultant (:func:`evaluate_recipe` picks one by family).  The calibration
+build one invariant per catalog generator from transvectants, products and
+a resultant (:func:`evaluate_recipe` picks one by family).  They read the
+input form's numerators once, run the whole covariant chain on the
+kernel's triples, and normalize once per invariant.  The calibration
 harness checks that pinned per-degree scalars (:data:`QUINTIC_SCALARS`,
 :data:`SEXTIC_SCALARS`) match these invariants to the catalog relation,
 exactly, at seeded random forms.
@@ -34,9 +43,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, perm
+from math import comb, factorial, lcm, perm
 
-from .cyclotomic import QQ, CyclotomicNumber, _numerators, _over, as_cyclotomic, sqrt2
+from .cyclotomic import (
+    QQ,
+    CyclotomicNumber,
+    _convolve,
+    _numerators,
+    _over,
+    as_cyclotomic,
+    sqrt2,
+)
 from .errors import (
     NonStableError,
     OrderTooLargeError,
@@ -216,26 +233,73 @@ def _transvectant_weights(d: int, e: int, r: int):
     return tuple(rows), scale.numerator, scale.denominator
 
 
+def _transvectant(a, b, r: int):
+    """The r-th transvectant of two covariants, each a triple (coefficient
+    list, num, den) standing for the form with coefficients c * num / den.
+
+    Entry n of the result's list is sum_{i+j=n+r} W(i, j) a_i b_j with the
+    integer weights W of :func:`_transvectant_weights`, summed in the ring
+    of the lists (ints, or CyclotomicNumbers); the normalization
+    (d-r)! (e-r)! / (d! e!) and both scales go into num and den, and
+    nothing is divided."""
+    (A, an, ad), (B, bn, bd) = a, b
+    d, e = len(A) - 1, len(B) - 1
+    if r > min(d, e):
+        raise OrderTooLargeError(
+            f"transvectant order {r} exceeds min(deg) = {min(d, e)}")
+    rows, num, den = _transvectant_weights(d, e, r)
+    return ([sum(w * A[i] * B[j] for i, j, w in row) for row in rows],
+            num * an * bn, den * ad * bd)
+
+
+def _product(a, b):
+    """The product of two covariant triples, as :func:`_transvectant`
+    carries them."""
+    (A, an, ad), (B, bn, bd) = a, b
+    return _convolve(A, B), an * bn, ad * bd
+
+
+def _sum(*terms):
+    """The sum of q * t over pairs (q, t) of a nonzero rational q and a
+    covariant triple t, all of one degree: each list is multiplied by the
+    int that brings it over the lcm of the denominators, and the lists are
+    added entry by entry, term after term."""
+    scales = [(q.numerator * num, q.denominator * den) for q, (_, num, den) in terms]
+    den = lcm(*(d for _, d in scales))
+    factors = [n * (den // d) for n, d in scales]
+    return ([sum(c * k for c, k in zip(column, factors))
+             for column in zip(*(coeffs for _, (coeffs, _, _) in terms))], 1, den)
+
+
+def _covariant(f: BinaryForm):
+    """The triple (numerators, 1, den) of a form's coefficients, read once
+    with :func:`stackygit.cyclotomic._numerators`."""
+    (den, nums), = _numerators(f.coeffs)
+    return nums, 1, den
+
+
+def _form(covariant) -> BinaryForm:
+    """The form of a covariant triple: the one division, one
+    :func:`stackygit.cyclotomic._over` per coefficient."""
+    coeffs, num, den = covariant
+    return BinaryForm._of([_over(num * c, den) for c in coeffs])
+
+
 def transvectant(f: BinaryForm, g: BinaryForm, r: int) -> BinaryForm:
     """The r-th transvectant (f, g)_r of two forms, of degree d + e - 2r.
 
     Coefficient n is sum_{i+j=n+r} W(i, j) f_i g_j times the normalization
     (d-r)! (e-r)! / (d! e!), with the integer weights W of
-    :func:`_transvectant_weights`, summed in the ring of
-    :func:`stackygit.cyclotomic._numerators`.  Rational forms take one
-    integer sum per coefficient over one common denominator.  Otherwise
-    each coefficient is stored in the field its own arithmetic produces,
-    which divides the lcm of the orders of the nonzero f_i and g_j that
-    reach it with a nonzero weight."""
-    d, e = f.degree, g.degree
-    if r > min(d, e):
-        raise OrderTooLargeError(
-            f"transvectant order {r} exceeds min(deg) = {min(d, e)}")
-    rows, num, den = _transvectant_weights(d, e, r)
+    :func:`_transvectant_weights`: the two forms' coefficients are read in
+    the ring of :func:`stackygit.cyclotomic._numerators`, summed by the
+    kernel :func:`_transvectant`, and normalized once per coefficient by
+    :func:`_form`.  Rational forms take one integer sum per coefficient
+    over one common denominator.  Otherwise each coefficient is stored in
+    the field its own arithmetic produces, which divides the lcm of the
+    orders of the nonzero f_i and g_j that reach it with a nonzero
+    weight."""
     (fd, F), (gd, G) = _numerators(f.coeffs, g.coeffs)
-    den *= fd * gd
-    return BinaryForm._of([_over(num * sum(w * F[i] * G[j] for i, j, w in row), den)
-                           for row in rows])
+    return _form(_transvectant((F, 1, fd), (G, 1, gd), r))
 
 
 # -- calibration --------------------------------------------------------------------
@@ -269,12 +333,18 @@ def _quintic_recipe(f: BinaryForm) -> dict:
     tau = (alpha,alpha)^2 yield invariants in degrees 4, 8, 12; the
     degree-18 invariant is the resultant of f with alpha (the degree-18
     invariant space is one-dimensional, so any nonzero choice is
-    proportional to the catalog generator)."""
-    i = transvectant(f, f, 4)
-    alpha = transvectant(f, i, 2)
-    tau = transvectant(alpha, alpha, 2)
-    return {"I4": transvectant(i, i, 2), "I8": transvectant(i, tau, 2),
-            "I12": transvectant(tau, tau, 2), "I18": BinaryForm([resultant(f, alpha)])}
+    proportional to the catalog generator).
+
+    The chain runs on :func:`_transvectant`'s triples from f's numerators,
+    read once; :func:`_form` normalizes once per invariant, and once for
+    alpha, which the resultant takes as a form."""
+    fc = _covariant(f)
+    i = _transvectant(fc, fc, 4)
+    alpha = _transvectant(fc, i, 2)
+    tau = _transvectant(alpha, alpha, 2)
+    return {"I4": _form(_transvectant(i, i, 2)), "I8": _form(_transvectant(i, tau, 2)),
+            "I12": _form(_transvectant(tau, tau, 2)),
+            "I18": BinaryForm([resultant(f, _form(alpha))])}
 
 
 #: The per-degree scalars c_k that match the invariants J_k of
@@ -292,20 +362,33 @@ def _sextic_recipe(f: BinaryForm) -> dict:
     corrections (solved once against the relation, then frozen), after
     which per-degree scalars suffice.  The degree-15 invariant is the sixth
     transvectant of two order-6 covariant products (the degree-15 space is
-    one-dimensional)."""
-    h = transvectant(f, f, 4)
-    ell = transvectant(f, h, 4)
-    y = transvectant(f, ell, 2)
-    m = transvectant(h, ell, 1)
-    i2 = transvectant(f, f, 6)
-    i4 = transvectant(h, h, 4)
-    j6 = transvectant(ell, ell, 2)
-    j10 = transvectant(f, ell ** 3, 6)
-    i15 = transvectant(ell * y, ell * m, 6)
-    i6 = j6 * QQ(1, 2) + i2 * i4 * QQ(-1, 6)
-    i10 = (j10 * QQ(1, 2) + i4 * j6 * QQ(1, 3) + i2 ** 3 * i4 * QQ(1, 54)
-           + i2 * i4 ** 2 * QQ(-1, 9) + i2 ** 2 * j6 * QQ(-1, 18))
-    return {"I2": i2, "I4": i4, "I6": i6, "I10": i10, "I15": i15}
+    one-dimensional).
+
+    The covariants, their products (:func:`_product`) and the corrections
+    (:func:`_sum`) run on :func:`_transvectant`'s triples from f's
+    numerators, read once, and :func:`_form` normalizes once per invariant.
+    The products and sums keep the operand order and grouping of the
+    chain I10 = J10/2 + (I4 J6)/3 + ((I2 (I2 I2)) I4)/54 - (I2 (I4 I4))/9 -
+    ((I2 I2) J6)/18, so each coefficient over a field is stored in the field
+    that chain on normalized forms produces."""
+    fc = _covariant(f)
+    h = _transvectant(fc, fc, 4)
+    ell = _transvectant(fc, h, 4)
+    y = _transvectant(fc, ell, 2)
+    m = _transvectant(h, ell, 1)
+    i2 = _transvectant(fc, fc, 6)
+    i4 = _transvectant(h, h, 4)
+    j6 = _transvectant(ell, ell, 2)
+    j10 = _transvectant(fc, _product(ell, _product(ell, ell)), 6)
+    i15 = _transvectant(_product(ell, y), _product(ell, m), 6)
+    i2_squared = _product(i2, i2)
+    i6 = _sum((QQ(1, 2), j6), (QQ(-1, 6), _product(i2, i4)))
+    i10 = _sum((QQ(1, 2), j10), (QQ(1, 3), _product(i4, j6)),
+               (QQ(1, 54), _product(_product(i2, i2_squared), i4)),
+               (QQ(-1, 9), _product(i2, _product(i4, i4))),
+               (QQ(-1, 18), _product(i2_squared, j6)))
+    return {"I2": _form(i2), "I4": _form(i4), "I6": _form(i6), "I10": _form(i10),
+            "I15": _form(i15)}
 
 
 #: The per-degree scalars of :func:`_sextic_recipe`: (c15*J15)^2 =
@@ -378,11 +461,12 @@ def calibrate_invariants(family: str, seed: int = DEFAULT_SEED) -> CalibrationRe
                 f"recipe invariant {name} vanishes identically on the samples")
 
     scalars = [as_cyclotomic(pinned[n]) for n in names]
+    # (c*J)^2 as c^2 * J^2: c^2 is rational for every pinned top scalar
+    top_squared = scalars[-1] ** 2
     residuals = []
     for f, vals in zip(probe, probe_values):
-        scaled = [c * v for c, v in zip(scalars, vals)]
-        lhs = scaled[-1] ** 2
-        rhs = entry.F.evaluate(scaled[:-1])
+        lhs = top_squared * vals[-1] ** 2
+        rhs = entry.F.evaluate([c * v for c, v in zip(scalars, vals[:-1])])
         if lhs != rhs:
             residuals.append((str(f), str(lhs - rhs)))
     if residuals:

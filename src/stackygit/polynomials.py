@@ -33,6 +33,7 @@ from .cyclotomic import (
     ONE,
     CyclotomicNumber,
     _check_order,
+    _convolve,
     _mul_vec,
     _numerators,
     _over,
@@ -388,13 +389,7 @@ class BinaryForm:
             c = as_cyclotomic(other)
             return BinaryForm._of([a * c for a in self.coeffs])
         (da, A), (db, B) = _numerators(self.coeffs, other.coeffs)
-        out = [0] * (self.degree + other.degree + 1)
-        for i, a in enumerate(A):
-            if a:
-                for j, b in enumerate(B):
-                    if b:
-                        out[i + j] += a * b
-        return BinaryForm._of([_over(n, da * db) for n in out])
+        return BinaryForm._of([_over(n, da * db) for n in _convolve(A, B)])
 
     __rmul__ = __mul__
 

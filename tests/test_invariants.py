@@ -452,6 +452,30 @@ class TestRelationPolynomials:
         assert any(d.evaluate(point) for d in F.partials())
 
 
+def _reference_recipe(family, f):
+    """Reference: the calibration recipes as chains of public transvectants
+    and BinaryForm products, every covariant a normalized form."""
+    if family == "quintic":
+        i = transvectant(f, f, 4)
+        alpha = transvectant(f, i, 2)
+        tau = transvectant(alpha, alpha, 2)
+        return {"I4": transvectant(i, i, 2), "I8": transvectant(i, tau, 2),
+                "I12": transvectant(tau, tau, 2), "I18": BinaryForm([resultant(f, alpha)])}
+    h = transvectant(f, f, 4)
+    ell = transvectant(f, h, 4)
+    y = transvectant(f, ell, 2)
+    m = transvectant(h, ell, 1)
+    i2 = transvectant(f, f, 6)
+    i4 = transvectant(h, h, 4)
+    j6 = transvectant(ell, ell, 2)
+    j10 = transvectant(f, ell ** 3, 6)
+    i15 = transvectant(ell * y, ell * m, 6)
+    i6 = j6 * QQ(1, 2) + i2 * i4 * QQ(-1, 6)
+    i10 = (j10 * QQ(1, 2) + i4 * j6 * QQ(1, 3) + i2 ** 3 * i4 * QQ(1, 54)
+           + i2 * i4 ** 2 * QQ(-1, 9) + i2 ** 2 * j6 * QQ(-1, 18))
+    return {"I2": i2, "I4": i4, "I6": i6, "I10": i10, "I15": i15}
+
+
 def _patch_quintic(monkeypatch, **changes):
     """Replace quintic invariants of the calibration table: each keyword
     maps a generator to a function of the form and its built invariants."""
@@ -548,6 +572,30 @@ class TestCalibration:
             env = evaluate_recipe(family, form(source))
             assert tuple(env) == catalog_ring(family).ring.generators
             assert all(value.degree == 0 for value in env.values())
+
+
+class TestRecipes:
+    @pytest.mark.parametrize("family, degree", [("quintic", 5), ("sextic", 6)])
+    def test_recipes_match_the_chain_of_normalized_forms(self, family, degree):
+        # the recipes divide once per invariant; every value and the field
+        # it is stored in match the chain that normalizes each covariant:
+        # integer forms, forms over denominators, and forms over Q(sqrt(-3))
+        # and Q(zeta_5)
+        rng = random.Random(83 + degree)
+        forms = [BinaryForm([rng.randint(-9, 9) for _ in range(degree + 1)]) for _ in range(4)]
+        forms += [BinaryForm([QQ(rng.randint(-9, 9), rng.randint(1, 6))
+                              for _ in range(degree + 1)]) for _ in range(4)]
+        irrational = [BinaryForm([1, 0, sqrt_minus3()] + [QQ(k - 2, 3) for k in range(degree - 2)]),
+                      BinaryForm([2, zeta(5), 0] + [k - 1 for k in range(degree - 2)])]
+        assert all(max(c.den for c in f.coeffs) > 1 for f in forms[4:])
+        for f in forms + irrational:
+            got, expected = evaluate_recipe(family, f), _reference_recipe(family, f)
+            assert tuple(got) == tuple(expected)
+            for name, value in got.items():
+                assert [(c, c.order) for c in value.coeffs] == \
+                    [(c, c.order) for c in expected[name].coeffs], (str(f), name)
+        for f in irrational:
+            assert any(value.a(0).order > 1 for value in evaluate_recipe(family, f).values())
 
 
 class TestMonomialRows:
