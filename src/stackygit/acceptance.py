@@ -18,7 +18,7 @@ the verdicts of :func:`~stackygit.locus.quintic_locus_report` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CommonFactorError
 from .exprparse import form
@@ -51,13 +51,9 @@ from .symmetry import (
 )
 
 
-@dataclass
-class CheckResult:
-    criterion: int
-    name: str
-    passed: bool
-    blocking: bool = True
-    details: tuple = ()
+class CheckResult(namedtuple("CheckResult", "criterion name passed blocking details",
+                             defaults=(True, ()))):
+    __slots__ = ()
 
     @property
     def status(self) -> str:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from itertools import takewhile
 from json.encoder import encode_basestring_ascii
@@ -38,11 +38,8 @@ from .symmetry import catalog_stabilizer, ground_forms, klein_generate, semi_inv
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class CommandResult:
-    status: int
-    payload: dict
-    markdown: str
+class CommandResult(namedtuple("CommandResult", "status payload markdown")):
+    __slots__ = ()
 
     def json_text(self) -> str:
         """``json.dumps(self.payload, sort_keys=True, indent=2)`` byte for byte
@@ -57,7 +54,9 @@ _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 def _json(value, newline: str) -> str:
     """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes
     it, ``newline`` being the line break and indent of its own level.  A
-    float, a key that is not a str or any other type raises TypeError."""
+    float, a key that is not a str or any other type raises TypeError;
+    lists and tuples are matched by exact type, so a record (a namedtuple)
+    is refused too."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None or value is True or value is False:
@@ -71,7 +70,7 @@ def _json(value, newline: str) -> str:
         items = ("," + inner).join([f"{encode_basestring_ascii(key)}: {_json(value[key], inner)}"
                                     for key in sorted(value)])
         return f"{{{inner}{items}{newline}}}"
-    if isinstance(value, (list, tuple)):
+    if type(value) in (list, tuple):
         if not value:
             return "[]"
         inner = newline + "  "

@@ -17,7 +17,7 @@ coordinate ratios pairwise.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .cyclotomic import as_cyclotomic
@@ -44,32 +44,30 @@ CONDITION_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class GradedRingPresentation:
+class GradedRingPresentation(namedtuple("GradedRingPresentation",
+                                        "generators weights relation field_order")):
     """Weighted generators with at most one homogeneous relation."""
 
-    generators: tuple
-    weights: tuple
-    relation: MultiPoly | None = None
-    field_order: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        if len(self.generators) != len(self.weights):
+    def __new__(cls, generators, weights, relation: MultiPoly | None = None,
+                field_order: int = 1):
+        generators = tuple(generators)
+        weights = tuple(int(w) for w in weights)
+        if len(generators) != len(weights):
             raise ArityError("one weight per generator")
-        if len(set(self.generators)) != len(self.generators):
+        if len(set(generators)) != len(generators):
             raise ArityError("generator names must be distinct")
-        if any(w < 1 for w in self.weights):
+        if any(w < 1 for w in weights):
             raise ValueError("weights must be positive")
-        if self.relation is not None:
-            if self.relation.variables != self.generators:
+        if relation is not None:
+            if relation.variables != generators:
                 raise ArityError("relation must be written in the generators")
-            if not self.relation:
-                object.__setattr__(self, "relation", None)
-            elif self.relation.weighted_degree(self.weights) is None:
-                raise InhomogeneousError(
-                    f"relation {self.relation} is not weighted-homogeneous")
+            if not relation:
+                relation = None
+            elif relation.weighted_degree(weights) is None:
+                raise InhomogeneousError(f"relation {relation} is not weighted-homogeneous")
+        return super().__new__(cls, generators, weights, relation, field_order)
 
     def weight_of(self, name: str) -> int:
         try:
@@ -87,26 +85,23 @@ def free_ring(names, weights, field_order=1) -> GradedRingPresentation:
     return GradedRingPresentation(tuple(names), tuple(weights), None, field_order)
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Coarse space, canonical stack, rigidification and square-root datum."""
+class DecompositionReport(namedtuple(
+        "DecompositionReport", "coarse_weights rigidification gerbe_index root_order"
+        " root_divisor root_divisor_degree notes", defaults=((),))):
+    """Coarse space, canonical stack, rigidification and square-root datum.
 
-    coarse_weights: tuple            # also the canonical stack's weights
-    rigidification: GradedRingPresentation
-    gerbe_index: int
-    root_order: int
-    root_divisor: MultiPoly          # F over the canonical-stack generators
-    root_divisor_degree: int         # degree of F on the canonical stack
-    notes: tuple = ()
+    ``coarse_weights`` are also the canonical stack's weights;
+    ``root_divisor`` is F over the canonical-stack generators and
+    ``root_divisor_degree`` its degree on the canonical stack."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ChartPresentation:
-    """The affine chart f = 1 with its residual Z/r grading."""
+class ChartPresentation(namedtuple("ChartPresentation", "chart_generator modulus residual")):
+    """The affine chart f = 1 with its residual Z/r grading: ``residual``
+    holds (name, weight mod r) for the other generators."""
 
-    chart_generator: str
-    modulus: int
-    residual: tuple  # ((name, weight mod r), ...) over the other generators
+    __slots__ = ()
 
     @property
     def automorphism_group(self) -> str:
@@ -280,23 +275,24 @@ def stacky_decompose(ring: GradedRingPresentation) -> DecompositionReport:
 # -- weighted projective geometry ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PointW:
-    """A point of a weighted projective space, coordinates not all zero."""
+class PointW(namedtuple("PointW", "coordinates weights")):
+    """A point of a weighted projective space, coordinates not all zero.
 
-    coordinates: tuple
-    weights: tuple
+    Equal points need not have equal coordinates, so points are not
+    hashable."""
 
-    def __post_init__(self):
-        coords = tuple(as_cyclotomic(c) for c in self.coordinates)
-        object.__setattr__(self, "coordinates", coords)
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        if any(w < 1 for w in self.weights):
+    __slots__ = ()
+
+    def __new__(cls, coordinates, weights):
+        coordinates = tuple(as_cyclotomic(c) for c in coordinates)
+        weights = tuple(int(w) for w in weights)
+        if any(w < 1 for w in weights):
             raise ValueError("weights must be positive")
-        if len(coords) != len(self.weights):
+        if len(coordinates) != len(weights):
             raise ArityError("one weight per coordinate")
-        if not any(coords):
+        if not any(coordinates):
             raise ValueError("a projective point needs a nonzero coordinate")
+        return super().__new__(cls, coordinates, weights)
 
     def support(self):
         return tuple(i for i, c in enumerate(self.coordinates) if c)
@@ -329,7 +325,10 @@ class PointW:
         return all(ratios[i] ** exps[j] == ratios[j] ** exps[i]
                    for i, j in itertools.combinations(range(len(sup)), 2))
 
-    __hash__ = None
+    def __ne__(self, other):
+        # tuple.__ne__ would compare the coordinates themselves
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
     def __str__(self):
         return "(" + " : ".join(str(c) for c in self.coordinates) + ")"

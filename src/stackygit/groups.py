@@ -9,7 +9,7 @@ exact; every determinant is exactly 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .cyclotomic import CyclotomicNumber, as_cyclotomic, imag_unit, sqrt2, sqrt5, zeta
@@ -20,20 +20,16 @@ from .errors import ClosureBoundExceededError
 CLOSURE_BOUND = 1000
 
 
-@dataclass(frozen=True)
-class SL2Matrix:
-    """An exact 2x2 matrix of determinant 1."""
+class SL2Matrix(namedtuple("SL2Matrix", "a b c d")):
+    """An exact 2x2 matrix of determinant 1, entries CyclotomicNumbers."""
 
-    a: CyclotomicNumber
-    b: CyclotomicNumber
-    c: CyclotomicNumber
-    d: CyclotomicNumber
+    __slots__ = ()
 
-    def __post_init__(self):
-        for field in "abcd":
-            object.__setattr__(self, field, as_cyclotomic(getattr(self, field)))
+    def __new__(cls, a, b, c, d):
+        self = super().__new__(cls, *map(as_cyclotomic, (a, b, c, d)))
         if self.det() != 1:
             raise ValueError(f"determinant of {self} is not 1")
+        return self
 
     def det(self) -> CyclotomicNumber:
         return self.a * self.d - self.b * self.c
@@ -58,20 +54,19 @@ class SL2Matrix:
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(namedtuple("GroupSpec", "kind n")):
     """One of the finite subgroup families: C_n, D_n, T, O, I."""
 
-    kind: str
-    n: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("C", "D", "T", "O", "I"):
-            raise ValueError(f"unknown group kind {self.kind!r}")
-        if self.kind in ("C", "D") and self.n < 1:
-            raise ValueError(f"{self.kind}_n needs n >= 1")
-        if self.kind in ("T", "O", "I") and self.n:
-            raise ValueError(f"{self.kind} takes no parameter")
+    def __new__(cls, kind: str, n: int = 0):
+        if kind not in ("C", "D", "T", "O", "I"):
+            raise ValueError(f"unknown group kind {kind!r}")
+        if kind in ("C", "D") and n < 1:
+            raise ValueError(f"{kind}_n needs n >= 1")
+        if kind in ("T", "O", "I") and n:
+            raise ValueError(f"{kind} takes no parameter")
+        return super().__new__(cls, kind, n)
 
     @property
     def order(self) -> int:

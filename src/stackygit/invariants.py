@@ -41,7 +41,7 @@ exactly, at seeded random forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import comb, factorial, lcm, perm
 
@@ -62,7 +62,7 @@ from .errors import (
     WrongDegreeError,
 )
 from .graded import GradedRingPresentation, PointW
-from .polynomials import BinaryForm, MultiPoly, resultant
+from .polynomials import BinaryForm, MultiPoly, coefficient_resultant
 from .symmetry import is_stable
 
 SEXTIC_REPAIR_NOTE = (
@@ -78,19 +78,10 @@ CUBIC_SURFACE_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class InvariantCatalogEntry:
-    family: str
-    ring: "GradedRingPresentation"
-    F: MultiPoly | None
-    source: str
-    notes: tuple = ()
+InvariantCatalogEntry = namedtuple("InvariantCatalogEntry", "family ring F source notes",
+                                   defaults=((),))
 
-
-@dataclass(frozen=True)
-class QuarticInvariants:
-    I2: CyclotomicNumber
-    I3: CyclotomicNumber
+QuarticInvariants = namedtuple("QuarticInvariants", "I2 I3")
 
 
 def quintic_F() -> MultiPoly:
@@ -271,6 +262,17 @@ def _sum(*terms):
              for column in zip(*(coeffs for _, (coeffs, _, _) in terms))], 1, den)
 
 
+def resultant(a, b) -> CyclotomicNumber:
+    """The resultant of two covariant triples at their formal degrees: for
+    a = A num_a / den_a of degree d and b = B num_b / den_b of degree e,
+    Res(a, b) = Res(A, B) num_a^e num_b^d / (den_a^e den_b^d), with Res(A,
+    B) by :func:`stackygit.polynomials.coefficient_resultant` and one
+    division."""
+    (A, an, ad), (B, bn, bd) = a, b
+    d, e = len(A) - 1, len(B) - 1
+    return _over(coefficient_resultant(A, B) * (an ** e * bn ** d), ad ** e * bd ** d)
+
+
 def _covariant(f: BinaryForm):
     """The triple (numerators, 1, den) of a form's coefficients, read once
     with :func:`stackygit.cyclotomic._numerators`."""
@@ -305,12 +307,9 @@ def transvectant(f: BinaryForm, g: BinaryForm, r: int) -> BinaryForm:
 # -- calibration --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
-    family: str
-    scalars: dict | None
-    residuals: tuple = ()
-    detail: str = ""
+class CalibrationResult(namedtuple("CalibrationResult", "family scalars residuals detail",
+                                   defaults=((), ""))):
+    __slots__ = ()
 
     @property
     def succeeded(self) -> bool:
@@ -336,15 +335,14 @@ def _quintic_recipe(f: BinaryForm) -> dict:
     proportional to the catalog generator).
 
     The chain runs on :func:`_transvectant`'s triples from f's numerators,
-    read once; :func:`_form` normalizes once per invariant, and once for
-    alpha, which the resultant takes as a form."""
+    read once; :func:`_form` normalizes once per invariant, and
+    :func:`resultant` divides once."""
     fc = _covariant(f)
     i = _transvectant(fc, fc, 4)
     alpha = _transvectant(fc, i, 2)
     tau = _transvectant(alpha, alpha, 2)
     return {"I4": _form(_transvectant(i, i, 2)), "I8": _form(_transvectant(i, tau, 2)),
-            "I12": _form(_transvectant(tau, tau, 2)),
-            "I18": BinaryForm([resultant(f, _form(alpha))])}
+            "I12": _form(_transvectant(tau, tau, 2)), "I18": BinaryForm([resultant(fc, alpha)])}
 
 
 #: The per-degree scalars c_k that match the invariants J_k of

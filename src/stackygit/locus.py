@@ -9,7 +9,7 @@ derivative must vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InhomogeneousError, WeightMismatchError
 from .graded import PointW, wps_singular_strata
@@ -46,13 +46,11 @@ def is_singular_at(F: MultiPoly, w: tuple, p: PointW) -> bool:
 # -- assembled reports -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LocusClaim:
-    label: str
-    text: str
-    verdict: str          # verified | refuted | out-of-scope
-    witnesses: tuple = ()
-    note: str = ""
+class LocusClaim(namedtuple("LocusClaim", "label text verdict witnesses note",
+                            defaults=((), ""))):
+    """One claim and its verdict: verified, refuted or out-of-scope."""
+
+    __slots__ = ()
 
     def as_dict(self):
         return {
@@ -64,10 +62,8 @@ class LocusClaim:
         }
 
 
-@dataclass(frozen=True)
-class LocusReport:
-    family: str
-    claims: tuple
+class LocusReport(namedtuple("LocusReport", "family claims")):
+    __slots__ = ()
 
     def verdict_counts(self):
         counts = {"verified": 0, "refuted": 0, "out-of-scope": 0}

@@ -751,10 +751,10 @@ def resultant(f: BinaryForm, g: BinaryForm) -> CyclotomicNumber:
     every division of the sequence is exact in Z.  Other forms run it on
     their CyclotomicNumber coefficients, with fd = gd = 1."""
     (fd, a), (gd, b) = _numerators(f.coeffs, g.coeffs)
-    return _over(_resultant(a, b), fd ** g.degree * gd ** f.degree)
+    return _over(coefficient_resultant(a, b), fd ** g.degree * gd ** f.degree)
 
 
-def _resultant(a, b):
+def coefficient_resultant(a, b):
     """Res_{d,e} of the descending coefficient lists ``a`` (a0 first) and
     ``b``, all ints or all CyclotomicNumbers.  A vanishing leading
     coefficient is expanded along the first Sylvester column first:

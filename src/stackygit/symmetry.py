@@ -18,7 +18,7 @@ pairs) that :func:`klein_generate` expands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd
 
@@ -35,18 +35,15 @@ from .groups import GroupSpec, group_contains, group_generators
 from .polynomials import MAX_PROFILE_DEGREE, BinaryForm
 
 
-@dataclass(frozen=True)
-class SemiInvarianceCertificate:
+class SemiInvarianceCertificate(namedtuple("SemiInvarianceCertificate", "group scalars")):
     """Exact scalars lambda_g with f o g = lambda_g * f per generator."""
 
-    group: GroupSpec
-    scalars: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GroundFormSet:
-    forms: tuple  # (x, y) for C_n, (F1, F2, F3) otherwise
-    nu: tuple     # nu_i = |G| / (2 deg F_i)
+#: Klein's ground forms of a group: ``forms`` is (x, y) for C_n and
+#: (F1, F2, F3) otherwise, and ``nu`` holds nu_i = |G| / (2 deg F_i).
+GroundFormSet = namedtuple("GroundFormSet", "forms nu")
 
 
 #: The group that each polyhedral group's monomial generators generate
@@ -251,8 +248,8 @@ def klein_generate(spec: GroupSpec, alpha: int, beta: int, gamma: int, params=()
 # -- the normal-form catalog ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CatalogCase:
+class CatalogCase(namedtuple("CatalogCase", "case group exponents fixed default_params genericity",
+                             defaults=((), (), ""))):
     """A normal form with extra symmetry, as Klein data of
     :func:`klein_generate` for ``group``: the exponents (alpha, beta,
     gamma), the ``fixed`` pencil pairs and as many free (lambda:mu) pairs
@@ -262,12 +259,7 @@ class CatalogCase:
     stabilizer is exact; parameter defaults satisfy it.
     """
 
-    case: str
-    group: GroupSpec
-    exponents: tuple
-    fixed: tuple = ()
-    default_params: tuple = ()
-    genericity: str = ""
+    __slots__ = ()
 
     def build(self, params=None) -> BinaryForm:
         params = tuple(params) if params is not None else self.default_params

@@ -5,7 +5,6 @@ goal: its outcome is printed and reported but a failure there is recorded
 as an expected-failure rather than a suite failure.
 """
 
-import dataclasses
 import hashlib
 import json
 
@@ -112,7 +111,7 @@ def test_klein_suite_fails_on_a_wrong_nu(monkeypatch):
 
     def wrong_nu(spec):
         gf = original(spec)
-        return dataclasses.replace(gf, nu=(2,) + gf.nu[1:]) if spec == t else gf
+        return gf._replace(nu=(2,) + gf.nu[1:]) if spec == t else gf
 
     monkeypatch.setattr(acceptance, "klein_factors", wrong_nu)
     result = check_klein_suite()
@@ -133,7 +132,7 @@ def test_klein_suite_reads_c_n_from_the_table(monkeypatch):
 
     def wrong_nu(spec):
         gf = original(spec)
-        return dataclasses.replace(gf, nu=(2,) + gf.nu[1:]) if spec == c3 else gf
+        return gf._replace(nu=(2,) + gf.nu[1:]) if spec == c3 else gf
 
     monkeypatch.setattr(acceptance, "klein_factors", wrong_nu)
     result = check_klein_suite()

@@ -12,6 +12,7 @@ import stackygit
 from stackygit import cli, invariants, ringspec, symmetry
 from stackygit.cli import build_parser, main, run_command
 from stackygit.errors import ExactArithmeticError, NestingTooDeepError
+from stackygit.groups import GroupSpec
 from stackygit.invariants import catalog_ring
 
 
@@ -587,6 +588,14 @@ def test_json_text_of_every_kind_of_value_is_json_dumps():
 def test_json_text_refuses_floats_and_keys_that_are_not_str(payload):
     with pytest.raises(TypeError):
         cli.CommandResult(0, payload, "").json_text()
+
+
+def test_json_text_refuses_records():
+    # a record is a namedtuple, but it has no place in a payload
+    with pytest.raises(TypeError):
+        cli.CommandResult(0, {"group": GroupSpec("C", 3)}, "").json_text()
+    with pytest.raises(TypeError):
+        cli.CommandResult(0, {"groups": [GroupSpec("T")]}, "").json_text()
 
 
 def test_main_prints_json_or_markdown_and_returns_the_status(capsys):

@@ -17,6 +17,9 @@ from stackygit.exprparse import form
 from stackygit.groups import SL2Matrix
 from stackygit.invariants import (
     _CALIBRATIONS,
+    _covariant,
+    _form,
+    _transvectant,
     QUINTIC_SCALARS,
     calibrate_invariants,
     catalog_ring,
@@ -24,12 +27,11 @@ from stackygit.invariants import (
     quartic_invariants,
     quartic_point,
     quintic_F,
-    resultant,
     sextic_F,
     transvectant,
 )
 from stackygit.locus import PointW
-from stackygit.polynomials import BinaryForm, MultiPoly, _monomial_ints
+from stackygit.polynomials import BinaryForm, MultiPoly, _monomial_ints, resultant
 from stackygit.symmetry import is_stable
 
 
@@ -596,6 +598,25 @@ class TestRecipes:
                     [(c, c.order) for c in expected[name].coeffs], (str(f), name)
         for f in irrational:
             assert any(value.a(0).order > 1 for value in evaluate_recipe(family, f).values())
+
+
+    def test_quintic_resultant_matches_the_resultant_of_forms(self):
+        # I18 is taken from the triples of f and alpha with one division;
+        # value and field match the resultant of f with alpha as a form
+        rng = random.Random(89)
+        forms = [BinaryForm([rng.randint(-9, 9) for _ in range(6)]) for _ in range(4)]
+        forms += [BinaryForm([QQ(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(6)])
+                  for _ in range(4)]
+        forms.append(BinaryForm([1, 0, sqrt_minus3(), QQ(-2, 3), QQ(1, 3), 2]))
+        assert all(max(c.den for c in f.coeffs) > 1 for f in forms[4:])
+        values = []
+        for f in forms:
+            fc = _covariant(f)
+            alpha = _form(_transvectant(fc, _transvectant(fc, fc, 4), 2))
+            got, expected = evaluate_recipe("quintic", f)["I18"].a(0), resultant(f, alpha)
+            assert (got, got.order) == (expected, expected.order), str(f)
+            values.append(got)
+        assert all(values) and values[-1].order > 1
 
 
 class TestMonomialRows:

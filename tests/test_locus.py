@@ -58,6 +58,23 @@ class TestPointW:
             answers.append(answer)
         assert 500 < sum(answers) < 1500
 
+    def test_equal_points_hash_equal_or_not_at_all(self):
+        # (1 : 0) and (4 : 0) are one point of P(2, 3), t = 2, but their
+        # coordinates differ
+        a, b = PointW((1, 0), (2, 3)), PointW((4, 0), (2, 3))
+        assert a == b
+        try:
+            assert hash(a) == hash(b)
+        except TypeError:
+            pass
+
+    def test_inequality_is_the_negation_of_equality(self):
+        rng = random.Random(1117)
+        for _ in range(300):
+            p, q = _random_point_pair(rng)
+            assert (p != q) is not (p == q), (p, q)
+        assert not PointW((1, 0), (2, 3)) != PointW((4, 0), (2, 3))
+
     def test_not_all_zero(self):
         with pytest.raises(ValueError):
             PointW((0, 0, 0), W123)
