@@ -55,7 +55,8 @@ def test_validating_records_refuse_bad_input(make, error, message):
 
 def test_validating_records_normalize_their_fields():
     ring = GradedRingPresentation(["x", "y"], ["1", 2], X - X)
-    assert (ring.generators, ring.weights, ring.relation, ring.field_order) == (XY, (1, 2), None, 1)
+    assert (ring.generators, ring.weights, ring.relation) == (XY, (1, 2), None)
+    assert ring.field_order == 1
     assert type(ring.generators) is tuple and all(type(w) is int for w in ring.weights)
     point = PointW([1, QQ(1, 2)], [1, 2.0])
     assert all(type(c) is CyclotomicNumber for c in point.coordinates)
@@ -68,8 +69,9 @@ def test_validating_records_normalize_their_fields():
 
 def test_reprs_name_the_fields():
     assert repr(GroupSpec("C", 3)) == "GroupSpec(kind='C', n=3)"
-    assert repr(GradedRingPresentation(XY, (1, 2))) == \
-        "GradedRingPresentation(generators=('x', 'y'), weights=(1, 2), relation=None, field_order=1)"
+    assert repr(GradedRingPresentation(XY, (1, 2))) == (
+        "GradedRingPresentation(generators=('x', 'y'), weights=(1, 2), relation=None,"
+        " field_order=1)")
     assert str(GroupSpec("D", 4)) == "D4"
     assert str(SL2Matrix.identity()) == "[[1, 0], [0, 1]]"
 
@@ -78,7 +80,7 @@ def test_group_specs_and_matrices_hash_by_their_fields():
     spec = GroupSpec.parse("C3")
     assert spec == GroupSpec("C", 3) and hash(spec) == hash(("C", 3))
     assert group_generators(spec) is group_generators(GroupSpec("C", 3))
-    assert {GroupSpec("T"), GroupSpec.parse("T"), GroupSpec("O")} == {GroupSpec("O"), GroupSpec("T")}
+    assert len({GroupSpec("T"), GroupSpec.parse("T"), GroupSpec("O")}) == 2
     quarter = SL2Matrix(0, 1, -1, 0)
     identity = quarter * quarter * quarter * quarter
     assert identity == SL2Matrix.identity()
