@@ -90,10 +90,6 @@ class ConditionViolationError(StackygitError):
         self.condition = condition
 
 
-class NotWellFormedError(StackygitError):
-    code = "not-well-formed"
-
-
 class UnknownGeneratorError(StackygitError):
     code = "unknown-generator"
 

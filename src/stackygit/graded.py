@@ -28,7 +28,6 @@ from .errors import (
     EmptyPresentationError,
     IndivisibleWeightError,
     InhomogeneousError,
-    NotWellFormedError,
     ShapeError,
     UnknownGeneratorError,
 )
@@ -334,23 +333,18 @@ class PointW(namedtuple("PointW", "coordinates weights")):
         return "(" + " : ".join(str(c) for c in self.coordinates) + ")"
 
 
-def wps_singular_strata(weights):
-    """Maximal coordinate strata of a well-formed weighted projective space
-    whose weights share a factor; each is a cyclic quotient locus.
+def inertia_strata(weights):
+    """Every stratum of P(weights) with its inertia, as (S, g) pairs.
 
-    Returns (index tuple, gcd) pairs, maximal under inclusion.
+    S runs over the nonempty supports (the coordinates that do not vanish)
+    in :func:`itertools.combinations` order, and the points with support S
+    have inertia mu_g, g = gcd(w_S), in the stack [A^n - 0 / G_m].  The
+    weights need not be well formed.
     """
     weights = tuple(int(w) for w in weights)
-    if not is_well_formed(weights):
-        raise NotWellFormedError(f"weights {weights} are not well formed")
-    subsets = (s for size in range(1, len(weights) + 1)
-               for s in itertools.combinations(range(len(weights)), size))
-    found = [(s, g) for s in subsets if (g := gcd(*(weights[i] for i in s))) > 1]
-    maximal = [
-        (s, g) for (s, g) in found
-        if not any(set(s) < set(t) for (t, _) in found)
-    ]
-    return sorted(maximal)
+    return [(s, gcd(*(weights[i] for i in s)))
+            for size in range(1, len(weights) + 1)
+            for s in itertools.combinations(range(len(weights)), size)]
 
 
 def affine_chart(ring: GradedRingPresentation, name: str) -> ChartPresentation:

@@ -1,10 +1,16 @@
-"""Exact divisor membership and singularity checks on weighted projective
-spaces, and the assembled locus reports for the quintic and sextic moduli.
+"""Exact singularity checks of divisors on weighted projective spaces, and
+the assembled locus reports for the quintic and sextic moduli.
 
 Points are :class:`~stackygit.graded.PointW`, whose equality is weighted
 rescaling decided exactly (no root extraction).  Singularity of a divisor
 at a point is tested on the affine cone: the value and every partial
 derivative must vanish.
+
+Both reports read the ambient singular points off
+:func:`~stackygit.graded.inertia_strata`: one point for each stratum whose
+inertia mu_g has g > 1, with coordinate 1 on the stratum's support and 0
+elsewhere.  F is evaluated once at each of them to decide whether Z(F)
+meets exactly one and is smooth there.
 """
 
 from __future__ import annotations
@@ -12,23 +18,9 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import InhomogeneousError, WeightMismatchError
-from .graded import PointW, wps_singular_strata
+from .graded import PointW, inertia_strata
 from .invariants import SEXTIC_REPAIR_NOTE, catalog_ring
 from .polynomials import MultiPoly
-
-
-def _check_divisor_point(F: MultiPoly, w: tuple, p: PointW):
-    if F.weighted_degree(w) is None:
-        raise InhomogeneousError(f"{F} is not homogeneous for {tuple(w)}")
-    if p.weights != tuple(w):
-        raise WeightMismatchError(
-            f"point weights {p.weights} differ from {tuple(w)}")
-
-
-def on_divisor(F: MultiPoly, w: tuple, p: PointW) -> bool:
-    """Whether F vanishes at p (well defined by homogeneity)."""
-    _check_divisor_point(F, w, p)
-    return not F.evaluate(p.coordinates)
 
 
 def is_singular_at(F: MultiPoly, w: tuple, p: PointW) -> bool:
@@ -37,7 +29,11 @@ def is_singular_at(F: MultiPoly, w: tuple, p: PointW) -> bool:
     At points inside singular strata of the ambient space this is
     cone-singularity, the exact well-defined statement.
     """
-    _check_divisor_point(F, w, p)
+    if F.weighted_degree(w) is None:
+        raise InhomogeneousError(f"{F} is not homogeneous for {tuple(w)}")
+    if p.weights != tuple(w):
+        raise WeightMismatchError(
+            f"point weights {p.weights} differ from {tuple(w)}")
     if F.evaluate(p.coordinates):
         return False
     return all(not d.evaluate(p.coordinates) for d in F.partials())
@@ -82,13 +78,19 @@ class LocusReport(namedtuple("LocusReport", "family claims")):
         }
 
 
-def _coordinate_points(weights):
-    n = len(weights)
-    pts = []
-    for i in range(n):
-        coords = tuple(1 if j == i else 0 for j in range(n))
-        pts.append(PointW(coords, weights))
-    return pts
+def _ambient_singularities(weights):
+    """(point, g) for each stratum of P(weights) whose inertia mu_g has
+    g > 1; the point has coordinate 1 on the stratum's support, 0 elsewhere."""
+    return [(PointW([int(i in s) for i in range(len(weights))], weights), g)
+            for s, g in inertia_strata(weights) if g > 1]
+
+
+def _meets_one_smoothly(F: MultiPoly, w: tuple, points):
+    """F's values at the points, and whether exactly one of them is zero
+    with Z(F) smooth there."""
+    values = [F.evaluate(p.coordinates) for p in points]
+    on = [p for p, v in zip(points, values) if not v]
+    return values, len(on) == 1 and not is_singular_at(F, w, on[0])
 
 
 def quintic_locus_report() -> LocusReport:
@@ -114,16 +116,15 @@ def quintic_locus_report() -> LocusReport:
              "checked here: homogeneity and the degree",
     ))
 
-    strata = wps_singular_strata((1, 2, 3))
-    expected = [((1,), 2), ((2,), 3)]
-    pts = _coordinate_points((1, 2, 3))
+    singular = _ambient_singularities(w)
+    pts = [p for p, _ in singular]
     claims.append(LocusClaim(
         "ambient-singular-points",
         "P(1,2,3) has exactly two cyclic quotient singularities, at the "
         "second and third coordinate points (values of cases II and III)",
-        "verified" if strata == expected else "refuted",
-        witnesses=(str(pts[1]), str(pts[2]),
-                   "stabilizers mu_2 and mu_3"),
+        "verified" if [p.support() for p in pts] == [(1,), (2,)] else "refuted",
+        witnesses=(*map(str, pts),
+                   "stabilizers " + " and ".join(f"mu_{g}" for _, g in singular)),
     ))
 
     sing_points = [PointW((1, 0, 0), w), PointW((-3, 3, 3), w)]
@@ -140,15 +141,15 @@ def quintic_locus_report() -> LocusReport:
              "decomposition here)",
     ))
 
-    on = [p for p in (pts[1], pts[2]) if on_divisor(F, w, p)]
-    off = [p for p in (pts[1], pts[2]) if not on_divisor(F, w, p)]
-    smooth_there = bool(on) and all(not is_singular_at(F, w, p) for p in on)
+    values, meets_one = _meets_one_smoothly(F, w, pts)
+    on = [p for p, v in zip(pts, values) if not v]
+    off = [p for p, v in zip(pts, values) if v]
     claims.append(LocusClaim(
         "divisor-through-one-ambient-singularity",
         "Z(F) passes through exactly one of the two singular points of "
         "P(1,2,3) and avoids the other (permutation-invariant form: which "
         "coordinate point is which catalog case is not pinned)",
-        "verified" if len(on) == 1 and len(off) == 1 and smooth_there else "refuted",
+        "verified" if meets_one else "refuted",
         witnesses=(f"on divisor: {on[0]}" if on else "none",
                    f"off divisor: {off[0]}" if off else "none"),
     ))
@@ -163,8 +164,8 @@ def sextic_locus_report() -> LocusReport:
     equations for the two singular-locus components are out of scope.
     """
     w = (1, 2, 3, 5)
-    wd = (2, 4, 6, 10)
-    F = catalog_ring("sextic").F
+    entry = catalog_ring("sextic")
+    wd, F = entry.ring.weights[:-1], entry.F
     claims = []
 
     term_degrees = {sum(wi * k for wi, k in zip(wd, e)) for e in F.terms}
@@ -180,15 +181,14 @@ def sextic_locus_report() -> LocusReport:
         note=SEXTIC_REPAIR_NOTE,
     ))
 
-    strata = wps_singular_strata((1, 2, 3, 5))
-    expected = [((1,), 2), ((2,), 3), ((3,), 5)]
-    pts = _coordinate_points((1, 2, 3, 5))
+    singular = _ambient_singularities(w)
+    pts = [p for p, _ in singular]
     claims.append(LocusClaim(
         "ambient-singular-points",
         "P(1,2,3,5) has exactly three cyclic quotient singularities, at "
         "the last three coordinate points (values of cases II, VII, VIII)",
-        "verified" if strata == expected else "refuted",
-        witnesses=tuple(str(p) for p in pts[1:]),
+        "verified" if [p.support() for p in pts] == [(1,), (2,), (3,)] else "refuted",
+        witnesses=tuple(map(str, pts)),
     ))
 
     claims.append(LocusClaim(
@@ -223,22 +223,15 @@ def sextic_locus_report() -> LocusReport:
         note="needs both curve equations",
     ))
 
-    values = [F.evaluate(p.coordinates) for p in pts[1:]]
-    zero_at = [i for i, v in enumerate(values) if not v]
-    pattern_ok = len(zero_at) == 1
-    smooth = False
-    if pattern_ok:
-        p = pts[1:][zero_at[0]]
-        smooth = not is_singular_at(F, w, p)
+    values, meets_one = _meets_one_smoothly(F, w, pts)
     claims.append(LocusClaim(
         "divisor-at-ambient-singularities",
         "Z(F) contains exactly one of the three singular points of "
         "P(1,2,3,5) and is smooth there, avoiding the other two "
         "(permutation-invariant form of: contains the case-VIII point, "
         "not those of II and VII)",
-        "verified" if pattern_ok and smooth else "refuted",
-        witnesses=tuple(
-            f"{p}: F = {v}" for p, v in zip(pts[1:], values)),
+        "verified" if meets_one else "refuted",
+        witnesses=tuple(f"{p}: F = {v}" for p, v in zip(pts, values)),
         note="smoothness is non-vanishing of some cone partial at the point",
     ))
 

@@ -420,17 +420,6 @@ class BinaryForm:
 
     # -- evaluation and substitution ----------------------------------------------
 
-    def evaluate(self, xv, yv) -> CyclotomicNumber:
-        """f(xv, yv), term by term; the tests' reference for substitute."""
-        xv, yv = as_cyclotomic(xv), as_cyclotomic(yv)
-        d = self.degree
-        total = _ZERO
-        xp, yp = _powers(xv, d), _powers(yv, d)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                total = total + a * xp[d - i] * yp[i]
-        return total
-
     def substitute(self, m) -> "BinaryForm":
         """The form f(a x + b y, c x + d y) for the matrix [[a, b], [c, d]].
 

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -9,7 +8,6 @@ from stackygit.errors import (
     CommonFactorError,
     ConditionViolationError,
     IndivisibleWeightError,
-    NotWellFormedError,
     ShapeError,
     UnknownGeneratorError,
 )
@@ -18,13 +16,13 @@ from stackygit.graded import (
     affine_chart,
     free_ring,
     hcf_degrees,
+    inertia_strata,
     is_well_formed,
     presentations_equal,
     rigidify,
     root_stack,
     stacky_decompose,
     veronese,
-    wps_singular_strata,
 )
 from stackygit.invariants import catalog_ring, quintic_F
 from stackygit.polynomials import MultiPoly
@@ -212,26 +210,28 @@ class TestRecognizeAndDecompose:
 
 class TestStrataAndCharts:
     def test_strata(self):
-        assert wps_singular_strata((1, 2, 3)) == [((1,), 2), ((2,), 3)]
-        assert wps_singular_strata((1, 2, 3, 5)) == \
-            [((1,), 2), ((2,), 3), ((3,), 5)]
-        assert wps_singular_strata((1, 1, 1)) == []
-        assert wps_singular_strata((1, 2, 3, 4, 5)) == \
-            [((1, 3), 2), ((2,), 3), ((4,), 5)]
+        # the coordinate points carry mu_2 and mu_3, the open stratum nothing
+        assert inertia_strata((2, 3)) == [((0,), 2), ((1,), 3), ((0, 1), 1)]
+        assert inertia_strata((1, 2, 3)) == [
+            ((0,), 1), ((1,), 2), ((2,), 3),
+            ((0, 1), 1), ((0, 2), 1), ((1, 2), 1), ((0, 1, 2), 1)]
+        strata = inertia_strata((1, 2, 3, 5))
+        assert len(strata) == 15
+        assert [(s, g) for s, g in strata if g > 1] == [((1,), 2), ((2,), 3), ((3,), 5)]
+        assert [(s, g) for s, g in inertia_strata((1, 2, 3, 4, 5)) if g > 1] == \
+            [((1,), 2), ((2,), 3), ((3,), 4), ((4,), 5), ((1, 3), 2)]
+        # P(4, 6) and P(2, 4, 6) are not well formed: mu_2 fixes every point,
+        # and the coordinate points carry more
+        assert inertia_strata((4, 6)) == [((0,), 4), ((1,), 6), ((0, 1), 2)]
+        assert inertia_strata((2, 4, 6)) == [
+            ((0,), 2), ((1,), 4), ((2,), 6),
+            ((0, 1), 2), ((0, 2), 2), ((1, 2), 2), ((0, 1, 2), 2)]
 
     def test_random_strata_match_the_reference(self):
         rng = random.Random(28)
-        checked = 0
-        while checked < 100:
-            weights = tuple(rng.randint(1, 30) for _ in range(rng.randint(2, 5)))
-            if not _well_formed_reference(weights):
-                continue
-            checked += 1
-            assert wps_singular_strata(weights) == _strata_reference(weights), weights
-
-    def test_strata_requires_well_formed(self):
-        with pytest.raises(NotWellFormedError):
-            wps_singular_strata((2, 4, 6))
+        for _ in range(100):
+            weights = tuple(rng.randint(1, 30) for _ in range(rng.randint(1, 5)))
+            assert inertia_strata(weights) == _strata_reference(weights), weights
 
     def test_chart_small(self):
         ring = free_ring(("I2", "I3"), (2, 3))
@@ -302,14 +302,9 @@ def _well_formed_reference(weights):
 
 
 def _strata_reference(weights):
-    """The index sets with a common factor g > 1 that no further weight
-    shares a factor with: adding an index only shrinks the gcd, so these
-    are the maximal ones."""
+    """Every nonempty support, read off the bits of 1 .. 2^n - 1, with the
+    gcd of its weights; ordered by size, then lexicographically."""
     n = len(weights)
-    found = []
-    for k in range(1, n + 1):
-        for s in itertools.combinations(range(n), k):
-            g = _gcd_all([weights[i] for i in s])
-            if g > 1 and all(_gcd(g, weights[j]) == 1 for j in range(n) if j not in s):
-                found.append((s, g))
-    return sorted(found)
+    supports = [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1, 2 ** n)]
+    return [(s, _gcd_all([weights[i] for i in s]))
+            for s in sorted(supports, key=lambda s: (len(s), s))]

@@ -10,7 +10,6 @@ from stackygit.invariants import quintic_F, sextic_F
 from stackygit.locus import (
     PointW,
     is_singular_at,
-    on_divisor,
     quintic_locus_report,
     sextic_locus_report,
 )
@@ -140,40 +139,36 @@ def _random_point_pair(rng):
 
 
 class TestDivisorChecks:
-    def test_on_divisor_values(self):
-        F = quintic_F()
-        assert on_divisor(F, W123, PointW((0, 1, 0), W123))
-        assert not on_divisor(F, W123, PointW((0, 0, 1), W123))
-        assert on_divisor(F, W123, PointW((-3, 3, 3), W123))
-
     def test_divisor_membership_is_rescaling_invariant(self):
         F = quintic_F()
         rng = random.Random(67)
         for coords in ((1, 0, 0), (0, 1, 0), (-3, 3, 3), (1, 1, 1)):
             p = PointW(coords, W123)
-            base = on_divisor(F, W123, p)
+            base = not F.evaluate(p.coordinates)
             sing = is_singular_at(F, W123, p)
             for _ in range(20):
                 t = QQ(rng.randint(1, 7), rng.randint(1, 7))
                 q = p.rescaled(t)
-                assert on_divisor(F, W123, q) == base
+                assert (not F.evaluate(q.coordinates)) == base
                 assert is_singular_at(F, W123, q) == sing
 
     def test_singularities(self):
         F = quintic_F()
         assert is_singular_at(F, W123, PointW((1, 0, 0), W123))
         assert is_singular_at(F, W123, PointW((-3, 3, 3), W123))
+        # on Z(F) and smooth there, then off Z(F)
         assert not is_singular_at(F, W123, PointW((0, 1, 0), W123))
+        assert not is_singular_at(F, W123, PointW((0, 0, 1), W123))
 
     def test_inhomogeneous_rejected(self):
         bad = MultiPoly(("a", "b", "c"), {(1, 0, 0): 1, (0, 0, 1): 1})
         with pytest.raises(InhomogeneousError):
-            on_divisor(bad, W123, PointW((1, 0, 0), W123))
+            is_singular_at(bad, W123, PointW((1, 0, 0), W123))
 
     def test_weight_mismatch(self):
         with pytest.raises(WeightMismatchError):
-            on_divisor(quintic_F(), W123,
-                       PointW((1, 0, 0), (1, 2, 4)))
+            is_singular_at(quintic_F(), W123,
+                           PointW((1, 0, 0), (1, 2, 4)))
 
 
 class TestEulerRelation:
@@ -227,6 +222,19 @@ class TestReports:
             "curves-intersection",
             "divisor-at-ambient-singularities",
         ]
+
+    def test_divisor_meets_one_ambient_singularity(self):
+        # Z(F) passes through the mu_2 point of P(1,2,3) and misses the mu_3
+        # point; in P(1,2,3,5) it passes through the mu_2 point alone
+        quintic = {c.label: c for c in quintic_locus_report().claims}
+        assert quintic["ambient-singular-points"].witnesses == \
+            ("(0 : 1 : 0)", "(0 : 0 : 1)", "stabilizers mu_2 and mu_3")
+        assert quintic["divisor-through-one-ambient-singularity"].witnesses == \
+            ("on divisor: (0 : 1 : 0)", "off divisor: (0 : 0 : 1)")
+        sextic = {c.label: c for c in sextic_locus_report().claims}
+        assert sextic["divisor-at-ambient-singularities"].witnesses == (
+            "(0 : 1 : 0 : 0): F = 0", "(0 : 0 : 1 : 0): F = -16/9",
+            "(0 : 0 : 0 : 1): F = -2")
 
     def test_labels_unique(self):
         for report in (quintic_locus_report(), sextic_locus_report()):

@@ -11,7 +11,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _load():
-    spec = importlib.util.spec_from_file_location("record_bench", ROOT / "scripts" / "record_bench.py")
+    spec = importlib.util.spec_from_file_location(
+        "record_bench", ROOT / "scripts" / "record_bench.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
