@@ -269,8 +269,7 @@ def check_quartic_invariants() -> CheckResult:
     held = 0
     for a in points:
         inv = quartic_invariants(BinaryForm(a))
-        f_x = BinaryForm([(4 - i) * a[i] for i in range(4)])
-        f_y = BinaryForm([i * a[i] for i in range(1, 5)])
+        f_x, f_y = [(4 - i) * a[i] for i in range(4)], [i * a[i] for i in range(1, 5)]
         held += 4096 * (inv.I2 ** 3 - 27 * inv.I3 ** 2) == resultant(f_x, f_y)
     ok &= held == len(points)
     details.append(f"4096*(I2^3 - 27*I3^2) == Res(f_x, f_y) at {held} of the"

@@ -33,12 +33,15 @@ not monomial) reads a form's coefficients over one denominator with
 vectors and multiplies by them with :func:`_mul_vec`, and builds each
 result once with :func:`_raw`.  The other bulk kernels
 (the products of ``MultiPoly`` and ``BinaryForm``, ``MultiPoly.evaluate``,
-``invariants.transvectant``, ``polynomials.resultant`` and the gcd chain)
-have one body over their coefficient ring, which :func:`_numerators`
-picks: plain int numerators over one denominator when every coefficient
-is rational, the values themselves otherwise; :func:`_over` divides back.
-:func:`_convolve` is the one dense product body, behind :func:`_mul_vec`,
-``BinaryForm.__mul__`` and the covariant products of ``invariants``.
+the transvectant kernel ``invariants._transvectant``, the list resultant
+``polynomials.resultant`` and the gcd chain) have one body over their
+coefficient ring, which :func:`_numerators` picks: plain int numerators
+over one denominator when every coefficient is rational, the values
+themselves otherwise; :func:`_over` divides back.  :func:`_convolve` is
+the one dense product body, behind :func:`_mul_vec`, ``BinaryForm.__mul__``
+and the covariant products of ``invariants``.  Addition has one body for
+every order, rationals included: the coordinates over the lcm of the two
+denominators, made canonical by :func:`_raw`.
 
 >>> zeta(4) ** 2
 CyclotomicNumber('-1')
@@ -297,23 +300,6 @@ class CyclotomicNumber:
                 return NotImplemented
             other = as_cyclotomic(other)
         da, db = self.den, other.den
-        if self.order == 1 == other.order:
-            # rationals: one numerator over the lcm denominator and one gcd,
-            # which only needs to see gcd(da, db) when the denominators
-            # differ (Knuth, TAOCP 4.5.1, as in fractions.Fraction); values
-            # in lowest terms with different denominators never cancel to 0
-            a, b = self.coords[0], sign * other.coords[0]
-            if da == db:
-                n = a + b
-                g = gcd(n, da)
-                return _new(1, (n // g,), da // g)
-            g = gcd(da, db)
-            if g == 1:
-                return _new(1, (a * db + b * da,), da * db)
-            s = da // g
-            n = a * (db // g) + b * s
-            h = gcd(n, g)
-            return _new(1, (n // h,), s * (db // h))
         if not other:  # x +- 0 and 0 +- y need no embedding into the lcm field
             return self
         if not self:

@@ -16,24 +16,24 @@ No derivative form is built: for f = sum f_i x^(d-i) y^i and g = sum g_j
 x^(e-j) y^j, coefficient n of (f, g)_r is sum_{i+j=n+r} W(i, j) f_i g_j
 with the integer weights
 W(i, j) = sum_k (-1)^k C(r, k) (d-i)_(r-k) i_(k) (e-j)_(k) j_(r-k)
-(falling factorials), cached per (d, e, r).  One kernel,
+(falling powers), cached per (d, e, r).  One kernel,
 :func:`_transvectant`, forms these sums on coefficient lists in the ring of
 :func:`stackygit.cyclotomic._numerators`: int numerators when every
 coefficient is rational, field elements otherwise.  It divides nothing: a
-covariant is carried as a triple (coefficient list, num, den) standing for
-the form with coefficients c * num / den, and the kernel multiplies the
-normalization into num and den.  Division happens once, where a covariant
-becomes a :class:`BinaryForm` (:func:`_form`, one
-:func:`stackygit.cyclotomic._over` per coefficient), so rational forms have
-a rational transvectant and each field coefficient is stored in the field
-its own arithmetic produces.  The public :func:`transvectant` is
-``_numerators``, the kernel and ``_form``.
+covariant is carried as a ``_numerators`` pair (den, coefficient list)
+standing for the form with coefficients c / den, and as the normalization
+is 1 / (d_(r) e_(r)), the kernel multiplies d_(r) e_(r) into den.
+Division happens once, where a covariant becomes a :class:`BinaryForm`
+(:func:`_form`, one :func:`stackygit.cyclotomic._over` per coefficient),
+so rational forms have a rational transvectant and each field coefficient
+is stored in the field its own arithmetic produces.  The public
+:func:`transvectant` is ``_numerators``, the kernel and ``_form``.
 
 Two plain functions, :func:`_quintic_recipe` and :func:`_sextic_recipe`,
 build one invariant per catalog generator from transvectants, products and
 a resultant (:func:`evaluate_recipe` picks one by family).  They read the
 input form's numerators once, run the whole covariant chain on the
-kernel's triples, and normalize once per invariant.  The calibration
+kernel's pairs, and normalize once per invariant.  The calibration
 harness checks that pinned per-degree scalars (:data:`QUINTIC_SCALARS`,
 :data:`SEXTIC_SCALARS`) match these invariants to the catalog relation,
 exactly, at seeded random forms.
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from math import comb, factorial, lcm, perm
+from math import comb, lcm, perm
 
 from .cyclotomic import (
     QQ,
@@ -62,7 +62,7 @@ from .errors import (
     WrongDegreeError,
 )
 from .graded import GradedRingPresentation, PointW
-from .polynomials import BinaryForm, MultiPoly, coefficient_resultant
+from .polynomials import BinaryForm, MultiPoly, resultant
 from .symmetry import is_stable
 
 SEXTIC_REPAIR_NOTE = (
@@ -206,9 +206,9 @@ def _transvectant_weights(d: int, e: int, r: int):
 
         W(i, j) = sum_k (-1)^k C(r, k) (d-i)_(r-k) i_(k) (e-j)_(k) j_(r-k)
 
-    with falling factorials n_(k) = n (n-1) ... (n-k+1); and the
-    normalization (d-r)! (e-r)! / (d! e!) as a numerator and denominator in
-    lowest terms."""
+    with falling powers n_(k) = n (n-1) ... (n-k+1); and the
+    denominator d_(r) e_(r) of the normalization (d-r)! (e-r)! / (d! e!),
+    whose numerator is 1."""
     signs = [(-1) ** k * comb(r, k) for k in range(r + 1)]
     rows = []
     for n in range(d + e - 2 * r + 1):
@@ -220,71 +220,53 @@ def _transvectant_weights(d: int, e: int, r: int):
             if w:
                 row.append((i, j, w))
         rows.append(tuple(row))
-    scale = QQ(factorial(d - r) * factorial(e - r), factorial(d) * factorial(e))
-    return tuple(rows), scale.numerator, scale.denominator
+    return tuple(rows), perm(d, r) * perm(e, r)
 
 
 def _transvectant(a, b, r: int):
-    """The r-th transvectant of two covariants, each a triple (coefficient
-    list, num, den) standing for the form with coefficients c * num / den.
+    """The r-th transvectant of two covariants, each a pair (den,
+    coefficient list) in the order of
+    :func:`stackygit.cyclotomic._numerators`, standing for the form with
+    coefficients c / den.
 
     Entry n of the result's list is sum_{i+j=n+r} W(i, j) a_i b_j with the
     integer weights W of :func:`_transvectant_weights`, summed in the ring
-    of the lists (ints, or CyclotomicNumbers); the normalization
-    (d-r)! (e-r)! / (d! e!) and both scales go into num and den, and
-    nothing is divided."""
-    (A, an, ad), (B, bn, bd) = a, b
+    of the lists (ints, or CyclotomicNumbers); the normalization's
+    denominator and both denominators go into den, and nothing is
+    divided."""
+    (ad, A), (bd, B) = a, b
     d, e = len(A) - 1, len(B) - 1
     if r > min(d, e):
         raise OrderTooLargeError(
             f"transvectant order {r} exceeds min(deg) = {min(d, e)}")
-    rows, num, den = _transvectant_weights(d, e, r)
-    return ([sum(w * A[i] * B[j] for i, j, w in row) for row in rows],
-            num * an * bn, den * ad * bd)
+    rows, den = _transvectant_weights(d, e, r)
+    return den * ad * bd, [sum(w * A[i] * B[j] for i, j, w in row) for row in rows]
 
 
 def _product(a, b):
-    """The product of two covariant triples, as :func:`_transvectant`
+    """The product of two covariant pairs, as :func:`_transvectant`
     carries them."""
-    (A, an, ad), (B, bn, bd) = a, b
-    return _convolve(A, B), an * bn, ad * bd
+    (ad, A), (bd, B) = a, b
+    return ad * bd, _convolve(A, B)
 
 
 def _sum(*terms):
     """The sum of q * t over pairs (q, t) of a nonzero rational q and a
-    covariant triple t, all of one degree: each list is multiplied by the
+    covariant pair t, all of one degree: each list is multiplied by the
     int that brings it over the lcm of the denominators, and the lists are
     added entry by entry, term after term."""
-    scales = [(q.numerator * num, q.denominator * den) for q, (_, num, den) in terms]
+    scales = [(q.numerator, q.denominator * den) for q, (den, _) in terms]
     den = lcm(*(d for _, d in scales))
     factors = [n * (den // d) for n, d in scales]
-    return ([sum(c * k for c, k in zip(column, factors))
-             for column in zip(*(coeffs for _, (coeffs, _, _) in terms))], 1, den)
-
-
-def resultant(a, b) -> CyclotomicNumber:
-    """The resultant of two covariant triples at their formal degrees: for
-    a = A num_a / den_a of degree d and b = B num_b / den_b of degree e,
-    Res(a, b) = Res(A, B) num_a^e num_b^d / (den_a^e den_b^d), with Res(A,
-    B) by :func:`stackygit.polynomials.coefficient_resultant` and one
-    division."""
-    (A, an, ad), (B, bn, bd) = a, b
-    d, e = len(A) - 1, len(B) - 1
-    return _over(coefficient_resultant(A, B) * (an ** e * bn ** d), ad ** e * bd ** d)
-
-
-def _covariant(f: BinaryForm):
-    """The triple (numerators, 1, den) of a form's coefficients, read once
-    with :func:`stackygit.cyclotomic._numerators`."""
-    (den, nums), = _numerators(f.coeffs)
-    return nums, 1, den
+    return den, [sum(c * k for c, k in zip(column, factors))
+                 for column in zip(*(coeffs for _, (_, coeffs) in terms))]
 
 
 def _form(covariant) -> BinaryForm:
-    """The form of a covariant triple: the one division, one
+    """The form of a covariant pair: the one division, one
     :func:`stackygit.cyclotomic._over` per coefficient."""
-    coeffs, num, den = covariant
-    return BinaryForm._of([_over(num * c, den) for c in coeffs])
+    den, coeffs = covariant
+    return BinaryForm._of([_over(c, den) for c in coeffs])
 
 
 def transvectant(f: BinaryForm, g: BinaryForm, r: int) -> BinaryForm:
@@ -300,8 +282,7 @@ def transvectant(f: BinaryForm, g: BinaryForm, r: int) -> BinaryForm:
     the field its own arithmetic produces, which divides the lcm of the
     orders of the nonzero f_i and g_j that reach it with a nonzero
     weight."""
-    (fd, F), (gd, G) = _numerators(f.coeffs, g.coeffs)
-    return _form(_transvectant((F, 1, fd), (G, 1, gd), r))
+    return _form(_transvectant(*_numerators(f.coeffs, g.coeffs), r))
 
 
 # -- calibration --------------------------------------------------------------------
@@ -334,15 +315,18 @@ def _quintic_recipe(f: BinaryForm) -> dict:
     invariant space is one-dimensional, so any nonzero choice is
     proportional to the catalog generator).
 
-    The chain runs on :func:`_transvectant`'s triples from f's numerators,
-    read once; :func:`_form` normalizes once per invariant, and
-    :func:`resultant` divides once."""
-    fc = _covariant(f)
+    The chain runs on :func:`_transvectant`'s pairs from f's numerators,
+    read once; :func:`_form` normalizes once per invariant, and for f =
+    F / fd of degree 5 and alpha = A / ad of degree 3, Res(f, alpha) =
+    Res(F, A) / (fd^3 ad^5) is divided once."""
+    (fc,) = _numerators(f.coeffs)
     i = _transvectant(fc, fc, 4)
     alpha = _transvectant(fc, i, 2)
     tau = _transvectant(alpha, alpha, 2)
+    (fd, F), (ad, A) = fc, alpha
     return {"I4": _form(_transvectant(i, i, 2)), "I8": _form(_transvectant(i, tau, 2)),
-            "I12": _form(_transvectant(tau, tau, 2)), "I18": BinaryForm([resultant(fc, alpha)])}
+            "I12": _form(_transvectant(tau, tau, 2)),
+            "I18": BinaryForm([_over(resultant(F, A), fd ** 3 * ad ** 5)])}
 
 
 #: The per-degree scalars c_k that match the invariants J_k of
@@ -363,13 +347,13 @@ def _sextic_recipe(f: BinaryForm) -> dict:
     one-dimensional).
 
     The covariants, their products (:func:`_product`) and the corrections
-    (:func:`_sum`) run on :func:`_transvectant`'s triples from f's
+    (:func:`_sum`) run on :func:`_transvectant`'s pairs from f's
     numerators, read once, and :func:`_form` normalizes once per invariant.
     The products and sums keep the operand order and grouping of the
     chain I10 = J10/2 + (I4 J6)/3 + ((I2 (I2 I2)) I4)/54 - (I2 (I4 I4))/9 -
     ((I2 I2) J6)/18, so each coefficient over a field is stored in the field
     that chain on normalized forms produces."""
-    fc = _covariant(f)
+    (fc,) = _numerators(f.coeffs)
     h = _transvectant(fc, fc, 4)
     ell = _transvectant(fc, h, 4)
     y = _transvectant(fc, ell, 2)

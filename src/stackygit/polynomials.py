@@ -18,9 +18,9 @@ with its derivative (so everything stays in exact arithmetic, with no root
 extraction).  No matrix is eliminated: each gcd is the last member of
 :func:`_subresultants`, the one fraction-free subresultant
 pseudo-remainder sequence, which limits coefficient growth, and
-:func:`resultant` reads the resultant of two forms, at their formal
-degrees, off the same sequence.  Over Q the sequence runs on integers,
-since its divisions are exact in Z.
+:func:`resultant` reads the resultant of two coefficient lists, at their
+formal degrees, off the same sequence.  Over Q the sequence runs on
+integers, since its divisions are exact in Z.
 """
 
 from __future__ import annotations
@@ -728,24 +728,12 @@ def _subresultants(a, b):
     return members, h
 
 
-def resultant(f: BinaryForm, g: BinaryForm) -> CyclotomicNumber:
-    """Resultant of two binary forms at their formal degrees: the Sylvester
-    determinant, by the subresultant pseudo-remainder sequence (Collins;
-    Brown-Traub; H. Cohen, *A Course in Computational Algebraic Number
-    Theory*, Algorithm 3.3.7).
-
-    It runs in the ring of :func:`stackygit.cyclotomic._numerators`.  For
-    rational forms that is Z: with f = F/fd and g = G/gd for integer forms
-    F and G of degrees d and e, Res(f, g) = Res(F, G) / (fd^e gd^d), and
-    every division of the sequence is exact in Z.  Other forms run it on
-    their CyclotomicNumber coefficients, with fd = gd = 1."""
-    (fd, a), (gd, b) = _numerators(f.coeffs, g.coeffs)
-    return _over(coefficient_resultant(a, b), fd ** g.degree * gd ** f.degree)
-
-
-def coefficient_resultant(a, b):
+def resultant(a, b):
     """Res_{d,e} of the descending coefficient lists ``a`` (a0 first) and
-    ``b``, all ints or all CyclotomicNumbers.  A vanishing leading
+    ``b``, all ints or all CyclotomicNumbers: the Sylvester determinant at
+    the formal degrees, by the subresultant pseudo-remainder sequence
+    (Collins; Brown-Traub; H. Cohen, *A Course in Computational Algebraic
+    Number Theory*, Algorithm 3.3.7).  A vanishing leading
     coefficient is expanded along the first Sylvester column first:
     Res_{d,e} is (-1)^e b0 Res_{d-1,e}(a', b) when a0 = 0, a0 Res_{d,e-1}(a,
     b') when b0 = 0, and 0 when both vanish, where ' drops the leading

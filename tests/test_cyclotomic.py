@@ -387,6 +387,38 @@ def _layout(c):
     return (c.order, c.coords, c.den)
 
 
+_BIG = 2 ** 70
+
+
+@pytest.mark.parametrize("p, q", [
+    # equal denominators, with and without a common factor in the sum
+    (QQ(1, 6), QQ(5, 6)), (QQ(1, 4), QQ(1, 4)), (QQ(-3, 8), QQ(7, 8)), (2, 5),
+    # coprime denominators
+    (QQ(1, 3), QQ(1, 5)), (QQ(-2, 7), QQ(3, 4)), (3, QQ(-1, 9)),
+    # denominators that share a factor
+    (QQ(1, 6), QQ(1, 10)), (QQ(5, 12), QQ(1, 18)), (QQ(1, 6), QQ(1, 3)), (QQ(7, 30), QQ(4, 45)),
+    # sums that cancel to 0, and zero operands
+    (QQ(3, 7), QQ(-3, 7)), (QQ(-5, 4), QQ(5, 4)), (-2, 2), (0, 0), (QQ(1, 2), 0),
+    # numerators near 2**70
+    (QQ(_BIG + 1, 3), QQ(_BIG - 1, 6)), (QQ(_BIG - 3, 3 ** 5), QQ(-_BIG - 1, 3 ** 4 * 5)),
+    (QQ(-_BIG, 7), QQ(_BIG, 7)), (_BIG + 1, QQ(1, _BIG - 1)),
+])
+def test_rational_addition_matches_fraction(p, q):
+    # rationals run the one addition body of every order; each sum and
+    # difference, in both operand orders and with a plain int or Fraction
+    # on either side, is stored exactly as the Fraction
+    def layout(r):
+        return (1, (r.numerator,), r.denominator)
+
+    a, b = as_cyclotomic(p), as_cyclotomic(q)
+    p, q = QQ(p), QQ(q)
+    for x, y, fx, fy in ((a, b, p, q), (b, a, q, p)):
+        for op in (operator.add, operator.sub):
+            expected = layout(op(fx, fy))
+            for got in (op(x, y), op(x, fy), op(fx, y)):
+                assert _layout(got) == expected, (fx, fy, op)
+
+
 def test_numerators_are_ints_over_q_and_the_values_otherwise():
     a = [as_cyclotomic(QQ(1, 2)), as_cyclotomic(QQ(-2, 3)), as_cyclotomic(5)]
     b = [as_cyclotomic(QQ(3, 4)), as_cyclotomic(0)]

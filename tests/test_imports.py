@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used in that module, no
-module imports a private name of ``polynomials``, every private
-module-level function and constant is used somewhere in the package, and
-every public module-level function and class is used by the package, the
-benchmark or the scripts."""
+module imports a private name of ``polynomials``, no module-level
+function, class or constant is defined in two modules, every private
+module-level function, class and constant is used somewhere in the
+package, and every public module-level function and class is used by the
+package, the benchmark or the scripts."""
 
 import ast
 from pathlib import Path
@@ -84,17 +85,52 @@ def test_no_module_imports_a_private_name_of_polynomials(path):
     assert private_imports(ast.parse(path.read_text(encoding="utf-8")), "polynomials") == []
 
 
-def unreferenced_helpers(trees):
-    """The module-level functions and constants (``_NAME = ...``) named
-    ``_private`` (not dunder) in the modules ``trees`` (name -> ast) that no
-    name or attribute in the modules reads outside their own definition."""
-    def defined(node):
-        if isinstance(node, ast.FunctionDef):
-            return [node.name]
-        targets = node.targets if isinstance(node, ast.Assign) else \
-            [node.target] if isinstance(node, ast.AnnAssign) else []
-        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+def defined(node):
+    """The names a module-level statement defines: a function's or class's
+    name, or the names its assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else \
+        [node.target] if isinstance(node, ast.AnnAssign) else []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
 
+
+def defined_twice(trees):
+    """``(name, modules)`` for each name, dunders aside, that a
+    module-level function, class or assignment defines in more than one
+    of the modules ``trees`` (name -> ast)."""
+    where = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            for name in defined(node):
+                if not name.startswith("__"):
+                    where.setdefault(name, set()).add(module)
+    return sorted((name, sorted(modules)) for name, modules in where.items()
+                  if len(modules) > 1)
+
+
+def test_names_defined_twice_are_found():
+    trees = {"a.py": ast.parse("def f(): pass\nclass C: pass\n_K = 1\n__all__ = []\n"
+                               "from b import g\n"),
+             "b.py": ast.parse("def g(): pass\nC = 2\n__all__ = []\n"
+                               "def h():\n    f = 1\n"),
+             "c.py": ast.parse("_K: int = 3\ndef f(): pass\n")}
+    assert defined_twice(trees) == [("C", ["a.py", "b.py"]), ("_K", ["a.py", "c.py"]),
+                                    ("f", ["a.py", "c.py"])]
+
+
+def test_no_name_is_defined_in_two_modules():
+    # one body per function, class and constant: a second module imports it
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SOURCE.glob("*.py"))}
+    assert defined_twice(trees) == []
+
+
+def unreferenced_helpers(trees):
+    """The module-level functions, classes and constants (``_NAME = ...``)
+    named ``_private`` (not dunder) in the modules ``trees`` (name -> ast)
+    that no name or attribute in the modules reads outside their own
+    definition."""
     total = total_reads(trees)
     return sorted(
         (module, name) for module, tree in trees.items() for node in tree.body

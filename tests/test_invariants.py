@@ -5,7 +5,7 @@ from math import comb, factorial, lcm, prod
 import pytest
 
 from stackygit import cli
-from stackygit.cyclotomic import QQ, as_cyclotomic, sqrt_minus3, zeta
+from stackygit.cyclotomic import QQ, _numerators, _over, as_cyclotomic, sqrt_minus3, zeta
 from stackygit.errors import (
     NonStableError,
     OrderTooLargeError,
@@ -17,9 +17,9 @@ from stackygit.exprparse import form
 from stackygit.groups import SL2Matrix
 from stackygit.invariants import (
     _CALIBRATIONS,
-    _covariant,
     _form,
     _transvectant,
+    _transvectant_weights,
     QUINTIC_SCALARS,
     calibrate_invariants,
     catalog_ring,
@@ -55,6 +55,13 @@ def _fraction_sylvester(f, g):
             q = m[r][col] / m[col][col]
             m[r] = [x - q * y for x, y in zip(m[r], m[col])]
     return det
+
+
+def _form_resultant(f, g):
+    """The resultant of two forms at their formal degrees: the list
+    resultant of their numerators over fd^deg g gd^deg f."""
+    (fd, a), (gd, b) = _numerators(f.coeffs, g.coeffs)
+    return _over(resultant(a, b), fd ** g.degree * gd ** f.degree)
 
 
 def _random_sl2(rng):
@@ -287,6 +294,15 @@ class TestTransvectant:
                 if all(c.order == 1 for c in f.coeffs + g.coeffs):
                     assert all(c.order == 1 for c in got.coeffs)
 
+    def test_normalization_is_one_over_the_weights_denominator(self):
+        # (d-r)! (e-r)! / (d! e!) = 1 / (d_(r) e_(r)), so a covariant
+        # carries a denominator alone
+        for d, e in itertools.product(range(13), repeat=2):
+            for r in range(min(d, e) + 1):
+                _, den = _transvectant_weights(d, e, r)
+                assert QQ(1, den) == QQ(factorial(d - r) * factorial(e - r),
+                                        factorial(d) * factorial(e)), (d, e, r)
+
     def test_fields_past_the_cap_in_different_coefficients(self):
         # zeta(11) and zeta(13) meet x in different coefficients, so no
         # coefficient needs Q(zeta_143)
@@ -336,8 +352,8 @@ class TestTransvectant:
         common = form("x - 2*y")
         f = common * form("x + y")
         g = common * form("x^2 + y^2")
-        assert not resultant(f, g)
-        assert resultant(form("x"), form("y")) == 1
+        assert not _form_resultant(f, g)
+        assert _form_resultant(form("x"), form("y")) == 1
 
 
 def _product_of_linear(factors):
@@ -366,8 +382,8 @@ class TestElimination:
         for a, b in f_factors:
             for c, d in g_factors:
                 expected = expected * (b * c - a * d)
-        assert resultant(f, g) == expected
-        assert resultant(g, f) == expected * (-1) ** (f.degree * g.degree)
+        assert _form_resultant(f, g) == expected
+        assert _form_resultant(g, f) == expected * (-1) ** (f.degree * g.degree)
 
     def test_resultant_matches_sylvester_determinant(self):
         # Leibniz expansion of the Sylvester matrix at the formal degrees,
@@ -394,7 +410,7 @@ class TestElimination:
                 for i in range(n):
                     term = term * m[i][perm[i]]
                 det = det + term
-            assert resultant(BinaryForm(f), BinaryForm(g)) == det, (f, g)
+            assert _form_resultant(BinaryForm(f), BinaryForm(g)) == det, (f, g)
 
     def test_rational_resultant_matches_fraction_sylvester_determinant(self):
         # rational forms of degrees 0-8 run the sequence on integers; the
@@ -413,7 +429,7 @@ class TestElimination:
                 coeffs[:zeros] = [QQ(0)] * min(zeros, len(coeffs))
             expected = _fraction_sylvester(f, g)
             for a, b, sign in ((f, g, 1), (g, f, (-1) ** (d * e))):
-                value = resultant(BinaryForm(a), BinaryForm(b))
+                value = _form_resultant(BinaryForm(a), BinaryForm(b))
                 assert (value.order, value.coords, value.den) == \
                     (1, (sign * expected.numerator,), expected.denominator), (a, b)
 
@@ -462,7 +478,7 @@ def _reference_recipe(family, f):
         alpha = transvectant(f, i, 2)
         tau = transvectant(alpha, alpha, 2)
         return {"I4": transvectant(i, i, 2), "I8": transvectant(i, tau, 2),
-                "I12": transvectant(tau, tau, 2), "I18": BinaryForm([resultant(f, alpha)])}
+                "I12": transvectant(tau, tau, 2), "I18": BinaryForm([_form_resultant(f, alpha)])}
     h = transvectant(f, f, 4)
     ell = transvectant(f, h, 4)
     y = transvectant(f, ell, 2)
@@ -601,8 +617,9 @@ class TestRecipes:
 
 
     def test_quintic_resultant_matches_the_resultant_of_forms(self):
-        # I18 is taken from the triples of f and alpha with one division;
-        # value and field match the resultant of f with alpha as a form
+        # I18 is the list resultant of the numerators of f and alpha with
+        # one division; value and field match the resultant of f with alpha
+        # as a form
         rng = random.Random(89)
         forms = [BinaryForm([rng.randint(-9, 9) for _ in range(6)]) for _ in range(4)]
         forms += [BinaryForm([QQ(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(6)])
@@ -611,9 +628,9 @@ class TestRecipes:
         assert all(max(c.den for c in f.coeffs) > 1 for f in forms[4:])
         values = []
         for f in forms:
-            fc = _covariant(f)
+            (fc,) = _numerators(f.coeffs)
             alpha = _form(_transvectant(fc, _transvectant(fc, fc, 4), 2))
-            got, expected = evaluate_recipe("quintic", f)["I18"].a(0), resultant(f, alpha)
+            got, expected = evaluate_recipe("quintic", f)["I18"].a(0), _form_resultant(f, alpha)
             assert (got, got.order) == (expected, expected.order), str(f)
             values.append(got)
         assert all(values) and values[-1].order > 1
