@@ -25,6 +25,19 @@ is formed in closed form (its exponents times k, its coefficient to the
 k-th power) after the same checks as any other power.  The sum adds every
 term into one dict of terms.
 
+A sum of integer monomials is read in one pass by :func:`_monomial_sum`:
+'+' and '-' between terms, at most one '-' of each term's own, factors
+joined by '*', and each factor an ASCII numeral or a non-reserved
+identifier with an optional '^' and numeral.  ``MultiPoly.__str__``
+writes this for integer coefficients, and so does
+:func:`stackygit.ringspec.dumps` for a relation over Q.  One pattern checks
+the text and one ``findall`` splits it into factors; the terms are summed
+in the order and with the cancellation of the parser below, so the value,
+its variables and the names are the same.  The reader gives up, and leaves
+the text to the tokenizer and :class:`_Parser`, wherever a bound below
+could fire; so every error, with its message and position, comes from the
+tokenizer or :class:`_Parser`.
+
 Parentheses and unary minus signs may nest at most :data:`MAX_NESTING`
 deep; deeper input raises NestingTooDeepError before the parser recurses
 further.  Sums and products of any length are parsed iteratively, so they
@@ -96,6 +109,29 @@ MAX_TERM_PRODUCTS = (MAX_PROFILE_DEGREE + 1) ** 2
 MAX_NUMERAL_DIGITS = 4300
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^]))")
+
+#: A factor of a monomial sum: an identifier or an ASCII numeral of at most
+#: :data:`MAX_NUMERAL_DIGITS` digits, with an optional ASCII exponent.
+_SUM_FACTOR = (rf"(?:[A-Za-z_][A-Za-z_0-9]*|[0-9]{{1,{MAX_NUMERAL_DIGITS}}})"
+               r"(?:\s*\^\s*[0-9]+)?")
+
+#: The exponent that each exponent text of a monomial sum names, '' for
+#: none; a text not here (above MAX_PROFILE_DEGREE, or with a leading zero)
+#: is left to the parser.
+_SUM_EXPONENTS = {"": 1, **{str(k): k for k in range(MAX_PROFILE_DEGREE + 1)}}
+
+#: A sum of monomials: factors joined by '*' into terms, and terms joined by
+#: '+' and '-', each term with at most one '-' of its own.  Each operator
+#: stands between two factors, so a text that fails is given up in linear
+#: time.
+_MONOMIAL_SUM = re.compile(
+    rf"\s*(?:-\s*)?{_SUM_FACTOR}(?:\s*(?:\*|[-+](?:\s*-)?)\s*{_SUM_FACTOR})*\s*")
+
+#: One factor of a matched monomial sum, with the operator before it ('' for
+#: the first) and the term's own '-' after a '+' or '-': (operator, minus,
+#: identifier, numeral, exponent).
+_SUM_ITEM = re.compile(
+    r"\s*([-+*]?)(?:\s*(-))?\s*(?:([A-Za-z_][A-Za-z_0-9]*)|([0-9]+))(?:\s*\^\s*([0-9]+))?")
 
 
 def numeral(digits: str):
@@ -338,9 +374,68 @@ def _is_root_of_unity(c) -> bool:
     return False
 
 
+def _monomial_sum(text: str, variables):
+    """What :func:`_parse` returns for ``text``, when it is a sum of integer
+    monomials that no bound of the parser could refuse; None otherwise.
+
+    The terms are summed into the dict in the order and with the
+    cancellation of :meth:`_Parser.expr`.  None is returned for a reserved
+    name, an exponent outside :data:`_SUM_EXPONENTS` and a term whose
+    numerals have more than MAX_COEFFICIENT_BITS bits together (counting a
+    power n^k as k times the bits of n), so no bound of the parser can fire
+    here; the pattern already leaves out long numerals."""
+    if not _MONOMIAL_SUM.fullmatch(text):
+        return None
+    items = _SUM_ITEM.findall(text.rstrip())
+    names = tuple(dict.fromkeys(name for _, _, name, _, _ in items if name))
+    if any(name in RESERVED for name in names):
+        return None
+    variables += tuple(n for n in names if n not in variables)
+    index = {}
+    for i, v in enumerate(variables):
+        index.setdefault(v, i)
+    monomials = []  # [coefficient, exponent list] of each term, as ints
+    for op, minus, name, digits, power in items:
+        if op != "*":
+            term, bits = [-1 if (op == "-") != bool(minus) else 1, [0] * len(variables)], 0
+            monomials.append(term)
+        k = _SUM_EXPONENTS.get(power)
+        if k is None:
+            return None
+        if name:
+            term[1][index[name]] += k
+            continue
+        n = int(digits)
+        bits += n.bit_length() * k
+        if bits > MAX_COEFFICIENT_BITS:
+            return None
+        term[0] *= n ** k
+    terms = {}
+    for c, e in monomials:
+        if not c:
+            continue
+        e = tuple(e)
+        s = terms.get(e)
+        s = c if s is None else s + c
+        if s:
+            terms[e] = s
+        else:
+            del terms[e]
+    return MultiPoly._of(variables, {e: as_cyclotomic(c) for e, c in terms.items()}), names
+
+
 def _parse(text: str, variables):
     """Evaluate ``text`` over ``variables`` and every other variable name it
-    uses; returns the value and the names in first-occurrence order."""
+    uses; returns the value and the names in first-occurrence order.  A sum
+    of integer monomials is read by :func:`_monomial_sum`; any other text,
+    and every error, goes to :func:`_parse_tokens`."""
+    read = _monomial_sum(text, variables)
+    return _parse_tokens(text, variables) if read is None else read
+
+
+def _parse_tokens(text: str, variables):
+    """:func:`_parse` through the tokenizer and :class:`_Parser`, which
+    read the whole grammar and raise every error."""
     if not text.strip():
         raise ParseError("empty expression", 0)
     tokens = _tokenize(text)

@@ -62,10 +62,15 @@ class GradedRingPresentation(namedtuple("GradedRingPresentation",
         if relation is not None:
             if relation.variables != generators:
                 raise ArityError("relation must be written in the generators")
+            degree = relation.weighted_degree(weights)
             if not relation:
                 relation = None
-            elif relation.weighted_degree(weights) is None:
+            elif degree is None:
                 raise InhomogeneousError(f"relation {relation} is not weighted-homogeneous")
+            elif degree == 0:
+                # weights are positive, so only a nonzero constant has degree 0
+                raise ShapeError(
+                    f"relation {relation} is a nonzero constant, so the ring is zero")
         return super().__new__(cls, generators, weights, relation, field_order)
 
     def weight_of(self, name: str) -> int:

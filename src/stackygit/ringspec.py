@@ -11,6 +11,11 @@ Every relation coefficient must lie in that field: its order divides m.
 Blank lines and ``#`` comments are ignored.  The writer clears
 denominators in the relation (a relation is only meaningful up to a
 nonzero scalar), so emitted files stay inside the expression grammar.
+Over Q the relation it writes is a sum of integer monomials, which
+:func:`stackygit.exprparse.parse_poly` reads in one pass; any other
+relation text goes through the general parser, which raises every error.
+A relation that is a nonzero constant is refused with ShapeError, since
+its ring is zero.
 """
 
 from __future__ import annotations

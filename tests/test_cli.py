@@ -442,6 +442,19 @@ def test_demo_rings(name, decomposition, gerbe):
     assert result.payload["gerbe_index"] == gerbe
 
 
+@pytest.mark.parametrize("argv", [["rigidify"], ["chart", "b"], ["decompose"]],
+                         ids=["rigidify", "chart", "decompose"])
+def test_constant_relation_is_refused(tmp_path, argv):
+    # the relation 5 = 0 leaves the zero ring, whose stack is empty
+    path = tmp_path / "constant.ring"
+    path.write_text("a : 2\nb : 3\nrelation: 5\n", encoding="utf-8")
+    result = run_command([argv[0], str(path), *argv[1:]])
+    assert result.status == 2
+    assert result.payload["error"] == {
+        "code": "relation-shape",
+        "message": "relation 5 is a nonzero constant, so the ring is zero"}
+
+
 def test_unknown_generator_error(quintic_file):
     result = run_command(["chart", quintic_file, "I9"])
     assert result.status == 2

@@ -283,6 +283,19 @@ class TestPresentationEquality:
             free_ring("ab", (1, 2)), free_ring("ab", (1, 3)))
 
 
+class TestRelationDegree:
+    def test_nonzero_constant_is_refused(self):
+        gens = ("a", "b")
+        for c in (5, -1):
+            with pytest.raises(ShapeError, match="is a nonzero constant"):
+                GradedRingPresentation(gens, (2, 3), MultiPoly.constant(gens, c))
+
+    def test_zero_relation_is_no_relation(self):
+        gens = ("a", "b")
+        ring = GradedRingPresentation(gens, (2, 3), MultiPoly.constant(gens, 0))
+        assert ring.relation is None
+
+
 def _gcd(a, b):
     while b:
         a, b = b, a % b

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,12 +22,17 @@ from stackygit.exprparse import (
     MAX_NUMERAL_DIGITS,
     MAX_TERM_PRODUCTS,
     RESERVED,
+    _monomial_sum,
+    _parse,
+    _parse_tokens,
     form,
     parse_poly,
 )
 from stackygit.graded import presentations_equal
-from stackygit.invariants import catalog_ring
+from stackygit.invariants import FAMILIES, catalog_ring
 from stackygit.polynomials import BinaryForm, MultiPoly
+
+DEMO_RINGS = Path(__file__).resolve().parent.parent / "demos" / "rings"
 
 
 def test_tetrahedral_quartic():
@@ -343,6 +349,96 @@ def test_numerals_count_their_significant_digits():
     padded = "0" * 5000 + "7"
     assert parse_poly(f"{padded}*x", ("x",)) == parse_poly("7*x", ("x",))
     assert len(str(parse_poly("7" * MAX_NUMERAL_DIGITS, ()))) == MAX_NUMERAL_DIGITS
+
+
+# -- the one-pass reader of monomial sums against the general parser ------------
+
+def _outcome(read, text, variables):
+    """What ``read`` makes of ``text``: the variables, the stored terms in
+    their order and the names, or the error's class, message and position."""
+    try:
+        value, names = read(text, variables)
+    except Exception as err:  # noqa: BLE001 - the error is the outcome
+        return type(err), str(err), getattr(err, "position", None)
+    return value.variables, _layout(value), names
+
+
+def _assert_same_as_the_parser(text, variables=("x", "y")):
+    assert _outcome(_parse, text, variables) == _outcome(_parse_tokens, text, variables), text
+
+
+_LONG = "7" * MAX_NUMERAL_DIGITS
+_READER_CASES = [
+    "x + -y", "x - -y", "x + - y", "- -x", "-x - y", "-2*x^2 + 3", "--x", "-(x)",
+    "0*x", "x - x", "x - x + y + x", "x*x^2", "2*x*3*y - 6*y*x", "0*q + x", "x^0*y^0 - 1",
+    "x^256", "x^257", "2^256*x", "x^0256", "1^257", "0^0", "x^2^3", "x^-1",
+    _LONG, _LONG + "7", "0" + _LONG, "0" * 5000 + "7*x", _LONG + "*x", "x*" + _LONG,
+    _LONG + " - " + _LONG, "x^" + _LONG,
+    str(2 ** 10000 + 1) + "*x", str(2 ** 10000) + "*x", "2^5000*x*2^5001", "2^9999*x*2",
+    "3^256*3^256*3^256*x", "0*" + "9" * 3500 + "*x",
+    "i", "i*x", "sqrt2 - x", "zeta(5)*y", "zeta", "x*zeta", "q", "x + q*r - q",
+    "٣*x", "x^٢", "x٣", "", " ", "x + ", "x +", "x y", "x !", "x)", "(x", "x*", "2x",
+    "x\t-\ny ", " \u2003x", "+x", "x++y", "x**2", "a_1*b2 - b2*a_1",
+]
+
+
+@pytest.mark.parametrize("text", _READER_CASES,
+                         ids=[f"{i}:{t[:12]!r}..{len(t)}" for i, t in enumerate(_READER_CASES)])
+def test_reader_agrees_with_the_parser(text):
+    # over repeated variables and a reserved name among them too
+    for variables in (("x", "y"), ("y", "x", "y"), ("i", "x"), ()):
+        _assert_same_as_the_parser(text, variables)
+
+
+_READER_PIECES = st.sampled_from((
+    "x", "y", "q", "I2", "i", "sqrt2", "zeta", "zeta(5)", "0", "1", "2", "3", "12", "007",
+    "256", "257", "9" * 40, "+", "-", "*", "^", " ", "(", ")", "!", "٣", "\t"))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.lists(_READER_PIECES, max_size=12).map("".join),
+                 st.recursive(_ATOMS, _sums, max_leaves=8)))
+def test_reader_agrees_with_the_parser_on_drawn_texts(text):
+    # the same terms in the same order, variables and names, or the same
+    # error, message and position
+    _assert_same_as_the_parser(text)
+    _assert_same_as_the_parser(text, ("y", "q", "y"))
+
+
+def test_reader_reads_what_the_writers_write():
+    # relations that ringspec.dumps writes and forms that str() prints never
+    # reach the general parser; the values are those it reads
+    rings = [ringspec.load(path) for path in sorted(DEMO_RINGS.glob("*.ring"))]
+    rings += [catalog_ring(family).ring for family in FAMILIES]
+    texts = []
+    for ring in rings:
+        spec = ringspec.dumps(ring)
+        if ring.relation is not None:
+            texts.append((spec.split("relation: ", 1)[1].rstrip("\n"), ring.generators))
+    assert len(texts) >= 3
+    rng = random.Random(38)
+    for _ in range(200):
+        coeffs = [rng.choice((0, 0, 1, -1, 2, -7, 10**30)) for _ in range(rng.randint(1, 13))]
+        coeffs[0] = coeffs[0] or 3
+        texts.append((str(BinaryForm(coeffs)), ("x", "y")))
+    for text, variables in texts:
+        assert _monomial_sum(text, variables) is not None, text
+        _assert_same_as_the_parser(text, variables)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x" + " * x" * 25_000 + " !", "unexpected character '!' (at position 100002)"),
+    ("x" + " - -x" * 20_000 + "(", "trailing input '(' (at position 100001)"),
+    (" " * 100_000 + "x^2 !", "unexpected character '!' (at position 100004)"),
+    ("x" * 100_000 + " !", "unexpected character '!' (at position 100001)"),
+], ids=["product", "signs", "spaces", "identifier"])
+def test_reader_gives_up_in_linear_time(text, message):
+    # texts of about 100k characters that are monomial sums up to their last
+    # characters: a pattern that backtracks super-linearly makes this slow
+    assert _monomial_sum(text, ("x",)) is None
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, ("x",))
+    assert str(err.value) == message
 
 
 class TestRingSpec:
