@@ -144,9 +144,7 @@ def numeral(digits: str):
 def _tokenize(text: str):
     pos = 0
     tokens = []
-    for m in _TOKEN.finditer(text):
-        if m.start() != pos:
-            break
+    while m := _TOKEN.match(text, pos):
         number, ident, op = m.groups()
         if number is not None:
             value = numeral(number)

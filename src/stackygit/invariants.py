@@ -31,12 +31,13 @@ is stored in the field its own arithmetic produces.  The public
 
 Two plain functions, :func:`_quintic_recipe` and :func:`_sextic_recipe`,
 build one invariant per catalog generator from transvectants, products and
-a resultant (:func:`evaluate_recipe` picks one by family).  They read the
-input form's numerators once, run the whole covariant chain on the
-kernel's pairs, and normalize once per invariant.  The calibration
-harness checks that pinned per-degree scalars (:data:`QUINTIC_SCALARS`,
+a resultant (:func:`evaluate_recipe` picks one by family): from a form's
+numerator pair, the whole chain runs on the kernel's pairs and returns one
+degree-0 pair per invariant, divided nowhere.  The calibration harness
+checks that pinned per-degree scalars (:data:`QUINTIC_SCALARS`,
 :data:`SEXTIC_SCALARS`) match these invariants to the catalog relation,
-exactly, at seeded random forms.
+exactly, at seeded random forms, as one cross-multiplied identity on
+numerators from the seeded draw to the comparison.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from math import comb, lcm, perm
 
 from .cyclotomic import (
     QQ,
-    CyclotomicNumber,
     _convolve,
     _numerators,
     _over,
@@ -297,17 +297,19 @@ class CalibrationResult(namedtuple("CalibrationResult", "family scalars residual
         return self.scalars is not None
 
 
-def _invariant_value(form: BinaryForm) -> CyclotomicNumber:
-    if form.degree != 0:
+def _invariant_value(covariant):
+    """The pair (num, den) of a degree-0 covariant pair (den, [num])."""
+    den, coeffs = covariant
+    if len(coeffs) != 1:
         raise UnderDeterminedError(
-            f"recipe output has order {form.degree}, expected an invariant")
-    return form.a(0)
+            f"recipe output has order {len(coeffs) - 1}, expected an invariant")
+    return coeffs[0], den
 
 
 DEFAULT_SEED = 7
 
 
-def _quintic_recipe(f: BinaryForm) -> dict:
+def _quintic_recipe(fc) -> dict:
     """The classical covariant chain of a quintic: the quadratic covariant
     i = (f,f)^4, the cubic alpha = (f,i)^2 and its square-transvectant
     tau = (alpha,alpha)^2 yield invariants in degrees 4, 8, 12; the
@@ -315,18 +317,16 @@ def _quintic_recipe(f: BinaryForm) -> dict:
     invariant space is one-dimensional, so any nonzero choice is
     proportional to the catalog generator).
 
-    The chain runs on :func:`_transvectant`'s pairs from f's numerators,
-    read once; :func:`_form` normalizes once per invariant, and for f =
-    F / fd of degree 5 and alpha = A / ad of degree 3, Res(f, alpha) =
-    Res(F, A) / (fd^3 ad^5) is divided once."""
-    (fc,) = _numerators(f.coeffs)
+    The chain runs on :func:`_transvectant`'s pairs from f's numerator
+    pair fc = (fd, F) and returns one degree-0 pair per invariant, divided
+    nowhere: for alpha = A / ad of degree 3, Res(f, alpha) is the pair
+    (fd^3 ad^5, [Res(F, A)])."""
     i = _transvectant(fc, fc, 4)
     alpha = _transvectant(fc, i, 2)
     tau = _transvectant(alpha, alpha, 2)
     (fd, F), (ad, A) = fc, alpha
-    return {"I4": _form(_transvectant(i, i, 2)), "I8": _form(_transvectant(i, tau, 2)),
-            "I12": _form(_transvectant(tau, tau, 2)),
-            "I18": BinaryForm([_over(resultant(F, A), fd ** 3 * ad ** 5)])}
+    return {"I4": _transvectant(i, i, 2), "I8": _transvectant(i, tau, 2),
+            "I12": _transvectant(tau, tau, 2), "I18": (fd ** 3 * ad ** 5, [resultant(F, A)])}
 
 
 #: The per-degree scalars c_k that match the invariants J_k of
@@ -337,7 +337,7 @@ def _quintic_recipe(f: BinaryForm) -> dict:
 QUINTIC_SCALARS = {"I4": QQ(1), "I8": QQ(1, 2), "I12": QQ(-1, 4), "I18": sqrt2() / 729}
 
 
-def _sextic_recipe(f: BinaryForm) -> dict:
+def _sextic_recipe(fc) -> dict:
     """Transvectant chain of a sextic in degrees 2, 4, 6, 10, 15.  The raw
     transvectants J6 and J10 differ from the determinant convention of the
     catalog relation by lower-filtration terms; I6 and I10 apply the exact
@@ -347,13 +347,12 @@ def _sextic_recipe(f: BinaryForm) -> dict:
     one-dimensional).
 
     The covariants, their products (:func:`_product`) and the corrections
-    (:func:`_sum`) run on :func:`_transvectant`'s pairs from f's
-    numerators, read once, and :func:`_form` normalizes once per invariant.
-    The products and sums keep the operand order and grouping of the
-    chain I10 = J10/2 + (I4 J6)/3 + ((I2 (I2 I2)) I4)/54 - (I2 (I4 I4))/9 -
-    ((I2 I2) J6)/18, so each coefficient over a field is stored in the field
-    that chain on normalized forms produces."""
-    (fc,) = _numerators(f.coeffs)
+    (:func:`_sum`) run on :func:`_transvectant`'s pairs from f's numerator
+    pair fc, and each invariant is returned as its degree-0 pair.  The
+    products and sums keep the operand order and grouping of the chain
+    I10 = J10/2 + (I4 J6)/3 + ((I2 (I2 I2)) I4)/54 - (I2 (I4 I4))/9 -
+    ((I2 I2) J6)/18, so :func:`_form` stores each value over a field in the
+    field that chain on normalized forms produces."""
     h = _transvectant(fc, fc, 4)
     ell = _transvectant(fc, h, 4)
     y = _transvectant(fc, ell, 2)
@@ -369,8 +368,7 @@ def _sextic_recipe(f: BinaryForm) -> dict:
                (QQ(1, 54), _product(_product(i2, i2_squared), i4)),
                (QQ(-1, 9), _product(i2, _product(i4, i4))),
                (QQ(-1, 18), _product(i2_squared, j6)))
-    return {"I2": _form(i2), "I4": _form(i4), "I6": _form(i6), "I10": _form(i10),
-            "I15": _form(i15)}
+    return {"I2": i2, "I4": i4, "I6": i6, "I10": i10, "I15": i15}
 
 
 #: The per-degree scalars of :func:`_sextic_recipe`: (c15*J15)^2 =
@@ -388,24 +386,31 @@ _CALIBRATIONS = {"quintic": (5, 25, QUINTIC_SCALARS, _quintic_recipe),
                  "sextic": (6, 55, SEXTIC_SCALARS, _sextic_recipe)}
 
 
-def evaluate_recipe(family: str, f: BinaryForm) -> dict:
-    """The transvectant-built invariants of a quintic or sextic f, one
-    degree-0 form per generator of the family's catalog ring, in the ring's
-    order.  Families without a calibration raise UnknownFamilyError."""
+def evaluate_recipe(family: str, fc) -> dict:
+    """The transvectant-built invariants of a quintic or sextic f from its
+    numerator pair fc = (den, coefficients): one degree-0 covariant pair
+    per generator of the family's catalog ring, in the ring's order
+    (:func:`_form` makes it a form).  Other families raise
+    UnknownFamilyError."""
     if family not in _CALIBRATIONS:
         raise UnknownFamilyError(f"family {family!r} has no calibration recipe")
-    return _CALIBRATIONS[family][3](f)
+    return _CALIBRATIONS[family][3](fc)
 
 
 #: The coefficients of :func:`random_form` lie in [-FORM_SPAN, FORM_SPAN].
 FORM_SPAN = 9
 
 
-def random_form(rng, degree: int) -> BinaryForm:
+def _random_coeffs(rng, degree: int) -> list:
+    """The int coefficients of a random nonzero form of the degree."""
     coeffs = [rng.randint(-FORM_SPAN, FORM_SPAN) for _ in range(degree + 1)]
     if not any(coeffs):
         coeffs[0] = 1
-    return BinaryForm(coeffs)
+    return coeffs
+
+
+def random_form(rng, degree: int) -> BinaryForm:
+    return BinaryForm(_random_coeffs(rng, degree))
 
 
 def calibrate_invariants(family: str, seed: int = DEFAULT_SEED) -> CalibrationResult:
@@ -421,6 +426,13 @@ def calibrate_invariants(family: str, seed: int = DEFAULT_SEED) -> CalibrationRe
     vanishes at every form, or one that is a covariant of nonzero order.
     Other families raise UnknownFamilyError.  Failure returns a report with
     the nonzero residuals.
+
+    Forms are drawn as int lists and their invariants J_k = n_k / d_k are
+    :func:`evaluate_recipe`'s pairs.  With c_k = s_k / sd and c_top^2 =
+    s_top / sd, F at the pairs (s_k n_k, sd d_k) is N / D, and the relation
+    is s_top n_top^2 D = N sd d_top^2, in the ring of ``_numerators``: ints,
+    or values when a recipe yields them.  Only a residual's text builds
+    forms and values.
     """
     import random
 
@@ -431,26 +443,24 @@ def calibrate_invariants(family: str, seed: int = DEFAULT_SEED) -> CalibrationRe
     degree, count, pinned, _ = _CALIBRATIONS[family]
     rng = random.Random(seed)
 
-    def values_at(f):
-        env = evaluate_recipe(family, f)
-        return [_invariant_value(env[n]) for n in names]
-
-    probe = [random_form(rng, degree) for _ in range(count)]
-    probe_values = [values_at(f) for f in probe]
+    probe = [_random_coeffs(rng, degree) for _ in range(count)]
+    envs = [evaluate_recipe(family, (1, coeffs)) for coeffs in probe]
+    probe_values = [[_invariant_value(env[n]) for n in names] for env in envs]
     for j, name in enumerate(names):
-        if all(not v[j] for v in probe_values):
+        if all(not v[j][0] for v in probe_values):
             raise UnderDeterminedError(
                 f"recipe invariant {name} vanishes identically on the samples")
 
     scalars = [as_cyclotomic(pinned[n]) for n in names]
     # (c*J)^2 as c^2 * J^2: c^2 is rational for every pinned top scalar
-    top_squared = scalars[-1] ** 2
+    (sd, s), = _numerators(scalars[:-1] + [scalars[-1] ** 2])
+    rhs = entry.F._values_at([[(c * n, sd * d) for c, (n, d) in zip(s, vals[:-1])]
+                              for vals in probe_values])
     residuals = []
-    for f, vals in zip(probe, probe_values):
-        lhs = top_squared * vals[-1] ** 2
-        rhs = entry.F.evaluate([c * v for c, v in zip(scalars, vals[:-1])])
-        if lhs != rhs:
-            residuals.append((str(f), str(lhs - rhs)))
+    for coeffs, (*_, (n, d)), (fn, fd) in zip(probe, probe_values, rhs):
+        diff = s[-1] * n * n * fd - fn * sd * d * d
+        if diff:
+            residuals.append((str(BinaryForm(coeffs)), str(_over(diff, sd * d * d * fd))))
     if residuals:
         return CalibrationResult(family, None, tuple(residuals), (
             f"the pinned scalars leave residuals at {len(residuals)} of "

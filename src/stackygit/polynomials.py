@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from itertools import accumulate, product
 from math import gcd, lcm, prod
-from operator import add
+from operator import add, getitem
 
 from .cyclotomic import (
     ONE,
@@ -244,19 +244,28 @@ class MultiPoly:
         """The value at ``point``: ints, rationals or CyclotomicNumbers, one
         per variable.
 
-        The value is the dot product of the coefficients, in the ring of
-        :func:`_numerators`, with the monomials of :func:`_monomial_ints`,
-        over the product of their denominators, and is stored as the
-        term-by-term sum of the products c * x1^k1 * ... stores it."""
+        The value is :func:`_over` of :meth:`_values_at`, with each rational
+        coordinate read as its int numerator over its denominator and each
+        other one as itself over 1, and is stored in the field where the
+        term-by-term sum of the products c * x1^k1 * ... would store it."""
         point = [as_cyclotomic(p) for p in point]
         if len(point) != len(self.variables):
             raise ArityError(
                 f"{len(point)} coordinates for {len(self.variables)} variables")
-        if not self.terms:
-            return _ZERO
+        return _over(*self._values_at([[(p.coords[0], p.den) if p.order == 1 else (p, 1)
+                                        for p in point]])[0])
+
+    def _values_at(self, points):
+        """The value num / den at each point, one pair (num, den) per
+        variable, as an unreduced pair (num, den): the coefficients, read
+        once in the ring of :func:`_numerators`, dotted with the monomials
+        of :func:`_monomial_ints` over the product of their denominators."""
         (den, coeffs), = _numerators(self.terms.values())
-        pden, nums = _monomial_ints(point, self.terms)
-        return _over(sum(c * n for c, n in zip(coeffs, nums)), den * pden)
+        values = []
+        for point in points:
+            pden, nums = _monomial_ints(point, self.terms)
+            values.append((sum(c * n for c, n in zip(coeffs, nums)), den * pden))
+        return values
 
     def lifted(self, new_variables) -> "MultiPoly":
         """Embed into a ring with extra variables (superset, any order)."""
@@ -526,21 +535,19 @@ def _powers(x, n):
 
 def _monomial_ints(point, exps):
     """``(den, nums)``: the monomials with exponent vectors ``exps`` at
-    ``point``, as nums[i] / den.  A rational coordinate p_j = v_j / d_j
-    enters as the int v_j over d_j, an irrational one whose variable occurs
-    as itself over d_j = 1.  den = prod d_j^t_j, t_j the largest exponent
-    of variable j, and monomial e has numerator prod v_j^e_j d_j^(t_j -
-    e_j), read from power tables; the nums are ints when the coordinates
-    whose variables occur are rational.  A variable with t_j = 0 enters as
-    1."""
+    ``point``, as nums[i] / den.  Coordinate j is a pair (v_j, d_j), an int
+    or a CyclotomicNumber v_j over a positive int d_j.  den = prod
+    d_j^t_j, t_j the largest exponent of variable j, and monomial e has
+    numerator prod v_j^e_j d_j^(t_j - e_j), read from power tables; the
+    nums are ints when the v_j whose variables occur are ints.  A variable
+    with t_j = 0 enters as 1."""
     tops = [max(k) for k in zip(*exps)]
     tables, den = [], 1
-    for p, t in zip(point, tops):
-        v, d = (p, 1) if t and p.order != 1 else (p.coords[0], p.den)
+    for (v, d), t in zip(point, tops):
         ds = _powers(d, t)[::-1]
-        tables.append((_powers(v, t), ds))
+        tables.append([x * y for x, y in zip(_powers(v, t), ds)] if t else (1,))
         den *= ds[0]
-    return den, [prod(vs[k] * ds[k] for (vs, ds), k in zip(tables, e)) for e in exps]
+    return den, [prod(map(getitem, tables, e)) for e in exps]
 
 
 def _scaled(k, den, vecs, x, seed=ONE):

@@ -561,6 +561,20 @@ def test_payload_digests(argv, digest):
     assert hashlib.sha256(result.json_text().encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("family, name, wrong, count, digest", [
+    ("quintic", "I8", 1, 25, "602ece92c12f45132a3eb28c39542cb93b2ee80a720b3ab0265a3ec8e23e612c"),
+    ("sextic", "I10", 4, 55, "ea59fb313430ebd5e49c8bc8da6b4791542bf6576976e925284d30d63f93eece"),
+])
+def test_failure_payload_digests(monkeypatch, family, name, wrong, count, digest):
+    # one wrong pinned scalar leaves a residual at every form; the failure
+    # payload, residual texts included, is pinned byte for byte
+    monkeypatch.setitem(getattr(invariants, f"{family.upper()}_SCALARS"), name, wrong)
+    result = run_command(["calibrate", family, "--seed", "7"])
+    assert result.status == 1
+    assert len(result.payload["residuals"]) == count
+    assert hashlib.sha256(result.json_text().encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv", [
     ["decompose", str(DEMO_RINGS / "quintic.ring")],
     ["rigidify", str(DEMO_RINGS / "quartic.ring")],  # a free ring: relation null

@@ -27,6 +27,7 @@ from stackygit.invariants import (
     quartic_invariants,
     quartic_point,
     quintic_F,
+    random_form,
     sextic_F,
     transvectant,
 )
@@ -494,14 +495,24 @@ def _reference_recipe(family, f):
     return {"I2": i2, "I4": i4, "I6": i6, "I10": i10, "I15": i15}
 
 
+def _recipe_forms(family, f):
+    """evaluate_recipe at the form f, with each invariant pair made a form."""
+    (fc,) = _numerators(f.coeffs)
+    return {name: _form(pair) for name, pair in evaluate_recipe(family, fc).items()}
+
+
 def _patch_quintic(monkeypatch, **changes):
     """Replace quintic invariants of the calibration table: each keyword
-    maps a generator to a function of the form and its built invariants."""
+    maps a generator to a function of the form and its built invariants,
+    as forms (the recipe's pairs through _form), whose result enters the
+    table as its numerator pair."""
     degree, count, scalars, recipe = _CALIBRATIONS["quintic"]
 
-    def patched(f):
-        env = recipe(f)
-        return {**env, **{name: change(f, env) for name, change in changes.items()}}
+    def patched(fc):
+        env = recipe(fc)
+        f, forms = _form(fc), {name: _form(pair) for name, pair in env.items()}
+        return {**env, **{name: _numerators(change(f, forms).coeffs)[0]
+                          for name, change in changes.items()}}
 
     monkeypatch.setitem(_CALIBRATIONS, "quintic", (degree, count, scalars, patched))
 
@@ -581,15 +592,53 @@ class TestCalibration:
         with pytest.raises(UnknownFamilyError):
             calibrate_invariants(family)
         with pytest.raises(UnknownFamilyError):
-            evaluate_recipe(family, form("x^5 + y^5"))
+            evaluate_recipe(family, _numerators(form("x^5 + y^5").coeffs)[0])
 
     def test_recipe_evaluation_names(self):
         # one invariant per catalog generator, in the ring's order
         for family, source in (("quintic", "x^5 + x*y^4 + y^5"),
                                ("sextic", "x^6 + 2*x^3*y^3 - x*y^5 + 3*y^6")):
-            env = evaluate_recipe(family, form(source))
+            env = _recipe_forms(family, form(source))
             assert tuple(env) == catalog_ring(family).ring.generators
             assert all(value.degree == 0 for value in env.values())
+
+
+def _reference_residuals(family, seed):
+    """The residuals of calibrate_invariants(family, seed) from the
+    relation on values: the same seeded forms, their invariants as
+    CyclotomicNumbers, (c_top J_top)^2 squared as a value and F through
+    MultiPoly.evaluate."""
+    entry = catalog_ring(family)
+    degree, count, pinned, _ = _CALIBRATIONS[family]
+    scalars = [as_cyclotomic(pinned[n]) for n in entry.ring.generators]
+    rng = random.Random(seed)
+    residuals = []
+    for _ in range(count):
+        f = random_form(rng, degree)
+        env = _recipe_forms(family, f)
+        values = [c * env[n].a(0) for c, n in zip(scalars, entry.ring.generators)]
+        lhs, rhs = values[-1] ** 2, entry.F.evaluate(values[:-1])
+        if lhs != rhs:
+            residuals.append((str(f), str(lhs - rhs)))
+    return tuple(residuals)
+
+
+@pytest.mark.parametrize("family", ["quintic", "sextic"])
+def test_integer_decision_matches_the_relation_on_values(monkeypatch, family):
+    # the cross-multiplied identity on numerators decides as the relation
+    # on values does, at calibrate's seeds 1-20 ...
+    for seed in range(1, 21):
+        result = calibrate_invariants(family, seed=seed)
+        assert result.succeeded and result.residuals == () == _reference_residuals(family, seed)
+    # ... and reports the same residual texts for one wrong scalar per
+    # generator: a rational one, or an irrational top scalar squared
+    pinned = _CALIBRATIONS[family][2]
+    for k, name in enumerate(pinned):
+        with monkeypatch.context() as patch:
+            patch.setitem(pinned, name, pinned[name] + 1)
+            result, expected = calibrate_invariants(family, seed=k), _reference_residuals(family, k)
+        assert not result.succeeded and expected, name
+        assert result.residuals == expected, name
 
 
 class TestRecipes:
@@ -607,13 +656,13 @@ class TestRecipes:
                       BinaryForm([2, zeta(5), 0] + [k - 1 for k in range(degree - 2)])]
         assert all(max(c.den for c in f.coeffs) > 1 for f in forms[4:])
         for f in forms + irrational:
-            got, expected = evaluate_recipe(family, f), _reference_recipe(family, f)
+            got, expected = _recipe_forms(family, f), _reference_recipe(family, f)
             assert tuple(got) == tuple(expected)
             for name, value in got.items():
                 assert [(c, c.order) for c in value.coeffs] == \
                     [(c, c.order) for c in expected[name].coeffs], (str(f), name)
         for f in irrational:
-            assert any(value.a(0).order > 1 for value in evaluate_recipe(family, f).values())
+            assert any(value.a(0).order > 1 for value in _recipe_forms(family, f).values())
 
 
     def test_quintic_resultant_matches_the_resultant_of_forms(self):
@@ -630,7 +679,7 @@ class TestRecipes:
         for f in forms:
             (fc,) = _numerators(f.coeffs)
             alpha = _form(_transvectant(fc, _transvectant(fc, fc, 4), 2))
-            got, expected = evaluate_recipe("quintic", f)["I18"].a(0), _form_resultant(f, alpha)
+            got, expected = _recipe_forms("quintic", f)["I18"].a(0), _form_resultant(f, alpha)
             assert (got, got.order) == (expected, expected.order), str(f)
             values.append(got)
         assert all(values) and values[-1].order > 1
@@ -645,6 +694,10 @@ class TestMonomialRows:
             return [prod((QQ(v) ** k for v, k in zip(values, m) if k), start=QQ(1))
                     for m in monos]
 
+        def pairs(point):
+            # each coordinate as MultiPoly.evaluate passes it
+            return [(p.coords[0], p.den) if p.order == 1 else (p, 1) for p in point]
+
         rng = random.Random(67)
         # the monomials of weight 30 in weights (2, 4, 6, 10)
         monos = [m for m in itertools.product(range(16), range(8), range(6), range(4))
@@ -655,13 +708,13 @@ class TestMonomialRows:
         for _ in range(30):
             rationals = [rng.choice(values) for _ in range(4)]
             point = [as_cyclotomic(v) for v in rationals]
-            den, nums = _monomial_ints(point, monos)
+            den, nums = _monomial_ints(pairs(point), monos)
             assert den == prod(p.den ** t for p, t in zip(point, tops))
             assert [QQ(n, den) for n in nums] == reference(rationals, monos)
         # a variable that occurs in no monomial (t_j = 0) may be irrational
         point = [as_cyclotomic(QQ(2, 3)), zeta(5) + QQ(1, 7), as_cyclotomic(QQ(-1, 2))]
         monos = [(2, 0, 1), (0, 0, 3), (1, 0, 0), (0, 0, 0)]
-        den, nums = _monomial_ints(point, monos)
+        den, nums = _monomial_ints(pairs(point), monos)
         # den = 3^2 2^3, and monomial e has numerator prod v_j^e_j d_j^(t_j - e_j)
         assert den == 72
         assert nums == [2 ** 2 * -1 * 2 ** 2, 3 ** 2 * (-1) ** 3, 2 * 3 * 2 ** 3, 3 ** 2 * 2 ** 3]

@@ -1,4 +1,5 @@
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,21 @@ def test_parse_error_names_the_first_unreadable_position(text, message, position
     with pytest.raises(ParseError) as err:
         parse_poly(text, ("x", "y"))
     assert (str(err.value), err.value.position) == (f"{message} (at position {position})", position)
+
+
+def test_whitespace_before_an_unreadable_character_is_read_once():
+    # the tokenizer stops at the first position its pattern cannot match; a
+    # search from every later position would take quadratic time here
+    text = "x" + " " * 100_000 + "!"
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, ("x",))
+    assert time.perf_counter() - start < 1
+    assert (str(err.value), err.value.position) == (
+        "unexpected character '!' (at position 100001)", 100001)
+    result = run_command(["stabilizer", text])
+    assert result.status == 2
+    assert result.payload["error"]["code"] == "syntax-error"
 
 
 def test_trailing_whitespace_is_ignored():
