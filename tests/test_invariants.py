@@ -606,7 +606,7 @@ class TestCalibration:
 def _reference_residuals(family, seed):
     """The residuals of calibrate_invariants(family, seed) from the
     relation on values: the same seeded forms, their invariants as
-    CyclotomicNumbers, (c_top J_top)^2 squared as a value and F through
+    CyclotomicNumbers, (c_top J_top)^2 as a value and F through
     MultiPoly.evaluate."""
     entry = catalog_ring(family)
     degree, count, pinned, _ = _CALIBRATIONS[family]
