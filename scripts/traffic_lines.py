@@ -6,12 +6,13 @@ Usage, from any directory::
 
 For each benchmark workload and seed it runs every operation of
 ``perfbench/workloads.build_ops(workload, seed, 15)`` through
-``stackygit.cli.run_command``, writing the operations' input files under
-``perfbench/.work/`` first as ``perfbench/run.py`` does, then runs
-``--json verify-all --seed 7``, all under one :func:`sys.settrace` line
-tracer.  It prints, per module of ``src/stackygit``, the statements inside
-functions that never ran.  Docstrings, ``def``, ``class`` and imports are
-not counted, nor are module and class bodies, which run at import.  A
+``stackygit.cli.run_command`` and renders each result's JSON text, writing
+the operations' input files under ``perfbench/.work/`` first as
+``perfbench/run.py`` does, then runs ``--json verify-all --seed 7``, all
+under one :func:`sys.settrace` line tracer.  It prints, per module of
+``src/stackygit``, the statements inside functions that never ran.
+Docstrings, ``def``, ``class`` and imports are not counted, nor are module
+and class bodies, which run at import.  A
 statement ran when a line event fired on its header: the lines before its
 first body statement for a compound statement (``if``, ``for``, ``try``,
 ...), all of its lines otherwise.  ``coverage`` is not needed.
@@ -88,7 +89,8 @@ def package_modules():
 
 def traced_lines(argvs, modules):
     """{file name: set of line numbers} on which a line event fired while
-    ``run_command`` ran each argument list in turn."""
+    ``run_command`` ran each argument list in turn and its result rendered
+    its JSON text, as the benchmark and the payload digests do."""
     by_path = {module.__file__: set() for module in modules.values()}
 
     def on_call(frame, event, arg):
@@ -106,7 +108,7 @@ def traced_lines(argvs, modules):
     sys.settrace(on_call)
     try:
         for argv in argvs:
-            run_command(argv)
+            run_command(argv).json_text()
     finally:
         sys.settrace(previous)
     return {name: by_path[module.__file__] for name, module in modules.items()}

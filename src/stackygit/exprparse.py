@@ -12,18 +12,12 @@ reserved (:data:`RESERVED`): ``zeta(m)`` is zeta_m, and the others are the
 constants zeta_4, zeta_8 + zeta_8^7, 1 + 2 zeta_5 + 2 zeta_5^4 and
 1 + 2 zeta_3.  They are never read as variables, even when a caller names
 them among its variables; every other identifier is a variable.  The
-parser evaluates as it goes, straight into a :class:`MultiPoly` over the
-caller's variables; an identifier outside them is reported once the whole
-input has parsed.
-
-A term is read as one coefficient and one exponent vector (a *monomial*)
-until a factor with more than one term arrives: a constant factor
-multiplies the coefficient, and a variable factor adds to the exponents.
-From the first factor with more terms on, the term is a MultiPoly and each
-further factor multiplies it as a polynomial.  A power of a one-term base
-is formed in closed form (its exponents times k, its coefficient to the
-k-th power) after the same checks as any other power.  The sum adds every
-term into one dict of terms.
+general parser, :class:`_Parser`, evaluates as it goes, straight into a
+:class:`MultiPoly` over the caller's variables; an identifier outside them
+is reported once the whole input has parsed.  Every value it holds is a
+MultiPoly: it multiplies every factor as a MultiPoly, forms a power as
+the MultiPoly power after the checks below, and adds the terms of a sum
+into one dict of terms.
 
 A sum of integer monomials is read in one pass by :func:`_monomial_sum`:
 '+' and '-' between terms, at most one '-' of each term's own, factors
@@ -32,7 +26,7 @@ identifier with an optional '^' and numeral.  ``MultiPoly.__str__``
 writes this for integer coefficients, and so does
 :func:`stackygit.ringspec.dumps` for a relation over Q.  One pattern checks
 the text and one ``findall`` splits it into factors; the terms are summed
-in the order and with the cancellation of the parser below, so the value,
+in the order and with the cancellation of :class:`_Parser`, so the value,
 its variables and the names are the same.  The reader gives up, and leaves
 the text to the tokenizer and :class:`_Parser`, wherever a bound below
 could fire; so every error, with its message and position, comes from the
@@ -50,12 +44,9 @@ computed; a root of unity is exempt.  A product is refused before it is
 formed when its factors have more than :data:`MAX_TERM_PRODUCTS` pairs of
 terms (ProductTooLargeError), and so is a power b^k when the bound
 :func:`_power_terms` on the terms of b^ceil(k/2), squared, exceeds it.
-A product is checked once it is formed: one with a
-coefficient past the same bound raises CoefficientTooLargeError, so no
-chain of bounded factors builds an unbounded coefficient.  A monomial's
-check reruns only where its coefficient may have grown: at the first '*',
-whose left factor's coefficient was never checked, and at every factor
-whose coefficient is not the 1 of a variable.  A numeral of more than
+A product is checked once it is formed: one with a coefficient past the
+same bound raises CoefficientTooLargeError, so no chain of bounded
+factors builds an unbounded coefficient.  A numeral of more than
 :data:`MAX_NUMERAL_DIGITS` significant digits is refused with
 CoefficientTooLargeError as it is read, before it is converted.
 """
@@ -64,10 +55,9 @@ from __future__ import annotations
 
 import math
 import re
-from operator import add
 
 from . import cyclotomic
-from .cyclotomic import ONE, ZERO, as_cyclotomic, zeta
+from .cyclotomic import ZERO, as_cyclotomic, zeta
 from .errors import (
     CoefficientTooLargeError,
     DegreeTooLargeError,
@@ -167,19 +157,14 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    """Evaluates the tokens as it reads them.  ``term``, ``factor`` and
-    ``atom`` return a monomial, the pair (coefficient, exponent tuple),
-    when their value has at most one term, and a MultiPoly otherwise."""
+    """Evaluates the tokens as it reads them; every value is a MultiPoly
+    over the variables."""
 
     def __init__(self, tokens, variables):
         self.tokens = tokens
         self.variables = variables
         self.k = 0
         self.depth = 0
-        self.zero = (0,) * len(variables)
-        self.units = {}  # each name's unit exponent vector, at its first occurrence
-        for i, v in enumerate(variables):
-            self.units.setdefault(v, tuple(int(j == i) for j in range(len(variables))))
 
     def peek(self):
         return self.tokens[self.k]
@@ -205,28 +190,10 @@ class _Parser:
         self.depth -= 1
         return value
 
-    def poly(self, value):
-        """``value`` as a MultiPoly."""
-        if isinstance(value, MultiPoly):
-            return value
-        c, e = value
-        return MultiPoly._of(self.variables, {e: c} if c else {})
-
-    def monomial(self, p):
-        """``p`` as a monomial pair when it has at most one term."""
-        if len(p.terms) > 1:
-            return p
-        [(e, c)] = p.terms.items() or [(self.zero, ZERO)]
-        return c, e
-
     def expr(self):
         terms, negate = {}, False
         while True:
-            value = self.term()
-            for e, c in (value.terms.items() if isinstance(value, MultiPoly)
-                         else [(value[1], value[0])]):
-                if not c:
-                    continue
+            for e, c in self.term().terms.items():
                 if negate:
                     c = -c
                 s = terms.get(e)
@@ -242,22 +209,11 @@ class _Parser:
     def term(self):
         if self.peek()[0] == "-":
             pos = self.advance()[2]
-            value = self.nested(self.term, pos)
-            return -value if isinstance(value, MultiPoly) else (-value[0], value[1])
-        value, checked = self.factor(), False
+            return -self.nested(self.term, pos)
+        value = self.factor()
         while self.peek()[0] == "*":
             pos = self.advance()[2]
             right = self.factor()
-            if isinstance(value, tuple) and isinstance(right, tuple):
-                (c, e), (d, f) = value, right
-                if d is not ONE:
-                    c, checked = c * d, False
-                if not checked:
-                    _check_product_bits((c,), pos)
-                    checked = True
-                value = c, tuple(map(add, e, f))
-                continue
-            value, right = self.poly(value), self.poly(right)
             if len(value.terms) * len(right.terms) > MAX_TERM_PRODUCTS:
                 raise ProductTooLargeError(
                     f"product of {len(value.terms)} by {len(right.terms)} terms exceeds"
@@ -272,50 +228,41 @@ class _Parser:
             return value
         self.advance()
         exponent, pos = self.expect("num")[1:]
-        if isinstance(value, MultiPoly):
-            degree = max(sum(e) for e in value.terms) * exponent
-            bits = _bits_past_bound(value.terms.values(), exponent)
-            constant = None  # a sum of two or more terms
-        else:
-            c, e = value
-            degree = sum(e) * exponent
-            bits = 0 if c is ONE else _bits_past_bound((c,), exponent)
-            constant = None if any(e) else c
+        degree = max((sum(e) for e in value.terms), default=0) * exponent
         if degree > MAX_PROFILE_DEGREE:
             raise DegreeTooLargeError(
                 f"power of degree {degree} exceeds the bound {MAX_PROFILE_DEGREE}"
                 f" (at position {pos})")
-        if bits and not (constant is not None and _is_root_of_unity(constant)):
+        bits = _bits_past_bound(value.terms.values(), exponent)
+        if bits and not (value.is_constant() and _is_root_of_unity(value.constant_term())):
             raise CoefficientTooLargeError(
                 f"power of about {bits} bits exceeds the bound"
                 f" {MAX_COEFFICIENT_BITS} (at position {pos})")
-        if not isinstance(value, MultiPoly):
-            return (c if c is ONE else c ** exponent), tuple(x * exponent for x in e)
         half = _power_terms(value, (exponent + 1) // 2)
         if half * half > MAX_TERM_PRODUCTS:
             raise ProductTooLargeError(
                 f"power {exponent} of {len(value.terms)} terms has a half power of up to"
                 f" {half} terms, and {half} by {half} exceeds the bound of"
                 f" {MAX_TERM_PRODUCTS} term products (at position {pos})")
-        return self.monomial(value ** exponent)
+        return value ** exponent
 
     def atom(self):
         kind, value, pos = self.advance()
         if kind == "num":
-            return as_cyclotomic(value), self.zero
+            return MultiPoly.constant(self.variables, value)
         if kind == "ident":
             if value == "zeta":
                 self.expect("(")
                 m = self.expect("num")[1]
                 self.expect(")")
-                return zeta(m), self.zero
+                return MultiPoly.constant(self.variables, zeta(m))
             if value in SUGAR:
-                return SUGAR[value](), self.zero
-            return ONE, self.units[value]
+                return MultiPoly.constant(self.variables, SUGAR[value]())
+            return MultiPoly.variable(self.variables, value)
         if kind == "(":
             inner = self.nested(self.expr, pos)
             self.expect(")")
-            return self.monomial(inner)
+            return inner
         raise ParseError(f"unexpected token {value!r}", pos)
 
 
@@ -329,17 +276,23 @@ def _check_product_bits(coeffs, pos):
             f" the bound {MAX_COEFFICIENT_BITS} (at position {pos})")
 
 
+def growth_norm(coeffs) -> int:
+    """The larger of the common denominator D of the values ``coeffs`` and
+    their 1-norm, the sum of the absolute coordinates of D times each.  D^k
+    times a coefficient of the k-th power of a polynomial with these
+    coefficients has absolute value at most x^k in every complex
+    embedding, for x the growth norm; so does D times a coefficient of a
+    product of polynomials, for x the product of their growth norms."""
+    den = math.lcm(*(c.den for c in coeffs))
+    return max(sum(abs(v) * (den // c.den) for c in coeffs for v in c.coords), den)
+
+
 def _bits_past_bound(coeffs, k: int = 1) -> int:
     """About log2(x^k) if x^k > 2^B, else 0, for B =
-    :data:`MAX_COEFFICIENT_BITS` and x the growth norm of ``coeffs``: the
-    larger of their common denominator D and the 1-norm, the sum of the
-    absolute coordinates of D times each coefficient.  D^k times a
-    coefficient of the k-th power of a polynomial with these coefficients
-    has absolute value at most x^k in every complex embedding.  As
-    2^(k(b-1)) <= x^k < 2^(kb) for b the bit length of x, x^k is formed
-    only when B lies between."""
-    den = math.lcm(*(c.den for c in coeffs))
-    x = max(sum(abs(v) * (den // c.den) for c in coeffs for v in c.coords), den)
+    :data:`MAX_COEFFICIENT_BITS` and x the :func:`growth_norm` of
+    ``coeffs``.  As 2^(k(b-1)) <= x^k < 2^(kb) for b the bit length of x,
+    x^k is formed only when B lies between."""
+    x = growth_norm(coeffs)
     b = x.bit_length()
     if k * (b - 1) > MAX_COEFFICIENT_BITS:
         return k * (x - 1).bit_length()

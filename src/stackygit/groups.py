@@ -14,6 +14,7 @@ from functools import lru_cache
 
 from .cyclotomic import CyclotomicNumber, as_cyclotomic, imag_unit, sqrt2, sqrt5, zeta
 from .errors import ClosureBoundExceededError
+from .exprparse import numeral
 
 #: Closure enumeration failsafe; the largest group here has 120 elements,
 #: so exceeding this signals a transcription bug in a generator.
@@ -82,9 +83,11 @@ class GroupSpec(namedtuple("GroupSpec", "kind n")):
         text = text.strip()
         if text in ("T", "O", "I"):
             return GroupSpec(text)
-        if text[:1] in ("C", "D") and text[1:].isdigit():
-            return GroupSpec(text[0], int(text[1:]))
-        raise ValueError(f"not a group label: {text!r}")
+        n = numeral(text[1:]) if text[:1] in ("C", "D") and text[1:].isdecimal() else None
+        if n is not None:
+            return GroupSpec(text[0], n)
+        shown = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+        raise ValueError(f"not a group label: {shown}")
 
     def __str__(self):
         return self.label

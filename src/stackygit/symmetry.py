@@ -24,13 +24,14 @@ from math import gcd
 
 from .cyclotomic import CyclotomicNumber, as_cyclotomic
 from .errors import (
+    CoefficientTooLargeError,
     DegreeTooLargeError,
     InfiniteStabilizerError,
     NoGroundFormsError,
     ZeroFormError,
     ZeroParameterError,
 )
-from .exprparse import form
+from .exprparse import MAX_COEFFICIENT_BITS, form, growth_norm
 from .groups import GroupSpec, group_contains, group_generators
 from .polynomials import MAX_PROFILE_DEGREE, BinaryForm
 
@@ -220,9 +221,12 @@ def klein_generate(spec: GroupSpec, alpha: int, beta: int, gamma: int, params=()
     """The general semi-invariant of the group, expanded:
     F1^alpha F2^beta F3^gamma prod_i (lambda_i F1^nu1 + mu_i F2^nu2) over
     the :func:`klein_factors`.  C_n has the two factors x and y, so gamma
-    is ignored there.  A negative exponent raises ValueError and a degree
+    is ignored there.  A negative exponent raises ValueError, a degree
     above :data:`~stackygit.polynomials.MAX_PROFILE_DEGREE` raises
-    DegreeTooLargeError, both before any product is formed.
+    DegreeTooLargeError, and parameter pairs whose growth norms
+    (:func:`~stackygit.exprparse.growth_norm`) have more than
+    :data:`~stackygit.exprparse.MAX_COEFFICIENT_BITS` bits together raise
+    CoefficientTooLargeError, all before any product is formed.
     """
     if min(alpha, beta, gamma) < 0:
         raise ValueError(f"exponents must be nonnegative, got {(alpha, beta, gamma)}")
@@ -233,6 +237,11 @@ def klein_generate(spec: GroupSpec, alpha: int, beta: int, gamma: int, params=()
     if degree > MAX_PROFILE_DEGREE:
         raise DegreeTooLargeError(
             f"degree {degree} exceeds the bound {MAX_PROFILE_DEGREE}")
+    bits = sum(growth_norm((as_cyclotomic(lam), as_cyclotomic(mu))).bit_length()
+               for lam, mu in params)
+    if bits > MAX_COEFFICIENT_BITS:
+        raise CoefficientTooLargeError(
+            f"parameter pairs of {bits} bits exceed the bound {MAX_COEFFICIENT_BITS}")
     gf = klein_factors(spec)
     f1, f2 = gf.forms[:2]
     result = f1 ** alpha * f2 ** beta

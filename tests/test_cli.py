@@ -201,6 +201,47 @@ def test_klein_negative_exponent(group):
         assert result.payload["error"]["code"] == "bad-value"
 
 
+def test_klein_parameters_past_the_coefficient_bound_are_refused_fast():
+    # each pair (10^3000, 1) has a growth norm of 9966 bits; two are past
+    # the bound, and forty on C2 are refused before any product
+    big = str(10 ** 3000)
+    for argv in (["klein", "C3", "1", "0", "0", f"{big}:1", f"{big}:1"],
+                 ["klein", "C2", "1", "0", "0", *[f"{big}:1"] * 40]):
+        start = time.perf_counter()
+        result = run_command(argv)
+        assert time.perf_counter() - start < 0.1
+        assert result.status == 3
+        assert result.payload["error"] == {
+            "code": "coefficient-too-large",
+            "message": f"parameter pairs of {9966 * (len(argv) - 5)} bits exceed the bound 10000"}
+
+
+@pytest.mark.parametrize("lam, status", [(2 ** 9999, 0), (2 ** 10000 - 1, 3)],
+                         ids=["inside", "outside"])
+def test_klein_parameter_at_the_coefficient_bound(lam, status):
+    # the growth norm lam + 1 has 10000 bits inside the bound, 10001 outside
+    result = run_command(["klein", "C3", "1", "0", "0", f"{lam}:1"])
+    assert result.status == status
+    if status == 0:
+        assert result.payload["form"] == f"{lam}*x^4 + x*y^3"
+        assert result.payload["semi_invariant"] is True
+
+
+@pytest.mark.parametrize("label, message", [
+    ("C\u00b2", "not a group label: 'C\u00b2'"),
+    ("C" + "7" * 5000, "not a group label: 'C7777777777777777777'... (5001 characters)"),
+    ("C3", None),
+], ids=["superscript", "5000-digits", "C3"])
+def test_group_labels_take_decimal_numerals(label, message):
+    result = run_command(["klein", label, "1", "0", "0"])
+    if message is None:
+        assert result.status == 0
+        assert result.payload["group"] == label
+    else:
+        assert result.status == 2
+        assert result.payload["error"] == {"code": "bad-value", "message": message}
+
+
 def test_locus_commands():
     for family in ("quintic", "sextic"):
         result = run_command(["locus", family])

@@ -21,9 +21,10 @@ def _load():
 
 
 def _first_statement(function):
-    # (line, text) of the first statement of a function without a docstring
+    # (line, text) of the first statement of a function after its docstring
     lines, start = inspect.getsourcelines(function)
-    first = ast.parse(textwrap.dedent("".join(lines))).body[0].body[0]
+    node = ast.parse(textwrap.dedent("".join(lines))).body[0]
+    first = node.body[ast.get_docstring(node) is not None]
     return start + first.lineno - 1, lines[first.lineno - 1].strip()
 
 
@@ -38,3 +39,7 @@ def test_one_rings_block_misses_the_immutability_guard(monkeypatch):
     first = _first_statement(cli.run_command)
     assert first[1] == "parser = build_parser()"
     assert first not in report["cli.py"]
+    # every operation's payload is rendered, as the benchmark renders it
+    writer = _first_statement(cli._json)
+    assert writer[1] == "if isinstance(value, str):"
+    assert writer not in report["cli.py"]
