@@ -27,8 +27,14 @@ from itertools import takewhile
 from json.encoder import encode_basestring_ascii
 
 from . import ringspec
-from .errors import ExactArithmeticError, NestingTooDeepError, StackygitError
-from .exprparse import form
+from .errors import (
+    CoefficientTooLargeError,
+    ExactArithmeticError,
+    NestingTooDeepError,
+    StackygitError,
+    excerpt,
+)
+from .exprparse import MAX_NUMERAL_DIGITS, form, numeral
 from .graded import affine_chart, rigidify, stacky_decompose
 from .groups import GroupSpec, group_generators
 from .invariants import DEFAULT_SEED, calibrate_invariants, catalog_ring
@@ -201,12 +207,38 @@ def _cmd_ground_forms(args) -> CommandResult:
     return CommandResult(0, _payload("ground-forms", body), "\n".join(lines) + "\n")
 
 
+def _integer(text: str) -> int:
+    """The int an optionally signed ASCII decimal numeral names, read by
+    :func:`~stackygit.exprparse.numeral`: the command line's one integer
+    reader.  A numeral of more than ``MAX_NUMERAL_DIGITS`` significant
+    digits raises CoefficientTooLargeError and any other text ValueError;
+    neither message echoes a long text (:func:`~stackygit.errors.excerpt`)."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdecimal()):
+        raise ValueError(f"invalid int value: {excerpt(text)}")
+    value = numeral(digits)
+    if value is None:
+        raise CoefficientTooLargeError(
+            f"numeral {excerpt(text)} has more than {MAX_NUMERAL_DIGITS} digits")
+    return -value if text[:1] == "-" else value
+
+
+def _int_argument(text: str) -> int:
+    """:func:`_integer` as an argparse type, whose errors argparse reports
+    as usage errors with the reader's message."""
+    try:
+        return _integer(text)
+    except (ValueError, CoefficientTooLargeError) as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
 def _parse_pair(text: str):
     lam, _, mu = text.partition(":")
     try:
-        return int(lam), int(mu)
+        return _integer(lam), _integer(mu)
     except ValueError:
-        raise ValueError(f"parameter pair {text!r}: expected integers lambda:mu") from None
+        raise ValueError(
+            f"parameter pair {excerpt(text)}: expected integers lambda:mu") from None
 
 
 def _cmd_klein(args) -> CommandResult:
@@ -354,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stabilizer", help="maximal catalog stabilizer of a form")
     p.add_argument("form")
-    p.add_argument("--nmax", type=int, default=None,
+    p.add_argument("--nmax", type=_int_argument, default=None,
                    help="bound for the cyclic/dihedral candidates (default: degree)")
     p.set_defaults(func=_cmd_stabilizer)
 
@@ -364,9 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("klein", help="generate a semi-invariant form")
     p.add_argument("group")
-    p.add_argument("alpha", type=int)
-    p.add_argument("beta", type=int)
-    p.add_argument("gamma", type=int)
+    p.add_argument("alpha", type=_int_argument)
+    p.add_argument("beta", type=_int_argument)
+    p.add_argument("gamma", type=_int_argument)
     p.add_argument("params", nargs="*", help="parameter pairs lambda:mu")
     p.set_defaults(func=_cmd_klein)
 
@@ -380,11 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="transvectant calibration (stretch)")
     p.add_argument("family", choices=["quintic", "sextic"])
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_int_argument, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("verify-all", help="run the full acceptance suite")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_int_argument, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_verify_all)
 
     return parser

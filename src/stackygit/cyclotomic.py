@@ -31,7 +31,9 @@ The substitution kernel (``BinaryForm.substitute`` at a matrix that is
 not monomial) reads a form's coefficients over one denominator with
 :func:`_to_int_coords`, builds the powers of each scalar as integer
 vectors and multiplies by them with :func:`_mul_vec`, and builds each
-result once with :func:`_raw`.  The other bulk kernels
+result once with :func:`_raw`; so does the closure of
+``groups.group_elements``, on the entries of a group's matrices over the
+lcm of their orders.  The other bulk kernels
 (the products of ``MultiPoly`` and ``BinaryForm``, ``MultiPoly.evaluate``,
 the transvectant kernel ``invariants._transvectant``, the list resultant
 ``polynomials.resultant`` and the gcd chain) have one body over their

@@ -7,6 +7,13 @@ or a failed exact-arithmetic check.
 """
 
 
+def excerpt(text: str) -> str:
+    """``repr(text)`` for an error message, or for a text of more than 40
+    characters its first 20 and its length, so a message never echoes a
+    long input."""
+    return repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
+
+
 class StackygitError(Exception):
     code = "error"
     exit_status = 2

@@ -5,15 +5,33 @@ groups: the cyclic group C_n and binary dihedral group D_n use a primitive
 2n-th root of unity (pinned to zeta_2n for determinism), the binary
 icosahedral group I uses a primitive 5th root.  All matrix entries are
 exact; every determinant is exactly 1.
+
+:class:`SL2Matrix` checks the determinant of each matrix it builds;
+:func:`group_elements` runs its closure on integer coordinate vectors and
+checks each element's determinant there, exactly, before building the
+elements as values once.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from math import lcm
 
-from .cyclotomic import CyclotomicNumber, as_cyclotomic, imag_unit, sqrt2, sqrt5, zeta
-from .errors import ClosureBoundExceededError
+from .cyclotomic import (
+    CyclotomicNumber,
+    _check_order,
+    _mul_vec,
+    _raw,
+    _to_int_coords,
+    as_cyclotomic,
+    euler_phi,
+    imag_unit,
+    sqrt2,
+    sqrt5,
+    zeta,
+)
+from .errors import ClosureBoundExceededError, ExactArithmeticError, excerpt
 from .exprparse import numeral
 
 #: Closure enumeration failsafe; the largest group here has 120 elements,
@@ -36,6 +54,8 @@ class SL2Matrix(namedtuple("SL2Matrix", "a b c d")):
         return self.a * self.d - self.b * self.c
 
     def __mul__(self, other: "SL2Matrix") -> "SL2Matrix":
+        """The product on values; the tests' reference for the integer
+        closure of :func:`group_elements`."""
         return SL2Matrix(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
@@ -86,8 +106,7 @@ class GroupSpec(namedtuple("GroupSpec", "kind n")):
         n = numeral(text[1:]) if text[:1] in ("C", "D") and text[1:].isdecimal() else None
         if n is not None:
             return GroupSpec(text[0], n)
-        shown = repr(text) if len(text) <= 40 else f"{text[:20]!r}... ({len(text)} characters)"
-        raise ValueError(f"not a group label: {shown}")
+        raise ValueError(f"not a group label: {excerpt(text)}")
 
     def __str__(self):
         return self.label
@@ -129,6 +148,30 @@ def group_generators(spec: GroupSpec):
     )
 
 
+def _negated(p):
+    return tuple(tuple(-c for c in v) for v in p)
+
+
+def _matrix_product(m: int, den: int, p, q):
+    """The product of two matrices given as four integer coordinate vectors
+    in Q(zeta_m) over ``den``, in the same form: each entry is a sum of two
+    :func:`~stackygit.cyclotomic._mul_vec` products over den^2, divided
+    exactly by ``den``; a remainder raises ExactArithmeticError."""
+    a, b, c, d = p
+    e, f, g, h = q
+    out = []
+    for x, y, z, w in ((a, e, b, g), (a, f, b, h), (c, e, d, g), (c, f, d, h)):
+        entry = []
+        for s, t in zip(_mul_vec(m, x, y), _mul_vec(m, z, w)):
+            n, r = divmod(s + t, den)
+            if r:
+                raise ExactArithmeticError(
+                    f"a product left the denominator {den} of the closure")
+            entry.append(n)
+        out.append(tuple(entry))
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def group_elements(spec: GroupSpec):
     """All elements, as the closure of the generators under multiplication.
@@ -137,26 +180,46 @@ def group_elements(spec: GroupSpec):
     order 2 in SL(2).  The closure starts from {1, -1} and adds each new
     product p with -p, multiplying only p further since (-p) g = -(p g).
     Breadth-first products keep the enumeration order deterministic.
+
+    The closure runs on integers.  Each matrix is four integer coordinate
+    vectors in Q(zeta_m), m the lcm of the orders of the generators'
+    entries (past the order cap, OrderCapExceededError), over ``den``, the
+    lcm of their denominators: 2 for T and O, 5 for I, 1 for C_n and D_n.
+    Every product must stay over den (:func:`_matrix_product`, else
+    ExactArithmeticError), the set of elements seen holds tuples of ints,
+    and each new product's determinant is checked there, exactly: a d - b c
+    must be den^2 (else ValueError).  The elements are built as values once,
+    at the end, with their entries in Q(zeta_m); equality and hashes of
+    values do not depend on the field they are stored in.
     """
-    gens = group_generators(spec)
-    identity = SL2Matrix.identity()
-    ordered = [identity, SL2Matrix(-1, 0, 0, -1)]
+    entries = [x for g in (SL2Matrix.identity(),) + group_generators(spec) for x in g]
+    m = lcm(*(x.order for x in entries))
+    _check_order(m)
+    den, vecs = _to_int_coords(entries, m)
+    identity, *gens = [tuple(map(tuple, vecs[i:i + 4])) for i in range(0, len(vecs), 4)]
+    one = [den * den] + [0] * (euler_phi(m) - 1)
+    ordered = [identity, _negated(identity)]
     seen = set(ordered)
     frontier = [identity]
     while frontier:
         next_frontier = []
-        for m in frontier:
+        for q in frontier:
             for g in gens:
-                p = m * g
+                p = _matrix_product(m, den, q, g)
                 if p not in seen:
-                    ordered += (p, SL2Matrix(-p.a, -p.b, -p.c, -p.d))
+                    a, b, c, d = p
+                    if [s - t for s, t in zip(_mul_vec(m, a, d), _mul_vec(m, b, c))] != one:
+                        raise ValueError(f"a product in the closure of {spec.label} "
+                                         "has determinant other than 1")
+                    ordered += (p, _negated(p))
                     seen.update(ordered[-2:])
                     next_frontier.append(p)
                     if len(ordered) > CLOSURE_BOUND:
                         raise ClosureBoundExceededError(
                             f"closure of {spec.label} exceeded {CLOSURE_BOUND} elements")
         frontier = next_frontier
-    return tuple(ordered)
+    # determinants are checked above, so _make skips SL2Matrix's own check
+    return tuple(SL2Matrix._make([_raw(m, v, den) for v in p]) for p in ordered)
 
 
 @lru_cache(maxsize=None)

@@ -242,6 +242,39 @@ def test_group_labels_take_decimal_numerals(label, message):
         assert result.payload["error"] == {"code": "bad-value", "message": message}
 
 
+_SEVENS = "7" * 5000
+_CUT_SEVENS = "'77777777777777777777'... (5000 characters)"
+
+
+@pytest.mark.parametrize("argv, status, code, message", [
+    (["klein", "C3", "1", "0", "0", f"{_SEVENS}:1"], 3, "coefficient-too-large",
+     f"numeral {_CUT_SEVENS} has more than 4300 digits"),
+    (["klein", "C3", "1", "0", "0", f"{'x' * 5000}:1"], 2, "bad-value",
+     "parameter pair 'xxxxxxxxxxxxxxxxxxxx'... (5002 characters): expected integers lambda:mu"),
+    (["klein", "C3", _SEVENS, "0", "0"], 2, "usage",
+     f"stackygit klein: error: argument alpha: numeral {_CUT_SEVENS} has more than 4300 digits"),
+    (["stabilizer", "x^5 + y^5", "--nmax", _SEVENS], 2, "usage",
+     f"stackygit stabilizer: error: argument --nmax: numeral {_CUT_SEVENS} has more than"
+     " 4300 digits"),
+    (["calibrate", "quintic", "--seed", "x" * 5000], 2, "usage",
+     "stackygit calibrate: error: argument --seed: invalid int value:"
+     " 'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)"),
+], ids=["pair-digits", "pair-text", "alpha", "nmax", "seed"])
+def test_integer_arguments_do_not_echo_long_values(argv, status, code, message):
+    result = run_command(argv)
+    assert result.status == status
+    assert result.payload["error"] == {"code": code, "message": message}
+
+
+def test_klein_reads_a_4000_digit_parameter():
+    # the reader takes it; the pairs' coefficient bound then refuses it
+    result = run_command(["klein", "C3", "1", "0", "0", f"{'7' * 4000}:1"])
+    assert result.status == 3
+    assert result.payload["error"] == {
+        "code": "coefficient-too-large",
+        "message": "parameter pairs of 13288 bits exceed the bound 10000"}
+
+
 def test_locus_commands():
     for family in ("quintic", "sextic"):
         result = run_command(["locus", family])

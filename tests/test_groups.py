@@ -1,7 +1,13 @@
+from fractions import Fraction
+
 import pytest
 
-from stackygit.cyclotomic import zeta
-from stackygit.errors import ClosureBoundExceededError
+from stackygit.cyclotomic import as_cyclotomic, zeta
+from stackygit.errors import (
+    ClosureBoundExceededError,
+    ExactArithmeticError,
+    OrderCapExceededError,
+)
 from stackygit.groups import (
     GroupSpec,
     SL2Matrix,
@@ -52,6 +58,56 @@ def test_closure_is_the_group_and_closed_under_negation(spec):
     assert len(set(elements)) == len(elements) == spec.order
     assert SL2Matrix(-1, 0, 0, -1) in elements
     assert {SL2Matrix(-g.a, -g.b, -g.c, -g.d) for g in elements} == set(elements)
+
+
+def reference_closure(spec):
+    """The closure on SL2Matrix products: {1, -1}, then breadth first over
+    the generators, adding each new product p with -p."""
+    gens = group_generators(spec)
+    identity = SL2Matrix.identity()
+    ordered = [identity, SL2Matrix(-1, 0, 0, -1)]
+    seen = set(ordered)
+    frontier = [identity]
+    while frontier:
+        next_frontier = []
+        for m in frontier:
+            for g in gens:
+                p = m * g
+                if p not in seen:
+                    ordered += (p, SL2Matrix(-p.a, -p.b, -p.c, -p.d))
+                    seen.update(ordered[-2:])
+                    next_frontier.append(p)
+        frontier = next_frontier
+    return ordered
+
+
+@pytest.mark.parametrize(
+    "spec", [GroupSpec(kind, n) for kind in "CD" for n in range(1, 25)]
+    + [GroupSpec("T"), GroupSpec("O"), GroupSpec("I")], ids=str)
+def test_closure_matches_the_matrix_product_reference(spec):
+    # element by element, in enumeration order, entries compared by value
+    assert list(group_elements(spec)) == reference_closure(spec)
+
+
+def test_closure_past_the_order_cap_is_refused():
+    # D_31 mixes zeta_62 with i, which needs zeta_124
+    with pytest.raises(OrderCapExceededError):
+        group_elements(GroupSpec("D", 31))
+
+
+@pytest.mark.parametrize("generator, error", [
+    # diag(2, 1/2) squared has the entry 1/4, past the denominator 2
+    (SL2Matrix.diagonal(2, Fraction(1, 2)), ExactArithmeticError),
+    # a swap of determinant -1, built past SL2Matrix's own check
+    (SL2Matrix._make(map(as_cyclotomic, (0, 1, 1, 0))), ValueError),
+], ids=["denominator", "determinant"])
+def test_closure_checks_every_product_exactly(monkeypatch, generator, error):
+    import stackygit.groups as groups
+    monkeypatch.setattr(groups, "group_generators", lambda spec: (generator,))
+    group_elements.cache_clear()
+    with pytest.raises(error, match="closure"):
+        group_elements(GroupSpec("C", 2))
+    group_elements.cache_clear()
 
 
 def test_closure_is_deterministic():
