@@ -217,6 +217,17 @@ def _power(base, n: int, one):
     return result
 
 
+def _sum_text(terms) -> str:
+    """The signed sum of the (negative, coefficient, monomial) texts of its
+    terms: a coefficient 1 is left out before a monomial, the terms are
+    joined by ' + ' and ' - ', and a '-' is written only at the start; '0'
+    for no terms.  ``str`` of values and of ``MultiPoly`` print through it."""
+    text = " ".join([("- " if neg else "+ ")
+                     + (coeff if not mono else mono if coeff == "1" else f"{coeff}*{mono}")
+                     for neg, coeff, mono in terms])
+    return "-" + text[2:] if text[:1] == "-" else text[2:] or "0"
+
+
 def _new(order: int, coords: tuple, den: int) -> "CyclotomicNumber":
     # coords / den must already be canonical (reduced, demoted, coprime).
     self = _object_new(CyclotomicNumber)
@@ -421,21 +432,10 @@ class CyclotomicNumber:
     def __str__(self):
         if self.order == 1:
             return str(self.coords[0]) if self.den == 1 else f"{self.coords[0]}/{self.den}"
-        parts = []
-        for k, c in enumerate(self.coords):
-            if not c:
-                continue
-            q = QQ(abs(c), self.den)
-            mono = "" if k == 0 else f"zeta({self.order})" + (f"^{k}" if k > 1 else "")
-            if not mono:
-                body = str(q)
-            elif q == 1:
-                body = mono
-            else:
-                body = f"{q}*{mono}"
-            parts.append(("- " if c < 0 else "+ ") + body)
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
+        z = f"zeta({self.order})"
+        return _sum_text([(c < 0, str(QQ(abs(c), self.den)),
+                           f"{z}^{k}" if k > 1 else z if k else "")
+                          for k, c in enumerate(self.coords) if c])
 
     def __repr__(self):
         return f"CyclotomicNumber('{self}')"

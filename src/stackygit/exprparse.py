@@ -16,8 +16,8 @@ general parser, :class:`_Parser`, evaluates as it goes, straight into a
 :class:`MultiPoly` over the caller's variables; an identifier outside them
 is reported once the whole input has parsed.  Every value it holds is a
 MultiPoly: it multiplies every factor as a MultiPoly, forms a power as
-the MultiPoly power after the checks below, and adds the terms of a sum
-into one dict of terms.
+the MultiPoly power after the checks below, and sums the terms of a sum
+with :meth:`MultiPoly._summed`.
 
 A sum of integer monomials is read in one pass by :func:`_monomial_sum`:
 '+' and '-' between terms, at most one '-' of each term's own, factors
@@ -26,10 +26,10 @@ identifier with an optional '^' and numeral.  ``MultiPoly.__str__``
 writes this for integer coefficients, and so does
 :func:`stackygit.ringspec.dumps` for a relation over Q.  One pattern checks
 the text and one ``findall`` splits it into factors; the terms are summed
-in the order and with the cancellation of :class:`_Parser`, so the value,
-its variables and the names are the same.  The reader gives up, and leaves
-the text to the tokenizer and :class:`_Parser`, wherever a bound below
-could fire; so every error, with its message and position, comes from the
+by :meth:`MultiPoly._summed`, as in :class:`_Parser`, so the value, its
+variables and the names are the same.  The reader gives up, and leaves the
+text to the tokenizer and :class:`_Parser`, wherever a bound below could
+fire; so every error, with its message and position, comes from the
 tokenizer or :class:`_Parser`.
 
 Parentheses and unary minus signs may nest at most :data:`MAX_NESTING`
@@ -98,7 +98,7 @@ MAX_TERM_PRODUCTS = (MAX_PROFILE_DEGREE + 1) ** 2
 #: :data:`MAX_COEFFICIENT_BITS` bits.
 MAX_NUMERAL_DIGITS = 4300
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^]))")
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^]))")
 
 #: A factor of a monomial sum: an identifier or an ASCII numeral of at most
 #: :data:`MAX_NUMERAL_DIGITS` digits, with an optional ASCII exponent.
@@ -191,19 +191,11 @@ class _Parser:
         return value
 
     def expr(self):
-        terms, negate = {}, False
+        pairs, negate = [], False
         while True:
-            for e, c in self.term().terms.items():
-                if negate:
-                    c = -c
-                s = terms.get(e)
-                s = c if s is None else s + c
-                if s:
-                    terms[e] = s
-                else:
-                    del terms[e]
+            pairs += ((e, -c if negate else c) for e, c in self.term().terms.items())
             if self.peek()[0] not in ("+", "-"):
-                return MultiPoly._of(self.variables, terms)
+                return MultiPoly._summed(self.variables, pairs)
             negate = self.advance()[0] == "-"
 
     def term(self):
@@ -329,8 +321,8 @@ def _monomial_sum(text: str, variables):
     """What :func:`_parse` returns for ``text``, when it is a sum of integer
     monomials that no bound of the parser could refuse; None otherwise.
 
-    The terms are summed into the dict in the order and with the
-    cancellation of :meth:`_Parser.expr`.  None is returned for a reserved
+    The terms are summed by :meth:`MultiPoly._summed`, as
+    :meth:`_Parser.expr` sums them.  None is returned for a reserved
     name, an exponent outside :data:`_SUM_EXPONENTS` and a term whose
     numerals have more than MAX_COEFFICIENT_BITS bits together (counting a
     power n^k as k times the bits of n), so no bound of the parser can fire
@@ -361,18 +353,8 @@ def _monomial_sum(text: str, variables):
         if bits > MAX_COEFFICIENT_BITS:
             return None
         term[0] *= n ** k
-    terms = {}
-    for c, e in monomials:
-        if not c:
-            continue
-        e = tuple(e)
-        s = terms.get(e)
-        s = c if s is None else s + c
-        if s:
-            terms[e] = s
-        else:
-            del terms[e]
-    return MultiPoly._of(variables, {e: as_cyclotomic(c) for e, c in terms.items()}), names
+    return MultiPoly._summed(variables, ((tuple(e), as_cyclotomic(c))
+                                         for c, e in monomials)), names
 
 
 def _parse(text: str, variables):

@@ -253,8 +253,7 @@ def stacky_decompose(ring: GradedRingPresentation) -> DecompositionReport:
             "iii", f"hcf {d} of the base weights does not divide 2*{d_top}")
     q = 2 * d_top // d  # degree of F in the weights e_i
     assert q % 2 == 1  # forced by (i) together with (iii)
-    gerbe = d // 2
-    rigidification = veronese(ring, gerbe)
+    rigidification, gerbe = rigidify(ring)  # hcf of all weights = gcd(d, d_top) = d/2
     canonical_ring = free_ring(base_names, e, ring.field_order)
     # Reconstruction cross-check: a square root of F over the canonical stack
     # must rebuild the rigidification by position, generators base_names +

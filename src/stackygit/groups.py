@@ -103,7 +103,8 @@ class GroupSpec(namedtuple("GroupSpec", "kind n")):
         text = text.strip()
         if text in ("T", "O", "I"):
             return GroupSpec(text)
-        n = numeral(text[1:]) if text[:1] in ("C", "D") and text[1:].isdecimal() else None
+        n = (numeral(text[1:]) if text[:1] in ("C", "D") and text[1:].isdecimal()
+             and text.isascii() else None)
         if n is not None:
             return GroupSpec(text[0], n)
         raise ValueError(f"not a group label: {excerpt(text)}")

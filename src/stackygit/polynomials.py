@@ -4,14 +4,16 @@
 coefficient) used for graded-ring relations and divisor equations.
 :class:`BinaryForm` is the dense two-variable case ``f = a_0 x^d +
 a_1 x^{d-1} y + ... + a_d y^d`` with the substitution action of SL(2) and
-root-multiplicity analysis.  Substitution follows two rules (see
-:meth:`BinaryForm.substitute`).  A monomial matrix, diagonal or
-antidiagonal, acts term by term.  Every other matrix runs one kernel in
-one field: it factors the matrix into at most three scalings and two
-Taylor shifts by 1 (scale-shift-scale), on integer coordinate vectors over
-one common denominator, so each scaling multiplies by a table of integer
-power vectors, each shift is a run of prefix sums and costs additions
-only, and the result is divided once at the end.
+root-multiplicity analysis.  Each sum of terms is added by
+:meth:`MultiPoly._summed`, both proportionality tests are :func:`_ratio`,
+and a polynomial prints through ``cyclotomic._sum_text``.  Substitution
+follows two rules (see :meth:`BinaryForm.substitute`).  A monomial matrix,
+diagonal or antidiagonal, acts term by term.  Every other matrix runs one
+kernel in one field: it factors the matrix into at most three scalings and
+two Taylor shifts by 1 (scale-shift-scale), on integer coordinate vectors
+over one common denominator, so each scaling multiplies by a table of
+integer power vectors, each shift is a run of prefix sums and costs
+additions only, and the result is divided once at the end.
 
 Root multiplicities are computed by iterated gcds of the dehomogenization
 with its derivative (so everything stays in exact arithmetic, with no root
@@ -25,7 +27,7 @@ integers, since its divisions are exact in Z.
 
 from __future__ import annotations
 
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
 from math import gcd, lcm, prod
 from operator import add, getitem
 
@@ -39,6 +41,7 @@ from .cyclotomic import (
     _over,
     _power,
     _raw,
+    _sum_text,
     _to_int_coords,
     as_cyclotomic,
 )
@@ -53,8 +56,9 @@ from .errors import (
 _ZERO = as_cyclotomic(0)
 
 #: Largest degree :meth:`BinaryForm.multiplicity_profile` and
-#: :meth:`BinaryForm.distinct_root_count` accept; the gcd chain costs about
-#: deg^2 field operations.
+#: :meth:`BinaryForm.distinct_root_count` accept.  It bounds the degree, not
+#: the time: the gcd chain's coefficients grow, so near the bound a form over
+#: Q(zeta_5) takes tens of seconds where one over Q takes about one.
 MAX_PROFILE_DEGREE = 256
 
 
@@ -80,7 +84,7 @@ class MultiPoly:
 
     def __init__(self, variables, terms=None):
         variables = tuple(variables)
-        clean = {}
+        pairs = []
         for exps, c in (terms or {}).items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != len(variables):
@@ -88,16 +92,9 @@ class MultiPoly:
                     f"exponent vector {exps} does not match {len(variables)} variables")
             if any(e < 0 for e in exps):
                 raise ValueError("exponents must be nonnegative")
-            c = as_cyclotomic(c)
-            if c:
-                prev = clean.get(exps)
-                c = prev + c if prev is not None else c
-                if c:
-                    clean[exps] = c
-                elif exps in clean:
-                    del clean[exps]
+            pairs.append((exps, as_cyclotomic(c)))
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MultiPoly._summed(variables, pairs).terms)
 
     @classmethod
     def _of(cls, variables, terms):
@@ -107,6 +104,23 @@ class MultiPoly:
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", terms)
         return self
+
+    @classmethod
+    def _summed(cls, variables, pairs):
+        """The sum of the (exponents, coefficient) ``pairs``, added in order
+        into one dict: a zero coefficient is skipped and an entry whose sum
+        vanishes is dropped, so the same exponents later start a new entry
+        at the end.  Every sum of terms is formed here."""
+        terms = {}
+        for e, c in pairs:
+            if c:
+                s = terms.get(e)
+                s = c if s is None else s + c
+                if s:
+                    terms[e] = s
+                else:
+                    del terms[e]
+        return cls._of(variables, terms)
 
     def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable")
@@ -152,14 +166,7 @@ class MultiPoly:
 
     def __add__(self, other):
         other = self._coerce(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, _ZERO) + c
-            if s:
-                terms[e] = s
-            elif e in terms:
-                del terms[e]
-        return MultiPoly._of(self.variables, terms)
+        return MultiPoly._summed(self.variables, chain(self.terms.items(), other.terms.items()))
 
     __radd__ = __add__
 
@@ -283,16 +290,9 @@ class MultiPoly:
     def proportional_to(self, other):
         """Scalar c with self == c*other, or None."""
         other = self._coerce(other)
-        if not self or not other:
+        if self.terms.keys() != other.terms.keys():
             return None
-        if set(self.terms) != set(other.terms):
-            return None
-        e0 = next(iter(self.terms))
-        c = self.terms[e0] / other.terms[e0]
-        for e, x in self.terms.items():
-            if x != c * other.terms[e]:
-                return None
-        return c
+        return _ratio((x, other.terms[e]) for e, x in self.terms.items())
 
     # -- display ---------------------------------------------------------------
 
@@ -301,21 +301,9 @@ class MultiPoly:
             return self._text
         except AttributeError:
             pass
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in sorted(self.terms.items(), reverse=True):
-            mono = "*".join(
-                f"{v}^{k}" if k > 1 else v
-                for v, k in zip(self.variables, e) if k)
-            if not mono:
-                body, neg = _coeff_text(c, force=True)
-            else:
-                body, neg = _coeff_text(c)
-                body = f"{body}*{mono}" if body else mono
-            parts.append(("- " if neg else "+ ") + body)
-        text = " ".join(parts)
-        text = text[2:] if text.startswith("+ ") else "-" + text[2:]
+        text = _sum_text([(*_coeff_text(c), "*".join(
+            [f"{v}^{k}" if k > 1 else v for v, k in zip(self.variables, e) if k]))
+            for e, c in sorted(self.terms.items(), reverse=True)])
         object.__setattr__(self, "_text", text)
         return text
 
@@ -323,20 +311,33 @@ class MultiPoly:
         return f"MultiPoly({self.variables}, '{self}')"
 
 
-def _coeff_text(c: CyclotomicNumber, force=False):
-    """Render a nonzero coefficient for use as a factor; returns (text,
-    negated).  A coefficient with more than one nonzero coordinate is
-    parenthesized whole; otherwise its sign is pulled out, and 1 prints
-    as nothing unless ``force``."""
+def _coeff_text(c: CyclotomicNumber):
+    """Render a nonzero coefficient for use as a factor; returns (negated,
+    text).  A coefficient with more than one nonzero coordinate is
+    parenthesized whole; otherwise its sign is pulled out."""
     if c.order == 1:
         num, den = c.coords[0], c.den
-        if abs(num) == den == 1 and not force:
-            return "", num < 0
-        return (str(abs(num)) if den == 1 else f"{abs(num)}/{den}"), num < 0
+        return num < 0, str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
     if len([x for x in c.coords if x]) > 1:
-        return f"({c})", False
+        return False, f"({c})"
     neg = min(c.coords) < 0
-    return str(-c if neg else c), neg
+    return neg, str(-c if neg else c)
+
+
+def _ratio(pairs):
+    """The scalar c = a/b taken at the first pair (a, b) with a != 0; None
+    when a pair has exactly one zero, when no pair has a != 0, or when
+    a != c*b for some pair.  Both ``proportional_to`` methods decide here."""
+    c = None
+    for a, b in pairs:
+        if bool(a) != bool(b):
+            return None
+        if a:
+            if c is None:
+                c = a / b
+            elif a != c * b:
+                return None
+    return c
 
 
 class BinaryForm:
@@ -414,18 +415,9 @@ class BinaryForm:
 
     def proportional_to(self, other):
         """Scalar c with self == c*other (same degree), or None."""
-        if self.degree != other.degree or not self or not other:
+        if self.degree != other.degree:
             return None
-        c = None
-        for a, b in zip(self.coeffs, other.coeffs):
-            if bool(a) != bool(b):
-                return None
-            if a and c is None:
-                c = a / b
-        for a, b in zip(self.coeffs, other.coeffs):
-            if a != c * b:
-                return None
-        return c
+        return _ratio(zip(self.coeffs, other.coeffs))
 
     # -- evaluation and substitution ----------------------------------------------
 

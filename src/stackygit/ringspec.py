@@ -29,8 +29,8 @@ from .exprparse import MAX_NUMERAL_DIGITS, RESERVED, numeral, parse_poly
 from .graded import GradedRingPresentation
 from .polynomials import MultiPoly
 
-_GEN_LINE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)\s*:\s*(\d+)$")
-_FIELD_LINE = re.compile(r"^field\s*:\s*zeta\((\d+)\)$")
+_GEN_LINE = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)\s*:\s*([0-9]+)$")
+_FIELD_LINE = re.compile(r"^field\s*:\s*zeta\(([0-9]+)\)$")
 _RELATION_LINE = re.compile(r"^relation\s*:(.*)$")
 
 

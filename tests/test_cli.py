@@ -242,6 +242,28 @@ def test_group_labels_take_decimal_numerals(label, message):
         assert result.payload["error"] == {"code": "bad-value", "message": message}
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["klein", "D\u0663", "1", "0", "0"], "bad-value", "not a group label: 'D\u0663'"),
+    (["klein", "C3", "\u0663", "0", "0"], "usage",
+     "stackygit klein: error: argument alpha: invalid int value: '\u0663'"),
+    (["stabilizer", "x^5 + y^5", "--nmax", "\u0663"], "usage",
+     "stackygit stabilizer: error: argument --nmax: invalid int value: '\u0663'"),
+    (["stabilizer", "x^\u0663*y+x*y^\u0663"], "syntax-error",
+     "unexpected character '\u0663' (at position 2)"),
+    (["decompose", "weight.ring"], "ringspec-error", "line 1: cannot parse 'a : \u0663'"),
+    (["decompose", "field.ring"], "ringspec-error",
+     "line 3: cannot parse 'field: zeta(\u0664)'"),
+], ids=["group-label", "alpha", "nmax", "exponent", "weight", "field"])
+def test_only_ascii_digits_are_numerals(tmp_path, argv, code, message):
+    # an Arabic-Indic digit is refused by every reader, each with its own error
+    (tmp_path / "weight.ring").write_text("a : \u0663\nb : 2\n", encoding="utf-8")
+    (tmp_path / "field.ring").write_text("a : 3\nb : 2\nfield: zeta(\u0664)\n",
+                                         encoding="utf-8")
+    result = run_command([str(tmp_path / a) if a.endswith(".ring") else a for a in argv])
+    assert result.status == 2
+    assert result.payload["error"] == {"code": code, "message": message}
+
+
 _SEVENS = "7" * 5000
 _CUT_SEVENS = "'77777777777777777777'... (5000 characters)"
 

@@ -140,6 +140,44 @@ class TestMultiPoly:
         assert p.proportional_to(p + MultiPoly.constant(p.variables, 1)) is None
 
 
+@pytest.mark.parametrize("field", [1, 4, 5])
+def test_form_and_multipoly_proportionality_agree(field):
+    # seeded pairs: proportional by a rational or by a field scalar, differing
+    # in one coefficient, with a zero on one side only, and zero forms
+    rng = random.Random(f"proportional:{field}")
+
+    def number():
+        return QQ(rng.randint(-5, 5), rng.randint(1, 3)) * zeta(field) ** rng.randrange(field) \
+            + rng.randint(-2, 2)
+
+    def nonzero():
+        return next(x for x in iter(number, None) if x)
+
+    pairs = [(BinaryForm([0] * 4), BinaryForm([0] * 4))]
+    for _ in range(30):
+        d = rng.randint(0, 6)
+        coeffs = [nonzero() if rng.random() < 0.7 else 0 for _ in range(d + 1)]
+        coeffs[rng.randint(0, d)] = nonzero()
+        g = BinaryForm(coeffs)
+        scalar = QQ(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)) \
+            if rng.random() < 0.5 else nonzero()
+        f, i = g * scalar, rng.randint(0, d)
+        changed = list(f.coeffs)
+        changed[i] += rng.choice((1, -1)) * zeta(field)
+        one_zero = list(f.coeffs)
+        one_zero[i] = 0 if one_zero[i] else nonzero()
+        pairs += [(f, g), (BinaryForm(changed), g), (BinaryForm(one_zero), g),
+                  (g, BinaryForm([0] * (d + 1))), (BinaryForm([0] * (d + 1)), g)]
+    found = 0
+    for f, g in pairs:
+        c, m = f.proportional_to(g), f.to_multipoly().proportional_to(g.to_multipoly())
+        assert (c is None) == (m is None), (f, g)
+        if c is not None:
+            found += 1
+            assert (c.order, c.coords, c.den) == (m.order, m.coords, m.den), (f, g)
+    assert 30 <= found < len(pairs)
+
+
 def _same_degree(e, weights, rng):
     # another exponent vector of the same weighted degree (pad with var 0)
     d = sum(w * k for w, k in zip(weights, e))
