@@ -23,8 +23,8 @@ from collections import namedtuple
 from .errors import CommonFactorError
 from .exprparse import form
 from .graded import (
+    GradedRingPresentation,
     PointW,
-    free_ring,
     hcf_degrees,
     presentations_equal,
     rigidify,
@@ -73,14 +73,14 @@ def check_root_stack_law() -> CheckResult:
     """Square root of the quintic divisor over P(1,2,3) rebuilds the
     rigidification; equal root and section degrees are rejected."""
     details = []
-    base = free_ring(("I4", "I8", "I12"), (1, 2, 3))
+    base = GradedRingPresentation(("I4", "I8", "I12"), (1, 2, 3))
     quintic = catalog_ring("quintic")
     rebuilt = root_stack(base, quintic.F, 2, root_name="I18")
     target = veronese(quintic.ring, 2)
     ok1 = presentations_equal(rebuilt, target)
     details.append(f"root stack on (1,2,3) along the degree-9 divisor: "
                    f"{rebuilt.describe()} == rigidification: {ok1}")
-    square = free_ring(("x0", "x1", "x2"), (1, 1, 1))
+    square = GradedRingPresentation(("x0", "x1", "x2"), (1, 1, 1))
     quadric = (form("x^2 + y^2").to_multipoly(("x0", "x1"))
                .lifted(("x0", "x1", "x2")))
     try:

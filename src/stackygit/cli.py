@@ -155,15 +155,16 @@ def _cmd_rigidify(args) -> CommandResult:
 def _cmd_chart(args) -> CommandResult:
     ring = ringspec.load(args.ringspec)
     chart = affine_chart(ring, args.generator)
+    group = f"mu_{chart.modulus}"
     body = {
         "ring": _presentation_dict(ring),
         "chart_generator": chart.chart_generator,
-        "automorphism_group": chart.automorphism_group,
+        "automorphism_group": group,
         "modulus": chart.modulus,
         "residual_grading": [{"name": g, "degree": d} for g, d in chart.residual],
     }
     lines = [f"# Affine chart {args.generator} = 1 of {ring.describe()}", "",
-             f"- quotient by {chart.automorphism_group}",
+             f"- quotient by {group}",
              "- residual Z/{} degrees:".format(chart.modulus)]
     lines += [f"    - {g}: {d}" for g, d in chart.residual]
     return CommandResult(0, _payload("chart", body), "\n".join(lines) + "\n")

@@ -32,8 +32,9 @@ not monomial) reads a form's coefficients over one denominator with
 :func:`_to_int_coords`, builds the powers of each scalar as integer
 vectors and multiplies by them with :func:`_mul_vec`, and builds each
 result once with :func:`_raw`; so does the closure of
-``groups.group_elements``, on the entries of a group's matrices over the
-lcm of their orders.  The other bulk kernels
+``groups.group_elements``, on the entries of a group's matrices.  Both
+run in the field :func:`_to_int_coords` picks and checks against the cap.
+The other bulk kernels
 (the products of ``MultiPoly`` and ``BinaryForm``, ``MultiPoly.evaluate``,
 the transvectant kernel ``invariants._transvectant``, the list resultant
 ``polynomials.resultant`` and the gcd chain) have one body over their
@@ -43,7 +44,9 @@ themselves otherwise; :func:`_over` divides back.  :func:`_convolve` is
 the one dense product body, behind :func:`_mul_vec`, ``BinaryForm.__mul__``
 and the covariant products of ``invariants``.  Addition has one body for
 every order, rationals included: the coordinates over the lcm of the two
-denominators, made canonical by :func:`_raw`.
+denominators, made canonical by :func:`_raw`.  The sugar constants
+:data:`IMAG_UNIT`, :data:`SQRT2`, :data:`SQRT5` and :data:`SQRT_MINUS3`
+are module values beside :data:`ZERO` and :data:`ONE`.
 
 >>> zeta(4) ** 2
 CyclotomicNumber('-1')
@@ -172,11 +175,14 @@ def _mul_vec(m: int, a, b):
     return _reduce(m, _convolve(a, b))
 
 
-def _to_int_coords(values, m: int):
-    """``(den, vecs)``: the values' coordinates in Q(zeta_m) over one
-    positive common denominator; every value's order must divide m."""
+def _to_int_coords(values, *orders):
+    """``(m, den, vecs)``: the values' coordinates in Q(zeta_m), m the lcm
+    of their orders and ``orders`` (past :data:`ORDER_CAP`,
+    OrderCapExceededError), over one positive common denominator den."""
+    m = lcm(*(v.order for v in values), *orders)
+    _check_order(m)
     den = lcm(*(v.den for v in values))
-    return den, [[c * (den // v.den) for c in v._vec(m)] for v in values]
+    return m, den, [[c * (den // v.den) for c in v._vec(m)] for v in values]
 
 
 def _numerators(*lists):
@@ -479,22 +485,7 @@ ONE = as_cyclotomic(1)
 # Sugar constants.  Each is an exact algebraic identity in its field:
 # i = zeta_4, sqrt(-3) = 1 + 2*zeta_3, sqrt(2) = zeta_8 + zeta_8^7,
 # sqrt(5) = 1 + 2*zeta_5 + 2*zeta_5^4.
-
-@lru_cache(maxsize=None)
-def imag_unit() -> CyclotomicNumber:
-    return zeta(4)
-
-
-@lru_cache(maxsize=None)
-def sqrt2() -> CyclotomicNumber:
-    return zeta(8) + zeta(8) ** 7
-
-
-@lru_cache(maxsize=None)
-def sqrt5() -> CyclotomicNumber:
-    return 1 + 2 * zeta(5) + 2 * zeta(5) ** 4
-
-
-@lru_cache(maxsize=None)
-def sqrt_minus3() -> CyclotomicNumber:
-    return 1 + 2 * zeta(3)
+IMAG_UNIT = zeta(4)
+SQRT2 = zeta(8) + zeta(8) ** 7
+SQRT5 = 1 + 2 * zeta(5) + 2 * zeta(5) ** 4
+SQRT_MINUS3 = 1 + 2 * zeta(3)

@@ -21,7 +21,7 @@ class StackygitError(Exception):
 
 class BoundExceededError(StackygitError):
     """An internal safety bound was hit (order cap, closure size, parser
-    nesting, form degree, coefficient size, product size)."""
+    nesting, form degree, coefficient size, product or expression size)."""
 
     exit_status = 3
 
@@ -48,6 +48,10 @@ class CoefficientTooLargeError(BoundExceededError):
 
 class ProductTooLargeError(BoundExceededError):
     code = "product-too-large"
+
+
+class ExpressionTooLargeError(BoundExceededError):
+    code = "expression-too-large"
 
 
 class ExactArithmeticError(StackygitError, ArithmeticError):
@@ -103,10 +107,6 @@ class UnknownGeneratorError(StackygitError):
 
 class InhomogeneousError(StackygitError):
     code = "inhomogeneous"
-
-
-class WeightMismatchError(StackygitError):
-    code = "weight-mismatch"
 
 
 class NoGroundFormsError(StackygitError):

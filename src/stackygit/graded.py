@@ -85,10 +85,6 @@ class GradedRingPresentation(namedtuple("GradedRingPresentation",
         return f"k[{gens}]{rel}"
 
 
-def free_ring(names, weights, field_order=1) -> GradedRingPresentation:
-    return GradedRingPresentation(tuple(names), tuple(weights), None, field_order)
-
-
 class DecompositionReport(namedtuple(
         "DecompositionReport", "coarse_weights rigidification gerbe_index root_order"
         " root_divisor root_divisor_degree notes", defaults=((),))):
@@ -106,10 +102,6 @@ class ChartPresentation(namedtuple("ChartPresentation", "chart_generator modulus
     holds (name, weight mod r) for the other generators."""
 
     __slots__ = ()
-
-    @property
-    def automorphism_group(self) -> str:
-        return f"mu_{self.modulus}"
 
 
 # -- elementary regradings ------------------------------------------------------
@@ -245,7 +237,7 @@ def stacky_decompose(ring: GradedRingPresentation) -> DecompositionReport:
         raise ConditionViolationError(
             "i", f"hcf {d} of the base weights divides the top weight {d_top}")
     e = tuple(w // d for w in ring.weights[:-1])
-    if not is_well_formed(e):
+    if len(e) > 1 and not is_well_formed(e):  # one weight is P(1), well formed
         raise ConditionViolationError(
             "ii", f"rescaled base weights {e} are not well formed")
     if (2 * d_top) % d:
@@ -254,7 +246,7 @@ def stacky_decompose(ring: GradedRingPresentation) -> DecompositionReport:
     q = 2 * d_top // d  # degree of F in the weights e_i
     assert q % 2 == 1  # forced by (i) together with (iii)
     rigidification, gerbe = rigidify(ring)  # hcf of all weights = gcd(d, d_top) = d/2
-    canonical_ring = free_ring(base_names, e, ring.field_order)
+    canonical_ring = GradedRingPresentation(base_names, e, field_order=ring.field_order)
     # Reconstruction cross-check: a square root of F over the canonical stack
     # must rebuild the rigidification by position, generators base_names +
     # (top,) with weights 2*w_i/d = w_i/(d/2), relation up to a scalar.

@@ -7,28 +7,26 @@ icosahedral group I uses a primitive 5th root.  All matrix entries are
 exact; every determinant is exactly 1.
 
 :class:`SL2Matrix` checks the determinant of each matrix it builds;
-:func:`group_elements` runs its closure on integer coordinate vectors and
-checks each element's determinant there, exactly, before building the
-elements as values once.
+:func:`group_elements` runs its closure on integer coordinate vectors in
+the field ``cyclotomic._to_int_coords`` picks, checks each element's
+determinant there, exactly, and builds the elements as values once.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from math import lcm
 
 from .cyclotomic import (
+    IMAG_UNIT,
+    SQRT2,
+    SQRT5,
     CyclotomicNumber,
-    _check_order,
     _mul_vec,
     _raw,
     _to_int_coords,
     as_cyclotomic,
     euler_phi,
-    imag_unit,
-    sqrt2,
-    sqrt5,
     zeta,
 )
 from .errors import ClosureBoundExceededError, ExactArithmeticError, excerpt
@@ -62,14 +60,6 @@ class SL2Matrix(namedtuple("SL2Matrix", "a b c d")):
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    @staticmethod
-    def identity() -> "SL2Matrix":
-        return SL2Matrix(1, 0, 0, 1)
-
-    @staticmethod
-    def diagonal(u, v) -> "SL2Matrix":
-        return SL2Matrix(u, 0, 0, v)
 
     def __str__(self):
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
@@ -114,10 +104,10 @@ class GroupSpec(namedtuple("GroupSpec", "kind n")):
 
 
 def _tetrahedral_generators():
-    i = imag_unit()
+    i = IMAG_UNIT
     half = as_cyclotomic(1) / 2
     return (
-        SL2Matrix.diagonal(i, -i),
+        SL2Matrix(i, 0, 0, -i),
         SL2Matrix(0, i, i, 0),
         SL2Matrix(half * (1 + i), half * (-1 + i), half * (1 + i), half * (1 - i)),
     )
@@ -128,20 +118,19 @@ def group_generators(spec: GroupSpec):
     """The defining generator matrices, determinants verified exactly."""
     if spec.kind in ("C", "D"):
         eps = zeta(2 * spec.n)
-        flip = (SL2Matrix(0, imag_unit(), imag_unit(), 0),) if spec.kind == "D" else ()
-        return (SL2Matrix.diagonal(eps, eps ** -1),) + flip
+        flip = (SL2Matrix(0, IMAG_UNIT, IMAG_UNIT, 0),) if spec.kind == "D" else ()
+        return (SL2Matrix(eps, 0, 0, eps ** -1),) + flip
     if spec.kind == "T":
         return _tetrahedral_generators()
     if spec.kind == "O":
-        i = imag_unit()
-        r2 = sqrt2().inverse()
+        r2 = SQRT2.inverse()
         return _tetrahedral_generators() + (
-            SL2Matrix.diagonal(r2 * (1 + i), r2 * (1 - i)),)
+            SL2Matrix(r2 * (1 + IMAG_UNIT), 0, 0, r2 * (1 - IMAG_UNIT)),)
     # icosahedral
     eps = zeta(5)
-    r5 = sqrt5().inverse()
+    r5 = SQRT5.inverse()
     return (
-        SL2Matrix.diagonal(eps ** 3, eps ** 2),
+        SL2Matrix(eps ** 3, 0, 0, eps ** 2),
         SL2Matrix(
             r5 * (eps - eps ** 4), r5 * (eps ** 3 - eps ** 2),
             r5 * (eps ** 3 - eps ** 2), r5 * (eps ** 4 - eps),
@@ -193,10 +182,8 @@ def group_elements(spec: GroupSpec):
     at the end, with their entries in Q(zeta_m); equality and hashes of
     values do not depend on the field they are stored in.
     """
-    entries = [x for g in (SL2Matrix.identity(),) + group_generators(spec) for x in g]
-    m = lcm(*(x.order for x in entries))
-    _check_order(m)
-    den, vecs = _to_int_coords(entries, m)
+    entries = [x for g in (SL2Matrix(1, 0, 0, 1),) + group_generators(spec) for x in g]
+    m, den, vecs = _to_int_coords(entries)
     identity, *gens = [tuple(map(tuple, vecs[i:i + 4])) for i in range(0, len(vecs), 4)]
     one = [den * den] + [0] * (euler_phi(m) - 1)
     ordered = [identity, _negated(identity)]

@@ -48,11 +48,11 @@ from math import comb, lcm, perm
 
 from .cyclotomic import (
     QQ,
+    SQRT2,
     _convolve,
     _numerators,
     _over,
     as_cyclotomic,
-    sqrt2,
 )
 from .errors import (
     NonStableError,
@@ -174,7 +174,7 @@ def quartic_invariants(f: BinaryForm) -> QuarticInvariants:
     """
     if f.degree != 4:
         raise WrongDegreeError(f"need a quartic, got degree {f.degree}")
-    b = [f.a(i) * QQ(1, comb(4, i)) for i in range(5)]
+    b = [c * QQ(1, comb(4, i)) for i, c in enumerate(f.coeffs)]
     i2 = b[0] * b[4] - 4 * b[1] * b[3] + 3 * b[2] * b[2]
     i3 = (b[0] * b[2] * b[4] - b[0] * b[3] * b[3] + 2 * b[1] * b[2] * b[3]
           - b[1] * b[1] * b[4] - b[2] ** 3)
@@ -334,7 +334,7 @@ def _quintic_recipe(fc) -> dict:
 #: F(c4*J4, c8*J8, c12*J12), with c18 = sqrt(2)/729.  Like the corrections
 #: of :func:`_sextic_recipe` they were solved once against the relation,
 #: then frozen; :func:`calibrate_invariants` verifies them.
-QUINTIC_SCALARS = {"I4": QQ(1), "I8": QQ(1, 2), "I12": QQ(-1, 4), "I18": sqrt2() / 729}
+QUINTIC_SCALARS = {"I4": QQ(1), "I8": QQ(1, 2), "I12": QQ(-1, 4), "I18": SQRT2 / 729}
 
 
 def _sextic_recipe(fc) -> dict:

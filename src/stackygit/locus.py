@@ -4,7 +4,7 @@ the assembled locus reports for the quintic and sextic moduli.
 Points are :class:`~stackygit.graded.PointW`, whose equality is weighted
 rescaling decided exactly (no root extraction).  Singularity of a divisor
 at a point is tested on the affine cone: the value and every partial
-derivative must vanish.
+derivative must vanish, F homogeneous for the weights the point carries.
 
 Both reports read the ambient singular points off
 :func:`~stackygit.graded.inertia_strata`: one point for each stratum whose
@@ -17,23 +17,20 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import InhomogeneousError, WeightMismatchError
+from .errors import InhomogeneousError
 from .graded import PointW, inertia_strata
 from .invariants import SEXTIC_REPAIR_NOTE, catalog_ring
 from .polynomials import MultiPoly
 
 
-def is_singular_at(F: MultiPoly, w: tuple, p: PointW) -> bool:
+def is_singular_at(F: MultiPoly, p: PointW) -> bool:
     """Affine-cone Jacobian criterion: F and all partials vanish at p.
 
     At points inside singular strata of the ambient space this is
     cone-singularity, the exact well-defined statement.
     """
-    if F.weighted_degree(w) is None:
-        raise InhomogeneousError(f"{F} is not homogeneous for {tuple(w)}")
-    if p.weights != tuple(w):
-        raise WeightMismatchError(
-            f"point weights {p.weights} differ from {tuple(w)}")
+    if F.weighted_degree(p.weights) is None:
+        raise InhomogeneousError(f"{F} is not homogeneous for {p.weights}")
     if F.evaluate(p.coordinates):
         return False
     return all(not d.evaluate(p.coordinates) for d in F.partials())
@@ -85,12 +82,12 @@ def _ambient_singularities(weights):
             for s, g in inertia_strata(weights) if g > 1]
 
 
-def _meets_one_smoothly(F: MultiPoly, w: tuple, points):
+def _meets_one_smoothly(F: MultiPoly, points):
     """F's values at the points, and whether exactly one of them is zero
     with Z(F) smooth there."""
     values = [F.evaluate(p.coordinates) for p in points]
     on = [p for p, v in zip(points, values) if not v]
-    return values, len(on) == 1 and not is_singular_at(F, w, on[0])
+    return values, len(on) == 1 and not is_singular_at(F, on[0])
 
 
 def quintic_locus_report() -> LocusReport:
@@ -128,7 +125,7 @@ def quintic_locus_report() -> LocusReport:
     ))
 
     sing_points = [PointW((1, 0, 0), w), PointW((-3, 3, 3), w)]
-    all_singular = all(is_singular_at(F, w, p) for p in sing_points)
+    all_singular = all(is_singular_at(F, p) for p in sing_points)
     claims.append(LocusClaim(
         "divisor-singular-points",
         "Z(F) is singular at (1:0:0) and (-3:3:3) (the values of the "
@@ -141,7 +138,7 @@ def quintic_locus_report() -> LocusReport:
              "decomposition here)",
     ))
 
-    values, meets_one = _meets_one_smoothly(F, w, pts)
+    values, meets_one = _meets_one_smoothly(F, pts)
     on = [p for p, v in zip(pts, values) if not v]
     off = [p for p, v in zip(pts, values) if v]
     claims.append(LocusClaim(
@@ -223,7 +220,7 @@ def sextic_locus_report() -> LocusReport:
         note="needs both curve equations",
     ))
 
-    values, meets_one = _meets_one_smoothly(F, w, pts)
+    values, meets_one = _meets_one_smoothly(F, pts)
     claims.append(LocusClaim(
         "divisor-at-ambient-singularities",
         "Z(F) contains exactly one of the three singular points of "

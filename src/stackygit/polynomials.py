@@ -9,11 +9,11 @@ root-multiplicity analysis.  Each sum of terms is added by
 and a polynomial prints through ``cyclotomic._sum_text``.  Substitution
 follows two rules (see :meth:`BinaryForm.substitute`).  A monomial matrix,
 diagonal or antidiagonal, acts term by term.  Every other matrix runs one
-kernel in one field: it factors the matrix into at most three scalings and
-two Taylor shifts by 1 (scale-shift-scale), on integer coordinate vectors
-over one common denominator, so each scaling multiplies by a table of
-integer power vectors, each shift is a run of prefix sums and costs
-additions only, and the result is divided once at the end.
+kernel in the field ``cyclotomic._to_int_coords`` picks: it factors the
+matrix into at most three scalings and two Taylor shifts by 1
+(scale-shift-scale) on integer vectors over one common denominator, so
+each scaling multiplies by a table of integer power vectors, each shift
+is a run of prefix sums, and the result is divided once at the end.
 
 Root multiplicities are computed by iterated gcds of the dehomogenization
 with its derivative (so everything stays in exact arithmetic, with no root
@@ -28,13 +28,12 @@ integers, since its divisions are exact in Z.
 from __future__ import annotations
 
 from itertools import accumulate, chain, product
-from math import gcd, lcm, prod
+from math import gcd, prod
 from operator import add, getitem
 
 from .cyclotomic import (
     ONE,
     CyclotomicNumber,
-    _check_order,
     _convolve,
     _mul_vec,
     _numerators,
@@ -128,10 +127,6 @@ class MultiPoly:
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def zero(variables):
-        return MultiPoly(variables)
-
-    @staticmethod
     def constant(variables, c):
         variables = tuple(variables)
         return MultiPoly(variables, {(0,) * len(variables): c})
@@ -183,7 +178,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             c = as_cyclotomic(other)
             if not c:
-                return MultiPoly.zero(self.variables)
+                return MultiPoly._of(self.variables, {})
             return MultiPoly._of(self.variables,
                                  {e: x * c for e, x in self.terms.items()})
         other = self._coerce(other)
@@ -373,9 +368,6 @@ class BinaryForm:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def a(self, i: int) -> CyclotomicNumber:
-        return self.coeffs[i]
-
     def __bool__(self):
         return any(self.coeffs)
 
@@ -435,7 +427,7 @@ class BinaryForm:
 
         Every other matrix runs :func:`_substitute_terms` once, in
         Q(zeta_k) for k the lcm of the orders of the entries and of the
-        nonzero coefficients (checked against the order cap); the image
+        coefficients (checked against the order cap); the image
         coefficients are stored in Q(zeta_k), or in Q when rational.
         """
         deg = self.degree
@@ -447,8 +439,7 @@ class BinaryForm:
         elif not (a or d):  # coefficient j is (c^(deg-j) b^j) f_(deg-j)
             xs, ys, fs = _powers(c, deg), _powers(b, deg), self.coeffs[::-1]
         else:
-            k = lcm(*(v.order for v in entries), *(f.order for f in self.coeffs if f))
-            return BinaryForm._of(_substitute_terms(k, self.coeffs, entries))
+            return BinaryForm._of(_substitute_terms(self.coeffs, entries))
         return BinaryForm._of([xs[deg - i] * ys[i] * f if f else _ZERO
                                for i, f in enumerate(fs)])
 
@@ -581,11 +572,11 @@ def _shift(vecs):
     return list(zip(*cols))
 
 
-def _substitute_terms(k, coeffs, entries):
+def _substitute_terms(coeffs, entries):
     """Coefficients of f(a x + b y, c x + d y) for the coefficients f_i of
-    f and a matrix that is not monomial, computed in Q(zeta_k) on integer
-    coordinate vectors; the orders of the entries and coefficients divide
-    k.
+    f and a matrix that is not monomial, computed on integer coordinate
+    vectors in Q(zeta_k), the field :func:`_to_int_coords` picks for the
+    coefficients and the entries.
 
     The image comes from scalings and Taylor shifts by 1 (von zur Gathen
     and Gerhard, ISSAC 1997).  For a != 0, with e = det/a, s = b/a and t =
@@ -617,10 +608,9 @@ def _substitute_terms(k, coeffs, entries):
     columns.  The vectors carry one common denominator, multiplied by that
     of the table at each scaling, and each image coefficient is made
     canonical once, at the end."""
-    _check_order(k)
     a, b, c, d = entries
     deg = len(coeffs) - 1
-    den, vecs = _to_int_coords(coeffs, k)
+    k, den, vecs = _to_int_coords(coeffs, *(v.order for v in entries))
     if not a:  # f(b y, c x + d y) is the reversed form at [[c, d], [0, b]]
         vecs.reverse()
         a, b, c, d = c, d, _ZERO, b

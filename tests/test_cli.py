@@ -378,6 +378,43 @@ def test_product_bound_before_expansion():
         " (at position 19)")}
 
 
+def _sum_of(names, n):
+    return "+".join(f"{name}{i}" for i in range(n) for name in names)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["stabilizer", _sum_of("a", 3000)], "expression-too-large"),
+    (["stabilizer", _sum_of("a", 6000)], "expression-too-large"),
+    (["stabilizer", f"({_sum_of('a', 257)})*({_sum_of('b', 257)})"], "product-too-large"),
+    (["decompose", "wide.ring"], "expression-too-large"),
+], ids=["3000-terms", "6000-terms", "257-by-257-terms", "ring-relation"])
+def test_exponent_entry_bound_before_reading(tmp_path, argv, code):
+    # each term holds one exponent per variable, so a text naming many
+    # variables is refused before its terms are built
+    generators = "".join(f"a{i} : 2\n" for i in range(3000))
+    (tmp_path / "wide.ring").write_text(
+        f"{generators}t : 3\nrelation: t^2 - ({_sum_of('a', 3000)})^3\n")
+    argv = [str(tmp_path / a) if a.endswith(".ring") else a for a in argv]
+    start = time.perf_counter()
+    result = run_command(argv)
+    assert time.perf_counter() - start < 1
+    assert result.status == 3
+    assert result.payload["error"]["code"] == code
+
+
+def test_exponent_entry_bound_messages():
+    assert run_command(["stabilizer", _sum_of("a", 3000)]).payload["error"]["message"] == (
+        "5999 tokens in 3002 variables exceed the bound of 1048576 exponent entries")
+    product = f"({_sum_of('a', 257)})*({_sum_of('b', 257)})"
+    assert run_command(["stabilizer", product]).payload["error"]["message"] == (
+        "product of 257 by 257 terms in 516 variables exceeds the bound of 1048576"
+        " exponent entries (at position 1176)")
+    assert run_command(["stabilizer", f"({_sum_of('a', 200)})^2"]).payload["error"] == {
+        "code": "product-too-large", "message": (
+            "power 2 of 200 terms: 200 by 200 terms in 202 variables exceed the bound"
+            " of 1048576 exponent entries (at position 892)")}
+
+
 @pytest.mark.parametrize("text", ["3^200000*x*y*(x+y)", "3^20000000*x*y*(x+y)"])
 def test_coefficient_bound_before_expansion(text):
     start = time.perf_counter()
@@ -536,6 +573,20 @@ def test_demo_rings(name, decomposition, gerbe):
     result = run_command(["rigidify", path])
     assert result.status == 0
     assert result.payload["gerbe_index"] == gerbe
+
+
+@pytest.mark.parametrize("weights, gerbe", [((2, 3), 1), ((6, 9), 3)],
+                         ids=["a2-t3", "a6-t9"])
+def test_one_base_generator_decomposes(tmp_path, weights, gerbe):
+    # the rescaled base weights are (1,), the point P(1), which is well formed
+    path = tmp_path / "cusp.ring"
+    path.write_text("a : {}\nt : {}\nrelation: t^2 - a^3\n".format(*weights), encoding="utf-8")
+    result = run_command(["--json", "decompose", str(path)])
+    assert result.status == 0, result.payload
+    assert result.payload["coarse_weights"] == [1]
+    assert result.payload["gerbe_index"] == gerbe
+    assert result.payload["root"] == {"order": 2, "divisor": "a^3",
+                                      "degree_on_canonical_stack": 3}
 
 
 @pytest.mark.parametrize("argv", [["rigidify"], ["chart", "b"], ["decompose"]],

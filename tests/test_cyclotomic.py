@@ -7,18 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stackygit.cyclotomic import (
+    IMAG_UNIT,
     ONE,
     ORDER_CAP,
     QQ,
+    SQRT2,
+    SQRT5,
+    SQRT_MINUS3,
     ZERO,
     CyclotomicNumber,
     as_cyclotomic,
     cyclotomic_polynomial,
     euler_phi,
-    imag_unit,
-    sqrt2,
-    sqrt5,
-    sqrt_minus3,
     _numerators,
     _over,
     _power,
@@ -105,10 +105,10 @@ def test_make_reduces_canonically():
 
 
 def test_sugar_constants():
-    assert imag_unit() ** 2 == -1
-    assert sqrt2() ** 2 == 2
-    assert sqrt5() ** 2 == 5
-    assert sqrt_minus3() ** 2 == -3
+    assert IMAG_UNIT ** 2 == -1
+    assert SQRT2 ** 2 == 2
+    assert SQRT5 ** 2 == 5
+    assert SQRT_MINUS3 ** 2 == -3
 
 
 def test_mixed_order_product():

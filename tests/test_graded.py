@@ -14,7 +14,6 @@ from stackygit.errors import (
 from stackygit.graded import (
     GradedRingPresentation,
     affine_chart,
-    free_ring,
     hcf_degrees,
     inertia_strata,
     is_well_formed,
@@ -52,9 +51,9 @@ class TestVeronese:
 
 class TestHcfAndRigidify:
     def test_hcf_values(self):
-        assert hcf_degrees(free_ring(("a", "b", "c", "d"), (4, 8, 12, 18))) == 2
-        assert hcf_degrees(free_ring("abcde", (2, 4, 6, 10, 15))) == 1
-        assert hcf_degrees(free_ring("abcdef", (8, 16, 24, 32, 40, 100))) == 4
+        assert hcf_degrees(GradedRingPresentation(("a", "b", "c", "d"), (4, 8, 12, 18))) == 2
+        assert hcf_degrees(GradedRingPresentation("abcde", (2, 4, 6, 10, 15))) == 1
+        assert hcf_degrees(GradedRingPresentation("abcdef", (8, 16, 24, 32, 40, 100))) == 4
 
     def test_rigidify_cubic_curve(self):
         rigid, gerbe = rigidify(catalog_ring("cubic-curve").ring)
@@ -78,13 +77,13 @@ class TestHcfAndRigidify:
 
 class TestRootStack:
     def test_square_root_of_quintic_divisor(self):
-        base = free_ring(("I4", "I8", "I12"), (1, 2, 3))
+        base = GradedRingPresentation(("I4", "I8", "I12"), (1, 2, 3))
         rooted = root_stack(base, quintic_F(), 2, root_name="I18")
         assert rooted.weights == (2, 4, 6, 9)
         assert presentations_equal(rooted, veronese(quintic_ring(), 2))
 
     def test_common_factor_rejected(self):
-        base = free_ring(("x0", "x1"), (1, 1))
+        base = GradedRingPresentation(("x0", "x1"), (1, 1))
         s = MultiPoly(("x0", "x1"), {(2, 0): 1, (0, 2): 1})
         with pytest.raises(CommonFactorError):
             root_stack(base, s, 2)
@@ -99,13 +98,13 @@ class TestRootStack:
             if g == 1:
                 continue
             count += 1
-            base = free_ring(("a",), (n,))
+            base = GradedRingPresentation(("a",), (n,))
             s = MultiPoly(("a",), {(1,): 1})
             with pytest.raises(CommonFactorError):
                 root_stack(base, s, r)
 
     def test_first_root_matches_regrade(self):
-        base = free_ring(("a", "b", "c"), (1, 2, 3))
+        base = GradedRingPresentation(("a", "b", "c"), (1, 2, 3))
         rooted = root_stack(base, MultiPoly(("a", "b", "c"), quintic_F().terms), 1)
         # t = s eliminates the new generator; the base weights are unchanged
         assert rooted.weights[:3] == base.weights
@@ -114,7 +113,7 @@ class TestRootStack:
         assert len(t_only) == 1  # relation is linear in t, so t is eliminable
 
     def test_generator_name_collision(self):
-        base = free_ring(("t", "u"), (1, 2))
+        base = GradedRingPresentation(("t", "u"), (1, 2))
         s = MultiPoly(("t", "u"), {(1, 1): 1})
         rooted = root_stack(base, s, 2)
         assert len(set(rooted.generators)) == 4 - 1
@@ -154,15 +153,14 @@ class TestRecognizeAndDecompose:
 
     def test_shape_errors(self, tmp_path):
         with pytest.raises(ShapeError):
-            stacky_decompose(free_ring(("a", "b"), (2, 3)))
-        bad = GradedRingPresentation(
+            stacky_decompose(GradedRingPresentation(("a", "b"), (2, 3)))
+        cusp = GradedRingPresentation(
             ("a", "t"), (2, 3),
             MultiPoly(("a", "t"), {(0, 2): 1, (3, 0): -1, (0, 1): 0}))
-        # t^2 - a^3 has gcd d = 2 dividing 2*3 = 6: passes (iii) but d | 3? no;
-        # conditions: d = 2, top = 3: 3 % 2 = 1 so (i) holds; e = (1) needs
-        # two weights, so well-formedness fails with an arity error
-        with pytest.raises(ArityError):
-            stacky_decompose(bad)
+        # t^2 - a^3 has d = 2 and top weight 3: (i) and (iii) hold, and the
+        # one rescaled base weight e = (1,) is the well-formed point P(1)
+        report = stacky_decompose(cusp)
+        assert report.coarse_weights == (1,) and report.gerbe_index == 1
         # t^2 alone: F = 0, so there is no base part to take a root along
         square_only = GradedRingPresentation(
             ("a", "t"), (2, 3), MultiPoly(("a", "t"), {(0, 2): 1}))
@@ -234,14 +232,13 @@ class TestStrataAndCharts:
             assert inertia_strata(weights) == _strata_reference(weights), weights
 
     def test_chart_small(self):
-        ring = free_ring(("I2", "I3"), (2, 3))
+        ring = GradedRingPresentation(("I2", "I3"), (2, 3))
         chart = affine_chart(ring, "I2")
         assert chart.modulus == 2
         assert chart.residual == (("I3", 1),)
-        assert chart.automorphism_group == "mu_2"
 
     def test_chart_weight_one_is_scheme_like(self):
-        ring = free_ring(("a", "b"), (1, 5))
+        ring = GradedRingPresentation(("a", "b"), (1, 5))
         chart = affine_chart(ring, "a")
         assert chart.modulus == 1 and chart.residual == (("b", 0),)
 
@@ -256,18 +253,18 @@ class TestStrataAndCharts:
 
 class TestPresentationEquality:
     def test_compares_by_position(self):
-        a = free_ring(("x", "y"), (2, 3))
-        assert presentations_equal(a, free_ring(("x", "y"), (2, 3)))
+        a = GradedRingPresentation(("x", "y"), (2, 3))
+        assert presentations_equal(a, GradedRingPresentation(("x", "y"), (2, 3)))
         # a renaming or a reordering of the generators is a different
         # presentation, even where it is an isomorphic ring
-        assert not presentations_equal(a, free_ring(("u", "v"), (2, 3)))
-        assert not presentations_equal(a, free_ring(("y", "x"), (3, 2)))
+        assert not presentations_equal(a, GradedRingPresentation(("u", "v"), (2, 3)))
+        assert not presentations_equal(a, GradedRingPresentation(("y", "x"), (3, 2)))
         gens = ("a", "t")
         p = GradedRingPresentation(gens, (2, 3), MultiPoly(gens, {(0, 2): 1, (3, 0): -1}))
         swapped = GradedRingPresentation(
             ("t", "a"), (3, 2), MultiPoly(("t", "a"), {(2, 0): 1, (0, 3): -1}))
         assert not presentations_equal(p, swapped)
-        assert not presentations_equal(p, free_ring(gens, (2, 3)))
+        assert not presentations_equal(p, GradedRingPresentation(gens, (2, 3)))
 
     def test_relation_scalar(self):
         gens = ("a", "t")
@@ -280,7 +277,7 @@ class TestPresentationEquality:
 
     def test_weight_mismatch(self):
         assert not presentations_equal(
-            free_ring("ab", (1, 2)), free_ring("ab", (1, 3)))
+            GradedRingPresentation("ab", (1, 2)), GradedRingPresentation("ab", (1, 3)))
 
 
 class TestRelationDegree:

@@ -26,13 +26,13 @@ def test_octahedral_fourth_generator():
     gens = group_generators(GroupSpec("O"))
     assert len(gens) == 4
     # (1/sqrt2) diag(1+i, 1-i) reduces to diag(zeta_8, zeta_8^-1)
-    assert gens[3] == SL2Matrix.diagonal(zeta(8), zeta(8) ** 7)
+    assert gens[3] == SL2Matrix(zeta(8), 0, 0, zeta(8) ** 7)
 
 
 def test_icosahedral_generators_over_fifth_roots():
     gens = group_generators(GroupSpec("I"))
     assert len(gens) == 2
-    assert gens[0] == SL2Matrix.diagonal(zeta(5) ** 3, zeta(5) ** 2)
+    assert gens[0] == SL2Matrix(zeta(5) ** 3, 0, 0, zeta(5) ** 2)
     assert all(g.det() == 1 for g in gens)
 
 
@@ -64,7 +64,7 @@ def reference_closure(spec):
     """The closure on SL2Matrix products: {1, -1}, then breadth first over
     the generators, adding each new product p with -p."""
     gens = group_generators(spec)
-    identity = SL2Matrix.identity()
+    identity = SL2Matrix(1, 0, 0, 1)
     ordered = [identity, SL2Matrix(-1, 0, 0, -1)]
     seen = set(ordered)
     frontier = [identity]
@@ -97,7 +97,7 @@ def test_closure_past_the_order_cap_is_refused():
 
 @pytest.mark.parametrize("generator, error", [
     # diag(2, 1/2) squared has the entry 1/4, past the denominator 2
-    (SL2Matrix.diagonal(2, Fraction(1, 2)), ExactArithmeticError),
+    (SL2Matrix(2, 0, 0, Fraction(1, 2)), ExactArithmeticError),
     # a swap of determinant -1, built past SL2Matrix's own check
     (SL2Matrix._make(map(as_cyclotomic, (0, 1, 1, 0))), ValueError),
 ], ids=["denominator", "determinant"])

@@ -2,8 +2,9 @@
 module imports a private name of ``polynomials``, no module-level
 function, class or constant is defined in two modules, every private
 module-level function, class and constant is used somewhere in the
-package, and every public module-level function and class is used by the
-package, the benchmark or the scripts."""
+package, every public module-level function and class is used by the
+package, the benchmark or the scripts, and every error class is raised or
+subclassed in the package."""
 
 import ast
 from pathlib import Path
@@ -229,3 +230,37 @@ def test_every_method_is_used():
     users = {f"{d.name}/{path.name}": ast.parse(path.read_text(encoding="utf-8"))
              for d in (ROOT / "perfbench", ROOT / "scripts") for path in sorted(d.glob("*.py"))}
     assert unread_methods(trees, users, _EXEMPT_METHODS) == []
+
+
+def unraised_errors(errors, trees):
+    """The classes that the module ``errors`` (an ast) defines and that no
+    ``raise`` statement and no class's bases in the modules ``trees``
+    (name -> ast) name, directly or as an attribute."""
+    def named(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return node.id if isinstance(node, ast.Name) else \
+            node.attr if isinstance(node, ast.Attribute) else None
+    used = {named(n.exc) for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Raise) and n.exc is not None}
+    used |= {named(b) for tree in trees.values() for n in ast.walk(tree)
+             if isinstance(n, ast.ClassDef) for b in n.bases}
+    return sorted(n.name for n in errors.body
+                  if isinstance(n, ast.ClassDef) and n.name not in used)
+
+
+def test_unraised_errors_are_found():
+    errors = ast.parse("class Base(Exception): pass\nclass Raised(Base): pass\n"
+                       "class Bare(Base): pass\nclass ByModule(Base): pass\n"
+                       "class Dead(Base): pass\n")
+    trees = {"errors.py": errors,
+             "a.py": ast.parse("from errors import Raised\nraise Raised('x')\n"
+                               "def f():\n    raise Bare\n    Dead('not raised')\n"),
+             "b.py": ast.parse("import errors\nraise errors.ByModule()\n")}
+    assert unraised_errors(errors, trees) == ["Dead"]
+
+
+def test_every_error_class_is_raised():
+    # an error class that nothing raises or subclasses is a code no run reports
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SOURCE.glob("*.py"))}
+    assert unraised_errors(trees["errors.py"], trees) == []

@@ -252,7 +252,7 @@ class TestKlein:
 
     def test_empty_product_is_one(self):
         f = klein_generate(GroupSpec("T"), 0, 0, 0, [])
-        assert f.degree == 0 and f.a(0) == 1
+        assert f.degree == 0 and f.coeffs[0] == 1
 
     def test_zero_parameter_rejected(self):
         with pytest.raises(ZeroParameterError):
@@ -436,7 +436,7 @@ class TestCatalog:
         spec = GroupSpec(label)
         gens = [m for m in group_generators(spec) if not (m.a and m.b and m.c and m.d)]
         gens.append(SL2Matrix(-1, 0, 0, -1))
-        closure = {SL2Matrix.identity()}
+        closure = {SL2Matrix(1, 0, 0, 1)}
         frontier = list(closure)
         while frontier:
             frontier = [p for p in {m * g for m in frontier for g in gens} if p not in closure]
