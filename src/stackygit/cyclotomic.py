@@ -45,8 +45,7 @@ the one dense product body, behind :func:`_mul_vec`, ``BinaryForm.__mul__``
 and the covariant products of ``invariants``.  Addition has one body for
 every order, rationals included: the coordinates over the lcm of the two
 denominators, made canonical by :func:`_raw`.  The sugar constants
-:data:`IMAG_UNIT`, :data:`SQRT2`, :data:`SQRT5` and :data:`SQRT_MINUS3`
-are module values beside :data:`ZERO` and :data:`ONE`.
+IMAG_UNIT, SQRT2, SQRT5 and SQRT_MINUS3 are module values beside ZERO and ONE.
 
 >>> zeta(4) ** 2
 CyclotomicNumber('-1')

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import filterfalse
 
 from . import cyclotomic
 from .cyclotomic import ZERO, as_cyclotomic, zeta
@@ -354,7 +355,7 @@ def _monomial_sum(text: str, variables):
     names = tuple(dict.fromkeys(name for _, _, name, _, _ in items if name))
     if any(name in RESERVED for name in names):
         return None
-    variables += tuple(n for n in names if n not in variables)
+    variables += tuple(filterfalse(set(variables).__contains__, names))
     if len(items) * len(variables) > MAX_EXPONENT_CELLS:
         return None
     index = {}
@@ -397,7 +398,7 @@ def _parse_tokens(text: str, variables):
     tokens = _tokenize(text)
     names = tuple(dict.fromkeys(
         value for kind, value, _ in tokens if kind == "ident" and value not in RESERVED))
-    variables += tuple(n for n in names if n not in variables)
+    variables += tuple(filterfalse(set(variables).__contains__, names))
     if (len(tokens) - 1) * len(variables) > MAX_EXPONENT_CELLS:  # tokens but the end marker
         raise ExpressionTooLargeError(
             f"{len(tokens) - 1} tokens in {len(variables)} variables exceed the bound"

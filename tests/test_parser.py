@@ -11,6 +11,7 @@ from stackygit.cli import run_command
 from stackygit.cyclotomic import ORDER_CAP, CyclotomicNumber, zeta
 from stackygit.errors import (
     CoefficientTooLargeError,
+    ExpressionTooLargeError,
     NestingTooDeepError,
     OrderCapExceededError,
     ParseError,
@@ -167,6 +168,16 @@ def test_many_generators_with_a_short_relation_load():
     text = "".join(f"a{i} : 2\n" for i in range(30000)) + "t : 3\nrelation: t^2 - a0^3\n"
     ring = ringspec.loads(text)
     assert len(ring.generators) == 30001 and len(ring.relation.terms) == 2
+
+
+def test_wide_relation_over_many_generators_is_refused_fast():
+    # the new names are found in linear time, so the bound fires at once
+    text = "".join(f"a{i} : 1\n" for i in range(30000))
+    text += "relation: " + " + ".join(f"a{i}" for i in range(30000)) + "\n"
+    start = time.perf_counter()
+    with pytest.raises(ExpressionTooLargeError, match="59999 tokens in 30000 variables"):
+        ringspec.loads(text)
+    assert time.perf_counter() - start < 1
 
 
 def test_product_bound_counts_pairs_of_terms():
