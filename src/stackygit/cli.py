@@ -172,7 +172,7 @@ def _cmd_chart(args) -> CommandResult:
 
 def _cmd_stabilizer(args) -> CommandResult:
     f = form(args.form)
-    maximal = catalog_stabilizer(f, n_max=args.nmax)
+    maximal = catalog_stabilizer(f)
     certificates = [{
         "group": c.group.label,
         "order": c.group.order,
@@ -387,8 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stabilizer", help="maximal catalog stabilizer of a form")
     p.add_argument("form")
-    p.add_argument("--nmax", type=_int_argument, default=None,
-                   help="bound for the cyclic/dihedral candidates (default: degree)")
     p.set_defaults(func=_cmd_stabilizer)
 
     p = sub.add_parser("ground-forms", help="ground forms and nu values of a group")

@@ -72,6 +72,7 @@ from .errors import (
     ParseError,
     ProductTooLargeError,
     UnknownIdentifierError,
+    excerpt,
 )
 from .polynomials import MAX_PROFILE_DEGREE, BinaryForm, MultiPoly
 
@@ -416,14 +417,16 @@ def parse_poly(text: str, variables) -> MultiPoly:
 
     Syntax errors raise ParseError with a position; a variable outside
     ``variables`` raises UnknownIdentifierError after the whole input has
-    parsed.
+    parsed, naming the first such variable and listing ``variables`` while
+    the list is at most 40 characters, else counting them.
     """
     variables = tuple(variables)
     value, names = _parse(text, variables)
-    unknown = [n for n in names if n not in variables]
-    if unknown:
-        raise UnknownIdentifierError(
-            f"unknown identifier {unknown[0]!r} (variables: {', '.join(variables) or 'none'})")
+    unknown = next(filterfalse(set(variables).__contains__, names), None)
+    if unknown is not None:
+        listed = ", ".join(variables) or "none"
+        listed = f"variables: {listed}" if len(listed) <= 40 else f"{len(variables)} variables"
+        raise UnknownIdentifierError(f"unknown identifier {excerpt(unknown)} ({listed})")
     return value
 
 
@@ -431,12 +434,13 @@ def form(text: str) -> BinaryForm:
     """Parse a binary form in the variables x, y.
 
     The result is homogeneous with the formal degree read off the terms;
-    inhomogeneous input raises UnknownIdentifierError or ValueError.
+    inhomogeneous input raises UnknownIdentifierError, naming the first
+    identifier other than x and y, or ValueError.
     """
     poly, names = _parse(text, ("x", "y"))
-    if not set(names) <= {"x", "y"}:
-        raise UnknownIdentifierError(
-            f"a binary form uses only x and y, found {names}")
+    other = next((n for n in names if n not in ("x", "y")), None)
+    if other is not None:
+        raise UnknownIdentifierError(f"a binary form uses only x and y, found {excerpt(other)}")
     degree = poly.weighted_degree((1, 1))  # 0 for the zero form
     if degree is None:
         raise ValueError(f"{text!r} is not homogeneous")

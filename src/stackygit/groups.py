@@ -9,7 +9,9 @@ exact; every determinant is exactly 1.
 :class:`SL2Matrix` checks the determinant of each matrix it builds;
 :func:`group_elements` runs its closure on integer coordinate vectors in
 the field ``cyclotomic._to_int_coords`` picks, checks each element's
-determinant there, exactly, and builds the elements as values once.
+determinant there, exactly, and builds the elements as values once; the
+tables serve criterion 4 of the acceptance suite.  :func:`group_contains`
+decides containment from the labels alone.
 """
 
 from __future__ import annotations
@@ -210,21 +212,27 @@ def group_elements(spec: GroupSpec):
     return tuple(SL2Matrix._make([_raw(m, v, den) for v in p]) for p in ordered)
 
 
-@lru_cache(maxsize=None)
-def group_contains(big: GroupSpec, small: GroupSpec) -> bool:
-    """Literal containment of the standard matrix groups.
+#: The group that each polyhedral group's monomial generators generate
+#: together with -1, in the standard embeddings: the diagonal and
+#: antidiagonal elements of T, O and I.
+POLYHEDRAL_SUBGROUPS = {
+    GroupSpec("T"): GroupSpec("D", 2),
+    GroupSpec("O"): GroupSpec("D", 4),
+    GroupSpec("I"): GroupSpec("C", 5),
+}
 
-    C_m and D_m are decided by divisibility: both are generated by
-    diag(zeta_2m, zeta_2m^-1), whose (m/n)-th power generates C_n when n
-    divides m, and D_m adds the [[0, i], [i, 0]] of every D_n; neither
-    contains T, O or I.  Only a polyhedral ``big`` is enumerated, and then
-    ``small``'s generators are looked up among its elements.
+
+def group_contains(big: GroupSpec, small: GroupSpec) -> bool:
+    """Literal containment of the standard matrix groups, from the labels.
+
+    C_m and D_m are generated by monomial matrices: diag(zeta_2m,
+    zeta_2m^-1), whose (m/n)-th power generates C_n when n divides m, and,
+    for D_m, the [[0, i], [i, 0]] of every D_n.  So C_n or D_n lies in C_m
+    or D_m by divisibility, and in T, O or I iff it lies in the monomial
+    elements of that group, its :data:`POLYHEDRAL_SUBGROUPS` entry.  C_m
+    and D_m contain none of T, O and I, and among those only T lies in O.
     """
-    if big.kind in ("C", "D"):
+    if small.kind in ("C", "D"):
+        big = POLYHEDRAL_SUBGROUPS.get(big, big)
         return small.kind in ("C", big.kind) and big.n % small.n == 0
-    if big == small:
-        return True
-    if small.order > big.order or big.order % small.order:
-        return False
-    elements = set(group_elements(big))
-    return all(g in elements for g in group_generators(small))
+    return big == small or (big.kind, small.kind) == ("O", "T")

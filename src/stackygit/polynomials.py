@@ -129,14 +129,15 @@ class MultiPoly:
     @staticmethod
     def constant(variables, c):
         variables = tuple(variables)
-        return MultiPoly(variables, {(0,) * len(variables): c})
+        c = as_cyclotomic(c)
+        return MultiPoly._of(variables, {(0,) * len(variables): c} if c else {})
 
     @staticmethod
     def variable(variables, name):
         variables = tuple(variables)
         i = variables.index(name)
         exps = tuple(1 if j == i else 0 for j in range(len(variables)))
-        return MultiPoly(variables, {exps: 1})
+        return MultiPoly._of(variables, {exps: ONE})
 
     # -- predicates -----------------------------------------------------------
 

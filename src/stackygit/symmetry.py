@@ -32,7 +32,7 @@ from .errors import (
     ZeroParameterError,
 )
 from .exprparse import MAX_COEFFICIENT_BITS, form, growth_norm
-from .groups import GroupSpec, group_contains, group_generators
+from .groups import POLYHEDRAL_SUBGROUPS, GroupSpec, group_contains, group_generators
 from .polynomials import MAX_PROFILE_DEGREE, BinaryForm
 
 
@@ -45,15 +45,6 @@ class SemiInvarianceCertificate(namedtuple("SemiInvarianceCertificate", "group s
 #: Klein's ground forms of a group: ``forms`` is (x, y) for C_n and
 #: (F1, F2, F3) otherwise, and ``nu`` holds nu_i = |G| / (2 deg F_i).
 GroundFormSet = namedtuple("GroundFormSet", "forms nu")
-
-
-#: The group that each polyhedral group's monomial generators generate
-#: together with -1, in the standard embeddings.
-POLYHEDRAL_SUBGROUPS = {
-    GroupSpec("T"): GroupSpec("D", 2),
-    GroupSpec("O"): GroupSpec("D", 4),
-    GroupSpec("I"): GroupSpec("C", 5),
-}
 
 
 def semi_invariance(f: BinaryForm, spec: GroupSpec):
@@ -125,32 +116,27 @@ def has_finite_stabilizer(f: BinaryForm) -> bool:
     return f.distinct_root_count() >= 3
 
 
-def catalog_stabilizer(f: BinaryForm, n_max: int | None = None):
+def catalog_stabilizer(f: BinaryForm):
     """Certificates of the maximal catalog groups under which f is
     semi-invariant, ordered by group order, then label.
 
-    Candidates are C_n and D_n for n <= n_max (default: deg f) whose n
-    divides g, the gcd of the support-index differences, plus the T, O and
-    I whose :data:`POLYHEDRAL_SUBGROUPS` entry's n divides g: the support
-    rule of :func:`semi_invariance` refutes every other group.  Each is
-    certified once by :func:`semi_invariance`, and maximality is with
-    respect to literal containment of the standard matrix groups.
-    Conjugate copies are out of scope: the catalog's normal forms realize
-    their stabilizers in the standard embeddings.  An ``n_max`` below 1
-    raises ValueError: every form is fixed by C_1.  Three distinct roots
-    need two support indices, so g is at least 1 and at most deg f, and the
-    work is bounded by the degree however large ``n_max`` is.
+    The support rule of :func:`semi_invariance` refutes every C_n and D_n
+    whose n does not divide g, the gcd of the support-index differences,
+    and every T, O and I whose :data:`POLYHEDRAL_SUBGROUPS` entry's n does
+    not.  Every C_n and D_n left lies in C_g or D_g, and D_n passes the
+    reversal rule iff D_g does; so the candidates are C_g, D_g and the T, O
+    and I left, at most five, each certified once by
+    :func:`semi_invariance`.  Maximality is with respect to literal
+    containment of the standard matrix groups.  Conjugate copies are out of
+    scope: the catalog's normal forms realize their stabilizers in the
+    standard embeddings.  Three distinct roots need two support indices, so
+    g is at least 1.
     """
-    if n_max is not None and n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
     if not has_finite_stabilizer(f):
         raise InfiniteStabilizerError(
             "forms with at most two distinct roots have infinite stabilizer")
-    if n_max is None:
-        n_max = max(f.degree, 1)
     g = _support_gcd(f)
-    candidates = [GroupSpec(kind, n) for kind in "CD"
-                  for n in range(1, min(g, n_max) + 1) if g % n == 0]
+    candidates = [GroupSpec("C", g), GroupSpec("D", g)]
     candidates += [big for big, sub in POLYHEDRAL_SUBGROUPS.items() if g % sub.n == 0]
     certs = (semi_invariance(f, spec) for spec in candidates)
     passing = [c for c in certs if c is not None]

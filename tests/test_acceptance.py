@@ -147,8 +147,8 @@ def test_symmetry_criterion_reads_catalog_stabilizer(monkeypatch):
     original = acceptance.catalog_stabilizer
     extra = acceptance.semi_invariance(form("x^4 + y^4"), GroupSpec("C", 1))
 
-    def with_extra(f, n_max=None):
-        certs = original(f, n_max)
+    def with_extra(f):
+        certs = original(f)
         return certs + [extra] if f == form("x^5 + y^5") else certs
 
     monkeypatch.setattr(acceptance, "catalog_stabilizer", with_extra)

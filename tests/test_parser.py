@@ -107,7 +107,37 @@ def test_unknown_identifier_at_lowering():
 def test_form_names_identifiers_in_first_occurrence_order():
     with pytest.raises(UnknownIdentifierError) as err:
         form("b*a + c^2*b + x")
-    assert str(err.value) == "a binary form uses only x and y, found ('b', 'a', 'c', 'x')"
+    assert str(err.value) == "a binary form uses only x and y, found 'b'"
+
+
+def test_variable_lists_past_40_characters_are_counted():
+    listed = ("a" * 18, "b" * 20)  # "aaa..., bbb..." is 40 characters
+    with pytest.raises(UnknownIdentifierError) as err:
+        parse_poly("q", listed)
+    assert str(err.value) == f"unknown identifier 'q' (variables: {'a' * 18}, {'b' * 20})"
+    with pytest.raises(UnknownIdentifierError) as err:
+        parse_poly("q", ("a" * 19, "b" * 20))
+    assert str(err.value) == "unknown identifier 'q' (2 variables)"
+
+
+_MANY_GENERATORS = "".join(f"a{i} : 2\n" for i in range(3000)) + "t : 3\nrelation: t^2 - q\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["stabilizer", " + ".join(f"a{i}" for i in range(300))],
+     "a binary form uses only x and y, found 'a0'"),
+    (["decompose", "many.ring"], "unknown identifier 'q' (3001 variables)"),
+    (["stabilizer", "x + " + "a" * 5000],
+     "a binary form uses only x and y, found 'aaaaaaaaaaaaaaaaaaaa'... (5000 characters)"),
+], ids=["300-names", "3000-generators", "long-identifier"])
+def test_unknown_identifier_messages_stay_short(tmp_path, argv, message):
+    # the message names one identifier, cut as errors.excerpt cuts it, and
+    # counts a long variable list instead of writing it
+    (tmp_path / "many.ring").write_text(_MANY_GENERATORS)
+    result = run_command([str(tmp_path / a) if a.endswith(".ring") else a for a in argv])
+    assert result.status == 2
+    assert result.payload["error"] == {"code": "unknown-identifier", "message": message}
+    assert len(message) < 200
 
 
 def test_arithmetic_error_comes_before_a_later_syntax_error():

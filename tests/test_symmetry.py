@@ -15,6 +15,7 @@ from stackygit.errors import (
 )
 from stackygit.exprparse import form
 from stackygit.groups import (
+    POLYHEDRAL_SUBGROUPS,
     GroupSpec,
     SL2Matrix,
     group_contains,
@@ -25,7 +26,6 @@ from stackygit.polynomials import BinaryForm
 from stackygit.symmetry import (
     CATALOG,
     NUMBERED_CASES,
-    POLYHEDRAL_SUBGROUPS,
     catalog_stabilizer,
     ground_forms,
     has_finite_stabilizer,
@@ -369,7 +369,8 @@ class TestCatalog:
             catalog_stabilizer(form("x^3*y^4"))
 
     def test_stabilizer_matches_a_loop_over_every_n(self):
-        # the divisors of the support gcd give what every n <= n_max gives
+        # C_g, D_g and the T, O and I that g allows give what every
+        # n <= 2 * degree gives
         rng = random.Random(1117)
         for _ in range(40):
             degree, step = rng.randint(3, 16), rng.randint(1, 8)
@@ -381,14 +382,13 @@ class TestCatalog:
             f = BinaryForm(coeffs)
             if f.distinct_root_count() <= 2:
                 continue
-            n_max = rng.randint(1, 2 * degree)
-            specs = [GroupSpec(kind, n) for kind in "CD" for n in range(1, n_max + 1)]
+            specs = [GroupSpec(kind, n) for kind in "CD" for n in range(1, 2 * degree + 1)]
             specs += [GroupSpec("T"), GroupSpec("O"), GroupSpec("I")]
             passing = [s for s in specs if semi_invariance(f, s) is not None]
             maximal = [s for s in passing
                        if not any(t != s and group_contains(t, s) for t in passing)]
-            assert [c.group for c in catalog_stabilizer(f, n_max)] == \
-                sorted(maximal, key=lambda s: (s.order, s.label)), (coeffs, n_max)
+            assert [c.group for c in catalog_stabilizer(f)] == \
+                sorted(maximal, key=lambda s: (s.order, s.label)), coeffs
 
     def test_coefficient_rules_refute_only_what_substitution_refutes(self):
         # forms that pass D_n, T, O or I, and the same forms one coefficient
@@ -420,6 +420,31 @@ class TestCatalog:
                 assert catalog_stabilizer(f) == expected, f.coeffs
                 checked += 1
         assert checked >= 3 * len(CATALOG)
+
+    def test_stabilizer_certifies_at_most_five_groups_and_enumerates_none(self, monkeypatch):
+        # C_g, D_g and at most T, O and I; containment is read off the labels
+        import stackygit.groups as groups
+        import stackygit.symmetry as symmetry
+        forms = [case.build(params) for case in CATALOG
+                 for params in [None] + ([SECOND_PARAMS[case.case]] if case.default_params else [])]
+        forms.append(form("x^61*y + x*y^61 + x^31*y^31"))
+        assert len(forms) == 22
+        expected = [[semi_invariance(f, s) for s in _every_candidate_maximal(f)] for f in forms]
+        calls = []
+
+        def counted(f, spec):
+            calls.append(spec)
+            return semi_invariance(f, spec)
+
+        def refuse(spec):
+            raise AssertionError(f"enumerated {spec}")
+
+        monkeypatch.setattr(symmetry, "semi_invariance", counted)
+        monkeypatch.setattr(groups, "group_elements", refuse)
+        for f, certs in zip(forms, expected):
+            calls.clear()
+            assert catalog_stabilizer(f) == certs, f.coeffs
+            assert len(calls) <= 5
 
     def test_polyhedral_subgroups_are_contained(self):
         assert {big.label: (sub.n, sub.kind) for big, sub in POLYHEDRAL_SUBGROUPS.items()} \
