@@ -8,13 +8,19 @@ The JSON text is ``json.dumps(payload, sort_keys=True, indent=2)`` byte for
 byte (``tests/test_cli.py::test_json_text_is_json_dumps``), written directly
 because ``indent`` turns ``json``'s C encoder off.
 
-The argument parser is built once per process, on the first
-:func:`run_command` call, and shared by every later call; it must not be
-mutated.  Each parse returns a fresh namespace, so no state passes from one
-call to the next.  The parser prints nothing: a usage error answers exit 2
-with code ``usage`` and argparse's ``error:`` line as its message, and
-``--help`` answers exit 0 with the help text under ``help`` and as the
-markdown.
+The grammar is stated once, in the table ``_COMMANDS``: each subcommand's
+handler, help line, positionals (with their ``add_argument`` keywords) and
+whether it takes ``--seed``.  :func:`run_command` first reads the command
+line off that table with :func:`_plain_args`, which takes only plain lines
+(an optional leading ``--json``, a subcommand and its arguments as values,
+converted and checked as argparse does) and otherwise answers None.  Then
+argparse decides, with the parser :func:`build_parser` builds from the
+same table once per process and shares with every later call; it must not
+be mutated, and each parse returns a fresh namespace, so no state passes
+from one call to the next.  argparse alone writes help and usage errors,
+and prints nothing: a usage error answers exit 2 with code ``usage`` and
+argparse's ``error:`` line as its message, and ``--help`` answers exit 0
+with the help text under ``help`` and as the markdown.
 """
 
 from __future__ import annotations
@@ -363,72 +369,148 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _HelpRequested(self.format_help())
 
 
+class _Positional(namedtuple("_Positional", "name type choices nargs help",
+                             defaults=(None, None, None, None))):
+    """A positional argument: its name and its ``add_argument`` keywords,
+    None standing for argparse's default."""
+
+    __slots__ = ()
+
+    def options(self) -> dict:
+        return {key: value for key, value in zip(self._fields[1:], self[1:])
+                if value is not None}
+
+    def value(self, text: str):
+        """``text`` converted and checked as argparse does; a text the
+        parser refuses raises ArgumentTypeError or ValueError."""
+        value = text if self.type is None else self.type(text)
+        if self.choices is not None and value not in self.choices:
+            raise ValueError("invalid choice")
+        return value
+
+
+_Command = namedtuple("_Command", "handler help positionals seed", defaults=(False,))
+_RING = _Positional("ringspec")
+_FAMILY = _Positional("family", choices=("quintic", "sextic"))
+
+#: The command-line grammar: each subcommand's handler, help line and
+#: positionals, and whether it takes ``--seed N``; read by
+#: :func:`build_parser` and :func:`_plain_args`.
+_COMMANDS = {
+    "decompose": _Command(_cmd_decompose, "stacky decomposition of a ring spec", (_RING,)),
+    "rigidify": _Command(_cmd_rigidify, "rigidification and gerbe index", (_RING,)),
+    "chart": _Command(_cmd_chart, "affine chart at a generator",
+                      (_RING, _Positional("generator"))),
+    "stabilizer": _Command(_cmd_stabilizer, "maximal catalog stabilizer of a form",
+                           (_Positional("form"),)),
+    "ground-forms": _Command(_cmd_ground_forms, "ground forms and nu values of a group",
+                             (_Positional("group"),)),
+    "klein": _Command(_cmd_klein, "generate a semi-invariant form", (
+        _Positional("group"), _Positional("alpha", _int_argument),
+        _Positional("beta", _int_argument), _Positional("gamma", _int_argument),
+        _Positional("params", nargs="*", help="parameter pairs lambda:mu"))),
+    "locus": _Command(_cmd_locus, "divisor/singularity locus report", (_FAMILY,)),
+    "catalog": _Command(_cmd_catalog, "invariant-ring presentation of a family",
+                        (_Positional("family"),)),
+    "calibrate": _Command(_cmd_calibrate, "transvectant calibration (stretch)",
+                          (_FAMILY,), seed=True),
+    "verify-all": _Command(_cmd_verify_all, "run the full acceptance suite", (), seed=True),
+}
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of :data:`_COMMANDS`."""
     parser = _ArgumentParser(
         prog="stackygit", allow_abbrev=False,
         description="Exact stack structures on GIT quotients of graded rings.")
     parser.add_argument("--json", action="store_true",
                         help="emit the JSON payload instead of markdown")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decompose", help="stacky decomposition of a ring spec")
-    p.add_argument("ringspec")
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("rigidify", help="rigidification and gerbe index")
-    p.add_argument("ringspec")
-    p.set_defaults(func=_cmd_rigidify)
-
-    p = sub.add_parser("chart", help="affine chart at a generator")
-    p.add_argument("ringspec")
-    p.add_argument("generator")
-    p.set_defaults(func=_cmd_chart)
-
-    p = sub.add_parser("stabilizer", help="maximal catalog stabilizer of a form")
-    p.add_argument("form")
-    p.set_defaults(func=_cmd_stabilizer)
-
-    p = sub.add_parser("ground-forms", help="ground forms and nu values of a group")
-    p.add_argument("group")
-    p.set_defaults(func=_cmd_ground_forms)
-
-    p = sub.add_parser("klein", help="generate a semi-invariant form")
-    p.add_argument("group")
-    p.add_argument("alpha", type=_int_argument)
-    p.add_argument("beta", type=_int_argument)
-    p.add_argument("gamma", type=_int_argument)
-    p.add_argument("params", nargs="*", help="parameter pairs lambda:mu")
-    p.set_defaults(func=_cmd_klein)
-
-    p = sub.add_parser("locus", help="divisor/singularity locus report")
-    p.add_argument("family", choices=["quintic", "sextic"])
-    p.set_defaults(func=_cmd_locus)
-
-    p = sub.add_parser("catalog", help="invariant-ring presentation of a family")
-    p.add_argument("family")
-    p.set_defaults(func=_cmd_catalog)
-
-    p = sub.add_parser("calibrate", help="transvectant calibration (stretch)")
-    p.add_argument("family", choices=["quintic", "sextic"])
-    p.add_argument("--seed", type=_int_argument, default=DEFAULT_SEED)
-    p.set_defaults(func=_cmd_calibrate)
-
-    p = sub.add_parser("verify-all", help="run the full acceptance suite")
-    p.add_argument("--seed", type=_int_argument, default=DEFAULT_SEED)
-    p.set_defaults(func=_cmd_verify_all)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for positional in command.positionals:
+            p.add_argument(positional.name, **positional.options())
+        if command.seed:
+            p.add_argument("--seed", type=_int_argument, default=DEFAULT_SEED)
+        p.set_defaults(func=command.handler)
     return parser
 
 
-def run_command(argv) -> CommandResult:
-    parser = build_parser()
+def _leading_options(argv) -> list:
+    """The tokens the parser reads as top-level options: those before the
+    subcommand and before any "--"."""
+    return list(takewhile(lambda t: t != "--" and t.startswith("-"), argv))
+
+
+def _is_value(token: str) -> bool:
+    """Whether every parser here reads ``token`` as a value: it does not
+    start with "-", or it holds a space and starts with neither "--" nor
+    "-h" (the only single-dash option)."""
+    return token[:1] != "-" or (" " in token and token[1] not in "-h")
+
+
+def _plain_args(argv):
+    """The namespace ``build_parser().parse_args(argv)`` returns, read off
+    :data:`_COMMANDS` without argparse; None when ``argv`` is not plain.
+
+    Plain is: at most one leading "--json", a subcommand, then exactly its
+    positionals, each a value (:func:`_is_value`); "--seed N" once where
+    the subcommand takes it; and where the last positional takes "*", one
+    "--" right after the others, followed by no second "--".  Values are
+    converted and checked as the parser does, and a value it refuses gives
+    None, so argparse alone writes help and usage errors."""
+    options = _leading_options(argv)
+    if options and options != ["--json"]:
+        return None
+    start = len(options)
+    command = _COMMANDS.get(argv[start]) if start < len(argv) else None
+    if command is None:
+        return None
+    positionals = command.positionals
+    variadic = bool(positionals) and positionals[-1].nargs == "*"
+    fixed = len(positionals) - variadic
+    texts, seed = [], None
+    tokens = iter(argv[start + 1:])
+    for token in tokens:
+        if _is_value(token):
+            texts.append(token)
+        elif token == "--seed" and command.seed and seed is None:
+            seed = next(tokens, "--")
+            if not _is_value(seed):
+                return None
+        elif token == "--" and variadic and len(texts) == fixed:
+            rest = list(tokens)
+            if "--" in rest:
+                return None
+            texts += rest
+        else:
+            return None
+    if len(texts) < fixed or (len(texts) > fixed and not variadic):
+        return None
+    args = argparse.Namespace(json=start == 1, command=argv[start], func=command.handler)
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as err:
-        return _error_result("argparse", "usage", str(err), 2)
-    except _HelpRequested as text:
-        return CommandResult(0, _payload("argparse", {"help": str(text)}), str(text))
+        for positional, text in zip(positionals[:fixed], texts):
+            setattr(args, positional.name, positional.value(text))
+        if variadic:
+            last = positionals[-1]
+            setattr(args, last.name, [last.value(text) for text in texts[fixed:]])
+        if command.seed:
+            args.seed = DEFAULT_SEED if seed is None else _int_argument(seed)
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return args
+
+
+def run_command(argv) -> CommandResult:
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except _UsageError as err:
+            return _error_result("argparse", "usage", str(err), 2)
+        except _HelpRequested as text:
+            return CommandResult(0, _payload("argparse", {"help": str(text)}), str(text))
     command = args.command
     try:
         return args.func(args)
@@ -441,19 +523,30 @@ def run_command(argv) -> CommandResult:
         return _error_result(command, NestingTooDeepError.code, str(err),
                              NestingTooDeepError.exit_status)
     except FileNotFoundError as err:
-        return _error_result(command, "file-not-found", str(err), 2)
+        return _error_result(command, "file-not-found", _os_error_message(err), 2)
     except OSError as err:
-        return _error_result(command, "file-unreadable", str(err), 2)
+        return _error_result(command, "file-unreadable", _os_error_message(err), 2)
     except ValueError as err:
         return _error_result(command, "bad-value", str(err), 2)
 
 
+def _os_error_message(err: OSError) -> str:
+    """``str(err)`` with the file name cut by :func:`excerpt`."""
+    if not isinstance(err.filename, str):
+        return str(err)
+    return f"[Errno {err.errno}] {err.strerror}: {excerpt(err.filename)}"
+
+
 def main(argv=None) -> int:
+    """Run one command and print its JSON text or markdown.
+
+    A usage error or a help request has no namespace to read ``json``
+    from, so ``--json`` is read off the tokens the parser reads as
+    top-level options (:func:`_leading_options`), which is also where
+    :func:`_plain_args` looks for it."""
     argv = sys.argv[1:] if argv is None else argv
     result = run_command(argv)
-    # --json is read where the parser reads it: among the options before the
-    # subcommand and before any "--"
-    wants_json = "--json" in takewhile(lambda t: t != "--" and t.startswith("-"), argv)
+    wants_json = "--json" in _leading_options(argv)
     sys.stdout.write(result.json_text() + "\n" if wants_json else result.markdown)
     return result.status
 

@@ -443,7 +443,7 @@ def form(text: str) -> BinaryForm:
         raise UnknownIdentifierError(f"a binary form uses only x and y, found {excerpt(other)}")
     degree = poly.weighted_degree((1, 1))  # 0 for the zero form
     if degree is None:
-        raise ValueError(f"{text!r} is not homogeneous")
+        raise ValueError(f"{excerpt(text)} is not homogeneous")
     coeffs = [ZERO] * (degree + 1)
     for (_, ey), c in poly.terms.items():
         coeffs[ey] = c

@@ -30,6 +30,7 @@ from .errors import (
     InhomogeneousError,
     ShapeError,
     UnknownGeneratorError,
+    excerpt,
 )
 from .polynomials import MultiPoly
 
@@ -77,7 +78,7 @@ class GradedRingPresentation(namedtuple("GradedRingPresentation",
         try:
             return self.weights[self.generators.index(name)]
         except ValueError:
-            raise UnknownGeneratorError(f"no generator named {name!r}") from None
+            raise UnknownGeneratorError(f"no generator named {excerpt(name)}") from None
 
     def describe(self) -> str:
         gens = ", ".join(f"{g}:{w}" for g, w in zip(self.generators, self.weights))

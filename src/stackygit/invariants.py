@@ -60,6 +60,7 @@ from .errors import (
     UnderDeterminedError,
     UnknownFamilyError,
     WrongDegreeError,
+    excerpt,
 )
 from .graded import GradedRingPresentation, PointW
 from .polynomials import BinaryForm, MultiPoly, resultant
@@ -151,7 +152,7 @@ def catalog_ring(family: str) -> InvariantCatalogEntry:
     """The invariant-ring presentation of a catalog family."""
     if family not in _CATALOG:
         raise UnknownFamilyError(
-            f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+            f"unknown family {excerpt(family)}; known: {', '.join(FAMILIES)}")
     gens, weights, build_F, source, notes = _CATALOG[family]
     F = relation = None
     if build_F:

@@ -24,7 +24,7 @@ import re
 from math import lcm
 
 from .cyclotomic import _check_order
-from .errors import RingSpecError
+from .errors import RingSpecError, excerpt
 from .exprparse import MAX_NUMERAL_DIGITS, RESERVED, numeral, parse_poly
 from .graded import GradedRingPresentation
 from .polynomials import MultiPoly
@@ -65,7 +65,7 @@ def loads(text: str) -> GradedRingPresentation:
             generators.append(m.group(1))
             weights.append(_line_numeral(m.group(2), "weight", lineno))
             continue
-        raise RingSpecError(f"line {lineno}: cannot parse {raw.strip()!r}")
+        raise RingSpecError(f"line {lineno}: cannot parse {excerpt(raw.strip())}")
     if not generators:
         raise RingSpecError("no generators")
     relation = None

@@ -1,6 +1,10 @@
+import errno
+import functools
 import hashlib
+import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -834,3 +838,141 @@ def test_shared_parser_carries_no_state(quintic_file):
     result = run_command(chart_argv)
     assert result.status == 0
     assert result.json_text() + "\n" == _fresh_process_json(chart_argv)
+
+
+_QUINTIC_RING = str(DEMO_RINGS / "quintic.ring")
+_KNOWN = "known: quartic, quintic, sextic, cubic-curve, cubic-surface"
+_CUT = "... (5000 characters)"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["decompose", "long-line.ring"], "ringspec-error",
+     f"line 2: cannot parse 'zzzzzzzzzzzzzzzzzzzz'{_CUT}"),
+    (["decompose", "short-line.ring"], "ringspec-error", "line 2: cannot parse 'zzz'"),
+    (["chart", _QUINTIC_RING, "I" * 5000], "unknown-generator",
+     f"no generator named 'IIIIIIIIIIIIIIIIIIII'{_CUT}"),
+    (["chart", _QUINTIC_RING, "I9"], "unknown-generator", "no generator named 'I9'"),
+    (["catalog", "x" * 5000], "unknown-family",
+     f"unknown family 'xxxxxxxxxxxxxxxxxxxx'{_CUT}; {_KNOWN}"),
+    (["catalog", "octic"], "unknown-family", f"unknown family 'octic'; {_KNOWN}"),
+    (["decompose", "/" + "a" * 4999], "file-unreadable",
+     f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}:"
+     f" '/aaaaaaaaaaaaaaaaaaa'{_CUT}"),
+    (["decompose", "/nonexistent/thing.ring"], "file-not-found",
+     "[Errno 2] No such file or directory: '/nonexistent/thing.ring'"),
+    (["stabilizer", "x^10" + " + x" * 1248 + " + y"], "bad-value",
+     f"'x^10 + x + x + x + x'{_CUT} is not homogeneous"),
+    (["stabilizer", "x^2 + y"], "bad-value", "'x^2 + y' is not homogeneous"),
+], ids=["ring-line", "short-ring-line", "generator", "short-generator", "family",
+        "short-family", "path", "short-path", "form", "short-form"])
+def test_messages_do_not_echo_long_inputs(tmp_path, argv, code, message):
+    # an input of 5,000 characters is cut by errors.excerpt; one of at most
+    # 40 keeps its whole repr
+    (tmp_path / "long-line.ring").write_text("a : 1\n" + "z" * 5000 + "\n", encoding="utf-8")
+    (tmp_path / "short-line.ring").write_text("a : 1\nzzz\n", encoding="utf-8")
+    argv = [str(tmp_path / a) if a.endswith("line.ring") else a for a in argv]
+    result = run_command(argv)
+    assert result.status == 2
+    assert result.payload["error"] == {"code": code, "message": message}
+
+
+# -- the plain reader -----------------------------------------------------------
+
+_TRICKY = ("--", "--json", "--seed", "--seed=3", "-h", "-5", "", "-h x", "--seed=3 x", "- x",
+           "-x^2 + y^2", "3:-1")
+_WORDS = (
+    *cli._COMMANDS, *_TRICKY, "--help", "-5:1", "0", "1", "3", "-1", "+3", "\u0663", "x",
+    "7" * 5000, "x" * 5000, "quintic", "sextic", "octic", "C3", "T", "I", "Q8", "I12", "1:2",
+    "x^5 + y^5", "-", "--js", "--se", _QUINTIC_RING,
+)
+_GOOD = {"ringspec": [_QUINTIC_RING], "generator": ["I4", "I12"],
+         "form": ["x^5 + y^5", "-x^2*y + y^3", "x*y"], "group": ["C3", "D4", "T", "I"],
+         "alpha": ["0", "1"], "beta": ["0", "1"], "gamma": ["0", "1"],
+         "params": ["1:2", "-5:1", "3:-1"], "family": ["quintic", "sextic"],
+         "seed": ["1", "3"]}
+
+
+def _drawn_argv(rng):
+    """A command line built from the grammar, with "--json" zero to two
+    times, "--" zero to two times among klein's pairs and the other words
+    drawn mostly from ``_GOOD``, then changed at up to two places by words
+    of ``_WORDS``."""
+    def word(name):
+        r = rng.random()
+        return rng.choice(_GOOD[name] if r < 0.6 else _TRICKY if r < 0.8 else _WORDS)
+
+    name = rng.choice(list(cli._COMMANDS))
+    command = cli._COMMANDS[name]
+    argv = ["--json"] * rng.choice((0, 1, 1, 2)) + [name]
+    for positional in command.positionals:
+        if positional.nargs == "*":
+            pairs = [word("params") for _ in range(rng.randint(0, 3))]
+            for _ in range(rng.choice((0, 1, 1, 2))):
+                pairs.insert(rng.randint(0, len(pairs)), "--")
+            argv += pairs
+        else:
+            argv.append(word(positional.name))
+    if command.seed and rng.random() < 0.5:
+        at = rng.randint(argv.index(name) + 1, len(argv))
+        argv[at:at] = ["--seed", word("seed")]
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        at = rng.randint(0, len(argv))
+        kind = rng.choice(("insert", "replace", "delete"))
+        if kind != "insert" and at < len(argv):
+            del argv[at]
+        if kind != "delete":
+            argv.insert(at, rng.choice(_WORDS))
+    return argv
+
+
+def _parsed(argv):
+    try:
+        return vars(build_parser().parse_args(argv))
+    except (cli._UsageError, cli._HelpRequested):
+        return None
+
+
+def test_plain_reader_reads_what_argparse_reads(monkeypatch):
+    # the reader answers None or argparse's namespace, and run_command's
+    # JSON text does not depend on which of the two read the command line
+    # (argparse's "--" rules are those of Python 3.11)
+    from stackygit import acceptance
+
+    monkeypatch.setattr(acceptance, "run_all", functools.cache(acceptance.run_all))
+    rng = random.Random(4601)
+    plain = []
+    for _ in range(1000):
+        argv = _drawn_argv(rng)
+        args = cli._plain_args(argv)
+        if args is not None:
+            assert vars(args) == _parsed(argv), argv
+            plain.append(argv)
+    assert 250 < len(plain) < 600
+    texts = [run_command(argv).json_text() for argv in plain]
+    monkeypatch.setattr(cli, "_plain_args", lambda argv: None)
+    assert [run_command(argv).json_text() for argv in plain] == texts
+
+
+@pytest.mark.parametrize("argv", [
+    ["--json", "--json", "catalog", "quintic"], ["catalog", "--", "quintic"],
+    ["klein", "T", "1", "0", "0", "--", "1:2", "--", "3:4"], ["klein", "T", "-1", "0", "0"],
+    ["klein", "T", "1", "0", "--", "0"], ["klein", "T", "1", "0", "0", "1:2", "--", "3:4"],
+    ["calibrate", "quintic", "--seed=5"], ["calibrate", "quintic", "--se", "5"],
+    ["calibrate", "quintic", "--seed", "1", "--seed", "2"], ["locus", "octic"],
+    ["klein", "T", "x", "0", "0"], ["stabilizer", "-h x"], ["stabilizer", "-x"],
+    ["chart", _QUINTIC_RING], ["decompose", "a", "b"], ["-h"], ["stabilizer", "--help"],
+])
+def test_plain_reader_leaves_the_rest_to_argparse(argv):
+    assert cli._plain_args(argv) is None
+
+
+def test_benchmark_traffic_is_plain():
+    # every command line of the benchmark's operations is read without argparse
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", DEMO_RINGS.parent.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for workload in ("klein", "stabilizer", "calibrate", "rings"):
+        for op in workloads.build_ops(workload, 501, 15):
+            args = cli._plain_args(op["argv"])
+            assert args is not None and vars(args) == _parsed(op["argv"]), op["argv"]

@@ -159,6 +159,10 @@ def test_form_reads_the_degree_off_homogeneous_terms():
         with pytest.raises(ValueError) as err:
             form(text)
         assert str(err.value) == f"{text!r} is not homogeneous"
+    # a long text is cut in the message
+    with pytest.raises(ValueError) as err:
+        form("x^2" + " + x" * 2000)
+    assert len(str(err.value)) < 200
     # the parser's coefficients are canonical, so the form is built from them
     # unchecked; the checking constructor gives the same form
     rng = random.Random(27)

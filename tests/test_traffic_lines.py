@@ -37,7 +37,7 @@ def test_one_rings_block_misses_the_immutability_guard(monkeypatch):
     assert guard[1] == 'raise AttributeError("MultiPoly is immutable")'
     assert guard in report["polynomials.py"]
     first = _first_statement(cli.run_command)
-    assert first[1] == "parser = build_parser()"
+    assert first[1] == "args = _plain_args(argv)"
     assert first not in report["cli.py"]
     # every operation's payload is rendered, as the benchmark renders it
     writer = _first_statement(cli._json)
