@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import stackygit
-from stackygit import cli, invariants, ringspec, symmetry
+from stackygit import acceptance, cli, invariants, ringspec, symmetry
 from stackygit.cli import build_parser, main, run_command
 from stackygit.errors import ExactArithmeticError, NestingTooDeepError
 from stackygit.groups import GroupSpec
@@ -936,8 +936,6 @@ def test_plain_reader_reads_what_argparse_reads(monkeypatch):
     # the reader answers None or argparse's namespace, and run_command's
     # JSON text does not depend on which of the two read the command line
     # (argparse's "--" rules are those of Python 3.11)
-    from stackygit import acceptance
-
     monkeypatch.setattr(acceptance, "run_all", functools.cache(acceptance.run_all))
     rng = random.Random(4601)
     plain = []
