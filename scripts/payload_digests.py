@@ -9,8 +9,9 @@ For each benchmark workload and seed it runs every operation of
 ``stackygit.cli.run_command``, writing the operations' input files under
 ``perfbench/.work/`` first as ``perfbench/run.py`` does, and prints one
 sha256 over the JSON text and the markdown of all of them.  It then prints
-one digest for ``--json verify-all --seed 7`` and one for
-``--json calibrate quintic|sextic --seed 1..20``.  Copy the script into
+one digest for ``--json verify-all --seed 7``, one for
+``--json calibrate quintic|sextic --seed 1..20`` and one for the help texts
+and a few usage errors.  Copy the script into
 another checkout and run it there to compare the two line by line.
 """
 
@@ -36,10 +37,20 @@ from stackygit.cli import run_command  # noqa: E402
 #: The ``--seconds`` of the benchmark's runs, which sets each workload's size.
 SECONDS = 15
 
+#: The ten subcommands, named here so that a copy of the script in another
+#: checkout runs the same command lines.
+SUBCOMMANDS = ("decompose", "rigidify", "chart", "stabilizer", "ground-forms", "klein",
+               "locus", "catalog", "calibrate", "verify-all")
+
 FIXED = {
     "verify-all:seed7": [["--json", "verify-all", "--seed", "7"]],
     "calibrate:seeds1-20": [["--json", "calibrate", family, "--seed", str(seed)]
                             for family in ("quintic", "sextic") for seed in range(1, 21)],
+    # the help texts, then usage errors: no subcommand, an unknown one, a
+    # bad int, a bad choice, a missing and an extra argument
+    "help-and-usage": [["--help"], ["-h"], *([name, "--help"] for name in SUBCOMMANDS),
+                       [], ["nosuch"], ["verify-all", "--seed", "x"], ["locus", "octic"],
+                       ["chart", "quintic.ring"], ["decompose", "a", "b"]],
 }
 
 

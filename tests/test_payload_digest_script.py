@@ -37,11 +37,13 @@ _SEED_501 = {
 }
 
 
-#: digest(FIXED[name]) for each fixed command list: --json verify-all --seed 7
-#: and --json calibrate quintic|sextic --seed 1..20.
+#: digest(FIXED[name]) for each fixed command list: --json verify-all --seed 7,
+#: --json calibrate quintic|sextic --seed 1..20, and the help texts and usage
+#: errors.
 _FIXED = {
     "verify-all:seed7": "e1c85f8b207a123916dd64e652921291cba9a3bba206e6efc556a285713bf6bb",
     "calibrate:seeds1-20": "bdcd60c5a284ef230790ec78647586198c68ad0e141fabfd56fb7fb3d0e9b9df",
+    "help-and-usage": "c01d4cfd2f39ce5b95ccd3b1482722a693ec90fcc47cd20f54e1b6d9645663c4",
 }
 
 
