@@ -1,13 +1,16 @@
 """The acceptance suite: every desk-checkable catalog claim as one check.
 
-Each criterion is a function returning a :class:`CheckResult`; `run_all`
-executes them in order.  Everything is exact (zero tolerance).  Only
-criterion 10 is seeded: it samples random forms from an explicit seed,
-deterministically for a fixed seed.  Criterion 6 proves Klein's generative
-description for every exponent and parameter, and criterion 7 its
-identities on principal lattices.  The calibration check is a stretch goal
-and is marked non-blocking: its failure produces a diagnostic, not a suite
-failure.
+Each criterion is a generator of ``(passed, detail)`` rows, which
+:func:`_criterion` makes the public ``check_*`` function returning its
+:class:`CheckResult`: the verdict is the conjunction of the rows and the
+details are their texts, so a verdict cannot disagree with its own rows.
+`run_all` executes the checks in order.  Everything is exact (zero
+tolerance).  Only criterion 10 is seeded: it samples random forms from an
+explicit seed, deterministically for a fixed seed.  Criterion 6 proves
+Klein's generative description for every exponent and parameter, and
+criterion 7 its identities on principal lattices.  The calibration check is
+a stretch goal and is marked non-blocking: its failure produces a
+diagnostic, not a suite failure.
 
 A claim the library already decides is read from the function that decides
 it, not derived again here: criterion 5 reads
@@ -19,6 +22,7 @@ the verdicts of :func:`~stackygit.locus.quintic_locus_report` and
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import wraps
 
 from .errors import CommonFactorError
 from .exprparse import form
@@ -69,32 +73,43 @@ class CheckResult(namedtuple("CheckResult", "criterion name passed blocking deta
         }
 
 
-def check_root_stack_law() -> CheckResult:
+def _criterion(number: int, name: str, blocking: bool = True):
+    """Make a generator of ``(passed, detail)`` rows the check of criterion
+    ``number``: the check passes iff every row does, and its details are
+    the rows' texts in order."""
+    def decorate(rows):
+        @wraps(rows)
+        def check(*args, **kwargs):
+            table = list(rows(*args, **kwargs))
+            return CheckResult(number, name, all(passed for passed, _ in table), blocking,
+                               tuple(detail for _, detail in table))
+        return check
+    return decorate
+
+
+@_criterion(1, "root-stack law and its failure case")
+def check_root_stack_law():
     """Square root of the quintic divisor over P(1,2,3) rebuilds the
     rigidification; equal root and section degrees are rejected."""
-    details = []
     base = GradedRingPresentation(("I4", "I8", "I12"), (1, 2, 3))
     quintic = catalog_ring("quintic")
     rebuilt = root_stack(base, quintic.F, 2, root_name="I18")
-    target = veronese(quintic.ring, 2)
-    ok1 = presentations_equal(rebuilt, target)
-    details.append(f"root stack on (1,2,3) along the degree-9 divisor: "
-                   f"{rebuilt.describe()} == rigidification: {ok1}")
+    equal = presentations_equal(rebuilt, veronese(quintic.ring, 2))
+    yield equal, (f"root stack on (1,2,3) along the degree-9 divisor: "
+                  f"{rebuilt.describe()} == rigidification: {equal}")
     square = GradedRingPresentation(("x0", "x1", "x2"), (1, 1, 1))
     quadric = (form("x^2 + y^2").to_multipoly(("x0", "x1"))
                .lifted(("x0", "x1", "x2")))
     try:
         root_stack(square, quadric, 2)
-        ok2 = False
-        details.append("gcd(2, 2) = 2 was not rejected")
     except CommonFactorError as err:
-        ok2 = True
-        details.append(f"gcd(2, 2) rejected: {err}")
-    return CheckResult(1, "root-stack law and its failure case", ok1 and ok2,
-                       details=tuple(details))
+        yield True, f"gcd(2, 2) rejected: {err}"
+    else:
+        yield False, "gcd(2, 2) = 2 was not rejected"
 
 
-def check_gerbe_indices() -> CheckResult:
+@_criterion(2, "rigidification gerbe indices")
+def check_gerbe_indices():
     """Generic automorphism groups across the whole catalog."""
     expected = {
         "quartic": 1,
@@ -103,20 +118,15 @@ def check_gerbe_indices() -> CheckResult:
         "cubic-curve": 2,
         "cubic-surface": 4,
     }
-    details = []
-    ok = True
     for family, gerbe in expected.items():
-        ring = catalog_ring(family).ring
-        rigid, index = rigidify(ring)
-        good = index == gerbe and hcf_degrees(rigid) == 1
-        ok &= good
-        details.append(f"{family}: gerbe index {index} (expected {gerbe}); "
-                       f"rigidified hcf {hcf_degrees(rigid)}")
-    return CheckResult(2, "rigidification gerbe indices", ok,
-                       details=tuple(details))
+        rigid, index = rigidify(catalog_ring(family).ring)
+        hcf = hcf_degrees(rigid)
+        yield (index == gerbe and hcf == 1,
+               f"{family}: gerbe index {index} (expected {gerbe}); rigidified hcf {hcf}")
 
 
-def check_decompositions() -> CheckResult:
+@_criterion(3, "stacky decompositions of the catalog rings")
+def check_decompositions():
     """Coarse weights and square-root divisor degrees for the two-sheeted
     rings, with the internal reconstruction cross-check."""
     expected = {
@@ -124,38 +134,28 @@ def check_decompositions() -> CheckResult:
         "sextic": ((1, 2, 3, 5), 15, 1),
         "cubic-surface": ((1, 2, 3, 4, 5), 25, 4),
     }
-    details = []
-    ok = True
     for family, (coarse, divisor_degree, gerbe) in expected.items():
         report = stacky_decompose(catalog_ring(family).ring)
-        good = (report.coarse_weights == coarse
-                and report.root_divisor_degree == divisor_degree
-                and report.gerbe_index == gerbe
-                and report.root_order == 2)
-        ok &= good
-        details.append(
-            f"{family}: coarse {report.coarse_weights}, divisor degree "
-            f"{report.root_divisor_degree}, gerbe {report.gerbe_index}")
-    return CheckResult(3, "stacky decompositions of the catalog rings", ok,
-                       details=tuple(details))
+        yield (report.coarse_weights == coarse
+               and report.root_divisor_degree == divisor_degree
+               and report.gerbe_index == gerbe
+               and report.root_order == 2,
+               f"{family}: coarse {report.coarse_weights}, divisor degree "
+               f"{report.root_divisor_degree}, gerbe {report.gerbe_index}")
 
 
-def check_group_orders() -> CheckResult:
+@_criterion(4, "group orders by closure enumeration")
+def check_group_orders():
     """Closure enumeration sizes and exact determinants."""
-    details = []
-    ok = True
     specs = [GroupSpec("C", n) for n in range(1, 7)]
     specs += [GroupSpec("D", n) for n in range(1, 7)]
     specs += [GroupSpec("T"), GroupSpec("O"), GroupSpec("I")]
     for spec in specs:
         elements = group_elements(spec)
         dets = all(m.det() == 1 for m in elements)
-        good = len(elements) == spec.order and dets
-        ok &= good
-        details.append(f"{spec.label}: {len(elements)} elements "
-                       f"(expected {spec.order}), determinants exact: {dets}")
-    return CheckResult(4, "group orders by closure enumeration", ok,
-                       details=tuple(details))
+        yield (len(elements) == spec.order and dets,
+               f"{spec.label}: {len(elements)} elements "
+               f"(expected {spec.order}), determinants exact: {dets}")
 
 
 SECOND_PARAMS = {
@@ -167,11 +167,10 @@ SECOND_PARAMS = {
 }
 
 
-def check_symmetry_catalog() -> CheckResult:
+@_criterion(5, "symmetry catalog of the fifteen normal forms")
+def check_symmetry_catalog():
     """All fifteen numbered normal forms: the stated group is the only
     maximal catalog group (C_n and D_n up to n = deg f, T, O, I)."""
-    details = []
-    ok = True
     for case in NUMBERED_CASES:
         param_sets = [None]
         if case.default_params:
@@ -179,14 +178,10 @@ def check_symmetry_catalog() -> CheckResult:
         for params in param_sets:
             groups = [c.group for c in catalog_stabilizer(case.build(params))]
             good = groups == [case.group]
-            ok &= good
             tag = "" if params is None else f" at params {params}"
-            details.append(
-                f"{case.case}{tag}: maximal catalog groups "
-                f"{', '.join(g.label for g in groups)} "
-                f"(expected {case.group.label}): {good}")
-    return CheckResult(5, "symmetry catalog of the fifteen normal forms", ok,
-                       details=tuple(details))
+            yield good, (f"{case.case}{tag}: maximal catalog groups "
+                         f"{', '.join(g.label for g in groups)} "
+                         f"(expected {case.group.label}): {good}")
 
 
 KLEIN_SUITE_GROUPS = (
@@ -196,7 +191,8 @@ KLEIN_SUITE_GROUPS = (
 _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # (alpha, beta, gamma) of one factor
 
 
-def check_klein_suite() -> CheckResult:
+@_criterion(6, "generative semi-invariance suite")
+def check_klein_suite():
     """Klein's generative description, proved for every exponent and
     parameter, with C_n read like every other group: the factors of
     :func:`~stackygit.symmetry.klein_factors` (x and y for C_n) are
@@ -207,8 +203,6 @@ def check_klein_suite() -> CheckResult:
     semi-invariant, so every output of
     :func:`~stackygit.symmetry.klein_generate` is, with the degree that
     ``klein_degree`` states."""
-    details = []
-    ok = True
     for spec in KLEIN_SUITE_GROUPS:
         gf = klein_factors(spec)
         factors, (nu1, nu2) = gf.forms, gf.nu[:2]
@@ -221,21 +215,19 @@ def check_klein_suite() -> CheckResult:
         pencil = klein_degree(spec, 0, 0, 0, 1)
         additive = nu1 * d1 == nu2 * d2 == pencil and all(
             klein_degree(spec, *unit, 0) == d for unit, d in zip(_UNITS, degrees))
-        ok &= semi and shared and additive
-        details.append(
+        yield semi and shared and additive, (
             f"{spec.label}: factors of degrees {', '.join(map(str, degrees))} "
             f"semi-invariant: {semi}; chi1^{nu1} == chi2^{nu2} on every generator: "
             f"{shared}; klein_degree additive, pencil degree {nu1}*{d1} == "
             f"{nu2}*{d2} == {pencil}: {additive}")
-    return CheckResult(6, "generative semi-invariance suite", ok,
-                       details=tuple(details))
 
 
 #: u and w; the powers u^t = [[1, t], [0, 1]] and w generate SL(2).
 _U, _W = SL2Matrix(1, 1, 0, 1), SL2Matrix(0, 1, -1, 0)
 
 
-def check_quartic_invariants() -> CheckResult:
+@_criterion(7, "quartic invariants")
+def check_quartic_invariants():
     """SL(2)-invariance, the two special value points, and the
     discriminant combination separating double roots from square-free, the
     identities proved on the principal lattices of their degrees.
@@ -245,8 +237,6 @@ def check_quartic_invariants() -> CheckResult:
     4096*(I2^3 - 27*I3^2) and Res(f_x, f_y) have degree 6, and the
     resultant vanishes iff f has a repeated root in P^1, as 4f = x*f_x +
     y*f_y."""
-    details = []
-    ok = True
     for name, degree in (("I2", 2), ("I3", 3)):
         forms = [BinaryForm(p) for p in principal_lattice(5, degree)]
         held = 0
@@ -254,16 +244,15 @@ def check_quartic_invariants() -> CheckResult:
             value = getattr(quartic_invariants(f), name)
             held += sum(getattr(quartic_invariants(f.substitute(m)), name) == value
                         for m in (_U, _W))
-        ok &= held == 2 * len(forms)
-        details.append(f"{name} invariant under u = [[1, 1], [0, 1]] and w = [[0, 1], [-1, 0]]:"
-                       f" {held} of {2 * len(forms)} checks at the {len(forms)} points of"
-                       f" the degree-{degree} lattice")
+        yield held == 2 * len(forms), (
+            f"{name} invariant under u = [[1, 1], [0, 1]] and w = [[0, 1], [-1, 0]]:"
+            f" {held} of {2 * len(forms)} checks at the {len(forms)} points of"
+            f" the degree-{degree} lattice")
 
     w = (2, 3)
     p1 = quartic_point(form("x^4 + y^4")) == PointW((1, 0), w)
     p2 = quartic_point(form("x^4 + 2*sqrtm3*x^2*y^2 + y^4")) == PointW((0, 1), w)
-    details.append(f"case (I) lands on (1:0): {p1}; case (II) on (0:1): {p2}")
-    ok &= p1 and p2
+    yield p1 and p2, f"case (I) lands on (1:0): {p1}; case (II) on (0:1): {p2}"
 
     points = principal_lattice(5, 6)
     held = 0
@@ -271,51 +260,45 @@ def check_quartic_invariants() -> CheckResult:
         inv = quartic_invariants(BinaryForm(a))
         f_x, f_y = [(4 - i) * a[i] for i in range(4)], [i * a[i] for i in range(1, 5)]
         held += 4096 * (inv.I2 ** 3 - 27 * inv.I3 ** 2) == resultant(f_x, f_y)
-    ok &= held == len(points)
-    details.append(f"4096*(I2^3 - 27*I3^2) == Res(f_x, f_y) at {held} of the"
-                   f" {len(points)} points of the degree-6 lattice")
-    return CheckResult(7, "quartic invariants", ok, details=tuple(details))
+    yield held == len(points), (f"4096*(I2^3 - 27*I3^2) == Res(f_x, f_y) at {held} of the"
+                                f" {len(points)} points of the degree-6 lattice")
 
 
-def _locus_check(criterion: int, name: str, report) -> CheckResult:
-    """Passes iff no claim of the locus report is refuted; one detail line
-    per claim with its label, verdict and witnesses."""
-    details = tuple(
-        f"{c.label} [{c.verdict}]" + (": " + "; ".join(c.witnesses) if c.witnesses else "")
-        for c in report.claims)
-    return CheckResult(criterion, name, report.all_sound(), details=details)
+def _locus_rows(report):
+    """One row per claim of the locus report, with its label, verdict and
+    witnesses; it passes iff the claim is sound."""
+    for c in report.claims:
+        yield c.sound, f"{c.label} [{c.verdict}]" + (
+            ": " + "; ".join(c.witnesses) if c.witnesses else "")
 
 
-def check_quintic_locus() -> CheckResult:
+@_criterion(8, "quintic divisor locus")
+def check_quintic_locus():
     """The divisor's degree and its singular and smooth points, as the
     quintic locus report decides them."""
-    return _locus_check(8, "quintic divisor locus", quintic_locus_report())
+    return _locus_rows(quintic_locus_report())
 
 
-def check_sextic_divisor() -> CheckResult:
+@_criterion(9, "sextic divisor from the repaired determinant")
+def check_sextic_divisor():
     """Homogeneity term by term and the pattern of the divisor at the three
     ambient singular points, as the sextic locus report decides them."""
-    return _locus_check(9, "sextic divisor from the repaired determinant",
-                        sextic_locus_report())
+    return _locus_rows(sextic_locus_report())
 
 
-def check_calibration(seed: int = DEFAULT_SEED) -> CheckResult:
+@_criterion(10, "transvectant calibration (stretch, non-blocking)", blocking=False)
+def check_calibration(seed: int = DEFAULT_SEED):
     """Stretch: transvectant-built invariants reproduce both catalog
     relations."""
-    details = []
-    ok = True
     for family in ("quintic", "sextic"):
         result = calibrate_invariants(family, seed=seed)
-        ok &= result.succeeded
         if result.succeeded:
             scal = ", ".join(f"{k} -> {v}" for k, v in result.scalars.items())
-            details.append(f"{family}: {result.detail}; scalars: {scal}")
+            yield True, f"{family}: {result.detail}; scalars: {scal}"
         else:
-            details.append(f"{family}: FAILED: {result.detail}")
+            yield False, f"{family}: FAILED: {result.detail}"
             for witness, residual in result.residuals[:3]:
-                details.append(f"  residual at {witness}: {residual}")
-    return CheckResult(10, "transvectant calibration (stretch, non-blocking)",
-                       ok, blocking=False, details=tuple(details))
+                yield False, f"  residual at {witness}: {residual}"
 
 
 ALL_CHECKS = (

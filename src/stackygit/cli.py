@@ -3,6 +3,10 @@
 Every subcommand produces a JSON payload (``--json``) and a markdown
 rendering derived from it; exit status 0 means everything verified, 1 a
 refuted claim or failed check, 2 bad input, 3 an exceeded internal bound.
+Each handler ``_cmd_*`` returns ``(status, body, markdown)``, and
+:func:`run_command` alone puts the body in the envelope that states
+``schema``, ``command`` (the subcommand's key in ``_COMMANDS``) and
+``status``.
 
 The JSON text is ``json.dumps(payload, sort_keys=True, indent=2)`` byte for
 byte (``tests/test_cli.py::test_json_text_is_json_dumps``), written directly
@@ -18,9 +22,11 @@ argparse decides, with the parser :func:`build_parser` builds from the
 same table once per process and shares with every later call; it must not
 be mutated, and each parse returns a fresh namespace, so no state passes
 from one call to the next.  argparse alone writes help and usage errors,
-and prints nothing: a usage error answers exit 2 with code ``usage`` and
-argparse's ``error:`` line as its message, and ``--help`` answers exit 0
-with the help text under ``help`` and as the markdown.
+and prints nothing: the parser raises their finished result, which
+:func:`run_command` returns as it is.  A usage error answers exit 2 with
+code ``usage`` and argparse's ``error:`` line as its message, and
+``--help`` answers exit 0 with the help text under ``help`` and as the
+markdown; both name the command ``argparse``.
 """
 
 from __future__ import annotations
@@ -91,13 +97,16 @@ def _json(value, newline: str) -> str:
     raise TypeError(f"{type(value).__name__} has no place in a payload")
 
 
-def _payload(command: str, body: dict, status: int = 0) -> dict:
-    return {"schema": SCHEMA_VERSION, "command": command, "status": status, **body}
+def _result(command: str, status: int, body: dict, markdown: str) -> CommandResult:
+    """``body`` in the payload envelope, which alone states the schema, the
+    command and the status."""
+    payload = {"schema": SCHEMA_VERSION, "command": command, "status": status, **body}
+    return CommandResult(status, payload, markdown)
 
 
 def _error_result(command: str, code: str, message: str, status: int) -> CommandResult:
-    payload = _payload(command, {"error": {"code": code, "message": message}}, status)
-    return CommandResult(status, payload, f"error ({code}): {message}\n")
+    return _result(command, status, {"error": {"code": code, "message": message}},
+                   f"error ({code}): {message}\n")
 
 
 def _presentation_dict(ring) -> dict:
@@ -112,7 +121,7 @@ def _presentation_dict(ring) -> dict:
 # -- subcommand bodies ----------------------------------------------------------
 
 
-def _cmd_decompose(args) -> CommandResult:
+def _cmd_decompose(args) -> tuple:
     ring = ringspec.load(args.ringspec)
     report = stacky_decompose(ring)
     body = {
@@ -141,10 +150,10 @@ def _cmd_decompose(args) -> CommandResult:
         "",
     ]
     md += [f"note: {n}" for n in report.notes]
-    return CommandResult(0, _payload("decompose", body), "\n".join(md) + "\n")
+    return 0, body, "\n".join(md) + "\n"
 
 
-def _cmd_rigidify(args) -> CommandResult:
+def _cmd_rigidify(args) -> tuple:
     ring = ringspec.load(args.ringspec)
     rigid, index = rigidify(ring)
     body = {
@@ -155,10 +164,10 @@ def _cmd_rigidify(args) -> CommandResult:
     md = (f"# Rigidification of {ring.describe()}\n\n"
           f"- gerbe index: {index} (essentially trivial mu_{index}-gerbe)\n"
           f"- rigidification: {rigid.describe()}\n")
-    return CommandResult(0, _payload("rigidify", body), md)
+    return 0, body, md
 
 
-def _cmd_chart(args) -> CommandResult:
+def _cmd_chart(args) -> tuple:
     ring = ringspec.load(args.ringspec)
     chart = affine_chart(ring, args.generator)
     group = f"mu_{chart.modulus}"
@@ -173,10 +182,10 @@ def _cmd_chart(args) -> CommandResult:
              f"- quotient by {group}",
              "- residual Z/{} degrees:".format(chart.modulus)]
     lines += [f"    - {g}: {d}" for g, d in chart.residual]
-    return CommandResult(0, _payload("chart", body), "\n".join(lines) + "\n")
+    return 0, body, "\n".join(lines) + "\n"
 
 
-def _cmd_stabilizer(args) -> CommandResult:
+def _cmd_stabilizer(args) -> tuple:
     f = form(args.form)
     maximal = catalog_stabilizer(f)
     certificates = [{
@@ -196,10 +205,10 @@ def _cmd_stabilizer(args) -> CommandResult:
         for g, s in zip(cert["generators"], cert["scalars"]):
             lines.append(f"- {g}: scalar {s}")
         lines.append("")
-    return CommandResult(0, _payload("stabilizer", body), "\n".join(lines) + "\n")
+    return 0, body, "\n".join(lines) + "\n"
 
 
-def _cmd_ground_forms(args) -> CommandResult:
+def _cmd_ground_forms(args) -> tuple:
     spec = GroupSpec.parse(args.group)
     gf = ground_forms(spec)
     body = {
@@ -211,7 +220,7 @@ def _cmd_ground_forms(args) -> CommandResult:
     lines = [f"# Ground forms of {spec.label} (order {spec.order})", ""]
     lines += [f"- F{i+1} = {g['form']}  (degree {g['degree']}, nu = {g['nu']})"
               for i, g in enumerate(body["forms"])]
-    return CommandResult(0, _payload("ground-forms", body), "\n".join(lines) + "\n")
+    return 0, body, "\n".join(lines) + "\n"
 
 
 def _integer(text: str) -> int:
@@ -248,7 +257,7 @@ def _parse_pair(text: str):
             f"parameter pair {excerpt(text)}: expected integers lambda:mu") from None
 
 
-def _cmd_klein(args) -> CommandResult:
+def _cmd_klein(args) -> tuple:
     spec = GroupSpec.parse(args.group)
     params = [_parse_pair(p) for p in args.params]
     f = klein_generate(spec, args.alpha, args.beta, args.gamma, params)
@@ -266,15 +275,12 @@ def _cmd_klein(args) -> CommandResult:
           f"- form: {body['form']}\n- degree: {body['degree']}\n"
           f"- semi-invariance certificate: "
           f"{', '.join(body['scalars']) or 'none'}\n")
-    status = 0 if cert else 1
-    return CommandResult(status, _payload("klein", body, status), md)
+    return 0 if cert else 1, body, md
 
 
-def _cmd_locus(args) -> CommandResult:
+def _cmd_locus(args) -> tuple:
     report = quintic_locus_report() if args.family == "quintic" \
         else sextic_locus_report()
-    body = report.as_dict()
-    status = 0 if report.all_sound() else 1
     lines = [f"# Locus report: {report.family}", ""]
     for claim in report.claims:
         lines.append(f"## {claim.label} [{claim.verdict}]")
@@ -284,11 +290,10 @@ def _cmd_locus(args) -> CommandResult:
         if claim.note:
             lines.append(f"- note: {claim.note}")
         lines.append("")
-    return CommandResult(status, _payload("locus", body, status),
-                         "\n".join(lines) + "\n")
+    return 0 if report.all_sound() else 1, report.as_dict(), "\n".join(lines) + "\n"
 
 
-def _cmd_catalog(args) -> CommandResult:
+def _cmd_catalog(args) -> tuple:
     entry = catalog_ring(args.family)
     body = {
         "family": entry.family,
@@ -300,10 +305,10 @@ def _cmd_catalog(args) -> CommandResult:
     md = [f"# Invariant ring: {entry.family}", "",
           f"{entry.source}", "", "```", body["ring"]["text"].rstrip(), "```"]
     md += [f"note: {n}" for n in entry.notes]
-    return CommandResult(0, _payload("catalog", body), "\n".join(md) + "\n")
+    return 0, body, "\n".join(md) + "\n"
 
 
-def _cmd_calibrate(args) -> CommandResult:
+def _cmd_calibrate(args) -> tuple:
     result = calibrate_invariants(args.family, seed=args.seed)
     body = {
         "family": args.family,
@@ -313,20 +318,18 @@ def _cmd_calibrate(args) -> CommandResult:
         "detail": result.detail,
         "residuals": [list(r) for r in result.residuals],
     }
-    status = 0 if result.succeeded else 1
     md = (f"# Calibration: {args.family}\n\n- outcome: "
           f"{'success' if result.succeeded else 'failure'}\n- {result.detail}\n")
     for k, v in body["scalars"].items():
         md += f"- {k}: {v}\n"
-    return CommandResult(status, _payload("calibrate", body, status), md)
+    return 0 if result.succeeded else 1, body, md
 
 
-def _cmd_verify_all(args) -> CommandResult:
+def _cmd_verify_all(args) -> tuple:
     from .acceptance import blocking_failures, run_all
 
     results = run_all(seed=args.seed)
     failures = blocking_failures(results)
-    status = 0 if failures == 0 else 1
     body = {
         "seed": args.seed,
         "checks": [r.as_dict() for r in results],
@@ -339,16 +342,12 @@ def _cmd_verify_all(args) -> CommandResult:
         lines.append(f"{r.criterion:2d}. {r.name:<{width}}  [{r.status}]  ({kind})")
     lines.append("")
     lines.append(f"blocking failures: {failures}")
-    return CommandResult(status, _payload("verify-all", body, status),
-                         "\n".join(lines) + "\n")
+    return 0 if failures == 0 else 1, body, "\n".join(lines) + "\n"
 
 
-class _UsageError(Exception):
-    pass
-
-
-class _HelpRequested(Exception):
-    pass
+class _ParserAnswer(Exception):
+    """Carries the finished result of a usage error or a help request as
+    its one argument."""
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -363,10 +362,12 @@ class _ArgumentParser(argparse.ArgumentParser):
         return self.formatter_class(prog=self.prog, width=78)
 
     def error(self, message):
-        raise _UsageError(f"{self.prog}: error: {message}")
+        raise _ParserAnswer(
+            _error_result("argparse", "usage", f"{self.prog}: error: {message}", 2))
 
     def print_help(self, file=None):
-        raise _HelpRequested(self.format_help())
+        text = self.format_help()
+        raise _ParserAnswer(_result("argparse", 0, {"help": text}, text))
 
 
 class _Positional(namedtuple("_Positional", "name type choices nargs help",
@@ -507,13 +508,11 @@ def run_command(argv) -> CommandResult:
     if args is None:
         try:
             args = build_parser().parse_args(argv)
-        except _UsageError as err:
-            return _error_result("argparse", "usage", str(err), 2)
-        except _HelpRequested as text:
-            return CommandResult(0, _payload("argparse", {"help": str(text)}), str(text))
+        except _ParserAnswer as answer:
+            return answer.args[0]
     command = args.command
     try:
-        return args.func(args)
+        return _result(command, *args.func(args))
     except StackygitError as err:
         return _error_result(command, err.code, str(err), err.exit_status)
     except ArithmeticError as err:

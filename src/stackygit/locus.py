@@ -45,6 +45,11 @@ class LocusClaim(namedtuple("LocusClaim", "label text verdict witnesses note",
 
     __slots__ = ()
 
+    @property
+    def sound(self) -> bool:
+        """Whether the claim stands: its verdict is not refuted."""
+        return self.verdict != "refuted"
+
     def as_dict(self):
         return {
             "label": self.label,
@@ -65,7 +70,7 @@ class LocusReport(namedtuple("LocusReport", "family claims")):
         return counts
 
     def all_sound(self) -> bool:
-        return self.verdict_counts()["refuted"] == 0
+        return all(c.sound for c in self.claims)
 
     def as_dict(self):
         return {
