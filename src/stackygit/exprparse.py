@@ -168,6 +168,13 @@ def _tokenize(text: str):
     return tokens
 
 
+def _shown(value) -> str:
+    """A token's value in a message: its repr, which quotes an identifier
+    and not a numeral, or past 40 characters its :func:`excerpt`."""
+    text = str(value)
+    return repr(value) if len(text) <= 40 else excerpt(text)
+
+
 class _Parser:
     """Evaluates the tokens as it reads them; every value is a MultiPoly
     over the variables."""
@@ -189,7 +196,7 @@ class _Parser:
     def expect(self, kind):
         tok = self.advance()
         if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+            raise ParseError(f"expected {kind!r}, found {_shown(tok[1])}", tok[2])
         return tok
 
     def nested(self, parse, pos):
@@ -408,7 +415,7 @@ def _parse_tokens(text: str, variables):
     value = parser.expr()
     end = parser.peek()
     if end[0] != "end":
-        raise ParseError(f"trailing input {end[1]!r}", end[2])
+        raise ParseError(f"trailing input {_shown(end[1])}", end[2])
     return value, names
 
 

@@ -863,11 +863,25 @@ _CUT = "... (5000 characters)"
     (["stabilizer", "x^10" + " + x" * 1248 + " + y"], "bad-value",
      f"'x^10 + x + x + x + x'{_CUT} is not homogeneous"),
     (["stabilizer", "x^2 + y"], "bad-value", "'x^2 + y' is not homogeneous"),
+    (["stabilizer", "x y" + "a" * 4999], "syntax-error",
+     f"trailing input 'yaaaaaaaaaaaaaaaaaaa'{_CUT} (at position 2)"),
+    (["stabilizer", "x y"], "syntax-error", "trailing input 'y' (at position 2)"),
+    (["stabilizer", "x " + "9" * 4000], "syntax-error",
+     "trailing input '99999999999999999999'... (4000 characters) (at position 2)"),
+    (["stabilizer", "x " + "9" * 40], "syntax-error", f"trailing input {'9' * 40} (at position 2)"),
+    (["stabilizer", "(x+y " + "b" * 5000], "syntax-error",
+     f"expected ')', found 'bbbbbbbbbbbbbbbbbbbb'{_CUT} (at position 5)"),
+    (["stabilizer", "(x+y b"], "syntax-error", "expected ')', found 'b' (at position 5)"),
+    (["stabilizer", "(x+y " + "9" * 4000], "syntax-error",
+     "expected ')', found '99999999999999999999'... (4000 characters) (at position 5)"),
+    (["stabilizer", "(x+y 9"], "syntax-error", "expected ')', found 9 (at position 5)"),
 ], ids=["ring-line", "short-ring-line", "generator", "short-generator", "family",
-        "short-family", "path", "short-path", "form", "short-form"])
+        "short-family", "path", "short-path", "form", "short-form", "trailing-name",
+        "short-trailing-name", "trailing-numeral", "short-trailing-numeral", "expected-name",
+        "short-expected-name", "expected-numeral", "short-expected-numeral"])
 def test_messages_do_not_echo_long_inputs(tmp_path, argv, code, message):
-    # an input of 5,000 characters is cut by errors.excerpt; one of at most
-    # 40 keeps its whole repr
+    # an input or token of 5,000 characters is cut by errors.excerpt; one of
+    # at most 40 keeps its whole repr, and a numeral token stays unquoted
     (tmp_path / "long-line.ring").write_text("a : 1\n" + "z" * 5000 + "\n", encoding="utf-8")
     (tmp_path / "short-line.ring").write_text("a : 1\nzzz\n", encoding="utf-8")
     argv = [str(tmp_path / a) if a.endswith("line.ring") else a for a in argv]
