@@ -262,7 +262,7 @@ class CyclotomicNumber:
     accepts ints and rationals on either side.
     """
 
-    __slots__ = ("order", "coords", "den", "_hash")
+    __slots__ = ("order", "coords", "den")
 
     def __new__(cls, order: int, coeffs):
         """sum coeffs[k] zeta_order^k, for rational coeffs of any length."""
@@ -425,12 +425,8 @@ class CyclotomicNumber:
         # with different stored orders hash alike and a rational q as q.  It
         # is one integer, sum c_k Tr(zeta_m^k) (:func:`_traces`), over
         # phi(m) * den; mu(d) in Tr(zeta_m^k) is read off as -Phi_d[-2].
-        try:
-            return self._hash
-        except AttributeError:
-            tr = sum([c * t for c, t in zip(self.coords, _traces(self.order))])
-            _set_hash(self, hash(QQ(tr, euler_phi(self.order) * self.den)))
-            return self._hash
+        tr = sum([c * t for c, t in zip(self.coords, _traces(self.order))])
+        return hash(QQ(tr, euler_phi(self.order) * self.den))
 
     # -- display -------------------------------------------------------------
 
@@ -450,7 +446,6 @@ _object_new = object.__new__
 _set_order = CyclotomicNumber.order.__set__
 _set_coords = CyclotomicNumber.coords.__set__
 _set_den = CyclotomicNumber.den.__set__
-_set_hash = CyclotomicNumber._hash.__set__
 
 
 def _rational(x) -> QQ:
