@@ -25,7 +25,7 @@ from stackygit.acceptance import (
 )
 from stackygit.exprparse import form
 from stackygit.groups import GroupSpec
-from stackygit.invariants import QuarticInvariants
+from stackygit.invariants import QuarticInvariants, catalog_ring
 from stackygit.locus import LocusClaim, LocusReport
 
 SEED = 7
@@ -174,6 +174,31 @@ def test_locus_criteria_read_the_reports(monkeypatch, name, check):
     assert not result.passed
     assert result.details[-1] == "planted-claim [refuted]: F = 1"
     assert len(result.details) == len(report.claims) + 1
+
+
+@pytest.mark.parametrize("name, check, wrong_for, wrong, line", [
+    ("rigidify", check_gerbe_indices, "quintic", lambda r: (r[0], r[1] + 1),
+     "quintic: gerbe index 3 (expected 2); rigidified hcf 1"),
+    ("stacky_decompose", check_decompositions, "sextic",
+     lambda r: r._replace(gerbe_index=r.gerbe_index + 1),
+     "sextic: coarse (1, 2, 3, 5), divisor degree 15, gerbe 2"),
+    ("group_elements", check_group_orders, "T", lambda elements: elements[:-1],
+     "T: 23 elements (expected 24), determinants exact: True"),
+], ids=["criterion-2", "criterion-3", "criterion-4"])
+def test_a_verdict_is_the_conjunction_of_its_rows(monkeypatch, name, check, wrong_for,
+                                                  wrong, line):
+    # one wrong answer for one family or group fails the criterion and
+    # changes that row alone
+    before = check()
+    real = getattr(acceptance, name)
+    argument = GroupSpec(wrong_for) if wrong_for == "T" else catalog_ring(wrong_for).ring
+    monkeypatch.setattr(acceptance, name,
+                        lambda x: wrong(real(x)) if x == argument else real(x))
+    after = check()
+    assert before.passed and not after.passed
+    assert after.details == tuple(line if old.startswith(f"{wrong_for}:") else old
+                                  for old in before.details)
+    assert line not in before.details
 
 
 def test_criterion_07_quartic_invariants():
