@@ -15,9 +15,9 @@ matrix into at most three scalings and two Taylor shifts by 1
 each scaling multiplies by a table of integer power vectors, each shift
 is a run of prefix sums, and the result is divided once at the end.
 
-Root multiplicities are computed by iterated gcds of the dehomogenization
-with its derivative (so everything stays in exact arithmetic, with no root
-extraction).  No matrix is eliminated: each gcd is the last member of
+Every root fact is read off :meth:`BinaryForm.multiplicity_profile`, the
+one chain of iterated gcds of the dehomogenization with its derivative, in
+exact arithmetic.  No matrix is eliminated: each gcd is the last member of
 :func:`_subresultants`, the one fraction-free subresultant
 pseudo-remainder sequence, which limits coefficient growth, and
 :func:`resultant` reads the resultant of two coefficient lists, at their
@@ -54,10 +54,9 @@ from .errors import (
 
 _ZERO = as_cyclotomic(0)
 
-#: Largest degree :meth:`BinaryForm.multiplicity_profile` and
-#: :meth:`BinaryForm.distinct_root_count` accept.  It bounds the degree, not
-#: the time: the gcd chain's coefficients grow, so near the bound a form over
-#: Q(zeta_5) takes tens of seconds where one over Q takes about one.
+#: Largest degree :meth:`BinaryForm.multiplicity_profile` accepts.  It bounds
+#: the degree, not the time: the gcd chain's coefficients grow, so near the
+#: bound a form over Q(zeta_5) takes tens of seconds where one over Q about one.
 MAX_PROFILE_DEGREE = 256
 
 
@@ -446,15 +445,18 @@ class BinaryForm:
 
     # -- roots ----------------------------------------------------------------------
 
-    def _gcd_chain(self, steps):
-        """The multiplicity of the root (1:0) and the degrees of p, gcd(p, p'),
-        the gcd of that with its derivative, and so on, for the
-        dehomogenization p; the chain stops at degree 0 or after ``steps``
-        gcds.  It runs in the ring of :func:`_numerators`: over Q on an
-        integer multiple of p, keeping the primitive part of each gcd, and
-        otherwise on the field elements, making each gcd monic.
-        Forms of degree above :data:`MAX_PROFILE_DEGREE` raise
-        DegreeTooLargeError."""
+    def multiplicity_profile(self):
+        """Sorted multiplicities of the roots in P^1 over the closure; its
+        length is the number of distinct roots.
+
+        The root at infinity (1:0) is read off the leading zero
+        coefficients, the finite roots off the gcd chain p, gcd(p, p'), the
+        gcd of that with its derivative, ... down to degree 0, for the
+        dehomogenization p.  The chain runs in the ring of
+        :func:`_numerators`: over Q on an integer multiple of p, keeping the
+        primitive part of each gcd, and otherwise on the field elements,
+        making each gcd monic.  Forms of degree above
+        :data:`MAX_PROFILE_DEGREE` raise DegreeTooLargeError."""
         if self.degree > MAX_PROFILE_DEGREE:
             raise DegreeTooLargeError(
                 f"degree {self.degree} exceeds the root-profile bound {MAX_PROFILE_DEGREE}")
@@ -466,34 +468,16 @@ class BinaryForm:
         # f(t, 1) ascending in t, its leading zeros (the root at infinity) cut
         (_, p), = _numerators(self.coeffs[at_infinity:][::-1])
         unit = _cp_primitive if type(p[0]) is int else _cp_monic
-        degrees = [len(p) - 1]
-        while len(p) > 1 and len(degrees) <= steps:
+        above = []  # above[k] roots have multiplicity > k: the degree drop at step k
+        while len(p) > 1:
             last = _subresultants(p, _cp_deriv(p))[0][-1]
-            p = unit(last) if len(last) > 1 else [1]
-            degrees.append(len(p) - 1)
-        return at_infinity, degrees
-
-    def multiplicity_profile(self):
-        """Sorted multiplicities of the roots in P^1 over the closure.
-
-        The root at infinity (1:0) is read off the leading zero
-        coefficients; finite roots are counted through the whole gcd chain
-        of the dehomogenization with its successive derivatives.
-        """
-        at_infinity, degrees = self._gcd_chain(self.degree)
+            gcd_p = unit(last) if len(last) > 1 else [1]
+            above.append(len(p) - len(gcd_p))
+            p = gcd_p
         profile = [at_infinity] if at_infinity else []
-        degrees.append(0)
-        # degrees[k-1] - degrees[k] roots have multiplicity >= k
-        for k in range(1, len(degrees) - 1):
-            exactly_k = (degrees[k - 1] - degrees[k]) - (degrees[k] - degrees[k + 1])
-            profile.extend([k] * exactly_k)
+        for k, (a, b) in enumerate(zip(above, above[1:] + [0]), 1):
+            profile += [k] * (a - b)
         return tuple(sorted(profile))
-
-    def distinct_root_count(self) -> int:
-        """Number of distinct roots in P^1: deg p - deg gcd(p, p') for the
-        dehomogenization p, plus one if (1:0) is a root."""
-        at_infinity, degrees = self._gcd_chain(1)
-        return (at_infinity > 0) + degrees[0] - degrees[-1]
 
     # -- display ----------------------------------------------------------------------
 

@@ -113,7 +113,7 @@ def is_stable(f: BinaryForm) -> bool:
 def has_finite_stabilizer(f: BinaryForm) -> bool:
     """At least three distinct roots force a finite stabilizer; the zero
     form raises ZeroFormError."""
-    return f.distinct_root_count() >= 3
+    return len(f.multiplicity_profile()) >= 3
 
 
 def catalog_stabilizer(f: BinaryForm):
