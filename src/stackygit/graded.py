@@ -186,12 +186,14 @@ def root_stack(ring: GradedRingPresentation, s, r: int,
 
 
 def is_well_formed(weights) -> bool:
-    """No n-1 of the n weights share a common factor."""
+    """No n-1 of the n weights share a common factor: each leave-one-out gcd
+    is that of a prefix gcd and a suffix gcd."""
     weights = tuple(int(w) for w in weights)
     if len(weights) < 2:
         raise ArityError("well-formedness needs at least two weights")
-    return all(gcd(*weights[:skip], *weights[skip + 1:]) == 1
-               for skip in range(len(weights)))
+    before = itertools.accumulate(weights, gcd, initial=0)
+    after = list(itertools.accumulate(reversed(weights), gcd, initial=0))
+    return all(gcd(b, a) == 1 for b, a in zip(before, after[-2::-1]))
 
 
 def stacky_decompose(ring: GradedRingPresentation) -> DecompositionReport:

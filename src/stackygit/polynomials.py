@@ -272,8 +272,10 @@ class MultiPoly:
     def lifted(self, new_variables) -> "MultiPoly":
         """Embed into a ring with extra variables (superset, any order)."""
         new_variables = tuple(new_variables)
-        pos = {v: new_variables.index(v) for v in self.variables}
         n = len(new_variables)
+        pos = dict(zip(new_variables[::-1], range(n - 1, -1, -1)))  # first occurrence
+        if not pos.keys() >= set(self.variables):
+            raise ValueError("the new variables do not contain the old ones")
         terms = {}
         for e, c in self.terms.items():
             e2 = [0] * n

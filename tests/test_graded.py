@@ -1,7 +1,9 @@
 import random
+import time
 
 import pytest
 
+from stackygit import ringspec
 from stackygit.cli import run_command
 from stackygit.errors import (
     ArityError,
@@ -139,6 +141,13 @@ class TestWellFormed:
             weights = tuple(rng.randint(1, 30) for _ in range(rng.randint(2, 5)))
             assert is_well_formed(weights) == _well_formed_reference(weights), weights
 
+    def test_many_weights(self):
+        # each leave-one-out gcd is read off prefix and suffix gcds; the
+        # weights that leave 2 behind are the first and the last
+        assert is_well_formed([1, 1] + [2] * 29998)
+        assert not is_well_formed([2] * 29999 + [1])
+        assert not is_well_formed([1] + [2] * 29999)
+
 
 class TestRecognizeAndDecompose:
     @pytest.mark.parametrize("family, d, e", [
@@ -204,6 +213,16 @@ class TestRecognizeAndDecompose:
         # halving the rigidification's base weights recovers the coarse ones
         assert tuple(w // 2 for w in report.rigidification.weights[:-1]) == coarse
         assert report.rigidification.weights[-1] == degree
+
+    def test_decompose_of_many_generators_is_fast(self):
+        # 30,000 base generators: well-formedness and lifting the relation
+        # take linear time (about 17 s when both were quadratic)
+        text = "".join(f"a{i} : 2\n" for i in range(30000)) + "t : 1\nrelation: t^2 - a0\n"
+        ring = ringspec.loads(text)
+        start = time.perf_counter()
+        report = stacky_decompose(ring)
+        assert time.perf_counter() - start < 3
+        assert report.coarse_weights == (1,) * 30000 and report.gerbe_index == 1
 
 
 class TestStrataAndCharts:

@@ -133,6 +133,11 @@ class TestMultiPoly:
         p = MultiPoly(("a", "b"), {(2, 1): 3})
         lifted = p.lifted(("c", "a", "b"))
         assert lifted.terms == {(0, 2, 1): zeta(1) * 3}
+        # a repeated name is read at its first position, as tuple.index
+        # reads it, and a missing one raises ValueError
+        assert p.lifted(("b", "a", "b")).terms == {(1, 2, 0): 3}
+        with pytest.raises(ValueError):
+            p.lifted(("a", "c"))
 
     def test_proportionality(self):
         p = quintic_f324()
