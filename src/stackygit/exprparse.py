@@ -53,7 +53,8 @@ factors builds an unbounded coefficient.  A numeral of more than
 :data:`MAX_NUMERAL_DIGITS` significant digits is refused with
 CoefficientTooLargeError as it is read, before it is converted.  A text
 whose tokens times variables pass :data:`MAX_EXPONENT_CELLS` raises
-ExpressionTooLargeError before any value is built.
+ExpressionTooLargeError before any value is built, and a binary form with
+more coefficients raises DegreeTooLargeError before they are listed.
 """
 
 from __future__ import annotations
@@ -442,7 +443,8 @@ def form(text: str) -> BinaryForm:
 
     The result is homogeneous with the formal degree read off the terms;
     inhomogeneous input raises UnknownIdentifierError, naming the first
-    identifier other than x and y, or ValueError.
+    identifier other than x and y, or ValueError.  A form with more than
+    :data:`MAX_EXPONENT_CELLS` coefficients raises DegreeTooLargeError first.
     """
     poly, names = _parse(text, ("x", "y"))
     other = next((n for n in names if n not in ("x", "y")), None)
@@ -451,6 +453,9 @@ def form(text: str) -> BinaryForm:
     degree = poly.weighted_degree((1, 1))  # 0 for the zero form
     if degree is None:
         raise ValueError(f"{excerpt(text)} is not homogeneous")
+    if degree + 1 > MAX_EXPONENT_CELLS:
+        raise DegreeTooLargeError(f"a form of degree {degree} has more coefficients"
+                                  f" than the bound of {MAX_EXPONENT_CELLS} exponent entries")
     coeffs = [ZERO] * (degree + 1)
     for (_, ey), c in poly.terms.items():
         coeffs[ey] = c

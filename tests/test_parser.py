@@ -11,6 +11,7 @@ from stackygit.cli import run_command
 from stackygit.cyclotomic import ORDER_CAP, CyclotomicNumber, zeta
 from stackygit.errors import (
     CoefficientTooLargeError,
+    DegreeTooLargeError,
     ExpressionTooLargeError,
     NestingTooDeepError,
     OrderCapExceededError,
@@ -20,6 +21,7 @@ from stackygit.errors import (
     UnknownIdentifierError,
 )
 from stackygit.exprparse import (
+    MAX_EXPONENT_CELLS,
     MAX_NESTING,
     MAX_NUMERAL_DIGITS,
     MAX_TERM_PRODUCTS,
@@ -212,6 +214,15 @@ def test_wide_relation_over_many_generators_is_refused_fast():
     with pytest.raises(ExpressionTooLargeError, match="59999 tokens in 30000 variables"):
         ringspec.loads(text)
     assert time.perf_counter() - start < 1
+
+
+def test_form_degree_is_bounded_before_the_coefficient_list():
+    # every power is in bound, but degree 256 * 4100 needs more coefficients
+    # than the exponent-entry bound; the message does not echo the text
+    assert 256 * 4100 + 1 > MAX_EXPONENT_CELLS
+    with pytest.raises(DegreeTooLargeError, match="^a form of degree 1049600 has") as info:
+        form("*".join(["x^256"] * 4100))
+    assert "x^256" not in str(info.value)
 
 
 def test_product_bound_counts_pairs_of_terms():
