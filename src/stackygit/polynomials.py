@@ -27,7 +27,7 @@ integers, since its divisions are exact in Z.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain
 from math import gcd, prod
 from operator import add, getitem
 
@@ -746,5 +746,8 @@ def resultant(a, b):
 def principal_lattice(n: int, d: int):
     """The principal lattice {p in Z>=0^n : sum(p) <= d}, C(n + d, d) points:
     a polynomial of total degree <= d in n variables that vanishes at all of
-    them is zero (Nicolaides, *SIAM J. Numer. Anal.* 9, 1972)."""
-    return [p for p in product(range(d + 1), repeat=n) if sum(p) <= d]
+    them is zero (Nicolaides, *SIAM J. Numer. Anal.* 9, 1972).  Recursion on
+    the first coordinate lists the points in lexicographic order."""
+    if not n:
+        return [()] if d >= 0 else []
+    return [(i, *p) for i in range(d + 1) for p in principal_lattice(n - 1, d - i)]

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import product
 from math import comb, lcm, prod
 
 import pytest
@@ -766,3 +767,13 @@ def test_principal_lattice_is_unisolvent_and_tight(n, d):
     # the product of x_1 - j over j <= d has degree d + 1 and vanishes at
     # every point, so the degree bound d is tight
     assert all(prod(p[0] - j for j in range(d + 1)) == 0 for p in points)
+
+
+def test_principal_lattice_lists_its_points_in_lexicographic_order():
+    for n in range(5):
+        for d in range(7):
+            assert principal_lattice(n, d) == [
+                p for p in product(range(d + 1), repeat=n) if sum(p) <= d], (n, d)
+    points = principal_lattice(7, 10)
+    assert len(points) == comb(17, 10) == 19448
+    assert points == sorted(points)
