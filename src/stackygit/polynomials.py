@@ -56,7 +56,7 @@ _ZERO = as_cyclotomic(0)
 
 #: Largest degree :meth:`BinaryForm.multiplicity_profile` accepts.  It bounds
 #: the degree, not the time: the gcd chain's coefficients grow, so near the
-#: bound a form over Q(zeta_5) takes tens of seconds where one over Q about one.
+#: bound a form over Q(zeta_5) takes tens of seconds, and one over Q about one.
 MAX_PROFILE_DEGREE = 256
 
 
@@ -749,5 +749,5 @@ def principal_lattice(n: int, d: int):
     them is zero (Nicolaides, *SIAM J. Numer. Anal.* 9, 1972).  Recursion on
     the first coordinate lists the points in lexicographic order."""
     if not n:
-        return [()] if d >= 0 else []
+        return [()]
     return [(i, *p) for i in range(d + 1) for p in principal_lattice(n - 1, d - i)]
