@@ -749,5 +749,5 @@ def principal_lattice(n: int, d: int):
     them is zero (Nicolaides, *SIAM J. Numer. Anal.* 9, 1972).  Recursion on
     the first coordinate lists the points in lexicographic order."""
     if not n:
-        return [()]
+        return [()] if d >= 0 else []
     return [(i, *p) for i in range(d + 1) for p in principal_lattice(n - 1, d - i)]

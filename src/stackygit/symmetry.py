@@ -105,9 +105,9 @@ def _support_gcd(f: BinaryForm) -> int:
 
 
 def is_stable(f: BinaryForm) -> bool:
-    """Every root has multiplicity strictly below degree/2; the zero form
-    raises ZeroFormError."""
-    return 2 * max(f.multiplicity_profile()) < f.degree
+    """Every root has multiplicity strictly below degree/2 and the degree is
+    positive; the zero form raises ZeroFormError."""
+    return 2 * max(f.multiplicity_profile(), default=0) < f.degree
 
 
 def has_finite_stabilizer(f: BinaryForm) -> bool:

@@ -771,7 +771,7 @@ def test_principal_lattice_is_unisolvent_and_tight(n, d):
 
 def test_principal_lattice_lists_its_points_in_lexicographic_order():
     for n in range(5):
-        for d in range(7):
+        for d in range(-1, 7):
             assert principal_lattice(n, d) == [
                 p for p in product(range(d + 1), repeat=n) if sum(p) <= d], (n, d)
     points = principal_lattice(7, 10)

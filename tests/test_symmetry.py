@@ -338,6 +338,13 @@ class TestStability:
     def test_double_root_quintic_stable(self):
         assert is_stable(form("x^2*(x^3 + y^3)"))
 
+    def test_constant_form_not_stable(self):
+        # a nonzero constant has no roots and degree 0; the zero form has no
+        # root profile at all
+        assert not is_stable(BinaryForm([3]))
+        with pytest.raises(ZeroFormError, match="no root profile"):
+            is_stable(BinaryForm([0]))
+
     def test_finite_stabilizer_dichotomy(self):
         assert not has_finite_stabilizer(form("x^3*y^2"))
         assert has_finite_stabilizer(form("x^5 + y^5"))
