@@ -4,6 +4,8 @@ Each criterion is a generator of ``(passed, detail)`` rows, which
 :func:`_criterion` makes the public ``check_*`` function returning its
 :class:`CheckResult`: the verdict is the conjunction of the rows and the
 details are their texts, so a verdict cannot disagree with its own rows.
+A ``CheckResult`` is a plain record: :mod:`stackygit.cli` alone writes it
+into the ``verify-all`` payload and markdown.
 `run_all` executes the checks in order.  Everything is exact (zero
 tolerance).  Only criterion 10 is seeded: it samples random forms from an
 explicit seed, deterministically for a fixed seed.  Criterion 6 proves
@@ -55,22 +57,8 @@ from .symmetry import (
 )
 
 
-class CheckResult(namedtuple("CheckResult", "criterion name passed blocking details",
-                             defaults=(True, ()))):
-    __slots__ = ()
-
-    @property
-    def status(self) -> str:
-        return "pass" if self.passed else "FAIL"
-
-    def as_dict(self):
-        return {
-            "criterion": self.criterion,
-            "name": self.name,
-            "passed": self.passed,
-            "blocking": self.blocking,
-            "details": list(self.details),
-        }
+CheckResult = namedtuple("CheckResult", "criterion name passed blocking details",
+                         defaults=(True, ()))
 
 
 def _criterion(number: int, name: str, blocking: bool = True):

@@ -6,7 +6,8 @@ refuted claim or failed check, 2 bad input, 3 an exceeded internal bound.
 Each handler ``_cmd_*`` returns ``(status, body, markdown)``, and
 :func:`run_command` alone puts the body in the envelope that states
 ``schema``, ``command`` (the subcommand's key in ``_COMMANDS``) and
-``status``.
+``status``.  The handlers alone own the payload layout: the library returns
+plain records, such as ``CheckResult`` and ``LocusReport``, rendered here.
 
 The JSON text is ``json.dumps(payload, sort_keys=True, indent=2)`` byte for
 byte (``tests/test_cli.py::test_json_text_is_json_dumps``), written directly
@@ -281,16 +282,17 @@ def _cmd_klein(args) -> tuple:
 def _cmd_locus(args) -> tuple:
     report = quintic_locus_report() if args.family == "quintic" \
         else sextic_locus_report()
+    claims = report.claims
     lines = [f"# Locus report: {report.family}", ""]
-    for claim in report.claims:
-        lines.append(f"## {claim.label} [{claim.verdict}]")
-        lines.append(claim.text)
-        for w in claim.witnesses:
-            lines.append(f"- {w}")
-        if claim.note:
-            lines.append(f"- note: {claim.note}")
+    for c in claims:
+        lines += [f"## {c.label} [{c.verdict}]", c.claim, *(f"- {w}" for w in c.witnesses)]
+        if c.note:
+            lines.append(f"- note: {c.note}")
         lines.append("")
-    return 0 if report.all_sound() else 1, report.as_dict(), "\n".join(lines) + "\n"
+    counts = {verdict: sum(c.verdict == verdict for c in claims)
+              for verdict in ("verified", "refuted", "out-of-scope")}
+    body = {"family": report.family, "claims": [c._asdict() for c in claims], "counts": counts}
+    return 0 if all(c.sound for c in claims) else 1, body, "\n".join(lines) + "\n"
 
 
 def _cmd_catalog(args) -> tuple:
@@ -332,14 +334,15 @@ def _cmd_verify_all(args) -> tuple:
     failures = blocking_failures(results)
     body = {
         "seed": args.seed,
-        "checks": [r.as_dict() for r in results],
+        "checks": [r._asdict() for r in results],
         "blocking_failures": failures,
     }
     lines = [f"# Acceptance suite (seed {args.seed})", ""]
     width = max(len(r.name) for r in results)
     for r in results:
         kind = "blocking" if r.blocking else "stretch"
-        lines.append(f"{r.criterion:2d}. {r.name:<{width}}  [{r.status}]  ({kind})")
+        word = "pass" if r.passed else "FAIL"
+        lines.append(f"{r.criterion:2d}. {r.name:<{width}}  [{word}]  ({kind})")
     lines.append("")
     lines.append(f"blocking failures: {failures}")
     return 0 if failures == 0 else 1, body, "\n".join(lines) + "\n"

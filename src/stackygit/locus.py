@@ -11,6 +11,9 @@ Both reports read the ambient singular points off
 inertia mu_g has g > 1, with coordinate 1 on the stratum's support and 0
 elsewhere.  F is evaluated once at each of them to decide whether Z(F)
 meets exactly one and is smooth there.
+
+Reports are plain records: :mod:`stackygit.cli` alone writes the ``locus``
+payload, its verdict counts and, from each claim's ``sound``, its status.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ def is_singular_at(F: MultiPoly, p: PointW) -> bool:
 # -- assembled reports -------------------------------------------------------------
 
 
-class LocusClaim(namedtuple("LocusClaim", "label text verdict witnesses note",
+class LocusClaim(namedtuple("LocusClaim", "label claim verdict witnesses note",
                             defaults=((), ""))):
     """One claim and its verdict: verified, refuted or out-of-scope."""
 
@@ -50,34 +53,8 @@ class LocusClaim(namedtuple("LocusClaim", "label text verdict witnesses note",
         """Whether the claim stands: its verdict is not refuted."""
         return self.verdict != "refuted"
 
-    def as_dict(self):
-        return {
-            "label": self.label,
-            "claim": self.text,
-            "verdict": self.verdict,
-            "witnesses": list(self.witnesses),
-            "note": self.note,
-        }
 
-
-class LocusReport(namedtuple("LocusReport", "family claims")):
-    __slots__ = ()
-
-    def verdict_counts(self):
-        counts = {"verified": 0, "refuted": 0, "out-of-scope": 0}
-        for c in self.claims:
-            counts[c.verdict] += 1
-        return counts
-
-    def all_sound(self) -> bool:
-        return all(c.sound for c in self.claims)
-
-    def as_dict(self):
-        return {
-            "family": self.family,
-            "claims": [c.as_dict() for c in self.claims],
-            "counts": self.verdict_counts(),
-        }
+LocusReport = namedtuple("LocusReport", "family claims")
 
 
 def _ambient_singularities(weights):

@@ -12,6 +12,7 @@ import pytest
 
 from stackygit import acceptance
 from stackygit.acceptance import (
+    CheckResult,
     check_calibration,
     check_decompositions,
     check_gerbe_indices,
@@ -32,7 +33,8 @@ SEED = 7
 
 
 def _report(result):
-    print(f"criterion {result.criterion:2d} [{result.status}] {result.name}")
+    print(f"criterion {result.criterion:2d} [{'pass' if result.passed else 'FAIL'}]"
+          f" {result.name}")
     for line in result.details:
         print(f"    {line}")
 
@@ -273,3 +275,6 @@ def test_verify_all_is_deterministic():
     payload = json.loads(first.json_text())
     assert payload["blocking_failures"] == 0
     assert len(payload["checks"]) == 10
+    # a field added to CheckResult reaches the payload, so this test must
+    # change with it
+    assert all(set(check) == set(CheckResult._fields) for check in payload["checks"])

@@ -5,9 +5,11 @@ import pytest
 
 from stackygit.cyclotomic import QQ, zeta
 from stackygit import graded
+from stackygit.cli import run_command
 from stackygit.errors import InhomogeneousError
 from stackygit.invariants import quintic_F, sextic_F
 from stackygit.locus import (
+    LocusClaim,
     PointW,
     is_singular_at,
     quintic_locus_report,
@@ -187,10 +189,10 @@ class TestEulerRelation:
 
 class TestReports:
     def test_quintic_report_all_verified(self):
-        report = quintic_locus_report()
-        assert report.all_sound()
-        assert report.verdict_counts() == \
-            {"verified": 4, "refuted": 0, "out-of-scope": 0}
+        assert all(c.sound for c in quintic_locus_report().claims)
+        payload = run_command(["--json", "locus", "quintic"]).payload
+        assert payload["status"] == 0
+        assert payload["counts"] == {"verified": 4, "refuted": 0, "out-of-scope": 0}
 
     def test_quintic_claim_labels(self):
         labels = [c.label for c in quintic_locus_report().claims]
@@ -207,10 +209,10 @@ class TestReports:
         assert "typo" in claim.note
 
     def test_sextic_report(self):
-        report = sextic_locus_report()
-        assert report.all_sound()
-        assert report.verdict_counts() == \
-            {"verified": 3, "refuted": 0, "out-of-scope": 4}
+        assert all(c.sound for c in sextic_locus_report().claims)
+        payload = run_command(["--json", "locus", "sextic"]).payload
+        assert payload["status"] == 0
+        assert payload["counts"] == {"verified": 3, "refuted": 0, "out-of-scope": 4}
 
     def test_sextic_claim_labels(self):
         labels = [c.label for c in sextic_locus_report().claims]
@@ -245,7 +247,13 @@ class TestReports:
     def test_json_round_trip(self):
         import json
 
-        payload = sextic_locus_report().as_dict()
-        again = json.loads(json.dumps(payload))
+        again = json.loads(run_command(["--json", "locus", "sextic"]).json_text())
         assert again["family"] == "sextic"
         assert len(again["claims"]) == 7
+
+    def test_payload_claims_carry_exactly_the_record_fields(self):
+        # a field added to LocusClaim reaches the payload, so this test must
+        # change with it
+        for family in ("quintic", "sextic"):
+            claims = run_command(["--json", "locus", family]).payload["claims"]
+            assert claims and all(set(c) == set(LocusClaim._fields) for c in claims)
