@@ -29,12 +29,12 @@ order its computation produced, except that values whose non-constant
 coordinates vanish are demoted to order 1: rationals are always order 1.
 The substitution kernel (``BinaryForm.substitute`` at a matrix that is
 not monomial) reads a form's coefficients over one denominator with
-:func:`_to_int_coords`, builds the powers of each scalar as integer
-vectors and multiplies by them with :func:`_mul_vec`, and builds each
-result once with :func:`_raw`; so does the closure of
-``groups.group_elements``, on the entries of a group's matrices.  Both
-run in the field :func:`_to_int_coords` picks and checks against the cap.
-The other bulk kernels
+:func:`_to_int_coords`, which picks the field and checks it against the
+cap, multiplies by the powers of each scalar as integer vectors with
+:func:`_mul_vec`, and builds each result once with :func:`_raw`.  The
+closure of ``groups.group_elements`` runs on values in one field: it
+writes the generators' entries there once with :func:`_to_int_coords`
+and :func:`_raw`.  The other bulk kernels
 (the products of ``MultiPoly`` and ``BinaryForm``, ``MultiPoly.evaluate``,
 the transvectant kernel ``invariants._transvectant``, the list resultant
 ``polynomials.resultant`` and the gcd chain) have one body over their

@@ -6,12 +6,12 @@ groups: the cyclic group C_n and binary dihedral group D_n use a primitive
 icosahedral group I uses a primitive 5th root.  All matrix entries are
 exact; every determinant is exactly 1.
 
-:class:`SL2Matrix` checks the determinant of each matrix it builds;
-:func:`group_elements` runs its closure on integer coordinate vectors in
-the field ``cyclotomic._to_int_coords`` picks, checks each element's
-determinant there, exactly, and builds the elements as values once; the
-tables serve criterion 4 of the acceptance suite.  :func:`group_contains`
-decides containment from the labels alone.
+:class:`SL2Matrix` checks the determinant of each matrix it builds but its
+products; :func:`group_elements` closes the generators on values in the
+one field ``cyclotomic._to_int_coords`` picks for their entries and checks
+each new element's determinant exactly; the tables serve criterion 4 of
+the acceptance suite.  :func:`group_contains` decides containment from the
+labels alone.
 """
 
 from __future__ import annotations
@@ -24,11 +24,9 @@ from .cyclotomic import (
     SQRT2,
     SQRT5,
     CyclotomicNumber,
-    _mul_vec,
     _raw,
     _to_int_coords,
     as_cyclotomic,
-    euler_phi,
     zeta,
 )
 from .errors import ClosureBoundExceededError, ExactArithmeticError, excerpt
@@ -54,14 +52,14 @@ class SL2Matrix(namedtuple("SL2Matrix", "a b c d")):
         return self.a * self.d - self.b * self.c
 
     def __mul__(self, other: "SL2Matrix") -> "SL2Matrix":
-        """The product on values; the tests' reference for the integer
-        closure of :func:`group_elements`."""
-        return SL2Matrix(
+        """The product, built with ``_make``: det(AB) = det(A) det(B), so a
+        product of factors of determinant 1 needs no check."""
+        return SL2Matrix._make((
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
-        )
+        ))
 
     def __str__(self):
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
@@ -140,28 +138,9 @@ def group_generators(spec: GroupSpec):
     )
 
 
-def _negated(p):
-    return tuple(tuple(-c for c in v) for v in p)
-
-
-def _matrix_product(m: int, den: int, p, q):
-    """The product of two matrices given as four integer coordinate vectors
-    in Q(zeta_m) over ``den``, in the same form: each entry is a sum of two
-    :func:`~stackygit.cyclotomic._mul_vec` products over den^2, divided
-    exactly by ``den``; a remainder raises ExactArithmeticError."""
-    a, b, c, d = p
-    e, f, g, h = q
-    out = []
-    for x, y, z, w in ((a, e, b, g), (a, f, b, h), (c, e, d, g), (c, f, d, h)):
-        entry = []
-        for s, t in zip(_mul_vec(m, x, y), _mul_vec(m, z, w)):
-            n, r = divmod(s + t, den)
-            if r:
-                raise ExactArithmeticError(
-                    f"a product left the denominator {den} of the closure")
-            entry.append(n)
-        out.append(tuple(entry))
-    return tuple(out)
+def _layout(g: SL2Matrix):
+    """The stored ``(order, coords, den)`` of each entry of ``g``."""
+    return tuple([(x.order, x.coords, x.den) for x in g])
 
 
 @lru_cache(maxsize=None)
@@ -173,43 +152,44 @@ def group_elements(spec: GroupSpec):
     product p with -p, multiplying only p further since (-p) g = -(p g).
     Breadth-first products keep the enumeration order deterministic.
 
-    The closure runs on integers.  Each matrix is four integer coordinate
-    vectors in Q(zeta_m), m the lcm of the orders of the generators'
-    entries (past the order cap, OrderCapExceededError), over ``den``, the
-    lcm of their denominators: 2 for T and O, 5 for I, 1 for C_n and D_n.
-    Every product must stay over den (:func:`_matrix_product`, else
-    ExactArithmeticError), the set of elements seen holds tuples of ints,
-    and each new product's determinant is checked there, exactly: a d - b c
-    must be den^2 (else ValueError).  The elements are built as values once,
-    at the end, with their entries in Q(zeta_m); equality and hashes of
-    values do not depend on the field they are stored in.
+    The closure runs on values in one field: the generators' entries are
+    written once in Q(zeta_m), m the lcm of their orders (past the order
+    cap, OrderCapExceededError), over ``den``, the lcm of their
+    denominators (2 for T and O, 5 for I, 1 for C_n and D_n).  Sums and
+    products of values of order m keep order m unless rational, so the set
+    of elements seen holds the entries' stored layouts (:func:`_layout`).
+    Each new product must stay over den (ExactArithmeticError) and have
+    determinant 1 (ValueError), which ``SL2Matrix.__mul__`` does not check.
     """
-    entries = [x for g in (SL2Matrix(1, 0, 0, 1),) + group_generators(spec) for x in g]
-    m, den, vecs = _to_int_coords(entries)
-    identity, *gens = [tuple(map(tuple, vecs[i:i + 4])) for i in range(0, len(vecs), 4)]
-    one = [den * den] + [0] * (euler_phi(m) - 1)
-    ordered = [identity, _negated(identity)]
-    seen = set(ordered)
+    m, den, vecs = _to_int_coords([x for g in group_generators(spec) for x in g])
+    gens = [SL2Matrix._make([_raw(m, v, den) for v in vecs[i:i + 4]])
+            for i in range(0, len(vecs), 4)]
+    identity = SL2Matrix(1, 0, 0, 1)
+    ordered = [identity, SL2Matrix(-1, 0, 0, -1)]
+    seen = set(map(_layout, ordered))
     frontier = [identity]
     while frontier:
         next_frontier = []
         for q in frontier:
             for g in gens:
-                p = _matrix_product(m, den, q, g)
-                if p not in seen:
-                    a, b, c, d = p
-                    if [s - t for s, t in zip(_mul_vec(m, a, d), _mul_vec(m, b, c))] != one:
+                p = q * g
+                key = _layout(p)
+                if key not in seen:
+                    if any(den % x.den for x in p):
+                        raise ExactArithmeticError(
+                            f"a product left the denominator {den} of the closure")
+                    if p.det() != 1:
                         raise ValueError(f"a product in the closure of {spec.label} "
                                          "has determinant other than 1")
-                    ordered += (p, _negated(p))
-                    seen.update(ordered[-2:])
+                    negated = SL2Matrix._make([-x for x in p])
+                    ordered += (p, negated)
+                    seen.update((key, _layout(negated)))
                     next_frontier.append(p)
                     if len(ordered) > CLOSURE_BOUND:
                         raise ClosureBoundExceededError(
                             f"closure of {spec.label} exceeded {CLOSURE_BOUND} elements")
         frontier = next_frontier
-    # determinants are checked above, so _make skips SL2Matrix's own check
-    return tuple(SL2Matrix._make([_raw(m, v, den) for v in p]) for p in ordered)
+    return tuple(ordered)
 
 
 #: The group that each polyhedral group's monomial generators generate

@@ -942,8 +942,14 @@ def _drawn_argv(rng):
 def _parsed(argv):
     try:
         return vars(build_parser().parse_args(argv))
-    except (cli._UsageError, cli._HelpRequested):
+    except cli._ParserAnswer:
         return None
+
+
+def test_parsed_answers_none_for_a_line_argparse_refuses():
+    # so a line that the plain reader takes and argparse refuses fails the
+    # comparison below instead of raising
+    assert _parsed(["nosuch"]) is None
 
 
 def test_plain_reader_reads_what_argparse_reads(monkeypatch):

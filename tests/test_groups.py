@@ -1,8 +1,9 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from stackygit.cyclotomic import as_cyclotomic, zeta
+from stackygit.cyclotomic import _raw, _to_int_coords, as_cyclotomic, zeta
 from stackygit.errors import (
     ClosureBoundExceededError,
     ExactArithmeticError,
@@ -87,6 +88,17 @@ def reference_closure(spec):
 def test_closure_matches_the_matrix_product_reference(spec):
     # element by element, in enumeration order, entries compared by value
     assert list(group_elements(spec)) == reference_closure(spec)
+    # and by stored layout: every entry is written in Q(zeta_m), m the lcm
+    # of the generators' entry orders, as the closure's set of layouts needs
+    m = lcm(*(x.order for g in group_generators(spec) for x in g))
+
+    def written_in_field(x):
+        _, den, (vec,) = _to_int_coords([x], m)
+        y = _raw(m, vec, den)
+        return y.order, y.coords, y.den
+
+    assert ([[(x.order, x.coords, x.den) for x in g] for g in group_elements(spec)]
+            == [[written_in_field(x) for x in g] for g in reference_closure(spec)])
 
 
 def test_closure_past_the_order_cap_is_refused():
