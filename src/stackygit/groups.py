@@ -6,11 +6,11 @@ groups: the cyclic group C_n and binary dihedral group D_n use a primitive
 icosahedral group I uses a primitive 5th root.  All matrix entries are
 exact; every determinant is exactly 1.
 
-:class:`SL2Matrix` checks the determinant of each matrix it builds but its
-products; :func:`group_elements` closes the generators on values in the
-one field ``cyclotomic._to_int_coords`` picks for their entries and checks
-each new element's determinant exactly; the tables serve criterion 4 of
-the acceptance suite.  :func:`group_contains` decides containment from the
+:class:`SL2Matrix` checks the determinant of every matrix but a product;
+:func:`group_elements` closes the generators on values in the one field
+``cyclotomic._to_int_coords`` picks for their entries and checks each new
+element's determinant exactly; the tables serve criterion 4 of the
+acceptance suite.  :func:`group_contains` decides containment from the
 labels alone.
 """
 
