@@ -31,10 +31,17 @@ The substitution kernel (``BinaryForm.substitute`` at a matrix that is
 not monomial) reads a form's coefficients over one denominator with
 :func:`_to_int_coords`, which picks the field and checks it against the
 cap, multiplies by the powers of each scalar as integer vectors with
-:func:`_mul_vec`, and builds each result once with :func:`_raw`.  The
-closure of ``groups.group_elements`` runs on values in one field: it
-writes the generators' entries there once with :func:`_to_int_coords`
-and :func:`_raw`.  The other bulk kernels
+:func:`_mul_kernel`, a straight-line product compiled once per field, and
+builds each result once with :func:`_raw`.  Value arithmetic
+(``CyclotomicNumber.__mul__`` and ``inverse``) keeps the generic
+:func:`_mul_vec`: it meets many fields for a few products each, where
+compiling a kernel per field would cost more than it saves, while one
+substitution runs at least 2 deg products in one field.  The
+inverse of a root of unity times a rational, c zeta_m^j, is
+(1/c) zeta_m^(m-j), found from its coordinates without a conjugate
+product.  The closure of ``groups.group_elements`` runs on values in one
+field: it writes the generators' entries there once with
+:func:`_to_int_coords` and :func:`_raw`.  The other bulk kernels
 (the products of ``MultiPoly`` and ``BinaryForm``, ``MultiPoly.evaluate``,
 the transvectant kernel ``invariants._transvectant``, the list resultant
 ``polynomials.resultant`` and the gcd chain) have one body over their
@@ -130,6 +137,21 @@ def _power_rows(m: int):
 
 
 @lru_cache(maxsize=None)
+def _root_powers(m: int) -> dict:
+    """The map from the reduced coordinates of +-zeta_m^j, j = phi(m) ..
+    m - 1 (:func:`_power_rows`), as tuples, to (j, +-1)."""
+    phi = euler_phi(m)
+    roots = {}
+    for j, row in enumerate(_power_rows(m), phi):
+        for s in (1, -1):
+            vec = [0] * phi
+            for i, c in row:
+                vec[i] = s * c
+            roots[tuple(vec)] = j, s
+    return roots
+
+
+@lru_cache(maxsize=None)
 def _traces(m: int) -> tuple:
     """The integers Tr(zeta_m^k) = mu(d) phi(m) / phi(d), d = m / gcd(m, k), k < phi(m)."""
     phi = euler_phi(m)
@@ -172,6 +194,41 @@ def _convolve(a, b):
 def _mul_vec(m: int, a, b):
     """Product of two reduced integer coordinate vectors, reduced again."""
     return _reduce(m, _convolve(a, b))
+
+
+@lru_cache(maxsize=None)
+def _mul_kernel(m: int):
+    """``mul(a, b)``: the product of two reduced integer coordinate vectors
+    in Q(zeta_m) as one straight-line function, equal to :func:`_mul_vec`.
+
+    Its source unpacks the phi(m) coordinates of each operand, forms the
+    2 phi - 1 convolution sums s_t, and returns coordinate i as s_i plus
+    the integer-weighted s_t, t >= phi, that the reduction of zeta_m^t
+    (``_reduce(m, [0]*t + [1])``) sends there.  It is compiled once per m
+    with ``exec`` into a namespace with no builtins, as
+    ``collections.namedtuple`` compiles its classes; only integers derived
+    from Phi_m enter the source, and m past :data:`ORDER_CAP` raises
+    OrderCapExceededError before any is built."""
+    _check_order(m)
+    phi = euler_phi(m)
+
+    def conv(t):  # the convolution sum s_t
+        return " + ".join(f"a{i}*b{t - i}" for i in range(max(0, t - phi + 1), min(t + 1, phi)))
+
+    outs = [[conv(i)] for i in range(phi)]
+    lines = ["def mul(a, b):",
+             "    " + "".join(f"a{i}, " for i in range(phi)) + "= a",
+             "    " + "".join(f"b{i}, " for i in range(phi)) + "= b"]
+    for t in range(phi, 2 * phi - 1):
+        lines.append(f"    s{t} = {conv(t)}")
+        for out, w in zip(outs, _reduce(m, [0] * t + [1])):
+            if w:
+                weight = "" if abs(w) == 1 else f"{abs(w)}*"
+                out.append(f"{'+' if w > 0 else '-'} {weight}s{t}")
+    lines.append("    return [" + ", ".join(" ".join(out) for out in outs) + "]")
+    namespace = {"__builtins__": {}}
+    exec("\n".join(lines), namespace)
+    return namespace["mul"]
 
 
 def _to_int_coords(values, *orders):
@@ -365,7 +422,11 @@ class CyclotomicNumber:
             return _new(1, (self.den if n > 0 else -self.den,), abs(n))
         m, coords = self.order, self.coords
         (j, c), *rest = [(j, c) for j, c in enumerate(coords) if c]
-        if not rest:  # a monomial (c / den) zeta_m^j inverts to (den / c) zeta_m^(m-j)
+        if rest:  # (c / den) zeta_m^j for a j >= phi(m) and c = +-gcd(coords)?
+            g = gcd(*coords)
+            j, s = _root_powers(m).get(tuple([x // g for x in coords]), (None, 0))
+            c = s * g
+        if j is not None:  # (c / den) zeta_m^j inverts to (den / c) zeta_m^(m-j)
             vec = [0] * (m - j) + [self.den if c > 0 else -self.den]
             return _raw(m, _reduce(m, vec), abs(c))
         # 1/a is the product of the other Galois conjugates sigma_k(a),

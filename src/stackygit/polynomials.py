@@ -35,7 +35,7 @@ from .cyclotomic import (
     ONE,
     CyclotomicNumber,
     _convolve,
-    _mul_vec,
+    _mul_kernel,
     _numerators,
     _over,
     _power,
@@ -452,12 +452,16 @@ class BinaryForm:
         length is the number of distinct roots.
 
         The root at infinity (1:0) is read off the leading zero
-        coefficients, the finite roots off the gcd chain p, gcd(p, p'), the
-        gcd of that with its derivative, ... down to degree 0, for the
-        dehomogenization p.  The chain runs in the ring of
-        :func:`_numerators`: over Q on an integer multiple of p, keeping the
-        primitive part of each gcd, and otherwise on the field elements,
-        making each gcd monic.  Forms of degree above
+        coefficients, the finite roots off Yun's square-free decomposition
+        p = a_1 a_2^2 a_3^3 ... of the dehomogenization p (D. Y. Y. Yun,
+        SYMSAC 1976): deg a_k roots have multiplicity k.  With g = gcd(p,
+        p'), b_1 = p/g and c_1 = p'/g, step k takes d_k = c_k - b_k', a_k =
+        gcd(b_k, d_k), b_(k+1) = b_k/a_k and c_(k+1) = d_k/a_k, until b_k is
+        constant; d_k = 0 means a_k = b_k, so a square-free p costs one gcd.
+        The steps run in the ring of :func:`_numerators`: over Q on an
+        integer multiple of p, keeping the primitive part of each gcd, and
+        otherwise on the field elements, making each gcd monic; every
+        quotient is exact (:func:`_cp_quotient`).  Forms of degree above
         :data:`MAX_PROFILE_DEGREE` raise DegreeTooLargeError."""
         if self.degree > MAX_PROFILE_DEGREE:
             raise DegreeTooLargeError(
@@ -467,18 +471,25 @@ class BinaryForm:
         at_infinity = 0
         while not self.coeffs[at_infinity]:
             at_infinity += 1
+        profile = [at_infinity] if at_infinity else []
         # f(t, 1) ascending in t, its leading zeros (the root at infinity) cut
         (_, p), = _numerators(self.coeffs[at_infinity:][::-1])
+        if len(p) == 1:
+            return tuple(profile)
         unit = _cp_primitive if type(p[0]) is int else _cp_monic
-        above = []  # above[k] roots have multiplicity > k: the degree drop at step k
-        while len(p) > 1:
-            last = _subresultants(p, _cp_deriv(p))[0][-1]
-            gcd_p = unit(last) if len(last) > 1 else [1]
-            above.append(len(p) - len(gcd_p))
-            p = gcd_p
-        profile = [at_infinity] if at_infinity else []
-        for k, (a, b) in enumerate(zip(above, above[1:] + [0]), 1):
-            profile += [k] * (a - b)
+        dp = _cp_deriv(p)
+        g = unit(_subresultants(p, dp)[0][-1])
+        if len(g) == 1:  # square-free
+            return tuple(sorted(profile + [1] * (len(p) - 1)))
+        b, c, k = _cp_quotient(p, g), _cp_quotient(dp, g), 1
+        while len(b) > 1:
+            d = _cp_trim([x - y for x, y in zip(c, _cp_deriv(b))])
+            if not d:  # a_k = b_k
+                profile += [k] * (len(b) - 1)
+                break
+            a = unit(_subresultants(b, d)[0][-1])
+            profile += [k] * (len(a) - 1)
+            b, c, k = _cp_quotient(b, a), _cp_quotient(d, a), k + 1
         return tuple(sorted(profile))
 
     # -- display ----------------------------------------------------------------------
@@ -526,20 +537,22 @@ def _scaled(k, den, vecs, x, seed=ONE):
     factors form one table of integer vectors over E D^n, for x = X/D and
     seed = S/E: entry j is S X^j D^(n-j).  Returns the new common
     denominator and vectors, which are ``den`` and ``vecs`` themselves for
-    a scaling by 1."""
+    a scaling by 1.  Every product runs :func:`cyclotomic._mul_kernel`,
+    the straight-line product of Q(zeta_k), taken once per pass."""
     if x == 1 == seed:
         return den, vecs
     n = len(vecs) - 1
+    mul = _mul_kernel(k)
     X, D = x._vec(k), x.den
     table = [seed._vec(k)]
     for _ in range(n):
-        table.append(_mul_vec(k, X, table[-1]))
+        table.append(mul(X, table[-1]))
     dn = 1  # D^(n-j) at entry j, D^n after entry 0
     if D != 1:
         for j in range(n - 1, -1, -1):
             dn *= D
             table[j] = [c * dn for c in table[j]]
-    return den * seed.den * dn, [_mul_vec(k, t, v) if any(v) else v
+    return den * seed.den * dn, [mul(t, v) if any(v) else v
                                  for t, v in zip(table, vecs)]
 
 
@@ -588,13 +601,15 @@ def _substitute_terms(coeffs, entries):
     For a = 0 the coefficients are reversed and [[c, d], [0, b]] is used.
 
     Each scaling by the powers of one value x = X/D is one pass with a
-    table of integer vectors X^j D^(n-j) over D^n, built with ``_mul_vec``
-    from a first entry of 1, or of a^deg in the last pass; each shift
-    replaces suffixes of the coefficients by their suffix sums, done as
-    prefix sums (``itertools.accumulate``) over the reversed coordinate
-    columns.  The vectors carry one common denominator, multiplied by that
-    of the table at each scaling, and each image coefficient is made
-    canonical once, at the end."""
+    table of integer vectors X^j D^(n-j) over D^n, built from a first entry
+    of 1, or of a^deg in the last pass; ``cyclotomic._mul_kernel(k)``, the
+    straight-line product of Q(zeta_k), builds the table and multiplies it
+    into the coefficients.  Each shift replaces suffixes of the
+    coefficients by their suffix sums, done as prefix sums
+    (``itertools.accumulate``) over the reversed coordinate columns.  The
+    vectors carry one common denominator, multiplied by that of the table
+    at each scaling, and each image coefficient is made canonical once, at
+    the end."""
     a, b, c, d = entries
     deg = len(coeffs) - 1
     k, den, vecs = _to_int_coords(coeffs, *(v.order for v in entries))
@@ -654,6 +669,32 @@ def _exact_quotients(xs, s):
             raise ExactArithmeticError("an exact division left a remainder")
         out.append(q)
     return out
+
+
+def _cp_quotient(a, b):
+    """The quotient a / b of ascending lists, b dividing a exactly in the
+    coefficient ring: each quotient coefficient by ``divmod`` over Z, where
+    a remainder raises ExactArithmeticError, and by multiplication with the
+    inverse of lc(b) over a field.  A nonzero polynomial remainder raises
+    ExactArithmeticError too."""
+    a, n, lb = list(a), len(b) - 1, b[-1]
+    inv = None if type(lb) is int else lb.inverse()
+    q = []
+    for i in range(len(a) - 1, n - 1, -1):
+        x = a[i]
+        if inv is None:
+            x, r = divmod(x, lb)
+            if r:
+                raise ExactArithmeticError("an exact division left a remainder")
+        else:
+            x = x * inv
+        q.append(x)
+        if x:
+            for j in range(n):
+                a[i - n + j] -= x * b[j]
+    if any(a[:n]):
+        raise ExactArithmeticError("an exact division left a remainder")
+    return q[::-1]
 
 
 def _cp_prem(a, b):

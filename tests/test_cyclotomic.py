@@ -19,9 +19,12 @@ from stackygit.cyclotomic import (
     as_cyclotomic,
     cyclotomic_polynomial,
     euler_phi,
+    _mul_kernel,
+    _mul_vec,
     _numerators,
     _over,
     _power,
+    _reduce,
     zeta,
 )
 from stackygit.errors import OrderCapExceededError
@@ -293,6 +296,58 @@ def _ref_mul(u, v, m):
         for j, y in enumerate(v):
             prod[i + j] += x * y
     return _ref_reduce(prod, m)
+
+
+def test_mul_kernel_matches_the_fraction_reference():
+    # every order up to the cap, on operands with zeros, negative entries
+    # and entries of very different bit sizes
+    rng = random.Random(61)
+    sizes = [(3, 3), (2, 200), (90, 1), (64, 64)]
+    for m in range(1, ORDER_CAP + 1):
+        mul, phi = _mul_kernel(m), euler_phi(m)
+        bits_a, bits_b = sizes[m % len(sizes)]
+        a = [rng.choice((0, rng.randint(-2 ** bits_a, 2 ** bits_a))) for _ in range(phi)]
+        b = [rng.choice((0, -1, rng.randint(-2 ** bits_b, 2 ** bits_b))) for _ in range(phi)]
+        product = mul(a, b)
+        assert product == _ref_mul(a, b, m), (m, bits_a, bits_b)
+        assert product == mul(b, a) == _mul_vec(m, a, b)
+        assert mul([0] * phi, b) == [0] * phi
+
+
+def test_mul_kernel_refuses_orders_past_the_cap():
+    with pytest.raises(OrderCapExceededError):
+        _mul_kernel(ORDER_CAP + 1)
+    with pytest.raises(ValueError):
+        _mul_kernel(0)
+
+
+def _conjugate_inverse(x):
+    """Reference: 1/x as the product of the other Galois conjugates of x
+    over the integer norm, as ``inverse`` computes it for a value that is
+    not a root of unity times a rational."""
+    m, coords = x.order, x.coords
+    prod = [1] + [0] * (len(coords) - 1)
+    for k in range(2, m):
+        if gcd(k, m) == 1:
+            conj = [0] * m
+            for j, c in enumerate(coords):
+                conj[j * k % m] = c
+            prod = _mul_vec(m, prod, _reduce(m, conj))
+    norm = _mul_vec(m, coords, prod)[0]
+    return CyclotomicNumber(m, [QQ(x.den * c, norm) for c in prod])
+
+
+def test_inverse_of_a_root_of_unity_has_the_conjugate_product_layout():
+    # c zeta_m^j for every phi(m) <= j < m <= ORDER_CAP, with either sign:
+    # past the power basis the value is found by its coordinate pattern
+    for m in range(3, ORDER_CAP + 1):
+        for j in range(euler_phi(m), m):
+            x = CyclotomicNumber(m, [0] * j + [QQ(3, 7) if j % 2 else QQ(-3, 7)])
+            if x.order == m:
+                assert _layout(x.inverse()) == _layout(_conjugate_inverse(x)), (m, j)
+    # a value that is no root of unity times a rational still inverts
+    x = zeta(5) ** 4 + 2
+    assert x.inverse() == _conjugate_inverse(x) and x * x.inverse() == 1
 
 
 def _ref_str(m, vec):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stackygit.cyclotomic import QQ, CyclotomicNumber, as_cyclotomic, zeta
+from stackygit.cyclotomic import QQ, CyclotomicNumber, _numerators, as_cyclotomic, zeta
 from stackygit.errors import (
     ArityError,
     DegreeTooLargeError,
@@ -23,9 +23,14 @@ from stackygit.polynomials import (
     MAX_PROFILE_DEGREE,
     BinaryForm,
     MultiPoly,
+    _cp_deriv,
+    _cp_monic,
+    _cp_primitive,
+    _cp_quotient,
     _exact_quotients,
     _powers,
     _shift,
+    _subresultants,
     principal_lattice,
 )
 
@@ -190,6 +195,28 @@ def _same_degree(e, weights, rng):
     return (d, 0, 0)
 
 
+def _gcd_chain_profile(f):
+    """Reference: the multiplicity profile read off the chain p, gcd(p, p'),
+    the gcd of that with its derivative, ... down to degree 0, for the
+    dehomogenization p, with the root at infinity read off the leading
+    zero coefficients; one subresultant gcd per multiplicity level."""
+    at_infinity = 0
+    while not f.coeffs[at_infinity]:
+        at_infinity += 1
+    (_, p), = _numerators(f.coeffs[at_infinity:][::-1])
+    unit = _cp_primitive if type(p[0]) is int else _cp_monic
+    above = []  # above[k] roots have multiplicity > k
+    while len(p) > 1:
+        last = _subresultants(p, _cp_deriv(p))[0][-1]
+        gcd_p = unit(last) if len(last) > 1 else [1]
+        above.append(len(p) - len(gcd_p))
+        p = gcd_p
+    profile = [at_infinity] if at_infinity else []
+    for k, (a, b) in enumerate(zip(above, above[1:] + [0]), 1):
+        profile += [k] * (a - b)
+    return tuple(sorted(profile))
+
+
 class TestBinaryForm:
     def test_coefficients_must_be_exact(self):
         for coeffs in (["1/3", 2], [QQ(1, 3), 2.5], [1, None]):
@@ -347,6 +374,51 @@ class TestBinaryForm:
             profile = tuple(sorted(finite + ([at_infinity] if at_infinity else [])))
             assert f.multiplicity_profile() == profile
             assert (f * zeta(3)).multiplicity_profile() == profile
+
+    @pytest.mark.parametrize("field", [1, 4, 5])
+    def test_profile_matches_the_gcd_chain(self, field):
+        # products of powers of distinct linear factors over Q, Q(i) and
+        # Q(zeta_5), among them x and y, times a scalar of the field
+        rng = random.Random(37 + field)
+        w = zeta(field)
+        roots = list({QQ(a, b) + c * w for a in range(-3, 4) for b in (1, 2)
+                      for c in ((0, 1, -2) if field > 1 else (0,))} - {0})
+        for _ in range(12):
+            chosen = rng.sample(range(-2, len(roots)), rng.randint(1, 5))
+            mults = [rng.choice((1, 1, 2, 3, 5, 8, 13)) for _ in chosen]
+            f = BinaryForm([rng.choice((1, QQ(-2, 3), 3 - w))])
+            for k, m in zip(chosen, mults):
+                linear = {-2: [0, 1], -1: [1, 0]}.get(k) or [1, -roots[k]]
+                f = f * BinaryForm(linear) ** m
+            assert f.multiplicity_profile() == _gcd_chain_profile(f) == tuple(sorted(mults))
+
+    def test_profile_of_high_multiplicities_matches_the_gcd_chain(self):
+        # the high-multiplicity forms whose gcd chain takes one subresultant
+        # gcd per multiplicity level
+        for text, profile in [
+                ("(x+(1+zeta(5))*y)^200*x*y", (1, 1, 200)),
+                ("(x+(1+zeta(5))*y)^120*(x-(2+zeta(5))*y)^120*x*y*(x+y)",
+                 (1, 1, 1, 120, 120)),
+                ("(2*x-3*y)^200*x^3*(x+y)^2*y^17", (2, 3, 17, 200))]:
+            f = form(text)
+            assert f.multiplicity_profile() == _gcd_chain_profile(f) == profile, text
+
+    def test_exact_polynomial_quotients(self):
+        # (2x + 3)(x - 1) / (2x + 3) over Z, and with a content of 6
+        assert _cp_quotient([-3, 1, 2], [3, 2]) == [-1, 1]
+        assert _cp_quotient([-18, 6, 12], [3, 2]) == [-6, 6]
+        assert _cp_quotient([5, 10], [-1]) == [-5, -10]
+        with pytest.raises(ExactArithmeticError):  # 3 x^2 / (2x + 3)
+            _cp_quotient([0, 0, 3], [3, 2])
+        with pytest.raises(ExactArithmeticError):  # (x^2 + 1) / (x + 1)
+            _cp_quotient([1, 0, 1], [1, 1])
+        # over Q(zeta_5): (x - w)(w x + 2) / (w x + 2)
+        w = zeta(5)
+        b = [as_cyclotomic(2), w]
+        a = [-2 * w, 2 - w * w, w]
+        assert _cp_quotient(a, b) == [-w, 1]
+        with pytest.raises(ExactArithmeticError):
+            _cp_quotient([w, 1, 1], b)
 
     def test_exact_quotients(self):
         assert _exact_quotients([12, -8, 0], -4) == [-3, 2, 0]
