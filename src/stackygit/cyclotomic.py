@@ -44,8 +44,8 @@ field: it writes the generators' entries there once with
 :func:`_to_int_coords` and :func:`_raw`.  The other bulk kernels
 (the products of ``MultiPoly`` and ``BinaryForm``, ``MultiPoly.evaluate``,
 the transvectant kernel ``invariants._transvectant``, the list resultant
-``polynomials.resultant`` and the gcd chain) have one body over their
-coefficient ring, which :func:`_numerators` picks: plain int numerators
+``polynomials.resultant`` and the square-free decomposition) have one
+body over their coefficient ring, which :func:`_numerators` picks: plain int numerators
 over one denominator when every coefficient is rational, the values
 themselves otherwise; :func:`_over` divides back.  :func:`_convolve` is
 the one dense product body, behind :func:`_mul_vec`, ``BinaryForm.__mul__``
@@ -139,16 +139,9 @@ def _power_rows(m: int):
 @lru_cache(maxsize=None)
 def _root_powers(m: int) -> dict:
     """The map from the reduced coordinates of +-zeta_m^j, j = phi(m) ..
-    m - 1 (:func:`_power_rows`), as tuples, to (j, +-1)."""
-    phi = euler_phi(m)
-    roots = {}
-    for j, row in enumerate(_power_rows(m), phi):
-        for s in (1, -1):
-            vec = [0] * phi
-            for i, c in row:
-                vec[i] = s * c
-            roots[tuple(vec)] = j, s
-    return roots
+    m - 1 (the rows of :func:`_power_rows`), as tuples, to (j, +-1)."""
+    return {tuple([s * c for c in _reduce(m, [0] * j + [1])]): (j, s)
+            for j in range(euler_phi(m), m) for s in (1, -1)}
 
 
 @lru_cache(maxsize=None)

@@ -15,9 +15,9 @@ matrix into at most three scalings and two Taylor shifts by 1
 each scaling multiplies by a table of integer power vectors, each shift
 is a run of prefix sums, and the result is divided once at the end.
 
-Every root fact is read off :meth:`BinaryForm.multiplicity_profile`, the
-one chain of iterated gcds of the dehomogenization with its derivative, in
-exact arithmetic.  No matrix is eliminated: each gcd is the last member of
+Every root fact is read off :meth:`BinaryForm.multiplicity_profile`, Yun's
+square-free decomposition of the dehomogenization, in exact arithmetic.
+No matrix is eliminated: each gcd is the last member of
 :func:`_subresultants`, the one fraction-free subresultant
 pseudo-remainder sequence, which limits coefficient growth, and
 :func:`resultant` reads the resultant of two coefficient lists, at their
@@ -673,25 +673,16 @@ def _exact_quotients(xs, s):
 
 def _cp_quotient(a, b):
     """The quotient a / b of ascending lists, b dividing a exactly in the
-    coefficient ring: each quotient coefficient by ``divmod`` over Z, where
-    a remainder raises ExactArithmeticError, and by multiplication with the
-    inverse of lc(b) over a field.  A nonzero polynomial remainder raises
-    ExactArithmeticError too."""
-    a, n, lb = list(a), len(b) - 1, b[-1]
-    inv = None if type(lb) is int else lb.inverse()
+    coefficient ring, by long division: each quotient coefficient is
+    :func:`_exact_quotients` of a leading coefficient by lc(b), and a
+    nonzero remainder raises ExactArithmeticError."""
+    a, n = list(a), len(b) - 1
     q = []
     for i in range(len(a) - 1, n - 1, -1):
-        x = a[i]
-        if inv is None:
-            x, r = divmod(x, lb)
-            if r:
-                raise ExactArithmeticError("an exact division left a remainder")
-        else:
-            x = x * inv
+        x, = _exact_quotients([a[i]], b[-1])
         q.append(x)
-        if x:
-            for j in range(n):
-                a[i - n + j] -= x * b[j]
+        for j in range(n):
+            a[i - n + j] -= x * b[j]
     if any(a[:n]):
         raise ExactArithmeticError("an exact division left a remainder")
     return q[::-1]
